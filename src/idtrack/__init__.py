@@ -1,9 +1,10 @@
 """Online multi-object tracking with blended overlap and identity affinity."""
 
-from .affinity import AffinityWeights, combined_affinity, id_similarity, iou, iou_matrix, nms
+from .affinity import AffinityWeights, combined_affinity, iou, iou_matrix, nms
 from .assignment import Assignment, brute_force_max, solve_max
-from .geometry import BBox, Detection, LossWeights, area, to_center, to_corner
+from .geometry import BBox, Detection, to_center, to_corner
 from .kernels import (
+    LossWeights,
     MotionTargets,
     OimTable,
     correlate,
@@ -36,7 +37,6 @@ __all__ = [
     "Tracker",
     "TrackerConfig",
     "Trajectory",
-    "area",
     "benchmark_config",
     "brute_force_max",
     "combined_affinity",
@@ -47,7 +47,6 @@ __all__ = [
     "format_report",
     "format_table",
     "generate",
-    "id_similarity",
     "iou",
     "iou_matrix",
     "multitask_loss",

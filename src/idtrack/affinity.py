@@ -7,13 +7,12 @@ Every entry lands in [0, 1].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geometry import UNIT_NORM_TOL, BBox, Detection, to_corner
+from .geometry import BBox, Detection, to_corner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .tracker import Trajectory
@@ -23,7 +22,6 @@ __all__ = [
     "WEIGHT_PRESETS",
     "iou",
     "iou_matrix",
-    "id_similarity",
     "combined_affinity",
     "nms",
 ]
@@ -45,15 +43,6 @@ class AffinityWeights:
             raise ValueError(
                 f"affinity weights must sum to 1, got {self.overlap} + {self.identity}"
             )
-
-    @classmethod
-    def preset(cls, name: str) -> "AffinityWeights":
-        try:
-            return WEIGHT_PRESETS[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown weight preset {name!r}; known: {sorted(WEIGHT_PRESETS)}"
-            ) from None
 
 
 # "default" is the balanced blend; "mot16" leans on identity, which holds up
@@ -94,23 +83,6 @@ def iou_matrix(boxes_a: Sequence[BBox], boxes_b: Sequence[BBox]) -> np.ndarray:
     return np.where(inter > 0.0, inter / union, 0.0)
 
 
-def id_similarity(e1: np.ndarray, e2: np.ndarray) -> float:
-    """Clamped cosine similarity of two unit-norm embeddings.
-
-    Negative correlations carry no evidence of identity, so the value is
-    floored at zero (and capped at one against float drift).
-    """
-    e1 = np.asarray(e1, dtype=np.float64)
-    e2 = np.asarray(e2, dtype=np.float64)
-    if e1.shape != e2.shape:
-        raise ValueError(f"embedding length mismatch: {e1.shape} vs {e2.shape}")
-    for v in (e1, e2):
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"embeddings must be unit-norm, got norm={norm}")
-    return float(np.clip(np.dot(e1, e2), 0.0, 1.0))
-
-
 def combined_affinity(
     trajectories: Sequence["Trajectory"],
     detections: Sequence[Detection],
@@ -146,6 +118,8 @@ def combined_affinity(
                 raise ValueError(f"detection {k} has no embedding but identity weight is {weights.identity}")
         emb_t = np.stack([t.head_embedding for t in trajectories])
         emb_d = np.stack([d.embedding for d in detections])
+        # Negative cosine carries no evidence of identity; the cap at one
+        # absorbs float drift.
         out += weights.identity * np.clip(emb_t @ emb_d.T, 0.0, 1.0)
     return out
 

@@ -20,11 +20,9 @@ BRUTE_FORCE_CAP = 9
 
 @dataclass(frozen=True)
 class Assignment:
-    """Result of a rectangular assignment: matched (row, col) pairs plus leftovers."""
+    """Result of a rectangular assignment: the matched (row, col) pairs."""
 
     pairs: tuple[tuple[int, int], ...]
-    unassigned_rows: tuple[int, ...]
-    unassigned_cols: tuple[int, ...]
 
     def total(self, matrix: np.ndarray) -> float:
         return float(sum(matrix[i, j] for i, j in self.pairs))
@@ -34,15 +32,15 @@ def solve_max(matrix: np.ndarray, min_affinity: float = 0.2) -> Assignment:
     """Maximize total affinity over one-to-one row/col pairs.
 
     The solver always produces min(rows, cols) pairs; pairs whose affinity
-    falls below ``min_affinity`` are then dropped and their row/col reported
-    unassigned. An empty matrix is fine and yields no pairs.
+    falls below ``min_affinity`` are then dropped. An empty matrix is fine
+    and yields no pairs.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
     rows, cols = matrix.shape
     if rows == 0 or cols == 0:
-        return Assignment((), tuple(range(rows)), tuple(range(cols)))
+        return Assignment(())
     if not np.isfinite(matrix).all():
         raise ValueError("affinity matrix contains non-finite entries")
 
@@ -52,13 +50,7 @@ def solve_max(matrix: np.ndarray, min_affinity: float = 0.2) -> Assignment:
         for i, j in zip(row_idx, col_idx)
         if matrix[i, j] >= min_affinity
     ]
-    matched_rows = {i for i, _ in pairs}
-    matched_cols = {j for _, j in pairs}
-    return Assignment(
-        tuple(pairs),
-        tuple(i for i in range(rows) if i not in matched_rows),
-        tuple(j for j in range(cols) if j not in matched_cols),
-    )
+    return Assignment(tuple(pairs))
 
 
 def brute_force_max(matrix: np.ndarray) -> float:

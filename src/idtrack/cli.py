@@ -38,21 +38,17 @@ from .tracker import DEFAULT_NMS_IOU, TrackerConfig, track_stream
 __all__ = ["main", "ABLATION_MODELS"]
 
 
-def _tracker_variant(weights: AffinityWeights, propagate: int) -> TrackerConfig:
-    return TrackerConfig(weights=weights, motion_propagate_frames=propagate)
-
-
 # The three stock variants compared by `ablate`: association on overlap only,
 # overlap plus motion coasting, and the full overlap+identity blend.
 ABLATION_MODELS = {
-    "iou-only": _tracker_variant(AffinityWeights(1.0, 0.0), 0),
-    "iou-motion": _tracker_variant(AffinityWeights(1.0, 0.0), 5),
-    "id-assoc": _tracker_variant(AffinityWeights(0.5, 0.5), 5),
+    "iou-only": TrackerConfig(weights=AffinityWeights(1.0, 0.0), motion_propagate_frames=0),
+    "iou-motion": TrackerConfig(weights=AffinityWeights(1.0, 0.0), motion_propagate_frames=5),
+    "id-assoc": TrackerConfig(weights=AffinityWeights(0.5, 0.5), motion_propagate_frames=5),
 }
 
 
 def _resolve_weights(args) -> AffinityWeights:
-    weights = AffinityWeights.preset(args.preset)
+    weights = WEIGHT_PRESETS[args.preset]
     if args.w1 is not None or args.w2 is not None:
         w1 = args.w1 if args.w1 is not None else (1.0 - args.w2)
         w2 = args.w2 if args.w2 is not None else (1.0 - args.w1)
@@ -150,15 +146,7 @@ def cmd_ablate(args) -> int:
         gt = subsample(gt_full, stride) if stride > 1 else gt_full
         dets = subsample(dets_full, stride) if stride > 1 else dets_full
         for name, base in ABLATION_MODELS.items():
-            variant = TrackerConfig(
-                weights=base.weights,
-                buffer_size=base.buffer_size,
-                min_affinity=base.min_affinity,
-                det_threshold=args.det_threshold,
-                motion_propagate_frames=base.motion_propagate_frames,
-                embedding_momentum=base.embedding_momentum,
-            )
-            outputs = track_stream(dets, variant)
+            outputs = track_stream(dets, replace(base, det_threshold=args.det_threshold))
             hyp = {}
             for o in outputs:
                 if not o.interpolated:
@@ -181,6 +169,7 @@ def cmd_ablate(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="idtrack", description="identity-aware multi-object tracking toolkit")
+    defaults = TrackerConfig()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("track", help="run the tracker over a detection file")
@@ -190,13 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default="default", choices=sorted(WEIGHT_PRESETS))
     p.add_argument("--w1", type=float, help="overlap affinity weight")
     p.add_argument("--w2", type=float, help="identity affinity weight")
-    p.add_argument("--buffer-size", type=int, default=10)
-    p.add_argument("--min-affinity", type=float, default=0.2)
-    p.add_argument("--det-threshold", type=float, default=0.5)
+    p.add_argument("--buffer-size", type=int, default=defaults.buffer_size)
+    p.add_argument("--min-affinity", type=float, default=defaults.min_affinity)
+    p.add_argument("--det-threshold", type=float, default=defaults.det_threshold)
     p.add_argument("--nms-iou", type=float, default=DEFAULT_NMS_IOU)
     p.add_argument("--frame-stride", type=int, default=1)
-    p.add_argument("--propagate-frames", type=int, default=5)
-    p.add_argument("--embedding-momentum", type=float, default=0.5)
+    p.add_argument("--propagate-frames", type=int, default=defaults.motion_propagate_frames)
+    p.add_argument("--embedding-momentum", type=float, default=defaults.embedding_momentum)
     p.add_argument("--write-interpolated", action="store_true", help="also write propagated boxes")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_track)
@@ -218,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="compare tracker variants across frame strides")
     p.add_argument("--config", help="key=value sim config file (default: stock benchmark)")
     p.add_argument("--strides", default="1,10")
-    p.add_argument("--det-threshold", type=float, default=0.5)
+    p.add_argument("--det-threshold", type=float, default=defaults.det_threshold)
     p.add_argument("--iou-gate", type=float, default=0.5)
     p.add_argument("--seed", type=int, help="override the seed")
     p.add_argument("--out-dir", help="also write each variant's result file here")

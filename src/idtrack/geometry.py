@@ -1,4 +1,4 @@
-"""Axis-aligned boxes, detections and loss weights shared by the whole package.
+"""Axis-aligned boxes and detections shared by the whole package.
 
 Boxes live in center form (cx, cy, w, h); corner form (left, top, right,
 bottom) only appears at file-format boundaries and inside IoU math.
@@ -7,17 +7,15 @@ bottom) only appears at file-format boundaries and inside IoU math.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "BBox",
     "Detection",
-    "LossWeights",
     "to_corner",
     "to_center",
-    "area",
 ]
 
 UNIT_NORM_TOL = 1e-6
@@ -53,13 +51,9 @@ def to_center(left: float, top: float, right: float, bottom: float) -> BBox:
     return BBox((left + right) / 2.0, (top + bottom) / 2.0, right - left, bottom - top)
 
 
-def area(box: BBox) -> float:
-    return box.w * box.h
-
-
 def _check_unit(vec: np.ndarray, what: str) -> None:
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # written so a NaN norm fails too
         raise ValueError(f"{what} must be L2-normalized (|norm-1| <= {UNIT_NORM_TOL}), got norm={norm}")
 
 
@@ -87,19 +81,3 @@ class Detection:
                 raise ValueError("embedding must be a 1-D vector")
             _check_unit(emb, "detection embedding")
             object.__setattr__(self, "embedding", emb)
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Non-negative weights of the four training loss terms."""
-
-    classification: float = 1.0
-    regression: float = 1.0
-    tracking: float = 1.0
-    identification: float = 1.0
-
-    def __post_init__(self):
-        for name in ("classification", "regression", "tracking", "identification"):
-            v = getattr(self, name)
-            if v < 0 or not math.isfinite(v):
-                raise ValueError(f"LossWeights.{name} must be finite and >= 0, got {v}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import UNIT_NORM_TOL, BBox, LossWeights
+from .geometry import UNIT_NORM_TOL, BBox
 
 __all__ = [
     "correlate",
@@ -26,6 +26,7 @@ __all__ = [
     "oim_forward",
     "oim_grad",
     "oim_update",
+    "LossWeights",
     "multitask_loss",
 ]
 
@@ -216,6 +217,22 @@ def oim_update(x: np.ndarray, table: OimTable, true_id: int) -> OimTable:
         raise ValueError("momentum blend collapsed to the zero vector; cannot renormalize")
     columns[:, true_id] = mixed / norm
     return OimTable(columns, table.momentum)
+
+
+@dataclass(frozen=True)
+class LossWeights:
+    """Non-negative weights of the four training loss terms."""
+
+    classification: float = 1.0
+    regression: float = 1.0
+    tracking: float = 1.0
+    identification: float = 1.0
+
+    def __post_init__(self):
+        for name in ("classification", "regression", "tracking", "identification"):
+            v = getattr(self, name)
+            if v < 0 or not math.isfinite(v):
+                raise ValueError(f"LossWeights.{name} must be finite and >= 0, got {v}")
 
 
 def multitask_loss(

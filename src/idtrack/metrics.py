@@ -150,7 +150,8 @@ def evaluate(gt: GtStream, hyp: HypStream, iou_gate: float = 0.5) -> MotReport:
 
     return MotReport(
         mota=1.0 - (fn + fp + ids) / max(gt_total, 1),
-        motp=iou_total / matches if matches else 0.0,
+        # The scalar iou of numpy-valued boxes is a numpy float.
+        motp=float(iou_total / matches) if matches else 0.0,
         ids=ids,
         mt=mt,
         ml=ml,

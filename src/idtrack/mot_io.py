@@ -8,7 +8,8 @@ Floats are written with 6 decimals so reruns are byte-identical.
 The embedding sidecar starts with a ``dim=D`` header, then one line per
 vector: ``frame,det_index,v1,...,vD`` where det_index is the 0-based
 position of the detection within its frame. Vectors are re-normalized at
-read time; a deviation beyond 1e-3 triggers a warning.
+read time; a deviation beyond 1e-3 triggers a warning, and a NaN or inf
+component is an error.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ def read_embeddings(path) -> tuple[int, dict[tuple[int, int], np.ndarray]]:
             vec = np.array([float(p) for p in parts[2:]], dtype=np.float64)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: malformed value ({exc})") from None
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{path}:{lineno}: embedding has non-finite components")
         norm = float(np.linalg.norm(vec))
         if norm < 1e-9:
             raise ValueError(f"{path}:{lineno}: zero-norm embedding cannot be normalized")

@@ -62,22 +62,15 @@ class Trajectory:
     head_embedding: np.ndarray | None
     avg_velocity: tuple[float, float]
     last_seen: int
-    age: int = 1
-    paused_for: int = 0
     head_frame: int = -1  # frame of head_box; defaults to last_seen
-    first_frame: int = -1  # birth frame; defaults to last_seen
     last_confidence: float = 1.0
     last_det_index: int | None = None
 
     def __post_init__(self):
         if self.track_id < 1:
             raise ValueError(f"track ids are 1-based, got {self.track_id}")
-        if self.paused_for < 0:
-            raise ValueError("paused_for must be >= 0")
         if self.head_frame < 0:
             object.__setattr__(self, "head_frame", self.last_seen)
-        if self.first_frame < 0:
-            object.__setattr__(self, "first_frame", self.last_seen)
 
 
 @dataclass(frozen=True)
@@ -88,19 +81,22 @@ class TrackerConfig:
     det_threshold: float = 0.5
     motion_propagate_frames: int = 5
     embedding_momentum: float = 0.5
-    frame_gap: int = 1
 
     def __post_init__(self):
         if self.buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
         if self.motion_propagate_frames < 0:
             raise ValueError("motion_propagate_frames must be >= 0")
+        if self.motion_propagate_frames > self.buffer_size:
+            # Retirement would silently cut coasting short.
+            raise ValueError(
+                f"motion_propagate_frames ({self.motion_propagate_frames}) must not exceed "
+                f"buffer_size ({self.buffer_size})"
+            )
         if not 0.0 <= self.embedding_momentum <= 1.0:
             raise ValueError("embedding_momentum must lie in [0, 1]")
         if not 0.0 <= self.det_threshold <= 1.0:
             raise ValueError("det_threshold must lie in [0, 1]")
-        if self.frame_gap < 1:
-            raise ValueError("frame_gap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -154,8 +150,6 @@ def update_trajectory(traj: Trajectory, det: Detection, momentum: float) -> Traj
         avg_velocity=velocity,
         last_seen=det.frame,
         head_frame=det.frame,
-        age=det.frame - traj.first_frame + 1,
-        paused_for=0,
         last_confidence=det.confidence,
     )
 
@@ -181,8 +175,9 @@ class Tracker:
         Args:
             detections: detections of the new frame, already confidence
                 filtered and NMS'd. All must carry the same frame index.
-            frame: frame being processed; defaults to the detections' frame
-                (or current + ``frame_gap`` when there are none).
+            frame: frame being processed; defaults to the detections' frame,
+                or to the frame after the last processed one when there are
+                no detections.
             predictions: optional externally predicted boxes, aligned
                 index-wise with ``self.active`` as it stands at call time.
                 ``None`` entries fall back to linear propagation.
@@ -193,7 +188,7 @@ class Tracker:
         """
         cfg = self.config
         if frame is None:
-            frame = detections[0].frame if detections else self.current_frame + cfg.frame_gap
+            frame = detections[0].frame if detections else self.current_frame + 1
         if frame <= self.current_frame:
             raise ValueError(f"frame {frame} does not advance past {self.current_frame}")
         for d in detections:
@@ -213,9 +208,15 @@ class Tracker:
 
         outputs: list[TrackOutput] = []
         det_taken = [False] * len(detections)
+        new_active: list[Trajectory] = []
+
+        def absorb(traj: Trajectory, j: int) -> None:
+            det_taken[j] = True
+            updated = replace(update_trajectory(traj, detections[j], cfg.embedding_momentum), last_det_index=j)
+            new_active.append(updated)
+            outputs.append(TrackOutput(frame, updated.track_id, updated.head_box, updated.last_confidence))
 
         # Phase 1: active set vs detections, blended affinity.
-        new_active: list[Trajectory] = []
         unmatched_active: list[Trajectory] = []
         if self.active and detections:
             matrix = combined_affinity(self.active, detections, cfg.weights)
@@ -227,11 +228,8 @@ class Tracker:
             j = matched.get(i)
             if j is None:
                 unmatched_active.append(traj)
-                continue
-            det_taken[j] = True
-            updated = replace(update_trajectory(traj, detections[j], cfg.embedding_momentum), last_det_index=j)
-            new_active.append(updated)
-            outputs.append(TrackOutput(frame, updated.track_id, updated.head_box, updated.last_confidence))
+            else:
+                absorb(traj, j)
 
         # Phase 2: identity-only recovery from the paused buffer, one
         # Hungarian solve per level, most recent level first.
@@ -247,15 +245,8 @@ class Tracker:
                 result = solve_max(matrix, cfg.min_affinity)
                 recovered_ids = set()
                 for ci, fj in result.pairs:
-                    j = free[fj]
-                    det_taken[j] = True
-                    updated = replace(
-                        update_trajectory(cand[ci], detections[j], cfg.embedding_momentum),
-                        last_det_index=j,
-                    )
-                    new_active.append(updated)
+                    absorb(cand[ci], free[fj])
                     recovered_ids.add(cand[ci].track_id)
-                    outputs.append(TrackOutput(frame, updated.track_id, updated.head_box, updated.last_confidence))
                 if recovered_ids:
                     still_paused = [t for t in still_paused if t.track_id not in recovered_ids]
 
@@ -278,27 +269,18 @@ class Tracker:
 
         # Phase 4: unmatched trajectories either coast on a predicted/linear
         # head (and stay in the active set) or fall into the paused buffer.
+        # Their last_det_index goes stale, but track_stream only reads it for
+        # trajectories matched or born in the previous frame.
         new_paused: list[Trajectory] = still_paused
         for traj in unmatched_active:
-            missed = frame - traj.last_seen
-            if missed <= cfg.motion_propagate_frames:
+            if frame - traj.last_seen <= cfg.motion_propagate_frames:
                 head = pred_by_id.get(traj.track_id)
                 if head is None:
                     head = propagate_linear(traj, steps=frame - traj.head_frame)
-                coasting = replace(
-                    traj,
-                    head_box=head,
-                    head_frame=frame,
-                    paused_for=missed,
-                    age=frame - traj.first_frame + 1,
-                    last_det_index=None,
-                )
-                new_active.append(coasting)
-                outputs.append(
-                    TrackOutput(frame, coasting.track_id, head, coasting.last_confidence, interpolated=True)
-                )
+                new_active.append(replace(traj, head_box=head, head_frame=frame))
+                outputs.append(TrackOutput(frame, traj.track_id, head, traj.last_confidence, interpolated=True))
             else:
-                new_paused.append(replace(traj, paused_for=missed, last_det_index=None))
+                new_paused.append(traj)
 
         self.active = new_active
         self.paused = new_paused

@@ -5,7 +5,6 @@ from idtrack.affinity import (
     WEIGHT_PRESETS,
     AffinityWeights,
     combined_affinity,
-    id_similarity,
     iou,
     iou_matrix,
     nms,
@@ -78,35 +77,13 @@ def test_iou_matrix_empty():
     assert iou_matrix([BBox(0, 0, 1, 1)], []).shape == (1, 0)
 
 
-def test_id_similarity_clamps_negative():
-    assert id_similarity(unit([1.0, 0.0]), unit([-1.0, 0.0])) == 0.0
-    assert id_similarity(unit([1.0, 0.0]), unit([0.0, 1.0])) == 0.0
-    assert id_similarity(unit([1.0, 1.0]), unit([1.0, 1.0])) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_id_similarity_cosine_value():
-    theta = 0.3
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([np.cos(theta), np.sin(theta)])
-    assert id_similarity(e1, e2) == pytest.approx(np.cos(theta), abs=1e-12)
-
-
-def test_id_similarity_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        id_similarity(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        id_similarity(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
-
-
 def test_weights_validation_and_presets():
     with pytest.raises(ValueError):
         AffinityWeights(0.5, 0.6)
     with pytest.raises(ValueError):
         AffinityWeights(-0.2, 1.2)
-    assert AffinityWeights.preset("mot16") == AffinityWeights(0.2, 0.8)
-    assert AffinityWeights.preset("default") == AffinityWeights(0.5, 0.5)
-    with pytest.raises(ValueError):
-        AffinityWeights.preset("nope")
+    assert WEIGHT_PRESETS["mot16"] == AffinityWeights(0.2, 0.8)
+    assert WEIGHT_PRESETS["default"] == AffinityWeights(0.5, 0.5)
     for weights in WEIGHT_PRESETS.values():
         assert weights.overlap + weights.identity == pytest.approx(1.0)
 
@@ -129,6 +106,27 @@ def test_combined_affinity_is_the_weighted_blend():
         expected = weights.overlap * overlap + weights.identity * gram
         assert np.allclose(got, expected, atol=1e-12)
         assert got.min() >= 0.0 and got.max() <= 1.0
+
+
+def identity_only(track_embedding, det_embeddings):
+    # Far-apart boxes: only the identity term can contribute.
+    trajs = [make_traj(1, BBox(0.0, 0.0, 2.0, 2.0), track_embedding)]
+    dets = [Detection(BBox(100.0, 100.0, 2.0, 2.0), 0.9, 1, e) for e in det_embeddings]
+    return combined_affinity(trajs, dets, AffinityWeights(0.0, 1.0))[0]
+
+
+def test_id_similarity_clamps_negative():
+    got = identity_only(unit([1.0, 0.0]), [unit([-1.0, 0.0]), unit([0.0, 1.0])])
+    assert got[0] == 0.0
+    assert got[1] == 0.0
+    same = identity_only(unit([1.0, 1.0]), [unit([1.0, 1.0])])
+    assert same[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_id_similarity_cosine_value():
+    theta = 0.3
+    got = identity_only(np.array([1.0, 0.0]), [np.array([np.cos(theta), np.sin(theta)])])
+    assert got[0] == pytest.approx(np.cos(theta), abs=1e-12)
 
 
 def test_combined_affinity_ignores_embeddings_at_zero_identity_weight():

@@ -132,6 +132,20 @@ def test_track_without_embeddings_needs_zero_identity_weight(tmp_path, tiny_conf
     assert main([*args, "--preset", "iou-only"]) == 0
 
 
+def test_track_rejects_non_finite_embedding_before_tracking(tmp_path, tiny_config, capsys):
+    scene = simulate(tmp_path, tiny_config)
+    emb = scene / "embeddings.txt"
+    lines = emb.read_text().splitlines()
+    frame, index, *values = lines[5].split(",")
+    lines[5] = ",".join([frame, index] + ["nan"] * len(values))
+    emb.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "hyp.txt"
+    rc = main(["track", "--dets", str(scene / "dets.txt"), "--embeddings", str(emb), "--out", str(out)])
+    assert rc == 1
+    assert "embeddings.txt:6:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_sweep(tmp_path, tiny_config, capsys):
     scene = simulate(tmp_path, tiny_config)
     hyp = tmp_path / "hyp.txt"

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from idtrack.geometry import BBox, Detection, LossWeights, area, to_center, to_corner
+from idtrack.geometry import BBox, Detection, to_center, to_corner
+from idtrack.kernels import LossWeights
 
 
 def test_corner_worked_example():
@@ -12,10 +13,6 @@ def test_corner_worked_example():
 def test_center_worked_example():
     box = to_center(10.0, 20.0, 40.0, 60.0)
     assert box == BBox(25.0, 40.0, 30.0, 40.0)
-
-
-def test_area():
-    assert area(BBox(0.0, 0.0, 30.0, 40.0)) == 1200.0
 
 
 def test_round_trip_exact_on_dyadic_lattice():
@@ -62,6 +59,8 @@ def test_detection_validation():
         Detection(box, 0.5, 1, embedding=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         Detection(box, 0.5, 1, embedding=np.eye(2))
+    with pytest.raises(ValueError):
+        Detection(box, 0.5, 1, embedding=np.array([float("nan"), 0.0]))
 
 
 def test_detection_embedding_coerced_to_float64():

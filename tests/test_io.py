@@ -156,6 +156,15 @@ def test_embedding_zero_vector_rejected(tmp_path):
         read_embeddings(p)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_embedding_non_finite_rejected(tmp_path, bad):
+    # A NaN norm would slip past both the zero-norm and the deviation check.
+    p = tmp_path / "emb.txt"
+    p.write_text(f"dim=2\n1,0,1.0,0.0\n1,1,{bad},0.0\n")
+    with pytest.raises(ValueError, match=r"emb\.txt:3: .*non-finite"):
+        read_embeddings(p)
+
+
 def test_denormalized_embedding_warns_and_fixes(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("dim=2\n1,0,3.0,4.0\n")

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from idtrack.geometry import BBox, LossWeights
+from idtrack.geometry import BBox
 from idtrack.kernels import (
+    LossWeights,
     MotionTargets,
     OimTable,
     correlate,

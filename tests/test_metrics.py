@@ -9,6 +9,7 @@ from idtrack.metrics import (
     format_table,
     sweep_thresholds,
 )
+from idtrack.sim import SimConfig, generate
 
 
 def box(cx, cy, size=10.0):
@@ -112,6 +113,15 @@ def test_motp_averages_match_overlap():
     hyp = {1: [(1, A)], 2: [(1, shifted)]}
     r = evaluate(gt, hyp)
     assert r.motp == pytest.approx((1.0 + 8.0 / 12.0) / 2.0, abs=1e-12)
+
+
+def test_report_rates_are_python_floats_on_a_generated_scene():
+    # Simulated boxes hold numpy scalars, so the scalar iou returns numpy floats.
+    gt, _ = generate(SimConfig(seed=5, num_identities=4, frames=10))
+    r = evaluate(gt, gt)
+    assert r.matches > 0
+    assert type(r.mota) is float
+    assert type(r.motp) is float
 
 
 def test_entry_order_does_not_matter():

@@ -164,6 +164,15 @@ def test_frames_must_advance():
         tracker.step([], frame=0)
 
 
+def test_empty_step_without_frame_advances_one_frame():
+    tracker = Tracker(iou_only_config(motion_propagate_frames=2))
+    tracker.step([det(10, 10, 1)])
+    tracker.step([det(12, 10, 2)])
+    outputs = tracker.step([])
+    assert tracker.current_frame == 3
+    assert [(o.frame, o.box) for o in outputs] == [(3, BBox(13.0, 10.0, 4.0, 4.0))]
+
+
 def test_mixed_frame_detections_rejected():
     tracker = Tracker(iou_only_config())
     with pytest.raises(ValueError):
@@ -202,7 +211,6 @@ def test_update_trajectory_velocity_spreads_over_the_gap():
     updated = update_trajectory(traj, det(22, 10, 4), momentum=0.5)
     # Displacement 12 over 3 frames -> 4 per frame, halved by momentum.
     assert updated.avg_velocity == (2.0, 0.0)
-    assert updated.age == 4
 
 
 def test_update_trajectory_rejects_regression():
@@ -276,6 +284,24 @@ def test_stream_predictions_take_over_when_detections_vanish():
     assert ids[3] != ids[1]
 
 
+def test_stream_prediction_follows_a_buffer_recovery():
+    # The trajectory coasts one frame, pauses, is recovered from the buffer
+    # by identity at frame 4, and the next frame's coasting head is the
+    # prediction keyed by the recovering detection's raw index.
+    dets = {
+        1: [det(10, 10, 1, EA)],
+        4: [det(300, 300, 4, EB, conf=0.1), det(400, 400, 4, EA)],
+        5: [],
+    }
+    predictions = {(4, 1): BBox(420.0, 400.0, 4.0, 4.0)}
+    outputs = track_stream(dets, id_only_config(motion_propagate_frames=1), predictions)
+    by_frame = {f: [(o.track_id, o.box, o.interpolated) for o in outputs if o.frame == f] for f in range(1, 6)}
+    assert by_frame[2] == [(1, BBox(10.0, 10.0, 4.0, 4.0), True)]
+    assert by_frame[3] == []
+    assert by_frame[4] == [(1, BBox(400.0, 400.0, 4.0, 4.0), False)]
+    assert by_frame[5] == [(1, BBox(420.0, 400.0, 4.0, 4.0), True)]
+
+
 def test_identity_weight_zero_ignores_embeddings():
     _, dets = generate(SimConfig(seed=41, num_identities=6, frames=40, occlusion_events=2))
     stripped = {
@@ -293,5 +319,8 @@ def test_config_validation():
         TrackerConfig(motion_propagate_frames=-1)
     with pytest.raises(ValueError):
         TrackerConfig(embedding_momentum=1.5)
+    with pytest.raises(ValueError):
+        TrackerConfig(buffer_size=3, motion_propagate_frames=4)
+    TrackerConfig(buffer_size=3, motion_propagate_frames=3)  # coasts to the end of the buffer
     with pytest.raises(ValueError):
         Trajectory(0, BBox(0, 0, 1, 1), None, (0.0, 0.0), last_seen=1)
