@@ -56,9 +56,20 @@ def _resolve_weights(args) -> AffinityWeights:
     return weights
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_track(args) -> int:
+    weights = _resolve_weights(args)
+    if weights.identity > 0.0 and not args.embeddings:
+        return _usage_error(f"identity weight {weights.identity} needs --embeddings; use --preset iou-only or --w2 0")
+    if args.predictions and args.frame_stride > 1:
+        # Predictions are keyed by source frame and look one source frame ahead.
+        return _usage_error("--predictions cannot be combined with --frame-stride > 1")
     config = TrackerConfig(
-        weights=_resolve_weights(args),
+        weights=weights,
         buffer_size=args.buffer_size,
         min_affinity=args.min_affinity,
         det_threshold=args.det_threshold,

@@ -214,34 +214,25 @@ def subsample(stream: Mapping[int, list], stride: int) -> dict[int, list]:
     return out
 
 
-_TUPLE_FIELDS = {
-    "arena": float,
-    "speed_range": float,
-    "box_size_range": float,
-    "occlusion_duration": int,
-}
-_INT_FIELDS = {"seed", "num_identities", "frames", "occlusion_events", "embedding_dim", "frame_stride"}
-
-
 def config_from_mapping(values: Mapping[str, str]) -> SimConfig:
     """Build a SimConfig from string key=value pairs (e.g. a config file).
 
-    Tuple-valued keys take comma-separated pairs, e.g. ``arena=1600,900``.
-    Unknown keys raise.
+    Each value is parsed as the type of that field's default in
+    ``SimConfig()``. Tuple-valued keys take comma-separated pairs, e.g.
+    ``arena=1600,900``. Unknown keys raise.
     """
     kwargs = {}
+    defaults = SimConfig()
     valid = SimConfig.__dataclass_fields__
     for key, raw in values.items():
         if key not in valid:
             raise ValueError(f"unknown sim config key {key!r}")
-        if key in _TUPLE_FIELDS:
+        default = getattr(defaults, key)
+        if isinstance(default, tuple):
             parts = [p.strip() for p in raw.split(",")]
-            if len(parts) != 2:
-                raise ValueError(f"{key} needs two comma-separated values, got {raw!r}")
-            cast = _TUPLE_FIELDS[key]
-            kwargs[key] = (cast(parts[0]), cast(parts[1]))
-        elif key in _INT_FIELDS:
-            kwargs[key] = int(raw)
+            if len(parts) != len(default):
+                raise ValueError(f"{key} needs {len(default)} comma-separated values, got {raw!r}")
+            kwargs[key] = tuple(type(d)(part) for d, part in zip(default, parts))
         else:
-            kwargs[key] = float(raw)
+            kwargs[key] = type(default)(raw)
     return SimConfig(**kwargs)

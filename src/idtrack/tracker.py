@@ -12,16 +12,18 @@ Per frame the tracker runs four phases:
 3. Leftover detections found nobody: they start new trajectories with fresh
    ids.
 4. Unmatched trajectories get a head for the current frame anyway — the
-   external prediction when one was supplied, otherwise a linear-motion
-   guess — and keep competing in phase 1 for up to
-   ``motion_propagate_frames`` consecutive misses. After that they are
-   paused into the buffer, where only phase 2 can bring them back. Once a
-   trajectory has been unseen for more than ``buffer_size`` frames its id is
-   retired for good.
+   external prediction that came with the detection they took in the
+   previous frame, otherwise a linear-motion guess — and keep competing in
+   phase 1 for up to ``motion_propagate_frames`` consecutive misses. After
+   that they are paused into the buffer, where only phase 2 can bring them
+   back. Once a trajectory has been unseen for more than ``buffer_size``
+   frames its id is retired for good.
 
 Identity-only recovery needs embeddings, so with ``weights.identity == 0``
 phase 2 is skipped entirely and the tracker degrades to a plain IoU
-Hungarian tracker.
+Hungarian tracker. With ``weights.identity > 0`` every detection must carry
+an embedding: ``Tracker.step`` raises ``ValueError`` naming the first one
+without, before it changes any state.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class Trajectory:
     last_seen: int
     head_frame: int = -1  # frame of head_box; defaults to last_seen
     last_confidence: float = 1.0
-    last_det_index: int | None = None
+    predicted_box: BBox | None = None  # came with the last detection; for frame last_seen + 1
 
     def __post_init__(self):
         if self.track_id < 1:
@@ -178,9 +180,10 @@ class Tracker:
             frame: frame being processed; defaults to the detections' frame,
                 or to the frame after the last processed one when there are
                 no detections.
-            predictions: optional externally predicted boxes, aligned
-                index-wise with ``self.active`` as it stands at call time.
-                ``None`` entries fall back to linear propagation.
+            predictions: optional next-frame boxes, ``predictions[j]`` for
+                ``detections[j]``; the trajectory that takes detection j
+                coasts on it if it misses the next frame. ``None`` entries
+                fall back to linear propagation.
 
         Returns:
             One output per surviving trajectory that has a box this frame;
@@ -194,17 +197,17 @@ class Tracker:
         for d in detections:
             if d.frame != frame:
                 raise ValueError(f"detection frame {d.frame} does not match step frame {frame}")
-        if predictions is not None and len(predictions) != len(self.active):
-            raise ValueError(
-                f"got {len(predictions)} predictions for {len(self.active)} active trajectories"
-            )
+        missing = [j for j, d in enumerate(detections) if d.embedding is None]
+        if cfg.weights.identity > 0.0 and missing:
+            raise ValueError(f"detection {missing[0]} has no embedding but identity weight is {cfg.weights.identity}")
+        if predictions is None:
+            predictions = [None] * len(detections)
+        elif len(predictions) != len(detections):
+            raise ValueError(f"got {len(predictions)} predictions for {len(detections)} detections")
 
         # Trajectories unseen longer than the buffer allows are gone for good.
         self.active = [t for t in self.active if frame - t.last_seen <= cfg.buffer_size]
         self.paused = [t for t in self.paused if frame - t.last_seen <= cfg.buffer_size]
-        pred_by_id: dict[int, BBox] = {}
-        if predictions is not None:
-            pred_by_id = {t.track_id: p for t, p in zip(self.active, predictions) if p is not None}
 
         outputs: list[TrackOutput] = []
         det_taken = [False] * len(detections)
@@ -212,7 +215,8 @@ class Tracker:
 
         def absorb(traj: Trajectory, j: int) -> None:
             det_taken[j] = True
-            updated = replace(update_trajectory(traj, detections[j], cfg.embedding_momentum), last_det_index=j)
+            updated = update_trajectory(traj, detections[j], cfg.embedding_momentum)
+            updated = replace(updated, predicted_box=predictions[j])
             new_active.append(updated)
             outputs.append(TrackOutput(frame, updated.track_id, updated.head_box, updated.last_confidence))
 
@@ -238,7 +242,7 @@ class Tracker:
             id_only = AffinityWeights(0.0, 1.0)
             for level in range(2, cfg.buffer_size + 1):
                 cand = [t for t in still_paused if frame - t.last_seen == level]
-                free = [j for j, taken in enumerate(det_taken) if not taken and detections[j].embedding is not None]
+                free = [j for j, taken in enumerate(det_taken) if not taken]
                 if not cand or not free:
                     continue
                 matrix = combined_affinity(cand, [detections[j] for j in free], id_only)
@@ -261,7 +265,7 @@ class Tracker:
                 avg_velocity=(0.0, 0.0),
                 last_seen=frame,
                 last_confidence=det.confidence,
-                last_det_index=j,
+                predicted_box=predictions[j],
             )
             self.next_id += 1
             new_active.append(traj)
@@ -269,12 +273,11 @@ class Tracker:
 
         # Phase 4: unmatched trajectories either coast on a predicted/linear
         # head (and stay in the active set) or fall into the paused buffer.
-        # Their last_det_index goes stale, but track_stream only reads it for
-        # trajectories matched or born in the previous frame.
+        # A prediction is for the frame after last_seen only.
         new_paused: list[Trajectory] = still_paused
         for traj in unmatched_active:
             if frame - traj.last_seen <= cfg.motion_propagate_frames:
-                head = pred_by_id.get(traj.track_id)
+                head = traj.predicted_box if traj.last_seen == frame - 1 else None
                 if head is None:
                     head = propagate_linear(traj, steps=frame - traj.head_frame)
                 new_active.append(replace(traj, head_box=head, head_frame=frame))
@@ -303,7 +306,7 @@ def track_stream(
         predictions: optional mapping (frame, det_index) -> BBox giving the
             predicted next-frame box for a detection, indexed by the
             detection's position in the frame's raw list (before confidence
-            filtering and NMS).
+            filtering and NMS). An empty mapping is the same as none.
         nms_iou: suppression threshold applied after confidence filtering.
 
     Detections below ``config.det_threshold`` are dropped, then NMS runs,
@@ -315,25 +318,13 @@ def track_stream(
     if not dets:
         return outputs
 
-    prev_orig_index: list[int] = []
     for frame in range(1, max(dets) + 1):
         raw = dets.get(frame, [])
-        indexed = [(i, d) for i, d in enumerate(raw) if d.confidence >= config.det_threshold]
-        kept = nms([d for _, d in indexed], nms_iou)
-        kept_set = {id(d) for d in kept}
-        indexed = [(i, d) for i, d in indexed if id(d) in kept_set]
-        frame_dets = [d for _, d in indexed]
-
+        kept = nms([d for d in raw if d.confidence >= config.det_threshold], nms_iou)
         preds = None
-        if predictions is not None:
-            preds = []
-            for traj in tracker.active:
-                box = None
-                if traj.last_seen == frame - 1 and traj.last_det_index is not None:
-                    orig = prev_orig_index[traj.last_det_index]
-                    box = predictions.get((frame - 1, orig))
-                preds.append(box)
-
-        outputs.extend(tracker.step(frame_dets, frame, preds))
-        prev_orig_index = [i for i, _ in indexed]
+        if predictions:
+            # nms keeps survivors in input order, so a forward walk finds their raw indices.
+            rest = iter(enumerate(raw))
+            preds = [predictions.get((frame, next(i for i, d in rest if d is k))) for k in kept]
+        outputs.extend(tracker.step(kept, frame, preds))
     return outputs

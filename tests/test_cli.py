@@ -125,11 +125,32 @@ def test_track_accepts_a_predictions_file(tmp_path, tiny_config):
 
 def test_track_without_embeddings_needs_zero_identity_weight(tmp_path, tiny_config, capsys):
     scene = simulate(tmp_path, tiny_config)
-    args = ["track", "--dets", str(scene / "dets.txt"), "--out", str(tmp_path / "o.txt")]
+    out = tmp_path / "o.txt"
+    args = ["track", "--dets", str(scene / "dets.txt"), "--out", str(out)]
     rc = main(args)  # default weights want embeddings
-    assert rc == 1
-    assert "embedding" in capsys.readouterr().err
+    assert rc == 2
+    assert "--embeddings" in capsys.readouterr().err
+    assert not out.exists()
     assert main([*args, "--preset", "iou-only"]) == 0
+
+
+def test_track_rejects_predictions_with_a_frame_stride(tmp_path, capsys):
+    # Usage is checked before any file is read, so missing inputs do not
+    # turn this into a runtime error.
+    out = tmp_path / "o.txt"
+    rc = main(
+        [
+            "track",
+            "--dets", str(tmp_path / "dets.txt"),
+            "--embeddings", str(tmp_path / "embeddings.txt"),
+            "--predictions", str(tmp_path / "preds.txt"),
+            "--frame-stride", "2",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert "--frame-stride" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_track_rejects_non_finite_embedding_before_tracking(tmp_path, tiny_config, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -189,3 +191,19 @@ def test_config_from_mapping():
         config_from_mapping({"bogus": "1"})
     with pytest.raises(ValueError):
         config_from_mapping({"arena": "800"})
+
+
+def test_config_from_mapping_round_trips_every_field_and_type():
+    cfg = benchmark_config(seed=5)
+    text = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        text[f.name] = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    parsed = config_from_mapping(text)
+    assert parsed == cfg
+
+    def types(value):
+        return [type(v) for v in value] if isinstance(value, tuple) else type(value)
+
+    for f in fields(cfg):
+        assert types(getattr(parsed, f.name)) == types(getattr(cfg, f.name)), f.name

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idtrack.affinity import AffinityWeights
 from idtrack.geometry import BBox, Detection
@@ -138,21 +140,48 @@ def test_coasting_trajectory_still_matches_by_iou():
 
 
 def test_external_prediction_replaces_linear_coasting():
+    # predictions[j] is detection j's box in the next frame; the trajectory
+    # that takes detection 1 coasts on it when it misses frame 2.
     tracker = Tracker(iou_only_config(motion_propagate_frames=2))
-    tracker.step([det(10, 10, 1)])
-    outputs = tracker.step([], frame=2, predictions=[BBox(50.0, 50.0, 4.0, 4.0)])
-    assert outputs[0].interpolated
-    assert outputs[0].box == BBox(50.0, 50.0, 4.0, 4.0)
+    tracker.step([det(100, 100, 1), det(10, 10, 1)], predictions=[None, BBox(50.0, 50.0, 4.0, 4.0)])
+    outputs = tracker.step([det(100, 100, 2)])
+    assert [(o.track_id, o.box, o.interpolated) for o in outputs] == [
+        (1, BBox(100.0, 100.0, 4.0, 4.0), False),
+        (2, BBox(50.0, 50.0, 4.0, 4.0), True),
+    ]
     # The predicted head is what the next frame's IoU sees.
     outputs = tracker.step([det(50, 50, 3)])
-    assert [o.track_id for o in outputs] == [1]
+    assert [(o.track_id, o.interpolated) for o in outputs] == [(2, False), (1, True)]
+
+
+def test_prediction_is_only_for_the_next_frame():
+    tracker = Tracker(iou_only_config(motion_propagate_frames=2))
+    tracker.step([det(10, 10, 1)], predictions=[BBox(50.0, 50.0, 4.0, 4.0)])
+    outputs = tracker.step([], frame=3)  # frame 2 was skipped: linear (still) head
+    assert [(o.box, o.interpolated) for o in outputs] == [(BBox(10.0, 10.0, 4.0, 4.0), True)]
 
 
 def test_prediction_length_mismatch_rejected():
     tracker = Tracker(iou_only_config())
     tracker.step([det(10, 10, 1)])
-    with pytest.raises(ValueError):
-        tracker.step([], frame=2, predictions=[None, None])
+    with pytest.raises(ValueError, match="1 predictions for 2 detections"):
+        tracker.step([det(10, 10, 2), det(50, 50, 2)], predictions=[None])
+    with pytest.raises(ValueError, match="1 predictions for 0 detections"):
+        tracker.step([], frame=2, predictions=[None])
+    assert tracker.current_frame == 1
+
+
+def test_missing_embedding_rejected_before_any_state_changes():
+    tracker = Tracker(id_only_config(motion_propagate_frames=1))
+    tracker.step([det(10, 10, 1, EA), det(300, 300, 1, EB)])
+    tracker.step([det(10, 10, 2, EA)])  # id 2 coasts
+    tracker.step([det(10, 10, 3, EA)])  # id 2 pauses
+    before = (list(tracker.active), list(tracker.paused), tracker.next_id, tracker.current_frame)
+    assert before[0] and before[1]
+    # Frame 20 would retire both trajectories if the step got that far.
+    with pytest.raises(ValueError, match="detection 1 has no embedding"):
+        tracker.step([det(10, 10, 20, EA), det(50, 50, 20)])
+    assert (tracker.active, tracker.paused, tracker.next_id, tracker.current_frame) == before
 
 
 def test_frames_must_advance():
@@ -324,3 +353,87 @@ def test_config_validation():
     TrackerConfig(buffer_size=3, motion_propagate_frames=3)  # coasts to the end of the buffer
     with pytest.raises(ValueError):
         Trajectory(0, BBox(0, 0, 1, 1), None, (0.0, 0.0), last_seen=1)
+
+
+@st.composite
+def scenes_with_predictions(draw):
+    """A small seeded scene, a tracker config that coasts and retires within
+    it, and predicted next-frame boxes for a random subset of detections."""
+    config = SimConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        num_identities=draw(st.integers(2, 6)),
+        frames=draw(st.integers(10, 30)),
+        arena=(400.0, 300.0),
+        miss_rate=draw(st.sampled_from([0.05, 0.2])),
+        fp_rate=0.5,
+        occlusion_events=draw(st.integers(0, 3)),
+        occlusion_duration=(1, 6),
+        embedding_dim=8,
+    )
+    _, dets = generate(config)
+    buffer_size = draw(st.integers(1, 4))
+    tracker_config = id_only_config(
+        buffer_size=buffer_size, motion_propagate_frames=draw(st.integers(1, buffer_size))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    predictions = {}
+    for frame, frame_dets in dets.items():
+        for i, d in enumerate(frame_dets):
+            if rng.random() < 0.7:
+                dx, dy = rng.normal(0.0, 8.0, size=2)
+                predictions[(frame, i)] = BBox(d.box.cx + dx, d.box.cy + dy, d.box.w, d.box.h)
+    return dets, tracker_config, predictions
+
+
+property_settings = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@property_settings
+@given(scenes_with_predictions())
+def test_property_frame_id_pairs_are_unique(scene):
+    dets, config, predictions = scene
+    seen = [(o.frame, o.track_id) for o in track_stream(dets, config, predictions)]
+    assert len(seen) == len(set(seen))
+
+
+@property_settings
+@given(scenes_with_predictions())
+def test_property_retired_ids_never_reappear(scene):
+    # An id is retired once it has gone more than buffer_size frames without
+    # a detection. Ids are handed out in birth order and every id starts
+    # with a detection, so a retired id can only come back as a late output.
+    dets, config, predictions = scene
+    outputs = track_stream(dets, config, predictions)
+    last_real: dict[int, int] = {}
+    for o in sorted(outputs, key=lambda o: (o.frame, o.interpolated)):
+        if o.track_id not in last_real:
+            assert not o.interpolated
+            assert o.track_id == len(last_real) + 1
+        else:
+            assert o.frame - last_real[o.track_id] <= config.buffer_size
+        if not o.interpolated:
+            last_real[o.track_id] = o.frame
+
+
+@property_settings
+@given(scenes_with_predictions())
+def test_property_empty_predictions_are_no_predictions(scene):
+    dets, config, _ = scene
+    assert track_stream(dets, config, {}) == track_stream(dets, config)
+
+
+@property_settings
+@given(scenes_with_predictions())
+def test_property_coasting_head_is_the_taken_detections_prediction(scene):
+    dets, config, predictions = scene
+    outputs = track_stream(dets, config, predictions)
+    real = {(o.frame, o.track_id): o for o in outputs if not o.interpolated}
+    for o in outputs:
+        prev = real.get((o.frame - 1, o.track_id))
+        if not o.interpolated or prev is None:
+            continue
+        taken = [i for i, d in enumerate(dets[o.frame - 1]) if d.box == prev.box]
+        assert len(taken) == 1
+        expected = predictions.get((o.frame - 1, taken[0]))
+        if expected is not None:
+            assert o.box == expected
