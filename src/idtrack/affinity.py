@@ -69,18 +69,19 @@ def iou(a: BBox, b: BBox) -> float:
 
 
 def iou_matrix(boxes_a: Sequence[BBox], boxes_b: Sequence[BBox]) -> np.ndarray:
-    """Pairwise IoU, shape (len(a), len(b)). Vectorized over corner arrays."""
+    """Pairwise IoU, shape (len(a), len(b)).
+
+    Every cell takes the same float operations as :func:`iou`, so
+    ``iou_matrix(a, b)[i, j] == iou(a[i], b[j])`` holds bit for bit.
+    """
     if not boxes_a or not boxes_b:
         return np.zeros((len(boxes_a), len(boxes_b)))
-    ca = np.array([to_corner(b) for b in boxes_a])  # (n, 4)
-    cb = np.array([to_corner(b) for b in boxes_b])  # (m, 4)
-    iw = np.minimum(ca[:, None, 2], cb[None, :, 2]) - np.maximum(ca[:, None, 0], cb[None, :, 0])
-    ih = np.minimum(ca[:, None, 3], cb[None, :, 3]) - np.maximum(ca[:, None, 1], cb[None, :, 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_a = (ca[:, 2] - ca[:, 0]) * (ca[:, 3] - ca[:, 1])
-    area_b = (cb[:, 2] - cb[:, 0]) * (cb[:, 3] - cb[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    return np.where(inter > 0.0, inter / union, 0.0)
+    cx_a, cy_a, w_a, h_a = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes_a], dtype=np.float64).T[:, :, None]
+    cx_b, cy_b, w_b, h_b = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes_b], dtype=np.float64).T[:, None, :]
+    iw = np.minimum(cx_a + w_a / 2.0, cx_b + w_b / 2.0) - np.maximum(cx_a - w_a / 2.0, cx_b - w_b / 2.0)
+    ih = np.minimum(cy_a + h_a / 2.0, cy_b + h_b / 2.0) - np.maximum(cy_a - h_a / 2.0, cy_b - h_b / 2.0)
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    return inter / (w_a * h_a + w_b * h_b - inter)
 
 
 def combined_affinity(
@@ -130,16 +131,16 @@ def nms(detections: Sequence[Detection], iou_threshold: float) -> list[Detection
     Candidates are visited in descending confidence (ties: lower input index
     first); a candidate is dropped when it overlaps an already kept box with
     IoU strictly above the threshold. Survivors come back in their original
-    relative order.
+    relative order. One pairwise :func:`iou_matrix` serves the whole frame,
+    so memory is O(n²) in the number of detections.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
-    keep = [False] * len(detections)
-    kept_boxes: list[BBox] = []
-    for i in order:
-        box = detections[i].box
-        if all(iou(box, kb) <= iou_threshold for kb in kept_boxes):
-            keep[i] = True
-            kept_boxes.append(box)
-    return [d for i, d in enumerate(detections) if keep[i]]
+    order = np.argsort([-d.confidence for d in detections], kind="stable")
+    boxes = [detections[i].box for i in order]
+    suppresses = iou_matrix(boxes, boxes) > iou_threshold
+    alive = np.ones(len(order), dtype=bool)
+    for k in range(len(order)):
+        if alive[k]:
+            alive[k + 1 :] &= ~suppresses[k, k + 1 :]
+    return [detections[i] for i in np.sort(order[alive])]

@@ -62,6 +62,8 @@ def _usage_error(message: str) -> int:
 
 
 def cmd_track(args) -> int:
+    if args.frame_stride < 1:
+        return _usage_error(f"--frame-stride must be >= 1, got {args.frame_stride}")
     weights = _resolve_weights(args)
     if weights.identity > 0.0 and not args.embeddings:
         return _usage_error(f"identity weight {weights.identity} needs --embeddings; use --preset iou-only or --w2 0")
@@ -77,9 +79,11 @@ def cmd_track(args) -> int:
         embedding_momentum=args.embedding_momentum,
     )
     dets = load_detections(args.dets, args.embeddings)
+    predictions = None
+    if args.predictions:
+        predictions = read_predictions(args.predictions, {f: len(v) for f, v in dets.items()})
     if args.frame_stride > 1:
         dets = subsample(dets, args.frame_stride)
-    predictions = read_predictions(args.predictions) if args.predictions else None
     outputs = track_stream(dets, config, predictions, nms_iou=args.nms_iou)
     write_results(args.out, outputs, include_interpolated=args.write_interpolated)
     written = sum(1 for o in outputs if args.write_interpolated or not o.interpolated)

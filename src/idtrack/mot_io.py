@@ -157,13 +157,22 @@ def read_scored_hypotheses(path) -> dict[int, list[tuple[int, BBox, float]]]:
     return out
 
 
-def read_predictions(path) -> dict[tuple[int, int], BBox]:
-    """Read predicted next-frame boxes keyed by (source frame, det index)."""
+def read_predictions(path, det_counts: Mapping[int, int]) -> dict[tuple[int, int], BBox]:
+    """Read predicted next-frame boxes keyed by (source frame, det index).
+
+    ``det_counts`` maps each frame to its number of raw detections; a line
+    whose index names no detection, or whose key repeats, is rejected.
+    """
     out: dict[tuple[int, int], BBox] = {}
     for lineno, line in _iter_data_lines(path):
         frame, det_index, box, _ = _parse_mot_line(line, lineno, path)
         if det_index < 0:
             raise ValueError(f"{path}:{lineno}: detection index must be >= 0, got {det_index}")
+        count = det_counts.get(frame, 0)
+        if det_index >= count:
+            raise ValueError(f"{path}:{lineno}: frame {frame} has {count} detections, no index {det_index}")
+        if (frame, det_index) in out:
+            raise ValueError(f"{path}:{lineno}: repeated prediction for frame {frame} detection {det_index}")
         out[(frame, det_index)] = box
     return out
 

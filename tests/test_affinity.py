@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import idtrack.affinity
 from idtrack.affinity import (
     WEIGHT_PRESETS,
     AffinityWeights,
@@ -62,14 +65,16 @@ def test_iou_symmetry_fuzz():
 
 
 def test_iou_matrix_matches_scalar():
+    # Bit for bit: nms thresholds the matrix, so an ulp of drift could flip
+    # a survivor at the boundary.
     rng = np.random.default_rng(11)
-    boxes_a = [random_box(rng) for _ in range(5)]
-    boxes_b = [random_box(rng) for _ in range(7)]
+    boxes_a = [random_box(rng) for _ in range(40)]
+    boxes_b = [random_box(rng) for _ in range(50)]
     m = iou_matrix(boxes_a, boxes_b)
-    assert m.shape == (5, 7)
+    assert m.shape == (40, 50)
     for i, a in enumerate(boxes_a):
         for j, b in enumerate(boxes_b):
-            assert m[i, j] == pytest.approx(iou(a, b), abs=1e-12)
+            assert m[i, j] == iou(a, b)
 
 
 def test_iou_matrix_empty():
@@ -199,3 +204,72 @@ def test_nms_result_independent_of_input_order():
 def test_nms_rejects_bad_threshold():
     with pytest.raises(ValueError):
         nms([], 1.5)
+
+
+def greedy_nms(detections, iou_threshold):
+    """Reference NMS: the scalar iou against every kept box, one pair at a time."""
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
+    keep = [False] * len(detections)
+    kept_boxes = []
+    for i in order:
+        box = detections[i].box
+        if all(iou(box, kb) <= iou_threshold for kb in kept_boxes):
+            keep[i] = True
+            kept_boxes.append(box)
+    return [d for i, d in enumerate(detections) if keep[i]]
+
+
+half_steps = st.integers(0, 80).map(lambda v: v / 2.0)
+box_sides = st.one_of(st.integers(1, 40).map(lambda v: v / 2.0), st.floats(0.1, 30.0))
+boxes = st.builds(BBox, st.one_of(half_steps, st.floats(0.0, 40.0)), half_steps, box_sides, box_sides)
+
+
+@st.composite
+def nms_frames(draw):
+    """A frame with repeated confidences and duplicate boxes, and a threshold
+    that is 0, 1, arbitrary, or one of the frame's own pairwise IoUs."""
+    pool = draw(st.lists(boxes, min_size=1, max_size=10))
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(pool) - 1), st.sampled_from((0.0, 0.3, 0.5, 0.7, 1.0))),
+            max_size=30,
+        )
+    )
+    dets = [Detection(pool[p], conf, 1) for p, conf in picks]
+    # Identical boxes can score an ulp above 1, which is no valid threshold.
+    pairwise = sorted({v for a in dets for b in dets if a is not b and (v := iou(a.box, b.box)) <= 1.0})
+    threshold = draw(
+        st.one_of(
+            st.sampled_from((0.0, 1.0)),
+            st.floats(0.0, 1.0),
+            st.sampled_from(pairwise) if pairwise else st.just(0.5),
+        )
+    )
+    return dets, threshold
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(nms_frames())
+def test_property_nms_matches_the_scalar_greedy_reference(frame):
+    dets, threshold = frame
+    got = nms(dets, threshold)
+    want = greedy_nms(dets, threshold)
+    assert len(got) == len(want)
+    assert all(g is w for g, w in zip(got, want))
+
+
+def test_nms_never_calls_the_scalar_iou(monkeypatch):
+    # A crowded frame goes through the one pairwise matrix, not per-pair Python.
+    def scalar_iou(a, b):
+        raise AssertionError("nms called the scalar iou")
+
+    rng = np.random.default_rng(23)
+    dets = [
+        Detection(random_box(rng, 20.0), float(rng.uniform(0.05, 0.99)), 1)
+        for _ in range(60)
+    ]
+    want = greedy_nms(dets, 0.3)
+    monkeypatch.setattr(idtrack.affinity, "iou", scalar_iou)
+    got = nms(dets, 0.3)
+    assert 0 < len(got) < len(dets)
+    assert all(g is w for g, w in zip(got, want))

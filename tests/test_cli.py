@@ -153,6 +153,50 @@ def test_track_rejects_predictions_with_a_frame_stride(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stride", ["0", "-3"])
+def test_track_rejects_a_frame_stride_below_one(tmp_path, capsys, stride):
+    # Checked before any file is read: the inputs do not exist.
+    out = tmp_path / "o.txt"
+    rc = main(
+        [
+            "track",
+            "--dets", str(tmp_path / "dets.txt"),
+            "--embeddings", str(tmp_path / "embeddings.txt"),
+            "--frame-stride", stride,
+            "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert f"--frame-stride must be >= 1, got {stride}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "1,0,10,20,30,40,1,-1,-1,-1",  # repeats line 1's key
+        "1,99,10,20,30,40,1,-1,-1,-1",  # frame 1 has no detection 99
+    ],
+)
+def test_track_rejects_bad_predictions_before_tracking(tmp_path, tiny_config, capsys, bad_line):
+    scene = simulate(tmp_path, tiny_config)
+    pred = tmp_path / "predictions.txt"
+    pred.write_text("1,0,10,20,30,40,1,-1,-1,-1\n2,0,10,20,30,40,1,-1,-1,-1\n" + bad_line + "\n")
+    out = tmp_path / "hyp.txt"
+    rc = main(
+        [
+            "track",
+            "--dets", str(scene / "dets.txt"),
+            "--embeddings", str(scene / "embeddings.txt"),
+            "--predictions", str(pred),
+            "--out", str(out),
+        ]
+    )
+    assert rc == 1
+    assert "predictions.txt:3:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_track_rejects_non_finite_embedding_before_tracking(tmp_path, tiny_config, capsys):
     scene = simulate(tmp_path, tiny_config)
     emb = scene / "embeddings.txt"

@@ -197,9 +197,32 @@ def test_write_results_rejects_bad_ids(tmp_path):
 def test_predictions_round_trip(tmp_path):
     p = tmp_path / "pred.txt"
     p.write_text("1,0,10,20,30,40,1,-1,-1,-1\n1,1,50,60,30,40,1,-1,-1,-1\n")
-    preds = read_predictions(p)
+    preds = read_predictions(p, {1: 2})
     assert set(preds) == {(1, 0), (1, 1)}
     assert preds[(1, 0)] == BBox(25.0, 40.0, 30.0, 40.0)
+
+
+def test_predictions_reject_a_repeated_key(tmp_path):
+    p = tmp_path / "pred.txt"
+    p.write_text("1,0,10,20,30,40,1,-1,-1,-1\n2,0,10,20,30,40,1,-1,-1,-1\n1,0,50,60,30,40,1,-1,-1,-1\n")
+    with pytest.raises(ValueError, match=r"pred\.txt:3: repeated prediction for frame 1 detection 0"):
+        read_predictions(p, {1: 1, 2: 1})
+
+
+@pytest.mark.parametrize(
+    ("line", "counts"),
+    [
+        ("1,1,10,20,30,40,1,-1,-1,-1", {1: 1}),  # one past the last detection
+        ("1,99,10,20,30,40,1,-1,-1,-1", {1: 1}),
+        ("3,0,10,20,30,40,1,-1,-1,-1", {1: 1}),  # a frame with no detections
+        ("1,-1,10,20,30,40,1,-1,-1,-1", {1: 1}),
+    ],
+)
+def test_predictions_reject_an_index_with_no_detection(tmp_path, line, counts):
+    p = tmp_path / "pred.txt"
+    p.write_text("1,0,10,20,30,40,1,-1,-1,-1\n" + line + "\n")
+    with pytest.raises(ValueError, match=r"pred\.txt:2: "):
+        read_predictions(p, counts)
 
 
 def test_read_config(tmp_path):
