@@ -1,7 +1,7 @@
 """Online multi-object tracking with blended overlap and identity affinity."""
 
 from .affinity import AffinityWeights, combined_affinity, iou, iou_matrix, nms
-from .assignment import Assignment, brute_force_max, solve_max
+from .assignment import Assignment, solve_max
 from .geometry import BBox, Detection, to_center, to_corner
 from .kernels import (
     LossWeights,
@@ -38,7 +38,6 @@ __all__ = [
     "TrackerConfig",
     "Trajectory",
     "benchmark_config",
-    "brute_force_max",
     "combined_affinity",
     "correlate",
     "decode_targets",

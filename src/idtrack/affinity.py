@@ -56,7 +56,11 @@ WEIGHT_PRESETS = {
 
 
 def iou(a: BBox, b: BBox) -> float:
-    """Intersection-over-union of two boxes. 0 for disjoint interiors, 1 for identical."""
+    """Intersection-over-union of two boxes. 0 for disjoint interiors, 1 for identical.
+
+    The ratio is capped at 1: the corners are rounded, so for identical boxes
+    the intersection can come out an ulp larger than the area.
+    """
     al, at, ar, ab = to_corner(a)
     bl, bt, br, bb = to_corner(b)
     iw = min(ar, br) - max(al, bl)
@@ -65,7 +69,7 @@ def iou(a: BBox, b: BBox) -> float:
         return 0.0
     inter = iw * ih
     union = a.w * a.h + b.w * b.h - inter
-    return inter / union
+    return min(inter / union, 1.0)
 
 
 def iou_matrix(boxes_a: Sequence[BBox], boxes_b: Sequence[BBox]) -> np.ndarray:
@@ -81,7 +85,7 @@ def iou_matrix(boxes_a: Sequence[BBox], boxes_b: Sequence[BBox]) -> np.ndarray:
     iw = np.minimum(cx_a + w_a / 2.0, cx_b + w_b / 2.0) - np.maximum(cx_a - w_a / 2.0, cx_b - w_b / 2.0)
     ih = np.minimum(cy_a + h_a / 2.0, cy_b + h_b / 2.0) - np.maximum(cy_a - h_a / 2.0, cy_b - h_b / 2.0)
     inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    return inter / (w_a * h_a + w_b * h_b - inter)
+    return np.minimum(inter / (w_a * h_a + w_b * h_b - inter), 1.0)
 
 
 def combined_affinity(
@@ -117,8 +121,8 @@ def combined_affinity(
         for k, d in enumerate(detections):
             if d.embedding is None:
                 raise ValueError(f"detection {k} has no embedding but identity weight is {weights.identity}")
-        emb_t = np.stack([t.head_embedding for t in trajectories])
-        emb_d = np.stack([d.embedding for d in detections])
+        emb_t = np.array([t.head_embedding for t in trajectories])
+        emb_d = np.array([d.embedding for d in detections])
         # Negative cosine carries no evidence of identity; the cap at one
         # absorbs float drift.
         out += weights.identity * np.clip(emb_t @ emb_d.T, 0.0, 1.0)

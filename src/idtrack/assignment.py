@@ -1,8 +1,9 @@
 """Optimal one-to-one assignment over an affinity matrix.
 
 ``solve_max`` is the production path (scipy's Hungarian solver, maximizing).
-``brute_force_max`` enumerates every possible pairing and exists purely as an
-independent cross-check for tests; it is capped at small matrices.
+``brute_force_max`` is not part of the API: it enumerates every possible
+pairing as an independent cross-check, capped at small matrices, and lives
+here only because the acceptance criteria import it from this module.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import permutations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-__all__ = ["Assignment", "solve_max", "brute_force_max", "BRUTE_FORCE_CAP"]
+__all__ = ["Assignment", "solve_max"]
 
 BRUTE_FORCE_CAP = 9
 

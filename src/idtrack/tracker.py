@@ -24,11 +24,17 @@ phase 2 is skipped entirely and the tracker degrades to a plain IoU
 Hungarian tracker. With ``weights.identity > 0`` every detection must carry
 an embedding: ``Tracker.step`` raises ``ValueError`` naming the first one
 without, before it changes any state.
+
+``Tracker.active`` and ``Tracker.paused`` hold tracker-owned ``Trajectory``
+records that every step updates in place, one batched
+``update_trajectory`` per Hungarian solve. A caller who wants a snapshot
+must copy the fields, not keep the objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -50,9 +56,9 @@ __all__ = [
 DEFAULT_NMS_IOU = 0.3
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class Trajectory:
-    """State of one tracked object.
+    """State of one tracked object, owned and updated in place by its tracker.
 
     ``head_box`` is the most recent position estimate; it comes from a
     detection after a match and from propagation/prediction otherwise, in
@@ -72,7 +78,7 @@ class Trajectory:
         if self.track_id < 1:
             raise ValueError(f"track ids are 1-based, got {self.track_id}")
         if self.head_frame < 0:
-            object.__setattr__(self, "head_frame", self.last_seen)
+            self.head_frame = self.last_seen
 
 
 @dataclass(frozen=True)
@@ -118,42 +124,51 @@ def propagate_linear(traj: Trajectory, steps: int = 1) -> BBox:
     return BBox(traj.head_box.cx + steps * vx, traj.head_box.cy + steps * vy, traj.head_box.w, traj.head_box.h)
 
 
-def update_trajectory(traj: Trajectory, det: Detection, momentum: float) -> Trajectory:
-    """Absorb a matched detection into the trajectory.
+def update_trajectory(
+    trajs: Sequence[Trajectory],
+    dets: Sequence[Detection],
+    momentum: float,
+    predictions: Sequence[BBox | None],
+) -> None:
+    """Absorb matched detections into their trajectories, in place.
 
-    The detection box becomes the head. The embedding moves toward the
+    ``dets[k]`` and ``predictions[k]`` go to ``trajs[k]``; the trajectories
+    must be distinct. Each detection box becomes its trajectory's head, and
+    the prediction its ``predicted_box``. An embedding moves toward the
     detection's by ``1 - momentum`` and is re-normalized; the velocity is an
     exponential average (same momentum) of the per-frame center displacement
-    since the current head.
+    since the current head. Every frame is checked before any trajectory
+    changes, so a rejected batch leaves all of them as they were.
     """
-    if det.frame < traj.head_frame:
-        raise ValueError(f"detection frame {det.frame} is behind trajectory head frame {traj.head_frame}")
-    gap = max(det.frame - traj.head_frame, 1)
-    disp = ((det.box.cx - traj.head_box.cx) / gap, (det.box.cy - traj.head_box.cy) / gap)
-    velocity = (
-        momentum * traj.avg_velocity[0] + (1.0 - momentum) * disp[0],
-        momentum * traj.avg_velocity[1] + (1.0 - momentum) * disp[1],
-    )
+    for traj, det in zip(trajs, dets):
+        if det.frame < traj.head_frame:
+            raise ValueError(f"detection frame {det.frame} is behind trajectory head frame {traj.head_frame}")
 
-    embedding = traj.head_embedding
-    if det.embedding is not None:
-        if embedding is None:
-            embedding = det.embedding
-        else:
-            mixed = momentum * embedding + (1.0 - momentum) * det.embedding
-            norm = float(np.linalg.norm(mixed))
-            # Opposite embeddings can cancel at momentum 0.5; trust the fresh one.
-            embedding = det.embedding if norm < 1e-12 else mixed / norm
+    blend = [k for k, (t, d) in enumerate(zip(trajs, dets)) if t.head_embedding is not None and d.embedding is not None]
+    if blend:
+        old = np.array([trajs[k].head_embedding for k in blend])
+        mixed = momentum * old + (1.0 - momentum) * np.array([dets[k].embedding for k in blend])
+        # Row norms with np.linalg.norm's own dot product, bit for bit.
+        norms = np.sqrt((mixed[:, None, :] @ mixed[:, :, None])[:, 0, 0])
+        # Opposite embeddings can cancel at momentum 0.5; trust the fresh one.
+        cancelled = norms < 1e-12
+        mixed /= np.where(cancelled, 1.0, norms)[:, None]
+        for row, k in enumerate(blend):
+            trajs[k].head_embedding = dets[k].embedding if cancelled[row] else mixed[row]
 
-    return replace(
-        traj,
-        head_box=det.box,
-        head_embedding=embedding,
-        avg_velocity=velocity,
-        last_seen=det.frame,
-        head_frame=det.frame,
-        last_confidence=det.confidence,
-    )
+    for traj, det, pred in zip(trajs, dets, predictions):
+        gap = max(det.frame - traj.head_frame, 1)
+        disp = ((det.box.cx - traj.head_box.cx) / gap, (det.box.cy - traj.head_box.cy) / gap)
+        traj.avg_velocity = (
+            momentum * traj.avg_velocity[0] + (1.0 - momentum) * disp[0],
+            momentum * traj.avg_velocity[1] + (1.0 - momentum) * disp[1],
+        )
+        if traj.head_embedding is None:
+            traj.head_embedding = det.embedding
+        traj.head_box = det.box
+        traj.last_seen = traj.head_frame = det.frame
+        traj.last_confidence = det.confidence
+        traj.predicted_box = pred
 
 
 class Tracker:
@@ -213,27 +228,25 @@ class Tracker:
         det_taken = [False] * len(detections)
         new_active: list[Trajectory] = []
 
-        def absorb(traj: Trajectory, j: int) -> None:
-            det_taken[j] = True
-            updated = update_trajectory(traj, detections[j], cfg.embedding_momentum)
-            updated = replace(updated, predicted_box=predictions[j])
-            new_active.append(updated)
-            outputs.append(TrackOutput(frame, updated.track_id, updated.head_box, updated.last_confidence))
+        def absorb(trajs: list[Trajectory], cols: list[int]) -> None:
+            """One batched update for the pairs of one solve, in pair order."""
+            update_trajectory(
+                trajs, [detections[j] for j in cols], cfg.embedding_momentum, [predictions[j] for j in cols]
+            )
+            for traj, j in zip(trajs, cols):
+                det_taken[j] = True
+                new_active.append(traj)
+                outputs.append(TrackOutput(frame, traj.track_id, traj.head_box, traj.last_confidence))
 
         # Phase 1: active set vs detections, blended affinity.
-        unmatched_active: list[Trajectory] = []
         if self.active and detections:
             matrix = combined_affinity(self.active, detections, cfg.weights)
-            result = solve_max(matrix, cfg.min_affinity)
-            matched = {i: j for i, j in result.pairs}
+            matched = dict(solve_max(matrix, cfg.min_affinity).pairs)
         else:
             matched = {}
-        for i, traj in enumerate(self.active):
-            j = matched.get(i)
-            if j is None:
-                unmatched_active.append(traj)
-            else:
-                absorb(traj, j)
+        rows = sorted(matched)
+        absorb([self.active[i] for i in rows], [matched[i] for i in rows])
+        unmatched_active = [t for i, t in enumerate(self.active) if i not in matched]
 
         # Phase 2: identity-only recovery from the paused buffer, one
         # Hungarian solve per level, most recent level first.
@@ -246,13 +259,11 @@ class Tracker:
                 if not cand or not free:
                     continue
                 matrix = combined_affinity(cand, [detections[j] for j in free], id_only)
-                result = solve_max(matrix, cfg.min_affinity)
-                recovered_ids = set()
-                for ci, fj in result.pairs:
-                    absorb(cand[ci], free[fj])
-                    recovered_ids.add(cand[ci].track_id)
-                if recovered_ids:
-                    still_paused = [t for t in still_paused if t.track_id not in recovered_ids]
+                pairs = solve_max(matrix, cfg.min_affinity).pairs
+                recovered = [cand[ci] for ci, _ in pairs]
+                absorb(recovered, [free[fj] for _, fj in pairs])
+                if recovered:
+                    still_paused = [t for t in still_paused if t not in recovered]
 
         # Phase 3: leftovers become new trajectories.
         for j, det in enumerate(detections):
@@ -280,7 +291,8 @@ class Tracker:
                 head = traj.predicted_box if traj.last_seen == frame - 1 else None
                 if head is None:
                     head = propagate_linear(traj, steps=frame - traj.head_frame)
-                new_active.append(replace(traj, head_box=head, head_frame=frame))
+                traj.head_box, traj.head_frame = head, frame
+                new_active.append(traj)
                 outputs.append(TrackOutput(frame, traj.track_id, head, traj.last_confidence, interpolated=True))
             else:
                 new_paused.append(traj)

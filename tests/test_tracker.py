@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,13 @@ EMIX = unit([1.0, 1.0, 0.0, 0.0])
 
 def det(cx, cy, frame, emb=None, conf=0.9, size=4.0):
     return Detection(BBox(float(cx), float(cy), size, size), conf, frame, emb)
+
+
+def state(traj):
+    """A trajectory's field values, embedding as bytes: trajectories are
+    updated in place, so a snapshot has to copy the values."""
+    values = (getattr(traj, f.name) for f in fields(traj))
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values)
 
 
 def id_only_config(**kwargs):
@@ -176,12 +185,23 @@ def test_missing_embedding_rejected_before_any_state_changes():
     tracker.step([det(10, 10, 1, EA), det(300, 300, 1, EB)])
     tracker.step([det(10, 10, 2, EA)])  # id 2 coasts
     tracker.step([det(10, 10, 3, EA)])  # id 2 pauses
-    before = (list(tracker.active), list(tracker.paused), tracker.next_id, tracker.current_frame)
+
+    def snapshot():
+        return (
+            [(t, state(t)) for t in tracker.active],
+            [(t, state(t)) for t in tracker.paused],
+            tracker.next_id,
+            tracker.current_frame,
+        )
+
+    before = snapshot()
     assert before[0] and before[1]
-    # Frame 20 would retire both trajectories if the step got that far.
-    with pytest.raises(ValueError, match="detection 1 has no embedding"):
-        tracker.step([det(10, 10, 20, EA), det(50, 50, 20)])
-    assert (tracker.active, tracker.paused, tracker.next_id, tracker.current_frame) == before
+    # Frame 4 would update id 1 in place and recover nothing; frame 20 would
+    # retire both trajectories, if the step got that far.
+    for frame in (4, 20):
+        with pytest.raises(ValueError, match="detection 1 has no embedding"):
+            tracker.step([det(10, 10, frame, EA), det(50, 50, frame)])
+        assert snapshot() == before
 
 
 def test_frames_must_advance():
@@ -208,44 +228,129 @@ def test_mixed_frame_detections_rejected():
         tracker.step([det(10, 10, 1), det(20, 20, 2)], frame=1)
 
 
+def update_one(traj, d, momentum, predicted_box=None):
+    """Reference update of one pair: returns an updated copy, leaves ``traj``
+    alone, and works one embedding at a time with ``np.linalg.norm``."""
+    if d.frame < traj.head_frame:
+        raise ValueError(f"detection frame {d.frame} is behind trajectory head frame {traj.head_frame}")
+    gap = max(d.frame - traj.head_frame, 1)
+    disp = ((d.box.cx - traj.head_box.cx) / gap, (d.box.cy - traj.head_box.cy) / gap)
+    velocity = (
+        momentum * traj.avg_velocity[0] + (1.0 - momentum) * disp[0],
+        momentum * traj.avg_velocity[1] + (1.0 - momentum) * disp[1],
+    )
+    embedding = traj.head_embedding
+    if d.embedding is not None:
+        if embedding is None:
+            embedding = d.embedding
+        else:
+            mixed = momentum * embedding + (1.0 - momentum) * d.embedding
+            norm = float(np.linalg.norm(mixed))
+            embedding = d.embedding if norm < 1e-12 else mixed / norm
+    return replace(
+        traj,
+        head_box=d.box,
+        head_embedding=embedding,
+        avg_velocity=velocity,
+        last_seen=d.frame,
+        head_frame=d.frame,
+        last_confidence=d.confidence,
+        predicted_box=predicted_box,
+    )
+
+
+def start_traj(embedding=EA, last_seen=1):
+    return Trajectory(1, BBox(10.0, 10.0, 4.0, 4.0), embedding, (0.0, 0.0), last_seen=last_seen)
+
+
 def test_update_trajectory_momentum_extremes():
-    traj = Trajectory(1, BBox(10.0, 10.0, 4.0, 4.0), EA, (0.0, 0.0), last_seen=1)
     fresh = det(14, 10, 2, EB)
-    snap = update_trajectory(traj, fresh, momentum=0.0)
+    snap = start_traj()
+    update_trajectory([snap], [fresh], 0.0, [None])
     assert np.array_equal(snap.head_embedding, EB)
     assert snap.avg_velocity == (4.0, 0.0)
     assert snap.last_seen == 2 and snap.head_frame == 2
-    sticky = update_trajectory(traj, fresh, momentum=1.0)
+    sticky = start_traj()
+    update_trajectory([sticky], [fresh], 1.0, [None])
     assert np.array_equal(sticky.head_embedding, EA)
     assert sticky.avg_velocity == (0.0, 0.0)
     assert sticky.head_box == fresh.box  # the box always follows the detection
 
 
 def test_update_trajectory_blends_and_renormalizes():
-    traj = Trajectory(1, BBox(10.0, 10.0, 4.0, 4.0), EA, (0.0, 0.0), last_seen=1)
-    updated = update_trajectory(traj, det(10, 10, 2, EB), momentum=0.5)
-    assert np.allclose(updated.head_embedding, EMIX, atol=1e-12)
-    assert abs(np.linalg.norm(updated.head_embedding) - 1.0) < 1e-12
+    traj = start_traj()
+    update_trajectory([traj], [det(10, 10, 2, EB)], 0.5, [None])
+    assert np.allclose(traj.head_embedding, EMIX, atol=1e-12)
+    assert abs(np.linalg.norm(traj.head_embedding) - 1.0) < 1e-12
 
 
 def test_update_trajectory_opposite_embeddings_take_the_fresh_one():
-    traj = Trajectory(1, BBox(10.0, 10.0, 4.0, 4.0), EA, (0.0, 0.0), last_seen=1)
-    flipped = det(10, 10, 2, -EA)
-    updated = update_trajectory(traj, flipped, momentum=0.5)
-    assert np.array_equal(updated.head_embedding, -EA)
+    # The cancelling pair sits between two that blend normally.
+    trajs = [start_traj(EA), start_traj(EA), start_traj(EB)]
+    dets = [det(10, 10, 2, EB), det(10, 10, 2, -EA), det(10, 10, 2, EA)]
+    update_trajectory(trajs, dets, 0.5, [None] * 3)
+    assert np.array_equal(trajs[1].head_embedding, -EA)
+    assert np.allclose(trajs[0].head_embedding, EMIX, atol=1e-12)
+    assert np.allclose(trajs[2].head_embedding, EMIX, atol=1e-12)
 
 
 def test_update_trajectory_velocity_spreads_over_the_gap():
-    traj = Trajectory(1, BBox(10.0, 10.0, 4.0, 4.0), None, (0.0, 0.0), last_seen=1)
-    updated = update_trajectory(traj, det(22, 10, 4), momentum=0.5)
+    traj = start_traj(None)
+    update_trajectory([traj], [det(22, 10, 4)], 0.5, [None])
     # Displacement 12 over 3 frames -> 4 per frame, halved by momentum.
-    assert updated.avg_velocity == (2.0, 0.0)
+    assert traj.avg_velocity == (2.0, 0.0)
 
 
 def test_update_trajectory_rejects_regression():
-    traj = Trajectory(1, BBox(10.0, 10.0, 4.0, 4.0), None, (0.0, 0.0), last_seen=5)
+    traj = start_traj(None, last_seen=5)
     with pytest.raises(ValueError):
-        update_trajectory(traj, det(10, 10, 3), momentum=0.5)
+        update_trajectory([traj], [det(10, 10, 3)], 0.5, [None])
+
+
+def test_update_trajectory_rejects_a_batch_without_changing_any_trajectory():
+    trajs = [start_traj(EA, last_seen=2), start_traj(EB, last_seen=2), start_traj(None, last_seen=5)]
+    before = [state(t) for t in trajs]
+    dets = [det(12, 10, 4, EB), det(8, 10, 4, EA), det(10, 10, 4, EA)]  # the last one goes back in time
+    with pytest.raises(ValueError, match="detection frame 4 is behind trajectory head frame 5"):
+        update_trajectory(trajs, dets, 0.5, [BBox(1.0, 1.0, 1.0, 1.0)] * 3)
+    assert [state(t) for t in trajs] == before
+
+
+@st.composite
+def update_batches(draw):
+    """Distinct trajectories with matched detections: missing, opposite,
+    equal and random embeddings, gaps of 0-3 frames and coasting heads."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from((3, 64)))  # 64 is the simulator's default
+    momentum = draw(st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0)))
+    trajs, dets, preds = [], [], []
+    for k in range(draw(st.integers(0, 8))):
+        last_seen = int(rng.integers(1, 6))
+        head_frame = last_seen + int(rng.integers(0, 3))
+        emb = None if rng.random() < 0.2 else unit(rng.normal(size=dim))
+        box = BBox(*rng.uniform(0.0, 100.0, size=2), *rng.uniform(1.0, 30.0, size=2))
+        trajs.append(Trajectory(k + 1, box, emb, tuple(rng.normal(0.0, 3.0, size=2)), last_seen, head_frame))
+        kind = draw(st.sampled_from(("none", "opposite", "same", "random")))
+        fresh = {
+            "none": None,
+            "opposite": None if emb is None else -emb,
+            "same": emb,
+            "random": unit(rng.normal(size=dim)),
+        }[kind]
+        frame = head_frame + int(rng.integers(0, 4))
+        dbox = BBox(*rng.uniform(0.0, 100.0, size=2), *rng.uniform(1.0, 30.0, size=2))
+        dets.append(Detection(dbox, float(rng.uniform(0.0, 1.0)), frame, fresh))
+        preds.append(None if rng.random() < 0.5 else BBox(*rng.uniform(1.0, 50.0, size=4)))
+    return trajs, dets, momentum, preds
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(update_batches())
+def test_property_batched_update_equals_the_reference_bit_for_bit(batch):
+    trajs, dets, momentum, preds = batch
+    want = [update_one(t, d, momentum, p) for t, d, p in zip(trajs, dets, preds)]
+    update_trajectory(trajs, dets, momentum, preds)
+    assert [state(t) for t in trajs] == [state(t) for t in want]  # embeddings compared as bytes
 
 
 def test_propagate_linear_is_additive():
