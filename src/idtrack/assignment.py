@@ -1,6 +1,8 @@
 """Optimal one-to-one assignment over an affinity matrix.
 
 ``solve_max`` is the production path (scipy's Hungarian solver, maximizing).
+It imports ``scipy.optimize`` on its first call, which keeps that import out
+of ``import idtrack``.
 ``brute_force_max`` is not part of the API: it enumerates every possible
 pairing as an independent cross-check, capped at small matrices, and lives
 here only because the acceptance criteria import it from this module.
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = ["Assignment", "solve_max"]
 
@@ -44,6 +45,8 @@ def solve_max(matrix: np.ndarray, min_affinity: float = 0.2) -> Assignment:
         return Assignment(())
     if not np.isfinite(matrix).all():
         raise ValueError("affinity matrix contains non-finite entries")
+
+    from scipy.optimize import linear_sum_assignment
 
     row_idx, col_idx = linear_sum_assignment(matrix, maximize=True)
     pairs = [

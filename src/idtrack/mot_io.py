@@ -9,13 +9,24 @@ The embedding sidecar starts with a ``dim=D`` header, then one line per
 vector: ``frame,det_index,v1,...,vD`` where det_index is the 0-based
 position of the detection within its frame. Vectors are re-normalized at
 read time; a deviation beyond 1e-3 triggers a warning, and a NaN or inf
-component is an error.
+component is an error. Given each frame's detection count, a vector that
+names no detection is an error; a repeated ``(frame, det_index)`` always is.
+
+Every reader parses the whole file in one ``np.loadtxt`` call first. When
+that fails, or its result breaks any rule above, the reader runs its line
+loop instead, which reports the first bad line as ``path:line`` and issues
+the warnings. Both paths use the same float parser and arithmetic, so they
+return the same values bit for bit. A non-ASCII byte is an error naming its
+line in every file.
 """
 
 from __future__ import annotations
 
+import math
+import re
 import warnings
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -38,6 +49,56 @@ __all__ = [
 
 NORM_WARN_TOL = 1e-3
 
+_MOT_ROW = np.dtype(
+    [("frame", np.int64), ("id", np.int64), ("left", np.float64), ("top", np.float64),
+     ("width", np.float64), ("height", np.float64), ("conf", np.float64)]
+)
+_NON_ASCII = re.compile(rb"[\x80-\xff]")
+# loadtxt skips these as whitespace inside a field; int() and float() do not.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _read_text(path) -> str:
+    """The whole file with universal newlines, for the line loop."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        pos = _NON_ASCII.search(data).start()
+        head = data[:pos]
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ValueError(f"{path}:{lineno}: non-ASCII byte 0x{data[pos]:02x}") from None
+
+
+def _data_lines(text: str) -> Iterator[tuple[int, str]]:
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if line:
+            yield lineno, line
+
+
+def _bulk_lines(fh) -> Iterator[str]:
+    """The open file's lines, streamed so that no copy of the whole text is
+    held. Raises ValueError at a character that loadtxt and ``int``/``float``
+    read differently, and UnicodeDecodeError (a ValueError) at a non-ASCII
+    byte."""
+    for line in fh:
+        if any(c in line for c in _LOADTXT_ONLY_SPACE):
+            raise ValueError("a field only loadtxt would read")
+        yield line
+
+
+def _loadtxt(lines: Iterator[str], dtype: np.dtype, usecols=None) -> np.ndarray | None:
+    """The comma-separated rows of the remaining lines, parsed in one call;
+    None if there are none (loadtxt would warn). Raises ValueError on the
+    first line it cannot parse."""
+    first = next((line for line in lines if line.strip()), None)
+    if first is None:
+        return None
+    return np.loadtxt(chain([first], lines), dtype=dtype, delimiter=",", comments=None, usecols=usecols, ndmin=1)
+
 
 def _parse_mot_line(line: str, lineno: int, path) -> tuple[int, int, BBox, float]:
     parts = line.split(",")
@@ -59,36 +120,91 @@ def _parse_mot_line(line: str, lineno: int, path) -> tuple[int, int, BBox, float
     return frame, obj_id, box, conf
 
 
-def _iter_data_lines(path) -> Iterable[tuple[int, str]]:
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line:
-                yield lineno, line
+def _mot_rows_in_bulk(path) -> np.ndarray | None:
+    """The first seven columns of every line, parsed in one call, or None if
+    any line needs the line loop's verdict."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            rows = _loadtxt(_bulk_lines(fh), _MOT_ROW, usecols=range(7))
+    except ValueError:
+        return None
+    return None if rows is None or (rows["frame"] < 1).any() else rows
+
+
+def _read_mot(path, add: Callable[..., None]) -> dict:
+    """Fold ``add(out, frame, id, box, conf)`` over a MOT file's rows into a
+    new dict. ``add`` raises ValueError on a row it rejects. The rows come
+    from the bulk parse; if it or ``add`` fails, the line loop reruns it and
+    names the line."""
+    rows = _mot_rows_in_bulk(path)
+    if rows is not None:
+        out: dict = {}
+        try:
+            for frame, obj_id, left, top, w, h, conf in rows.tolist():
+                add(out, frame, obj_id, to_center(left, top, left + w, top + h), conf)
+            return out
+        except ValueError:
+            pass
+    out = {}
+    for lineno, line in _data_lines(_read_text(path)):
+        row = _parse_mot_line(line, lineno, path)
+        try:
+            add(out, *row)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return out
 
 
 def read_detections(path) -> dict[int, list[Detection]]:
     """Read a detection file (no embeddings attached)."""
-    out: dict[int, list[Detection]] = {}
-    for lineno, line in _iter_data_lines(path):
-        frame, _, box, conf = _parse_mot_line(line, lineno, path)
-        try:
-            det = Detection(box, conf, frame)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        out.setdefault(frame, []).append(det)
-    return out
+
+    def add(out, frame, _, box, conf):
+        out.setdefault(frame, []).append(Detection(box, conf, frame))
+
+    return _read_mot(path, add)
 
 
-def read_embeddings(path) -> tuple[int, dict[tuple[int, int], np.ndarray]]:
-    """Read an embedding sidecar; returns (dim, {(frame, det_index): vector})."""
+def _embeddings_in_bulk(path, det_counts) -> tuple[int, dict[tuple[int, int], np.ndarray]] | None:
+    """``read_embeddings``'s result when every line is valid and in tolerance,
+    else None."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = _bulk_lines(fh)
+            header = next((line.strip() for line in lines if line.strip()), "")
+            dim = int(header[4:]) if header.startswith("dim=") else 0
+            if dim < 1:
+                return None
+            rows = _loadtxt(lines, np.dtype([("frame", np.int64), ("index", np.int64), ("v", np.float64, (dim,))]))
+    except ValueError:
+        return None
+    if rows is None:
+        return None
+    m = rows["v"]
+    with np.errstate(over="ignore"):  # an overflowing norm is the line loop's error
+        norms = np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0, 0])  # bit-equal to per-row np.linalg.norm
+    if not (np.abs(norms - 1.0) <= NORM_WARN_TOL).all():  # also fails NaN, inf and zero norms
+        return None
+    keys = list(zip(rows["frame"].tolist(), rows["index"].tolist()))
+    if det_counts is not None and not all(0 <= i < det_counts.get(f, 0) for f, i in keys):
+        return None
+    m /= norms[:, None]
+    vectors = dict(zip(keys, m))
+    if len(vectors) != len(keys):
+        return None
+    return dim, vectors
+
+
+def _embeddings_by_line(path, text: str, det_counts) -> tuple[int, dict[tuple[int, int], np.ndarray]]:
     vectors: dict[tuple[int, int], np.ndarray] = {}
     dim = None
-    for lineno, line in _iter_data_lines(path):
+    for lineno, line in _data_lines(text):
         if dim is None:
             if not line.startswith("dim="):
                 raise ValueError(f"{path}:{lineno}: expected 'dim=D' header, got {line!r}")
-            dim = int(line[4:])
+            try:
+                dim = int(line[4:])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: malformed header ({exc})") from None
             if dim < 0:
                 raise ValueError(f"{path}:{lineno}: embedding dim must be >= 0")
             continue
@@ -101,17 +217,39 @@ def read_embeddings(path) -> tuple[int, dict[tuple[int, int], np.ndarray]]:
             vec = np.array([float(p) for p in parts[2:]], dtype=np.float64)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: malformed value ({exc})") from None
+        if det_counts is not None:
+            count = det_counts.get(frame, 0)
+            if not 0 <= index < count:
+                raise ValueError(f"{path}:{lineno}: frame {frame} has {count} detections, no index {index}")
+        if (frame, index) in vectors:
+            raise ValueError(f"{path}:{lineno}: repeated embedding for frame {frame} detection {index}")
         if not np.isfinite(vec).all():
             raise ValueError(f"{path}:{lineno}: embedding has non-finite components")
-        norm = float(np.linalg.norm(vec))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(vec))
         if norm < 1e-9:
             raise ValueError(f"{path}:{lineno}: zero-norm embedding cannot be normalized")
+        if norm == math.inf:
+            raise ValueError(f"{path}:{lineno}: embedding norm overflows")
         if abs(norm - 1.0) > NORM_WARN_TOL:
             warnings.warn(f"{path}:{lineno}: embedding norm {norm:.6f} deviates from 1; re-normalizing")
         vectors[(frame, index)] = vec / norm
     if dim is None:
         raise ValueError(f"{path}: empty embedding file (missing 'dim=D' header)")
     return dim, vectors
+
+
+def read_embeddings(
+    path, det_counts: Mapping[int, int] | None = None
+) -> tuple[int, dict[tuple[int, int], np.ndarray]]:
+    """Read an embedding sidecar; returns (dim, {(frame, det_index): vector}).
+
+    Every vector is finite and unit-norm. ``det_counts``, when given, maps
+    each frame to its number of raw detections; a line whose index names no
+    detection is then rejected. A repeated key is always rejected.
+    """
+    found = _embeddings_in_bulk(path, det_counts)
+    return found if found is not None else _embeddings_by_line(path, _read_text(path), det_counts)
 
 
 def load_detections(dets_path, embeddings_path=None) -> dict[int, list[Detection]]:
@@ -122,39 +260,38 @@ def load_detections(dets_path, embeddings_path=None) -> dict[int, list[Detection
     dets = read_detections(dets_path)
     if embeddings_path is None:
         return dets
-    _, vectors = read_embeddings(embeddings_path)
-    out: dict[int, list[Detection]] = {}
+    _, vectors = read_embeddings(embeddings_path, {frame: len(v) for frame, v in dets.items()})
     for frame, frame_dets in dets.items():
-        attached = []
         for idx, det in enumerate(frame_dets):
             vec = vectors.get((frame, idx))
             if vec is None:
                 raise ValueError(f"{embeddings_path}: no embedding for frame {frame} detection {idx}")
-            attached.append(Detection(det.box, det.confidence, det.frame, vec))
-        out[frame] = attached
-    return out
+            # In place: det is new and unshared, and vec is a finite unit
+            # float64 vector, all that Detection would check.
+            object.__setattr__(det, "embedding", vec)
+    return dets
 
 
 def read_gt(path) -> dict[int, list[tuple[int, BBox]]]:
     """Read a ground-truth or result file into (id, box) per frame."""
-    out: dict[int, list[tuple[int, BBox]]] = {}
-    for lineno, line in _iter_data_lines(path):
-        frame, obj_id, box, _ = _parse_mot_line(line, lineno, path)
+
+    def add(out, frame, obj_id, box, _):
         if obj_id < 1:
-            raise ValueError(f"{path}:{lineno}: object ids must be >= 1, got {obj_id}")
+            raise ValueError(f"object ids must be >= 1, got {obj_id}")
         out.setdefault(frame, []).append((obj_id, box))
-    return out
+
+    return _read_mot(path, add)
 
 
 def read_scored_hypotheses(path) -> dict[int, list[tuple[int, BBox, float]]]:
     """Like :func:`read_gt` but keeps the confidence column (for sweeps)."""
-    out: dict[int, list[tuple[int, BBox, float]]] = {}
-    for lineno, line in _iter_data_lines(path):
-        frame, obj_id, box, conf = _parse_mot_line(line, lineno, path)
+
+    def add(out, frame, obj_id, box, conf):
         if obj_id < 1:
-            raise ValueError(f"{path}:{lineno}: object ids must be >= 1, got {obj_id}")
+            raise ValueError(f"object ids must be >= 1, got {obj_id}")
         out.setdefault(frame, []).append((obj_id, box, conf))
-    return out
+
+    return _read_mot(path, add)
 
 
 def read_predictions(path, det_counts: Mapping[int, int]) -> dict[tuple[int, int], BBox]:
@@ -163,25 +300,23 @@ def read_predictions(path, det_counts: Mapping[int, int]) -> dict[tuple[int, int
     ``det_counts`` maps each frame to its number of raw detections; a line
     whose index names no detection, or whose key repeats, is rejected.
     """
-    out: dict[tuple[int, int], BBox] = {}
-    for lineno, line in _iter_data_lines(path):
-        frame, det_index, box, _ = _parse_mot_line(line, lineno, path)
+
+    def add(out, frame, det_index, box, _):
         if det_index < 0:
-            raise ValueError(f"{path}:{lineno}: detection index must be >= 0, got {det_index}")
+            raise ValueError(f"detection index must be >= 0, got {det_index}")
         count = det_counts.get(frame, 0)
         if det_index >= count:
-            raise ValueError(f"{path}:{lineno}: frame {frame} has {count} detections, no index {det_index}")
+            raise ValueError(f"frame {frame} has {count} detections, no index {det_index}")
         if (frame, det_index) in out:
-            raise ValueError(f"{path}:{lineno}: repeated prediction for frame {frame} detection {det_index}")
+            raise ValueError(f"repeated prediction for frame {frame} detection {det_index}")
         out[(frame, det_index)] = box
-    return out
+
+    return _read_mot(path, add)
 
 
 def _mot_line(frame: int, obj_id: int, box: BBox, conf: float) -> str:
     left, top, right, bottom = to_corner(box)
-    return (
-        f"{frame},{obj_id},{left:.6f},{top:.6f},{right - left:.6f},{bottom - top:.6f},{conf:.6f},-1,-1,-1"
-    )
+    return "%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,-1,-1,-1\n" % (frame, obj_id, left, top, right - left, bottom - top, conf)
 
 
 def write_results(path, outputs: Iterable[TrackOutput], include_interpolated: bool = False) -> None:
@@ -195,21 +330,21 @@ def write_results(path, outputs: Iterable[TrackOutput], include_interpolated: bo
         for o in rows:
             if o.track_id < 1:
                 raise ValueError(f"track ids must be >= 1, got {o.track_id}")
-            fh.write(_mot_line(o.frame, o.track_id, o.box, o.confidence) + "\n")
+            fh.write(_mot_line(o.frame, o.track_id, o.box, o.confidence))
 
 
 def write_gt(path, gt: Mapping[int, list[tuple[int, BBox]]]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for frame in sorted(gt):
             for obj_id, box in gt[frame]:
-                fh.write(_mot_line(frame, obj_id, box, 1.0) + "\n")
+                fh.write(_mot_line(frame, obj_id, box, 1.0))
 
 
 def write_detections(path, dets: Mapping[int, list[Detection]]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for frame in sorted(dets):
             for det in dets[frame]:
-                fh.write(_mot_line(frame, -1, det.box, det.confidence) + "\n")
+                fh.write(_mot_line(frame, -1, det.box, det.confidence))
 
 
 def write_embeddings(path, dets: Mapping[int, list[Detection]]) -> None:
@@ -223,10 +358,10 @@ def write_embeddings(path, dets: Mapping[int, list[Detection]]) -> None:
                 if dim is None:
                     dim = det.embedding.shape[0]
                     fh.write(f"dim={dim}\n")
+                    line = "%d,%d" + ",%.9f" * dim + "\n"
                 elif det.embedding.shape[0] != dim:
                     raise ValueError("mixed embedding dimensions in one stream")
-                values = ",".join(f"{v:.9f}" for v in det.embedding)
-                fh.write(f"{frame},{idx},{values}\n")
+                fh.write(line % (frame, idx, *det.embedding.tolist()))
         if dim is None:
             fh.write("dim=0\n")
 
@@ -234,13 +369,12 @@ def write_embeddings(path, dets: Mapping[int, list[Detection]]) -> None:
 def read_config(path) -> dict[str, str]:
     """Line-oriented key=value file; '#' starts a comment, blanks are skipped."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out

@@ -211,6 +211,32 @@ def test_track_rejects_non_finite_embedding_before_tracking(tmp_path, tiny_confi
     assert not out.exists()
 
 
+
+def with_line(lines, k, line):
+    return lines[:k] + [line] + lines[k + 1:]
+
+
+@pytest.mark.parametrize(
+    ("edit", "where"),
+    [
+        (lambda lines: with_line(lines, 0, "dim=abc"), "embeddings.txt:1:"),
+        (lambda lines: with_line(lines, 4, lines[2]), "embeddings.txt:5:"),  # repeats line 3's key
+        (lambda lines: lines + ["1,99," + lines[1].split(",", 2)[2]], None),  # frame 1 has no detection 99
+        (lambda lines: with_line(lines, 3, lines[3] + "\u00e9"), "embeddings.txt:4:"),
+    ],
+)
+def test_track_rejects_a_bad_sidecar_before_tracking(tmp_path, tiny_config, capsys, edit, where):
+    scene = simulate(tmp_path, tiny_config)
+    emb = scene / "embeddings.txt"
+    lines = edit(emb.read_text().splitlines())
+    emb.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+    out = tmp_path / "hyp.txt"
+    rc = main(["track", "--dets", str(scene / "dets.txt"), "--embeddings", str(emb), "--out", str(out)])
+    assert rc == 1
+    assert (where or f"embeddings.txt:{len(lines)}:") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_sweep(tmp_path, tiny_config, capsys):
     scene = simulate(tmp_path, tiny_config)
     hyp = tmp_path / "hyp.txt"

@@ -1,7 +1,15 @@
+import dataclasses
+import struct
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from idtrack.geometry import BBox, Detection
+from idtrack import mot_io
+from idtrack.geometry import BBox, Detection, to_corner
 from idtrack.mot_io import (
     load_detections,
     read_config,
@@ -144,6 +152,9 @@ def test_embedding_header_and_field_count(tmp_path):
     p.write_text("dim=3\n1,0,1.0,0.0\n")
     with pytest.raises(ValueError, match="expected 5 fields"):
         read_embeddings(p)
+    p.write_text("\ndim=abc\n1,0,1.0\n")
+    with pytest.raises(ValueError, match=r"emb\.txt:2: malformed header \(invalid literal for int"):
+        read_embeddings(p)
     p.write_text("")
     with pytest.raises(ValueError, match="empty embedding file"):
         read_embeddings(p)
@@ -239,3 +250,302 @@ def test_read_config(tmp_path):
     p.write_text("seed 12\n")
     with pytest.raises(ValueError, match="key=value"):
         read_config(p)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize(
+    ("reader", "body"),
+    [
+        (read_detections, "1,-1,10,20,30,40,0.9,-1,-1,-1"),
+        (read_gt, "1,1,10,20,30,40,1,-1,-1,-1"),
+        (read_scored_hypotheses, "1,1,10,20,30,40,1,-1,-1,-1"),
+        (lambda p: read_predictions(p, {1: 9}), "1,0,10,20,30,40,1,-1,-1,-1"),
+        (read_embeddings, "dim=1"),
+        (read_config, "seed=1"),
+    ],
+)
+def test_a_non_ascii_byte_names_its_line(tmp_path, reader, body, newline):
+    p = tmp_path / "in.txt"
+    p.write_bytes(f"{body}{newline}{newline}".encode() + b"# caf\xe9" + newline.encode())
+    with pytest.raises(ValueError, match=r"in\.txt:3: non-ASCII byte 0xe9"):
+        reader(p)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "1.0,-1,10,20,30,40,0.5,-1,-1,-1",  # a float in an integer column
+        "1,-1,10,20,30,40,0.5#x,-1,-1,-1",  # '#' is no comment sign
+        "1\x1c,-1,10,20,30,40,0.5,-1,-1,-1",  # loadtxt alone skips \x1c-\x1f as space
+    ],
+)
+def test_fields_only_loadtxt_would_take_are_errors(tmp_path, line):
+    p = tmp_path / "dets.txt"
+    p.write_text("1,-1,10,20,30,40,0.9,-1,-1,-1\n" + line + "\n")
+    with pytest.raises(ValueError, match=r"dets\.txt:2: malformed value"):
+        read_detections(p)
+
+
+def test_embeddings_reject_a_repeated_key(tmp_path):
+    p = tmp_path / "emb.txt"
+    p.write_text("dim=2\n1,0,1.0,0.0\n2,0,1.0,0.0\n1,0,0.0,1.0\n")
+    with pytest.raises(ValueError, match=r"emb\.txt:4: repeated embedding for frame 1 detection 0"):
+        read_embeddings(p)
+
+
+@pytest.mark.parametrize(
+    ("line", "counts"),
+    [
+        ("1,1,1.0,0.0", {1: 1}),  # one past the last detection
+        ("1,5,1.0,0.0", {1: 1}),
+        ("3,0,1.0,0.0", {1: 1}),  # a frame with no detections
+        ("1,-1,1.0,0.0", {1: 1}),
+    ],
+)
+def test_embeddings_reject_an_index_with_no_detection(tmp_path, line, counts):
+    p = tmp_path / "emb.txt"
+    p.write_text("dim=2\n1,0,1.0,0.0\n" + line + "\n")
+    with pytest.raises(ValueError, match=r"emb\.txt:3: frame \d+ has 1 detections|emb\.txt:3: frame 3 has 0"):
+        read_embeddings(p, counts)
+    assert len(read_embeddings(p)[1]) == 2  # without counts only the key is checked
+
+
+def test_embedding_norm_overflow_rejected(tmp_path):
+    # Every component is finite, but the norm is not: normalizing would give 0.
+    p = tmp_path / "emb.txt"
+    p.write_text("dim=2\n1,0,1e200,1e200\n")
+    with pytest.raises(ValueError, match=r"emb\.txt:2: embedding norm overflows"):
+        read_embeddings(p)
+
+
+def test_load_detections_attaches_to_the_detections_it_read(tmp_path, monkeypatch):
+    _, dets = generate(SimConfig(seed=9, num_identities=3, frames=6, embedding_dim=8))
+    dp, ep = tmp_path / "dets.txt", tmp_path / "emb.txt"
+    write_detections(dp, dets)
+    write_embeddings(ep, dets)
+    built = []
+
+    def counting_read(path):
+        out = read_detections(path)
+        built.extend(d for v in out.values() for d in v)
+        return out
+
+    monkeypatch.setattr(mot_io, "read_detections", counting_read)
+    loaded = [d for v in load_detections(dp, ep).values() for d in v]
+    assert len(loaded) == len(built) and all(a is b for a, b in zip(loaded, built))
+    for f in dets:
+        for got, want in zip(load_detections(dp, ep)[f], dets[f]):
+            assert got.embedding.dtype == np.float64 and got.embedding.ndim == 1
+            assert abs(np.linalg.norm(got.embedding) - 1.0) < 1e-9
+            assert np.allclose(got.embedding, want.embedding, atol=1e-8)
+
+
+def test_clean_files_take_the_bulk_path(tmp_path):
+    gt, dets = generate(SimConfig(seed=4, num_identities=4, frames=10, embedding_dim=8))
+    write_gt(tmp_path / "gt.txt", gt)
+    write_embeddings(tmp_path / "emb.txt", dets)
+    assert mot_io._mot_rows_in_bulk(tmp_path / "gt.txt") is not None
+    assert mot_io._embeddings_in_bulk(tmp_path / "emb.txt", {f: len(v) for f, v in dets.items()}) is not None
+
+
+def test_results_and_sidecar_are_parse_stable(tmp_path):
+    # write -> read -> write reproduces the bytes for the two writers that
+    # test_written_files_are_parse_stable does not cover.
+    _, dets = generate(SimConfig(seed=6, num_identities=5, frames=15, fp_rate=0.5, embedding_dim=16))
+    outputs = [
+        TrackOutput(f, k + 1, d.box, d.confidence, interpolated=k % 4 == 0)
+        for f, frame_dets in dets.items()
+        for k, d in enumerate(frame_dets)
+    ]
+    r1, r2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
+    write_results(r1, outputs, include_interpolated=True)
+    back = [TrackOutput(f, i, box, conf) for f, rows in read_scored_hypotheses(r1).items() for i, box, conf in rows]
+    write_results(r2, back, include_interpolated=True)
+    assert r1.read_bytes() == r2.read_bytes()
+
+    d1, e1, e2 = tmp_path / "d1.txt", tmp_path / "e1.txt", tmp_path / "e2.txt"
+    write_detections(d1, dets)
+    write_embeddings(e1, dets)
+    write_embeddings(e2, load_detections(d1, e1))
+    assert e1.read_bytes() == e2.read_bytes()
+
+
+# The writers' per-value formatting before they moved to one format per line,
+# kept as the byte-level reference.
+def reference_mot_line(frame, obj_id, box, conf):
+    left, top, right, bottom = to_corner(box)
+    return f"{frame},{obj_id},{left:.6f},{top:.6f},{right - left:.6f},{bottom - top:.6f},{conf:.6f},-1,-1,-1\n"
+
+
+def reference_embedding_line(frame, idx, vec):
+    values = ",".join(f"{v:.9f}" for v in vec)
+    return f"{frame},{idx},{values}\n"
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 10**6),
+    st.integers(-1, 10**6),
+    finite,
+    finite,
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(),
+)
+def test_property_mot_line_matches_the_per_value_reference(frame, obj_id, cx, cy, w, h, conf):
+    box = BBox(cx, cy, w, h)
+    assert mot_io._mot_line(frame, obj_id, box, conf) == reference_mot_line(frame, obj_id, box, conf)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), min_size=1, max_size=6))
+def test_property_sidecar_lines_match_the_per_value_reference(tmp_path_factory, raw):
+    vecs = [np.asarray(v) for v in raw if np.linalg.norm(v) > 1e-3]
+    dets = {1: [Detection(BBox(5.0, 5.0, 2.0, 2.0), 0.5, 1, v / np.linalg.norm(v)) for v in vecs]}
+    p = tmp_path_factory.mktemp("sidecar") / "emb.txt"
+    write_embeddings(p, dets)
+    want = "dim=3\n" if vecs else "dim=0\n"
+    want += "".join(reference_embedding_line(1, k, d.embedding) for k, d in enumerate(dets[1]))
+    assert p.read_text() == want
+
+
+# Parser property: every file is read the same by the bulk path and by the
+# line loop alone. Files are valid rows with up to two mutations (a field the
+# two parsers could take differently, a missing or extra field, a blank line
+# or a repeated row), plus now and then a non-ASCII byte.
+# Key-column mutations; "{}" is the field's valid value.
+KEY_FIELDS = ["{}.0", "{}.0", "{}.0", "{}_0", "0x{}", "+{}", " {} ", "{}e0", "{}\x1c", "{}\x0c", "{}#", "0", "-1", "-0",
+              "", "99999999999999999999"]
+VALUE_FIELDS = ["1.0", "nan", "-nan", "inf", "-inf", "1_0", "0x1p3", "1e999", "1e5", " 1 ", "+1", "-0", "-1", "",
+                "1\x1c", "1 2", '"1"', "1#2"]
+BLANK_LINES = ["", "   ", "\t", "\x0c", "\x1c"]
+COORDS = st.sampled_from(["10", "20.5", "-3.25", "400.000000", "12.345678901234567", "1e-300"]) | st.floats(
+    -500, 500
+).map(repr) | st.floats(-500, 500).map("{:.6f}".format)
+SIZES = st.sampled_from(["30", "0.000001", "40.5"]) | st.floats(1e-3, 200).map(repr)
+CONFS = st.sampled_from(["0", "0.5", "1", "1.000000", "0.999999"]) | st.floats(0, 1).map(repr)
+
+
+@st.composite
+def mutated(draw, rows):
+    rows = [list(r) for r in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 1, 2])) if rows else 0):
+        r = draw(st.integers(0, len(rows) - 1))
+        rows[r] = rows[r] or [""]  # a row an earlier cut emptied
+        how = draw(st.sampled_from(["key", "key", "key", "value", "cut", "extra", "blank", "repeat"]))
+        if how == "key":  # frame or id/index column
+            c = draw(st.integers(0, min(1, len(rows[r]) - 1)))
+            rows[r][c] = draw(st.sampled_from(KEY_FIELDS)).format(rows[r][c])
+        elif how == "value":
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(st.sampled_from(VALUE_FIELDS))
+        elif how == "cut":
+            rows[r] = rows[r][: draw(st.integers(0, len(rows[r]) - 1))]
+        elif how == "extra":
+            rows[r] += draw(st.sampled_from([["x"], ["1", "2"], ['"a'], [""]]))
+        elif how == "blank":
+            rows.insert(r, [draw(st.sampled_from(BLANK_LINES))])
+        else:
+            rows.insert(r, list(rows[r]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    data = (newline.join(",".join(r) for r in rows) + draw(st.sampled_from([newline, ""]))).encode("ascii")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xe9" + data[at:]
+    return data
+
+
+@st.composite
+def mot_files(draw):
+    style = draw(st.sampled_from(["det", "gt", "pred"]))
+    rows, seen = [], {}
+    for _ in range(draw(st.integers(0, 6))):
+        frame = draw(st.sampled_from([0, 1, 1, 1, 2, 2, 2, 3, 3]))
+        seen[frame] = seen.get(frame, -1) + 1
+        obj_id = {"det": -1, "gt": draw(st.integers(1, 3)), "pred": seen[frame]}[style]
+        box = [draw(COORDS), draw(COORDS), draw(SIZES), draw(SIZES)]
+        rows.append([str(frame), str(obj_id), *box, draw(CONFS), "-1", "-1", "-1"])
+    return draw(mutated(rows))
+
+
+SIDECAR_KEYS = [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+
+
+@st.composite
+def sidecar_files(draw):
+    dim = draw(st.sampled_from([1, 2, 3, 64]))
+    headers, kinds = [f"dim={dim}"], ["unit", "unit9", "near"]
+    if draw(st.integers(0, 2)) == 0:  # one file in three may have a bad header or vector
+        headers += [f"dim= {dim}", "dim=abc", "dim=0", "dim=-1", "dims=2", ""]
+        kinds += ["warn", "zero", "huge"]
+    rows = [[draw(st.sampled_from(headers))]]
+    for frame, index in draw(st.permutations(SIDECAR_KEYS))[: draw(st.integers(0, 5))]:
+        vec = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+        kind = draw(st.sampled_from(kinds))
+        norm = np.linalg.norm(vec)
+        scale = {"near": 1.0004, "warn": 3.0, "zero": 0.0, "huge": 1e200}.get(kind, 1.0)
+        vec = vec * (scale / norm if norm > 1e-6 and kind not in ("zero", "huge") else scale)
+        values = [f"{v:.9f}" if kind == "unit9" else repr(float(v)) for v in vec]
+        rows.append([str(frame), str(index), *values])
+    return draw(mutated(rows))
+
+
+def bits(value):
+    """A comparable form of a parse result that tells every float bit apart."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (BBox, Detection)):
+        return (type(value).__name__, *(bits(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    if isinstance(value, dict):
+        return tuple((bits(k), bits(v)) for k, v in value.items())
+    if isinstance(value, (tuple, list)):
+        return (type(value).__name__, *(bits(v) for v in value))
+    return (type(value).__name__, value)
+
+
+def outcome(read, path):
+    """(result bits or error message, warning messages) of one read."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = bits(read(path))
+        except ValueError as exc:
+            result = f"error: {exc}"
+    return result, [str(w.message) for w in caught]
+
+
+MOT_READERS = [
+    read_detections,
+    read_gt,
+    read_scored_hypotheses,
+    lambda p: read_predictions(p, {1: 3, 2: 3, 3: 3}),
+]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(mot_files())
+def test_property_mot_readers_agree_with_the_line_loop(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("mot") / "in.txt"
+    path.write_bytes(data)
+    for read in MOT_READERS:
+        got = outcome(read, path)
+        with mock.patch.object(mot_io, "_mot_rows_in_bulk", lambda path: None):
+            assert got == outcome(read, path)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(sidecar_files(), st.sampled_from([None, {1: 2, 2: 3}]))
+def test_property_sidecar_reader_agrees_with_the_line_loop(tmp_path_factory, data, counts):
+    path = tmp_path_factory.mktemp("sidecar") / "emb.txt"
+    path.write_bytes(data)
+
+    def read(p):
+        return read_embeddings(p, counts)
+
+    got = outcome(read, path)
+    with mock.patch.object(mot_io, "_embeddings_in_bulk", lambda path, det_counts: None):
+        assert got == outcome(read, path)

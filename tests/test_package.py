@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,3 +17,25 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_scipy_is_imported_only_when_a_solve_needs_it(tmp_path):
+    # scipy.optimize is most of the import time; simulate never solves.
+    config = tmp_path / "sim.cfg"
+    config.write_text("num_identities=2\nframes=5\n")
+    code = "\n".join(
+        [
+            "import sys",
+            "import idtrack",
+            "assert 'scipy' not in sys.modules, 'after import idtrack'",
+            "from idtrack.cli import main",
+            f"assert main(['simulate', '--config', {str(config)!r}, '--out-dir', {str(tmp_path / 'scene')!r}]) == 0",
+            "assert 'scipy' not in sys.modules, 'after idtrack simulate'",
+            "assert idtrack.solve_max([[1.0]]).pairs == ((0, 0),)",
+            "assert 'scipy.optimize' in sys.modules",
+        ]
+    )
+    src = str(Path(idtrack.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
