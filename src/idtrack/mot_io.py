@@ -12,12 +12,13 @@ read time; a deviation beyond 1e-3 triggers a warning, and a NaN or inf
 component is an error. Given each frame's detection count, a vector that
 names no detection is an error; a repeated ``(frame, det_index)`` always is.
 
-Every reader parses the whole file in one ``np.loadtxt`` call first. When
-that fails, or its result breaks any rule above, the reader runs its line
-loop instead, which reports the first bad line as ``path:line`` and issues
-the warnings. Both paths use the same float parser and arithmetic, so they
-return the same values bit for bit. A non-ASCII byte is an error naming its
-line in every file.
+MOT files are read line by line. The sidecar, which holds most of the
+values, is parsed in one ``np.loadtxt`` call first. When that call fails or
+warns, or its result breaks any rule above, ``read_embeddings`` runs its
+line loop instead, which reports the first bad line as ``path:line`` and
+issues the warnings. Both paths use the same float parser and arithmetic,
+so they return the same values bit for bit. A non-ASCII byte is an error
+naming its line in every file.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -49,10 +49,6 @@ __all__ = [
 
 NORM_WARN_TOL = 1e-3
 
-_MOT_ROW = np.dtype(
-    [("frame", np.int64), ("id", np.int64), ("left", np.float64), ("top", np.float64),
-     ("width", np.float64), ("height", np.float64), ("conf", np.float64)]
-)
 _NON_ASCII = re.compile(rb"[\x80-\xff]")
 # loadtxt skips these as whitespace inside a field; int() and float() do not.
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
@@ -90,16 +86,6 @@ def _bulk_lines(fh) -> Iterator[str]:
         yield line
 
 
-def _loadtxt(lines: Iterator[str], dtype: np.dtype, usecols=None) -> np.ndarray | None:
-    """The comma-separated rows of the remaining lines, parsed in one call;
-    None if there are none (loadtxt would warn). Raises ValueError on the
-    first line it cannot parse."""
-    first = next((line for line in lines if line.strip()), None)
-    if first is None:
-        return None
-    return np.loadtxt(chain([first], lines), dtype=dtype, delimiter=",", comments=None, usecols=usecols, ndmin=1)
-
-
 def _parse_mot_line(line: str, lineno: int, path) -> tuple[int, int, BBox, float]:
     parts = line.split(",")
     if len(parts) < 7:
@@ -120,32 +106,11 @@ def _parse_mot_line(line: str, lineno: int, path) -> tuple[int, int, BBox, float
     return frame, obj_id, box, conf
 
 
-def _mot_rows_in_bulk(path) -> np.ndarray | None:
-    """The first seven columns of every line, parsed in one call, or None if
-    any line needs the line loop's verdict."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            rows = _loadtxt(_bulk_lines(fh), _MOT_ROW, usecols=range(7))
-    except ValueError:
-        return None
-    return None if rows is None or (rows["frame"] < 1).any() else rows
-
-
 def _read_mot(path, add: Callable[..., None]) -> dict:
     """Fold ``add(out, frame, id, box, conf)`` over a MOT file's rows into a
-    new dict. ``add`` raises ValueError on a row it rejects. The rows come
-    from the bulk parse; if it or ``add`` fails, the line loop reruns it and
+    new dict. ``add`` raises ValueError on a row it rejects; the error then
     names the line."""
-    rows = _mot_rows_in_bulk(path)
-    if rows is not None:
-        out: dict = {}
-        try:
-            for frame, obj_id, left, top, w, h, conf in rows.tolist():
-                add(out, frame, obj_id, to_center(left, top, left + w, top + h), conf)
-            return out
-        except ValueError:
-            pass
-    out = {}
+    out: dict = {}
     for lineno, line in _data_lines(_read_text(path)):
         row = _parse_mot_line(line, lineno, path)
         try:
@@ -166,18 +131,21 @@ def read_detections(path) -> dict[int, list[Detection]]:
 
 def _embeddings_in_bulk(path, det_counts) -> tuple[int, dict[tuple[int, int], np.ndarray]] | None:
     """``read_embeddings``'s result when every line is valid and in tolerance,
-    else None."""
+    else None. The key columns are parsed as integers, so loadtxt rejects
+    ``1.0`` there as ``int`` does; numpy releases that still take it only
+    warn, and any warning here sends the file to the line loop (as does an
+    empty body, on which loadtxt warns)."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
             lines = _bulk_lines(fh)
             header = next((line.strip() for line in lines if line.strip()), "")
             dim = int(header[4:]) if header.startswith("dim=") else 0
             if dim < 1:
                 return None
-            rows = _loadtxt(lines, np.dtype([("frame", np.int64), ("index", np.int64), ("v", np.float64, (dim,))]))
-    except ValueError:
-        return None
-    if rows is None:
+            row = np.dtype([("frame", np.int64), ("index", np.int64), ("v", np.float64, (dim,))])
+            rows = np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
         return None
     m = rows["v"]
     with np.errstate(over="ignore"):  # an overflowing norm is the line loop's error
@@ -266,8 +234,10 @@ def load_detections(dets_path, embeddings_path=None) -> dict[int, list[Detection
             vec = vectors.get((frame, idx))
             if vec is None:
                 raise ValueError(f"{embeddings_path}: no embedding for frame {frame} detection {idx}")
-            # In place: det is new and unshared, and vec is a finite unit
-            # float64 vector, all that Detection would check.
+            # In place: det is new and unshared, and read_embeddings has just
+            # divided vec by its norm, so it is the finite unit float64 1-D
+            # vector Detection's constructor would check; a rebuild would
+            # only repeat that norm check for every detection.
             object.__setattr__(det, "embedding", vec)
     return dets
 
