@@ -7,14 +7,13 @@ Subcommands:
     ablate    run the stock tracker variants across frame strides
 
 Exit codes: 0 on success, 1 on runtime failures, 2 on usage errors.
-The IDTRACK_SEED environment variable overrides the simulation seed from a
-config file; an explicit --seed flag beats both.
+An explicit --seed flag overrides the simulation seed from a config file.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -33,7 +32,7 @@ from .mot_io import (
     write_results,
 )
 from .sim import benchmark_config, config_from_mapping, generate, subsample
-from .tracker import DEFAULT_NMS_IOU, TrackerConfig, track_stream
+from .tracker import DEFAULT_NMS_IOU, TrackerConfig, hypotheses, track_stream
 
 __all__ = ["main", "ABLATION_MODELS"]
 
@@ -54,6 +53,21 @@ def _resolve_weights(args) -> AffinityWeights:
         w2 = args.w2 if args.w2 is not None else (1.0 - args.w1)
         weights = AffinityWeights(w1, w2)
     return weights
+
+
+def _csv(convert, check, what: str):
+    """An argparse type: comma-separated ``convert`` values that all pass ``check``."""
+
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(convert(p) for p in text.split(","))
+            if all(map(check, values)):
+                return values
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+
+    return parse
 
 
 def _usage_error(message: str) -> int:
@@ -85,8 +99,7 @@ def cmd_track(args) -> int:
     if args.frame_stride > 1:
         dets = subsample(dets, args.frame_stride)
     outputs = track_stream(dets, config, predictions, nms_iou=args.nms_iou)
-    write_results(args.out, outputs, include_interpolated=args.write_interpolated)
-    written = sum(1 for o in outputs if args.write_interpolated or not o.interpolated)
+    written = write_results(args.out, outputs, include_interpolated=args.write_interpolated)
     print(f"tracked {max(dets) if dets else 0} frames, wrote {written} boxes to {args.out}")
     return 0
 
@@ -94,10 +107,7 @@ def cmd_track(args) -> int:
 def cmd_eval(args) -> int:
     gt = read_gt(args.gt)
     if args.sweep:
-        thresholds = DEFAULT_SWEEP_THRESHOLDS
-        if args.thresholds:
-            thresholds = tuple(float(p) for p in args.thresholds.split(","))
-        result = sweep_thresholds(gt, read_scored_hypotheses(args.hyp), thresholds, args.iou_gate)
+        result = sweep_thresholds(gt, read_scored_hypotheses(args.hyp), args.thresholds, args.iou_gate)
         rows = [(f"thr={thr:.2f}", report) for thr, report in result.rows]
         print(format_table(rows))
         print()
@@ -108,8 +118,9 @@ def cmd_eval(args) -> int:
             else:
                 print(f"best_{name}={value:g} threshold={thr:.2f}")
         print()
-        print(f"# best-MOTA operating point (threshold {result.best_mota_threshold:.2f})")
-        print(format_report(result.best_mota_report, prefix="best_mota_row_"))
+        best_thr = result.best["mota"][0]
+        print(f"# best-MOTA operating point (threshold {best_thr:.2f})")
+        print(format_report(dict(result.rows)[best_thr], prefix="best_mota_row_"))
     else:
         report = evaluate(gt, read_gt(args.hyp), args.iou_gate)
         print(format_table([("all", report)]))
@@ -119,19 +130,8 @@ def cmd_eval(args) -> int:
 
 
 def _sim_config(args):
-    if args.config:
-        config = config_from_mapping(read_config(args.config))
-    else:
-        config = benchmark_config()
-    env_seed = os.environ.get("IDTRACK_SEED")
-    if env_seed is not None:
-        try:
-            config = replace(config, seed=int(env_seed))
-        except ValueError:
-            raise ValueError(f"IDTRACK_SEED must be an integer, got {env_seed!r}") from None
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    return config
+    config = config_from_mapping(read_config(args.config)) if args.config else benchmark_config()
+    return config if args.seed is None else replace(config, seed=args.seed)
 
 
 def cmd_simulate(args) -> int:
@@ -150,23 +150,16 @@ def cmd_simulate(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _sim_config(args)
-    strides = tuple(int(p) for p in args.strides.split(","))
-    if any(s < 1 for s in strides):
-        raise ValueError(f"strides must be >= 1, got {args.strides}")
     gt_full, dets_full = generate(config)
 
     rows = []
     lines = []
-    for stride in strides:
+    for stride in args.strides:
         gt = subsample(gt_full, stride) if stride > 1 else gt_full
         dets = subsample(dets_full, stride) if stride > 1 else dets_full
         for name, base in ABLATION_MODELS.items():
             outputs = track_stream(dets, replace(base, det_threshold=args.det_threshold))
-            hyp = {}
-            for o in outputs:
-                if not o.interpolated:
-                    hyp.setdefault(o.frame, []).append((o.track_id, o.box))
-            report = evaluate(gt, hyp, args.iou_gate)
+            report = evaluate(gt, hypotheses(outputs), args.iou_gate)
             label = f"{name}@s{stride}"
             rows.append((label, report))
             lines.append(format_report(report, prefix=f"{name.replace('-', '_')}_s{stride}_"))
@@ -210,7 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyp", required=True)
     p.add_argument("--iou-gate", type=float, default=0.5)
     p.add_argument("--sweep", action="store_true", help="sweep detection-score thresholds")
-    p.add_argument("--thresholds", help="comma-separated sweep thresholds (default 0.1..0.9)")
+    p.add_argument(
+        "--thresholds",
+        type=_csv(float, math.isfinite, "finite numbers"),
+        default=DEFAULT_SWEEP_THRESHOLDS,
+        help="comma-separated sweep thresholds (default 0.1..0.9)",
+    )
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("simulate", help="write a synthetic benchmark scene")
@@ -221,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="compare tracker variants across frame strides")
     p.add_argument("--config", help="key=value sim config file (default: stock benchmark)")
-    p.add_argument("--strides", default="1,10")
+    p.add_argument("--strides", type=_csv(int, lambda s: s >= 1, "integers >= 1"), default="1,10")
     p.add_argument("--det-threshold", type=float, default=defaults.det_threshold)
     p.add_argument("--iou-gate", type=float, default=0.5)
     p.add_argument("--seed", type=int, help="override the seed")

@@ -171,14 +171,6 @@ _LOWER_BETTER = ("ids", "ml", "frag", "fp", "fn")
 class SweepResult:
     rows: tuple[tuple[float, MotReport], ...]
     best: dict[str, tuple[float, float]]  # metric -> (threshold, value)
-    best_mota_threshold: float
-
-    @property
-    def best_mota_report(self) -> MotReport:
-        for thr, report in self.rows:
-            if thr == self.best_mota_threshold:
-                return report
-        raise RuntimeError("sweep rows lost their best threshold")
 
 
 def sweep_thresholds(
@@ -211,7 +203,7 @@ def sweep_thresholds(
             if pick is None or sign * value > sign * pick[1]:
                 pick = (thr, value)
         best[name] = pick
-    return SweepResult(tuple(rows), best, best["mota"][0])
+    return SweepResult(tuple(rows), best)
 
 
 _COLUMNS = ("MOTA", "MOTP", "IDS", "MT", "ML", "Frag", "FP", "FN")

@@ -289,18 +289,21 @@ def _mot_line(frame: int, obj_id: int, box: BBox, conf: float) -> str:
     return "%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,-1,-1,-1\n" % (frame, obj_id, left, top, right - left, bottom - top, conf)
 
 
-def write_results(path, outputs: Iterable[TrackOutput], include_interpolated: bool = False) -> None:
-    """Write tracker output sorted by (frame, id). Interpolated boxes are
-    skipped unless asked for."""
+def write_results(path, outputs: Iterable[TrackOutput], include_interpolated: bool = False) -> int:
+    """Write tracker output sorted by (frame, id) and return the number of
+    rows written. Interpolated boxes are skipped unless asked for. Every id
+    is checked before the file is opened."""
     rows = sorted(
         (o for o in outputs if include_interpolated or not o.interpolated),
         key=lambda o: (o.frame, o.track_id),
     )
+    for o in rows:
+        if o.track_id < 1:
+            raise ValueError(f"track ids must be >= 1, got {o.track_id}")
     with open(path, "w", encoding="ascii") as fh:
         for o in rows:
-            if o.track_id < 1:
-                raise ValueError(f"track ids must be >= 1, got {o.track_id}")
             fh.write(_mot_line(o.frame, o.track_id, o.box, o.confidence))
+    return len(rows)
 
 
 def write_gt(path, gt: Mapping[int, list[tuple[int, BBox]]]) -> None:
@@ -318,26 +321,29 @@ def write_detections(path, dets: Mapping[int, list[Detection]]) -> None:
 
 
 def write_embeddings(path, dets: Mapping[int, list[Detection]]) -> None:
-    """Write the embedding sidecar for a detection stream (all must have one)."""
+    """Write the embedding sidecar for a detection stream (all must have one,
+    of one dimension; both are checked before the file is opened)."""
     dim = None
+    for frame in sorted(dets):
+        for idx, det in enumerate(dets[frame]):
+            if det.embedding is None:
+                raise ValueError(f"frame {frame} detection {idx} has no embedding")
+            if dim is None:
+                dim = det.embedding.shape[0]
+            elif det.embedding.shape[0] != dim:
+                raise ValueError("mixed embedding dimensions in one stream")
+    dim = dim or 0
+    line = "%d,%d" + ",%.9f" * dim + "\n"
     with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"dim={dim}\n")
         for frame in sorted(dets):
             for idx, det in enumerate(dets[frame]):
-                if det.embedding is None:
-                    raise ValueError(f"frame {frame} detection {idx} has no embedding")
-                if dim is None:
-                    dim = det.embedding.shape[0]
-                    fh.write(f"dim={dim}\n")
-                    line = "%d,%d" + ",%.9f" * dim + "\n"
-                elif det.embedding.shape[0] != dim:
-                    raise ValueError("mixed embedding dimensions in one stream")
                 fh.write(line % (frame, idx, *det.embedding.tolist()))
-        if dim is None:
-            fh.write("dim=0\n")
 
 
 def read_config(path) -> dict[str, str]:
-    """Line-oriented key=value file; '#' starts a comment, blanks are skipped."""
+    """Line-oriented key=value file; '#' starts a comment, blanks are skipped.
+    A key may appear once."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -345,6 +351,8 @@ def read_config(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+        out[key] = value
     return out

@@ -34,7 +34,7 @@ must copy the fields, not keep the objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,6 +50,7 @@ __all__ = [
     "propagate_linear",
     "update_trajectory",
     "track_stream",
+    "hypotheses",
     "DEFAULT_NMS_IOU",
 ]
 
@@ -340,3 +341,14 @@ def track_stream(
             preds = [predictions.get((frame, next(i for i, d in rest if d is k))) for k in kept]
         outputs.extend(tracker.step(kept, frame, preds))
     return outputs
+
+
+def hypotheses(outputs: Iterable[TrackOutput]) -> dict[int, list[tuple[int, BBox]]]:
+    """Tracker outputs as ``evaluate``'s hypothesis stream: frame ->
+    [(track_id, box), ...] in output order. Interpolated outputs are
+    propagation, not detections, so they are left out."""
+    hyp: dict[int, list[tuple[int, BBox]]] = {}
+    for o in outputs:
+        if not o.interpolated:
+            hyp.setdefault(o.frame, []).append((o.track_id, o.box))
+    return hyp

@@ -36,23 +36,21 @@ def test_simulate_writes_the_three_files(tmp_path, tiny_config, capsys):
     assert len(vectors) == sum(len(v) for v in dets.values())
 
 
-def test_simulate_seed_flag_beats_env_beats_config(tmp_path, tiny_config, capsys, monkeypatch):
+def test_simulate_seed_flag_beats_config(tmp_path, tiny_config, capsys):
     simulate(tmp_path, tiny_config, "a")
     assert "seed=3" in capsys.readouterr().out
 
-    monkeypatch.setenv("IDTRACK_SEED", "5")
-    simulate(tmp_path, tiny_config, "b")
-    assert "seed=5" in capsys.readouterr().out
-
-    simulate(tmp_path, tiny_config, "c", extra=("--seed", "9"))
+    simulate(tmp_path, tiny_config, "b", extra=("--seed", "9"))
     assert "seed=9" in capsys.readouterr().out
 
 
-def test_simulate_rejects_bad_env_seed(tmp_path, tiny_config, capsys, monkeypatch):
-    monkeypatch.setenv("IDTRACK_SEED", "not-a-number")
-    rc = main(["simulate", "--config", str(tiny_config), "--out-dir", str(tmp_path / "x")])
+def test_simulate_rejects_a_repeated_config_key(tmp_path, tiny_config, capsys):
+    tiny_config.write_text(tiny_config.read_text() + "seed=4\n")
+    out_dir = tmp_path / "scene"
+    rc = main(["simulate", "--config", str(tiny_config), "--out-dir", str(out_dir)])
     assert rc == 1
-    assert "IDTRACK_SEED" in capsys.readouterr().err
+    assert "sim.cfg:7: repeated key 'seed'" in capsys.readouterr().err
+    assert not (out_dir / "gt.txt").exists()
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path, tiny_config):
@@ -292,9 +290,29 @@ def test_ablate_runs_all_variants(tmp_path, tiny_config, capsys):
 
 
 def test_ablate_rejects_bad_strides(tmp_path, tiny_config, capsys):
-    rc = main(["ablate", "--config", str(tiny_config), "--strides", "0,2"])
-    assert rc == 1
-    assert "strides" in capsys.readouterr().err
+    # Usage errors: argparse exits 2 and names the flag before any scene is built.
+    for strides in ("0,2", "1,x", "1.5", "", "1,,2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--config", str(tiny_config), "--strides", strides])
+        assert exc.value.code == 2
+        assert "argument --strides:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("thresholds", ["0.1,abc", "0.5,", "nan", "0.2,inf"])
+def test_eval_rejects_bad_thresholds(tmp_path, capsys, thresholds):
+    # Checked before any file is read: the inputs do not exist.
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "eval",
+                "--gt", str(tmp_path / "gt.txt"),
+                "--hyp", str(tmp_path / "hyp.txt"),
+                "--sweep",
+                "--thresholds", thresholds,
+            ]
+        )
+    assert exc.value.code == 2
+    assert "argument --thresholds:" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two():

@@ -191,18 +191,46 @@ def test_write_results_skips_interpolated_by_default(tmp_path):
         TrackOutput(3, 1, BBox(11.0, 10.0, 4.0, 4.0), 0.9, interpolated=True),
     ]
     p = tmp_path / "out.txt"
-    write_results(p, outputs)
+    assert write_results(p, outputs) == 2
     lines = p.read_text().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("1,1,") and lines[1].startswith("2,1,")
 
-    write_results(p, outputs, include_interpolated=True)
+    assert write_results(p, outputs, include_interpolated=True) == 3
     assert len(p.read_text().splitlines()) == 3
+    assert write_results(p, []) == 0
+    assert p.read_text() == ""
 
 
 def test_write_results_rejects_bad_ids(tmp_path):
     with pytest.raises(ValueError):
         write_results(tmp_path / "x.txt", [TrackOutput(1, 0, BBox(0, 0, 1, 1), 0.5)])
+
+
+def test_a_failed_results_write_leaves_no_file(tmp_path):
+    # id 0 sorts after id 1 on a later frame, so the bad row is not the first.
+    p = tmp_path / "hyp.txt"
+    outputs = [TrackOutput(1, 1, BBox(5, 5, 2, 2), 0.5), TrackOutput(2, 0, BBox(5, 5, 2, 2), 0.5)]
+    with pytest.raises(ValueError, match="track ids must be >= 1, got 0"):
+        write_results(p, outputs)
+    assert not p.exists()
+
+
+@pytest.mark.parametrize(
+    ("third", "message"),
+    [
+        (None, "frame 3 detection 0 has no embedding"),
+        (unit([1.0, 1.0, 1.0]), "mixed embedding dimensions"),
+    ],
+)
+def test_a_failed_sidecar_write_leaves_no_file(tmp_path, third, message):
+    box = BBox(5.0, 5.0, 2.0, 2.0)
+    dets = {f: [Detection(box, 0.9, f, unit([1.0, float(f)]))] for f in (1, 2)}
+    dets[3] = [Detection(box, 0.9, 3, third)]
+    p = tmp_path / "emb.txt"
+    with pytest.raises(ValueError, match=message):
+        write_embeddings(p, dets)
+    assert not p.exists()
 
 
 def test_predictions_round_trip(tmp_path):
@@ -249,6 +277,13 @@ def test_read_config(tmp_path):
     assert cfg == {"seed": "12", "arena": "800,600", "miss_rate": "0.02"}
     p.write_text("seed 12\n")
     with pytest.raises(ValueError, match="key=value"):
+        read_config(p)
+
+
+def test_read_config_rejects_a_repeated_key(tmp_path):
+    p = tmp_path / "sim.cfg"
+    p.write_text("seed=1\nframes=5\n seed = 2 # again\n")
+    with pytest.raises(ValueError, match=r"sim\.cfg:3: repeated key 'seed'"):
         read_config(p)
 
 

@@ -183,8 +183,10 @@ def test_sweep_picks_the_cleanest_threshold():
     assert len(result.rows) == len(DEFAULT_SWEEP_THRESHOLDS)
     fp_by_thr = [r.fp for _, r in result.rows]
     assert fp_by_thr == sorted(fp_by_thr, reverse=True), "FP must not rise with the cutoff"
-    assert result.best_mota_threshold == pytest.approx(0.4)  # lowest of the tied best
-    assert result.best_mota_report.mota == 1.0
+    best_thr, best_mota = result.best["mota"]
+    assert best_thr == pytest.approx(0.4)  # lowest of the tied best
+    assert best_mota == 1.0
+    assert dict(result.rows)[best_thr].mota == 1.0
     assert result.best["fp"] == (pytest.approx(0.4), 0.0)
     assert result.best["mota"][1] == 1.0
 

@@ -1,6 +1,7 @@
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,8 +20,27 @@ def test_every_export_resolves(name):
     assert missing == []
 
 
+def test_the_root_exports_tracking_only():
+    assert len(idtrack.__all__) == 27
+    assert "update_trajectory" not in idtrack.__all__
+    kernels = importlib.import_module("idtrack.kernels")
+    assert not set(kernels.__all__) & set(idtrack.__all__)
+
+
+def test_readme_python_blocks_run():
+    # Every python block of README.md, in order and in one namespace, so the
+    # library examples cannot drift from the package.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)
+
+
 def test_scipy_is_imported_only_when_a_solve_needs_it(tmp_path):
-    # scipy.optimize is most of the import time; simulate never solves.
+    # scipy.optimize is most of the import time; simulate never solves. The
+    # training-side kernels are not part of the package root.
     config = tmp_path / "sim.cfg"
     config.write_text("num_identities=2\nframes=5\n")
     code = "\n".join(
@@ -28,9 +48,11 @@ def test_scipy_is_imported_only_when_a_solve_needs_it(tmp_path):
             "import sys",
             "import idtrack",
             "assert 'scipy' not in sys.modules, 'after import idtrack'",
+            "assert 'idtrack.kernels' not in sys.modules, 'kernels after import idtrack'",
             "from idtrack.cli import main",
             f"assert main(['simulate', '--config', {str(config)!r}, '--out-dir', {str(tmp_path / 'scene')!r}]) == 0",
             "assert 'scipy' not in sys.modules, 'after idtrack simulate'",
+            "assert 'idtrack.kernels' not in sys.modules, 'kernels after idtrack simulate'",
             "assert idtrack.solve_max([[1.0]]).pairs == ((0, 0),)",
             "assert 'scipy.optimize' in sys.modules",
         ]

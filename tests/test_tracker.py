@@ -12,6 +12,8 @@ from idtrack.tracker import (
     Tracker,
     TrackerConfig,
     Trajectory,
+    TrackOutput,
+    hypotheses,
     propagate_linear,
     track_stream,
     update_trajectory,
@@ -136,6 +138,21 @@ def test_propagation_emits_interpolated_heads():
     out5 = tracker.step([], frame=5)  # exceeded the propagation budget
     assert out5 == []
     assert len(tracker.paused) == 1
+
+
+def test_hypotheses_skip_interpolated_outputs_and_keep_order():
+    a, b, c = BBox(10.0, 10.0, 4.0, 4.0), BBox(20.0, 10.0, 4.0, 4.0), BBox(30.0, 10.0, 4.0, 4.0)
+    outputs = [
+        TrackOutput(2, 3, a, 0.9),
+        TrackOutput(1, 2, b, 0.8),
+        TrackOutput(2, 1, b, 0.7, interpolated=True),
+        TrackOutput(2, 2, c, 0.6),
+        TrackOutput(3, 1, c, 0.5, interpolated=True),
+    ]
+    hyp = hypotheses(outputs)
+    assert hyp == {2: [(3, a), (2, c)], 1: [(2, b)]}
+    assert list(hyp) == [2, 1]  # frames in order of first output
+    assert hypotheses([]) == {}
 
 
 def test_coasting_trajectory_still_matches_by_iou():
