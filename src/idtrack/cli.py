@@ -150,6 +150,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _sim_config(args)
+    models = {name: replace(base, det_threshold=args.det_threshold) for name, base in ABLATION_MODELS.items()}
     gt_full, dets_full = generate(config)
 
     rows = []
@@ -157,8 +158,8 @@ def cmd_ablate(args) -> int:
     for stride in args.strides:
         gt = subsample(gt_full, stride) if stride > 1 else gt_full
         dets = subsample(dets_full, stride) if stride > 1 else dets_full
-        for name, base in ABLATION_MODELS.items():
-            outputs = track_stream(dets, replace(base, det_threshold=args.det_threshold))
+        for name, model in models.items():
+            outputs = track_stream(dets, model)
             report = evaluate(gt, hypotheses(outputs), args.iou_gate)
             label = f"{name}@s{stride}"
             rows.append((label, report))

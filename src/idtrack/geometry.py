@@ -52,7 +52,7 @@ def to_center(left: float, top: float, right: float, bottom: float) -> BBox:
 
 
 def _check_unit(vec: np.ndarray, what: str) -> None:
-    norm = float(np.linalg.norm(vec))
+    norm = math.sqrt(vec.dot(vec))  # np.linalg.norm's own arithmetic for 1-D float64
     if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # written so a NaN norm fails too
         raise ValueError(f"{what} must be L2-normalized (|norm-1| <= {UNIT_NORM_TOL}), got norm={norm}")
 

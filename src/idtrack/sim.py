@@ -10,14 +10,15 @@ detection embeddings are the prototype plus isotropic noise, re-normalized.
 All randomness comes from one numpy Philox (4x64 counter-based) generator
 seeded from ``SimConfig.seed``, and draws happen in a fixed order, so the
 same config reproduces the same scene bit for bit. ``frame_stride`` never
-changes the underlying world: the full scene is generated first and then
-subsampled, which emulates dropping the frame rate by that factor.
+changes the underlying world: every source frame makes all of its draws,
+but boxes, detections and embeddings are built only for the frames that the
+stride keeps, which emulates dropping the frame rate by that factor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
 import numpy as np
@@ -47,6 +48,11 @@ class SimConfig:
     turn_prob: float = 0.02  # chance per identity per frame of a direction kick
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(v) for v in entries if isinstance(v, float)):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.num_identities < 1 or self.frames < 1:
             raise ValueError("need at least one identity and one frame")
         if self.frame_stride < 1:
@@ -62,9 +68,12 @@ class SimConfig:
         lo, hi = self.occlusion_duration
         if lo < 1 or hi < lo:
             raise ValueError("occlusion_duration must satisfy 1 <= lo <= hi")
-        for name in ("center_noise", "size_noise", "embedding_noise", "miss_rate", "fp_rate", "turn_prob"):
+        for name in ("center_noise", "size_noise", "embedding_noise", "fp_rate"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        for name in ("miss_rate", "turn_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
 
 
 def benchmark_config(seed: int = 7) -> SimConfig:
@@ -95,7 +104,7 @@ def benchmark_config(seed: int = 7) -> SimConfig:
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
-    return vec / np.linalg.norm(vec)
+    return vec / math.sqrt(vec.dot(vec))  # bit-equal to np.linalg.norm on 1-D float64
 
 
 def _bounce(p: float, v: float, lo: float, hi: float) -> tuple[float, float]:
@@ -110,29 +119,36 @@ def _bounce(p: float, v: float, lo: float, hi: float) -> tuple[float, float]:
 
 
 def generate(config: SimConfig) -> tuple[dict[int, list[tuple[int, BBox]]], dict[int, list[Detection]]]:
-    """Build (gt, dets) streams, both keyed by 1-based frame index.
+    """Build (gt, dets) streams, both keyed by 1-based output frame index.
 
-    gt holds (identity, box) pairs for every identity in every frame; dets
-    holds Detection objects (noisy boxes, confidence, unit embedding) in
-    identity order followed by that frame's false positives.
+    gt holds (identity, box) pairs for every identity in every kept frame;
+    dets holds Detection objects (noisy boxes, confidence, unit embedding)
+    in identity order followed by that frame's false positives. Source
+    frames 1, 1+stride, 1+2*stride, ... are kept and numbered densely. Every
+    source frame makes the same draws whether it is kept or not, so the
+    result equals ``subsample`` of the stride-1 scene.
     """
     rng = np.random.Generator(np.random.Philox(config.seed))
+    random, normal, uniform = rng.random, rng.normal, rng.uniform
     n = config.num_identities
+    dim = config.embedding_dim
+    stride = config.frame_stride
     width, height = config.arena
+    miss_rate, turn_prob = config.miss_rate, config.turn_prob
 
-    protos = np.empty((n, config.embedding_dim))
-    sizes = np.empty((n, 2))
-    pos = np.empty((n, 2))
-    vel = np.empty((n, 2))
-    for i in range(n):
-        protos[i] = _unit(rng.normal(size=config.embedding_dim))
-        w = rng.uniform(*config.box_size_range)
-        h = rng.uniform(*config.box_size_range)
-        sizes[i] = (w, h)
-        pos[i] = (rng.uniform(w / 2, width - w / 2), rng.uniform(h / 2, height - h / 2))
-        speed = rng.uniform(*config.speed_range)
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        vel[i] = (speed * math.cos(angle), speed * math.sin(angle))
+    protos: list[np.ndarray] = []
+    sizes: list[tuple[float, float]] = []
+    pos: list[list[float]] = []  # [x, y] per identity
+    vel: list[list[float]] = []  # [vx, vy] per identity
+    for _ in range(n):
+        protos.append(_unit(normal(size=dim)))
+        w = uniform(*config.box_size_range)
+        h = uniform(*config.box_size_range)
+        sizes.append((w, h))
+        pos.append([uniform(w / 2, width - w / 2), uniform(h / 2, height - h / 2)])
+        speed = uniform(*config.speed_range)
+        angle = uniform(0.0, 2.0 * math.pi)
+        vel.append([speed * math.cos(angle), speed * math.sin(angle)])
 
     occluded = np.zeros((n, config.frames + 1), dtype=bool)
     for _ in range(config.occlusion_events):
@@ -140,58 +156,58 @@ def generate(config: SimConfig) -> tuple[dict[int, list[tuple[int, BBox]]], dict
         start = int(rng.integers(1, config.frames + 1))
         dur = int(rng.integers(config.occlusion_duration[0], config.occlusion_duration[1] + 1))
         occluded[who, start:min(start + dur, config.frames + 1)] = True
+    occluded_at = occluded.tolist()
 
     gt: dict[int, list[tuple[int, BBox]]] = {}
     dets: dict[int, list[Detection]] = {}
     for t in range(1, config.frames + 1):
+        keep = (t - 1) % stride == 0
+        frame = (t - 1) // stride + 1
         gt_frame: list[tuple[int, BBox]] = []
         det_frame: list[Detection] = []
         for i in range(n):
-            if rng.random() < config.turn_prob:
-                speed = math.hypot(*vel[i])
-                angle = rng.uniform(0.0, 2.0 * math.pi)
-                vel[i] = (speed * math.cos(angle), speed * math.sin(angle))
+            p, v = pos[i], vel[i]
+            if random() < turn_prob:
+                speed = math.hypot(v[0], v[1])
+                angle = uniform(0.0, 2.0 * math.pi)
+                v[0], v[1] = speed * math.cos(angle), speed * math.sin(angle)
             w, h = sizes[i]
-            pos[i, 0] += vel[i, 0]
-            pos[i, 1] += vel[i, 1]
-            pos[i, 0], vel[i, 0] = _bounce(pos[i, 0], vel[i, 0], w / 2, width - w / 2)
-            pos[i, 1], vel[i, 1] = _bounce(pos[i, 1], vel[i, 1], h / 2, height - h / 2)
-            box = BBox(pos[i, 0], pos[i, 1], w, h)
-            gt_frame.append((i + 1, box))
+            p[0], v[0] = _bounce(p[0] + v[0], v[0], w / 2, width - w / 2)
+            p[1], v[1] = _bounce(p[1] + v[1], v[1], h / 2, height - h / 2)
+            if keep:
+                gt_frame.append((i + 1, BBox(p[0], p[1], w, h)))
 
-            if occluded[i, t]:
+            if occluded_at[i][t]:
                 continue
-            if rng.random() < config.miss_rate:
+            if random() < miss_rate:
                 continue
-            noisy = BBox(
-                box.cx + config.center_noise * rng.normal(),
-                box.cy + config.center_noise * rng.normal(),
-                box.w * math.exp(config.size_noise * rng.normal()),
-                box.h * math.exp(config.size_noise * rng.normal()),
-            )
-            conf = 0.55 + 0.44 * rng.random()
-            emb = _unit(protos[i] + config.embedding_noise * rng.normal(size=config.embedding_dim))
-            det_frame.append(Detection(noisy, conf, t, emb))
+            box_noise = normal(size=4)
+            conf_draw = random()
+            emb_noise = normal(size=dim)
+            if keep:
+                dx, dy, dw, dh = box_noise.tolist()
+                noisy = BBox(
+                    p[0] + config.center_noise * dx,
+                    p[1] + config.center_noise * dy,
+                    w * math.exp(config.size_noise * dw),
+                    h * math.exp(config.size_noise * dh),
+                )
+                emb = _unit(protos[i] + config.embedding_noise * emb_noise)
+                det_frame.append(Detection(noisy, 0.55 + 0.44 * conf_draw, frame, emb))
 
         for _ in range(int(rng.poisson(config.fp_rate))):
-            w = rng.uniform(*config.box_size_range)
-            h = rng.uniform(*config.box_size_range)
-            fp_box = BBox(
-                rng.uniform(w / 2, width - w / 2),
-                rng.uniform(h / 2, height - h / 2),
-                w,
-                h,
-            )
-            conf = 0.05 + 0.5 * rng.random()
-            emb = _unit(rng.normal(size=config.embedding_dim))
-            det_frame.append(Detection(fp_box, conf, t, emb))
+            w = uniform(*config.box_size_range)
+            h = uniform(*config.box_size_range)
+            cx = uniform(w / 2, width - w / 2)
+            cy = uniform(h / 2, height - h / 2)
+            conf_draw = random()
+            emb_noise = normal(size=dim)
+            if keep:
+                det_frame.append(Detection(BBox(cx, cy, w, h), 0.05 + 0.5 * conf_draw, frame, _unit(emb_noise)))
 
-        gt[t] = gt_frame
-        dets[t] = det_frame
-
-    if config.frame_stride > 1:
-        gt = subsample(gt, config.frame_stride)
-        dets = subsample(dets, config.frame_stride)
+        if keep:
+            gt[frame] = gt_frame
+            dets[frame] = det_frame
     return gt, dets
 
 

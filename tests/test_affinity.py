@@ -258,7 +258,7 @@ def nms_frames(draw):
     return dets, threshold
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(nms_frames())
 def test_property_nms_matches_the_scalar_greedy_reference(frame):
     dets, threshold = frame

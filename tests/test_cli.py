@@ -53,6 +53,29 @@ def test_simulate_rejects_a_repeated_config_key(tmp_path, tiny_config, capsys):
     assert not (out_dir / "gt.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("speed_range=nan,nan", "speed_range must be finite"),
+        ("arena=inf,900", "arena must be finite"),
+        ("fp_rate=inf", "fp_rate must be finite"),
+        ("embedding_noise=inf", "embedding_noise must be finite"),
+        ("turn_prob=nan", "turn_prob must be finite"),
+        ("miss_rate=nan", "miss_rate must be finite"),
+        ("turn_prob=5", "turn_prob must lie in [0, 1]"),
+    ],
+)
+def test_simulate_rejects_non_finite_and_out_of_range_config(tmp_path, capsys, line, message):
+    config = tmp_path / "sim.cfg"
+    config.write_text(f"seed=0\nnum_identities=3\nframes=20\n{line}\n")
+    out_dir = tmp_path / "scene"
+    rc = main(["simulate", "--config", str(config), "--out-dir", str(out_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1  # one line, no traceback
+    assert not (out_dir / "gt.txt").exists()
+
+
 def test_simulate_same_seed_is_byte_identical(tmp_path, tiny_config):
     a = simulate(tmp_path, tiny_config, "a")
     b = simulate(tmp_path, tiny_config, "b")
@@ -287,6 +310,20 @@ def test_ablate_runs_all_variants(tmp_path, tiny_config, capsys):
         assert (out_dir / f"{name}_s1.txt").exists()
         assert (out_dir / f"{name}_s3.txt").exists()
     assert "id_assoc_s3_mota=" in out
+
+
+def test_ablate_checks_det_threshold_before_building_the_scene(monkeypatch, capsys):
+    calls = []
+
+    def generate(config):
+        calls.append(config)
+        raise AssertionError("generate must not run for a bad --det-threshold")
+
+    monkeypatch.setattr("idtrack.cli.generate", generate)
+    rc = main(["ablate", "--det-threshold", "1.5", "--seed", "7"])
+    assert rc == 1
+    assert "det_threshold must lie in [0, 1]" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_ablate_rejects_bad_strides(tmp_path, tiny_config, capsys):

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from idtrack.geometry import BBox, Detection, to_center, to_corner
+from idtrack.geometry import BBox, Detection, _check_unit, to_center, to_corner
 from idtrack.kernels import LossWeights
 
 
@@ -61,6 +63,25 @@ def test_detection_validation():
         Detection(box, 0.5, 1, embedding=np.eye(2))
     with pytest.raises(ValueError):
         Detection(box, 0.5, 1, embedding=np.array([float("nan"), 0.0]))
+
+
+def test_check_unit_rejects_nan_inf_and_off_norm_vectors():
+    _check_unit(np.array([0.6, 0.8]), "v")
+    _check_unit(np.array([1.0 + 0.9e-6, 0.0]), "v")
+    for bad in ([float("nan"), 0.0], [float("inf"), 0.0], [1.0, float("-inf")], [1.0 + 2e-6, 0.0], [0.0, 0.0], [0.6, 0.6]):
+        with pytest.raises(ValueError, match="must be L2-normalized"):
+            _check_unit(np.array(bad), "v")
+
+
+def test_check_unit_norm_is_numpys_norm_bit_for_bit():
+    # The unit check (and the simulator's normalisation) take sqrt(v.dot(v)),
+    # which is what np.linalg.norm computes for a 1-D float64 vector.
+    rng = np.random.default_rng(3)
+    for dim in (2, 3, 17, 64, 513):
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(50):
+                vec = scale * rng.normal(size=dim)
+                assert math.sqrt(vec.dot(vec)) == float(np.linalg.norm(vec))
 
 
 def test_detection_embedding_coerced_to_float64():

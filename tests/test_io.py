@@ -435,7 +435,7 @@ def reference_embedding_line(frame, idx, vec):
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(
     st.integers(1, 10**6),
     st.integers(-1, 10**6),
@@ -450,7 +450,7 @@ def test_property_mot_line_matches_the_per_value_reference(frame, obj_id, cx, cy
     assert mot_io._mot_line(frame, obj_id, box, conf) == reference_mot_line(frame, obj_id, box, conf)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), min_size=1, max_size=6))
 def test_property_sidecar_lines_match_the_per_value_reference(tmp_path_factory, raw):
     vecs = [np.asarray(v) for v in raw if np.linalg.norm(v) > 1e-3]
@@ -550,7 +550,7 @@ def outcome(read, path):
     return result, [str(w.message) for w in caught]
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
+@settings(max_examples=500)
 @given(sidecar_files(), st.sampled_from([None, {1: 2, 2: 3}]))
 def test_property_sidecar_reader_agrees_with_the_line_loop(tmp_path_factory, data, counts):
     path = tmp_path_factory.mktemp("sidecar") / "emb.txt"

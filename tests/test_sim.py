@@ -1,36 +1,167 @@
-from dataclasses import fields
+import math
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from idtrack.geometry import BBox, Detection
 from idtrack.sim import SimConfig, benchmark_config, config_from_mapping, generate, subsample
 
 
-def dets_equal(a, b):
-    if a.frame != b.frame or a.confidence != b.confidence or a.box != b.box:
-        return False
-    if (a.embedding is None) != (b.embedding is None):
-        return False
-    return a.embedding is None or np.array_equal(a.embedding, b.embedding)
+def _reference_unit(vec):
+    return vec / np.linalg.norm(vec)
 
 
-def streams_equal(dets_a, dets_b):
-    if set(dets_a) != set(dets_b):
-        return False
-    for f in dets_a:
-        if len(dets_a[f]) != len(dets_b[f]):
-            return False
-        if not all(dets_equal(x, y) for x, y in zip(dets_a[f], dets_b[f])):
-            return False
-    return True
+def _reference_bounce(p, v, lo, hi):
+    if hi <= lo:
+        return lo, v
+    while p < lo or p > hi:
+        if p < lo:
+            p, v = 2.0 * lo - p, -v
+        else:
+            p, v = 2.0 * hi - p, -v
+    return p, v
+
+
+def reference_generate(config):
+    """The earlier ``generate``, kept as the oracle for the draw order.
+
+    It builds every source frame's objects with numpy-scalar motion state and
+    subsamples afterwards; ``generate`` must return the same scene bit for bit.
+    """
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    n = config.num_identities
+    width, height = config.arena
+
+    protos = np.empty((n, config.embedding_dim))
+    sizes = np.empty((n, 2))
+    pos = np.empty((n, 2))
+    vel = np.empty((n, 2))
+    for i in range(n):
+        protos[i] = _reference_unit(rng.normal(size=config.embedding_dim))
+        w = rng.uniform(*config.box_size_range)
+        h = rng.uniform(*config.box_size_range)
+        sizes[i] = (w, h)
+        pos[i] = (rng.uniform(w / 2, width - w / 2), rng.uniform(h / 2, height - h / 2))
+        speed = rng.uniform(*config.speed_range)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        vel[i] = (speed * math.cos(angle), speed * math.sin(angle))
+
+    occluded = np.zeros((n, config.frames + 1), dtype=bool)
+    for _ in range(config.occlusion_events):
+        who = int(rng.integers(0, n))
+        start = int(rng.integers(1, config.frames + 1))
+        dur = int(rng.integers(config.occlusion_duration[0], config.occlusion_duration[1] + 1))
+        occluded[who, start:min(start + dur, config.frames + 1)] = True
+
+    gt = {}
+    dets = {}
+    for t in range(1, config.frames + 1):
+        gt_frame = []
+        det_frame = []
+        for i in range(n):
+            if rng.random() < config.turn_prob:
+                speed = math.hypot(*vel[i])
+                angle = rng.uniform(0.0, 2.0 * math.pi)
+                vel[i] = (speed * math.cos(angle), speed * math.sin(angle))
+            w, h = sizes[i]
+            pos[i, 0] += vel[i, 0]
+            pos[i, 1] += vel[i, 1]
+            pos[i, 0], vel[i, 0] = _reference_bounce(pos[i, 0], vel[i, 0], w / 2, width - w / 2)
+            pos[i, 1], vel[i, 1] = _reference_bounce(pos[i, 1], vel[i, 1], h / 2, height - h / 2)
+            box = BBox(pos[i, 0], pos[i, 1], w, h)
+            gt_frame.append((i + 1, box))
+
+            if occluded[i, t]:
+                continue
+            if rng.random() < config.miss_rate:
+                continue
+            noisy = BBox(
+                box.cx + config.center_noise * rng.normal(),
+                box.cy + config.center_noise * rng.normal(),
+                box.w * math.exp(config.size_noise * rng.normal()),
+                box.h * math.exp(config.size_noise * rng.normal()),
+            )
+            conf = 0.55 + 0.44 * rng.random()
+            emb = _reference_unit(protos[i] + config.embedding_noise * rng.normal(size=config.embedding_dim))
+            det_frame.append(Detection(noisy, conf, t, emb))
+
+        for _ in range(int(rng.poisson(config.fp_rate))):
+            w = rng.uniform(*config.box_size_range)
+            h = rng.uniform(*config.box_size_range)
+            fp_box = BBox(
+                rng.uniform(w / 2, width - w / 2),
+                rng.uniform(h / 2, height - h / 2),
+                w,
+                h,
+            )
+            conf = 0.05 + 0.5 * rng.random()
+            emb = _reference_unit(rng.normal(size=config.embedding_dim))
+            det_frame.append(Detection(fp_box, conf, t, emb))
+
+        gt[t] = gt_frame
+        dets[t] = det_frame
+
+    if config.frame_stride > 1:
+        gt = subsample(gt, config.frame_stride)
+        dets = subsample(dets, config.frame_stride)
+    return gt, dets
+
+
+def scene_bits(gt, dets):
+    """A scene as raw float64 bytes, so that equality is bit for bit (0.0 != -0.0)."""
+    gt_rows = [(f, i, b.cx, b.cy, b.w, b.h) for f in gt for i, b in gt[f]]
+    det_rows = [(f, d.frame, d.confidence, d.box.cx, d.box.cy, d.box.w, d.box.h) for f in dets for d in dets[f]]
+    embeddings = [d.embedding.tobytes() for f in dets for d in dets[f]]
+    return list(gt), np.array(gt_rows).tobytes(), list(dets), np.array(det_rows).tobytes(), embeddings
+
+
+@st.composite
+def sim_configs(draw):
+    """Small scenes over the whole draw-order surface: strides 1-12, no or
+    heavy misses, false positives and turns, occlusions, embedding dims 2-64."""
+    width = draw(st.floats(120.0, 800.0))
+    height = draw(st.floats(120.0, 600.0))
+    size_lo = draw(st.floats(5.0, 60.0))
+    speed_lo = draw(st.floats(0.0, 20.0))
+    occl_lo = draw(st.integers(1, 10))
+    return SimConfig(
+        seed=draw(st.integers(0, 2**63)),
+        num_identities=draw(st.integers(1, 6)),
+        frames=draw(st.integers(1, 60)),
+        arena=(width, height),
+        speed_range=(speed_lo, speed_lo + draw(st.floats(0.0, 30.0))),
+        box_size_range=(size_lo, size_lo + draw(st.floats(0.0, 50.0))),
+        center_noise=draw(st.sampled_from([0.0, 1.0, 8.0])),
+        size_noise=draw(st.sampled_from([0.0, 0.03, 0.5])),
+        miss_rate=draw(st.sampled_from([0.0, 0.05, 0.8, 1.0])),
+        fp_rate=draw(st.sampled_from([0.0, 0.3, 4.0])),
+        occlusion_events=draw(st.integers(0, 8)),
+        occlusion_duration=(occl_lo, occl_lo + draw(st.integers(0, 20))),
+        embedding_dim=draw(st.integers(2, 64)),
+        embedding_noise=draw(st.sampled_from([0.0, 0.15, 3.0])),
+        frame_stride=draw(st.integers(1, 12)),
+        turn_prob=draw(st.sampled_from([0.0, 0.02, 0.5, 1.0])),
+    )
+
+
+@settings(max_examples=200)
+@given(sim_configs())
+def test_generate_matches_the_reference_bit_for_bit(cfg):
+    assert scene_bits(*generate(cfg)) == scene_bits(*reference_generate(cfg))
+
+
+def test_generate_matches_the_reference_on_the_stock_scene_at_stride_10():
+    cfg = replace(benchmark_config(seed=7), frames=200, frame_stride=10)
+    assert scene_bits(*generate(cfg)) == scene_bits(*reference_generate(cfg))
 
 
 def test_same_seed_reproduces_bit_for_bit():
     cfg = SimConfig(seed=11, num_identities=5, frames=40, occlusion_events=2, fp_rate=0.5)
-    gt1, dets1 = generate(cfg)
-    gt2, dets2 = generate(cfg)
-    assert gt1 == gt2  # tuples of (id, BBox) compare exactly
-    assert streams_equal(dets1, dets2)
+    assert scene_bits(*generate(cfg)) == scene_bits(*generate(cfg))
 
 
 def test_different_seeds_differ():
@@ -97,13 +228,12 @@ def test_stride_arithmetic():
             assert d.frame == f
 
 
-def test_stride_equals_subsampled_full_run():
-    dense_cfg = SimConfig(seed=17, num_identities=5, frames=60, fp_rate=0.4, occlusion_events=3)
-    strided_cfg = SimConfig(seed=17, num_identities=5, frames=60, fp_rate=0.4, occlusion_events=3, frame_stride=7)
-    gt_dense, dets_dense = generate(dense_cfg)
-    gt_strided, dets_strided = generate(strided_cfg)
-    assert gt_strided == subsample(gt_dense, 7)
-    assert streams_equal(dets_strided, subsample(dets_dense, 7))
+@settings(max_examples=100)
+@given(sim_configs(), st.integers(1, 12))
+def test_stride_equals_subsampled_full_run(cfg, stride):
+    gt_dense, dets_dense = generate(replace(cfg, frame_stride=1))
+    strided = generate(replace(cfg, frame_stride=stride))
+    assert scene_bits(*strided) == scene_bits(subsample(gt_dense, stride), subsample(dets_dense, stride))
 
 
 def test_subsample_drops_and_reindexes():
@@ -168,6 +298,33 @@ def test_config_validation():
         SimConfig(miss_rate=-0.1)
     with pytest.raises(ValueError):
         SimConfig(occlusion_duration=(0, 5))
+
+
+@pytest.mark.parametrize(
+    "key, raw, message",
+    [
+        ("speed_range", "nan,nan", "speed_range must be finite"),
+        ("arena", "inf,900", "arena must be finite"),
+        ("box_size_range", "30,-inf", "box_size_range must be finite"),
+        ("fp_rate", "inf", "fp_rate must be finite"),
+        ("embedding_noise", "inf", "embedding_noise must be finite"),
+        ("center_noise", "nan", "center_noise must be finite"),
+        ("turn_prob", "nan", "turn_prob must be finite"),
+        ("miss_rate", "nan", "miss_rate must be finite"),
+        ("turn_prob", "5", "turn_prob must lie in [0, 1]"),
+        ("miss_rate", "1.5", "miss_rate must lie in [0, 1]"),
+        ("miss_rate", "-0.1", "miss_rate must lie in [0, 1]"),
+    ],
+)
+def test_config_rejects_non_finite_values_and_bad_probabilities(key, raw, message):
+    values = {"seed": "0", "num_identities": "3", "frames": "20", key: raw}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_mapping(values)
+
+
+def test_config_accepts_probabilities_at_the_bounds():
+    for p in (0.0, 1.0):
+        assert SimConfig(miss_rate=p, turn_prob=p).turn_prob == p
 
 
 def test_config_from_mapping():

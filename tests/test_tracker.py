@@ -361,7 +361,7 @@ def update_batches(draw):
     return trajs, dets, momentum, preds
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(update_batches())
 def test_property_batched_update_equals_the_reference_bit_for_bit(batch):
     trajs, dets, momentum, preds = batch
@@ -507,7 +507,7 @@ def scenes_with_predictions(draw):
     return dets, tracker_config, predictions
 
 
-property_settings = settings(max_examples=40, deadline=None, derandomize=True)
+property_settings = settings(max_examples=40)
 
 
 @property_settings
