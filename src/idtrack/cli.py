@@ -130,7 +130,14 @@ def cmd_eval(args) -> int:
 
 
 def _sim_config(args):
-    config = config_from_mapping(read_config(args.config)) if args.config else benchmark_config()
+    if args.config is None:
+        config = benchmark_config()
+    else:
+        values = read_config(args.config)
+        try:
+            config = config_from_mapping(values)
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
     return config if args.seed is None else replace(config, seed=args.seed)
 
 

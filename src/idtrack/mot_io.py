@@ -19,6 +19,12 @@ line loop instead, which reports the first bad line as ``path:line`` and
 issues the warnings. Both paths use the same float parser and arithmetic,
 so they return the same values bit for bit. A non-ASCII byte is an error
 naming its line in every file.
+
+The sidecar writer streams its rows in chunks of a few thousand values. Each
+chunk is formatted in numpy in fixed point, rounding exactly as "%.9f" does
+(to nearest, ties to even); a row with a value within float error of a
+rounding tie, or of magnitude 10 or more, is formatted by "%" instead. The
+bytes are those of one "%" format per line.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from typing import Callable, Iterable, Iterator, Mapping
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -320,9 +327,62 @@ def write_detections(path, dets: Mapping[int, list[Detection]]) -> None:
                 fh.write(_mot_line(frame, -1, det.box, det.confidence))
 
 
+# The sidecar's values are formatted in fixed point. y = |v| * 1e9 is within
+# y * 2**-53 of the exact product, so rint(y) gives the correctly rounded,
+# round-half-even digits of "%.9f" unless y lies within y * 2**-50 of a
+# half-integer. A row with such a value, or with one whose magnitude rounds
+# to 10 or more (NaN and inf included), is formatted by "%" instead.
+_CHUNK_VALUES = 4096  # values per numpy pass: its arrays stay small and in cache
+# ",", then "-W.d" (the sign byte is 0 for a value without one), then two
+# groups of 4 digits: 13 bytes, 12 once the 0 sign bytes are deleted.
+_VALUE = np.dtype([("comma", "u1"), ("head", "<u4"), ("high", "<u4"), ("low", "<u4")])
+
+
+def _words(*byte_columns) -> np.ndarray:
+    """``<u4`` words whose 4 bytes run through every combination of the
+    given byte values, the first byte slowest."""
+    grids = np.meshgrid(*(np.array(c, dtype=np.uint8) for c in byte_columns), indexing="ij")
+    return np.stack(grids, axis=-1).view("<u4").reshape(-1)
+
+
+_DIGIT = range(ord("0"), ord("9") + 1)
+_DIGITS4 = _words(_DIGIT, _DIGIT, _DIGIT, _DIGIT)  # b"%04d" % n at index n
+# At index 100 * negative + 10 * whole + tenth: the sign byte (0 when there is
+# none), the whole digit, "." and the first decimal.
+_HEADS = _words([0, ord("-")], _DIGIT, [ord(".")], _DIGIT)
+
+
+def _embedding_rows(keys: Sequence[tuple[int, int]], m: np.ndarray, line: str) -> bytes:
+    """The sidecar lines of ``keys`` and the rows of ``m``, byte for byte what
+    ``line % (frame, det_index, *row)`` gives."""
+    n, dim = m.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.abs(m) * 1e9
+        k = np.rint(y)
+        fixed = ((np.abs(y - np.floor(y) - 0.5) > y * 2.0**-50) & (k < 1e10)).all(axis=1)
+    k[~fixed] = 0.0
+    head, low = np.divmod(k.astype(np.int64), 10_000)
+    head, high = np.divmod(head, 10_000)
+    negative = np.signbit(m)
+    head += 100 * negative
+    values = np.empty((n, dim), _VALUE)
+    values["comma"] = ord(",")
+    values["head"] = _HEADS[head]
+    values["high"] = _DIGITS4[high]
+    values["low"] = _DIGITS4[low]
+    body = values.tobytes().translate(None, b"\0")
+    ends = np.cumsum((_VALUE.itemsize - 1) * dim + negative.sum(axis=1)).tolist()
+    out = [b"%d,%d%b\n" % (*key, body[start:end]) for key, start, end in zip(keys, [0, *ends], ends)]
+    for r in np.flatnonzero(~fixed).tolist():
+        out[r] = (line % (*keys[r], *m[r].tolist())).encode("ascii")
+    return b"".join(out)
+
+
 def write_embeddings(path, dets: Mapping[int, list[Detection]]) -> None:
     """Write the embedding sidecar for a detection stream (all must have one,
-    of one dimension; both are checked before the file is opened)."""
+    of one dimension; both are checked before the file is opened). Rows are
+    formatted and written a chunk of about ``_CHUNK_VALUES`` values at a
+    time."""
     dim = None
     for frame in sorted(dets):
         for idx, det in enumerate(dets[frame]):
@@ -334,11 +394,13 @@ def write_embeddings(path, dets: Mapping[int, list[Detection]]) -> None:
                 raise ValueError("mixed embedding dimensions in one stream")
     dim = dim or 0
     line = "%d,%d" + ",%.9f" * dim + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"dim={dim}\n")
-        for frame in sorted(dets):
-            for idx, det in enumerate(dets[frame]):
-                fh.write(line % (frame, idx, *det.embedding.tolist()))
+    rows = (((frame, idx), det.embedding) for frame in sorted(dets) for idx, det in enumerate(dets[frame]))
+    chunk_rows = max(1, _CHUNK_VALUES // max(dim, 1))
+    with open(path, "wb") as fh:
+        fh.write(b"dim=%d\n" % dim)
+        while chunk := list(islice(rows, chunk_rows)):
+            keys, vectors = zip(*chunk)
+            fh.write(_embedding_rows(keys, np.array(vectors), line))
 
 
 def read_config(path) -> dict[str, str]:

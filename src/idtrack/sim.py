@@ -28,6 +28,14 @@ from .geometry import BBox, Detection
 __all__ = ["SimConfig", "generate", "subsample", "benchmark_config", "config_from_mapping"]
 
 
+# Upper bounds that keep every draw finite. numpy's standard normal draws
+# stay below 14 in magnitude, so a noisy box is between e**-14 and e**14
+# times its drawn size and a centre moves at most 1.4e7 beyond the arena; no
+# embedding's squared norm comes near overflow; and a thousand false
+# positives per frame is far below numpy's Poisson limit.
+_CAPS = {"arena": 1e6, "center_noise": 1e6, "size_noise": 1.0, "embedding_noise": 1e6, "fp_rate": 1e3}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     seed: int = 0
@@ -63,8 +71,17 @@ class SimConfig:
             lo, hi = getattr(self, name)
             if lo < 0 or hi < lo:
                 raise ValueError(f"{name} must satisfy 0 <= lo <= hi")
+        for name, cap in _CAPS.items():
+            value = getattr(self, name)
+            if max(value if isinstance(value, tuple) else (value,)) > cap:
+                raise ValueError(f"{name} must be <= {cap:g}, got {value!r}")
         if self.box_size_range[1] >= min(self.arena):
             raise ValueError("boxes must fit inside the arena")
+        room = min(self.arena) - self.box_size_range[1]
+        if self.speed_range[1] >= room:
+            # Keeps a step within one reflection of the walls (see _bounce).
+            raise ValueError(f"speed_range must stay below min(arena) - box_size_range[1] = {room:g}, "
+                             f"got {self.speed_range!r}")
         lo, hi = self.occlusion_duration
         if lo < 1 or hi < lo:
             raise ValueError("occlusion_duration must satisfy 1 <= lo <= hi")
@@ -235,7 +252,8 @@ def config_from_mapping(values: Mapping[str, str]) -> SimConfig:
 
     Each value is parsed as the type of that field's default in
     ``SimConfig()``. Tuple-valued keys take comma-separated pairs, e.g.
-    ``arena=1600,900``. Unknown keys raise.
+    ``arena=1600,900``. Unknown keys raise, and so does a value that does
+    not parse, naming its key and the raw text.
     """
     kwargs = {}
     defaults = SimConfig()
@@ -244,11 +262,19 @@ def config_from_mapping(values: Mapping[str, str]) -> SimConfig:
         if key not in valid:
             raise ValueError(f"unknown sim config key {key!r}")
         default = getattr(defaults, key)
-        if isinstance(default, tuple):
-            parts = [p.strip() for p in raw.split(",")]
-            if len(parts) != len(default):
-                raise ValueError(f"{key} needs {len(default)} comma-separated values, got {raw!r}")
-            kwargs[key] = tuple(type(d)(part) for d, part in zip(default, parts))
-        else:
-            kwargs[key] = type(default)(raw)
+        kind = type(default[0] if isinstance(default, tuple) else default)
+        try:
+            if isinstance(default, tuple):
+                parts = raw.split(",")
+                if len(parts) != len(default):
+                    raise ValueError
+                kwargs[key] = tuple(kind(part.strip()) for part in parts)
+            else:
+                kwargs[key] = kind(raw)
+        except ValueError:
+            if isinstance(default, tuple):
+                what = f"{len(default)} comma-separated {kind.__name__} values"
+            else:
+                what = f"one {kind.__name__} value"
+            raise ValueError(f"{key} needs {what}, got {raw!r}") from None
     return SimConfig(**kwargs)

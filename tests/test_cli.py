@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from idtrack.cli import ABLATION_MODELS, main
@@ -63,6 +65,11 @@ def test_simulate_rejects_a_repeated_config_key(tmp_path, tiny_config, capsys):
         ("turn_prob=nan", "turn_prob must be finite"),
         ("miss_rate=nan", "miss_rate must be finite"),
         ("turn_prob=5", "turn_prob must lie in [0, 1]"),
+        ("speed_range=1e300,1e300", "speed_range must stay below min(arena) - box_size_range[1] = 650"),
+        ("fp_rate=1e20", "fp_rate must be <= 1000"),
+        ("embedding_noise=1e300", "embedding_noise must be <= 1e+06"),
+        ("size_noise=1e300", "size_noise must be <= 1"),
+        ("center_noise=1e308", "center_noise must be <= 1e+06"),
     ],
 )
 def test_simulate_rejects_non_finite_and_out_of_range_config(tmp_path, capsys, line, message):
@@ -72,8 +79,36 @@ def test_simulate_rejects_non_finite_and_out_of_range_config(tmp_path, capsys, l
     rc = main(["simulate", "--config", str(config), "--out-dir", str(out_dir)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}") and err.count("\n") == 1  # one line, no traceback
+    assert err.startswith(f"error: {config}: {message}") and err.count("\n") == 1  # one line, no traceback
     assert not (out_dir / "gt.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "ablate"])
+def test_config_errors_name_the_file_and_the_key(tmp_path, capsys, command):
+    config = tmp_path / "sim.cfg"
+    config.write_text("seed=0\nframes=20\nnum_identities=abc\n")
+    out_dir = tmp_path / "scene"
+    rc = main([command, "--config", str(config), "--out-dir", str(out_dir)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {config}: num_identities needs one int value, got 'abc'\n"
+    assert not out_dir.exists()
+
+
+# The default scene (stock, seed 7) as the per-line "%" writers wrote it: a
+# change to the scene or to any writer's bytes fails here.
+PINNED_SHA256 = {
+    "gt.txt": "2183b4f392e6454d6472f09acb993d50688debcd36fde12a17cdfac6a972f557",
+    "dets.txt": "60b99a2b9131bbea607549df1613e450745d1ff5b79ec77c8ff90a53269dac4b",
+    "embeddings.txt": "8da97be177e2bfcb14b35822600a28036310769b927ea4278bd9179012697cdc",
+}
+
+
+def test_simulate_default_scene_bytes_are_pinned(tmp_path, capsys):
+    rc = main(["simulate", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert "seed=7 frames=520 identities=32 detections=16011" in capsys.readouterr().out
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED_SHA256}
+    assert digests == PINNED_SHA256
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path, tiny_config):

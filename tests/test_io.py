@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import struct
 import warnings
 from unittest import mock
@@ -460,6 +461,90 @@ def test_property_sidecar_lines_match_the_per_value_reference(tmp_path_factory, 
     want = "dim=3\n" if vecs else "dim=0\n"
     want += "".join(reference_embedding_line(1, k, d.embedding) for k, d in enumerate(dets[1]))
     assert p.read_text() == want
+
+
+# Sidecar values the fixed-point writer must round exactly as "%.9f" does:
+# exact ties at the ninth decimal ((2j + 1) / 1024), values within an ulp of
+# the tie 0.9999999995, signed zeros, and +-5e-10, half a unit of the last
+# printed digit.
+NEAR_TIES = [0.9999999995, math.nextafter(0.9999999995, 0.0), math.nextafter(0.9999999995, 2.0)]
+sidecar_values = st.one_of(
+    st.integers(-512, 511).map(lambda j: (2 * j + 1) / 1024),
+    st.integers(-2047, 2047).map(lambda k: k / 2048),
+    st.sampled_from([*NEAR_TIES, *(-v for v in NEAR_TIES), 0.0, -0.0, 5e-10, -5e-10]),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def unit_vectors(draw, dim):
+    """A unit vector made of ``sidecar_values``: components are kept while
+    their squares sum to at most 1 (the rest become 0) and one component
+    takes up the remainder."""
+    head, total = [], 0.0
+    for v in draw(st.lists(sidecar_values, min_size=dim - 1, max_size=dim - 1)):
+        keep = total + v * v <= 1.0
+        head.append(v if keep else 0.0)
+        total += v * v if keep else 0.0
+    head.insert(draw(st.integers(0, dim - 1)), draw(st.sampled_from([1.0, -1.0])) * math.sqrt(1.0 - total))
+    return np.array(head)
+
+
+@st.composite
+def embedded_streams(draw):
+    dim = draw(st.integers(1, 70))
+    frames = draw(st.lists(st.integers(1, 10**7), min_size=1, max_size=4, unique=True))
+    box = BBox(5.0, 5.0, 2.0, 2.0)
+    return {
+        f: [Detection(box, 0.5, f, draw(unit_vectors(dim))) for _ in range(draw(st.integers(0, 4)))]
+        for f in frames
+    }
+
+
+@settings(max_examples=150)
+@given(embedded_streams(), st.sampled_from([1, 7, 40, 150, 4096]))
+def test_property_chunked_sidecar_matches_the_per_value_reference(tmp_path_factory, dets, chunk_values):
+    p = tmp_path_factory.mktemp("sidecar") / "emb.txt"
+    with mock.patch.object(mot_io, "_CHUNK_VALUES", chunk_values):
+        write_embeddings(p, dets)
+    rows = [(f, k, d.embedding) for f in sorted(dets) for k, d in enumerate(dets[f])]
+    dim = rows[0][2].shape[0] if rows else 0
+    assert p.read_bytes() == (f"dim={dim}\n" + "".join(reference_embedding_line(*row) for row in rows)).encode()
+
+
+class CountingLine(str):
+    """A format string that counts the rows formatted with "%"."""
+
+    calls = 0
+
+    def __mod__(self, args):
+        CountingLine.calls += 1
+        return str.__mod__(self, args)
+
+
+def test_rows_the_fixed_point_path_cannot_round_fall_back_to_percent_format():
+    ordinary = [0.25, -0.5, -1e-12, -0.0]
+    rows = {
+        (1, 0): ordinary,
+        (1, 1): [math.nan, 0.5, 0.5, 0.5],
+        (2, 0): [0.5, math.inf, 0.5, 0.5],
+        (2, 1): [0.5, 0.5, -math.inf, 0.5],
+        (3, 0): [0.5, 0.5, 0.5, 10.0],
+        (3, 1): [-12345.678, 0.5, 0.5, 0.5],
+        (4, 0): [9.9999999996, 0.5, 0.5, 0.5],  # rounds up to 10
+        (4, 1): [0.9999999995, 0.5, 0.5, 0.5],  # within an ulp of a tie
+        (10**12, 0): ordinary,
+        (10**15 + 7, 10**12): ordinary,
+    }
+    keys = list(rows)
+    m = np.array(list(rows.values()))
+    CountingLine.calls = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mot_io._embedding_rows(keys, m, CountingLine("%d,%d" + ",%.9f" * 4 + "\n"))
+    assert got.decode() == "".join(reference_embedding_line(f, k, v) for (f, k), v in zip(keys, m))
+    assert CountingLine.calls == 7
+    assert b"-0.000000000,-0.000000000\n" in got  # -1e-12 and -0.0 keep their sign
 
 
 # Parser property: every sidecar is read the same by the bulk path and by the

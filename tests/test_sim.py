@@ -1,6 +1,8 @@
+import json
 import math
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,15 +128,18 @@ def sim_configs(draw):
     width = draw(st.floats(120.0, 800.0))
     height = draw(st.floats(120.0, 600.0))
     size_lo = draw(st.floats(5.0, 60.0))
-    speed_lo = draw(st.floats(0.0, 20.0))
+    size_hi = size_lo + draw(st.floats(0.0, 50.0))
+    room = min(width, height) - size_hi  # SimConfig keeps speeds below it
+    speed_lo = draw(st.floats(0.0, min(20.0, room), exclude_max=True))
+    speed_hi = draw(st.floats(speed_lo, min(speed_lo + 30.0, room), exclude_max=True))
     occl_lo = draw(st.integers(1, 10))
     return SimConfig(
         seed=draw(st.integers(0, 2**63)),
         num_identities=draw(st.integers(1, 6)),
         frames=draw(st.integers(1, 60)),
         arena=(width, height),
-        speed_range=(speed_lo, speed_lo + draw(st.floats(0.0, 30.0))),
-        box_size_range=(size_lo, size_lo + draw(st.floats(0.0, 50.0))),
+        speed_range=(speed_lo, speed_hi),
+        box_size_range=(size_lo, size_hi),
         center_noise=draw(st.sampled_from([0.0, 1.0, 8.0])),
         size_noise=draw(st.sampled_from([0.0, 0.03, 0.5])),
         miss_rate=draw(st.sampled_from([0.0, 0.05, 0.8, 1.0])),
@@ -314,12 +319,49 @@ def test_config_validation():
         ("turn_prob", "5", "turn_prob must lie in [0, 1]"),
         ("miss_rate", "1.5", "miss_rate must lie in [0, 1]"),
         ("miss_rate", "-0.1", "miss_rate must lie in [0, 1]"),
+        # Used to spin _bounce forever: two reflections move a position by
+        # 2 * (hi - lo), which 1e300 absorbs.
+        ("speed_range", "1e300,1e300", "speed_range must stay below min(arena) - box_size_range[1] = 650"),
+        # Used to fail inside a draw with a message that named no key.
+        ("fp_rate", "1e20", "fp_rate must be <= 1000, got 1e+20"),
+        ("embedding_noise", "1e300", "embedding_noise must be <= 1e+06, got 1e+300"),
+        ("size_noise", "1e300", "size_noise must be <= 1, got 1e+300"),
+        ("center_noise", "1e308", "center_noise must be <= 1e+06, got 1e+308"),
+        ("arena", "1e200,1e200", "arena must be <= 1e+06, got (1e+200, 1e+200)"),
+        ("num_identities", "abc", "num_identities needs one int value, got 'abc'"),
+        ("embedding_noise", "0.1.2", "embedding_noise needs one float value, got '0.1.2'"),
+        ("arena", "800", "arena needs 2 comma-separated float values, got '800'"),
+        ("occlusion_duration", "1.5,3", "occlusion_duration needs 2 comma-separated int values, got '1.5,3'"),
     ],
 )
 def test_config_rejects_non_finite_values_and_bad_probabilities(key, raw, message):
     values = {"seed": "0", "num_identities": "3", "frames": "20", key: raw}
     with pytest.raises(ValueError, match=re.escape(message)):
         config_from_mapping(values)
+
+
+def test_config_keeps_speeds_below_the_free_width_of_the_arena():
+    with pytest.raises(ValueError, match="speed_range"):
+        SimConfig(arena=(1280.0, 720.0), box_size_range=(30.0, 70.0), speed_range=(1.0, 650.0))
+    assert SimConfig(speed_range=(1.0, math.nextafter(650.0, 0.0))).speed_range[1] < 650.0
+
+
+def test_config_accepts_the_benchmark_workloads():
+    workloads = json.loads((Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text())["workloads"]
+    assert set(workloads) == {"stock", "scale128", "lowfps"}
+    for name, workload in workloads.items():
+        values = {k: ",".join(map(str, v)) if isinstance(v, list) else str(v) for k, v in workload["sim"].items()}
+        assert config_from_mapping(values).num_identities == workload["sim"]["num_identities"], name
+
+
+def test_a_scene_at_every_cap_is_finite():
+    cfg = SimConfig(num_identities=3, frames=3, arena=(1e6, 1e6), center_noise=1e6, size_noise=1.0,
+                    embedding_noise=1e6, fp_rate=1e3, embedding_dim=3)
+    gt, dets = generate(cfg)
+    assert sum(map(len, dets.values())) > 1000
+    for frame_dets in dets.values():
+        for d in frame_dets:
+            assert d.box.w > 1e-6 and math.isfinite(d.box.cx) and np.isfinite(d.embedding).all()
 
 
 def test_config_accepts_probabilities_at_the_bounds():
