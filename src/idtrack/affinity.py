@@ -37,9 +37,10 @@ class AffinityWeights:
     identity: float = 0.5
 
     def __post_init__(self):
-        if self.overlap < 0 or self.identity < 0:
-            raise ValueError("affinity weights must be non-negative")
-        if abs(self.overlap + self.identity - 1.0) > _WEIGHT_SUM_TOL:
+        # Both checks are written so that NaN fails them.
+        if not (self.overlap >= 0 and self.identity >= 0):
+            raise ValueError(f"affinity weights must be non-negative, got {self.overlap} and {self.identity}")
+        if not abs(self.overlap + self.identity - 1.0) <= _WEIGHT_SUM_TOL:
             raise ValueError(
                 f"affinity weights must sum to 1, got {self.overlap} + {self.identity}"
             )

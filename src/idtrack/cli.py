@@ -24,7 +24,6 @@ from .mot_io import (
     load_detections,
     read_config,
     read_gt,
-    read_predictions,
     read_scored_hypotheses,
     write_detections,
     write_embeddings,
@@ -92,13 +91,12 @@ def cmd_track(args) -> int:
         motion_propagate_frames=args.propagate_frames,
         embedding_momentum=args.embedding_momentum,
     )
-    dets = load_detections(args.dets, args.embeddings)
-    predictions = None
-    if args.predictions:
-        predictions = read_predictions(args.predictions, {f: len(v) for f, v in dets.items()})
+    if not 0.0 <= args.nms_iou <= 1.0:
+        raise ValueError(f"--nms-iou must lie in [0, 1], got {args.nms_iou}")
+    dets = load_detections(args.dets, args.embeddings, args.predictions)
     if args.frame_stride > 1:
         dets = subsample(dets, args.frame_stride)
-    outputs = track_stream(dets, config, predictions, nms_iou=args.nms_iou)
+    outputs = track_stream(dets, config, nms_iou=args.nms_iou)
     written = write_results(args.out, outputs, include_interpolated=args.write_interpolated)
     print(f"tracked {max(dets) if dets else 0} frames, wrote {written} boxes to {args.out}")
     return 0

@@ -1,7 +1,9 @@
 """Axis-aligned boxes and detections shared by the whole package.
 
 Boxes live in center form (cx, cy, w, h); corner form (left, top, right,
-bottom) only appears at file-format boundaries and inside IoU math.
+bottom) only appears at file-format boundaries and inside IoU math. A
+detection carries no frame number: streams are ``{frame: [Detection]}``
+mappings, and the key is the one place a frame number lives.
 """
 
 from __future__ import annotations
@@ -59,22 +61,24 @@ def _check_unit(vec: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Detection:
-    """A single detector output for one frame.
+    """A single detector output: the network's box, identity embedding and
+    predicted box for the next frame.
 
-    The identity embedding is optional; when present it must already be
-    unit-norm (producers normalize, consumers rely on it).
+    A detection does not know its frame; a stream keys its detections by
+    frame, as ``{frame: [Detection, ...]}``. The identity embedding is
+    optional; when present it must already be unit-norm (producers
+    normalize, consumers rely on it). ``prediction``, also optional, is
+    where the object is expected in the frame after this detection's.
     """
 
     box: BBox
     confidence: float
-    frame: int
     embedding: np.ndarray | None = None
+    prediction: BBox | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
-        if self.frame < 1:
-            raise ValueError(f"frame indices are 1-based, got {self.frame}")
         if self.embedding is not None:
             emb = np.asarray(self.embedding, dtype=np.float64)
             if emb.ndim != 1:

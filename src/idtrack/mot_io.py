@@ -131,7 +131,7 @@ def read_detections(path) -> dict[int, list[Detection]]:
     """Read a detection file (no embeddings attached)."""
 
     def add(out, frame, _, box, conf):
-        out.setdefault(frame, []).append(Detection(box, conf, frame))
+        out.setdefault(frame, []).append(Detection(box, conf))
 
     return _read_mot(path, add)
 
@@ -227,25 +227,32 @@ def read_embeddings(
     return found if found is not None else _embeddings_by_line(path, _read_text(path), det_counts)
 
 
-def load_detections(dets_path, embeddings_path=None) -> dict[int, list[Detection]]:
-    """Read detections and, when given, attach their sidecar embeddings.
+def load_detections(dets_path, embeddings_path=None, predictions_path=None) -> dict[int, list[Detection]]:
+    """Read detections and, when given, attach their sidecar embeddings and
+    predicted next-frame boxes.
 
-    Every detection must have a vector when a sidecar is supplied.
+    Every detection must have a vector when a sidecar is supplied; a
+    predictions file may cover any subset of the detections. Both files
+    are keyed by (frame, index in the frame's raw list), so each value
+    reaches its detection whatever the confidence filter and NMS drop later.
     """
     dets = read_detections(dets_path)
-    if embeddings_path is None:
-        return dets
-    _, vectors = read_embeddings(embeddings_path, {frame: len(v) for frame, v in dets.items()})
-    for frame, frame_dets in dets.items():
-        for idx, det in enumerate(frame_dets):
-            vec = vectors.get((frame, idx))
-            if vec is None:
-                raise ValueError(f"{embeddings_path}: no embedding for frame {frame} detection {idx}")
-            # In place: det is new and unshared, and read_embeddings has just
-            # divided vec by its norm, so it is the finite unit float64 1-D
-            # vector Detection's constructor would check; a rebuild would
-            # only repeat that norm check for every detection.
-            object.__setattr__(det, "embedding", vec)
+    det_counts = {frame: len(v) for frame, v in dets.items()}
+    # In place: every det is new and unshared. read_embeddings has just
+    # divided each vector by its norm, so it is the finite unit float64 1-D
+    # vector Detection's constructor would check; a rebuild would only
+    # repeat that norm check for every detection.
+    if embeddings_path is not None:
+        _, vectors = read_embeddings(embeddings_path, det_counts)
+        for frame, frame_dets in dets.items():
+            for idx, det in enumerate(frame_dets):
+                vec = vectors.get((frame, idx))
+                if vec is None:
+                    raise ValueError(f"{embeddings_path}: no embedding for frame {frame} detection {idx}")
+                object.__setattr__(det, "embedding", vec)
+    if predictions_path is not None:
+        for (frame, idx), box in read_predictions(predictions_path, det_counts).items():
+            object.__setattr__(dets[frame][idx], "prediction", box)
     return dets
 
 

@@ -18,7 +18,7 @@ stride keeps, which emulates dropping the frame rate by that factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -71,6 +71,10 @@ class SimConfig:
             lo, hi = getattr(self, name)
             if lo < 0 or hi < lo:
                 raise ValueError(f"{name} must satisfy 0 <= lo <= hi")
+        if self.box_size_range[0] < 1:
+            # With the size_noise cap every noisy side is then above e**-14,
+            # which the MOT format's 6 decimals still write as positive.
+            raise ValueError(f"box_size_range must start at 1 or more, got {self.box_size_range!r}")
         for name, cap in _CAPS.items():
             value = getattr(self, name)
             if max(value if isinstance(value, tuple) else (value,)) > cap:
@@ -210,7 +214,7 @@ def generate(config: SimConfig) -> tuple[dict[int, list[tuple[int, BBox]]], dict
                     h * math.exp(config.size_noise * dh),
                 )
                 emb = _unit(protos[i] + config.embedding_noise * emb_noise)
-                det_frame.append(Detection(noisy, 0.55 + 0.44 * conf_draw, frame, emb))
+                det_frame.append(Detection(noisy, 0.55 + 0.44 * conf_draw, emb))
 
         for _ in range(int(rng.poisson(config.fp_rate))):
             w = uniform(*config.box_size_range)
@@ -220,7 +224,7 @@ def generate(config: SimConfig) -> tuple[dict[int, list[tuple[int, BBox]]], dict
             conf_draw = random()
             emb_noise = normal(size=dim)
             if keep:
-                det_frame.append(Detection(BBox(cx, cy, w, h), 0.05 + 0.5 * conf_draw, frame, _unit(emb_noise)))
+                det_frame.append(Detection(BBox(cx, cy, w, h), 0.05 + 0.5 * conf_draw, _unit(emb_noise)))
 
         if keep:
             gt[frame] = gt_frame
@@ -229,22 +233,19 @@ def generate(config: SimConfig) -> tuple[dict[int, list[tuple[int, BBox]]], dict
 
 
 def subsample(stream: Mapping[int, list], stride: int) -> dict[int, list]:
-    """Keep frames 1, 1+stride, 1+2*stride, ... and re-index them densely.
+    """Keep frames 1, 1+stride, 1+2*stride, ... and re-key them densely.
 
-    Detection entries get their frame field rewritten to the new index;
-    other entry types (gt tuples) are taken as-is.
+    Only the keys change: the entries (detections or gt tuples) are the
+    same objects, in new lists. A detection's ``prediction`` still points
+    one source frame ahead, not one kept frame, so a strided stream should
+    carry none (``idtrack track`` rejects ``--predictions`` with a stride).
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if not stream:
         return {}
-    last = max(stream)
-    out: dict[int, list] = {}
-    for new_idx, orig in enumerate(range(1, last + 1, stride), start=1):
-        entries = list(stream.get(orig, ()))
-        entries = [replace(e, frame=new_idx) if isinstance(e, Detection) else e for e in entries]
-        out[new_idx] = entries
-    return out
+    kept = range(1, max(stream) + 1, stride)
+    return {new_idx: list(stream.get(orig, ())) for new_idx, orig in enumerate(kept, start=1)}
 
 
 def config_from_mapping(values: Mapping[str, str]) -> SimConfig:

@@ -12,8 +12,8 @@ Per frame the tracker runs four phases:
 3. Leftover detections found nobody: they start new trajectories with fresh
    ids.
 4. Unmatched trajectories get a head for the current frame anyway — the
-   external prediction that came with the detection they took in the
-   previous frame, otherwise a linear-motion guess — and keep competing in
+   ``prediction`` of the detection they took in the previous frame,
+   otherwise a linear-motion guess — and keep competing in
    phase 1 for up to ``motion_propagate_frames`` consecutive misses. After
    that they are paused into the buffer, where only phase 2 can bring them
    back. Once a trajectory has been unseen for more than ``buffer_size``
@@ -106,6 +106,8 @@ class TrackerConfig:
             raise ValueError("embedding_momentum must lie in [0, 1]")
         if not 0.0 <= self.det_threshold <= 1.0:
             raise ValueError("det_threshold must lie in [0, 1]")
+        if not 0.0 <= self.min_affinity <= 1.0:
+            raise ValueError(f"min_affinity must lie in [0, 1], got {self.min_affinity}")
 
 
 @dataclass(frozen=True)
@@ -125,25 +127,20 @@ def propagate_linear(traj: Trajectory, steps: int = 1) -> BBox:
     return BBox(traj.head_box.cx + steps * vx, traj.head_box.cy + steps * vy, traj.head_box.w, traj.head_box.h)
 
 
-def update_trajectory(
-    trajs: Sequence[Trajectory],
-    dets: Sequence[Detection],
-    momentum: float,
-    predictions: Sequence[BBox | None],
-) -> None:
-    """Absorb matched detections into their trajectories, in place.
+def update_trajectory(trajs: Sequence[Trajectory], dets: Sequence[Detection], momentum: float, frame: int) -> None:
+    """Absorb detections of ``frame`` into their trajectories, in place.
 
-    ``dets[k]`` and ``predictions[k]`` go to ``trajs[k]``; the trajectories
-    must be distinct. Each detection box becomes its trajectory's head, and
-    the prediction its ``predicted_box``. An embedding moves toward the
+    ``dets[k]`` goes to ``trajs[k]``; the trajectories must be distinct.
+    Each detection box becomes its trajectory's head, and its prediction the
+    trajectory's ``predicted_box``. An embedding moves toward the
     detection's by ``1 - momentum`` and is re-normalized; the velocity is an
     exponential average (same momentum) of the per-frame center displacement
-    since the current head. Every frame is checked before any trajectory
-    changes, so a rejected batch leaves all of them as they were.
+    since the current head. Every head frame is checked before any
+    trajectory changes, so a rejected batch leaves all of them as they were.
     """
-    for traj, det in zip(trajs, dets):
-        if det.frame < traj.head_frame:
-            raise ValueError(f"detection frame {det.frame} is behind trajectory head frame {traj.head_frame}")
+    for traj in trajs:
+        if frame < traj.head_frame:
+            raise ValueError(f"detection frame {frame} is behind trajectory head frame {traj.head_frame}")
 
     blend = [k for k, (t, d) in enumerate(zip(trajs, dets)) if t.head_embedding is not None and d.embedding is not None]
     if blend:
@@ -157,8 +154,8 @@ def update_trajectory(
         for row, k in enumerate(blend):
             trajs[k].head_embedding = dets[k].embedding if cancelled[row] else mixed[row]
 
-    for traj, det, pred in zip(trajs, dets, predictions):
-        gap = max(det.frame - traj.head_frame, 1)
+    for traj, det in zip(trajs, dets):
+        gap = max(frame - traj.head_frame, 1)
         disp = ((det.box.cx - traj.head_box.cx) / gap, (det.box.cy - traj.head_box.cy) / gap)
         traj.avg_velocity = (
             momentum * traj.avg_velocity[0] + (1.0 - momentum) * disp[0],
@@ -167,9 +164,9 @@ def update_trajectory(
         if traj.head_embedding is None:
             traj.head_embedding = det.embedding
         traj.head_box = det.box
-        traj.last_seen = traj.head_frame = det.frame
+        traj.last_seen = traj.head_frame = frame
         traj.last_confidence = det.confidence
-        traj.predicted_box = pred
+        traj.predicted_box = det.prediction
 
 
 class Tracker:
@@ -182,44 +179,26 @@ class Tracker:
         self.next_id = 1
         self.current_frame = 0
 
-    def step(
-        self,
-        detections: list[Detection],
-        frame: int | None = None,
-        predictions: list[BBox | None] | None = None,
-    ) -> list[TrackOutput]:
+    def step(self, detections: list[Detection], frame: int) -> list[TrackOutput]:
         """Advance one frame.
 
         Args:
             detections: detections of the new frame, already confidence
-                filtered and NMS'd. All must carry the same frame index.
-            frame: frame being processed; defaults to the detections' frame,
-                or to the frame after the last processed one when there are
-                no detections.
-            predictions: optional next-frame boxes, ``predictions[j]`` for
-                ``detections[j]``; the trajectory that takes detection j
-                coasts on it if it misses the next frame. ``None`` entries
-                fall back to linear propagation.
+                filtered and NMS'd. The trajectory that takes a detection
+                coasts on its ``prediction`` if it misses the next frame;
+                without one it falls back to linear propagation.
+            frame: frame being processed, past every frame stepped so far.
 
         Returns:
             One output per surviving trajectory that has a box this frame;
             entries from propagation are flagged ``interpolated``.
         """
         cfg = self.config
-        if frame is None:
-            frame = detections[0].frame if detections else self.current_frame + 1
         if frame <= self.current_frame:
             raise ValueError(f"frame {frame} does not advance past {self.current_frame}")
-        for d in detections:
-            if d.frame != frame:
-                raise ValueError(f"detection frame {d.frame} does not match step frame {frame}")
         missing = [j for j, d in enumerate(detections) if d.embedding is None]
         if cfg.weights.identity > 0.0 and missing:
             raise ValueError(f"detection {missing[0]} has no embedding but identity weight is {cfg.weights.identity}")
-        if predictions is None:
-            predictions = [None] * len(detections)
-        elif len(predictions) != len(detections):
-            raise ValueError(f"got {len(predictions)} predictions for {len(detections)} detections")
 
         # Trajectories unseen longer than the buffer allows are gone for good.
         self.active = [t for t in self.active if frame - t.last_seen <= cfg.buffer_size]
@@ -231,9 +210,7 @@ class Tracker:
 
         def absorb(trajs: list[Trajectory], cols: list[int]) -> None:
             """One batched update for the pairs of one solve, in pair order."""
-            update_trajectory(
-                trajs, [detections[j] for j in cols], cfg.embedding_momentum, [predictions[j] for j in cols]
-            )
+            update_trajectory(trajs, [detections[j] for j in cols], cfg.embedding_momentum, frame)
             for traj, j in zip(trajs, cols):
                 det_taken[j] = True
                 new_active.append(traj)
@@ -277,7 +254,7 @@ class Tracker:
                 avg_velocity=(0.0, 0.0),
                 last_seen=frame,
                 last_confidence=det.confidence,
-                predicted_box=predictions[j],
+                predicted_box=det.prediction,
             )
             self.next_id += 1
             new_active.append(traj)
@@ -304,22 +281,13 @@ class Tracker:
         return outputs
 
 
-def track_stream(
-    dets,
-    config: TrackerConfig | None = None,
-    predictions=None,
-    nms_iou: float = DEFAULT_NMS_IOU,
-) -> list[TrackOutput]:
+def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEFAULT_NMS_IOU) -> list[TrackOutput]:
     """Run a fresh tracker over a whole detection stream.
 
     Args:
         dets: mapping frame -> list of Detection; frames 1..max are stepped,
             missing ones as empty.
         config: tracker configuration (defaults apply when omitted).
-        predictions: optional mapping (frame, det_index) -> BBox giving the
-            predicted next-frame box for a detection, indexed by the
-            detection's position in the frame's raw list (before confidence
-            filtering and NMS). An empty mapping is the same as none.
         nms_iou: suppression threshold applied after confidence filtering.
 
     Detections below ``config.det_threshold`` are dropped, then NMS runs,
@@ -332,14 +300,8 @@ def track_stream(
         return outputs
 
     for frame in range(1, max(dets) + 1):
-        raw = dets.get(frame, [])
-        kept = nms([d for d in raw if d.confidence >= config.det_threshold], nms_iou)
-        preds = None
-        if predictions:
-            # nms keeps survivors in input order, so a forward walk finds their raw indices.
-            rest = iter(enumerate(raw))
-            preds = [predictions.get((frame, next(i for i, d in rest if d is k))) for k in kept]
-        outputs.extend(tracker.step(kept, frame, preds))
+        kept = nms([d for d in dets.get(frame, []) if d.confidence >= config.det_threshold], nms_iou)
+        outputs.extend(tracker.step(kept, frame))
     return outputs
 
 

@@ -55,7 +55,7 @@ def test_iou_of_identical_boxes_is_capped_at_one():
     box = BBox(0.0, 0.5, 0.5, 15.97600959420488)
     assert iou(box, box) == 1.0
     assert iou_matrix([box], [box])[0, 0] == 1.0
-    d, dup = Detection(box, 0.9, 1), Detection(box, 0.9, 1)
+    d, dup = Detection(box, 0.9), Detection(box, 0.9)
     assert nms([d, dup], 1.0) == [d, dup]
     assert combined_affinity([make_traj(1, box)], [d], AffinityWeights(1.0, 0.0))[0, 0] <= 1.0
 
@@ -108,7 +108,7 @@ def test_combined_affinity_is_the_weighted_blend():
     rng = np.random.default_rng(3)
     trajs = [make_traj(i + 1, random_box(rng, 20.0), unit(rng.normal(size=8))) for i in range(4)]
     dets = [
-        Detection(random_box(rng, 20.0), 0.9, 1, unit(rng.normal(size=8)))
+        Detection(random_box(rng, 20.0), 0.9, unit(rng.normal(size=8)))
         for _ in range(6)
     ]
     for weights in (AffinityWeights(0.5, 0.5), AffinityWeights(0.2, 0.8)):
@@ -127,7 +127,7 @@ def test_combined_affinity_is_the_weighted_blend():
 def identity_only(track_embedding, det_embeddings):
     # Far-apart boxes: only the identity term can contribute.
     trajs = [make_traj(1, BBox(0.0, 0.0, 2.0, 2.0), track_embedding)]
-    dets = [Detection(BBox(100.0, 100.0, 2.0, 2.0), 0.9, 1, e) for e in det_embeddings]
+    dets = [Detection(BBox(100.0, 100.0, 2.0, 2.0), 0.9, e) for e in det_embeddings]
     return combined_affinity(trajs, dets, AffinityWeights(0.0, 1.0))[0]
 
 
@@ -148,7 +148,7 @@ def test_id_similarity_cosine_value():
 def test_combined_affinity_ignores_embeddings_at_zero_identity_weight():
     box = BBox(0.0, 0.0, 2.0, 2.0)
     trajs = [make_traj(1, box, embedding=None)]
-    dets = [Detection(box, 0.9, 1)]
+    dets = [Detection(box, 0.9)]
     got = combined_affinity(trajs, dets, AffinityWeights(1.0, 0.0))
     assert got.shape == (1, 1)
     assert got[0, 0] == 1.0
@@ -156,8 +156,8 @@ def test_combined_affinity_ignores_embeddings_at_zero_identity_weight():
 
 def test_combined_affinity_requires_embeddings():
     box = BBox(0.0, 0.0, 2.0, 2.0)
-    with_emb = Detection(box, 0.9, 1, unit([1.0, 1.0]))
-    without = Detection(box, 0.9, 1)
+    with_emb = Detection(box, 0.9, unit([1.0, 1.0]))
+    without = Detection(box, 0.9)
     traj = make_traj(1, box, unit([1.0, 0.0]))
     bare_traj = make_traj(2, box, None)
     with pytest.raises(ValueError):
@@ -168,41 +168,41 @@ def test_combined_affinity_requires_embeddings():
 
 def test_combined_affinity_empty_inputs():
     assert combined_affinity([], [], AffinityWeights()).shape == (0, 0)
-    det = Detection(BBox(0, 0, 1, 1), 0.9, 1, unit([1.0, 0.0]))
+    det = Detection(BBox(0, 0, 1, 1), 0.9, unit([1.0, 0.0]))
     assert combined_affinity([], [det], AffinityWeights()).shape == (0, 1)
 
 
 def test_nms_drops_heavy_overlap():
-    d0 = Detection(BBox(10.0, 10.0, 10.0, 10.0), 0.9, 1)
-    d1 = Detection(BBox(11.0, 10.0, 10.0, 10.0), 0.8, 1)  # IoU 9/11 with d0
-    d2 = Detection(BBox(50.0, 50.0, 10.0, 10.0), 0.7, 1)
+    d0 = Detection(BBox(10.0, 10.0, 10.0, 10.0), 0.9)
+    d1 = Detection(BBox(11.0, 10.0, 10.0, 10.0), 0.8)  # IoU 9/11 with d0
+    d2 = Detection(BBox(50.0, 50.0, 10.0, 10.0), 0.7)
     kept = nms([d0, d1, d2], 0.5)
     assert kept == [d0, d2]
 
 
 def test_nms_keeps_sub_threshold_overlap():
-    d0 = Detection(BBox(10.0, 10.0, 10.0, 10.0), 0.9, 1)
-    d1 = Detection(BBox(18.0, 10.0, 10.0, 10.0), 0.8, 1)  # IoU 2/18
+    d0 = Detection(BBox(10.0, 10.0, 10.0, 10.0), 0.9)
+    d1 = Detection(BBox(18.0, 10.0, 10.0, 10.0), 0.8)  # IoU 2/18
     assert nms([d0, d1], 0.5) == [d0, d1]
 
 
 def test_nms_tie_prefers_lower_index():
-    a = Detection(BBox(10.0, 10.0, 10.0, 10.0), 0.9, 1)
-    b = Detection(BBox(10.5, 10.0, 10.0, 10.0), 0.9, 1)
+    a = Detection(BBox(10.0, 10.0, 10.0, 10.0), 0.9)
+    b = Detection(BBox(10.5, 10.0, 10.0, 10.0), 0.9)
     assert nms([a, b], 0.5) == [a]
     assert nms([b, a], 0.5) == [b]
 
 
 def test_nms_survivors_keep_original_order():
-    low = Detection(BBox(10.0, 10.0, 4.0, 4.0), 0.3, 1)
-    high = Detection(BBox(50.0, 50.0, 4.0, 4.0), 0.9, 1)
+    low = Detection(BBox(10.0, 10.0, 4.0, 4.0), 0.3)
+    high = Detection(BBox(50.0, 50.0, 4.0, 4.0), 0.9)
     assert nms([low, high], 0.5) == [low, high]
 
 
 def test_nms_result_independent_of_input_order():
     rng = np.random.default_rng(19)
     dets = [
-        Detection(random_box(rng, 30.0), float(rng.uniform(0.05, 0.99)), 1)
+        Detection(random_box(rng, 30.0), float(rng.uniform(0.05, 0.99)))
         for _ in range(40)
     ]
     baseline = {(d.box, d.confidence) for d in nms(dets, 0.4)}
@@ -246,7 +246,7 @@ def nms_frames(draw):
             max_size=30,
         )
     )
-    dets = [Detection(pool[p], conf, 1) for p, conf in picks]
+    dets = [Detection(pool[p], conf) for p, conf in picks]
     pairwise = sorted({iou(a.box, b.box) for a in dets for b in dets if a is not b})
     threshold = draw(
         st.one_of(
@@ -275,7 +275,7 @@ def test_nms_never_calls_the_scalar_iou(monkeypatch):
 
     rng = np.random.default_rng(23)
     dets = [
-        Detection(random_box(rng, 20.0), float(rng.uniform(0.05, 0.99)), 1)
+        Detection(random_box(rng, 20.0), float(rng.uniform(0.05, 0.99)))
         for _ in range(60)
     ]
     want = greedy_nms(dets, 0.3)

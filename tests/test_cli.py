@@ -70,6 +70,7 @@ def test_simulate_rejects_a_repeated_config_key(tmp_path, tiny_config, capsys):
         ("embedding_noise=1e300", "embedding_noise must be <= 1e+06"),
         ("size_noise=1e300", "size_noise must be <= 1"),
         ("center_noise=1e308", "center_noise must be <= 1e+06"),
+        ("box_size_range=1e-9,1e-8", "box_size_range must start at 1 or more"),
     ],
 )
 def test_simulate_rejects_non_finite_and_out_of_range_config(tmp_path, capsys, line, message):
@@ -109,6 +110,44 @@ def test_simulate_default_scene_bytes_are_pinned(tmp_path, capsys):
     assert "seed=7 frames=520 identities=32 detections=16011" in capsys.readouterr().out
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED_SHA256}
     assert digests == PINNED_SHA256
+
+
+# The stock tracker's hyp.txt on the default scene: a change to what the
+# tracker emits, or to how predictions reach it, fails here.
+PINNED_HYP_SHA256 = {
+    (): "aa6d24d0a21cbe8cbf1fa3e2c9d6d9fb15081dea6c73abde8c82e3a2786e1119",
+    ("--frame-stride", "10"): "b1eed0fb53c938f9469b9e220aa893a76c62bf2646e965750c4221d687ed6d68",
+    ("--predictions", "preds.txt", "--write-interpolated"):
+        "290069341d1007ee32568c9d0b1a7b103913215326da491f317429d14a2b743e",
+}
+PINNED_PREDS_SHA256 = "7cbbac35fa3ee9c63f26dd8df68541a0f63ce83043bae2eca372d130120f8f1f"
+
+
+def write_test_predictions(dets_path, out_path):
+    """A prediction for every other detection (0-based index j within its
+    frame, j even) of every frame not divisible by 3: the detection's box
+    moved by (+1.5, -0.5), width and height copied as text."""
+    lines = []
+    seen: dict[int, int] = {}
+    for line in dets_path.read_text().splitlines():
+        frame, _, left, top, w, h = line.split(",")[:6]
+        frame = int(frame)
+        j = seen[frame] = seen.get(frame, -1) + 1
+        if frame % 3 != 0 and j % 2 == 0:
+            lines.append(f"{frame},{j},{float(left) + 1.5:.6f},{float(top) - 0.5:.6f},{w},{h},1,-1,-1,-1\n")
+    out_path.write_text("".join(lines))
+
+
+def test_track_default_scene_bytes_are_pinned(tmp_path):
+    assert main(["simulate", "--out-dir", str(tmp_path)]) == 0
+    write_test_predictions(tmp_path / "dets.txt", tmp_path / "preds.txt")
+    assert hashlib.sha256((tmp_path / "preds.txt").read_bytes()).hexdigest() == PINNED_PREDS_SHA256
+    scene = ["--dets", str(tmp_path / "dets.txt"), "--embeddings", str(tmp_path / "embeddings.txt")]
+    for flags, expected in PINNED_HYP_SHA256.items():
+        flags = [str(tmp_path / f) if f.endswith(".txt") else f for f in flags]
+        hyp = tmp_path / "hyp.txt"
+        assert main(["track", *scene, "--out", str(hyp), *flags]) == 0
+        assert hashlib.sha256(hyp.read_bytes()).hexdigest() == expected, flags
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path, tiny_config):
@@ -225,6 +264,47 @@ def test_track_rejects_a_frame_stride_below_one(tmp_path, capsys, stride):
     assert rc == 2
     assert f"--frame-stride must be >= 1, got {stride}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        # NaN used to pass every check and drop every pair: each detection a new id.
+        ("--w1", "nan", "affinity weights must be non-negative, got nan and nan"),
+        ("--min-affinity", "nan", "min_affinity must lie in [0, 1], got nan"),
+        ("--min-affinity", "1.5", "min_affinity must lie in [0, 1], got 1.5"),
+        # Used to fail only after the whole stream had loaded.
+        ("--nms-iou", "1.5", "--nms-iou must lie in [0, 1], got 1.5"),
+        ("--nms-iou", "nan", "--nms-iou must lie in [0, 1], got nan"),
+    ],
+)
+def test_track_rejects_bad_tracker_flags_before_reading_files(tmp_path, capsys, flag, value, message):
+    # The inputs do not exist: the flag must fail first.
+    out = tmp_path / "hyp.txt"
+    rc = main(
+        [
+            "track",
+            "--dets", str(tmp_path / "dets.txt"),
+            "--embeddings", str(tmp_path / "embeddings.txt"),
+            "--out", str(out),
+            flag, value,
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_the_smallest_boxes_a_config_allows_survive_simulate_and_track(tmp_path):
+    config = tmp_path / "sim.cfg"
+    config.write_text("seed=0\nnum_identities=3\nframes=20\nbox_size_range=1,1\nsize_noise=1\n")
+    scene = simulate(tmp_path, config)
+    out = tmp_path / "hyp.txt"
+    rc = main(
+        ["track", "--dets", str(scene / "dets.txt"), "--embeddings", str(scene / "embeddings.txt"), "--out", str(out)]
+    )
+    assert rc == 0
+    assert out.read_text()
 
 
 @pytest.mark.parametrize(

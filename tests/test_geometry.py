@@ -52,17 +52,15 @@ def test_to_center_rejects_degenerate_extent():
 def test_detection_validation():
     box = BBox(0.0, 0.0, 2.0, 2.0)
     with pytest.raises(ValueError):
-        Detection(box, 1.5, 1)
+        Detection(box, 1.5)
     with pytest.raises(ValueError):
-        Detection(box, -0.1, 1)
+        Detection(box, -0.1)
     with pytest.raises(ValueError):
-        Detection(box, 0.5, 0)
+        Detection(box, 0.5, embedding=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        Detection(box, 0.5, 1, embedding=np.array([1.0, 1.0]))
+        Detection(box, 0.5, embedding=np.eye(2))
     with pytest.raises(ValueError):
-        Detection(box, 0.5, 1, embedding=np.eye(2))
-    with pytest.raises(ValueError):
-        Detection(box, 0.5, 1, embedding=np.array([float("nan"), 0.0]))
+        Detection(box, 0.5, embedding=np.array([float("nan"), 0.0]))
 
 
 def test_check_unit_rejects_nan_inf_and_off_norm_vectors():
@@ -86,7 +84,7 @@ def test_check_unit_norm_is_numpys_norm_bit_for_bit():
 
 def test_detection_embedding_coerced_to_float64():
     box = BBox(0.0, 0.0, 2.0, 2.0)
-    det = Detection(box, 0.5, 1, embedding=np.array([1.0, 0.0], dtype=np.float32))
+    det = Detection(box, 0.5, embedding=np.array([1.0, 0.0], dtype=np.float32))
     assert det.embedding.dtype == np.float64
     assert np.array_equal(det.embedding, [1.0, 0.0])
 

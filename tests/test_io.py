@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idtrack import mot_io
+from idtrack.affinity import AffinityWeights
 from idtrack.geometry import BBox, Detection, to_corner
 from idtrack.mot_io import (
     load_detections,
@@ -25,7 +26,7 @@ from idtrack.mot_io import (
     write_results,
 )
 from idtrack.sim import SimConfig, generate
-from idtrack.tracker import TrackOutput
+from idtrack.tracker import TrackerConfig, TrackOutput, track_stream
 
 
 def unit(vec):
@@ -41,8 +42,7 @@ def test_parse_worked_example(tmp_path):
     d = dets[1][0]
     assert d.box == BBox(25.0, 40.0, 30.0, 40.0)
     assert d.confidence == 0.9
-    assert d.frame == 1
-    assert d.embedding is None
+    assert d.embedding is None and d.prediction is None
 
 
 def test_blank_lines_are_skipped(tmp_path):
@@ -137,6 +137,32 @@ def test_load_detections_attaches_embeddings(tmp_path):
     assert all(d.embedding is None for v in bare.values() for d in v)
 
 
+def test_load_detections_attaches_predictions_to_the_raw_detections_they_name(tmp_path):
+    dp, pp = tmp_path / "dets.txt", tmp_path / "preds.txt"
+    dp.write_text(
+        "1,-1,8,8,4,4,0.9,-1,-1,-1\n"  # A: kept, no prediction
+        "1,-1,100,100,4,4,0.3,-1,-1,-1\n"  # B: below the confidence threshold
+        "1,-1,8.5,8,4,4,0.8,-1,-1,-1\n"  # C: suppressed by A in NMS
+        "1,-1,200,200,4,4,0.7,-1,-1,-1\n"  # D: kept
+        "2,-1,500,500,4,4,0.9,-1,-1,-1\n"
+    )
+    pp.write_text("1,1,300,300,4,4,1,-1,-1,-1\n1,2,400,400,4,4,1,-1,-1,-1\n1,3,210,200,4,4,1,-1,-1,-1\n")
+    dets = load_detections(dp, None, pp)
+    assert [d.prediction for d in dets[1]] == [
+        None, BBox(302.0, 302.0, 4.0, 4.0), BBox(402.0, 402.0, 4.0, 4.0), BBox(212.0, 202.0, 4.0, 4.0)
+    ]
+    assert dets[2][0].prediction is None
+    # Through the filter and NMS, D's prediction goes with D: its trajectory
+    # coasts on it in frame 2. B's and C's are dropped with their detections.
+    config = TrackerConfig(weights=AffinityWeights(1.0, 0.0), motion_propagate_frames=1)
+    frame2 = {(o.track_id, o.box, o.interpolated) for o in track_stream(dets, config) if o.frame == 2}
+    assert frame2 == {
+        (1, BBox(10.0, 10.0, 4.0, 4.0), True),
+        (2, BBox(212.0, 202.0, 4.0, 4.0), True),
+        (3, BBox(502.0, 502.0, 4.0, 4.0), False),
+    }
+
+
 def test_load_detections_requires_full_sidecar(tmp_path):
     dp, ep = tmp_path / "dets.txt", tmp_path / "emb.txt"
     dp.write_text("1,-1,10,20,30,40,0.9,-1,-1,-1\n")
@@ -226,8 +252,8 @@ def test_a_failed_results_write_leaves_no_file(tmp_path):
 )
 def test_a_failed_sidecar_write_leaves_no_file(tmp_path, third, message):
     box = BBox(5.0, 5.0, 2.0, 2.0)
-    dets = {f: [Detection(box, 0.9, f, unit([1.0, float(f)]))] for f in (1, 2)}
-    dets[3] = [Detection(box, 0.9, 3, third)]
+    dets = {f: [Detection(box, 0.9, unit([1.0, float(f)]))] for f in (1, 2)}
+    dets[3] = [Detection(box, 0.9, third)]
     p = tmp_path / "emb.txt"
     with pytest.raises(ValueError, match=message):
         write_embeddings(p, dets)
@@ -455,7 +481,7 @@ def test_property_mot_line_matches_the_per_value_reference(frame, obj_id, cx, cy
 @given(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), min_size=1, max_size=6))
 def test_property_sidecar_lines_match_the_per_value_reference(tmp_path_factory, raw):
     vecs = [np.asarray(v) for v in raw if np.linalg.norm(v) > 1e-3]
-    dets = {1: [Detection(BBox(5.0, 5.0, 2.0, 2.0), 0.5, 1, v / np.linalg.norm(v)) for v in vecs]}
+    dets = {1: [Detection(BBox(5.0, 5.0, 2.0, 2.0), 0.5, v / np.linalg.norm(v)) for v in vecs]}
     p = tmp_path_factory.mktemp("sidecar") / "emb.txt"
     write_embeddings(p, dets)
     want = "dim=3\n" if vecs else "dim=0\n"
@@ -496,7 +522,7 @@ def embedded_streams(draw):
     frames = draw(st.lists(st.integers(1, 10**7), min_size=1, max_size=4, unique=True))
     box = BBox(5.0, 5.0, 2.0, 2.0)
     return {
-        f: [Detection(box, 0.5, f, draw(unit_vectors(dim))) for _ in range(draw(st.integers(0, 4)))]
+        f: [Detection(box, 0.5, draw(unit_vectors(dim))) for _ in range(draw(st.integers(0, 4)))]
         for f in frames
     }
 

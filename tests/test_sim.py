@@ -89,7 +89,7 @@ def reference_generate(config):
             )
             conf = 0.55 + 0.44 * rng.random()
             emb = _reference_unit(protos[i] + config.embedding_noise * rng.normal(size=config.embedding_dim))
-            det_frame.append(Detection(noisy, conf, t, emb))
+            det_frame.append(Detection(noisy, conf, emb))
 
         for _ in range(int(rng.poisson(config.fp_rate))):
             w = rng.uniform(*config.box_size_range)
@@ -102,7 +102,7 @@ def reference_generate(config):
             )
             conf = 0.05 + 0.5 * rng.random()
             emb = _reference_unit(rng.normal(size=config.embedding_dim))
-            det_frame.append(Detection(fp_box, conf, t, emb))
+            det_frame.append(Detection(fp_box, conf, emb))
 
         gt[t] = gt_frame
         dets[t] = det_frame
@@ -116,7 +116,7 @@ def reference_generate(config):
 def scene_bits(gt, dets):
     """A scene as raw float64 bytes, so that equality is bit for bit (0.0 != -0.0)."""
     gt_rows = [(f, i, b.cx, b.cy, b.w, b.h) for f in gt for i, b in gt[f]]
-    det_rows = [(f, d.frame, d.confidence, d.box.cx, d.box.cy, d.box.w, d.box.h) for f in dets for d in dets[f]]
+    det_rows = [(f, d.confidence, d.box.cx, d.box.cy, d.box.w, d.box.h) for f in dets for d in dets[f]]
     embeddings = [d.embedding.tobytes() for f in dets for d in dets[f]]
     return list(gt), np.array(gt_rows).tobytes(), list(dets), np.array(det_rows).tobytes(), embeddings
 
@@ -192,7 +192,7 @@ def test_zero_noise_detections_equal_ground_truth():
         for (gid, gbox), det in zip(gt[f], dets[f]):
             assert det.box == gbox
             assert 0.55 <= det.confidence <= 0.99
-            assert det.frame == f
+            assert det.prediction is None
 
 
 def test_boxes_stay_inside_the_arena():
@@ -228,9 +228,6 @@ def test_stride_arithmetic():
     gt, dets = generate(cfg)
     assert sorted(gt) == list(range(1, 26))
     assert sorted(dets) == list(range(1, 26))
-    for f, entries in dets.items():
-        for d in entries:
-            assert d.frame == f
 
 
 @settings(max_examples=100)
@@ -243,11 +240,15 @@ def test_stride_equals_subsampled_full_run(cfg, stride):
 
 def test_subsample_drops_and_reindexes():
     cfg = SimConfig(seed=1, num_identities=2, frames=10)
-    gt, _ = generate(cfg)
+    gt, dets = generate(cfg)
     thin = subsample(gt, 3)
     assert sorted(thin) == [1, 2, 3, 4]  # original frames 1, 4, 7, 10
     assert thin[2] == gt[4]
     assert thin[4] == gt[10]
+    # Only the keys change: the detections are the same objects, in new lists.
+    thin_dets = subsample(dets, 3)
+    assert all(a is b for a, b in zip(thin_dets[3], dets[7], strict=True))
+    assert thin_dets[3] is not dets[7]
 
 
 def test_subsample_rejects_bad_stride():
@@ -328,6 +329,9 @@ def test_config_validation():
         ("size_noise", "1e300", "size_noise must be <= 1, got 1e+300"),
         ("center_noise", "1e308", "center_noise must be <= 1e+06, got 1e+308"),
         ("arena", "1e200,1e200", "arena must be <= 1e+06, got (1e+200, 1e+200)"),
+        # Used to write boxes 0.000000 wide, which `track` then rejected.
+        ("box_size_range", "1e-9,1e-8", "box_size_range must start at 1 or more, got (1e-09, 1e-08)"),
+        ("box_size_range", "0.999,30", "box_size_range must start at 1 or more, got (0.999, 30.0)"),
         ("num_identities", "abc", "num_identities needs one int value, got 'abc'"),
         ("embedding_noise", "0.1.2", "embedding_noise needs one float value, got '0.1.2'"),
         ("arena", "800", "arena needs 2 comma-separated float values, got '800'"),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from idtrack.affinity import AffinityWeights
 from idtrack.geometry import BBox, Detection
+from idtrack.mot_io import load_detections, write_detections, write_embeddings
 from idtrack.sim import SimConfig, generate
 from idtrack.tracker import (
     Tracker,
@@ -30,8 +31,8 @@ EB = unit([0.0, 1.0, 0.0, 0.0])
 EMIX = unit([1.0, 1.0, 0.0, 0.0])
 
 
-def det(cx, cy, frame, emb=None, conf=0.9, size=4.0):
-    return Detection(BBox(float(cx), float(cy), size, size), conf, frame, emb)
+def det(cx, cy, emb=None, conf=0.9, size=4.0, prediction=None):
+    return Detection(BBox(float(cx), float(cy), size, size), conf, emb, prediction)
 
 
 def state(traj):
@@ -51,7 +52,7 @@ def iou_only_config(**kwargs):
 
 def test_first_detection_starts_a_trajectory():
     tracker = Tracker(iou_only_config())
-    outputs = tracker.step([det(10, 10, 1)])
+    outputs = tracker.step([det(10, 10)], 1)
     assert len(outputs) == 1
     assert outputs[0].frame == 1
     assert outputs[0].track_id == 1
@@ -62,15 +63,15 @@ def test_first_detection_starts_a_trajectory():
 
 def test_continuing_detection_keeps_its_id():
     tracker = Tracker(iou_only_config())
-    tracker.step([det(10, 10, 1)])
-    outputs = tracker.step([det(11, 10, 2)])
+    tracker.step([det(10, 10)], 1)
+    outputs = tracker.step([det(11, 10)], 2)
     assert [o.track_id for o in outputs if not o.interpolated] == [1]
 
 
 def test_far_detection_gets_a_new_id():
     tracker = Tracker(iou_only_config(motion_propagate_frames=0))
-    tracker.step([det(10, 10, 1)])
-    outputs = tracker.step([det(200, 200, 2)])
+    tracker.step([det(10, 10)], 1)
+    outputs = tracker.step([det(200, 200)], 2)
     assert [o.track_id for o in outputs if not o.interpolated] == [2]
 
 
@@ -78,10 +79,10 @@ def test_buffer_recovery_restores_the_id():
     # The object vanishes for two frames and reappears somewhere IoU cannot
     # reach; only the identity-only buffer stage can reclaim it.
     tracker = Tracker(id_only_config(motion_propagate_frames=0))
-    tracker.step([det(10, 10, 1, EA)])
+    tracker.step([det(10, 10, EA)], 1)
     tracker.step([], frame=2)
     tracker.step([], frame=3)
-    outputs = tracker.step([det(400, 400, 4, EA)])
+    outputs = tracker.step([det(400, 400, EA)], 4)
     assert [o.track_id for o in outputs] == [1]
     assert len(tracker.active) == 1
     assert not tracker.paused
@@ -89,10 +90,10 @@ def test_buffer_recovery_restores_the_id():
 
 def test_no_recovery_without_identity_weight():
     tracker = Tracker(iou_only_config(motion_propagate_frames=0))
-    tracker.step([det(10, 10, 1, EA)])
+    tracker.step([det(10, 10, EA)], 1)
     tracker.step([], frame=2)
     tracker.step([], frame=3)
-    outputs = tracker.step([det(400, 400, 4, EA)])
+    outputs = tracker.step([det(400, 400, EA)], 4)
     assert [o.track_id for o in outputs] == [2]
 
 
@@ -100,36 +101,36 @@ def test_recent_buffer_level_wins():
     # Two paused trajectories could both take the detection; the one unseen
     # for fewer frames gets first pick.
     tracker = Tracker(id_only_config(motion_propagate_frames=0))
-    tracker.step([det(10, 10, 1, EA)])
-    tracker.step([det(300, 300, 2, EB)])  # cosine 0 to EA: becomes id 2
+    tracker.step([det(10, 10, EA)], 1)
+    tracker.step([det(300, 300, EB)], 2)  # cosine 0 to EA: becomes id 2
     tracker.step([], frame=3)
-    outputs = tracker.step([det(600, 600, 4, EMIX)])
+    outputs = tracker.step([det(600, 600, EMIX)], 4)
     assert [o.track_id for o in outputs] == [2]
 
 
 def test_retirement_after_buffer_expires():
     tracker = Tracker(id_only_config(motion_propagate_frames=0, buffer_size=3))
-    tracker.step([det(10, 10, 1, EA)])
+    tracker.step([det(10, 10, EA)], 1)
     for f in (2, 3, 4):
         tracker.step([], frame=f)
-    outputs = tracker.step([det(10, 10, 5, EA)])
+    outputs = tracker.step([det(10, 10, EA)], 5)
     assert [o.track_id for o in outputs] == [2]
     assert tracker.paused == []
 
 
 def test_recovery_at_the_buffer_boundary():
     tracker = Tracker(id_only_config(motion_propagate_frames=0, buffer_size=3))
-    tracker.step([det(10, 10, 1, EA)])
+    tracker.step([det(10, 10, EA)], 1)
     tracker.step([], frame=2)
     tracker.step([], frame=3)
-    outputs = tracker.step([det(10, 10, 4, EA)])  # unseen for exactly buffer_size
+    outputs = tracker.step([det(10, 10, EA)], 4)  # unseen for exactly buffer_size
     assert [o.track_id for o in outputs] == [1]
 
 
 def test_propagation_emits_interpolated_heads():
     tracker = Tracker(iou_only_config(motion_propagate_frames=2))
-    tracker.step([det(10, 10, 1)])
-    tracker.step([det(12, 10, 2)])  # velocity settles at (1, 0)
+    tracker.step([det(10, 10)], 1)
+    tracker.step([det(12, 10)], 2)  # velocity settles at (1, 0)
     out3 = tracker.step([], frame=3)
     assert len(out3) == 1 and out3[0].interpolated
     assert out3[0].box == BBox(13.0, 10.0, 4.0, 4.0)
@@ -157,51 +158,41 @@ def test_hypotheses_skip_interpolated_outputs_and_keep_order():
 
 def test_coasting_trajectory_still_matches_by_iou():
     tracker = Tracker(iou_only_config(motion_propagate_frames=3))
-    tracker.step([det(10, 10, 1, size=10.0)])
-    tracker.step([det(14, 10, 2, size=10.0)])
+    tracker.step([det(10, 10, size=10.0)], 1)
+    tracker.step([det(14, 10, size=10.0)], 2)
     tracker.step([], frame=3)  # coasts to (16, 10)
-    outputs = tracker.step([det(18, 10, 4, size=10.0)])
+    outputs = tracker.step([det(18, 10, size=10.0)], 4)
     assert [o.track_id for o in outputs] == [1]
     assert not outputs[0].interpolated
 
 
 def test_external_prediction_replaces_linear_coasting():
-    # predictions[j] is detection j's box in the next frame; the trajectory
+    # A detection's prediction is its box in the next frame; the trajectory
     # that takes detection 1 coasts on it when it misses frame 2.
     tracker = Tracker(iou_only_config(motion_propagate_frames=2))
-    tracker.step([det(100, 100, 1), det(10, 10, 1)], predictions=[None, BBox(50.0, 50.0, 4.0, 4.0)])
-    outputs = tracker.step([det(100, 100, 2)])
+    tracker.step([det(100, 100), det(10, 10, prediction=BBox(50.0, 50.0, 4.0, 4.0))], 1)
+    outputs = tracker.step([det(100, 100)], 2)
     assert [(o.track_id, o.box, o.interpolated) for o in outputs] == [
         (1, BBox(100.0, 100.0, 4.0, 4.0), False),
         (2, BBox(50.0, 50.0, 4.0, 4.0), True),
     ]
     # The predicted head is what the next frame's IoU sees.
-    outputs = tracker.step([det(50, 50, 3)])
+    outputs = tracker.step([det(50, 50)], 3)
     assert [(o.track_id, o.interpolated) for o in outputs] == [(2, False), (1, True)]
 
 
 def test_prediction_is_only_for_the_next_frame():
     tracker = Tracker(iou_only_config(motion_propagate_frames=2))
-    tracker.step([det(10, 10, 1)], predictions=[BBox(50.0, 50.0, 4.0, 4.0)])
+    tracker.step([det(10, 10, prediction=BBox(50.0, 50.0, 4.0, 4.0))], 1)
     outputs = tracker.step([], frame=3)  # frame 2 was skipped: linear (still) head
     assert [(o.box, o.interpolated) for o in outputs] == [(BBox(10.0, 10.0, 4.0, 4.0), True)]
 
 
-def test_prediction_length_mismatch_rejected():
-    tracker = Tracker(iou_only_config())
-    tracker.step([det(10, 10, 1)])
-    with pytest.raises(ValueError, match="1 predictions for 2 detections"):
-        tracker.step([det(10, 10, 2), det(50, 50, 2)], predictions=[None])
-    with pytest.raises(ValueError, match="1 predictions for 0 detections"):
-        tracker.step([], frame=2, predictions=[None])
-    assert tracker.current_frame == 1
-
-
 def test_missing_embedding_rejected_before_any_state_changes():
     tracker = Tracker(id_only_config(motion_propagate_frames=1))
-    tracker.step([det(10, 10, 1, EA), det(300, 300, 1, EB)])
-    tracker.step([det(10, 10, 2, EA)])  # id 2 coasts
-    tracker.step([det(10, 10, 3, EA)])  # id 2 pauses
+    tracker.step([det(10, 10, EA), det(300, 300, EB)], 1)
+    tracker.step([det(10, 10, EA)], 2)  # id 2 coasts
+    tracker.step([det(10, 10, EA)], 3)  # id 2 pauses
 
     def snapshot():
         return (
@@ -217,40 +208,25 @@ def test_missing_embedding_rejected_before_any_state_changes():
     # retire both trajectories, if the step got that far.
     for frame in (4, 20):
         with pytest.raises(ValueError, match="detection 1 has no embedding"):
-            tracker.step([det(10, 10, frame, EA), det(50, 50, frame)])
+            tracker.step([det(10, 10, EA), det(50, 50)], frame)
         assert snapshot() == before
 
 
 def test_frames_must_advance():
     tracker = Tracker(iou_only_config())
-    tracker.step([det(10, 10, 1)])
+    tracker.step([det(10, 10)], 1)
     with pytest.raises(ValueError):
-        tracker.step([det(10, 10, 1)])
+        tracker.step([det(10, 10)], 1)
     with pytest.raises(ValueError):
         tracker.step([], frame=0)
 
 
-def test_empty_step_without_frame_advances_one_frame():
-    tracker = Tracker(iou_only_config(motion_propagate_frames=2))
-    tracker.step([det(10, 10, 1)])
-    tracker.step([det(12, 10, 2)])
-    outputs = tracker.step([])
-    assert tracker.current_frame == 3
-    assert [(o.frame, o.box) for o in outputs] == [(3, BBox(13.0, 10.0, 4.0, 4.0))]
-
-
-def test_mixed_frame_detections_rejected():
-    tracker = Tracker(iou_only_config())
-    with pytest.raises(ValueError):
-        tracker.step([det(10, 10, 1), det(20, 20, 2)], frame=1)
-
-
-def update_one(traj, d, momentum, predicted_box=None):
+def update_one(traj, d, momentum, frame):
     """Reference update of one pair: returns an updated copy, leaves ``traj``
     alone, and works one embedding at a time with ``np.linalg.norm``."""
-    if d.frame < traj.head_frame:
-        raise ValueError(f"detection frame {d.frame} is behind trajectory head frame {traj.head_frame}")
-    gap = max(d.frame - traj.head_frame, 1)
+    if frame < traj.head_frame:
+        raise ValueError(f"detection frame {frame} is behind trajectory head frame {traj.head_frame}")
+    gap = max(frame - traj.head_frame, 1)
     disp = ((d.box.cx - traj.head_box.cx) / gap, (d.box.cy - traj.head_box.cy) / gap)
     velocity = (
         momentum * traj.avg_velocity[0] + (1.0 - momentum) * disp[0],
@@ -269,10 +245,10 @@ def update_one(traj, d, momentum, predicted_box=None):
         head_box=d.box,
         head_embedding=embedding,
         avg_velocity=velocity,
-        last_seen=d.frame,
-        head_frame=d.frame,
+        last_seen=frame,
+        head_frame=frame,
         last_confidence=d.confidence,
-        predicted_box=predicted_box,
+        predicted_box=d.prediction,
     )
 
 
@@ -281,14 +257,14 @@ def start_traj(embedding=EA, last_seen=1):
 
 
 def test_update_trajectory_momentum_extremes():
-    fresh = det(14, 10, 2, EB)
+    fresh = det(14, 10, EB)
     snap = start_traj()
-    update_trajectory([snap], [fresh], 0.0, [None])
+    update_trajectory([snap], [fresh], 0.0, 2)
     assert np.array_equal(snap.head_embedding, EB)
     assert snap.avg_velocity == (4.0, 0.0)
     assert snap.last_seen == 2 and snap.head_frame == 2
     sticky = start_traj()
-    update_trajectory([sticky], [fresh], 1.0, [None])
+    update_trajectory([sticky], [fresh], 1.0, 2)
     assert np.array_equal(sticky.head_embedding, EA)
     assert sticky.avg_velocity == (0.0, 0.0)
     assert sticky.head_box == fresh.box  # the box always follows the detection
@@ -296,7 +272,7 @@ def test_update_trajectory_momentum_extremes():
 
 def test_update_trajectory_blends_and_renormalizes():
     traj = start_traj()
-    update_trajectory([traj], [det(10, 10, 2, EB)], 0.5, [None])
+    update_trajectory([traj], [det(10, 10, EB)], 0.5, 2)
     assert np.allclose(traj.head_embedding, EMIX, atol=1e-12)
     assert abs(np.linalg.norm(traj.head_embedding) - 1.0) < 1e-12
 
@@ -304,8 +280,8 @@ def test_update_trajectory_blends_and_renormalizes():
 def test_update_trajectory_opposite_embeddings_take_the_fresh_one():
     # The cancelling pair sits between two that blend normally.
     trajs = [start_traj(EA), start_traj(EA), start_traj(EB)]
-    dets = [det(10, 10, 2, EB), det(10, 10, 2, -EA), det(10, 10, 2, EA)]
-    update_trajectory(trajs, dets, 0.5, [None] * 3)
+    dets = [det(10, 10, EB), det(10, 10, -EA), det(10, 10, EA)]
+    update_trajectory(trajs, dets, 0.5, 2)
     assert np.array_equal(trajs[1].head_embedding, -EA)
     assert np.allclose(trajs[0].head_embedding, EMIX, atol=1e-12)
     assert np.allclose(trajs[2].head_embedding, EMIX, atol=1e-12)
@@ -313,7 +289,7 @@ def test_update_trajectory_opposite_embeddings_take_the_fresh_one():
 
 def test_update_trajectory_velocity_spreads_over_the_gap():
     traj = start_traj(None)
-    update_trajectory([traj], [det(22, 10, 4)], 0.5, [None])
+    update_trajectory([traj], [det(22, 10)], 0.5, 4)
     # Displacement 12 over 3 frames -> 4 per frame, halved by momentum.
     assert traj.avg_velocity == (2.0, 0.0)
 
@@ -321,26 +297,28 @@ def test_update_trajectory_velocity_spreads_over_the_gap():
 def test_update_trajectory_rejects_regression():
     traj = start_traj(None, last_seen=5)
     with pytest.raises(ValueError):
-        update_trajectory([traj], [det(10, 10, 3)], 0.5, [None])
+        update_trajectory([traj], [det(10, 10)], 0.5, 3)
 
 
 def test_update_trajectory_rejects_a_batch_without_changing_any_trajectory():
     trajs = [start_traj(EA, last_seen=2), start_traj(EB, last_seen=2), start_traj(None, last_seen=5)]
     before = [state(t) for t in trajs]
-    dets = [det(12, 10, 4, EB), det(8, 10, 4, EA), det(10, 10, 4, EA)]  # the last one goes back in time
+    ahead = BBox(1.0, 1.0, 1.0, 1.0)
+    dets = [det(12, 10, EB, prediction=ahead), det(8, 10, EA, prediction=ahead), det(10, 10, EA, prediction=ahead)]
     with pytest.raises(ValueError, match="detection frame 4 is behind trajectory head frame 5"):
-        update_trajectory(trajs, dets, 0.5, [BBox(1.0, 1.0, 1.0, 1.0)] * 3)
+        update_trajectory(trajs, dets, 0.5, 4)  # frame 4 is behind the last trajectory's head
     assert [state(t) for t in trajs] == before
 
 
 @st.composite
 def update_batches(draw):
-    """Distinct trajectories with matched detections: missing, opposite,
-    equal and random embeddings, gaps of 0-3 frames and coasting heads."""
+    """Distinct trajectories with matched detections of one frame: missing,
+    opposite, equal and random embeddings, gaps of 0-9 frames, coasting
+    heads and predictions."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.sampled_from((3, 64)))  # 64 is the simulator's default
     momentum = draw(st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0)))
-    trajs, dets, preds = [], [], []
+    trajs, dets = [], []
     for k in range(draw(st.integers(0, 8))):
         last_seen = int(rng.integers(1, 6))
         head_frame = last_seen + int(rng.integers(0, 3))
@@ -354,19 +332,19 @@ def update_batches(draw):
             "same": emb,
             "random": unit(rng.normal(size=dim)),
         }[kind]
-        frame = head_frame + int(rng.integers(0, 4))
         dbox = BBox(*rng.uniform(0.0, 100.0, size=2), *rng.uniform(1.0, 30.0, size=2))
-        dets.append(Detection(dbox, float(rng.uniform(0.0, 1.0)), frame, fresh))
-        preds.append(None if rng.random() < 0.5 else BBox(*rng.uniform(1.0, 50.0, size=4)))
-    return trajs, dets, momentum, preds
+        prediction = None if rng.random() < 0.5 else BBox(*rng.uniform(1.0, 50.0, size=4))
+        dets.append(Detection(dbox, float(rng.uniform(0.0, 1.0)), fresh, prediction))
+    frame = max((t.head_frame for t in trajs), default=1) + int(rng.integers(0, 4))
+    return trajs, dets, momentum, frame
 
 
 @settings(max_examples=300)
 @given(update_batches())
 def test_property_batched_update_equals_the_reference_bit_for_bit(batch):
-    trajs, dets, momentum, preds = batch
-    want = [update_one(t, d, momentum, p) for t, d, p in zip(trajs, dets, preds)]
-    update_trajectory(trajs, dets, momentum, preds)
+    trajs, dets, momentum, frame = batch
+    want = [update_one(t, d, momentum, frame) for t, d in zip(trajs, dets)]
+    update_trajectory(trajs, dets, momentum, frame)
     assert [state(t) for t in trajs] == [state(t) for t in want]  # embeddings compared as bytes
 
 
@@ -379,19 +357,19 @@ def test_propagate_linear_is_additive():
 
 def test_track_ids_are_one_based_and_fresh():
     tracker = Tracker(iou_only_config(motion_propagate_frames=0, buffer_size=1))
-    tracker.step([det(10, 10, 1), det(100, 100, 1)])
+    tracker.step([det(10, 10), det(100, 100)], 1)
     assert sorted(t.track_id for t in tracker.active) == [1, 2]
-    tracker.step([det(400, 400, 2)])
+    tracker.step([det(400, 400)], 2)
     assert tracker.next_id == 4
 
 
 def test_stream_confidence_filter_and_nms():
     dets = {
         1: [
-            det(10, 10, 1, conf=0.9),
-            det(10.5, 10, 1, conf=0.8),  # suppressed: heavy overlap, lower score
-            det(100, 100, 1, conf=0.3),  # below det_threshold
-            det(50, 50, 1, conf=0.7),
+            det(10, 10, conf=0.9),
+            det(10.5, 10, conf=0.8),  # suppressed: heavy overlap, lower score
+            det(100, 100, conf=0.3),  # below det_threshold
+            det(50, 50, conf=0.7),
         ]
     }
     outputs = track_stream(dets, iou_only_config())
@@ -419,18 +397,17 @@ def test_stream_handles_empty_input():
 
 def test_stream_predictions_take_over_when_detections_vanish():
     dets = {
-        1: [det(10, 10, 1)],
+        1: [det(10, 10, prediction=BBox(50.0, 50.0, 4.0, 4.0))],
         2: [],
-        3: [det(50, 50, 3)],
+        3: [det(50, 50)],
     }
-    predictions = {(1, 0): BBox(50.0, 50.0, 4.0, 4.0)}
-    with_pred = track_stream(dets, iou_only_config(), predictions)
+    with_pred = track_stream(dets, iou_only_config())
     ids = {o.frame: o.track_id for o in with_pred}
     assert ids[3] == ids[1], "prediction should carry the identity across the gap"
     coasted = [o for o in with_pred if o.interpolated]
     assert len(coasted) == 1 and coasted[0].box == BBox(50.0, 50.0, 4.0, 4.0)
 
-    without = track_stream(dets, iou_only_config())
+    without = track_stream({**dets, 1: [det(10, 10)]}, iou_only_config())
     ids = {o.frame: o.track_id for o in without if not o.interpolated}
     assert ids[3] != ids[1]
 
@@ -438,14 +415,13 @@ def test_stream_predictions_take_over_when_detections_vanish():
 def test_stream_prediction_follows_a_buffer_recovery():
     # The trajectory coasts one frame, pauses, is recovered from the buffer
     # by identity at frame 4, and the next frame's coasting head is the
-    # prediction keyed by the recovering detection's raw index.
+    # recovering detection's prediction.
     dets = {
-        1: [det(10, 10, 1, EA)],
-        4: [det(300, 300, 4, EB, conf=0.1), det(400, 400, 4, EA)],
+        1: [det(10, 10, EA)],
+        4: [det(300, 300, EB, conf=0.1), det(400, 400, EA, prediction=BBox(420.0, 400.0, 4.0, 4.0))],
         5: [],
     }
-    predictions = {(4, 1): BBox(420.0, 400.0, 4.0, 4.0)}
-    outputs = track_stream(dets, id_only_config(motion_propagate_frames=1), predictions)
+    outputs = track_stream(dets, id_only_config(motion_propagate_frames=1))
     by_frame = {f: [(o.track_id, o.box, o.interpolated) for o in outputs if o.frame == f] for f in range(1, 6)}
     assert by_frame[2] == [(1, BBox(10.0, 10.0, 4.0, 4.0), True)]
     assert by_frame[3] == []
@@ -456,7 +432,7 @@ def test_stream_prediction_follows_a_buffer_recovery():
 def test_identity_weight_zero_ignores_embeddings():
     _, dets = generate(SimConfig(seed=41, num_identities=6, frames=40, occlusion_events=2))
     stripped = {
-        f: [Detection(d.box, d.confidence, d.frame) for d in v] for f, v in dets.items()
+        f: [Detection(d.box, d.confidence) for d in v] for f, v in dets.items()
     }
     with_emb = track_stream(dets, iou_only_config())
     without_emb = track_stream(stripped, iou_only_config())
@@ -479,8 +455,9 @@ def test_config_validation():
 
 @st.composite
 def scenes_with_predictions(draw):
-    """A small seeded scene, a tracker config that coasts and retires within
-    it, and predicted next-frame boxes for a random subset of detections."""
+    """A small seeded scene whose detections carry predicted next-frame boxes
+    (a random subset of them), and a tracker config that coasts and retires
+    within it."""
     config = SimConfig(
         seed=draw(st.integers(0, 2**32 - 1)),
         num_identities=draw(st.integers(2, 6)),
@@ -498,13 +475,12 @@ def scenes_with_predictions(draw):
         buffer_size=buffer_size, motion_propagate_frames=draw(st.integers(1, buffer_size))
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    predictions = {}
-    for frame, frame_dets in dets.items():
+    for frame_dets in dets.values():
         for i, d in enumerate(frame_dets):
             if rng.random() < 0.7:
                 dx, dy = rng.normal(0.0, 8.0, size=2)
-                predictions[(frame, i)] = BBox(d.box.cx + dx, d.box.cy + dy, d.box.w, d.box.h)
-    return dets, tracker_config, predictions
+                frame_dets[i] = replace(d, prediction=BBox(d.box.cx + dx, d.box.cy + dy, d.box.w, d.box.h))
+    return dets, tracker_config
 
 
 property_settings = settings(max_examples=40)
@@ -513,8 +489,8 @@ property_settings = settings(max_examples=40)
 @property_settings
 @given(scenes_with_predictions())
 def test_property_frame_id_pairs_are_unique(scene):
-    dets, config, predictions = scene
-    seen = [(o.frame, o.track_id) for o in track_stream(dets, config, predictions)]
+    dets, config = scene
+    seen = [(o.frame, o.track_id) for o in track_stream(dets, config)]
     assert len(seen) == len(set(seen))
 
 
@@ -524,8 +500,8 @@ def test_property_retired_ids_never_reappear(scene):
     # An id is retired once it has gone more than buffer_size frames without
     # a detection. Ids are handed out in birth order and every id starts
     # with a detection, so a retired id can only come back as a late output.
-    dets, config, predictions = scene
-    outputs = track_stream(dets, config, predictions)
+    dets, config = scene
+    outputs = track_stream(dets, config)
     last_real: dict[int, int] = {}
     for o in sorted(outputs, key=lambda o: (o.frame, o.interpolated)):
         if o.track_id not in last_real:
@@ -539,23 +515,32 @@ def test_property_retired_ids_never_reappear(scene):
 
 @property_settings
 @given(scenes_with_predictions())
-def test_property_empty_predictions_are_no_predictions(scene):
-    dets, config, _ = scene
-    assert track_stream(dets, config, {}) == track_stream(dets, config)
+def test_property_empty_predictions_are_no_predictions(tmp_path_factory, scene):
+    # An empty predictions file attaches nothing: the tracks equal those of
+    # the same detections loaded without one.
+    dets, config = scene
+    path = tmp_path_factory.mktemp("scene")
+    write_detections(path / "dets.txt", dets)
+    write_embeddings(path / "emb.txt", dets)
+    (path / "preds.txt").write_text("")
+    with_empty = load_detections(path / "dets.txt", path / "emb.txt", path / "preds.txt")
+    assert all(d.prediction is None for v in with_empty.values() for d in v)
+    without = load_detections(path / "dets.txt", path / "emb.txt")
+    assert track_stream(with_empty, config) == track_stream(without, config)
 
 
 @property_settings
 @given(scenes_with_predictions())
 def test_property_coasting_head_is_the_taken_detections_prediction(scene):
-    dets, config, predictions = scene
-    outputs = track_stream(dets, config, predictions)
+    dets, config = scene
+    outputs = track_stream(dets, config)
     real = {(o.frame, o.track_id): o for o in outputs if not o.interpolated}
     for o in outputs:
         prev = real.get((o.frame - 1, o.track_id))
         if not o.interpolated or prev is None:
             continue
-        taken = [i for i, d in enumerate(dets[o.frame - 1]) if d.box == prev.box]
+        taken = [d for d in dets[o.frame - 1] if d.box == prev.box]
         assert len(taken) == 1
-        expected = predictions.get((o.frame - 1, taken[0]))
+        expected = taken[0].prediction
         if expected is not None:
             assert o.box == expected
