@@ -6,7 +6,7 @@ from ``idtrack.kernels``.
 
 from .affinity import AffinityWeights, combined_affinity, iou, iou_matrix, nms
 from .assignment import Assignment, solve_max
-from .geometry import BBox, Detection, to_center, to_corner
+from .geometry import BBox, Detection, Detections, to_center, to_corner
 from .metrics import MotReport, evaluate, format_report, format_table, sweep_thresholds
 from .sim import SimConfig, benchmark_config, generate, subsample
 from .tracker import Tracker, TrackerConfig, TrackOutput, Trajectory, hypotheses, track_stream
@@ -18,6 +18,7 @@ __all__ = [
     "Assignment",
     "BBox",
     "Detection",
+    "Detections",
     "MotReport",
     "SimConfig",
     "TrackOutput",

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geometry import BBox, Detection, to_corner
+from .geometry import BBox, Detection, Detections, _box_rows, to_corner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .tracker import Trajectory
@@ -79,10 +79,15 @@ def iou_matrix(boxes_a: Sequence[BBox], boxes_b: Sequence[BBox]) -> np.ndarray:
     Every cell takes the same float operations as :func:`iou`, so
     ``iou_matrix(a, b)[i, j] == iou(a[i], b[j])`` holds bit for bit.
     """
-    if not boxes_a or not boxes_b:
-        return np.zeros((len(boxes_a), len(boxes_b)))
-    cx_a, cy_a, w_a, h_a = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes_a], dtype=np.float64).T[:, :, None]
-    cx_b, cy_b, w_b, h_b = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes_b], dtype=np.float64).T[:, None, :]
+    return _iou_cells(_box_rows(boxes_a), _box_rows(boxes_b))
+
+
+def _iou_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`iou_matrix` of two ``(n, 4)`` center-form box arrays."""
+    if not len(a) or not len(b):
+        return np.zeros((len(a), len(b)))
+    cx_a, cy_a, w_a, h_a = a.T[:, :, None]
+    cx_b, cy_b, w_b, h_b = b.T[:, None, :]
     iw = np.minimum(cx_a + w_a / 2.0, cx_b + w_b / 2.0) - np.maximum(cx_a - w_a / 2.0, cx_b - w_b / 2.0)
     ih = np.minimum(cy_a + h_a / 2.0, cy_b + h_b / 2.0) - np.maximum(cy_a - h_a / 2.0, cy_b - h_b / 2.0)
     inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
@@ -91,61 +96,71 @@ def iou_matrix(boxes_a: Sequence[BBox], boxes_b: Sequence[BBox]) -> np.ndarray:
 
 def combined_affinity(
     trajectories: Sequence["Trajectory"],
-    detections: Sequence[Detection],
+    detections: Detections | Sequence[Detection],
     weights: AffinityWeights,
 ) -> np.ndarray:
     """Affinity matrix between trajectories (rows) and detections (cols).
 
     Args:
         trajectories: objects exposing ``head_box`` and ``head_embedding``.
-        detections: candidate detections; each must carry an embedding
-            whenever ``weights.identity > 0``.
+        detections: one ``Detections`` batch, or ``Detection`` rows that are
+            packed into one; they must carry embeddings whenever
+            ``weights.identity > 0``.
         weights: blend of overlap vs identity affinity.
 
     Returns:
         float64 array of shape (len(trajectories), len(detections)) with
         entries in [0, 1].
     """
+    detections = Detections.pack(detections)
     n, m = len(trajectories), len(detections)
     if n == 0 or m == 0:
         return np.zeros((n, m))
 
     out = np.zeros((n, m))
     if weights.overlap > 0.0:
-        out += weights.overlap * iou_matrix([t.head_box for t in trajectories], [d.box for d in detections])
+        out += weights.overlap * _iou_cells(_box_rows([t.head_box for t in trajectories]), detections.boxes)
     if weights.identity > 0.0:
         for k, t in enumerate(trajectories):
             if t.head_embedding is None:
                 raise ValueError(
                     f"trajectory {getattr(t, 'track_id', k)} has no embedding but identity weight is {weights.identity}"
                 )
-        for k, d in enumerate(detections):
-            if d.embedding is None:
-                raise ValueError(f"detection {k} has no embedding but identity weight is {weights.identity}")
+        if detections.embeddings is None:
+            raise ValueError(f"detection 0 has no embedding but identity weight is {weights.identity}")
         emb_t = np.array([t.head_embedding for t in trajectories])
-        emb_d = np.array([d.embedding for d in detections])
         # Negative cosine carries no evidence of identity; the cap at one
         # absorbs float drift.
-        out += weights.identity * np.clip(emb_t @ emb_d.T, 0.0, 1.0)
+        out += weights.identity * np.clip(emb_t @ detections.embeddings.T, 0.0, 1.0)
     return out
 
 
-def nms(detections: Sequence[Detection], iou_threshold: float) -> list[Detection]:
+def nms(detections: Detections | Sequence[Detection], iou_threshold: float) -> Detections:
     """Greedy non-maximum suppression.
 
     Candidates are visited in descending confidence (ties: lower input index
     first); a candidate is dropped when it overlaps an already kept box with
-    IoU strictly above the threshold. Survivors come back in their original
-    relative order. One pairwise :func:`iou_matrix` serves the whole frame,
-    so memory is O(n²) in the number of detections.
+    IoU strictly above the threshold. The survivors come back as a new
+    ``Detections`` batch in their original relative order; ``Detection``
+    rows are packed into one batch first, and iterating the result yields
+    the surviving rows themselves. One pairwise IoU matrix serves the whole
+    frame, so memory is O(n²) in the number of detections; only the
+    candidates that overlap a later one above the threshold are visited one
+    by one.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
-    order = np.argsort([-d.confidence for d in detections], kind="stable")
-    boxes = [detections[i].box for i in order]
-    suppresses = iou_matrix(boxes, boxes) > iou_threshold
+    detections = Detections.pack(detections)
+    return detections.take(_survivors(detections.boxes, detections.confidence, iou_threshold))
+
+
+def _survivors(boxes: np.ndarray, confidence: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Sorted row indices that greedy NMS keeps."""
+    order = np.argsort(-confidence, kind="stable")
+    ranked = boxes[order]
+    suppresses = np.triu(_iou_cells(ranked, ranked) > iou_threshold, 1)
     alive = np.ones(len(order), dtype=bool)
-    for k in range(len(order)):
+    for k in np.flatnonzero(suppresses.any(axis=1)).tolist():
         if alive[k]:
-            alive[k + 1 :] &= ~suppresses[k, k + 1 :]
-    return [detections[i] for i in np.sort(order[alive])]
+            alive &= ~suppresses[k]
+    return np.sort(order[alive])

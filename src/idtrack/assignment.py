@@ -49,12 +49,8 @@ def solve_max(matrix: np.ndarray, min_affinity: float = 0.2) -> Assignment:
     from scipy.optimize import linear_sum_assignment
 
     row_idx, col_idx = linear_sum_assignment(matrix, maximize=True)
-    pairs = [
-        (int(i), int(j))
-        for i, j in zip(row_idx, col_idx)
-        if matrix[i, j] >= min_affinity
-    ]
-    return Assignment(tuple(pairs))
+    keep = matrix[row_idx, col_idx] >= min_affinity
+    return Assignment(tuple(zip(row_idx[keep].tolist(), col_idx[keep].tolist())))
 
 
 def brute_force_max(matrix: np.ndarray) -> float:

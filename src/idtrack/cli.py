@@ -102,7 +102,13 @@ def cmd_track(args) -> int:
     return 0
 
 
+def _check_iou_gate(gate: float) -> None:
+    if not 0.0 < gate <= 1.0:  # written so that NaN fails
+        raise ValueError(f"--iou-gate must lie in (0, 1], got {gate}")
+
+
 def cmd_eval(args) -> int:
+    _check_iou_gate(args.iou_gate)
     gt = read_gt(args.gt)
     if args.sweep:
         result = sweep_thresholds(gt, read_scored_hypotheses(args.hyp), args.thresholds, args.iou_gate)
@@ -154,6 +160,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    _check_iou_gate(args.iou_gate)
     config = _sim_config(args)
     models = {name: replace(base, det_threshold=args.det_threshold) for name, base in ABLATION_MODELS.items()}
     gt_full, dets_full = generate(config)

@@ -2,20 +2,29 @@
 
 Boxes live in center form (cx, cy, w, h); corner form (left, top, right,
 bottom) only appears at file-format boundaries and inside IoU math. A
-detection carries no frame number: streams are ``{frame: [Detection]}``
+detection carries no frame number: streams are ``{frame: Detections}``
 mappings, and the key is the one place a frame number lives.
+
+``Detections`` is one frame's detections as columns: an ``(n, 4)`` box
+array, confidences, optional unit embeddings and optional predicted boxes.
+Producers (the file readers and the simulator) build one per frame and
+consumers (NMS, affinity, the tracker, the writers) read its arrays, so no
+per-detection object exists unless someone iterates a batch. A
+``Detection`` is one row, for input built by hand and for iteration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "BBox",
     "Detection",
+    "Detections",
     "to_corner",
     "to_center",
 ]
@@ -23,7 +32,7 @@ __all__ = [
 UNIT_NORM_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BBox:
     """Axis-aligned box, center form. Width and height must be positive."""
 
@@ -53,22 +62,30 @@ def to_center(left: float, top: float, right: float, bottom: float) -> BBox:
     return BBox((left + right) / 2.0, (top + bottom) / 2.0, right - left, bottom - top)
 
 
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    """L2 norm of each row of a 2-D float64 array, bit-equal to per-row
+    ``np.linalg.norm`` (one BLAS dot per row)."""
+    return np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0, 0])
+
+
 def _check_unit(vec: np.ndarray, what: str) -> None:
     norm = math.sqrt(vec.dot(vec))  # np.linalg.norm's own arithmetic for 1-D float64
     if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # written so a NaN norm fails too
         raise ValueError(f"{what} must be L2-normalized (|norm-1| <= {UNIT_NORM_TOL}), got norm={norm}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Detection:
     """A single detector output: the network's box, identity embedding and
     predicted box for the next frame.
 
-    A detection does not know its frame; a stream keys its detections by
-    frame, as ``{frame: [Detection, ...]}``. The identity embedding is
-    optional; when present it must already be unit-norm (producers
-    normalize, consumers rely on it). ``prediction``, also optional, is
-    where the object is expected in the frame after this detection's.
+    This is one row of a ``Detections`` batch: what iterating a batch
+    yields, and what input built by hand is made of. A detection does not
+    know its frame; a stream keys its batches by frame. The identity
+    embedding is optional; when present it must already be unit-norm
+    (producers normalize, consumers rely on it). ``prediction``, also
+    optional, is where the object is expected in the frame after this
+    detection's.
     """
 
     box: BBox
@@ -85,3 +102,186 @@ class Detection:
                 raise ValueError("embedding must be a 1-D vector")
             _check_unit(emb, "detection embedding")
             object.__setattr__(self, "embedding", emb)
+
+
+def _box_rows(boxes: Sequence[BBox]) -> np.ndarray:
+    """``(n, 4)`` float64 array of BBox values."""
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def _good_boxes(boxes: np.ndarray) -> np.ndarray:
+    """Per row: finite values and positive size, as ``BBox`` requires."""
+    return np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > 0.0) & (boxes[:, 3] > 0.0)
+
+
+def _checked_box(cx: float, cy: float, w: float, h: float, new=object.__new__, put=object.__setattr__) -> BBox:
+    """A BBox of values that a ``Detections`` batch has already checked."""
+    box = new(BBox)
+    put(box, "cx", cx)
+    put(box, "cy", cy)
+    put(box, "w", w)
+    put(box, "h", h)
+    return box
+
+
+def _box_array(values, n: int, what: str) -> np.ndarray:
+    boxes = np.asarray(values, dtype=np.float64)
+    if boxes.size == 0:
+        boxes = boxes.reshape(0, 4)
+    if boxes.shape != (n, 4):
+        raise ValueError(f"{what} must have shape ({n}, 4), got {boxes.shape}")
+    return boxes
+
+
+def _first_false(ok: np.ndarray) -> int | None:
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else None
+
+
+class Detections:
+    """One frame's detections as columns.
+
+    ``boxes`` is ``(n, 4)`` in center form, ``confidence`` ``(n,)``,
+    ``embeddings`` ``(n, D)`` unit rows or None, and ``predictions``
+    ``(n, 4)`` next-frame boxes where the ``(n,)`` mask ``predicted`` is
+    True (both None when no row has one). The constructor checks the whole
+    batch at once: finite boxes of positive size, confidences in [0, 1] and
+    embedding norms within ``UNIT_NORM_TOL`` of 1; an error names the first
+    bad row. A batch is not modified after it is built; ``take`` makes a new
+    one.
+
+    ``len()`` and iteration work as on a list of ``Detection`` rows. The rows
+    are built on the first iteration and kept, so iterating again is cheap
+    and yields the same objects.
+    """
+
+    __slots__ = ("boxes", "confidence", "embeddings", "predictions", "predicted", "_rows")
+
+    def __init__(self, boxes, confidence, embeddings=None, predictions=None, predicted=None):
+        confidence = np.asarray(confidence, dtype=np.float64).reshape(-1)
+        n = confidence.shape[0]
+        boxes = _box_array(boxes, n, "boxes")
+        k = _first_false(_good_boxes(boxes))
+        if k is not None:
+            raise ValueError(f"detection {k}: box needs finite values and positive size, got {tuple(boxes[k].tolist())}")
+        k = _first_false((confidence >= 0.0) & (confidence <= 1.0))
+        if k is not None:
+            raise ValueError(f"detection {k}: confidence must lie in [0, 1], got {confidence[k]}")
+        if embeddings is not None:
+            embeddings = np.asarray(embeddings, dtype=np.float64)
+            if embeddings.ndim != 2 or embeddings.shape[0] != n:
+                raise ValueError(f"embeddings must have shape ({n}, D), got {embeddings.shape}")
+            with np.errstate(over="ignore", invalid="ignore"):
+                norms = _row_norms(embeddings)
+            k = _first_false(np.abs(norms - 1.0) <= UNIT_NORM_TOL)  # a NaN norm fails too
+            if k is not None:
+                raise ValueError(
+                    f"detection {k}: embedding must be L2-normalized (|norm-1| <= {UNIT_NORM_TOL}), got norm={norms[k]}"
+                )
+        if predictions is not None:
+            predictions = _box_array(predictions, n, "predictions")
+            predicted = np.ones(n, dtype=bool) if predicted is None else np.asarray(predicted, dtype=bool).reshape(n)
+            k = _first_false(_good_boxes(predictions) | ~predicted)
+            if k is not None:
+                raise ValueError(
+                    f"detection {k}: prediction needs finite values and positive size, got {tuple(predictions[k].tolist())}"
+                )
+        elif predicted is not None:
+            raise ValueError("a prediction mask needs predictions")
+        self._set(boxes, confidence, embeddings, predictions, predicted)
+
+    def _set(self, boxes, confidence, embeddings, predictions, predicted) -> None:
+        self.boxes = boxes
+        self.confidence = confidence
+        self.embeddings = embeddings
+        self.predictions = predictions
+        self.predicted = predicted
+        self._rows = None
+
+    @classmethod
+    def _checked(cls, boxes, confidence, embeddings=None, predictions=None, predicted=None) -> "Detections":
+        """A batch of arrays that are already float64, shaped and valid (read
+        and checked in bulk, taken from a batch, or packed from rows)."""
+        batch = cls.__new__(cls)
+        batch._set(boxes, confidence, embeddings, predictions, predicted)
+        return batch
+
+    @classmethod
+    def pack(cls, rows: Sequence[Detection]) -> "Detections":
+        """One batch holding ``rows`` (a batch is returned as it is). Either
+        every row has an embedding, all of one dimension, or none has."""
+        if isinstance(rows, Detections):
+            return rows
+        boxes = _box_rows([d.box for d in rows])
+        confidence = np.array([d.confidence for d in rows], dtype=np.float64)
+        vectors = [d.embedding for d in rows]
+        missing = [k for k, v in enumerate(vectors) if v is None]
+        embeddings = None
+        if missing and len(missing) < len(rows):
+            having = next(k for k, v in enumerate(vectors) if v is not None)
+            raise ValueError(f"detection {missing[0]} has no embedding but detection {having} has one")
+        if vectors and not missing:
+            if len({v.shape for v in vectors}) > 1:
+                raise ValueError("detections with embeddings of different dimensions")
+            embeddings = np.array(vectors)
+        predictions = predicted = None
+        ahead = [d.prediction for d in rows]
+        if ahead.count(None) < len(ahead):
+            predicted = np.array([p is not None for p in ahead])
+            predictions = _box_rows([p or d.box for p, d in zip(ahead, rows)])
+        batch = cls._checked(boxes, confidence, embeddings, predictions, predicted)
+        batch._rows = list(rows)
+        return batch
+
+    def take(self, index) -> "Detections":
+        """The rows that ``index`` (integers or a boolean mask) selects, as a
+        new batch."""
+        if not (isinstance(index, np.ndarray) and index.dtype == bool):
+            index = np.asarray(index, dtype=np.intp)
+        batch = Detections._checked(
+            self.boxes[index],
+            self.confidence[index],
+            None if self.embeddings is None else self.embeddings[index],
+            None if self.predictions is None else self.predictions[index],
+            None if self.predicted is None else self.predicted[index],
+        )
+        if self._rows is not None:
+            picks = np.flatnonzero(index) if index.dtype == bool else index
+            batch._rows = [self._rows[k] for k in picks.tolist()]
+        return batch
+
+    def box_list(self) -> list[BBox]:
+        """Each row's box as a ``BBox`` (the rows' own once they exist)."""
+        if self._rows is not None:
+            return [d.box for d in self._rows]
+        return [_checked_box(*box) for box in self.boxes.tolist()]
+
+    def prediction_list(self) -> list[BBox | None]:
+        """Each row's predicted next-frame box, or None."""
+        if self._rows is not None:
+            return [d.prediction for d in self._rows]
+        predictions = [None] * len(self)
+        if self.predicted is not None:
+            for k in np.flatnonzero(self.predicted).tolist():
+                predictions[k] = _checked_box(*self.predictions[k].tolist())
+        return predictions
+
+    def embedding_list(self) -> list[np.ndarray | None]:
+        """Each row's embedding, or None."""
+        return [None] * len(self) if self.embeddings is None else list(self.embeddings)
+
+    def __len__(self) -> int:
+        return self.confidence.shape[0]
+
+    def __iter__(self) -> Iterator[Detection]:
+        return iter(self.rows())
+
+    def __getitem__(self, k: int) -> Detection:
+        return self.rows()[k]
+
+    def rows(self) -> list[Detection]:
+        """The batch as ``Detection`` rows, built (and checked) once."""
+        if self._rows is None:
+            values = zip(self.box_list(), self.confidence.tolist(), self.embedding_list(), self.prediction_list())
+            self._rows = [Detection(*row) for row in values]
+        return self._rows

@@ -12,13 +12,21 @@ read time; a deviation beyond 1e-3 triggers a warning, and a NaN or inf
 component is an error. Given each frame's detection count, a vector that
 names no detection is an error; a repeated ``(frame, det_index)`` always is.
 
-MOT files are read line by line. The sidecar, which holds most of the
-values, is parsed in one ``np.loadtxt`` call first. When that call fails or
-warns, or its result breaks any rule above, ``read_embeddings`` runs its
-line loop instead, which reports the first bad line as ``path:line`` and
-issues the warnings. Both paths use the same float parser and arithmetic,
-so they return the same values bit for bit. A non-ASCII byte is an error
-naming its line in every file.
+Detection files and the sidecar, which hold most of the values, are each
+parsed in one ``np.loadtxt`` call first. When that call fails or warns, or
+its result breaks any rule of the format, the reader runs its line loop
+instead, which reports the first bad line as ``path:line`` and issues the
+warnings. Both paths use the same float parser and arithmetic, so they
+return the same values bit for bit. Ground truth, results and predictions
+are read by the line loop alone. A non-ASCII byte is an error naming its
+line in every file.
+
+``read_detections`` and ``load_detections`` return one ``Detections``
+batch per frame and build no per-detection object: the sidecar's vectors
+and the predicted boxes join each frame's box and confidence arrays as
+matrices, placed by their ``(frame, index)`` keys. The writers take
+batches (or lists of ``Detection`` rows); the MOT writers convert a frame's
+boxes (or up to ``_CHUNK_ROWS`` results) to corner form in one numpy pass.
 
 The sidecar writer streams its rows in chunks of a few thousand values. Each
 chunk is formatted in numpy in fixed point, rounding exactly as "%.9f" does
@@ -32,12 +40,11 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import BBox, Detection, to_center, to_corner
+from .geometry import BBox, Detection, Detections, _box_rows, _good_boxes, _row_norms, to_center
 from .tracker import TrackOutput
 
 __all__ = [
@@ -57,8 +64,6 @@ __all__ = [
 NORM_WARN_TOL = 1e-3
 
 _NON_ASCII = re.compile(rb"[\x80-\xff]")
-# loadtxt skips these as whitespace inside a field; int() and float() do not.
-_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 def _read_text(path) -> str:
@@ -85,10 +90,10 @@ def _data_lines(text: str) -> Iterator[tuple[int, str]]:
 def _bulk_lines(fh) -> Iterator[str]:
     """The open file's lines, streamed so that no copy of the whole text is
     held. Raises ValueError at a character that loadtxt and ``int``/``float``
-    read differently, and UnicodeDecodeError (a ValueError) at a non-ASCII
-    byte."""
+    read differently (loadtxt skips \\x1c-\\x1f as whitespace inside a
+    field), and UnicodeDecodeError (a ValueError) at a non-ASCII byte."""
     for line in fh:
-        if any(c in line for c in _LOADTXT_ONLY_SPACE):
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
             raise ValueError("a field only loadtxt would read")
         yield line
 
@@ -127,21 +132,67 @@ def _read_mot(path, add: Callable[..., None]) -> dict:
     return out
 
 
-def read_detections(path) -> dict[int, list[Detection]]:
-    """Read a detection file (no embeddings attached)."""
+def read_detections(path) -> dict[int, Detections]:
+    """Read a detection file (no embeddings attached): one batch per frame,
+    frames in order of first appearance, rows in file order."""
+    found = _detections_in_bulk(path)
+    return found if found is not None else _detections_by_line(path)
 
+
+# The seven leading MOT columns; loadtxt reads the box's four as one field.
+_MOT_ROW = np.dtype([("frame", np.int64), ("id", np.int64), ("box", np.float64, (4,)), ("conf", np.float64)])
+
+
+def _detections_in_bulk(path) -> dict[int, Detections] | None:
+    """``read_detections``'s result when every line is valid, else None.
+    Columns past the seventh are not read, as the line loop ignores them.
+    Centre and size take ``to_center``'s float operations on
+    ``(left, top, left + w, top + h)``."""
+    try:
+        with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(_bulk_lines(fh), dtype=_MOT_ROW, delimiter=",", comments=None, usecols=range(7), ndmin=1)
+    except (ValueError, Warning):
+        return None
+    frames, conf = rows["frame"], rows["conf"]
+    left, top, w, h = rows["box"].T
+    right, bottom = left + w, top + h
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite box is the line loop's error
+        boxes = np.stack([(left + right) / 2.0, (top + bottom) / 2.0, right - left, bottom - top], axis=1)
+    if not ((frames >= 1).all() and _good_boxes(boxes).all() and ((conf >= 0.0) & (conf <= 1.0)).all()):
+        return None
+    order = np.argsort(frames, kind="stable")
+    keys, first, counts = np.unique(frames, return_index=True, return_counts=True)
+    ends = np.cumsum(counts).tolist()
+    boxes, conf = boxes[order], conf[order]
+    out = {}
+    for k in np.argsort(first).tolist():
+        start, end = ends[k] - int(counts[k]), ends[k]
+        out[int(keys[k])] = Detections._checked(boxes[start:end], conf[start:end])
+    return out
+
+
+def _detections_by_line(path) -> dict[int, Detections]:
     def add(out, frame, _, box, conf):
-        out.setdefault(frame, []).append(Detection(box, conf))
+        if not 0.0 <= conf <= 1.0:
+            raise ValueError(f"confidence must lie in [0, 1], got {conf}")
+        boxes, confs = out.setdefault(frame, ([], []))
+        boxes.append((box.cx, box.cy, box.w, box.h))
+        confs.append(conf)
 
-    return _read_mot(path, add)
+    return {
+        frame: Detections._checked(np.array(boxes, dtype=np.float64), np.array(confs, dtype=np.float64))
+        for frame, (boxes, confs) in _read_mot(path, add).items()
+    }
 
 
-def _embeddings_in_bulk(path, det_counts) -> tuple[int, dict[tuple[int, int], np.ndarray]] | None:
-    """``read_embeddings``'s result when every line is valid and in tolerance,
-    else None. The key columns are parsed as integers, so loadtxt rejects
-    ``1.0`` there as ``int`` does; numpy releases that still take it only
-    warn, and any warning here sends the file to the line loop (as does an
-    empty body, on which loadtxt warns)."""
+def _embeddings_in_bulk(path, det_counts) -> tuple[int, list[tuple[int, int]], np.ndarray] | None:
+    """``(dim, keys, matrix)`` with ``matrix[k]`` the vector of ``keys[k]``, in
+    file order, when every line is valid and in tolerance, else None. The
+    key columns are parsed as integers, so loadtxt rejects ``1.0`` there as
+    ``int`` does; numpy releases that still take it only warn, and any
+    warning here sends the file to the line loop (as does an empty body, on
+    which loadtxt warns)."""
     try:
         with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -156,17 +207,16 @@ def _embeddings_in_bulk(path, det_counts) -> tuple[int, dict[tuple[int, int], np
         return None
     m = rows["v"]
     with np.errstate(over="ignore"):  # an overflowing norm is the line loop's error
-        norms = np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0, 0])  # bit-equal to per-row np.linalg.norm
+        norms = _row_norms(m)
     if not (np.abs(norms - 1.0) <= NORM_WARN_TOL).all():  # also fails NaN, inf and zero norms
         return None
     keys = list(zip(rows["frame"].tolist(), rows["index"].tolist()))
     if det_counts is not None and not all(0 <= i < det_counts.get(f, 0) for f, i in keys):
         return None
-    m /= norms[:, None]
-    vectors = dict(zip(keys, m))
-    if len(vectors) != len(keys):
+    if len(set(keys)) != len(keys):
         return None
-    return dim, vectors
+    m /= norms[:, None]
+    return dim, keys, m
 
 
 def _embeddings_by_line(path, text: str, det_counts) -> tuple[int, dict[tuple[int, int], np.ndarray]]:
@@ -214,20 +264,27 @@ def _embeddings_by_line(path, text: str, det_counts) -> tuple[int, dict[tuple[in
     return dim, vectors
 
 
-def read_embeddings(
-    path, det_counts: Mapping[int, int] | None = None
-) -> tuple[int, dict[tuple[int, int], np.ndarray]]:
+def read_embeddings(path, det_counts: Mapping[int, int] | None = None, *, as_matrix: bool = False):
     """Read an embedding sidecar; returns (dim, {(frame, det_index): vector}).
 
     Every vector is finite and unit-norm. ``det_counts``, when given, maps
     each frame to its number of raw detections; a line whose index names no
-    detection is then rejected. A repeated key is always rejected.
+    detection is then rejected. A repeated key is always rejected. With
+    ``as_matrix`` the result is ``(dim, keys, matrix)`` instead: the keys in
+    file order and one ``(len(keys), dim)`` array whose row ``k`` is the
+    vector of ``keys[k]``.
     """
     found = _embeddings_in_bulk(path, det_counts)
-    return found if found is not None else _embeddings_by_line(path, _read_text(path), det_counts)
+    if found is None:
+        dim, vectors = _embeddings_by_line(path, _read_text(path), det_counts)
+        if not as_matrix:
+            return dim, vectors
+        found = dim, list(vectors), np.array(list(vectors.values())).reshape(len(vectors), dim)
+    dim, keys, matrix = found
+    return found if as_matrix else (dim, dict(zip(keys, matrix)))
 
 
-def load_detections(dets_path, embeddings_path=None, predictions_path=None) -> dict[int, list[Detection]]:
+def load_detections(dets_path, embeddings_path=None, predictions_path=None) -> dict[int, Detections]:
     """Read detections and, when given, attach their sidecar embeddings and
     predicted next-frame boxes.
 
@@ -235,25 +292,51 @@ def load_detections(dets_path, embeddings_path=None, predictions_path=None) -> d
     predictions file may cover any subset of the detections. Both files
     are keyed by (frame, index in the frame's raw list), so each value
     reaches its detection whatever the confidence filter and NMS drop later.
+    Each frame's vectors and predicted boxes become matrices of its batch,
+    beside the box and confidence arrays that ``read_detections`` returned.
     """
     dets = read_detections(dets_path)
     det_counts = {frame: len(v) for frame, v in dets.items()}
-    # In place: every det is new and unshared. read_embeddings has just
-    # divided each vector by its norm, so it is the finite unit float64 1-D
-    # vector Detection's constructor would check; a rebuild would only
-    # repeat that norm check for every detection.
-    if embeddings_path is not None:
-        _, vectors = read_embeddings(embeddings_path, det_counts)
-        for frame, frame_dets in dets.items():
-            for idx, det in enumerate(frame_dets):
-                vec = vectors.get((frame, idx))
-                if vec is None:
-                    raise ValueError(f"{embeddings_path}: no embedding for frame {frame} detection {idx}")
-                object.__setattr__(det, "embedding", vec)
+    embeddings = {} if embeddings_path is None else _frame_matrices(embeddings_path, det_counts)
+    ahead: dict[int, dict[int, BBox]] = {}
     if predictions_path is not None:
         for (frame, idx), box in read_predictions(predictions_path, det_counts).items():
-            object.__setattr__(dets[frame][idx], "prediction", box)
+            ahead.setdefault(frame, {})[idx] = box
+    for frame, batch in dets.items():
+        predicted = predictions = None
+        if frame in ahead:
+            rows = list(ahead[frame])
+            predicted = np.zeros(len(batch), dtype=bool)
+            predicted[rows] = True
+            predictions = batch.boxes.copy()  # rows without a prediction keep a valid placeholder
+            predictions[rows] = _box_rows(list(ahead[frame].values()))
+        dets[frame] = Detections._checked(batch.boxes, batch.confidence, embeddings.get(frame), predictions, predicted)
     return dets
+
+
+def _frame_matrices(path, det_counts: Mapping[int, int]) -> dict[int, np.ndarray]:
+    """Each frame's sidecar vectors in detection order, as row blocks of the
+    one matrix ``read_embeddings`` returns (reordered only when the file is
+    not in frame and index order). read_embeddings has just divided each
+    vector by its norm, so the rows are finite, unit and float64."""
+    _, keys, matrix = read_embeddings(path, det_counts, as_matrix=True)
+    starts, total = {}, 0
+    for frame, n in det_counts.items():
+        starts[frame] = total
+        total += n
+    # Every key names a detection and none repeats, so the positions are
+    # distinct and in range: they cover every detection when there are as
+    # many as there are detections.
+    at = np.array([starts[frame] + idx for frame, idx in keys], dtype=np.intp)
+    if len(at) < total:
+        have = np.zeros(total, dtype=bool)
+        have[at] = True
+        first = int(np.argmin(have))
+        frame = next(f for f, start in starts.items() if first < start + det_counts[f])
+        raise ValueError(f"{path}: no embedding for frame {frame} detection {first - starts[frame]}")
+    if (at != np.arange(total)).any():
+        matrix = matrix[np.argsort(at)]
+    return {frame: matrix[start : start + det_counts[frame]] for frame, start in starts.items()}
 
 
 def read_gt(path) -> dict[int, list[tuple[int, BBox]]]:
@@ -298,9 +381,20 @@ def read_predictions(path, det_counts: Mapping[int, int]) -> dict[tuple[int, int
     return _read_mot(path, add)
 
 
-def _mot_line(frame: int, obj_id: int, box: BBox, conf: float) -> str:
-    left, top, right, bottom = to_corner(box)
-    return "%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,-1,-1,-1\n" % (frame, obj_id, left, top, right - left, bottom - top, conf)
+_MOT_LINE = "%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,-1,-1,-1\n"
+_CHUNK_ROWS = 1024  # results formatted at a time, so that the lists stay small
+
+
+def _mot_lines(frames: Sequence[int], ids: Sequence[int], boxes: np.ndarray, confidence: Sequence[float]) -> str:
+    """The MOT lines of rows ``(frames[k], ids[k], boxes[k], confidence[k])``,
+    boxes in center form, with ``to_corner``'s float operations done in
+    numpy for all the boxes at once."""
+    cx, cy, w, h = boxes.T
+    with np.errstate(over="ignore", invalid="ignore"):  # Python floats overflow silently too
+        half_w, half_h = w / 2.0, h / 2.0
+        left, top, right, bottom = cx - half_w, cy - half_h, cx + half_w, cy + half_h
+        columns = (left.tolist(), top.tolist(), (right - left).tolist(), (bottom - top).tolist())
+    return "".join(map(_MOT_LINE.__mod__, zip(frames, ids, *columns, confidence)))
 
 
 def write_results(path, outputs: Iterable[TrackOutput], include_interpolated: bool = False) -> int:
@@ -315,23 +409,27 @@ def write_results(path, outputs: Iterable[TrackOutput], include_interpolated: bo
         if o.track_id < 1:
             raise ValueError(f"track ids must be >= 1, got {o.track_id}")
     with open(path, "w", encoding="ascii") as fh:
-        for o in rows:
-            fh.write(_mot_line(o.frame, o.track_id, o.box, o.confidence))
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            chunk = rows[start : start + _CHUNK_ROWS]
+            frames, ids = [o.frame for o in chunk], [o.track_id for o in chunk]
+            fh.write(_mot_lines(frames, ids, _box_rows([o.box for o in chunk]), [o.confidence for o in chunk]))
     return len(rows)
 
 
 def write_gt(path, gt: Mapping[int, list[tuple[int, BBox]]]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for frame in sorted(gt):
-            for obj_id, box in gt[frame]:
-                fh.write(_mot_line(frame, obj_id, box, 1.0))
+            ids = [obj_id for obj_id, _ in gt[frame]]
+            fh.write(_mot_lines([frame] * len(ids), ids, _box_rows([box for _, box in gt[frame]]), [1.0] * len(ids)))
 
 
-def write_detections(path, dets: Mapping[int, list[Detection]]) -> None:
+def write_detections(path, dets: Mapping[int, Detections | Sequence[Detection]]) -> None:
+    """Write each frame's detections in order, with id -1."""
     with open(path, "w", encoding="ascii") as fh:
         for frame in sorted(dets):
-            for det in dets[frame]:
-                fh.write(_mot_line(frame, -1, det.box, det.confidence))
+            batch = Detections.pack(dets[frame])
+            n = len(batch)
+            fh.write(_mot_lines([frame] * n, [-1] * n, batch.boxes, batch.confidence.tolist()))
 
 
 # The sidecar's values are formatted in fixed point. y = |v| * 1e9 is within
@@ -385,29 +483,44 @@ def _embedding_rows(keys: Sequence[tuple[int, int]], m: np.ndarray, line: str) -
     return b"".join(out)
 
 
-def write_embeddings(path, dets: Mapping[int, list[Detection]]) -> None:
+def write_embeddings(path, dets: Mapping[int, Detections | Sequence[Detection]]) -> None:
     """Write the embedding sidecar for a detection stream (all must have one,
     of one dimension; both are checked before the file is opened). Rows are
     formatted and written a chunk of about ``_CHUNK_VALUES`` values at a
     time."""
+    matrices = []
     dim = None
     for frame in sorted(dets):
-        for idx, det in enumerate(dets[frame]):
-            if det.embedding is None:
-                raise ValueError(f"frame {frame} detection {idx} has no embedding")
-            if dim is None:
-                dim = det.embedding.shape[0]
-            elif det.embedding.shape[0] != dim:
-                raise ValueError("mixed embedding dimensions in one stream")
+        try:
+            batch = Detections.pack(dets[frame])
+        except ValueError as exc:
+            raise ValueError(f"frame {frame}: {exc}") from None
+        if not len(batch):
+            continue
+        if batch.embeddings is None:
+            raise ValueError(f"frame {frame} detection 0 has no embedding")
+        if dim is None:
+            dim = batch.embeddings.shape[1]
+        elif batch.embeddings.shape[1] != dim:
+            raise ValueError("mixed embedding dimensions in one stream")
+        matrices.append((frame, batch.embeddings))
     dim = dim or 0
     line = "%d,%d" + ",%.9f" * dim + "\n"
-    rows = (((frame, idx), det.embedding) for frame in sorted(dets) for idx, det in enumerate(dets[frame]))
     chunk_rows = max(1, _CHUNK_VALUES // max(dim, 1))
     with open(path, "wb") as fh:
         fh.write(b"dim=%d\n" % dim)
-        while chunk := list(islice(rows, chunk_rows)):
-            keys, vectors = zip(*chunk)
-            fh.write(_embedding_rows(keys, np.array(vectors), line))
+        keys: list[tuple[int, int]] = []
+        parts: list[np.ndarray] = []
+        for frame, m in matrices:
+            for start in range(0, len(m), chunk_rows):
+                part = m[start : start + chunk_rows]
+                keys.extend((frame, idx) for idx in range(start, start + len(part)))
+                parts.append(part)
+                if len(keys) >= chunk_rows:
+                    fh.write(_embedding_rows(keys, np.concatenate(parts), line))
+                    keys, parts = [], []
+        if keys:
+            fh.write(_embedding_rows(keys, np.concatenate(parts), line))
 
 
 def read_config(path) -> dict[str, str]:

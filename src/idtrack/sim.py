@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .geometry import BBox, Detection
+from .geometry import BBox, Detections, _row_norms
 
 __all__ = ["SimConfig", "generate", "subsample", "benchmark_config", "config_from_mapping"]
 
@@ -139,15 +139,18 @@ def _bounce(p: float, v: float, lo: float, hi: float) -> tuple[float, float]:
     return p, v
 
 
-def generate(config: SimConfig) -> tuple[dict[int, list[tuple[int, BBox]]], dict[int, list[Detection]]]:
+def generate(config: SimConfig) -> tuple[dict[int, list[tuple[int, BBox]]], dict[int, Detections]]:
     """Build (gt, dets) streams, both keyed by 1-based output frame index.
 
     gt holds (identity, box) pairs for every identity in every kept frame;
-    dets holds Detection objects (noisy boxes, confidence, unit embedding)
-    in identity order followed by that frame's false positives. Source
-    frames 1, 1+stride, 1+2*stride, ... are kept and numbered densely. Every
-    source frame makes the same draws whether it is kept or not, so the
-    result equals ``subsample`` of the stride-1 scene.
+    dets holds one ``Detections`` batch per kept frame (noisy boxes,
+    confidences, unit embeddings), its rows in identity order followed by
+    that frame's false positives. Source frames 1, 1+stride, 1+2*stride, ...
+    are kept and numbered densely. Every source frame makes the same draws
+    whether it is kept or not, so the result equals ``subsample`` of the
+    stride-1 scene. A kept frame's values are gathered as Python floats and
+    noise vectors and become its batch in one step: the embeddings are
+    normalised together, with the per-row arithmetic of ``_unit``.
     """
     rng = np.random.Generator(np.random.Philox(config.seed))
     random, normal, uniform = rng.random, rng.normal, rng.uniform
@@ -157,12 +160,12 @@ def generate(config: SimConfig) -> tuple[dict[int, list[tuple[int, BBox]]], dict
     width, height = config.arena
     miss_rate, turn_prob = config.miss_rate, config.turn_prob
 
-    protos: list[np.ndarray] = []
+    protos = np.empty((n, dim))
     sizes: list[tuple[float, float]] = []
     pos: list[list[float]] = []  # [x, y] per identity
     vel: list[list[float]] = []  # [vx, vy] per identity
-    for _ in range(n):
-        protos.append(_unit(normal(size=dim)))
+    for i in range(n):
+        protos[i] = _unit(normal(size=dim))
         w = uniform(*config.box_size_range)
         h = uniform(*config.box_size_range)
         sizes.append((w, h))
@@ -180,12 +183,15 @@ def generate(config: SimConfig) -> tuple[dict[int, list[tuple[int, BBox]]], dict
     occluded_at = occluded.tolist()
 
     gt: dict[int, list[tuple[int, BBox]]] = {}
-    dets: dict[int, list[Detection]] = {}
+    dets: dict[int, Detections] = {}
     for t in range(1, config.frames + 1):
         keep = (t - 1) % stride == 0
         frame = (t - 1) // stride + 1
         gt_frame: list[tuple[int, BBox]] = []
-        det_frame: list[Detection] = []
+        boxes: list[tuple[float, float, float, float]] = []
+        confidence: list[float] = []
+        noise: list[np.ndarray] = []  # embedding noise, one row per detection
+        seen: list[int] = []  # identity of each non-false-positive row
         for i in range(n):
             p, v = pos[i], vel[i]
             if random() < turn_prob:
@@ -207,14 +213,15 @@ def generate(config: SimConfig) -> tuple[dict[int, list[tuple[int, BBox]]], dict
             emb_noise = normal(size=dim)
             if keep:
                 dx, dy, dw, dh = box_noise.tolist()
-                noisy = BBox(
+                boxes.append((
                     p[0] + config.center_noise * dx,
                     p[1] + config.center_noise * dy,
                     w * math.exp(config.size_noise * dw),
                     h * math.exp(config.size_noise * dh),
-                )
-                emb = _unit(protos[i] + config.embedding_noise * emb_noise)
-                det_frame.append(Detection(noisy, 0.55 + 0.44 * conf_draw, emb))
+                ))
+                confidence.append(0.55 + 0.44 * conf_draw)
+                noise.append(emb_noise)
+                seen.append(i)
 
         for _ in range(int(rng.poisson(config.fp_rate))):
             w = uniform(*config.box_size_range)
@@ -224,28 +231,35 @@ def generate(config: SimConfig) -> tuple[dict[int, list[tuple[int, BBox]]], dict
             conf_draw = random()
             emb_noise = normal(size=dim)
             if keep:
-                det_frame.append(Detection(BBox(cx, cy, w, h), 0.05 + 0.5 * conf_draw, _unit(emb_noise)))
+                boxes.append((cx, cy, w, h))
+                confidence.append(0.05 + 0.5 * conf_draw)
+                noise.append(emb_noise)
 
         if keep:
             gt[frame] = gt_frame
-            dets[frame] = det_frame
+            vectors = np.array(noise).reshape(-1, dim)
+            k = len(seen)
+            vectors[:k] = protos[seen] + config.embedding_noise * vectors[:k]
+            vectors /= _row_norms(vectors)[:, None]
+            dets[frame] = Detections(boxes, confidence, vectors)
     return gt, dets
 
 
-def subsample(stream: Mapping[int, list], stride: int) -> dict[int, list]:
+def subsample(stream: Mapping[int, object], stride: int) -> dict[int, object]:
     """Keep frames 1, 1+stride, 1+2*stride, ... and re-key them densely.
 
-    Only the keys change: the entries (detections or gt tuples) are the
-    same objects, in new lists. A detection's ``prediction`` still points
-    one source frame ahead, not one kept frame, so a strided stream should
-    carry none (``idtrack track`` rejects ``--predictions`` with a stride).
+    Only the keys change: each kept frame's value (a ``Detections`` batch or
+    a gt list) is the same object, and a frame missing from ``stream``
+    becomes ``[]``. A detection's prediction still points one source frame
+    ahead, not one kept frame, so a strided stream should carry none
+    (``idtrack track`` rejects ``--predictions`` with a stride).
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if not stream:
         return {}
     kept = range(1, max(stream) + 1, stride)
-    return {new_idx: list(stream.get(orig, ())) for new_idx, orig in enumerate(kept, start=1)}
+    return {new_idx: stream.get(orig, []) for new_idx, orig in enumerate(kept, start=1)}
 
 
 def config_from_mapping(values: Mapping[str, str]) -> SimConfig:

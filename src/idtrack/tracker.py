@@ -19,6 +19,11 @@ Per frame the tracker runs four phases:
    back. Once a trajectory has been unseen for more than ``buffer_size``
    frames its id is retired for good.
 
+A frame's detections reach ``Tracker.step`` as one ``Detections`` batch
+(``Detection`` rows are packed into one): affinities and updates read its
+arrays, and a ``BBox`` is built only for the box a trajectory takes as its
+new head. ``track_stream`` takes a whole stream, ``{frame: Detections}``.
+
 Identity-only recovery needs embeddings, so with ``weights.identity == 0``
 phase 2 is skipped entirely and the tracker degrades to a plain IoU
 Hungarian tracker. With ``weights.identity > 0`` every detection must carry
@@ -40,7 +45,7 @@ import numpy as np
 
 from .affinity import AffinityWeights, combined_affinity, nms
 from .assignment import solve_max
-from .geometry import BBox, Detection
+from .geometry import BBox, Detection, Detections, _row_norms
 
 __all__ = [
     "Trajectory",
@@ -110,7 +115,7 @@ class TrackerConfig:
             raise ValueError(f"min_affinity must lie in [0, 1], got {self.min_affinity}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackOutput:
     """One emitted box. ``interpolated`` marks propagation output, not a detection."""
 
@@ -127,46 +132,55 @@ def propagate_linear(traj: Trajectory, steps: int = 1) -> BBox:
     return BBox(traj.head_box.cx + steps * vx, traj.head_box.cy + steps * vy, traj.head_box.w, traj.head_box.h)
 
 
-def update_trajectory(trajs: Sequence[Trajectory], dets: Sequence[Detection], momentum: float, frame: int) -> None:
+def update_trajectory(
+    trajs: Sequence[Trajectory], dets: Detections | Sequence[Detection], momentum: float, frame: int
+) -> None:
     """Absorb detections of ``frame`` into their trajectories, in place.
 
-    ``dets[k]`` goes to ``trajs[k]``; the trajectories must be distinct.
-    Each detection box becomes its trajectory's head, and its prediction the
-    trajectory's ``predicted_box``. An embedding moves toward the
-    detection's by ``1 - momentum`` and is re-normalized; the velocity is an
-    exponential average (same momentum) of the per-frame center displacement
-    since the current head. Every head frame is checked before any
-    trajectory changes, so a rejected batch leaves all of them as they were.
+    ``dets`` is a ``Detections`` batch (or a sequence of ``Detection`` rows,
+    packed into one) whose row ``k`` goes to ``trajs[k]``; the trajectories
+    must be distinct. Each detection box becomes its trajectory's head, and
+    its prediction the trajectory's ``predicted_box``. An embedding moves
+    toward the detection's by ``1 - momentum`` and is re-normalized; the
+    velocity is an exponential average (same momentum) of the per-frame
+    center displacement since the current head. Every head frame is checked
+    before any trajectory changes, so a rejected batch leaves all of them as
+    they were.
     """
+    dets = Detections.pack(dets)
     for traj in trajs:
         if frame < traj.head_frame:
             raise ValueError(f"detection frame {frame} is behind trajectory head frame {traj.head_frame}")
 
-    blend = [k for k, (t, d) in enumerate(zip(trajs, dets)) if t.head_embedding is not None and d.embedding is not None]
-    if blend:
-        old = np.array([trajs[k].head_embedding for k in blend])
-        mixed = momentum * old + (1.0 - momentum) * np.array([dets[k].embedding for k in blend])
-        # Row norms with np.linalg.norm's own dot product, bit for bit.
-        norms = np.sqrt((mixed[:, None, :] @ mixed[:, :, None])[:, 0, 0])
-        # Opposite embeddings can cancel at momentum 0.5; trust the fresh one.
-        cancelled = norms < 1e-12
-        mixed /= np.where(cancelled, 1.0, norms)[:, None]
-        for row, k in enumerate(blend):
-            trajs[k].head_embedding = dets[k].embedding if cancelled[row] else mixed[row]
+    fresh = dets.embeddings
+    if fresh is not None:
+        blend = []
+        for k, traj in enumerate(trajs):
+            if traj.head_embedding is None:
+                traj.head_embedding = fresh[k]
+            else:
+                blend.append(k)
+        if blend:
+            mine = fresh[blend]
+            mixed = momentum * np.array([trajs[k].head_embedding for k in blend]) + (1.0 - momentum) * mine
+            norms = _row_norms(mixed)
+            # Opposite embeddings can cancel at momentum 0.5; trust the fresh one.
+            cancelled = norms < 1e-12
+            mixed /= np.where(cancelled, 1.0, norms)[:, None]
+            for row, k in enumerate(blend):
+                trajs[k].head_embedding = mine[row] if cancelled[row] else mixed[row]
 
-    for traj, det in zip(trajs, dets):
+    for traj, box, conf, prediction in zip(trajs, dets.box_list(), dets.confidence.tolist(), dets.prediction_list()):
         gap = max(frame - traj.head_frame, 1)
-        disp = ((det.box.cx - traj.head_box.cx) / gap, (det.box.cy - traj.head_box.cy) / gap)
+        disp = ((box.cx - traj.head_box.cx) / gap, (box.cy - traj.head_box.cy) / gap)
         traj.avg_velocity = (
             momentum * traj.avg_velocity[0] + (1.0 - momentum) * disp[0],
             momentum * traj.avg_velocity[1] + (1.0 - momentum) * disp[1],
         )
-        if traj.head_embedding is None:
-            traj.head_embedding = det.embedding
-        traj.head_box = det.box
+        traj.head_box = box
         traj.last_seen = traj.head_frame = frame
-        traj.last_confidence = det.confidence
-        traj.predicted_box = det.prediction
+        traj.last_confidence = conf
+        traj.predicted_box = prediction
 
 
 class Tracker:
@@ -179,14 +193,16 @@ class Tracker:
         self.next_id = 1
         self.current_frame = 0
 
-    def step(self, detections: list[Detection], frame: int) -> list[TrackOutput]:
+    def step(self, detections: Detections | Sequence[Detection], frame: int) -> list[TrackOutput]:
         """Advance one frame.
 
         Args:
             detections: detections of the new frame, already confidence
-                filtered and NMS'd. The trajectory that takes a detection
-                coasts on its ``prediction`` if it misses the next frame;
-                without one it falls back to linear propagation.
+                filtered and NMS'd, as one ``Detections`` batch or a sequence
+                of ``Detection`` rows (packed into one batch). The trajectory
+                that takes a detection coasts on its prediction if it misses
+                the next frame; without one it falls back to linear
+                propagation.
             frame: frame being processed, past every frame stepped so far.
 
         Returns:
@@ -196,9 +212,9 @@ class Tracker:
         cfg = self.config
         if frame <= self.current_frame:
             raise ValueError(f"frame {frame} does not advance past {self.current_frame}")
-        missing = [j for j, d in enumerate(detections) if d.embedding is None]
-        if cfg.weights.identity > 0.0 and missing:
-            raise ValueError(f"detection {missing[0]} has no embedding but identity weight is {cfg.weights.identity}")
+        detections = Detections.pack(detections)
+        if cfg.weights.identity > 0.0 and len(detections) and detections.embeddings is None:
+            raise ValueError(f"detection 0 has no embedding but identity weight is {cfg.weights.identity}")
 
         # Trajectories unseen longer than the buffer allows are gone for good.
         self.active = [t for t in self.active if frame - t.last_seen <= cfg.buffer_size]
@@ -210,7 +226,7 @@ class Tracker:
 
         def absorb(trajs: list[Trajectory], cols: list[int]) -> None:
             """One batched update for the pairs of one solve, in pair order."""
-            update_trajectory(trajs, [detections[j] for j in cols], cfg.embedding_momentum, frame)
+            update_trajectory(trajs, detections.take(cols), cfg.embedding_momentum, frame)
             for traj, j in zip(trajs, cols):
                 det_taken[j] = True
                 new_active.append(traj)
@@ -236,7 +252,7 @@ class Tracker:
                 free = [j for j, taken in enumerate(det_taken) if not taken]
                 if not cand or not free:
                     continue
-                matrix = combined_affinity(cand, [detections[j] for j in free], id_only)
+                matrix = combined_affinity(cand, detections.take(free), id_only)
                 pairs = solve_max(matrix, cfg.min_affinity).pairs
                 recovered = [cand[ci] for ci, _ in pairs]
                 absorb(recovered, [free[fj] for _, fj in pairs])
@@ -244,21 +260,22 @@ class Tracker:
                     still_paused = [t for t in still_paused if t not in recovered]
 
         # Phase 3: leftovers become new trajectories.
-        for j, det in enumerate(detections):
-            if det_taken[j]:
-                continue
+        leftovers = [j for j, taken in enumerate(det_taken) if not taken]
+        born = detections.take(leftovers)
+        values = zip(born.box_list(), born.confidence.tolist(), born.embedding_list(), born.prediction_list())
+        for box, confidence, embedding, prediction in values:
             traj = Trajectory(
                 track_id=self.next_id,
-                head_box=det.box,
-                head_embedding=det.embedding,
+                head_box=box,
+                head_embedding=embedding,
                 avg_velocity=(0.0, 0.0),
                 last_seen=frame,
-                last_confidence=det.confidence,
-                predicted_box=det.prediction,
+                last_confidence=confidence,
+                predicted_box=prediction,
             )
             self.next_id += 1
             new_active.append(traj)
-            outputs.append(TrackOutput(frame, traj.track_id, traj.head_box, det.confidence))
+            outputs.append(TrackOutput(frame, traj.track_id, box, confidence))
 
         # Phase 4: unmatched trajectories either coast on a predicted/linear
         # head (and stay in the active set) or fall into the paused buffer.
@@ -285,8 +302,8 @@ def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEF
     """Run a fresh tracker over a whole detection stream.
 
     Args:
-        dets: mapping frame -> list of Detection; frames 1..max are stepped,
-            missing ones as empty.
+        dets: mapping frame -> ``Detections`` (or a list of ``Detection``
+            rows); frames 1..max are stepped, missing ones as empty.
         config: tracker configuration (defaults apply when omitted).
         nms_iou: suppression threshold applied after confidence filtering.
 
@@ -300,7 +317,8 @@ def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEF
         return outputs
 
     for frame in range(1, max(dets) + 1):
-        kept = nms([d for d in dets.get(frame, []) if d.confidence >= config.det_threshold], nms_iou)
+        batch = Detections.pack(dets.get(frame, ()))
+        kept = nms(batch.take(batch.confidence >= config.det_threshold), nms_iou)
         outputs.extend(tracker.step(kept, frame))
     return outputs
 

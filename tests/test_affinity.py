@@ -56,7 +56,7 @@ def test_iou_of_identical_boxes_is_capped_at_one():
     assert iou(box, box) == 1.0
     assert iou_matrix([box], [box])[0, 0] == 1.0
     d, dup = Detection(box, 0.9), Detection(box, 0.9)
-    assert nms([d, dup], 1.0) == [d, dup]
+    assert list(nms([d, dup], 1.0)) == [d, dup]
     assert combined_affinity([make_traj(1, box)], [d], AffinityWeights(1.0, 0.0))[0, 0] <= 1.0
 
 
@@ -177,26 +177,26 @@ def test_nms_drops_heavy_overlap():
     d1 = Detection(BBox(11.0, 10.0, 10.0, 10.0), 0.8)  # IoU 9/11 with d0
     d2 = Detection(BBox(50.0, 50.0, 10.0, 10.0), 0.7)
     kept = nms([d0, d1, d2], 0.5)
-    assert kept == [d0, d2]
+    assert list(kept) == [d0, d2]
 
 
 def test_nms_keeps_sub_threshold_overlap():
     d0 = Detection(BBox(10.0, 10.0, 10.0, 10.0), 0.9)
     d1 = Detection(BBox(18.0, 10.0, 10.0, 10.0), 0.8)  # IoU 2/18
-    assert nms([d0, d1], 0.5) == [d0, d1]
+    assert list(nms([d0, d1], 0.5)) == [d0, d1]
 
 
 def test_nms_tie_prefers_lower_index():
     a = Detection(BBox(10.0, 10.0, 10.0, 10.0), 0.9)
     b = Detection(BBox(10.5, 10.0, 10.0, 10.0), 0.9)
-    assert nms([a, b], 0.5) == [a]
-    assert nms([b, a], 0.5) == [b]
+    assert list(nms([a, b], 0.5)) == [a]
+    assert list(nms([b, a], 0.5)) == [b]
 
 
 def test_nms_survivors_keep_original_order():
     low = Detection(BBox(10.0, 10.0, 4.0, 4.0), 0.3)
     high = Detection(BBox(50.0, 50.0, 4.0, 4.0), 0.9)
-    assert nms([low, high], 0.5) == [low, high]
+    assert list(nms([low, high], 0.5)) == [low, high]
 
 
 def test_nms_result_independent_of_input_order():

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from idtrack.cli import ABLATION_MODELS, main
+from idtrack.geometry import Detection
 from idtrack.mot_io import read_detections, read_embeddings, read_gt
 
 
@@ -348,6 +349,56 @@ def test_track_rejects_non_finite_embedding_before_tracking(tmp_path, tiny_confi
 
 
 
+
+@pytest.mark.parametrize(
+    ("column", "value", "message"),
+    [
+        (4, "-30", "BBox needs positive size"),
+        (6, "1.5", "confidence must lie in [0, 1], got 1.5"),
+        (0, "1.0", "malformed value"),
+        (2, "nan", "BBox.cx must be finite"),
+    ],
+)
+def test_track_rejects_a_bad_detection_row_before_tracking(tmp_path, tiny_config, capsys, monkeypatch, column, value,
+                                                           message):
+    # The bulk reader hands a file it rejects to the line loop, which names
+    # the line; the tracker never starts.
+    def track_stream(*args, **kwargs):
+        raise AssertionError("track_stream must not run on a bad detection file")
+
+    monkeypatch.setattr("idtrack.cli.track_stream", track_stream)
+    scene = simulate(tmp_path, tiny_config)
+    dets = scene / "dets.txt"
+    lines = dets.read_text().splitlines()
+    fields = lines[40].split(",")
+    fields[column] = value
+    dets.write_text("\n".join(with_line(lines, 40, ",".join(fields))) + "\n")
+    out = tmp_path / "hyp.txt"
+    rc = main(["track", "--dets", str(dets), "--embeddings", str(scene / "embeddings.txt"), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dets}:41: ") and message in err
+    assert not out.exists()
+
+
+def test_simulate_and_track_build_no_detection_objects(tmp_path, tiny_config, monkeypatch):
+    built = []
+    original = Detection.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Detection, "__init__", counting_init)
+    scene = simulate(tmp_path, tiny_config)
+    out = tmp_path / "hyp.txt"
+    assert main(["track", "--dets", str(scene / "dets.txt"), "--embeddings", str(scene / "embeddings.txt"),
+                 "--out", str(out)]) == 0
+    assert built == []
+    rows = list(read_detections(scene / "dets.txt")[1])  # the counter sees rows when someone asks for them
+    assert len(built) == len(rows) > 0
+
+
 def with_line(lines, k, line):
     return lines[:k] + [line] + lines[k + 1:]
 
@@ -399,6 +450,27 @@ def test_eval_sweep(tmp_path, tiny_config, capsys):
     assert "thr=0.30" in out and "thr=0.60" in out
     assert "best_mota=" in out
     assert "best_mota_row_mota=" in out
+
+
+@pytest.mark.parametrize("gate", ["nan", "0", "1.5", "-0.5"])
+def test_eval_checks_the_iou_gate_before_reading_files(tmp_path, capsys, gate):
+    rc = main(["eval", "--gt", str(tmp_path / "nope.txt"), "--hyp", str(tmp_path / "nope2.txt"), "--iou-gate", gate])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: --iou-gate must lie in (0, 1], got {float(gate)}\n"
+
+
+def test_ablate_checks_the_iou_gate_before_building_the_scene(monkeypatch, capsys):
+    calls = []
+
+    def generate(config):
+        calls.append(config)
+        raise AssertionError("generate must not run for a bad --iou-gate")
+
+    monkeypatch.setattr("idtrack.cli.generate", generate)
+    rc = main(["ablate", "--iou-gate", "1.5", "--strides", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --iou-gate must lie in (0, 1], got 1.5\n"
+    assert calls == []
 
 
 def test_eval_missing_file_returns_one(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from idtrack.geometry import BBox, Detection, _check_unit, to_center, to_corner
+from idtrack.geometry import BBox, Detection, Detections, _check_unit, to_center, to_corner
 from idtrack.kernels import LossWeights
 
 
@@ -95,3 +95,73 @@ def test_loss_weights_validation():
         LossWeights(classification=-0.5)
     with pytest.raises(ValueError):
         LossWeights(tracking=float("inf"))
+
+
+def unit_rows(n, dim=3, seed=0):
+    m = np.random.default_rng(seed).normal(size=(n, dim))
+    return m / np.linalg.norm(m, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [
+        ({"boxes": [[0, 0, 2, 2], [0, 0, 0, 2]]}, r"detection 1: box needs finite values and positive size"),
+        ({"boxes": [[0, 0, 2, 2], [0, float("nan"), 2, 2]]}, r"detection 1: box needs finite"),
+        ({"boxes": [[float("inf"), 0, 2, 2], [0, 0, 2, 2]]}, r"detection 0: box needs finite"),
+        ({"confidence": [0.5, 1.5]}, r"detection 1: confidence must lie in \[0, 1\], got 1.5"),
+        ({"confidence": [float("nan"), 0.5]}, r"detection 0: confidence must lie in \[0, 1\], got nan"),
+        ({"embeddings": [[1.0, 0.0], [1.0, 1.0]]}, r"detection 1: embedding must be L2-normalized"),
+        ({"embeddings": [[float("nan"), 0.0], [1.0, 0.0]]}, r"detection 0: embedding must be L2-normalized"),
+        ({"embeddings": [1.0, 0.0]}, r"embeddings must have shape \(2, D\)"),
+        ({"predictions": [[0, 0, 2, 2], [0, 0, -1, 2]]}, r"detection 1: prediction needs finite values"),
+        ({"predicted": [True, False]}, "a prediction mask needs predictions"),
+    ],
+)
+def test_detections_check_every_row_and_name_the_first_bad_one(change, message):
+    values = {"boxes": [[0, 0, 2, 2], [5, 5, 2, 2]], "confidence": [0.5, 0.9], **change}
+    with pytest.raises(ValueError, match=message):
+        Detections(**values)
+
+
+def test_a_prediction_mask_only_checks_the_rows_it_marks():
+    boxes = [[0, 0, 2, 2], [5, 5, 2, 2]]
+    batch = Detections(boxes, [0.5, 0.9], None, [[1, 1, 2, 2], [0, 0, 0, 0]], [True, False])
+    assert [d.prediction for d in batch] == [BBox(1.0, 1.0, 2.0, 2.0), None]
+    assert batch.prediction_list() == [BBox(1.0, 1.0, 2.0, 2.0), None]
+    assert len(Detections([], [])) == 0 and Detections([], []).boxes.shape == (0, 4)
+
+
+def test_rows_of_a_batch_are_checked_detections_built_once():
+    vectors = unit_rows(3)
+    batch = Detections([[0, 0, 2, 2], [5, 5, 2, 2], [9, 9, 1, 3]], [0.5, 0.9, 0.1], vectors)
+    rows = list(batch)
+    assert [d.box for d in rows] == [BBox(0, 0, 2, 2), BBox(5, 5, 2, 2), BBox(9, 9, 1, 3)]
+    assert [d.confidence for d in rows] == [0.5, 0.9, 0.1] and all(type(d.confidence) is float for d in rows)
+    assert all(np.array_equal(d.embedding, v) and d.prediction is None for d, v in zip(rows, vectors))
+    assert all(a is b for a, b in zip(batch, rows)) and batch[2] is rows[2]
+    taken = batch.take(np.array([False, True, True]))
+    assert list(taken) == rows[1:] and taken.confidence.tolist() == [0.9, 0.1]
+    assert batch.take([2, 0]).boxes.tolist() == [[9, 9, 1, 3], [0, 0, 2, 2]]
+
+
+def test_pack_holds_the_rows_it_was_given():
+    vectors = unit_rows(2)
+    rows = [Detection(BBox(1, 2, 3, 4), 0.5, vectors[0]), Detection(BBox(5, 6, 7, 8), 0.7, vectors[1], BBox(6, 6, 7, 8))]
+    batch = Detections.pack(rows)
+    assert Detections.pack(batch) is batch
+    assert batch.boxes.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]] and batch.confidence.tolist() == [0.5, 0.7]
+    assert np.array_equal(batch.embeddings, vectors)
+    assert batch.predicted.tolist() == [False, True] and batch.predictions[1].tolist() == [6, 6, 7, 8]
+    assert list(batch) == rows and list(batch.take([1])) == rows[1:]
+    bare = Detections.pack([Detection(BBox(1, 2, 3, 4), 0.5)])
+    assert bare.embeddings is None and bare.predictions is None and bare.predicted is None
+    empty = Detections.pack([])
+    assert len(empty) == 0 and empty.boxes.shape == (0, 4) and empty.embeddings is None
+
+
+def test_pack_rejects_rows_a_batch_cannot_hold():
+    box = BBox(0.0, 0.0, 2.0, 2.0)
+    with pytest.raises(ValueError, match="detection 1 has no embedding but detection 0 has one"):
+        Detections.pack([Detection(box, 0.5, np.array([1.0, 0.0])), Detection(box, 0.5)])
+    with pytest.raises(ValueError, match="different dimensions"):
+        Detections.pack([Detection(box, 0.5, np.array([1.0, 0.0])), Detection(box, 0.5, np.array([0.0, 1.0, 0.0]))])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from idtrack import mot_io
 from idtrack.affinity import AffinityWeights
-from idtrack.geometry import BBox, Detection, to_corner
+from idtrack.geometry import BBox, Detection, Detections, to_corner
 from idtrack.mot_io import (
     load_detections,
     read_config,
@@ -248,12 +248,16 @@ def test_a_failed_results_write_leaves_no_file(tmp_path):
     [
         (None, "frame 3 detection 0 has no embedding"),
         (unit([1.0, 1.0, 1.0]), "mixed embedding dimensions"),
+        ("mixed", "frame 3: detection 1 has no embedding but detection 0 has one"),
     ],
 )
 def test_a_failed_sidecar_write_leaves_no_file(tmp_path, third, message):
     box = BBox(5.0, 5.0, 2.0, 2.0)
     dets = {f: [Detection(box, 0.9, unit([1.0, float(f)]))] for f in (1, 2)}
-    dets[3] = [Detection(box, 0.9, third)]
+    if isinstance(third, str):  # a frame whose rows cannot form one batch
+        dets[3] = [Detection(box, 0.9, unit([1.0, 3.0])), Detection(box, 0.9)]
+    else:
+        dets[3] = [Detection(box, 0.9, third)]
     p = tmp_path / "emb.txt"
     with pytest.raises(ValueError, match=message):
         write_embeddings(p, dets)
@@ -398,25 +402,61 @@ def test_embedding_norm_overflow_rejected(tmp_path):
 
 
 def test_load_detections_attaches_to_the_detections_it_read(tmp_path, monkeypatch):
+    # The sidecar's vectors join the box and confidence arrays that
+    # read_detections returned: no row is rebuilt and no array copied.
     _, dets = generate(SimConfig(seed=9, num_identities=3, frames=6, embedding_dim=8))
     dp, ep = tmp_path / "dets.txt", tmp_path / "emb.txt"
     write_detections(dp, dets)
     write_embeddings(ep, dets)
-    built = []
+    read = {}
 
     def counting_read(path):
-        out = read_detections(path)
-        built.extend(d for v in out.values() for d in v)
-        return out
+        read.update(read_detections(path))
+        return dict(read)
 
     monkeypatch.setattr(mot_io, "read_detections", counting_read)
-    loaded = [d for v in load_detections(dp, ep).values() for d in v]
-    assert len(loaded) == len(built) and all(a is b for a, b in zip(loaded, built))
-    for f in dets:
-        for got, want in zip(load_detections(dp, ep)[f], dets[f]):
-            assert got.embedding.dtype == np.float64 and got.embedding.ndim == 1
-            assert abs(np.linalg.norm(got.embedding) - 1.0) < 1e-9
-            assert np.allclose(got.embedding, want.embedding, atol=1e-8)
+    loaded = load_detections(dp, ep)
+    assert list(loaded) == list(read)
+    for f, batch in loaded.items():
+        assert batch.boxes is read[f].boxes and batch.confidence is read[f].confidence
+        assert batch.embeddings.dtype == np.float64 and batch.embeddings.shape == (len(dets[f]), 8)
+        for got, want in zip(batch.embeddings, dets[f].embeddings):
+            assert abs(np.linalg.norm(got) - 1.0) < 1e-9
+            assert np.allclose(got, want, atol=1e-8)
+
+
+@pytest.mark.parametrize("bulk", [True, False])
+def test_load_detections_places_each_vector_by_its_key(tmp_path, monkeypatch, bulk):
+    # Sidecar rows in any order reach the detection their key names; the
+    # first detection without one, in frame and index order, is the error.
+    if not bulk:
+        monkeypatch.setattr(mot_io, "_embeddings_in_bulk", lambda path, det_counts: None)
+    dp, ep = tmp_path / "dets.txt", tmp_path / "emb.txt"
+    dp.write_text("2,-1,0,0,2,2,0.9\n1,-1,0,0,2,2,0.9\n2,-1,5,5,2,2,0.9\n2,-1,9,9,2,2,0.9\n")
+    vectors = {(2, 0): [1.0, 0.0], (1, 0): [0.0, 1.0], (2, 1): [0.6, 0.8], (2, 2): [-0.8, 0.6]}
+    order = [(2, 2), (1, 0), (2, 0), (2, 1)]
+    ep.write_text("dim=2\n" + "".join(f"{f},{i},{vectors[f, i][0]},{vectors[f, i][1]}\n" for f, i in order))
+    loaded = load_detections(dp, ep)
+    assert list(loaded) == [2, 1]
+    assert loaded[2].embeddings.tolist() == [vectors[2, 0], vectors[2, 1], vectors[2, 2]]
+    assert loaded[1].embeddings.tolist() == [vectors[1, 0]]
+    ep.write_text("dim=2\n" + "".join(f"{f},{i},{vectors[f, i][0]},{vectors[f, i][1]}\n" for f, i in order[:2]))
+    with pytest.raises(ValueError, match=r"emb\.txt: no embedding for frame 2 detection 0"):
+        load_detections(dp, ep)
+    ep.write_text("dim=2\n" + "".join(f"{f},{i},{vectors[f, i][0]},{vectors[f, i][1]}\n" for f, i in order[1:]))
+    with pytest.raises(ValueError, match=r"emb\.txt: no embedding for frame 2 detection 2"):
+        load_detections(dp, ep)
+
+
+def test_read_embeddings_as_a_matrix_keeps_the_file_order(tmp_path):
+    p = tmp_path / "emb.txt"
+    p.write_text("dim=2\n3,1,0.0,1.0\n1,0,0.6,0.8\n")
+    dim, keys, matrix = read_embeddings(p, as_matrix=True)
+    assert (dim, keys, matrix.tolist()) == (2, [(3, 1), (1, 0)], [[0.0, 1.0], [0.6, 0.8]])
+    p.write_text("dim=2\n3,1,0.0,2.0\n")  # the line loop: it warns and re-normalizes
+    with pytest.warns(UserWarning, match="re-normalizing"):
+        dim, keys, matrix = read_embeddings(p, as_matrix=True)
+    assert (dim, keys, matrix.tolist()) == (2, [(3, 1)], [[0.0, 1.0]])
 
 
 def test_a_clean_sidecar_takes_the_bulk_path(tmp_path):
@@ -474,7 +514,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 )
 def test_property_mot_line_matches_the_per_value_reference(frame, obj_id, cx, cy, w, h, conf):
     box = BBox(cx, cy, w, h)
-    assert mot_io._mot_line(frame, obj_id, box, conf) == reference_mot_line(frame, obj_id, box, conf)
+    line = mot_io._mot_lines([frame], [obj_id], np.array([[cx, cy, w, h]]), [conf])
+    assert line == reference_mot_line(frame, obj_id, box, conf)
 
 
 @settings(max_examples=100)
@@ -643,6 +684,9 @@ def bits(value):
         return (value.dtype.str, value.shape, value.tobytes())
     if isinstance(value, (BBox, Detection)):
         return (type(value).__name__, *(bits(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    if isinstance(value, Detections):
+        columns = ("boxes", "confidence", "embeddings", "predictions", "predicted")
+        return ("Detections", *(bits(getattr(value, name)) for name in columns))
     if isinstance(value, dict):
         return tuple((bits(k), bits(v)) for k, v in value.items())
     if isinstance(value, (tuple, list)):
@@ -673,3 +717,52 @@ def test_property_sidecar_reader_agrees_with_the_line_loop(tmp_path_factory, dat
     got = outcome(read, path)
     with mock.patch.object(mot_io, "_embeddings_in_bulk", lambda path, det_counts: None):
         assert got == outcome(read, path)
+
+
+# Parser property: every detection file is read the same by the bulk path and
+# by the line loop alone, values and frame order bit for bit, or fails with
+# the same message. Rows start valid, with now and then a size or confidence
+# outside its range, frames out of order and ids of -1 or more, and then take
+# the mutations of ``mutated``: reformatted integers ("1.0", "+1", "1_0",
+# "1\x1c"), "nan", "inf" and "1e999", missing and extra columns, blank lines,
+# "\r\n" line ends and a non-ASCII byte.
+MOT_SIZES = ["30", "4.5", "0.000001", "0", "-0", "-2", "1e308"]
+MOT_CONFIDENCES = ["0.9", "0", "1", "1.0000001", "-0.1", "0.5"]
+
+
+@st.composite
+def detection_files(draw):
+    rows = []
+    for frame in draw(st.lists(st.integers(1, 4), max_size=8)):
+        w, h = (draw(st.sampled_from(MOT_SIZES)) if draw(st.integers(0, 4)) == 0 else "30" for _ in range(2))
+        conf = draw(st.sampled_from(MOT_CONFIDENCES)) if draw(st.integers(0, 4)) == 0 else "0.9"
+        left, top = (repr(draw(st.floats(-1e3, 1e3))) for _ in range(2))
+        rows.append([str(frame), draw(st.sampled_from(["-1", "3"])), left, top, w, h, conf, "-1", "-1", "-1"])
+    return draw(mutated(rows))
+
+
+@settings(max_examples=500)
+@given(detection_files())
+def test_property_mot_reader_agrees_with_the_line_loop(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("dets") / "dets.txt"
+    path.write_bytes(data)
+    got = outcome(read_detections, path)
+    with mock.patch.object(mot_io, "_detections_in_bulk", lambda path: None):
+        assert got == outcome(read_detections, path)
+
+
+def test_a_clean_detection_file_takes_the_bulk_path(tmp_path):
+    _, dets = generate(SimConfig(seed=4, num_identities=4, frames=10, fp_rate=0.5))
+    write_detections(tmp_path / "dets.txt", dets)
+    bulk = mot_io._detections_in_bulk(tmp_path / "dets.txt")
+    assert bulk is not None and list(bulk) == sorted(dets)
+    assert bits(bulk) == bits(mot_io._detections_by_line(tmp_path / "dets.txt"))
+
+
+def test_the_bulk_reader_keeps_frames_in_order_of_first_appearance(tmp_path):
+    p = tmp_path / "dets.txt"
+    p.write_text("3,-1,0,0,2,2,0.5\n1,-1,10,0,2,2,0.6\n3,-1,20,0,2,2,0.7,x\n\n2,-1,30,0,2,2,0.8,-1,-1,-1\n")
+    dets = mot_io._detections_in_bulk(p)
+    assert list(dets) == [3, 1, 2]
+    assert dets[3].confidence.tolist() == [0.5, 0.7]
+    assert dets[3].boxes.tolist() == [[1.0, 1.0, 2.0, 2.0], [21.0, 1.0, 2.0, 2.0]]

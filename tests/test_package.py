@@ -21,7 +21,7 @@ def test_every_export_resolves(name):
 
 
 def test_the_root_exports_tracking_only():
-    assert len(idtrack.__all__) == 27
+    assert len(idtrack.__all__) == 28
     assert "update_trajectory" not in idtrack.__all__
     kernels = importlib.import_module("idtrack.kernels")
     assert not set(kernels.__all__) & set(idtrack.__all__)

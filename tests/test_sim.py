@@ -245,10 +245,10 @@ def test_subsample_drops_and_reindexes():
     assert sorted(thin) == [1, 2, 3, 4]  # original frames 1, 4, 7, 10
     assert thin[2] == gt[4]
     assert thin[4] == gt[10]
-    # Only the keys change: the detections are the same objects, in new lists.
+    # Only the keys change: each kept frame's batch is the same object.
     thin_dets = subsample(dets, 3)
-    assert all(a is b for a, b in zip(thin_dets[3], dets[7], strict=True))
-    assert thin_dets[3] is not dets[7]
+    assert thin_dets[3] is dets[7]
+    assert subsample({1: dets[1], 5: dets[5]}, 2) == {1: dets[1], 2: [], 3: dets[5]}
 
 
 def test_subsample_rejects_bad_stride():

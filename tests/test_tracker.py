@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idtrack.affinity import AffinityWeights
-from idtrack.geometry import BBox, Detection
+from idtrack.geometry import BBox, Detection, Detections
 from idtrack.mot_io import load_detections, write_detections, write_embeddings
 from idtrack.sim import SimConfig, generate
 from idtrack.tracker import (
@@ -318,6 +318,7 @@ def update_batches(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.sampled_from((3, 64)))  # 64 is the simulator's default
     momentum = draw(st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0)))
+    embedded = draw(st.booleans())  # a batch's detections all have an embedding or none has
     trajs, dets = [], []
     for k in range(draw(st.integers(0, 8))):
         last_seen = int(rng.integers(1, 6))
@@ -325,11 +326,11 @@ def update_batches(draw):
         emb = None if rng.random() < 0.2 else unit(rng.normal(size=dim))
         box = BBox(*rng.uniform(0.0, 100.0, size=2), *rng.uniform(1.0, 30.0, size=2))
         trajs.append(Trajectory(k + 1, box, emb, tuple(rng.normal(0.0, 3.0, size=2)), last_seen, head_frame))
-        kind = draw(st.sampled_from(("none", "opposite", "same", "random")))
+        kind = draw(st.sampled_from(("opposite", "same", "random"))) if embedded else "none"
         fresh = {
             "none": None,
-            "opposite": None if emb is None else -emb,
-            "same": emb,
+            "opposite": unit(rng.normal(size=dim)) if emb is None else -emb,
+            "same": unit(rng.normal(size=dim)) if emb is None else emb,
             "random": unit(rng.normal(size=dim)),
         }[kind]
         dbox = BBox(*rng.uniform(0.0, 100.0, size=2), *rng.uniform(1.0, 30.0, size=2))
@@ -475,11 +476,13 @@ def scenes_with_predictions(draw):
         buffer_size=buffer_size, motion_propagate_frames=draw(st.integers(1, buffer_size))
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    for frame_dets in dets.values():
-        for i, d in enumerate(frame_dets):
+    for frame, batch in dets.items():
+        rows = list(batch)
+        for i, d in enumerate(rows):
             if rng.random() < 0.7:
                 dx, dy = rng.normal(0.0, 8.0, size=2)
-                frame_dets[i] = replace(d, prediction=BBox(d.box.cx + dx, d.box.cy + dy, d.box.w, d.box.h))
+                rows[i] = replace(d, prediction=BBox(d.box.cx + dx, d.box.cy + dy, d.box.w, d.box.h))
+        dets[frame] = Detections.pack(rows)
     return dets, tracker_config
 
 
