@@ -96,23 +96,21 @@ def _iou_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def combined_affinity(
     trajectories: Sequence["Trajectory"],
-    detections: Detections | Sequence[Detection],
+    detections: Detections,
     weights: AffinityWeights,
 ) -> np.ndarray:
     """Affinity matrix between trajectories (rows) and detections (cols).
 
     Args:
         trajectories: objects exposing ``head_box`` and ``head_embedding``.
-        detections: one ``Detections`` batch, or ``Detection`` rows that are
-            packed into one; they must carry embeddings whenever
-            ``weights.identity > 0``.
+        detections: one ``Detections`` batch; it must hold embeddings
+            whenever ``weights.identity > 0``.
         weights: blend of overlap vs identity affinity.
 
     Returns:
         float64 array of shape (len(trajectories), len(detections)) with
         entries in [0, 1].
     """
-    detections = Detections.pack(detections)
     n, m = len(trajectories), len(detections)
     if n == 0 or m == 0:
         return np.zeros((n, m))
@@ -126,8 +124,8 @@ def combined_affinity(
                 raise ValueError(
                     f"trajectory {getattr(t, 'track_id', k)} has no embedding but identity weight is {weights.identity}"
                 )
-        if detections.embeddings is None:
-            raise ValueError(f"detection 0 has no embedding but identity weight is {weights.identity}")
+        if missing := detections.missing_embedding():
+            raise ValueError(f"{missing} but identity weight is {weights.identity}")
         emb_t = np.array([t.head_embedding for t in trajectories])
         # Negative cosine carries no evidence of identity; the cap at one
         # absorbs float drift.

@@ -208,21 +208,16 @@ class Detections:
 
     @classmethod
     def pack(cls, rows: Sequence[Detection]) -> "Detections":
-        """One batch holding ``rows`` (a batch is returned as it is). Either
-        every row has an embedding, all of one dimension, or none has."""
+        """One batch holding ``rows`` (a batch is returned as it is). The rows
+        are kept; the embedding matrix is None unless every row has an
+        embedding, all of one dimension."""
         if isinstance(rows, Detections):
             return rows
         boxes = _box_rows([d.box for d in rows])
         confidence = np.array([d.confidence for d in rows], dtype=np.float64)
         vectors = [d.embedding for d in rows]
-        missing = [k for k, v in enumerate(vectors) if v is None]
         embeddings = None
-        if missing and len(missing) < len(rows):
-            having = next(k for k, v in enumerate(vectors) if v is not None)
-            raise ValueError(f"detection {missing[0]} has no embedding but detection {having} has one")
-        if vectors and not missing:
-            if len({v.shape for v in vectors}) > 1:
-                raise ValueError("detections with embeddings of different dimensions")
+        if vectors and all(v is not None for v in vectors) and len({v.shape for v in vectors}) == 1:
             embeddings = np.array(vectors)
         predictions = predicted = None
         ahead = [d.prediction for d in rows]
@@ -232,6 +227,15 @@ class Detections:
         batch = cls._checked(boxes, confidence, embeddings, predictions, predicted)
         batch._rows = list(rows)
         return batch
+
+    def missing_embedding(self) -> str | None:
+        """Why a non-empty batch holds no embedding matrix: the first row
+        without an embedding, or rows whose vectors differ in dimension (None
+        when the batch holds one, or is empty)."""
+        if self.embeddings is not None or not len(self):
+            return None
+        k = next((k for k, v in enumerate(self.embedding_list()) if v is None), None)
+        return "embeddings of mixed dimensions" if k is None else f"detection {k} has no embedding"
 
     def take(self, index) -> "Detections":
         """The rows that ``index`` (integers or a boolean mask) selects, as a
@@ -267,7 +271,9 @@ class Detections:
         return predictions
 
     def embedding_list(self) -> list[np.ndarray | None]:
-        """Each row's embedding, or None."""
+        """Each row's embedding, or None (the rows' own once they exist)."""
+        if self._rows is not None:
+            return [d.embedding for d in self._rows]
         return [None] * len(self) if self.embeddings is None else list(self.embeddings)
 
     def __len__(self) -> int:

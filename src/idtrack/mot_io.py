@@ -24,9 +24,9 @@ line in every file.
 ``read_detections`` and ``load_detections`` return one ``Detections``
 batch per frame and build no per-detection object: the sidecar's vectors
 and the predicted boxes join each frame's box and confidence arrays as
-matrices, placed by their ``(frame, index)`` keys. The writers take
-batches (or lists of ``Detection`` rows); the MOT writers convert a frame's
-boxes (or up to ``_CHUNK_ROWS`` results) to corner form in one numpy pass.
+matrices, placed by their ``(frame, index)`` keys. The detection writers
+take a stream of batches; the MOT writers convert a frame's boxes (or up
+to ``_CHUNK_ROWS`` results) to corner form in one numpy pass.
 
 The sidecar writer streams its rows in chunks of a few thousand values. Each
 chunk is formatted in numpy in fixed point, rounding exactly as "%.9f" does
@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import BBox, Detection, Detections, _box_rows, _good_boxes, _row_norms, to_center
+from .geometry import BBox, Detections, _box_rows, _good_boxes, _row_norms, to_center
 from .tracker import TrackOutput
 
 __all__ = [
@@ -64,6 +64,8 @@ __all__ = [
 NORM_WARN_TOL = 1e-3
 
 _NON_ASCII = re.compile(rb"[\x80-\xff]")
+# loadtxt skips these as whitespace inside a field; int() and float() do not.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 def _read_text(path) -> str:
@@ -90,10 +92,10 @@ def _data_lines(text: str) -> Iterator[tuple[int, str]]:
 def _bulk_lines(fh) -> Iterator[str]:
     """The open file's lines, streamed so that no copy of the whole text is
     held. Raises ValueError at a character that loadtxt and ``int``/``float``
-    read differently (loadtxt skips \\x1c-\\x1f as whitespace inside a
-    field), and UnicodeDecodeError (a ValueError) at a non-ASCII byte."""
+    read differently, and UnicodeDecodeError (a ValueError) at a non-ASCII
+    byte."""
     for line in fh:
-        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+        if any(c in line for c in _LOADTXT_ONLY_SPACE):
             raise ValueError("a field only loadtxt would read")
         yield line
 
@@ -264,24 +266,20 @@ def _embeddings_by_line(path, text: str, det_counts) -> tuple[int, dict[tuple[in
     return dim, vectors
 
 
-def read_embeddings(path, det_counts: Mapping[int, int] | None = None, *, as_matrix: bool = False):
-    """Read an embedding sidecar; returns (dim, {(frame, det_index): vector}).
+def read_embeddings(path, det_counts: Mapping[int, int] | None = None) -> tuple[int, list[tuple[int, int]], np.ndarray]:
+    """Read an embedding sidecar; returns ``(dim, keys, matrix)``: the
+    ``(frame, det_index)`` keys in file order and one ``(len(keys), dim)``
+    array whose row ``k`` is the vector of ``keys[k]``.
 
     Every vector is finite and unit-norm. ``det_counts``, when given, maps
     each frame to its number of raw detections; a line whose index names no
-    detection is then rejected. A repeated key is always rejected. With
-    ``as_matrix`` the result is ``(dim, keys, matrix)`` instead: the keys in
-    file order and one ``(len(keys), dim)`` array whose row ``k`` is the
-    vector of ``keys[k]``.
+    detection is then rejected. A repeated key is always rejected.
     """
     found = _embeddings_in_bulk(path, det_counts)
-    if found is None:
-        dim, vectors = _embeddings_by_line(path, _read_text(path), det_counts)
-        if not as_matrix:
-            return dim, vectors
-        found = dim, list(vectors), np.array(list(vectors.values())).reshape(len(vectors), dim)
-    dim, keys, matrix = found
-    return found if as_matrix else (dim, dict(zip(keys, matrix)))
+    if found is not None:
+        return found
+    dim, vectors = _embeddings_by_line(path, _read_text(path), det_counts)
+    return dim, list(vectors), np.array(list(vectors.values())).reshape(len(vectors), dim)
 
 
 def load_detections(dets_path, embeddings_path=None, predictions_path=None) -> dict[int, Detections]:
@@ -319,7 +317,7 @@ def _frame_matrices(path, det_counts: Mapping[int, int]) -> dict[int, np.ndarray
     one matrix ``read_embeddings`` returns (reordered only when the file is
     not in frame and index order). read_embeddings has just divided each
     vector by its norm, so the rows are finite, unit and float64."""
-    _, keys, matrix = read_embeddings(path, det_counts, as_matrix=True)
+    _, keys, matrix = read_embeddings(path, det_counts)
     starts, total = {}, 0
     for frame, n in det_counts.items():
         starts[frame] = total
@@ -423,11 +421,11 @@ def write_gt(path, gt: Mapping[int, list[tuple[int, BBox]]]) -> None:
             fh.write(_mot_lines([frame] * len(ids), ids, _box_rows([box for _, box in gt[frame]]), [1.0] * len(ids)))
 
 
-def write_detections(path, dets: Mapping[int, Detections | Sequence[Detection]]) -> None:
+def write_detections(path, dets: Mapping[int, Detections]) -> None:
     """Write each frame's detections in order, with id -1."""
     with open(path, "w", encoding="ascii") as fh:
         for frame in sorted(dets):
-            batch = Detections.pack(dets[frame])
+            batch = dets[frame]
             n = len(batch)
             fh.write(_mot_lines([frame] * n, [-1] * n, batch.boxes, batch.confidence.tolist()))
 
@@ -483,7 +481,7 @@ def _embedding_rows(keys: Sequence[tuple[int, int]], m: np.ndarray, line: str) -
     return b"".join(out)
 
 
-def write_embeddings(path, dets: Mapping[int, Detections | Sequence[Detection]]) -> None:
+def write_embeddings(path, dets: Mapping[int, Detections]) -> None:
     """Write the embedding sidecar for a detection stream (all must have one,
     of one dimension; both are checked before the file is opened). Rows are
     formatted and written a chunk of about ``_CHUNK_VALUES`` values at a
@@ -491,14 +489,11 @@ def write_embeddings(path, dets: Mapping[int, Detections | Sequence[Detection]])
     matrices = []
     dim = None
     for frame in sorted(dets):
-        try:
-            batch = Detections.pack(dets[frame])
-        except ValueError as exc:
-            raise ValueError(f"frame {frame}: {exc}") from None
+        batch = dets[frame]
         if not len(batch):
             continue
-        if batch.embeddings is None:
-            raise ValueError(f"frame {frame} detection 0 has no embedding")
+        if missing := batch.missing_embedding():
+            raise ValueError(f"frame {frame} {missing}")
         if dim is None:
             dim = batch.embeddings.shape[1]
         elif batch.embeddings.shape[1] != dim:

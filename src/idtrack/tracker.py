@@ -20,9 +20,9 @@ Per frame the tracker runs four phases:
    frames its id is retired for good.
 
 A frame's detections reach ``Tracker.step`` as one ``Detections`` batch
-(``Detection`` rows are packed into one): affinities and updates read its
-arrays, and a ``BBox`` is built only for the box a trajectory takes as its
-new head. ``track_stream`` takes a whole stream, ``{frame: Detections}``.
+(``Detection`` rows are packed into one there): affinities and updates read
+its arrays, and a ``BBox`` is built only for the box a trajectory takes as
+its new head. ``track_stream`` takes a whole stream, ``{frame: Detections}``.
 
 Identity-only recovery needs embeddings, so with ``weights.identity == 0``
 phase 2 is skipped entirely and the tracker degrades to a plain IoU
@@ -132,43 +132,43 @@ def propagate_linear(traj: Trajectory, steps: int = 1) -> BBox:
     return BBox(traj.head_box.cx + steps * vx, traj.head_box.cy + steps * vy, traj.head_box.w, traj.head_box.h)
 
 
-def update_trajectory(
-    trajs: Sequence[Trajectory], dets: Detections | Sequence[Detection], momentum: float, frame: int
-) -> None:
+def update_trajectory(trajs: Sequence[Trajectory], dets: Detections, momentum: float, frame: int) -> None:
     """Absorb detections of ``frame`` into their trajectories, in place.
 
-    ``dets`` is a ``Detections`` batch (or a sequence of ``Detection`` rows,
-    packed into one) whose row ``k`` goes to ``trajs[k]``; the trajectories
-    must be distinct. Each detection box becomes its trajectory's head, and
-    its prediction the trajectory's ``predicted_box``. An embedding moves
-    toward the detection's by ``1 - momentum`` and is re-normalized; the
-    velocity is an exponential average (same momentum) of the per-frame
-    center displacement since the current head. Every head frame is checked
-    before any trajectory changes, so a rejected batch leaves all of them as
-    they were.
+    Row ``k`` of the ``Detections`` batch ``dets`` goes to ``trajs[k]``; the
+    trajectories must be distinct. Each detection box becomes its
+    trajectory's head, and its prediction the trajectory's
+    ``predicted_box``. An embedding moves toward the detection's by
+    ``1 - momentum`` and is re-normalized; the velocity is an exponential
+    average (same momentum) of the per-frame center displacement since the
+    current head. Every head frame is checked before any trajectory
+    changes, so a rejected batch leaves all of them as they were.
     """
-    dets = Detections.pack(dets)
     for traj in trajs:
         if frame < traj.head_frame:
             raise ValueError(f"detection frame {frame} is behind trajectory head frame {traj.head_frame}")
 
     fresh = dets.embeddings
     if fresh is not None:
-        blend = []
-        for k, traj in enumerate(trajs):
-            if traj.head_embedding is None:
-                traj.head_embedding = fresh[k]
-            else:
-                blend.append(k)
-        if blend:
-            mine = fresh[blend]
-            mixed = momentum * np.array([trajs[k].head_embedding for k in blend]) + (1.0 - momentum) * mine
-            norms = _row_norms(mixed)
-            # Opposite embeddings can cancel at momentum 0.5; trust the fresh one.
-            cancelled = norms < 1e-12
-            mixed /= np.where(cancelled, 1.0, norms)[:, None]
-            for row, k in enumerate(blend):
-                trajs[k].head_embedding = mine[row] if cancelled[row] else mixed[row]
+        own = range(len(trajs))
+    else:  # no matrix: no row has a vector, or (packed from rows) only some do
+        fresh = dets.embedding_list()
+        own = [k for k, vec in enumerate(fresh) if vec is not None]
+    blend = []
+    for k in own:
+        if trajs[k].head_embedding is None:
+            trajs[k].head_embedding = fresh[k]
+        else:
+            blend.append(k)
+    if blend:
+        mine = fresh[blend] if dets.embeddings is not None else np.array([fresh[k] for k in blend])
+        mixed = momentum * np.array([trajs[k].head_embedding for k in blend]) + (1.0 - momentum) * mine
+        norms = _row_norms(mixed)
+        # Opposite embeddings can cancel at momentum 0.5; trust the fresh one.
+        cancelled = norms < 1e-12
+        mixed /= np.where(cancelled, 1.0, norms)[:, None]
+        for row, k in enumerate(blend):
+            trajs[k].head_embedding = mine[row] if cancelled[row] else mixed[row]
 
     for traj, box, conf, prediction in zip(trajs, dets.box_list(), dets.confidence.tolist(), dets.prediction_list()):
         gap = max(frame - traj.head_frame, 1)
@@ -213,8 +213,8 @@ class Tracker:
         if frame <= self.current_frame:
             raise ValueError(f"frame {frame} does not advance past {self.current_frame}")
         detections = Detections.pack(detections)
-        if cfg.weights.identity > 0.0 and len(detections) and detections.embeddings is None:
-            raise ValueError(f"detection 0 has no embedding but identity weight is {cfg.weights.identity}")
+        if cfg.weights.identity > 0.0 and (missing := detections.missing_embedding()):
+            raise ValueError(f"{missing} but identity weight is {cfg.weights.identity}")
 
         # Trajectories unseen longer than the buffer allows are gone for good.
         self.active = [t for t in self.active if frame - t.last_seen <= cfg.buffer_size]
@@ -302,8 +302,8 @@ def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEF
     """Run a fresh tracker over a whole detection stream.
 
     Args:
-        dets: mapping frame -> ``Detections`` (or a list of ``Detection``
-            rows); frames 1..max are stepped, missing ones as empty.
+        dets: mapping frame -> ``Detections``; frames 1..max are stepped,
+            missing or empty ones (``subsample`` puts ``[]``) as empty.
         config: tracker configuration (defaults apply when omitted).
         nms_iou: suppression threshold applied after confidence filtering.
 
@@ -316,8 +316,9 @@ def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEF
     if not dets:
         return outputs
 
+    none = Detections.pack([])
     for frame in range(1, max(dets) + 1):
-        batch = Detections.pack(dets.get(frame, ()))
+        batch = dets.get(frame) or none
         kept = nms(batch.take(batch.confidence >= config.det_threshold), nms_iou)
         outputs.extend(tracker.step(kept, frame))
     return outputs

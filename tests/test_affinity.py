@@ -12,7 +12,7 @@ from idtrack.affinity import (
     iou_matrix,
     nms,
 )
-from idtrack.geometry import BBox, Detection, to_center
+from idtrack.geometry import BBox, Detection, Detections, to_center
 from idtrack.tracker import Trajectory
 
 
@@ -57,7 +57,7 @@ def test_iou_of_identical_boxes_is_capped_at_one():
     assert iou_matrix([box], [box])[0, 0] == 1.0
     d, dup = Detection(box, 0.9), Detection(box, 0.9)
     assert list(nms([d, dup], 1.0)) == [d, dup]
-    assert combined_affinity([make_traj(1, box)], [d], AffinityWeights(1.0, 0.0))[0, 0] <= 1.0
+    assert combined_affinity([make_traj(1, box)], Detections.pack([d]), AffinityWeights(1.0, 0.0))[0, 0] <= 1.0
 
 
 def test_iou_contained_box():
@@ -112,7 +112,7 @@ def test_combined_affinity_is_the_weighted_blend():
         for _ in range(6)
     ]
     for weights in (AffinityWeights(0.5, 0.5), AffinityWeights(0.2, 0.8)):
-        got = combined_affinity(trajs, dets, weights)
+        got = combined_affinity(trajs, Detections.pack(dets), weights)
         overlap = iou_matrix([t.head_box for t in trajs], [d.box for d in dets])
         gram = np.clip(
             np.stack([t.head_embedding for t in trajs]) @ np.stack([d.embedding for d in dets]).T,
@@ -128,7 +128,7 @@ def identity_only(track_embedding, det_embeddings):
     # Far-apart boxes: only the identity term can contribute.
     trajs = [make_traj(1, BBox(0.0, 0.0, 2.0, 2.0), track_embedding)]
     dets = [Detection(BBox(100.0, 100.0, 2.0, 2.0), 0.9, e) for e in det_embeddings]
-    return combined_affinity(trajs, dets, AffinityWeights(0.0, 1.0))[0]
+    return combined_affinity(trajs, Detections.pack(dets), AffinityWeights(0.0, 1.0))[0]
 
 
 def test_id_similarity_clamps_negative():
@@ -148,7 +148,7 @@ def test_id_similarity_cosine_value():
 def test_combined_affinity_ignores_embeddings_at_zero_identity_weight():
     box = BBox(0.0, 0.0, 2.0, 2.0)
     trajs = [make_traj(1, box, embedding=None)]
-    dets = [Detection(box, 0.9)]
+    dets = Detections.pack([Detection(box, 0.9)])
     got = combined_affinity(trajs, dets, AffinityWeights(1.0, 0.0))
     assert got.shape == (1, 1)
     assert got[0, 0] == 1.0
@@ -160,16 +160,18 @@ def test_combined_affinity_requires_embeddings():
     without = Detection(box, 0.9)
     traj = make_traj(1, box, unit([1.0, 0.0]))
     bare_traj = make_traj(2, box, None)
-    with pytest.raises(ValueError):
-        combined_affinity([traj], [without], AffinityWeights(0.5, 0.5))
-    with pytest.raises(ValueError):
-        combined_affinity([bare_traj], [with_emb], AffinityWeights(0.5, 0.5))
+    with pytest.raises(ValueError, match="detection 0 has no embedding"):
+        combined_affinity([traj], Detections.pack([without]), AffinityWeights(0.5, 0.5))
+    with pytest.raises(ValueError, match="detection 1 has no embedding but identity weight is 0.5"):
+        combined_affinity([traj], Detections.pack([with_emb, without]), AffinityWeights(0.5, 0.5))
+    with pytest.raises(ValueError, match="trajectory 2 has no embedding"):
+        combined_affinity([bare_traj], Detections.pack([with_emb]), AffinityWeights(0.5, 0.5))
 
 
 def test_combined_affinity_empty_inputs():
-    assert combined_affinity([], [], AffinityWeights()).shape == (0, 0)
+    assert combined_affinity([], Detections.pack([]), AffinityWeights()).shape == (0, 0)
     det = Detection(BBox(0, 0, 1, 1), 0.9, unit([1.0, 0.0]))
-    assert combined_affinity([], [det], AffinityWeights()).shape == (0, 1)
+    assert combined_affinity([], Detections.pack([det]), AffinityWeights()).shape == (0, 1)
 
 
 def test_nms_drops_heavy_overlap():

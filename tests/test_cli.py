@@ -33,10 +33,10 @@ def test_simulate_writes_the_three_files(tmp_path, tiny_config, capsys):
     assert "seed=3" in capsys.readouterr().out
     gt = read_gt(out_dir / "gt.txt")
     dets = read_detections(out_dir / "dets.txt")
-    dim, vectors = read_embeddings(out_dir / "embeddings.txt")
+    dim, keys, _ = read_embeddings(out_dir / "embeddings.txt")
     assert sorted(gt) == list(range(1, 31))
     assert dim == 16
-    assert len(vectors) == sum(len(v) for v in dets.values())
+    assert len(keys) == sum(len(v) for v in dets.values())
 
 
 def test_simulate_seed_flag_beats_config(tmp_path, tiny_config, capsys):

@@ -159,9 +159,16 @@ def test_pack_holds_the_rows_it_was_given():
     assert len(empty) == 0 and empty.boxes.shape == (0, 4) and empty.embeddings is None
 
 
-def test_pack_rejects_rows_a_batch_cannot_hold():
+def test_pack_keeps_rows_whose_embeddings_cannot_form_one_matrix():
     box = BBox(0.0, 0.0, 2.0, 2.0)
-    with pytest.raises(ValueError, match="detection 1 has no embedding but detection 0 has one"):
-        Detections.pack([Detection(box, 0.5, np.array([1.0, 0.0])), Detection(box, 0.5)])
-    with pytest.raises(ValueError, match="different dimensions"):
-        Detections.pack([Detection(box, 0.5, np.array([1.0, 0.0])), Detection(box, 0.5, np.array([0.0, 1.0, 0.0]))])
+    some = [Detection(box, 0.5, np.array([1.0, 0.0])), Detection(box, 0.6), Detection(box, 0.7)]
+    batch = Detections.pack(some)
+    assert batch.embeddings is None and list(batch) == some
+    assert batch.missing_embedding() == "detection 1 has no embedding"
+    assert batch.embedding_list() == [some[0].embedding, None, None]
+    assert batch.take([2, 0]).embedding_list() == [None, some[0].embedding]
+    ragged = Detections.pack([Detection(box, 0.5, np.array([1.0, 0.0])), Detection(box, 0.5, np.array([0.0, 1.0, 0.0]))])
+    assert ragged.embeddings is None and ragged.missing_embedding() == "embeddings of mixed dimensions"
+    assert Detections.pack([Detection(box, 0.5)]).missing_embedding() == "detection 0 has no embedding"
+    assert Detections.pack([]).missing_embedding() is None
+    assert Detections([[0, 0, 1, 1]], [0.5], unit_rows(1)).missing_embedding() is None

@@ -115,7 +115,8 @@ def test_embedding_sidecar_round_trip(tmp_path):
     _, dets = generate(SimConfig(seed=7, num_identities=3, frames=8, embedding_dim=16))
     p = tmp_path / "emb.txt"
     write_embeddings(p, dets)
-    dim, vectors = read_embeddings(p)
+    dim, keys, matrix = read_embeddings(p)
+    vectors = dict(zip(keys, matrix))
     assert dim == 16
     for f in dets:
         for idx, d in enumerate(dets[f]):
@@ -207,8 +208,8 @@ def test_denormalized_embedding_warns_and_fixes(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("dim=2\n1,0,3.0,4.0\n")
     with pytest.warns(UserWarning, match="re-normalizing"):
-        _, vectors = read_embeddings(p)
-    assert np.allclose(vectors[(1, 0)], [0.6, 0.8], atol=1e-12)
+        _, keys, matrix = read_embeddings(p)
+    assert keys == [(1, 0)] and np.allclose(matrix[0], [0.6, 0.8], atol=1e-12)
 
 
 def test_write_results_skips_interpolated_by_default(tmp_path):
@@ -248,19 +249,19 @@ def test_a_failed_results_write_leaves_no_file(tmp_path):
     [
         (None, "frame 3 detection 0 has no embedding"),
         (unit([1.0, 1.0, 1.0]), "mixed embedding dimensions"),
-        ("mixed", "frame 3: detection 1 has no embedding but detection 0 has one"),
+        ("mixed", "frame 3 detection 1 has no embedding"),
     ],
 )
 def test_a_failed_sidecar_write_leaves_no_file(tmp_path, third, message):
     box = BBox(5.0, 5.0, 2.0, 2.0)
     dets = {f: [Detection(box, 0.9, unit([1.0, float(f)]))] for f in (1, 2)}
-    if isinstance(third, str):  # a frame whose rows cannot form one batch
+    if isinstance(third, str):  # a frame of which only some rows have a vector
         dets[3] = [Detection(box, 0.9, unit([1.0, 3.0])), Detection(box, 0.9)]
     else:
         dets[3] = [Detection(box, 0.9, third)]
     p = tmp_path / "emb.txt"
     with pytest.raises(ValueError, match=message):
-        write_embeddings(p, dets)
+        write_embeddings(p, {f: Detections.pack(rows) for f, rows in dets.items()})
     assert not p.exists()
 
 
@@ -366,7 +367,8 @@ def test_a_loadtxt_warning_sends_the_sidecar_to_the_line_loop(tmp_path, monkeypa
     with pytest.raises(ValueError, match=r"emb\.txt:3: malformed value"):
         read_embeddings(p)
     p.write_text("dim=2\n")  # loadtxt warns on an empty body
-    assert read_embeddings(p) == (2, {})
+    dim, keys, matrix = read_embeddings(p)
+    assert (dim, keys, matrix.shape) == (2, [], (0, 2))
 
 
 def test_embeddings_reject_a_repeated_key(tmp_path):
@@ -448,14 +450,14 @@ def test_load_detections_places_each_vector_by_its_key(tmp_path, monkeypatch, bu
         load_detections(dp, ep)
 
 
-def test_read_embeddings_as_a_matrix_keeps_the_file_order(tmp_path):
+def test_read_embeddings_keeps_the_file_order(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("dim=2\n3,1,0.0,1.0\n1,0,0.6,0.8\n")
-    dim, keys, matrix = read_embeddings(p, as_matrix=True)
+    dim, keys, matrix = read_embeddings(p)
     assert (dim, keys, matrix.tolist()) == (2, [(3, 1), (1, 0)], [[0.0, 1.0], [0.6, 0.8]])
     p.write_text("dim=2\n3,1,0.0,2.0\n")  # the line loop: it warns and re-normalizes
     with pytest.warns(UserWarning, match="re-normalizing"):
-        dim, keys, matrix = read_embeddings(p, as_matrix=True)
+        dim, keys, matrix = read_embeddings(p)
     assert (dim, keys, matrix.tolist()) == (2, [(3, 1)], [[0.0, 1.0]])
 
 
@@ -524,7 +526,7 @@ def test_property_sidecar_lines_match_the_per_value_reference(tmp_path_factory, 
     vecs = [np.asarray(v) for v in raw if np.linalg.norm(v) > 1e-3]
     dets = {1: [Detection(BBox(5.0, 5.0, 2.0, 2.0), 0.5, v / np.linalg.norm(v)) for v in vecs]}
     p = tmp_path_factory.mktemp("sidecar") / "emb.txt"
-    write_embeddings(p, dets)
+    write_embeddings(p, {1: Detections.pack(dets[1])})
     want = "dim=3\n" if vecs else "dim=0\n"
     want += "".join(reference_embedding_line(1, k, d.embedding) for k, d in enumerate(dets[1]))
     assert p.read_text() == want
@@ -573,7 +575,7 @@ def embedded_streams(draw):
 def test_property_chunked_sidecar_matches_the_per_value_reference(tmp_path_factory, dets, chunk_values):
     p = tmp_path_factory.mktemp("sidecar") / "emb.txt"
     with mock.patch.object(mot_io, "_CHUNK_VALUES", chunk_values):
-        write_embeddings(p, dets)
+        write_embeddings(p, {f: Detections.pack(frame_dets) for f, frame_dets in dets.items()})
     rows = [(f, k, d.embedding) for f in sorted(dets) for k, d in enumerate(dets[f])]
     dim = rows[0][2].shape[0] if rows else 0
     assert p.read_bytes() == (f"dim={dim}\n" + "".join(reference_embedding_line(*row) for row in rows)).encode()

@@ -35,6 +35,11 @@ def det(cx, cy, emb=None, conf=0.9, size=4.0, prediction=None):
     return Detection(BBox(float(cx), float(cy), size, size), conf, emb, prediction)
 
 
+def stream(frames):
+    """A stream of ``Detection`` row lists as one batch per frame."""
+    return {frame: Detections.pack(rows) for frame, rows in frames.items()}
+
+
 def state(traj):
     """A trajectory's field values, embedding as bytes: trajectories are
     updated in place, so a snapshot has to copy the values."""
@@ -212,6 +217,18 @@ def test_missing_embedding_rejected_before_any_state_changes():
         assert snapshot() == before
 
 
+def test_an_iou_step_takes_rows_with_and_without_embeddings():
+    # Identity weight 0 reads no embedding, so a frame may mix rows with and
+    # without one; a trajectory still keeps the vector of the row it takes.
+    tracker = Tracker(iou_only_config())
+    tracker.step([det(10, 10, EA), det(50, 50), det(90, 90, EB)], 1)
+    outputs = tracker.step([det(50, 50, EA), det(10, 10), det(90, 90, EA)], 2)
+    assert [(o.track_id, o.box.cx) for o in outputs] == [(1, 10.0), (2, 50.0), (3, 90.0)]
+    embeddings = {t.track_id: t.head_embedding for t in tracker.active}
+    assert np.array_equal(embeddings[1], EA) and np.array_equal(embeddings[2], EA)
+    assert np.allclose(embeddings[3], EMIX, atol=1e-12)
+
+
 def test_frames_must_advance():
     tracker = Tracker(iou_only_config())
     tracker.step([det(10, 10)], 1)
@@ -259,12 +276,12 @@ def start_traj(embedding=EA, last_seen=1):
 def test_update_trajectory_momentum_extremes():
     fresh = det(14, 10, EB)
     snap = start_traj()
-    update_trajectory([snap], [fresh], 0.0, 2)
+    update_trajectory([snap], Detections.pack([fresh]), 0.0, 2)
     assert np.array_equal(snap.head_embedding, EB)
     assert snap.avg_velocity == (4.0, 0.0)
     assert snap.last_seen == 2 and snap.head_frame == 2
     sticky = start_traj()
-    update_trajectory([sticky], [fresh], 1.0, 2)
+    update_trajectory([sticky], Detections.pack([fresh]), 1.0, 2)
     assert np.array_equal(sticky.head_embedding, EA)
     assert sticky.avg_velocity == (0.0, 0.0)
     assert sticky.head_box == fresh.box  # the box always follows the detection
@@ -272,7 +289,7 @@ def test_update_trajectory_momentum_extremes():
 
 def test_update_trajectory_blends_and_renormalizes():
     traj = start_traj()
-    update_trajectory([traj], [det(10, 10, EB)], 0.5, 2)
+    update_trajectory([traj], Detections.pack([det(10, 10, EB)]), 0.5, 2)
     assert np.allclose(traj.head_embedding, EMIX, atol=1e-12)
     assert abs(np.linalg.norm(traj.head_embedding) - 1.0) < 1e-12
 
@@ -281,7 +298,7 @@ def test_update_trajectory_opposite_embeddings_take_the_fresh_one():
     # The cancelling pair sits between two that blend normally.
     trajs = [start_traj(EA), start_traj(EA), start_traj(EB)]
     dets = [det(10, 10, EB), det(10, 10, -EA), det(10, 10, EA)]
-    update_trajectory(trajs, dets, 0.5, 2)
+    update_trajectory(trajs, Detections.pack(dets), 0.5, 2)
     assert np.array_equal(trajs[1].head_embedding, -EA)
     assert np.allclose(trajs[0].head_embedding, EMIX, atol=1e-12)
     assert np.allclose(trajs[2].head_embedding, EMIX, atol=1e-12)
@@ -289,7 +306,7 @@ def test_update_trajectory_opposite_embeddings_take_the_fresh_one():
 
 def test_update_trajectory_velocity_spreads_over_the_gap():
     traj = start_traj(None)
-    update_trajectory([traj], [det(22, 10)], 0.5, 4)
+    update_trajectory([traj], Detections.pack([det(22, 10)]), 0.5, 4)
     # Displacement 12 over 3 frames -> 4 per frame, halved by momentum.
     assert traj.avg_velocity == (2.0, 0.0)
 
@@ -297,7 +314,7 @@ def test_update_trajectory_velocity_spreads_over_the_gap():
 def test_update_trajectory_rejects_regression():
     traj = start_traj(None, last_seen=5)
     with pytest.raises(ValueError):
-        update_trajectory([traj], [det(10, 10)], 0.5, 3)
+        update_trajectory([traj], Detections.pack([det(10, 10)]), 0.5, 3)
 
 
 def test_update_trajectory_rejects_a_batch_without_changing_any_trajectory():
@@ -306,7 +323,7 @@ def test_update_trajectory_rejects_a_batch_without_changing_any_trajectory():
     ahead = BBox(1.0, 1.0, 1.0, 1.0)
     dets = [det(12, 10, EB, prediction=ahead), det(8, 10, EA, prediction=ahead), det(10, 10, EA, prediction=ahead)]
     with pytest.raises(ValueError, match="detection frame 4 is behind trajectory head frame 5"):
-        update_trajectory(trajs, dets, 0.5, 4)  # frame 4 is behind the last trajectory's head
+        update_trajectory(trajs, Detections.pack(dets), 0.5, 4)  # frame 4 is behind the last trajectory's head
     assert [state(t) for t in trajs] == before
 
 
@@ -318,7 +335,6 @@ def update_batches(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.sampled_from((3, 64)))  # 64 is the simulator's default
     momentum = draw(st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0)))
-    embedded = draw(st.booleans())  # a batch's detections all have an embedding or none has
     trajs, dets = [], []
     for k in range(draw(st.integers(0, 8))):
         last_seen = int(rng.integers(1, 6))
@@ -326,11 +342,11 @@ def update_batches(draw):
         emb = None if rng.random() < 0.2 else unit(rng.normal(size=dim))
         box = BBox(*rng.uniform(0.0, 100.0, size=2), *rng.uniform(1.0, 30.0, size=2))
         trajs.append(Trajectory(k + 1, box, emb, tuple(rng.normal(0.0, 3.0, size=2)), last_seen, head_frame))
-        kind = draw(st.sampled_from(("opposite", "same", "random"))) if embedded else "none"
+        kind = draw(st.sampled_from(("none", "opposite", "same", "random")))
         fresh = {
             "none": None,
-            "opposite": unit(rng.normal(size=dim)) if emb is None else -emb,
-            "same": unit(rng.normal(size=dim)) if emb is None else emb,
+            "opposite": None if emb is None else -emb,
+            "same": emb,
             "random": unit(rng.normal(size=dim)),
         }[kind]
         dbox = BBox(*rng.uniform(0.0, 100.0, size=2), *rng.uniform(1.0, 30.0, size=2))
@@ -345,7 +361,7 @@ def update_batches(draw):
 def test_property_batched_update_equals_the_reference_bit_for_bit(batch):
     trajs, dets, momentum, frame = batch
     want = [update_one(t, d, momentum, frame) for t, d in zip(trajs, dets)]
-    update_trajectory(trajs, dets, momentum, frame)
+    update_trajectory(trajs, Detections.pack(dets), momentum, frame)
     assert [state(t) for t in trajs] == [state(t) for t in want]  # embeddings compared as bytes
 
 
@@ -373,7 +389,7 @@ def test_stream_confidence_filter_and_nms():
             det(50, 50, conf=0.7),
         ]
     }
-    outputs = track_stream(dets, iou_only_config())
+    outputs = track_stream(stream(dets), iou_only_config())
     boxes = sorted((o.box.cx, o.box.cy) for o in outputs)
     assert boxes == [(10.0, 10.0), (50.0, 50.0)]
 
@@ -402,13 +418,13 @@ def test_stream_predictions_take_over_when_detections_vanish():
         2: [],
         3: [det(50, 50)],
     }
-    with_pred = track_stream(dets, iou_only_config())
+    with_pred = track_stream(stream(dets), iou_only_config())
     ids = {o.frame: o.track_id for o in with_pred}
     assert ids[3] == ids[1], "prediction should carry the identity across the gap"
     coasted = [o for o in with_pred if o.interpolated]
     assert len(coasted) == 1 and coasted[0].box == BBox(50.0, 50.0, 4.0, 4.0)
 
-    without = track_stream({**dets, 1: [det(10, 10)]}, iou_only_config())
+    without = track_stream(stream({**dets, 1: [det(10, 10)]}), iou_only_config())
     ids = {o.frame: o.track_id for o in without if not o.interpolated}
     assert ids[3] != ids[1]
 
@@ -422,7 +438,7 @@ def test_stream_prediction_follows_a_buffer_recovery():
         4: [det(300, 300, EB, conf=0.1), det(400, 400, EA, prediction=BBox(420.0, 400.0, 4.0, 4.0))],
         5: [],
     }
-    outputs = track_stream(dets, id_only_config(motion_propagate_frames=1))
+    outputs = track_stream(stream(dets), id_only_config(motion_propagate_frames=1))
     by_frame = {f: [(o.track_id, o.box, o.interpolated) for o in outputs if o.frame == f] for f in range(1, 6)}
     assert by_frame[2] == [(1, BBox(10.0, 10.0, 4.0, 4.0), True)]
     assert by_frame[3] == []
@@ -432,9 +448,7 @@ def test_stream_prediction_follows_a_buffer_recovery():
 
 def test_identity_weight_zero_ignores_embeddings():
     _, dets = generate(SimConfig(seed=41, num_identities=6, frames=40, occlusion_events=2))
-    stripped = {
-        f: [Detection(d.box, d.confidence) for d in v] for f, v in dets.items()
-    }
+    stripped = stream({f: [Detection(d.box, d.confidence) for d in v] for f, v in dets.items()})
     with_emb = track_stream(dets, iou_only_config())
     without_emb = track_stream(stripped, iou_only_config())
     assert with_emb == without_emb
