@@ -9,17 +9,21 @@ The embedding sidecar starts with a ``dim=D`` header, then one line per
 vector: ``frame,det_index,v1,...,vD`` where det_index is the 0-based
 position of the detection within its frame. Vectors are re-normalized at
 read time; a deviation beyond 1e-3 triggers a warning, and a NaN or inf
-component is an error. Given each frame's detection count, a vector that
-names no detection is an error; a repeated ``(frame, det_index)`` always is.
+component is an error.
 
-Detection files and the sidecar, which hold most of the values, are each
-parsed in one ``np.loadtxt`` call first. When that call fails or warns, or
-its result breaks any rule of the format, the reader runs its line loop
-instead, which reports the first bad line as ``path:line`` and issues the
-warnings. Both paths use the same float parser and arithmetic, so they
-return the same values bit for bit. Ground truth, results and predictions
-are read by the line loop alone. A non-ASCII byte is an error naming its
-line in every file.
+Data files are read in bulk: ``_mot_columns`` parses any MOT-format file
+into columns (frame, id, centre-form box, confidence) with one
+``np.loadtxt`` call, as ``_embeddings_in_bulk`` parses the sidecar. When
+that call fails or warns, or a frame, box or vector breaks the format, the
+file's line loop runs instead: it alone reports format errors, as
+``path:line``, and issues the warnings. Both paths use the same float
+parser and arithmetic, so they return the same values bit for bit. Each
+reader's rules are array checks on the columns that name the line of the
+first row to break one: detections need a confidence in [0, 1]; ground
+truth and results an id of 1 or more, a finite confidence and no repeated
+``(frame, id)``; predictions and the sidecar a ``(frame, det_index)`` that
+names a detection, when the frames' detection counts are given, and never
+repeats. A non-ASCII byte is an error naming its line in every file.
 
 ``read_detections`` and ``load_detections`` return one ``Detections``
 batch per frame and build no per-detection object: the sidecar's vectors
@@ -37,6 +41,7 @@ bytes are those of one "%" format per line.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import warnings
@@ -44,7 +49,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import BBox, Detections, _box_rows, _good_boxes, _row_norms, to_center
+from .geometry import BBox, Detections, _box_rows, _checked_box, _first_false, _good_boxes, _row_norms, to_center
 from .tracker import TrackOutput
 
 __all__ = [
@@ -100,13 +105,71 @@ def _bulk_lines(fh) -> Iterator[str]:
         yield line
 
 
+def _in_bulk(path, row, usecols=None) -> np.ndarray | None:
+    """The file's rows from one ``np.loadtxt`` call, or None when it fails or
+    warns: numpy releases that take ``1.0`` in an integer column only warn,
+    and so does an empty body. ``row`` is the rows' dtype, or makes it from
+    the first data line, a header."""
+    try:
+        with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lines = _bulk_lines(fh)
+            if callable(row):
+                row = row(next((line.strip() for line in lines if line.strip()), ""))
+            return np.loadtxt(lines, dtype=row, delimiter=",", comments=None, usecols=usecols, ndmin=1)
+    except (ValueError, Warning):
+        return None
+
+
+def _int(text: str) -> int:
+    """``int(text)``, which must fit in an int64 column."""
+    if (value := int(text)) not in range(-(2**63), 2**63):
+        raise ValueError(f"{text!r} does not fit in 64 bits")
+    return value
+
+
+def _require(path, ok: np.ndarray, message: Callable[[int], str], header: int = 0) -> None:
+    """Raise ``path:line: message(k)`` for the first row k where ``ok`` is
+    False. Both parse paths take row k from data line ``k + header`` (blank
+    lines skipped), whose number the line loop's walk finds."""
+    k = _first_false(ok)
+    if k is not None:
+        lineno, _ = next(itertools.islice(_data_lines(_read_text(path)), k + header, None))
+        raise ValueError(f"{path}:{lineno}: {message(k)}")
+
+
+def _require_keys(path, frames, keys, det_counts, repeated: str, header: int = 0) -> list[tuple[int, int]]:
+    """The rows' ``(frame, key)`` pairs in file order. Given ``det_counts``,
+    each key must index one of its frame's detections. No pair may repeat;
+    ``repeated.format(frame, key)`` is that error."""
+    pairs = list(zip(frames.tolist(), keys.tolist()))
+    if det_counts is not None:
+        counts = np.array([det_counts.get(frame, 0) for frame, _ in pairs], dtype=np.int64)
+        _require(path, (keys >= 0) & (keys < counts),
+                 lambda k: f"frame {frames[k]} has {counts[k]} detections, no index {keys[k]}", header)
+    ok = np.zeros(len(pairs), dtype=bool)
+    ok[np.unique(np.stack([frames, keys], axis=1), axis=0, return_index=True)[1]] = True  # each pair's first row
+    _require(path, ok, lambda k: repeated.format(frames[k], keys[k]), header)
+    return pairs
+
+
+def _frame_rows(frames: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Each frame with the positions of its rows in file order, frames in
+    order of first appearance."""
+    order = np.argsort(frames, kind="stable")
+    keys, first, counts = np.unique(frames, return_index=True, return_counts=True)
+    ends = np.cumsum(counts).tolist()
+    for k in np.argsort(first).tolist():
+        yield int(keys[k]), order[ends[k] - int(counts[k]) : ends[k]]
+
+
 def _parse_mot_line(line: str, lineno: int, path) -> tuple[int, int, BBox, float]:
     parts = line.split(",")
     if len(parts) < 7:
         raise ValueError(f"{path}:{lineno}: expected at least 7 comma-separated fields, got {len(parts)}")
     try:
-        frame = int(parts[0])
-        obj_id = int(parts[1])
+        frame = _int(parts[0])
+        obj_id = _int(parts[1])
         left, top, w, h = (float(p) for p in parts[2:6])
         conf = float(parts[6])
     except ValueError as exc:
@@ -120,111 +183,100 @@ def _parse_mot_line(line: str, lineno: int, path) -> tuple[int, int, BBox, float
     return frame, obj_id, box, conf
 
 
-def _read_mot(path, add: Callable[..., None]) -> dict:
-    """Fold ``add(out, frame, id, box, conf)`` over a MOT file's rows into a
-    new dict. ``add`` raises ValueError on a row it rejects; the error then
-    names the line."""
-    out: dict = {}
-    for lineno, line in _data_lines(_read_text(path)):
-        row = _parse_mot_line(line, lineno, path)
-        try:
-            add(out, *row)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return out
-
-
-def read_detections(path) -> dict[int, Detections]:
-    """Read a detection file (no embeddings attached): one batch per frame,
-    frames in order of first appearance, rows in file order."""
-    found = _detections_in_bulk(path)
-    return found if found is not None else _detections_by_line(path)
-
-
 # The seven leading MOT columns; loadtxt reads the box's four as one field.
 _MOT_ROW = np.dtype([("frame", np.int64), ("id", np.int64), ("box", np.float64, (4,)), ("conf", np.float64)])
 
 
-def _detections_in_bulk(path) -> dict[int, Detections] | None:
-    """``read_detections``'s result when every line is valid, else None.
-    Columns past the seventh are not read, as the line loop ignores them.
-    Centre and size take ``to_center``'s float operations on
-    ``(left, top, left + w, top + h)``."""
-    try:
-        with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(_bulk_lines(fh), dtype=_MOT_ROW, delimiter=",", comments=None, usecols=range(7), ndmin=1)
-    except (ValueError, Warning):
-        return None
-    frames, conf = rows["frame"], rows["conf"]
-    left, top, w, h = rows["box"].T
-    right, bottom = left + w, top + h
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite box is the line loop's error
-        boxes = np.stack([(left + right) / 2.0, (top + bottom) / 2.0, right - left, bottom - top], axis=1)
-    if not ((frames >= 1).all() and _good_boxes(boxes).all() and ((conf >= 0.0) & (conf <= 1.0)).all()):
-        return None
-    order = np.argsort(frames, kind="stable")
-    keys, first, counts = np.unique(frames, return_index=True, return_counts=True)
-    ends = np.cumsum(counts).tolist()
-    boxes, conf = boxes[order], conf[order]
-    out = {}
-    for k in np.argsort(first).tolist():
-        start, end = ends[k] - int(counts[k]), ends[k]
-        out[int(keys[k])] = Detections._checked(boxes[start:end], conf[start:end])
-    return out
+def _mot_columns(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A MOT file's columns ``(frames, ids, boxes, confidence)``, row k from
+    its k-th data line, boxes in centre form. Every frame is 1 or more and
+    every box finite with positive size. Columns past the seventh are not
+    read. The boxes take ``to_center``'s float operations on ``(left, top,
+    left + w, top + h)``, in numpy on the bulk path."""
+    rows = _in_bulk(path, _MOT_ROW, usecols=range(7))
+    if rows is not None:
+        left, top, w, h = rows["box"].T
+        right, bottom = left + w, top + h
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite box is the line loop's error
+            boxes = np.stack([(left + right) / 2.0, (top + bottom) / 2.0, right - left, bottom - top], axis=1)
+        if (rows["frame"] >= 1).all() and _good_boxes(boxes).all():
+            return rows["frame"], rows["id"], boxes, rows["conf"]
+    rows = [_parse_mot_line(line, lineno, path) for lineno, line in _data_lines(_read_text(path))]
+    frames, ids, boxes, conf = zip(*rows) if rows else ((),) * 4
+    return np.array(frames, dtype=np.int64), np.array(ids, dtype=np.int64), _box_rows(boxes), np.array(conf)
 
 
-def _detections_by_line(path) -> dict[int, Detections]:
-    def add(out, frame, _, box, conf):
-        if not 0.0 <= conf <= 1.0:
-            raise ValueError(f"confidence must lie in [0, 1], got {conf}")
-        boxes, confs = out.setdefault(frame, ([], []))
-        boxes.append((box.cx, box.cy, box.w, box.h))
-        confs.append(conf)
-
-    return {
-        frame: Detections._checked(np.array(boxes, dtype=np.float64), np.array(confs, dtype=np.float64))
-        for frame, (boxes, confs) in _read_mot(path, add).items()
-    }
+def read_detections(path) -> dict[int, Detections]:
+    """Read a detection file (no embeddings attached): one batch per frame,
+    frames in order of first appearance, rows in file order. Every
+    confidence lies in [0, 1]."""
+    frames, _, boxes, conf = _mot_columns(path)
+    _require(path, (conf >= 0.0) & (conf <= 1.0), lambda k: f"confidence must lie in [0, 1], got {conf[k]}")
+    return {frame: Detections._checked(boxes[at], conf[at]) for frame, at in _frame_rows(frames)}
 
 
-def _embeddings_in_bulk(path, det_counts) -> tuple[int, list[tuple[int, int]], np.ndarray] | None:
-    """``(dim, keys, matrix)`` with ``matrix[k]`` the vector of ``keys[k]``, in
-    file order, when every line is valid and in tolerance, else None. The
-    key columns are parsed as integers, so loadtxt rejects ``1.0`` there as
-    ``int`` does; numpy releases that still take it only warn, and any
-    warning here sends the file to the line loop (as does an empty body, on
-    which loadtxt warns)."""
-    try:
-        with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
-            warnings.simplefilter("error")
-            lines = _bulk_lines(fh)
-            header = next((line.strip() for line in lines if line.strip()), "")
-            dim = int(header[4:]) if header.startswith("dim=") else 0
-            if dim < 1:
-                return None
-            row = np.dtype([("frame", np.int64), ("index", np.int64), ("v", np.float64, (dim,))])
-            rows = np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1)
-    except (ValueError, Warning):
+def _read_tracks(path) -> tuple[np.ndarray, list[int], list[BBox], list[float]]:
+    """A ground-truth or result file's frames, ids, boxes and confidences.
+    Every id is 1 or more, every confidence finite, and no ``(frame, id)``
+    repeats."""
+    frames, ids, boxes, conf = _mot_columns(path)
+    _require(path, ids >= 1, lambda k: f"object ids must be >= 1, got {ids[k]}")
+    _require(path, np.isfinite(conf), lambda k: f"confidence must be finite, got {conf[k]}")
+    _require_keys(path, frames, ids, None, "repeated id {1} in frame {0}")
+    return frames, ids.tolist(), [_checked_box(*box) for box in boxes.tolist()], conf.tolist()
+
+
+def read_gt(path) -> dict[int, list[tuple[int, BBox]]]:
+    """Read a ground-truth or result file into (id, box) per frame."""
+    frames, ids, boxes, _ = _read_tracks(path)
+    return {frame: [(ids[k], boxes[k]) for k in at.tolist()] for frame, at in _frame_rows(frames)}
+
+
+def read_scored_hypotheses(path) -> dict[int, list[tuple[int, BBox, float]]]:
+    """Like :func:`read_gt` but keeps the confidence column (for sweeps)."""
+    frames, ids, boxes, conf = _read_tracks(path)
+    return {frame: [(ids[k], boxes[k], conf[k]) for k in at.tolist()] for frame, at in _frame_rows(frames)}
+
+
+def read_predictions(path, det_counts: Mapping[int, int]) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Read predicted next-frame boxes; returns ``(keys, boxes)``: the
+    ``(source frame, det index)`` keys in file order and one ``(len(keys),
+    4)`` centre-form array whose row ``k`` is the box of ``keys[k]``.
+
+    ``det_counts`` maps each frame to its number of raw detections; a line
+    whose index names no detection, or whose key repeats, is rejected.
+    """
+    frames, index, boxes, _ = _mot_columns(path)
+    return _require_keys(path, frames, index, det_counts, "repeated prediction for frame {} detection {}"), boxes
+
+
+def _sidecar_row(header: str) -> np.dtype:
+    """The sidecar rows' dtype under ``header`` (ValueError unless ``dim>=1``)."""
+    dim = int(header[4:]) if header.startswith("dim=") else 0
+    if dim < 1:
+        raise ValueError(f"no bulk parse under {header!r}")
+    return np.dtype([("frame", np.int64), ("index", np.int64), ("v", np.float64, (dim,))])
+
+
+def _embeddings_in_bulk(path) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
+    """``(dim, frames, indices, matrix)`` of the sidecar's rows in file order,
+    when every line is valid and in tolerance, else None."""
+    rows = _in_bulk(path, _sidecar_row)
+    if rows is None:
         return None
     m = rows["v"]
     with np.errstate(over="ignore"):  # an overflowing norm is the line loop's error
         norms = _row_norms(m)
     if not (np.abs(norms - 1.0) <= NORM_WARN_TOL).all():  # also fails NaN, inf and zero norms
         return None
-    keys = list(zip(rows["frame"].tolist(), rows["index"].tolist()))
-    if det_counts is not None and not all(0 <= i < det_counts.get(f, 0) for f, i in keys):
-        return None
-    if len(set(keys)) != len(keys):
-        return None
     m /= norms[:, None]
-    return dim, keys, m
+    return m.shape[1], rows["frame"], rows["index"], m
 
 
-def _embeddings_by_line(path, text: str, det_counts) -> tuple[int, dict[tuple[int, int], np.ndarray]]:
-    vectors: dict[tuple[int, int], np.ndarray] = {}
+def _embeddings_by_line(path) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    keys, vectors = [], []
     dim = None
-    for lineno, line in _data_lines(text):
+    for lineno, line in _data_lines(_read_text(path)):
         if dim is None:
             if not line.startswith("dim="):
                 raise ValueError(f"{path}:{lineno}: expected 'dim=D' header, got {line!r}")
@@ -239,17 +291,10 @@ def _embeddings_by_line(path, text: str, det_counts) -> tuple[int, dict[tuple[in
         if len(parts) != dim + 2:
             raise ValueError(f"{path}:{lineno}: expected {dim + 2} fields, got {len(parts)}")
         try:
-            frame = int(parts[0])
-            index = int(parts[1])
+            keys.append((_int(parts[0]), _int(parts[1])))
             vec = np.array([float(p) for p in parts[2:]], dtype=np.float64)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: malformed value ({exc})") from None
-        if det_counts is not None:
-            count = det_counts.get(frame, 0)
-            if not 0 <= index < count:
-                raise ValueError(f"{path}:{lineno}: frame {frame} has {count} detections, no index {index}")
-        if (frame, index) in vectors:
-            raise ValueError(f"{path}:{lineno}: repeated embedding for frame {frame} detection {index}")
         if not np.isfinite(vec).all():
             raise ValueError(f"{path}:{lineno}: embedding has non-finite components")
         with np.errstate(over="ignore"):
@@ -260,10 +305,11 @@ def _embeddings_by_line(path, text: str, det_counts) -> tuple[int, dict[tuple[in
             raise ValueError(f"{path}:{lineno}: embedding norm overflows")
         if abs(norm - 1.0) > NORM_WARN_TOL:
             warnings.warn(f"{path}:{lineno}: embedding norm {norm:.6f} deviates from 1; re-normalizing")
-        vectors[(frame, index)] = vec / norm
+        vectors.append(vec / norm)
     if dim is None:
         raise ValueError(f"{path}: empty embedding file (missing 'dim=D' header)")
-    return dim, vectors
+    frames, indices = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+    return dim, frames, indices, np.array(vectors).reshape(len(vectors), dim)
 
 
 def read_embeddings(path, det_counts: Mapping[int, int] | None = None) -> tuple[int, list[tuple[int, int]], np.ndarray]:
@@ -275,11 +321,29 @@ def read_embeddings(path, det_counts: Mapping[int, int] | None = None) -> tuple[
     each frame to its number of raw detections; a line whose index names no
     detection is then rejected. A repeated key is always rejected.
     """
-    found = _embeddings_in_bulk(path, det_counts)
-    if found is not None:
-        return found
-    dim, vectors = _embeddings_by_line(path, _read_text(path), det_counts)
-    return dim, list(vectors), np.array(list(vectors.values())).reshape(len(vectors), dim)
+    found = _embeddings_in_bulk(path)
+    dim, frames, indices, matrix = found if found is not None else _embeddings_by_line(path)
+    keys = _require_keys(path, frames, indices, det_counts, "repeated embedding for frame {} detection {}", 1)
+    return dim, keys, matrix
+
+
+def _place(keys: Sequence[tuple[int, int]], values: np.ndarray, det_counts: Mapping[int, int]) -> dict[int, tuple]:
+    """Each frame's ``(block, have)``: the rows of ``values`` in the order of
+    its detections (zeros for one without) and which detections have one.
+    ``values[k]`` is for the detection that ``keys[k]`` names; no two keys
+    name the same one."""
+    starts, total = {}, 0
+    for frame, n in det_counts.items():
+        starts[frame] = total
+        total += n
+    at = np.array([starts[frame] + idx for frame, idx in keys], dtype=np.intp)
+    have = np.zeros(total, dtype=bool)
+    have[at] = True
+    block = values  # already one row per detection, in order
+    if not np.array_equal(at, np.arange(total)):
+        block = np.zeros((total, values.shape[1]))
+        block[at] = values
+    return {frame: (block[s : s + det_counts[frame]], have[s : s + det_counts[frame]]) for frame, s in starts.items()}
 
 
 def load_detections(dets_path, embeddings_path=None, predictions_path=None) -> dict[int, Detections]:
@@ -295,88 +359,22 @@ def load_detections(dets_path, embeddings_path=None, predictions_path=None) -> d
     """
     dets = read_detections(dets_path)
     det_counts = {frame: len(v) for frame, v in dets.items()}
-    embeddings = {} if embeddings_path is None else _frame_matrices(embeddings_path, det_counts)
-    ahead: dict[int, dict[int, BBox]] = {}
+    vectors, ahead = {}, {}
+    if embeddings_path is not None:
+        _, keys, matrix = read_embeddings(embeddings_path, det_counts)
+        vectors = _place(keys, matrix, det_counts)
+        for frame, (_, have) in vectors.items():
+            if not have.all():
+                raise ValueError(f"{embeddings_path}: no embedding for frame {frame} detection {int(np.argmin(have))}")
     if predictions_path is not None:
-        for (frame, idx), box in read_predictions(predictions_path, det_counts).items():
-            ahead.setdefault(frame, {})[idx] = box
+        ahead = _place(*read_predictions(predictions_path, det_counts), det_counts)
     for frame, batch in dets.items():
-        predicted = predictions = None
-        if frame in ahead:
-            rows = list(ahead[frame])
-            predicted = np.zeros(len(batch), dtype=bool)
-            predicted[rows] = True
-            predictions = batch.boxes.copy()  # rows without a prediction keep a valid placeholder
-            predictions[rows] = _box_rows(list(ahead[frame].values()))
-        dets[frame] = Detections._checked(batch.boxes, batch.confidence, embeddings.get(frame), predictions, predicted)
+        embeddings = vectors[frame][0] if vectors else None
+        predictions, predicted = ahead.get(frame, (None, None))
+        if predicted is not None and not predicted.any():
+            predictions = predicted = None
+        dets[frame] = Detections._checked(batch.boxes, batch.confidence, embeddings, predictions, predicted)
     return dets
-
-
-def _frame_matrices(path, det_counts: Mapping[int, int]) -> dict[int, np.ndarray]:
-    """Each frame's sidecar vectors in detection order, as row blocks of the
-    one matrix ``read_embeddings`` returns (reordered only when the file is
-    not in frame and index order). read_embeddings has just divided each
-    vector by its norm, so the rows are finite, unit and float64."""
-    _, keys, matrix = read_embeddings(path, det_counts)
-    starts, total = {}, 0
-    for frame, n in det_counts.items():
-        starts[frame] = total
-        total += n
-    # Every key names a detection and none repeats, so the positions are
-    # distinct and in range: they cover every detection when there are as
-    # many as there are detections.
-    at = np.array([starts[frame] + idx for frame, idx in keys], dtype=np.intp)
-    if len(at) < total:
-        have = np.zeros(total, dtype=bool)
-        have[at] = True
-        first = int(np.argmin(have))
-        frame = next(f for f, start in starts.items() if first < start + det_counts[f])
-        raise ValueError(f"{path}: no embedding for frame {frame} detection {first - starts[frame]}")
-    if (at != np.arange(total)).any():
-        matrix = matrix[np.argsort(at)]
-    return {frame: matrix[start : start + det_counts[frame]] for frame, start in starts.items()}
-
-
-def read_gt(path) -> dict[int, list[tuple[int, BBox]]]:
-    """Read a ground-truth or result file into (id, box) per frame."""
-
-    def add(out, frame, obj_id, box, _):
-        if obj_id < 1:
-            raise ValueError(f"object ids must be >= 1, got {obj_id}")
-        out.setdefault(frame, []).append((obj_id, box))
-
-    return _read_mot(path, add)
-
-
-def read_scored_hypotheses(path) -> dict[int, list[tuple[int, BBox, float]]]:
-    """Like :func:`read_gt` but keeps the confidence column (for sweeps)."""
-
-    def add(out, frame, obj_id, box, conf):
-        if obj_id < 1:
-            raise ValueError(f"object ids must be >= 1, got {obj_id}")
-        out.setdefault(frame, []).append((obj_id, box, conf))
-
-    return _read_mot(path, add)
-
-
-def read_predictions(path, det_counts: Mapping[int, int]) -> dict[tuple[int, int], BBox]:
-    """Read predicted next-frame boxes keyed by (source frame, det index).
-
-    ``det_counts`` maps each frame to its number of raw detections; a line
-    whose index names no detection, or whose key repeats, is rejected.
-    """
-
-    def add(out, frame, det_index, box, _):
-        if det_index < 0:
-            raise ValueError(f"detection index must be >= 0, got {det_index}")
-        count = det_counts.get(frame, 0)
-        if det_index >= count:
-            raise ValueError(f"frame {frame} has {count} detections, no index {det_index}")
-        if (frame, det_index) in out:
-            raise ValueError(f"repeated prediction for frame {frame} detection {det_index}")
-        out[(frame, det_index)] = box
-
-    return _read_mot(path, add)
 
 
 _MOT_LINE = "%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,-1,-1,-1\n"

@@ -452,6 +452,44 @@ def test_eval_sweep(tmp_path, tiny_config, capsys):
     assert "best_mota_row_mota=" in out
 
 
+def with_confidence(line, conf):
+    fields = line.split(",")
+    fields[6] = conf
+    return ",".join(fields)
+
+
+@pytest.mark.parametrize("sweep", [[], ["--sweep"]])
+@pytest.mark.parametrize(
+    ("tail", "message"),
+    [
+        (lambda last: [last, last], "repeated id {id} in frame {frame}"),
+        (lambda last: [with_confidence(last, "nan")], "confidence must be finite, got nan"),
+        (lambda last: ["", with_confidence(last, "-inf")], "confidence must be finite, got -inf"),
+    ],
+)
+def test_eval_rejects_a_bad_result_row_at_read_time(tmp_path, tiny_config, capsys, monkeypatch, sweep, tail, message):
+    # A repeated (frame, id) or a non-finite confidence in the last frame fails
+    # as the file is read, naming its line, before any frame is scored.
+    def score(*args, **kwargs):
+        raise AssertionError("no frame may be scored")
+
+    monkeypatch.setattr("idtrack.cli.evaluate", score)
+    monkeypatch.setattr("idtrack.cli.sweep_thresholds", score)
+    scene = simulate(tmp_path, tiny_config)
+    hyp = tmp_path / "hyp.txt"
+    assert main(["track", "--dets", str(scene / "dets.txt"), "--embeddings", str(scene / "embeddings.txt"),
+                 "--out", str(hyp)]) == 0
+    capsys.readouterr()
+    lines = hyp.read_text().splitlines()
+    frame, obj_id = lines[-1].split(",")[:2]
+    assert frame == "30"  # the last frame
+    lines = lines[:-1] + tail(lines[-1])
+    hyp.write_text("\n".join(lines) + "\n")
+    rc = main(["eval", "--gt", str(scene / "gt.txt"), "--hyp", str(hyp), *sweep])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {hyp}:{len(lines)}: {message.format(id=obj_id, frame=frame)}\n"
+
+
 @pytest.mark.parametrize("gate", ["nan", "0", "1.5", "-0.5"])
 def test_eval_checks_the_iou_gate_before_reading_files(tmp_path, capsys, gate):
     rc = main(["eval", "--gt", str(tmp_path / "nope.txt"), "--hyp", str(tmp_path / "nope2.txt"), "--iou-gate", gate])

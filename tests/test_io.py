@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import struct
 import warnings
 from unittest import mock
@@ -267,10 +268,10 @@ def test_a_failed_sidecar_write_leaves_no_file(tmp_path, third, message):
 
 def test_predictions_round_trip(tmp_path):
     p = tmp_path / "pred.txt"
-    p.write_text("1,0,10,20,30,40,1,-1,-1,-1\n1,1,50,60,30,40,1,-1,-1,-1\n")
-    preds = read_predictions(p, {1: 2})
-    assert set(preds) == {(1, 0), (1, 1)}
-    assert preds[(1, 0)] == BBox(25.0, 40.0, 30.0, 40.0)
+    p.write_text("1,1,50,60,30,40,1,-1,-1,-1\n1,0,10,20,30,40,1,-1,-1,-1\n")
+    keys, boxes = read_predictions(p, {1: 2})
+    assert keys == [(1, 1), (1, 0)]  # file order
+    assert boxes.dtype == np.float64 and boxes.tolist() == [[65.0, 80.0, 30.0, 40.0], [25.0, 40.0, 30.0, 40.0]]
 
 
 def test_predictions_reject_a_repeated_key(tmp_path):
@@ -432,7 +433,7 @@ def test_load_detections_places_each_vector_by_its_key(tmp_path, monkeypatch, bu
     # Sidecar rows in any order reach the detection their key names; the
     # first detection without one, in frame and index order, is the error.
     if not bulk:
-        monkeypatch.setattr(mot_io, "_embeddings_in_bulk", lambda path, det_counts: None)
+        monkeypatch.setattr(mot_io, "_in_bulk", no_bulk_parse)
     dp, ep = tmp_path / "dets.txt", tmp_path / "emb.txt"
     dp.write_text("2,-1,0,0,2,2,0.9\n1,-1,0,0,2,2,0.9\n2,-1,5,5,2,2,0.9\n2,-1,9,9,2,2,0.9\n")
     vectors = {(2, 0): [1.0, 0.0], (1, 0): [0.0, 1.0], (2, 1): [0.6, 0.8], (2, 2): [-0.8, 0.6]}
@@ -461,10 +462,12 @@ def test_read_embeddings_keeps_the_file_order(tmp_path):
     assert (dim, keys, matrix.tolist()) == (2, [(3, 1)], [[0.0, 1.0]])
 
 
-def test_a_clean_sidecar_takes_the_bulk_path(tmp_path):
+def test_a_clean_sidecar_takes_the_bulk_path(tmp_path, monkeypatch):
     _, dets = generate(SimConfig(seed=4, num_identities=4, frames=10, embedding_dim=8))
     write_embeddings(tmp_path / "emb.txt", dets)
-    assert mot_io._embeddings_in_bulk(tmp_path / "emb.txt", {f: len(v) for f, v in dets.items()}) is not None
+    monkeypatch.setattr(mot_io, "_embeddings_by_line", line_loop_must_not_run)
+    _, keys, _ = read_embeddings(tmp_path / "emb.txt", {f: len(v) for f, v in dets.items()})
+    assert len(keys) == sum(map(len, dets.values()))
 
 
 def test_results_and_sidecar_are_parse_stable(tmp_path):
@@ -696,6 +699,15 @@ def bits(value):
     return (type(value).__name__, value)
 
 
+def no_bulk_parse(path, row, usecols=None):
+    """Stands in for ``mot_io._in_bulk`` to send every file to its line loop."""
+    return None
+
+
+def line_loop_must_not_run(*args):
+    raise AssertionError("the bulk parse should have taken this file")
+
+
 def outcome(read, path):
     """(result bits or error message, warning messages) of one read."""
     with warnings.catch_warnings(record=True) as caught:
@@ -717,54 +729,105 @@ def test_property_sidecar_reader_agrees_with_the_line_loop(tmp_path_factory, dat
         return read_embeddings(p, counts)
 
     got = outcome(read, path)
-    with mock.patch.object(mot_io, "_embeddings_in_bulk", lambda path, det_counts: None):
+    with mock.patch.object(mot_io, "_in_bulk", no_bulk_parse):
         assert got == outcome(read, path)
 
 
-# Parser property: every detection file is read the same by the bulk path and
-# by the line loop alone, values and frame order bit for bit, or fails with
-# the same message. Rows start valid, with now and then a size or confidence
-# outside its range, frames out of order and ids of -1 or more, and then take
+# Parser property: every MOT file is read the same by every reader's bulk path
+# and by the line loop alone, values and frame order bit for bit, or fails
+# with the same message. Rows start valid, with now and then a size or
+# confidence outside its range, frames out of order and ids (or detection
+# indices) of 1 or 2, now and then -1 or 0, so that every reader's row rules
+# break too (a repeated key, an id below 1, an index out of range), and take
 # the mutations of ``mutated``: reformatted integers ("1.0", "+1", "1_0",
 # "1\x1c"), "nan", "inf" and "1e999", missing and extra columns, blank lines,
 # "\r\n" line ends and a non-ASCII byte.
 MOT_SIZES = ["30", "4.5", "0.000001", "0", "-0", "-2", "1e308"]
-MOT_CONFIDENCES = ["0.9", "0", "1", "1.0000001", "-0.1", "0.5"]
+MOT_CONFIDENCES = ["0.9", "0", "1", "1.0000001", "-0.1", "0.5", "nan", "inf", "-inf", "7"]
+DET_COUNTS = {1: 3, 2: 2, 4: 3}
+
+
+def predictions(path):
+    return read_predictions(path, DET_COUNTS)
+
+
+def embeddings(path):
+    return read_embeddings(path, DET_COUNTS)
+
+
+MOT_READERS = [read_detections, read_gt, read_scored_hypotheses, predictions]
 
 
 @st.composite
-def detection_files(draw):
+def mot_files(draw):
     rows = []
     for frame in draw(st.lists(st.integers(1, 4), max_size=8)):
         w, h = (draw(st.sampled_from(MOT_SIZES)) if draw(st.integers(0, 4)) == 0 else "30" for _ in range(2))
         conf = draw(st.sampled_from(MOT_CONFIDENCES)) if draw(st.integers(0, 4)) == 0 else "0.9"
         left, top = (repr(draw(st.floats(-1e3, 1e3))) for _ in range(2))
-        rows.append([str(frame), draw(st.sampled_from(["-1", "3"])), left, top, w, h, conf, "-1", "-1", "-1"])
+        key = draw(st.sampled_from(["-1", "0"])) if draw(st.integers(0, 7)) == 0 else str(draw(st.integers(1, 2)))
+        rows.append([str(frame), key, left, top, w, h, conf, "-1", "-1", "-1"])
     return draw(mutated(rows))
 
 
-@settings(max_examples=500)
-@given(detection_files())
-def test_property_mot_reader_agrees_with_the_line_loop(tmp_path_factory, data):
-    path = tmp_path_factory.mktemp("dets") / "dets.txt"
+@settings(max_examples=800)
+@given(mot_files(), st.sampled_from(MOT_READERS))
+def test_property_mot_reader_agrees_with_the_line_loop(tmp_path_factory, data, read):
+    path = tmp_path_factory.mktemp("mot") / "in.txt"
     path.write_bytes(data)
-    got = outcome(read_detections, path)
-    with mock.patch.object(mot_io, "_detections_in_bulk", lambda path: None):
-        assert got == outcome(read_detections, path)
+    got = outcome(read, path)
+    with mock.patch.object(mot_io, "_in_bulk", no_bulk_parse):
+        assert got == outcome(read, path)
 
 
-def test_a_clean_detection_file_takes_the_bulk_path(tmp_path):
-    _, dets = generate(SimConfig(seed=4, num_identities=4, frames=10, fp_rate=0.5))
+def test_a_clean_detection_file_takes_the_bulk_path(tmp_path, monkeypatch):
+    gt, dets = generate(SimConfig(seed=4, num_identities=4, frames=10, fp_rate=0.5))
     write_detections(tmp_path / "dets.txt", dets)
-    bulk = mot_io._detections_in_bulk(tmp_path / "dets.txt")
-    assert bulk is not None and list(bulk) == sorted(dets)
-    assert bits(bulk) == bits(mot_io._detections_by_line(tmp_path / "dets.txt"))
+    write_gt(tmp_path / "gt.txt", gt)
+    loop = {name: outcome(read, tmp_path / name) for name, read in [("dets.txt", read_detections), ("gt.txt", read_gt)]}
+    monkeypatch.setattr(mot_io, "_parse_mot_line", line_loop_must_not_run)
+    assert list(read_detections(tmp_path / "dets.txt")) == sorted(dets)
+    assert outcome(read_detections, tmp_path / "dets.txt") == loop["dets.txt"]
+    assert outcome(read_gt, tmp_path / "gt.txt") == loop["gt.txt"]
 
 
-def test_the_bulk_reader_keeps_frames_in_order_of_first_appearance(tmp_path):
+# A row that breaks a reader's rule but parses cleanly in bulk, after two valid
+# rows and blank lines: the error names the line it is on.
+ROW = "1,{},10,20,30,40,{},-1,-1,-1"
+RULE_BREAKS = [
+    (read_detections, ROW.format(-1, 0.9), ROW.format(-1, 1.5), "confidence must lie in [0, 1], got 1.5"),
+    (read_detections, ROW.format(-1, 0.9), ROW.format(-1, -0.25), "confidence must lie in [0, 1], got -0.25"),
+    (read_gt, ROW.format(3, 1), ROW.format(0, 1), "object ids must be >= 1, got 0"),
+    (read_gt, ROW.format(3, 1), ROW.format(3, 1), "repeated id 3 in frame 1"),
+    (read_scored_hypotheses, ROW.format(3, 0.5), ROW.format(4, "nan"), "confidence must be finite, got nan"),
+    (read_scored_hypotheses, ROW.format(3, 0.5), ROW.format(4, "-inf"), "confidence must be finite, got -inf"),
+    (read_scored_hypotheses, ROW.format(3, 0.5), ROW.format(3, 0.25), "repeated id 3 in frame 1"),
+    (predictions, ROW.format(0, 1), ROW.format(3, 1), "frame 1 has 3 detections, no index 3"),
+    (predictions, ROW.format(0, 1), ROW.format(0, 1), "repeated prediction for frame 1 detection 0"),
+    (embeddings, "1,0,0.6,0.8", "1,0,1.0,0.0", "repeated embedding for frame 1 detection 0"),
+    (embeddings, "1,0,0.6,0.8", "1,-1,1.0,0.0", "frame 1 has 3 detections, no index -1"),
+]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize(("reader", "row", "bad", "message"), RULE_BREAKS)
+def test_a_rule_break_the_bulk_parse_takes_names_its_line(tmp_path, monkeypatch, newline, reader, row, bad, message):
+    monkeypatch.setattr(mot_io, "_parse_mot_line", line_loop_must_not_run)
+    monkeypatch.setattr(mot_io, "_embeddings_by_line", line_loop_must_not_run)
+    other = "2" + row[1:]  # the same row in frame 2
+    header = "dim=2" if row.count(",") == 3 else ""  # a sidecar row: frame, index and a 2-d vector
+    lines = ["", header, row, "", "", other, "", bad, ""]
+    p = tmp_path / "in.txt"
+    p.write_bytes(newline.join(lines).encode())
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{p}:8: {message}')}$"):
+        reader(p)
+
+
+def test_the_bulk_reader_keeps_frames_in_order_of_first_appearance(tmp_path, monkeypatch):
     p = tmp_path / "dets.txt"
     p.write_text("3,-1,0,0,2,2,0.5\n1,-1,10,0,2,2,0.6\n3,-1,20,0,2,2,0.7,x\n\n2,-1,30,0,2,2,0.8,-1,-1,-1\n")
-    dets = mot_io._detections_in_bulk(p)
+    monkeypatch.setattr(mot_io, "_parse_mot_line", line_loop_must_not_run)
+    dets = read_detections(p)
     assert list(dets) == [3, 1, 2]
     assert dets[3].confidence.tolist() == [0.5, 0.7]
     assert dets[3].boxes.tolist() == [[1.0, 1.0, 2.0, 2.0], [21.0, 1.0, 2.0, 2.0]]
