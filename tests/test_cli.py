@@ -151,6 +151,32 @@ def test_track_default_scene_bytes_are_pinned(tmp_path):
         assert hashlib.sha256(hyp.read_bytes()).hexdigest() == expected, flags
 
 
+# The stdout of eval, eval --sweep and ablate on the default scene (ablate
+# builds its own): a change to any score, or to how it is printed, fails here.
+PINNED_STDOUT_SHA256 = {
+    ("eval",): "abb1f0aa4d20575d7164a3ef866cdbac0e2717d1af6e94feb2a0811c2db13fd5",
+    ("eval", "--sweep"): "a7890740d1558f07dddcee27aba77a25351d8d3470229c5a673f228c3f47831d",
+    ("ablate", "--strides", "1,10"): "104617fe0b564d3b873fac08fea33d2d14f11a7173e8bff1bc8a185f18d371c3",
+}
+
+
+@pytest.fixture(scope="module")
+def default_scene(tmp_path_factory):
+    out = tmp_path_factory.mktemp("default")
+    assert main(["simulate", "--out-dir", str(out)]) == 0
+    assert main(["track", "--dets", str(out / "dets.txt"), "--embeddings", str(out / "embeddings.txt"),
+                 "--out", str(out / "hyp.txt")]) == 0
+    return out
+
+
+@pytest.mark.parametrize("argv", PINNED_STDOUT_SHA256)
+def test_eval_and_ablate_stdout_is_pinned(default_scene, capsys, argv):
+    files = ["--gt", str(default_scene / "gt.txt"), "--hyp", str(default_scene / "hyp.txt")]
+    capsys.readouterr()
+    assert main([*argv, *files] if argv[0] == "eval" else list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_STDOUT_SHA256[argv]
+
+
 def test_simulate_same_seed_is_byte_identical(tmp_path, tiny_config):
     a = simulate(tmp_path, tiny_config, "a")
     b = simulate(tmp_path, tiny_config, "b")
