@@ -86,10 +86,23 @@ def _iou_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """:func:`iou_matrix` of two ``(n, 4)`` center-form box arrays."""
     if not len(a) or not len(b):
         return np.zeros((len(a), len(b)))
-    cx_a, cy_a, w_a, h_a = a.T[:, :, None]
-    cx_b, cy_b, w_b, h_b = b.T[:, None, :]
-    iw = np.minimum(cx_a + w_a / 2.0, cx_b + w_b / 2.0) - np.maximum(cx_a - w_a / 2.0, cx_b - w_b / 2.0)
-    ih = np.minimum(cy_a + h_a / 2.0, cy_b + h_b / 2.0) - np.maximum(cy_a - h_a / 2.0, cy_b - h_b / 2.0)
+    return _iou_columns(a.T[:, :, None], b.T[:, None, :])
+
+
+def _iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``iou(a[k], b[k])`` for each row k of two ``(n, 4)`` center-form box
+    arrays, bit for bit."""
+    return _iou_columns(a.T, b.T)
+
+
+def _iou_columns(a, b) -> np.ndarray:
+    """The IoU of boxes given as ``(cx, cy, w, h)`` columns that broadcast
+    together, with the float operations of :func:`iou`."""
+    cx_a, cy_a, w_a, h_a = a
+    cx_b, cy_b, w_b, h_b = b
+    half_wa, half_ha, half_wb, half_hb = w_a / 2.0, h_a / 2.0, w_b / 2.0, h_b / 2.0
+    iw = np.minimum(cx_a + half_wa, cx_b + half_wb) - np.maximum(cx_a - half_wa, cx_b - half_wb)
+    ih = np.minimum(cy_a + half_ha, cy_b + half_hb) - np.maximum(cy_a - half_ha, cy_b - half_hb)
     inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
     return np.minimum(inter / (w_a * h_a + w_b * h_b - inter), 1.0)
 

@@ -24,7 +24,6 @@ from .mot_io import (
     load_detections,
     read_config,
     read_gt,
-    read_scored_hypotheses,
     write_detections,
     write_embeddings,
     write_gt,
@@ -111,7 +110,7 @@ def cmd_eval(args) -> int:
     _check_iou_gate(args.iou_gate)
     gt = read_gt(args.gt)
     if args.sweep:
-        result = sweep_thresholds(gt, read_scored_hypotheses(args.hyp), args.thresholds, args.iou_gate)
+        result = sweep_thresholds(gt, read_gt(args.hyp), args.thresholds, args.iou_gate)
         rows = [(f"thr={thr:.2f}", report) for thr, report in result.rows]
         print(format_table(rows))
         print()

@@ -11,6 +11,11 @@ Producers (the file readers and the simulator) build one per frame and
 consumers (NMS, affinity, the tracker, the writers) read its arrays, so no
 per-detection object exists unless someone iterates a batch. A
 ``Detection`` is one row, for input built by hand and for iteration.
+
+``IdBoxes`` is one frame of ground truth or tracker hypotheses the same
+way: ids, boxes and confidences as arrays, from the readers, the simulator
+and ``hypotheses`` to the writers and ``evaluate``. Iterating one yields
+``(id, BBox)`` pairs.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ __all__ = [
     "BBox",
     "Detection",
     "Detections",
+    "IdBoxes",
     "to_corner",
     "to_center",
 ]
@@ -291,3 +297,66 @@ class Detections:
             values = zip(self.box_list(), self.confidence.tolist(), self.embedding_list(), self.prediction_list())
             self._rows = [Detection(*row) for row in values]
         return self._rows
+
+
+class IdBoxes:
+    """One frame of ground truth or hypotheses as columns.
+
+    ``ids`` is ``(n,)`` int64, ``boxes`` ``(n, 4)`` in center form and
+    ``confidence`` ``(n,)``, 1 for every row unless given. The constructor
+    checks the whole batch at once: integer ids, finite boxes of positive
+    size and finite confidences; an error names the first bad row. What a
+    repeated id means is up to whoever reads the frame. A batch is not
+    modified after it is built; ``take`` makes a new one.
+
+    ``len()`` works as on a list, and iteration yields ``(id, BBox)`` pairs,
+    the list form that ``evaluate`` also takes.
+    """
+
+    __slots__ = ("ids", "boxes", "confidence")
+
+    def __init__(self, ids, boxes, confidence=None):
+        ids = np.asarray(ids).reshape(-1)
+        if ids.size and ids.dtype.kind not in "iu":
+            raise ValueError(f"ids must be integers, got dtype {ids.dtype}")
+        n = ids.shape[0]
+        boxes = _box_array(boxes, n, "boxes")
+        k = _first_false(_good_boxes(boxes))
+        if k is not None:
+            raise ValueError(f"row {k}: box needs finite values and positive size, got {tuple(boxes[k].tolist())}")
+        confidence = np.ones(n) if confidence is None else np.asarray(confidence, dtype=np.float64).reshape(-1)
+        if confidence.shape != (n,):
+            raise ValueError(f"confidence must have shape ({n},), got {confidence.shape}")
+        k = _first_false(np.isfinite(confidence))
+        if k is not None:
+            raise ValueError(f"row {k}: confidence must be finite, got {confidence[k]}")
+        self.ids, self.boxes, self.confidence = ids.astype(np.int64, copy=False), boxes, confidence
+
+    @classmethod
+    def _checked(cls, ids, boxes, confidence) -> "IdBoxes":
+        """A batch of arrays that are already int64 and float64, shaped and
+        valid (read and checked in bulk, or taken from a batch)."""
+        batch = cls.__new__(cls)
+        batch.ids, batch.boxes, batch.confidence = ids, boxes, confidence
+        return batch
+
+    @classmethod
+    def pack(cls, rows: Sequence[tuple]) -> "IdBoxes":
+        """One batch holding ``(id, box)`` or ``(id, box, confidence)`` rows,
+        confidence 1 where a row has none (a batch is returned as it is)."""
+        if isinstance(rows, IdBoxes):
+            return rows
+        ids = np.array([row[0] for row in rows], dtype=np.int64)
+        confidence = np.array([row[2] if len(row) > 2 else 1.0 for row in rows], dtype=np.float64)
+        return cls._checked(ids, _box_rows([row[1] for row in rows]), confidence)
+
+    def take(self, index) -> "IdBoxes":
+        """The rows that ``index`` (integers or a boolean mask) selects, as a
+        new batch."""
+        return IdBoxes._checked(self.ids[index], self.boxes[index], self.confidence[index])
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    def __iter__(self) -> Iterator[tuple[int, BBox]]:
+        return zip(self.ids.tolist(), [_checked_box(*box) for box in self.boxes.tolist()])

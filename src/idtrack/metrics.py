@@ -7,6 +7,17 @@ Hungarian solve maximizing IoU. An id switch is counted when an object's
 associated hypothesis id changes, and the switch also ends the previous
 correspondence.
 
+Both streams map frame -> one ``IdBoxes`` batch (ids, centre-form boxes,
+confidences), or a list of ``(id, box)`` pairs that is packed once per frame.
+``evaluate`` lays each stream out as columns sorted by frame and id, numbers
+the ids densely, and scores a frame with array operations: the surviving
+correspondences' overlaps in one pass, with the float operations of the
+scalar ``iou``, then one Hungarian solve over the rest. MOTP adds each
+frame's overlaps in one ``sum``: survivors by gt id, then Hungarian pairs in
+solve order; the tests hold every report to a per-box reference, bit for
+bit. ``sweep_thresholds`` filters each hypothesis batch with a confidence
+mask.
+
 Reported values:
     MOTA  1 - (FN + FP + IDS) / total gt boxes (can go negative)
     MOTP  mean IoU over matched pairs (0.0 when nothing ever matched)
@@ -23,9 +34,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .affinity import iou, iou_matrix
+# ``iou`` is not called here; perfbench/spans.py still counts calls to this name.
+from .affinity import _iou_cells, _iou_rows, iou  # noqa: F401
 from .assignment import solve_max
-from .geometry import BBox
+from .geometry import BBox, IdBoxes
 
 __all__ = [
     "MotReport",
@@ -37,9 +49,9 @@ __all__ = [
     "format_report",
 ]
 
-GtStream = Mapping[int, Sequence[tuple[int, BBox]]]
-HypStream = Mapping[int, Sequence[tuple[int, BBox]]]
-ScoredHypStream = Mapping[int, Sequence[tuple[int, BBox, float]]]
+GtStream = Mapping[int, "IdBoxes | Sequence[tuple[int, BBox]]"]
+HypStream = Mapping[int, "IdBoxes | Sequence[tuple[int, BBox]]"]
+ScoredHypStream = Mapping[int, "IdBoxes | Sequence[tuple[int, BBox, float]]"]
 
 DEFAULT_SWEEP_THRESHOLDS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -61,97 +73,114 @@ class MotReport:
     matches: int
 
 
-def _frame_entries(stream, frame: int, kind: str):
-    entries = sorted(stream.get(frame, ()), key=lambda e: e[0])
-    seen = set()
-    for entry in entries:
-        if entry[0] in seen:
-            raise ValueError(f"duplicate {kind} id {entry[0]} in frame {frame}")
-        seen.add(entry[0])
-    return entries
+class _Rows:
+    """A stream's rows over ``frames`` as columns sorted by frame, then id:
+    frame ``frames[i]`` holds rows ``starts[i]:starts[i + 1]``. ``index``
+    numbers the stream's ``n_ids`` distinct ids densely from 0, in id order.
+    ``repeat`` is ``(frame position, id)`` of the first id that repeats
+    within a frame, or None."""
+
+    def __init__(self, stream, frames: Sequence[int]):
+        batches = [IdBoxes.pack(stream.get(f, ())) for f in frames]
+        counts = [len(b) for b in batches]
+        self.starts = np.cumsum([0, *counts]).tolist()
+        at = np.repeat(np.arange(len(frames)), counts)
+        ids = np.concatenate([b.ids for b in batches]) if batches else np.zeros(0, dtype=np.int64)
+        order = np.lexsort((ids, at))
+        ids, at = ids[order], at[order]
+        self.boxes = np.concatenate([b.boxes for b in batches])[order] if batches else np.zeros((0, 4))
+        same = np.flatnonzero((ids[1:] == ids[:-1]) & (at[1:] == at[:-1]))
+        self.repeat = (int(at[same[0]]), int(ids[same[0]])) if same.size else None
+        distinct, self.index = np.unique(ids, return_inverse=True)
+        self.n_ids = len(distinct)
 
 
 def evaluate(gt: GtStream, hyp: HypStream, iou_gate: float = 0.5) -> MotReport:
     """Score a hypothesis stream against ground truth.
 
-    Both streams map frame -> [(id, box), ...]. Frames missing from a stream
-    count as empty. Within a frame the entries are canonicalized by id so
-    the result does not depend on input ordering.
+    Each stream maps frame -> ``IdBoxes`` or [(id, box), ...], the list form
+    packed once per frame. Frames missing from a stream count as empty.
+    Within a frame the rows are canonicalized by id so the result does not
+    depend on input ordering; an id may appear once per frame.
     """
     if not 0.0 < iou_gate <= 1.0:
         raise ValueError(f"iou_gate must lie in (0, 1], got {iou_gate}")
 
     frames = sorted(set(gt) | set(hyp))
-    corr: dict[int, int] = {}  # last known gt id -> hyp id association
-    fp = fn = ids = matches = frag = 0
+    g_rows, h_rows = _Rows(gt, frames), _Rows(hyp, frames)
+    repeats = [(rows.repeat, kind) for rows, kind in ((g_rows, "gt"), (h_rows, "hypothesis")) if rows.repeat]
+    if repeats:
+        (at, obj_id), kind = min(repeats, key=lambda r: r[0][0])  # the gt frame first on a tie
+        raise ValueError(f"duplicate {kind} id {obj_id} in frame {frames[at]}")
+
+    n_gt = g_rows.n_ids
+    corr = np.full(n_gt, -1)  # each gt id's last associated hypothesis (dense index), or -1
+    slot = np.full(h_rows.n_ids + 1, -1)  # each hypothesis' row in the frame; the last entry stays -1
+    positions = np.arange(max(np.diff(h_rows.starts), default=0))
+    hit = np.zeros(len(g_rows.index), dtype=bool)  # each gt row: matched in its frame
+    fp = fn = ids = matches = 0
     iou_total = 0.0
-    present: dict[int, int] = {}
-    covered: dict[int, int] = {}
-    ever_matched: set[int] = set()
-    last_status: dict[int, bool] = {}
 
-    for f in frames:
-        g_entries = _frame_entries(gt, f, "gt")
-        h_entries = _frame_entries(hyp, f, "hypothesis")
-        h_index = {hid: k for k, (hid, _) in enumerate(h_entries)}
+    for i in range(len(frames)):
+        g0, g1, h0, h1 = g_rows.starts[i], g_rows.starts[i + 1], h_rows.starts[i], h_rows.starts[i + 1]
+        g, g_boxes, g_hit = g_rows.index[g0:g1], g_rows.boxes[g0:g1], hit[g0:g1]
+        h, h_boxes = h_rows.index[h0:h1], h_rows.boxes[h0:h1]
 
-        matched: dict[int, float] = {}  # gt id -> iou of this frame's match
-        used_h: set[int] = set()
-
-        # Keep surviving correspondences first.
-        for gid, gbox in g_entries:
-            hid = corr.get(gid)
-            if hid is None or hid in used_h or hid not in h_index:
-                continue
-            overlap = iou(gbox, h_entries[h_index[hid]][1])
-            if overlap >= iou_gate:
-                matched[gid] = overlap
-                used_h.add(hid)
+        # Keep surviving correspondences first; when two gt ids still claim
+        # one hypothesis, the lower id keeps it.
+        slot[h] = positions[: len(h)]
+        row = slot[corr[g]]
+        slot[h] = -1
+        kept = (row >= 0).nonzero()[0]
+        used = row[kept]
+        overlap = _iou_rows(g_boxes[kept], h_boxes[used])
+        survive = overlap >= iou_gate
+        kept, used, overlap = kept[survive], used[survive], overlap[survive]
+        if len(set(used.tolist())) < len(used):
+            first = np.sort(np.unique(used, return_index=True)[1])
+            kept, used, overlap = kept[first], used[first], overlap[first]
+        g_hit[kept] = True
+        matched = overlap.tolist()
 
         # Hungarian over what is left. Sub-gate overlaps are zeroed before
         # solving so the optimum never trades a real match for garbage.
-        rem_g = [(gid, box) for gid, box in g_entries if gid not in matched]
-        rem_h = [(hid, box) for hid, box in h_entries if hid not in used_h]
-        if rem_g and rem_h:
-            m = iou_matrix([b for _, b in rem_g], [b for _, b in rem_h])
+        if len(kept) < len(g) and len(used) < len(h):
+            free_h = np.ones(len(h), dtype=bool)
+            free_h[used] = False
+            rem_g, rem_h = (~g_hit).nonzero()[0], free_h.nonzero()[0]
+            m = _iou_cells(g_boxes[rem_g], h_boxes[rem_h])
             m = np.where(m >= iou_gate, m, 0.0)
-            for ri, rj in solve_max(m, min_affinity=iou_gate).pairs:
-                gid, hid = rem_g[ri][0], rem_h[rj][0]
-                prev = corr.get(gid)
-                if prev is not None and prev != hid:
-                    ids += 1
+            pairs = solve_max(m, min_affinity=iou_gate).pairs
+            if pairs:
+                ri, rj = np.array(pairs).T
+                gid, hid = g[rem_g[ri]], h[rem_h[rj]]
+                prev = corr[gid]
+                ids += int(np.count_nonzero((prev >= 0) & (prev != hid)))
                 corr[gid] = hid
-                matched[gid] = float(m[ri, rj])
-                used_h.add(hid)
+                g_hit[rem_g[ri]] = True
+                matched += m[ri, rj].tolist()
 
         matches += len(matched)
-        iou_total += sum(matched.values())
-        fn += len(g_entries) - len(matched)
-        fp += len(h_entries) - len(used_h)
+        iou_total += sum(matched)
+        fn += len(g) - len(matched)
+        fp += len(h) - len(matched)
 
-        for gid, _ in g_entries:
-            present[gid] = present.get(gid, 0) + 1
-            hit = gid in matched
-            if hit:
-                covered[gid] = covered.get(gid, 0) + 1
-                if gid in ever_matched and last_status.get(gid) is False:
-                    frag += 1
-                ever_matched.add(gid)
-            last_status[gid] = hit
-
-    gt_total = sum(present.values())
-    mt = ml = 0
-    for gid, n in present.items():
-        ratio = covered.get(gid, 0) / n
-        if ratio >= MT_CUTOFF:
-            mt += 1
-        elif ratio <= ML_CUTOFF:
-            ml += 1
+    # Each gt id's rows in frame order: a Frag is a run of matched rows after
+    # the id's first such run.
+    order = np.argsort(g_rows.index, kind="stable")
+    by_id, matched_row = g_rows.index[order], hit[order]
+    run_start = matched_row.copy()
+    run_start[1:] &= ~matched_row[:-1] | (by_id[1:] != by_id[:-1])
+    covered = np.bincount(g_rows.index[hit], minlength=n_gt)
+    frag = int(np.count_nonzero(run_start)) - int(np.count_nonzero(covered))
+    ratio = covered / np.bincount(g_rows.index, minlength=n_gt)  # every id is present in some frame
+    mt = int(np.count_nonzero(ratio >= MT_CUTOFF))
+    ml = int(np.count_nonzero(ratio <= ML_CUTOFF))
+    gt_total = len(g_rows.index)
 
     return MotReport(
         mota=1.0 - (fn + fp + ids) / max(gt_total, 1),
-        # The scalar iou of numpy-valued boxes is a numpy float.
-        motp=float(iou_total / matches) if matches else 0.0,
+        motp=iou_total / matches if matches else 0.0,
         ids=ids,
         mt=mt,
         ml=ml,
@@ -186,12 +215,10 @@ def sweep_thresholds(
     """
     if not thresholds:
         raise ValueError("need at least one threshold")
+    hyp = {f: IdBoxes.pack(rows) for f, rows in hyp.items()}
     rows = []
     for thr in thresholds:
-        filtered = {
-            f: [(hid, box) for hid, box, score in entries if score >= thr]
-            for f, entries in hyp.items()
-        }
+        filtered = {f: batch.take(batch.confidence >= thr) for f, batch in hyp.items()}
         rows.append((float(thr), evaluate(gt, filtered, iou_gate)))
 
     best: dict[str, tuple[float, float]] = {}

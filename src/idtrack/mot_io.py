@@ -15,7 +15,8 @@ Data files are read in bulk: ``_mot_columns`` parses any MOT-format file
 into columns (frame, id, centre-form box, confidence) with one
 ``np.loadtxt`` call, as ``_embeddings_in_bulk`` parses the sidecar. When
 that call fails or warns, or a frame, box or vector breaks the format, the
-file's line loop runs instead: it alone reports format errors, as
+file's line loop runs instead (a line of only whitespace is blank on both
+paths): it alone reports format errors, as
 ``path:line``, and issues the warnings. Both paths use the same float
 parser and arithmetic, so they return the same values bit for bit. Each
 reader's rules are array checks on the columns that name the line of the
@@ -28,7 +29,9 @@ repeats. A non-ASCII byte is an error naming its line in every file.
 ``read_detections`` and ``load_detections`` return one ``Detections``
 batch per frame and build no per-detection object: the sidecar's vectors
 and the predicted boxes join each frame's box and confidence arrays as
-matrices, placed by their ``(frame, index)`` keys. The detection writers
+matrices, placed by their ``(frame, index)`` keys. ``read_gt`` likewise
+returns one ``IdBoxes`` batch of ids, boxes and confidences per frame, for
+ground truth and results alike. The detection and ground-truth writers
 take a stream of batches; the MOT writers convert a frame's boxes (or up
 to ``_CHUNK_ROWS`` results) to corner form in one numpy pass.
 
@@ -49,7 +52,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import BBox, Detections, _box_rows, _checked_box, _first_false, _good_boxes, _row_norms, to_center
+from .geometry import BBox, Detections, IdBoxes, _box_rows, _first_false, _good_boxes, _row_norms, to_center
 from .tracker import TrackOutput
 
 __all__ = [
@@ -57,7 +60,6 @@ __all__ = [
     "read_embeddings",
     "load_detections",
     "read_gt",
-    "read_scored_hypotheses",
     "read_predictions",
     "write_results",
     "write_gt",
@@ -96,13 +98,14 @@ def _data_lines(text: str) -> Iterator[tuple[int, str]]:
 
 def _bulk_lines(fh) -> Iterator[str]:
     """The open file's lines, streamed so that no copy of the whole text is
-    held. Raises ValueError at a character that loadtxt and ``int``/``float``
-    read differently, and UnicodeDecodeError (a ValueError) at a non-ASCII
-    byte."""
+    held, with a line of only whitespace made empty: loadtxt skips an empty
+    line, as ``_data_lines`` skips both. Raises ValueError at a character
+    that loadtxt and ``int``/``float`` read differently, and
+    UnicodeDecodeError (a ValueError) at a non-ASCII byte."""
     for line in fh:
         if any(c in line for c in _LOADTXT_ONLY_SPACE):
             raise ValueError("a field only loadtxt would read")
-        yield line
+        yield line if line.strip() else ""
 
 
 def _in_bulk(path, row, usecols=None) -> np.ndarray | None:
@@ -138,19 +141,20 @@ def _require(path, ok: np.ndarray, message: Callable[[int], str], header: int = 
         raise ValueError(f"{path}:{lineno}: {message(k)}")
 
 
-def _require_keys(path, frames, keys, det_counts, repeated: str, header: int = 0) -> list[tuple[int, int]]:
-    """The rows' ``(frame, key)`` pairs in file order. Given ``det_counts``,
-    each key must index one of its frame's detections. No pair may repeat;
-    ``repeated.format(frame, key)`` is that error."""
-    pairs = list(zip(frames.tolist(), keys.tolist()))
+def _require_keys(path, frames, keys, det_counts, repeated: str, header: int = 0) -> None:
+    """Given ``det_counts``, each row's key must index one of its frame's
+    detections. No ``(frame, key)`` pair may repeat;
+    ``repeated.format(frame, key)`` names the first row that repeats one."""
     if det_counts is not None:
-        counts = np.array([det_counts.get(frame, 0) for frame, _ in pairs], dtype=np.int64)
+        distinct, at = np.unique(frames, return_inverse=True)
+        counts = np.array([det_counts.get(frame, 0) for frame in distinct.tolist()], dtype=np.int64)[at]
         _require(path, (keys >= 0) & (keys < counts),
                  lambda k: f"frame {frames[k]} has {counts[k]} detections, no index {keys[k]}", header)
-    ok = np.zeros(len(pairs), dtype=bool)
-    ok[np.unique(np.stack([frames, keys], axis=1), axis=0, return_index=True)[1]] = True  # each pair's first row
+    order = np.lexsort((keys, frames))  # stable: a pair's rows stay in file order
+    later = (frames[order[1:]] == frames[order[:-1]]) & (keys[order[1:]] == keys[order[:-1]])
+    ok = np.ones(len(keys), dtype=bool)
+    ok[order[1:][later]] = False
     _require(path, ok, lambda k: repeated.format(frames[k], keys[k]), header)
-    return pairs
 
 
 def _frame_rows(frames: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -215,27 +219,16 @@ def read_detections(path) -> dict[int, Detections]:
     return {frame: Detections._checked(boxes[at], conf[at]) for frame, at in _frame_rows(frames)}
 
 
-def _read_tracks(path) -> tuple[np.ndarray, list[int], list[BBox], list[float]]:
-    """A ground-truth or result file's frames, ids, boxes and confidences.
-    Every id is 1 or more, every confidence finite, and no ``(frame, id)``
-    repeats."""
+def read_gt(path) -> dict[int, IdBoxes]:
+    """Read a ground-truth or result file: one ``IdBoxes`` batch of ids,
+    boxes and confidences per frame, frames in order of first appearance,
+    rows in file order. Every id is 1 or more, every confidence finite, and
+    no ``(frame, id)`` repeats."""
     frames, ids, boxes, conf = _mot_columns(path)
     _require(path, ids >= 1, lambda k: f"object ids must be >= 1, got {ids[k]}")
     _require(path, np.isfinite(conf), lambda k: f"confidence must be finite, got {conf[k]}")
     _require_keys(path, frames, ids, None, "repeated id {1} in frame {0}")
-    return frames, ids.tolist(), [_checked_box(*box) for box in boxes.tolist()], conf.tolist()
-
-
-def read_gt(path) -> dict[int, list[tuple[int, BBox]]]:
-    """Read a ground-truth or result file into (id, box) per frame."""
-    frames, ids, boxes, _ = _read_tracks(path)
-    return {frame: [(ids[k], boxes[k]) for k in at.tolist()] for frame, at in _frame_rows(frames)}
-
-
-def read_scored_hypotheses(path) -> dict[int, list[tuple[int, BBox, float]]]:
-    """Like :func:`read_gt` but keeps the confidence column (for sweeps)."""
-    frames, ids, boxes, conf = _read_tracks(path)
-    return {frame: [(ids[k], boxes[k], conf[k]) for k in at.tolist()] for frame, at in _frame_rows(frames)}
+    return {frame: IdBoxes._checked(ids[at], boxes[at], conf[at]) for frame, at in _frame_rows(frames)}
 
 
 def read_predictions(path, det_counts: Mapping[int, int]) -> tuple[list[tuple[int, int]], np.ndarray]:
@@ -247,7 +240,8 @@ def read_predictions(path, det_counts: Mapping[int, int]) -> tuple[list[tuple[in
     whose index names no detection, or whose key repeats, is rejected.
     """
     frames, index, boxes, _ = _mot_columns(path)
-    return _require_keys(path, frames, index, det_counts, "repeated prediction for frame {} detection {}"), boxes
+    _require_keys(path, frames, index, det_counts, "repeated prediction for frame {} detection {}")
+    return list(zip(frames.tolist(), index.tolist())), boxes
 
 
 def _sidecar_row(header: str) -> np.dtype:
@@ -323,8 +317,8 @@ def read_embeddings(path, det_counts: Mapping[int, int] | None = None) -> tuple[
     """
     found = _embeddings_in_bulk(path)
     dim, frames, indices, matrix = found if found is not None else _embeddings_by_line(path)
-    keys = _require_keys(path, frames, indices, det_counts, "repeated embedding for frame {} detection {}", 1)
-    return dim, keys, matrix
+    _require_keys(path, frames, indices, det_counts, "repeated embedding for frame {} detection {}", 1)
+    return dim, list(zip(frames.tolist(), indices.tolist())), matrix
 
 
 def _place(keys: Sequence[tuple[int, int]], values: np.ndarray, det_counts: Mapping[int, int]) -> dict[int, tuple]:
@@ -412,11 +406,14 @@ def write_results(path, outputs: Iterable[TrackOutput], include_interpolated: bo
     return len(rows)
 
 
-def write_gt(path, gt: Mapping[int, list[tuple[int, BBox]]]) -> None:
+def write_gt(path, gt: Mapping[int, IdBoxes]) -> None:
+    """Write each frame's ground truth in order, with confidence 1. A frame
+    may also be a list of ``(id, box)`` pairs."""
     with open(path, "w", encoding="ascii") as fh:
         for frame in sorted(gt):
-            ids = [obj_id for obj_id, _ in gt[frame]]
-            fh.write(_mot_lines([frame] * len(ids), ids, _box_rows([box for _, box in gt[frame]]), [1.0] * len(ids)))
+            batch = IdBoxes.pack(gt[frame])
+            n = len(batch)
+            fh.write(_mot_lines([frame] * n, batch.ids.tolist(), batch.boxes, [1.0] * n))
 
 
 def write_detections(path, dets: Mapping[int, Detections]) -> None:

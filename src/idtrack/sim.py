@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .geometry import BBox, Detections, _row_norms
+from .geometry import Detections, IdBoxes, _row_norms
 
 __all__ = ["SimConfig", "generate", "subsample", "benchmark_config", "config_from_mapping"]
 
@@ -139,17 +139,18 @@ def _bounce(p: float, v: float, lo: float, hi: float) -> tuple[float, float]:
     return p, v
 
 
-def generate(config: SimConfig) -> tuple[dict[int, list[tuple[int, BBox]]], dict[int, Detections]]:
+def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detections]]:
     """Build (gt, dets) streams, both keyed by 1-based output frame index.
 
-    gt holds (identity, box) pairs for every identity in every kept frame;
+    gt holds one ``IdBoxes`` batch per kept frame: every identity (ids from
+    1, in order) with its true box and confidence 1;
     dets holds one ``Detections`` batch per kept frame (noisy boxes,
     confidences, unit embeddings), its rows in identity order followed by
     that frame's false positives. Source frames 1, 1+stride, 1+2*stride, ...
     are kept and numbered densely. Every source frame makes the same draws
     whether it is kept or not, so the result equals ``subsample`` of the
     stride-1 scene. A kept frame's values are gathered as Python floats and
-    noise vectors and become its batch in one step: the embeddings are
+    noise vectors and become its batches in one step: the embeddings are
     normalised together, with the per-row arithmetic of ``_unit``.
     """
     rng = np.random.Generator(np.random.Philox(config.seed))
@@ -182,12 +183,13 @@ def generate(config: SimConfig) -> tuple[dict[int, list[tuple[int, BBox]]], dict
         occluded[who, start:min(start + dur, config.frames + 1)] = True
     occluded_at = occluded.tolist()
 
-    gt: dict[int, list[tuple[int, BBox]]] = {}
+    identities = np.arange(1, n + 1)  # shared by every gt batch, which never modifies it
+    gt: dict[int, IdBoxes] = {}
     dets: dict[int, Detections] = {}
     for t in range(1, config.frames + 1):
         keep = (t - 1) % stride == 0
         frame = (t - 1) // stride + 1
-        gt_frame: list[tuple[int, BBox]] = []
+        true_boxes: list[tuple[float, float, float, float]] = []
         boxes: list[tuple[float, float, float, float]] = []
         confidence: list[float] = []
         noise: list[np.ndarray] = []  # embedding noise, one row per detection
@@ -202,7 +204,7 @@ def generate(config: SimConfig) -> tuple[dict[int, list[tuple[int, BBox]]], dict
             p[0], v[0] = _bounce(p[0] + v[0], v[0], w / 2, width - w / 2)
             p[1], v[1] = _bounce(p[1] + v[1], v[1], h / 2, height - h / 2)
             if keep:
-                gt_frame.append((i + 1, BBox(p[0], p[1], w, h)))
+                true_boxes.append((p[0], p[1], w, h))
 
             if occluded_at[i][t]:
                 continue
@@ -236,7 +238,7 @@ def generate(config: SimConfig) -> tuple[dict[int, list[tuple[int, BBox]]], dict
                 noise.append(emb_noise)
 
         if keep:
-            gt[frame] = gt_frame
+            gt[frame] = IdBoxes(identities, true_boxes)
             vectors = np.array(noise).reshape(-1, dim)
             k = len(seen)
             vectors[:k] = protos[seen] + config.embedding_noise * vectors[:k]
@@ -248,8 +250,8 @@ def generate(config: SimConfig) -> tuple[dict[int, list[tuple[int, BBox]]], dict
 def subsample(stream: Mapping[int, object], stride: int) -> dict[int, object]:
     """Keep frames 1, 1+stride, 1+2*stride, ... and re-key them densely.
 
-    Only the keys change: each kept frame's value (a ``Detections`` batch or
-    a gt list) is the same object, and a frame missing from ``stream``
+    Only the keys change: each kept frame's value (a ``Detections`` or
+    ``IdBoxes`` batch) is the same object, and a frame missing from ``stream``
     becomes ``[]``. A detection's prediction still points one source frame
     ahead, not one kept frame, so a strided stream should carry none
     (``idtrack track`` rejects ``--predictions`` with a stride).

@@ -45,7 +45,7 @@ import numpy as np
 
 from .affinity import AffinityWeights, combined_affinity, nms
 from .assignment import solve_max
-from .geometry import BBox, Detection, Detections, _row_norms
+from .geometry import BBox, Detection, Detections, IdBoxes, _row_norms
 
 __all__ = [
     "Trajectory",
@@ -324,12 +324,13 @@ def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEF
     return outputs
 
 
-def hypotheses(outputs: Iterable[TrackOutput]) -> dict[int, list[tuple[int, BBox]]]:
-    """Tracker outputs as ``evaluate``'s hypothesis stream: frame ->
-    [(track_id, box), ...] in output order. Interpolated outputs are
-    propagation, not detections, so they are left out."""
-    hyp: dict[int, list[tuple[int, BBox]]] = {}
+def hypotheses(outputs: Iterable[TrackOutput]) -> dict[int, IdBoxes]:
+    """Tracker outputs as ``evaluate``'s hypothesis stream: frame -> one
+    ``IdBoxes`` batch of track ids, boxes and confidences in output order,
+    frames in order of first output. Interpolated outputs are propagation,
+    not detections, so they are left out."""
+    rows: dict[int, list[tuple[int, BBox, float]]] = {}
     for o in outputs:
         if not o.interpolated:
-            hyp.setdefault(o.frame, []).append((o.track_id, o.box))
-    return hyp
+            rows.setdefault(o.frame, []).append((o.track_id, o.box, o.confidence))
+    return {frame: IdBoxes.pack(frame_rows) for frame, frame_rows in rows.items()}

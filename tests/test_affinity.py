@@ -12,7 +12,7 @@ from idtrack.affinity import (
     iou_matrix,
     nms,
 )
-from idtrack.geometry import BBox, Detection, Detections, to_center
+from idtrack.geometry import BBox, Detection, Detections, _box_rows, to_center
 from idtrack.tracker import Trajectory
 
 
@@ -86,6 +86,17 @@ def test_iou_matrix_matches_scalar():
     for i, a in enumerate(boxes_a):
         for j, b in enumerate(boxes_b):
             assert m[i, j] == iou(a, b)
+
+
+def test_row_iou_matches_scalar():
+    # evaluate scores its surviving correspondences with it, and MOTP must
+    # not drift by an ulp from the scalar iou.
+    rng = np.random.default_rng(13)
+    boxes_a = [random_box(rng) for _ in range(400)]
+    boxes_b = [random_box(rng) for _ in range(399)] + [boxes_a[-1]]  # and one identical pair
+    rows = idtrack.affinity._iou_rows(_box_rows(boxes_a), _box_rows(boxes_b))
+    assert rows.tolist() == [iou(a, b) for a, b in zip(boxes_a, boxes_b)]
+    assert rows[-1] == 1.0 and (rows == 0.0).any() and ((rows > 0.0) & (rows < 1.0)).any()
 
 
 def test_iou_matrix_empty():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from idtrack.geometry import BBox, Detection, Detections, _check_unit, to_center, to_corner
+from idtrack.geometry import BBox, Detection, Detections, IdBoxes, _check_unit, to_center, to_corner
 from idtrack.kernels import LossWeights
 
 
@@ -172,3 +172,35 @@ def test_pack_keeps_rows_whose_embeddings_cannot_form_one_matrix():
     assert Detections.pack([Detection(box, 0.5)]).missing_embedding() == "detection 0 has no embedding"
     assert Detections.pack([]).missing_embedding() is None
     assert Detections([[0, 0, 1, 1]], [0.5], unit_rows(1)).missing_embedding() is None
+
+
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [
+        ({"boxes": [[0, 0, 2, 2], [0, 0, 0, 2]]}, r"row 1: box needs finite values and positive size"),
+        ({"boxes": [[float("inf"), 0, 2, 2], [0, 0, 2, 2]]}, r"row 0: box needs finite"),
+        ({"boxes": [[0, 0, 2, 2]]}, r"boxes must have shape \(2, 4\)"),
+        ({"confidence": [0.5, float("nan")]}, r"row 1: confidence must be finite, got nan"),
+        ({"confidence": [0.5]}, r"confidence must have shape \(2,\)"),
+        ({"ids": [1.0, 2.0]}, "ids must be integers"),
+    ],
+)
+def test_id_boxes_check_every_row_and_name_the_first_bad_one(change, message):
+    values = {"ids": [3, 1], "boxes": [[0, 0, 2, 2], [5, 5, 2, 2]], "confidence": [0.5, 0.9], **change}
+    with pytest.raises(ValueError, match=message):
+        IdBoxes(**values)
+
+
+def test_id_boxes_iterate_as_id_box_pairs_and_pack_both_row_forms():
+    batch = IdBoxes([3, 1], [[0, 0, 2, 2], [5, 5, 2, 2]])
+    assert batch.ids.dtype == np.int64 and batch.confidence.tolist() == [1.0, 1.0]
+    assert list(batch) == [(3, BBox(0, 0, 2, 2)), (1, BBox(5, 5, 2, 2))]
+    assert all(type(i) is int for i, _ in batch)
+    assert IdBoxes.pack(batch) is batch
+    scored = IdBoxes.pack([(3, BBox(0, 0, 2, 2), 0.25), (1, BBox(5, 5, 2, 2), 0.75)])
+    assert scored.ids.tolist() == [3, 1] and scored.confidence.tolist() == [0.25, 0.75]
+    assert IdBoxes.pack(list(batch)).boxes.tolist() == batch.boxes.tolist()
+    kept = scored.take(scored.confidence >= 0.5)
+    assert list(kept) == [(1, BBox(5, 5, 2, 2))] and kept.confidence.tolist() == [0.75]
+    empty = IdBoxes.pack([])
+    assert len(empty) == 0 and empty.boxes.shape == (0, 4) and list(empty) == []

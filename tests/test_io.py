@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from idtrack import mot_io
 from idtrack.affinity import AffinityWeights
-from idtrack.geometry import BBox, Detection, Detections, to_corner
+from idtrack.geometry import BBox, Detection, Detections, IdBoxes, to_corner
 from idtrack.mot_io import (
     load_detections,
     read_config,
@@ -20,7 +20,6 @@ from idtrack.mot_io import (
     read_embeddings,
     read_gt,
     read_predictions,
-    read_scored_hypotheses,
     write_detections,
     write_embeddings,
     write_gt,
@@ -103,13 +102,17 @@ def test_gt_rejects_anonymous_ids(tmp_path):
         read_gt(p)
 
 
-def test_scored_hypotheses_keep_confidence(tmp_path):
+def test_read_gt_returns_batches_that_keep_confidence(tmp_path):
     p = tmp_path / "hyp.txt"
-    p.write_text("1,3,10,20,30,40,0.625000,-1,-1,-1\n")
-    stream = read_scored_hypotheses(p)
-    hid, box, conf = stream[1][0]
-    assert hid == 3
-    assert conf == 0.625
+    p.write_text("1,3,10,20,30,40,0.625000,-1,-1,-1\n2,5,0,0,2,2,1,-1,-1,-1\n1,4,0,0,2,2,0.5,-1,-1,-1\n")
+    stream = read_gt(p)
+    assert list(stream) == [1, 2]
+    batch = stream[1]
+    assert isinstance(batch, IdBoxes) and len(batch) == 2
+    assert batch.ids.dtype == np.int64 and batch.ids.tolist() == [3, 4]
+    assert batch.boxes.tolist() == [[25.0, 40.0, 30.0, 40.0], [1.0, 1.0, 2.0, 2.0]]
+    assert batch.confidence.tolist() == [0.625, 0.5]
+    assert list(batch) == [(3, BBox(25.0, 40.0, 30.0, 40.0)), (4, BBox(1.0, 1.0, 2.0, 2.0))]
 
 
 def test_embedding_sidecar_round_trip(tmp_path):
@@ -326,7 +329,6 @@ def test_read_config_rejects_a_repeated_key(tmp_path):
     [
         (read_detections, "1,-1,10,20,30,40,0.9,-1,-1,-1"),
         (read_gt, "1,1,10,20,30,40,1,-1,-1,-1"),
-        (read_scored_hypotheses, "1,1,10,20,30,40,1,-1,-1,-1"),
         (lambda p: read_predictions(p, {1: 9}), "1,0,10,20,30,40,1,-1,-1,-1"),
         (read_embeddings, "dim=1"),
         (read_config, "seed=1"),
@@ -481,7 +483,11 @@ def test_results_and_sidecar_are_parse_stable(tmp_path):
     ]
     r1, r2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
     write_results(r1, outputs, include_interpolated=True)
-    back = [TrackOutput(f, i, box, conf) for f, rows in read_scored_hypotheses(r1).items() for i, box, conf in rows]
+    back = [
+        TrackOutput(f, i, box, conf)
+        for f, batch in read_gt(r1).items()
+        for (i, box), conf in zip(batch, batch.confidence.tolist())
+    ]
     write_results(r2, back, include_interpolated=True)
     assert r1.read_bytes() == r2.read_bytes()
 
@@ -692,6 +698,8 @@ def bits(value):
     if isinstance(value, Detections):
         columns = ("boxes", "confidence", "embeddings", "predictions", "predicted")
         return ("Detections", *(bits(getattr(value, name)) for name in columns))
+    if isinstance(value, IdBoxes):
+        return ("IdBoxes", bits(value.ids), bits(value.boxes), bits(value.confidence))
     if isinstance(value, dict):
         return tuple((bits(k), bits(v)) for k, v in value.items())
     if isinstance(value, (tuple, list)):
@@ -755,7 +763,7 @@ def embeddings(path):
     return read_embeddings(path, DET_COUNTS)
 
 
-MOT_READERS = [read_detections, read_gt, read_scored_hypotheses, predictions]
+MOT_READERS = [read_detections, read_gt, predictions]
 
 
 @st.composite
@@ -791,17 +799,34 @@ def test_a_clean_detection_file_takes_the_bulk_path(tmp_path, monkeypatch):
     assert outcome(read_gt, tmp_path / "gt.txt") == loop["gt.txt"]
 
 
+@pytest.mark.parametrize("blank", ["  ", "\t", " \t ", "\x0c"])
+def test_a_line_of_only_whitespace_keeps_a_file_on_the_bulk_path(tmp_path, monkeypatch, blank):
+    gt, dets = generate(SimConfig(seed=4, num_identities=4, frames=10, fp_rate=0.5, embedding_dim=8))
+    counts = {f: len(v) for f, v in dets.items()}
+    reads = {"gt.txt": read_gt, "emb.txt": lambda p: read_embeddings(p, counts)}
+    write_gt(tmp_path / "gt.txt", gt)
+    write_embeddings(tmp_path / "emb.txt", dets)
+    clean = {name: outcome(read, tmp_path / name) for name, read in reads.items()}
+    for name in reads:
+        lines = (tmp_path / name).read_text().splitlines(keepends=True)
+        (tmp_path / name).write_text("".join([*lines[:2], blank + "\n", *lines[2:]]))
+    monkeypatch.setattr(mot_io, "_parse_mot_line", line_loop_must_not_run)
+    monkeypatch.setattr(mot_io, "_embeddings_by_line", line_loop_must_not_run)
+    for name, read in reads.items():
+        assert outcome(read, tmp_path / name) == clean[name]
+
+
 # A row that breaks a reader's rule but parses cleanly in bulk, after two valid
-# rows and blank lines: the error names the line it is on.
+# rows and blank lines (one of only whitespace): the error names the line it is on.
 ROW = "1,{},10,20,30,40,{},-1,-1,-1"
 RULE_BREAKS = [
     (read_detections, ROW.format(-1, 0.9), ROW.format(-1, 1.5), "confidence must lie in [0, 1], got 1.5"),
     (read_detections, ROW.format(-1, 0.9), ROW.format(-1, -0.25), "confidence must lie in [0, 1], got -0.25"),
     (read_gt, ROW.format(3, 1), ROW.format(0, 1), "object ids must be >= 1, got 0"),
     (read_gt, ROW.format(3, 1), ROW.format(3, 1), "repeated id 3 in frame 1"),
-    (read_scored_hypotheses, ROW.format(3, 0.5), ROW.format(4, "nan"), "confidence must be finite, got nan"),
-    (read_scored_hypotheses, ROW.format(3, 0.5), ROW.format(4, "-inf"), "confidence must be finite, got -inf"),
-    (read_scored_hypotheses, ROW.format(3, 0.5), ROW.format(3, 0.25), "repeated id 3 in frame 1"),
+    (read_gt, ROW.format(3, 0.5), ROW.format(4, "nan"), "confidence must be finite, got nan"),
+    (read_gt, ROW.format(3, 0.5), ROW.format(4, "-inf"), "confidence must be finite, got -inf"),
+    (read_gt, ROW.format(3, 0.5), ROW.format(3, 0.25), "repeated id 3 in frame 1"),
     (predictions, ROW.format(0, 1), ROW.format(3, 1), "frame 1 has 3 detections, no index 3"),
     (predictions, ROW.format(0, 1), ROW.format(0, 1), "repeated prediction for frame 1 detection 0"),
     (embeddings, "1,0,0.6,0.8", "1,0,1.0,0.0", "repeated embedding for frame 1 detection 0"),
@@ -816,7 +841,7 @@ def test_a_rule_break_the_bulk_parse_takes_names_its_line(tmp_path, monkeypatch,
     monkeypatch.setattr(mot_io, "_embeddings_by_line", line_loop_must_not_run)
     other = "2" + row[1:]  # the same row in frame 2
     header = "dim=2" if row.count(",") == 3 else ""  # a sidecar row: frame, index and a 2-d vector
-    lines = ["", header, row, "", "", other, "", bad, ""]
+    lines = ["", header, row, " \t", "", other, "", bad, ""]
     p = tmp_path / "in.txt"
     p.write_bytes(newline.join(lines).encode())
     with pytest.raises(ValueError, match=rf"^{re.escape(f'{p}:8: {message}')}$"):

@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from idtrack.geometry import BBox
+from idtrack.affinity import iou, iou_matrix
+from idtrack.assignment import solve_max
+from idtrack.geometry import BBox, IdBoxes
 from idtrack.metrics import (
     DEFAULT_SWEEP_THRESHOLDS,
+    ML_CUTOFF,
+    MT_CUTOFF,
+    MotReport,
+    SweepResult,
     evaluate,
     format_report,
     format_table,
     sweep_thresholds,
 )
-from idtrack.sim import SimConfig, generate
+from idtrack.sim import SimConfig, generate, subsample
 
 
 def box(cx, cy, size=10.0):
@@ -116,7 +124,7 @@ def test_motp_averages_match_overlap():
 
 
 def test_report_rates_are_python_floats_on_a_generated_scene():
-    # Simulated boxes hold numpy scalars, so the scalar iou returns numpy floats.
+    # The rates are Python floats, not numpy scalars, whatever form the boxes take.
     gt, _ = generate(SimConfig(seed=5, num_identities=4, frames=10))
     r = evaluate(gt, gt)
     assert r.matches > 0
@@ -221,3 +229,207 @@ def test_format_report_key_values():
     assert "gt_total=1" in text
     prefixed = format_report(r, prefix="x_")
     assert "x_mota=100.0000" in prefixed
+
+
+def _reference_frame_entries(stream, frame, kind):
+    entries = sorted(stream.get(frame, ()), key=lambda e: e[0])
+    seen = set()
+    for entry in entries:
+        if entry[0] in seen:
+            raise ValueError(f"duplicate {kind} id {entry[0]} in frame {frame}")
+        seen.add(entry[0])
+    return entries
+
+
+def reference_evaluate(gt, hyp, iou_gate=0.5):
+    """The earlier per-box ``evaluate`` over [(id, BBox)] lists, kept as the
+    oracle: ``evaluate`` must return the same report, bit for bit, and
+    raise the same errors."""
+    if not 0.0 < iou_gate <= 1.0:
+        raise ValueError(f"iou_gate must lie in (0, 1], got {iou_gate}")
+    frames = sorted(set(gt) | set(hyp))
+    corr = {}
+    fp = fn = ids = matches = frag = 0
+    iou_total = 0.0
+    present, covered, ever_matched, last_status = {}, {}, set(), {}
+    for f in frames:
+        g_entries = _reference_frame_entries(gt, f, "gt")
+        h_entries = _reference_frame_entries(hyp, f, "hypothesis")
+        h_index = {hid: k for k, (hid, _) in enumerate(h_entries)}
+        matched, used_h = {}, set()
+        for gid, gbox in g_entries:
+            hid = corr.get(gid)
+            if hid is None or hid in used_h or hid not in h_index:
+                continue
+            overlap = iou(gbox, h_entries[h_index[hid]][1])
+            if overlap >= iou_gate:
+                matched[gid] = overlap
+                used_h.add(hid)
+        rem_g = [(gid, box) for gid, box in g_entries if gid not in matched]
+        rem_h = [(hid, box) for hid, box in h_entries if hid not in used_h]
+        if rem_g and rem_h:
+            m = iou_matrix([b for _, b in rem_g], [b for _, b in rem_h])
+            m = np.where(m >= iou_gate, m, 0.0)
+            for ri, rj in solve_max(m, min_affinity=iou_gate).pairs:
+                gid, hid = rem_g[ri][0], rem_h[rj][0]
+                prev = corr.get(gid)
+                if prev is not None and prev != hid:
+                    ids += 1
+                corr[gid] = hid
+                matched[gid] = float(m[ri, rj])
+                used_h.add(hid)
+        matches += len(matched)
+        iou_total += sum(matched.values())
+        fn += len(g_entries) - len(matched)
+        fp += len(h_entries) - len(used_h)
+        for gid, _ in g_entries:
+            present[gid] = present.get(gid, 0) + 1
+            hit = gid in matched
+            if hit:
+                covered[gid] = covered.get(gid, 0) + 1
+                if gid in ever_matched and last_status.get(gid) is False:
+                    frag += 1
+                ever_matched.add(gid)
+            last_status[gid] = hit
+    gt_total = sum(present.values())
+    mt = ml = 0
+    for gid, n in present.items():
+        ratio = covered.get(gid, 0) / n
+        if ratio >= MT_CUTOFF:
+            mt += 1
+        elif ratio <= ML_CUTOFF:
+            ml += 1
+    return MotReport(
+        mota=1.0 - (fn + fp + ids) / max(gt_total, 1),
+        motp=float(iou_total / matches) if matches else 0.0,
+        ids=ids, mt=mt, ml=ml, frag=frag, fp=fp, fn=fn, gt_total=gt_total, matches=matches,
+    )
+
+
+def reference_sweep(gt, hyp, thresholds, iou_gate=0.5):
+    """The earlier ``sweep_thresholds`` over [(id, BBox, score)] lists."""
+    if not thresholds:
+        raise ValueError("need at least one threshold")
+    rows = []
+    for thr in thresholds:
+        filtered = {f: [(hid, box) for hid, box, score in entries if score >= thr] for f, entries in hyp.items()}
+        rows.append((float(thr), reference_evaluate(gt, filtered, iou_gate)))
+    best = {}
+    for name in ("mota", "motp", "mt", "ids", "ml", "frag", "fp", "fn"):
+        sign = 1.0 if name in ("mota", "motp", "mt") else -1.0
+        pick = None
+        for thr, report in rows:
+            value = float(getattr(report, name))
+            if pick is None or sign * value > sign * pick[1]:
+                pick = (thr, value)
+        best[name] = pick
+    return SweepResult(tuple(rows), best)
+
+
+COORDS = [10.0, 14.0, 20.0, 31.5, 40.0]
+SIZES = [4.0, 8.0, 10.0]
+SHIFTS = [0.0, 0.0, 0.5, -1.0, 2.0, -3.0, 6.0]
+SCORES = [0.05, 0.3, 0.5, 0.7, 0.95]
+
+
+@st.composite
+def scored_streams(draw):
+    """``(gt, hyp)`` list streams: 2-5 objects (ids from -3 to 40) moving
+    over up to 10 frames, tracked under ids of their own with jittered
+    boxes, dropped boxes, label swaps, false positives (ids from 41), one
+    time in eight a repeated id, and frames missing from either stream.
+    Each hypothesis row carries a score. One time in three the second
+    object twins the first: one path, one track, so that both gt ids come
+    to claim one hypothesis id."""
+    objects = draw(st.lists(st.integers(-3, 40), min_size=2, max_size=5, unique=True))
+    labels = draw(st.lists(st.integers(-3, 40), min_size=len(objects), max_size=len(objects), unique=True))
+    label = dict(zip(objects, labels))
+    path = {g: (draw(st.sampled_from(COORDS)), draw(st.sampled_from(COORDS)), draw(st.sampled_from(SIZES)),
+                draw(st.integers(0, 2)), draw(st.integers(0, 1))) for g in objects}
+    twins = draw(st.sampled_from([True, False, False]))
+    if twins:
+        path[objects[1]] = path[objects[0]]
+    n_frames = draw(st.integers(1, 10))
+    repeat_at = draw(st.integers(1, n_frames)) if draw(st.sampled_from([True] + [False] * 7)) else 0
+    gt, hyp = {}, {}
+    for f in range(1, n_frames + 1):
+        g_rows, h_rows = [], []
+        if draw(st.integers(0, 3)) == 0:  # two tracks swap labels from here on
+            a, b = draw(st.permutations(objects))[:2]
+            label[a], label[b] = label[b], label[a]
+        for g in objects:
+            x, y, size, vx, vy = path[g]
+            box = BBox(x + vx * f, y + vy * f, size, size)
+            if draw(st.integers(0, 6)):
+                g_rows.append((g, box))
+            if draw(st.integers(0, 5)) and not (twins and g == objects[1]):
+                shifted = BBox(box.cx + draw(st.sampled_from(SHIFTS)), box.cy + draw(st.sampled_from(SHIFTS)), size, size)
+                h_rows.append((label[g], shifted, draw(st.sampled_from(SCORES))))
+        for j in range(draw(st.integers(0, 2))):  # false positives
+            h_rows.append((41 + j, BBox(draw(st.sampled_from(COORDS)), 60.0, 8.0, 8.0), draw(st.sampled_from(SCORES))))
+        if f == repeat_at:
+            rows = draw(st.sampled_from([g_rows, h_rows]))
+            if rows:
+                rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+        if draw(st.integers(0, 7)):
+            gt[f] = draw(st.permutations(g_rows))
+        if draw(st.integers(0, 7)):
+            hyp[f] = draw(st.permutations(h_rows))
+    return gt, hyp
+
+
+def batches(stream):
+    return {f: IdBoxes.pack(rows) for f, rows in stream.items()}
+
+
+def outcome(score, *args):
+    try:
+        return score(*args)
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(scored_streams(), st.floats(0.3, 1.0), st.sampled_from([1, 1, 2, 3]))
+def test_property_evaluate_and_sweep_match_the_reference(streams, gate, stride):
+    gt, scored = streams
+    if stride > 1:  # the frames subsample drops come back as []
+        gt, scored = subsample(gt, stride), subsample(scored, stride)
+    hyp = {f: [(hid, box) for hid, box, _ in rows] for f, rows in scored.items()}
+    expected = outcome(reference_evaluate, gt, hyp, gate)
+    assert outcome(evaluate, gt, hyp, gate) == expected
+    assert outcome(evaluate, batches(gt), batches(hyp), gate) == expected
+    assert outcome(evaluate, batches(gt), hyp, gate) == expected
+
+    thresholds = (0.2, 0.5, 0.8)
+    expected = outcome(reference_sweep, gt, scored, thresholds, gate)
+    assert outcome(sweep_thresholds, gt, scored, thresholds, gate) == expected
+    assert outcome(sweep_thresholds, batches(gt), batches(scored), thresholds, gate) == expected
+
+
+@pytest.mark.parametrize(
+    ("gt_frame", "hyp_frame"),
+    [(1, 2), (2, 1), (2, 2)],  # the earlier frame's repeat is the error; on a tie, the gt's
+)
+def test_a_repeated_id_raises_what_the_reference_raises(gt_frame, hyp_frame):
+    gt = {f: [(5, A), (2, B), (1, C)] for f in (1, 2, 3)}
+    hyp = {f: [(8, A), (9, B)] for f in (1, 2, 3)}
+    gt[gt_frame] = gt[gt_frame] + [(5, FAR), (2, C)]
+    hyp[hyp_frame] = hyp[hyp_frame] + [(9, FAR)]
+    with pytest.raises(ValueError) as expected:
+        reference_evaluate(gt, hyp)
+    for form in (lambda s: s, batches):
+        with pytest.raises(ValueError) as got:
+            evaluate(form(gt), form(hyp))
+        assert str(got.value) == str(expected.value)
+
+
+def test_two_gt_ids_claiming_one_hypothesis_leave_it_to_the_lower_id():
+    # gt 2 takes over hypothesis 7 while gt 1 is away; in frame 3 both still
+    # claim it, gt 1 keeps it, and so gt 1 never loses track (no Frag).
+    gt = {1: [(1, A)], 2: [(2, A)], 3: [(2, A), (1, A)], 4: [(1, A)]}
+    hyp = {f: [(7, A)] for f in (1, 2, 3, 4)}
+    expected = reference_evaluate(gt, hyp)
+    assert (expected.frag, expected.fn, expected.ids) == (0, 1, 0)
+    assert evaluate(gt, hyp) == expected
+    assert evaluate(batches(gt), batches(hyp)) == expected

@@ -156,8 +156,10 @@ def test_hypotheses_skip_interpolated_outputs_and_keep_order():
         TrackOutput(3, 1, c, 0.5, interpolated=True),
     ]
     hyp = hypotheses(outputs)
-    assert hyp == {2: [(3, a), (2, c)], 1: [(2, b)]}
+    assert {f: list(batch) for f, batch in hyp.items()} == {2: [(3, a), (2, c)], 1: [(2, b)]}
     assert list(hyp) == [2, 1]  # frames in order of first output
+    assert hyp[2].ids.dtype == np.int64 and hyp[2].boxes.tolist() == [[10.0, 10.0, 4.0, 4.0], [30.0, 10.0, 4.0, 4.0]]
+    assert hyp[2].confidence.tolist() == [0.9, 0.6]
     assert hypotheses([]) == {}
 
 
