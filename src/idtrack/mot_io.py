@@ -32,14 +32,18 @@ and the predicted boxes join each frame's box and confidence arrays as
 matrices, placed by their ``(frame, index)`` keys. ``read_gt`` likewise
 returns one ``IdBoxes`` batch of ids, boxes and confidences per frame, for
 ground truth and results alike. The detection and ground-truth writers
-take a stream of batches; the MOT writers convert a frame's boxes (or up
-to ``_CHUNK_ROWS`` results) to corner form in one numpy pass.
+take a stream of batches.
 
-The sidecar writer streams its rows in chunks of a few thousand values. Each
-chunk is formatted in numpy in fixed point, rounding exactly as "%.9f" does
-(to nearest, ties to even); a row with a value within float error of a
-rounding tie, or of magnitude 10 or more, is formatted by "%" instead. The
-bytes are those of one "%" format per line.
+Every writer streams its rows in chunks across frames: ``_CHUNK_ROWS`` MOT
+rows, or about ``_CHUNK_VALUES`` sidecar values, at a time. Each chunk is
+formatted in numpy in fixed point, integers and values alike, rounding
+exactly as "%.6f" (MOT) and "%.9f" (sidecar) do (to nearest, ties to even);
+a row with a value within float error of a rounding tie, of magnitude 1e8
+(MOT) or 10 (sidecar) or more, or not finite, is formatted by "%" instead
+and spliced in place. The bytes are those of one "%" format per line. The
+MOT writers check first that they write nothing their readers reject:
+1-based frames, and in ground truth and results ids of 1 or more that do
+not repeat in a frame, and finite result confidences.
 """
 
 from __future__ import annotations
@@ -150,11 +154,16 @@ def _require_keys(path, frames, keys, det_counts, repeated: str, header: int = 0
         counts = np.array([det_counts.get(frame, 0) for frame in distinct.tolist()], dtype=np.int64)[at]
         _require(path, (keys >= 0) & (keys < counts),
                  lambda k: f"frame {frames[k]} has {counts[k]} detections, no index {keys[k]}", header)
-    order = np.lexsort((keys, frames))  # stable: a pair's rows stay in file order
+    _require(path, _unrepeated(frames, keys), lambda k: repeated.format(frames[k], keys[k]), header)
+
+
+def _unrepeated(frames: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Per row: False where an earlier row has the same ``(frame, key)``."""
+    order = np.lexsort((keys, frames))  # stable: a pair's rows stay in order
     later = (frames[order[1:]] == frames[order[:-1]]) & (keys[order[1:]] == keys[order[:-1]])
     ok = np.ones(len(keys), dtype=bool)
     ok[order[1:][later]] = False
-    _require(path, ok, lambda k: repeated.format(frames[k], keys[k]), header)
+    return ok
 
 
 def _frame_rows(frames: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -372,68 +381,8 @@ def load_detections(dets_path, embeddings_path=None, predictions_path=None) -> d
 
 
 _MOT_LINE = "%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,-1,-1,-1\n"
-_CHUNK_ROWS = 1024  # results formatted at a time, so that the lists stay small
-
-
-def _mot_lines(frames: Sequence[int], ids: Sequence[int], boxes: np.ndarray, confidence: Sequence[float]) -> str:
-    """The MOT lines of rows ``(frames[k], ids[k], boxes[k], confidence[k])``,
-    boxes in center form, with ``to_corner``'s float operations done in
-    numpy for all the boxes at once."""
-    cx, cy, w, h = boxes.T
-    with np.errstate(over="ignore", invalid="ignore"):  # Python floats overflow silently too
-        half_w, half_h = w / 2.0, h / 2.0
-        left, top, right, bottom = cx - half_w, cy - half_h, cx + half_w, cy + half_h
-        columns = (left.tolist(), top.tolist(), (right - left).tolist(), (bottom - top).tolist())
-    return "".join(map(_MOT_LINE.__mod__, zip(frames, ids, *columns, confidence)))
-
-
-def write_results(path, outputs: Iterable[TrackOutput], include_interpolated: bool = False) -> int:
-    """Write tracker output sorted by (frame, id) and return the number of
-    rows written. Interpolated boxes are skipped unless asked for. Every id
-    is checked before the file is opened."""
-    rows = sorted(
-        (o for o in outputs if include_interpolated or not o.interpolated),
-        key=lambda o: (o.frame, o.track_id),
-    )
-    for o in rows:
-        if o.track_id < 1:
-            raise ValueError(f"track ids must be >= 1, got {o.track_id}")
-    with open(path, "w", encoding="ascii") as fh:
-        for start in range(0, len(rows), _CHUNK_ROWS):
-            chunk = rows[start : start + _CHUNK_ROWS]
-            frames, ids = [o.frame for o in chunk], [o.track_id for o in chunk]
-            fh.write(_mot_lines(frames, ids, _box_rows([o.box for o in chunk]), [o.confidence for o in chunk]))
-    return len(rows)
-
-
-def write_gt(path, gt: Mapping[int, IdBoxes]) -> None:
-    """Write each frame's ground truth in order, with confidence 1. A frame
-    may also be a list of ``(id, box)`` pairs."""
-    with open(path, "w", encoding="ascii") as fh:
-        for frame in sorted(gt):
-            batch = IdBoxes.pack(gt[frame])
-            n = len(batch)
-            fh.write(_mot_lines([frame] * n, batch.ids.tolist(), batch.boxes, [1.0] * n))
-
-
-def write_detections(path, dets: Mapping[int, Detections]) -> None:
-    """Write each frame's detections in order, with id -1."""
-    with open(path, "w", encoding="ascii") as fh:
-        for frame in sorted(dets):
-            batch = dets[frame]
-            n = len(batch)
-            fh.write(_mot_lines([frame] * n, [-1] * n, batch.boxes, batch.confidence.tolist()))
-
-
-# The sidecar's values are formatted in fixed point. y = |v| * 1e9 is within
-# y * 2**-53 of the exact product, so rint(y) gives the correctly rounded,
-# round-half-even digits of "%.9f" unless y lies within y * 2**-50 of a
-# half-integer. A row with such a value, or with one whose magnitude rounds
-# to 10 or more (NaN and inf included), is formatted by "%" instead.
-_CHUNK_VALUES = 4096  # values per numpy pass: its arrays stay small and in cache
-# ",", then "-W.d" (the sign byte is 0 for a value without one), then two
-# groups of 4 digits: 13 bytes, 12 once the 0 sign bytes are deleted.
-_VALUE = np.dtype([("comma", "u1"), ("head", "<u4"), ("high", "<u4"), ("low", "<u4")])
+_CHUNK_ROWS = 1024  # MOT rows per numpy pass: its arrays stay small and in cache
+_CHUNK_VALUES = 4096  # sidecar values per numpy pass, for the same reason
 
 
 def _words(*byte_columns) -> np.ndarray:
@@ -443,37 +392,219 @@ def _words(*byte_columns) -> np.ndarray:
     return np.stack(grids, axis=-1).view("<u4").reshape(-1)
 
 
+# Every value is written as fixed-width bytes padded with NUL, and the NUL
+# bytes of a whole chunk are deleted by one ``bytes.translate``.
 _DIGIT = range(ord("0"), ord("9") + 1)
 _DIGITS4 = _words(_DIGIT, _DIGIT, _DIGIT, _DIGIT)  # b"%04d" % n at index n
 # At index 100 * negative + 10 * whole + tenth: the sign byte (0 when there is
 # none), the whole digit, "." and the first decimal.
 _HEADS = _words([0, ord("-")], _DIGIT, [ord(".")], _DIGIT)
+_POINT2 = _words([0], [ord(".")], _DIGIT, _DIGIT)  # b"\0.%02d" % n at index n
+# b"%4d" % n with NUL for space at index n: the top group of a number's
+# digits; a 0 there is all NUL, except in a number's only group.
+_TOP, _ONLY = (
+    np.where(np.arange(10_000)[:, None] < lead, 0, _DIGITS4.view(np.uint8).reshape(-1, 4)).view("<u4").reshape(-1)
+    for lead in ([1000, 100, 10, 1], [1000, 100, 10, 0])
+)
 
 
-def _embedding_rows(keys: Sequence[tuple[int, int]], m: np.ndarray, line: str) -> bytes:
-    """The sidecar lines of ``keys`` and the rows of ``m``, byte for byte what
-    ``line % (frame, det_index, *row)`` gives."""
-    n, dim = m.shape
+def _digits(magnitude: np.ndarray) -> np.ndarray:
+    """``(..., g)`` words of the decimal digits of the unsigned integers
+    ``magnitude``, 4 to a word, leading zeros NUL; ``g`` fits the largest."""
+    groups = (len(str(int(magnitude.max(initial=0)))) + 3) // 4
+    words = np.empty(magnitude.shape + (groups,), "<u4")
+    for g in range(groups - 1, 0, -1):
+        magnitude, low = np.divmod(magnitude, 10_000)
+        words[..., g] = np.where(magnitude > 0, _DIGITS4[low], (_ONLY if g == groups - 1 else _TOP)[low])
+    words[..., 0] = (_ONLY if groups == 1 else _TOP)[magnitude]
+    return words
+
+
+# Values are rounded in fixed point. y = |v| * 10**d is within y * 2**-53 of
+# the exact product, so rint(y) gives the correctly rounded, round-half-even
+# digits of "%.{d}f" unless y lies within y * 2**-50 of a half-integer. A row
+# with such a value, or with one that rounds to the writer's limit or more
+# (NaN and inf included), is formatted by "%" instead.
+def _fixed_point(v: np.ndarray, decimals: int, limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(k, fixed)``: ``k = rint(|v| * 10**decimals)`` as int64, and per row
+    of ``v`` whether every ``k`` is exact and below ``limit`` (``k`` is 0 in
+    the other rows)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        y = np.abs(m) * 1e9
+        y = np.abs(v) * 10.0**decimals
         k = np.rint(y)
-        fixed = ((np.abs(y - np.floor(y) - 0.5) > y * 2.0**-50) & (k < 1e10)).all(axis=1)
+        fixed = ((np.abs(y - np.floor(y) - 0.5) > y * 2.0**-50) & (k < limit)).all(axis=1)
     k[~fixed] = 0.0
-    head, low = np.divmod(k.astype(np.int64), 10_000)
-    head, high = np.divmod(head, 10_000)
-    negative = np.signbit(m)
-    head += 100 * negative
-    values = np.empty((n, dim), _VALUE)
-    values["comma"] = ord(",")
-    values["head"] = _HEADS[head]
-    values["high"] = _DIGITS4[high]
-    values["low"] = _DIGITS4[low]
-    body = values.tobytes().translate(None, b"\0")
-    ends = np.cumsum((_VALUE.itemsize - 1) * dim + negative.sum(axis=1)).tolist()
-    out = [b"%d,%d%b\n" % (*key, body[start:end]) for key, start, end in zip(keys, [0, *ends], ends)]
-    for r in np.flatnonzero(~fixed).tolist():
-        out[r] = (line % (*keys[r], *m[r].tolist())).encode("ascii")
+    return k.astype(np.int64), fixed
+
+
+def _number(digits: np.ndarray) -> list[tuple]:
+    """The fields of a signed number: its sign byte (0 when it has none),
+    then its ``digits`` words."""
+    return [("sign", "u1"), ("digits", "<u4", digits.shape[-1:])]
+
+
+def _keyed_rows(frames: np.ndarray, keys: np.ndarray, value: np.dtype, count: int, tail: bytes) -> np.ndarray:
+    """Rows of ``frame,key`` (int64 columns), then ``count`` values of dtype
+    ``value`` (left to fill), then ``tail``."""
+    first = _digits(np.abs(frames).astype(np.uint64))  # abs(-2**63) wraps to 2**63 as uint64
+    second = _digits(np.abs(keys).astype(np.uint64))
+    rows = np.empty(len(frames), [("frame", _number(first)), ("comma", "S1"), ("key", _number(second)),
+                                  ("values", value, (count,)), ("tail", f"S{len(tail)}")])
+    rows["frame"]["sign"], rows["frame"]["digits"] = ord("-") * (frames < 0), first
+    rows["key"]["sign"], rows["key"]["digits"] = ord("-") * (keys < 0), second
+    rows["comma"], rows["tail"] = b",", tail
+    return rows
+
+
+def _lines(rows: np.ndarray, fixed: np.ndarray, fallback: Callable[[int], str]) -> bytes:
+    """The bytes of ``rows`` with every NUL deleted, row ``r`` replaced by
+    ``fallback(r)`` where ``fixed[r]`` is False."""
+    flat = rows.view(np.uint8).reshape(len(rows), -1)
+    redo = np.flatnonzero(~fixed).tolist()
+    flat[redo] = 0
+    body = flat.tobytes().translate(None, b"\0")
+    if not redo:
+        return body
+    out, start = [], 0
+    for r, end in zip(redo, np.cumsum(np.count_nonzero(flat, axis=1))[redo].tolist()):
+        out += [body[start:end], fallback(r).encode("ascii")]
+        start = end
+    out.append(body[start:])
     return b"".join(out)
+
+
+def _mot_lines(frames: np.ndarray, ids: np.ndarray, boxes: np.ndarray, confidence: np.ndarray) -> bytes:
+    """The MOT lines of rows ``(frames[k], ids[k], boxes[k], confidence[k])``,
+    byte for byte what ``_MOT_LINE`` gives, boxes in center form, with
+    ``to_corner``'s float operations done in numpy for all the boxes at once.
+    Values that round to 1e8 or more are among those formatted by "%"."""
+    cx, cy, w, h = boxes.T
+    with np.errstate(over="ignore", invalid="ignore"):  # Python floats overflow silently too
+        half_w, half_h = w / 2.0, h / 2.0
+        left, top, right, bottom = cx - half_w, cy - half_h, cx + half_w, cy + half_h
+        values = np.stack([left, top, right - left, bottom - top, confidence], axis=1)
+    k, fixed = _fixed_point(values, 6, 1e14)
+    whole, fraction = np.divmod(k, 1_000_000)
+    whole = _digits(whole)
+    high, low = np.divmod(fraction, 10_000)
+    rows = _keyed_rows(frames, ids, np.dtype([("comma", "S1"), *_number(whole), ("point", "<u4"), ("low", "<u4")]),
+                       5, b",-1,-1,-1\n")
+    fields = rows["values"]
+    fields["comma"], fields["sign"], fields["digits"] = b",", ord("-") * np.signbit(values), whole
+    fields["point"], fields["low"] = _POINT2[high], _DIGITS4[low]
+    return _lines(rows, fixed, lambda r: _MOT_LINE % (frames[r], ids[r], *values[r].tolist()))
+
+
+# ",", then "-W.d" (the sign byte is 0 for a value without one), then two
+# groups of 4 digits: 13 bytes, 12 once the 0 sign bytes are deleted. A
+# sidecar value is below 10 on the fixed-point path, so one word holds its
+# sign, whole part, point and first decimal.
+_VALUE = np.dtype([("comma", "u1"), ("head", "<u4"), ("high", "<u4"), ("low", "<u4")])
+
+
+def _embedding_rows(frames: np.ndarray, indices: np.ndarray, m: np.ndarray, line: str) -> bytes:
+    """The sidecar lines of keys ``(frames[r], indices[r])`` and the rows of
+    ``m``, byte for byte what ``line % (frame, det_index, *row)`` gives."""
+    k, fixed = _fixed_point(m, 9, 1e10)
+    head, low = np.divmod(k, 10_000)
+    head, high = np.divmod(head, 10_000)
+    head += 100 * np.signbit(m)
+    rows = _keyed_rows(frames, indices, _VALUE, m.shape[1], b"\n")
+    fields = rows["values"]
+    fields["comma"] = ord(",")
+    fields["head"] = _HEADS[head]
+    fields["high"] = _DIGITS4[high]
+    fields["low"] = _DIGITS4[low]
+    return _lines(rows, fixed, lambda r: line % (frames[r], indices[r], *m[r].tolist()))
+
+
+def _chunks(frames: Sequence[int], columns: Sequence[tuple[np.ndarray, ...]], size: int) -> Iterator[tuple]:
+    """The rows of ``columns[j]``, the columns of frame ``frames[j]``, in
+    order and ``size`` at a time (the last chunk may be shorter): per chunk,
+    each row's frame and its index within its frame, then the chunk's rows
+    of each column."""
+    counts = [len(cols[0]) for cols in columns]
+    frame_col = np.repeat(np.array(frames, dtype=np.int64), counts)
+    index = np.arange(len(frame_col)) - np.repeat(np.cumsum(counts) - counts, counts)
+    parts, n, done = [], 0, 0
+    for cols, rows in zip(columns, counts):
+        start = 0
+        while start < rows:
+            stop = min(rows, start + size - n)
+            parts.append([c[start:stop] for c in cols])
+            n, start = n + stop - start, stop
+            if n == size or done + n == len(frame_col):
+                yield frame_col[done : done + n], index[done : done + n], *map(np.concatenate, zip(*parts))
+                parts, n, done = [], 0, done + n
+
+
+def _check(ok: np.ndarray, message: Callable[[int], str]) -> None:
+    """Raise ``ValueError(message(k))`` for the first row k where ``ok`` is
+    False."""
+    k = _first_false(ok)
+    if k is not None:
+        raise ValueError(message(k))
+
+
+def _check_frames(frames: Sequence[int]) -> None:
+    """Frames, in ascending order, are 1-based as every MOT reader requires."""
+    if len(frames) and frames[0] < 1:
+        raise ValueError(f"frame indices are 1-based, got {frames[0]}")
+
+
+def _check_ids(frames: np.ndarray, ids: np.ndarray, noun: str) -> None:
+    """``read_gt``'s rules on the ids of rows ``(frames[k], ids[k])``: 1 or
+    more, and no ``(frame, id)`` twice."""
+    _check(ids >= 1, lambda k: f"frame {frames[k]}: {noun} ids must be >= 1, got {ids[k]}")
+    _check(_unrepeated(frames, ids), lambda k: f"repeated id {ids[k]} in frame {frames[k]}")
+
+
+def write_results(path, outputs: Iterable[TrackOutput], include_interpolated: bool = False) -> int:
+    """Write tracker output sorted by (frame, id) and return the number of
+    rows written. Interpolated boxes are skipped unless asked for. Frames
+    must be 1 or more, ids 1 or more and never twice in a frame, and
+    confidences finite: every row is checked before the file is opened."""
+    rows = [o for o in outputs if include_interpolated or not o.interpolated]
+    frames = np.array([o.frame for o in rows], dtype=np.int64)
+    ids = np.array([o.track_id for o in rows], dtype=np.int64)
+    order = np.lexsort((ids, frames))
+    frames, ids = frames[order], ids[order]
+    confidence = np.array([rows[i].confidence for i in order.tolist()], dtype=np.float64)
+    _check_frames(frames)
+    _check_ids(frames, ids, "track")
+    _check(np.isfinite(confidence), lambda k: f"frame {frames[k]}: confidence must be finite, got {confidence[k]}")
+    with open(path, "wb") as fh:
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            at = slice(start, start + _CHUNK_ROWS)
+            boxes = _box_rows([rows[i].box for i in order[at].tolist()])
+            fh.write(_mot_lines(frames[at], ids[at], boxes, confidence[at]))
+    return len(rows)
+
+
+def write_gt(path, gt: Mapping[int, IdBoxes]) -> None:
+    """Write each frame's ground truth in order, with confidence 1. A frame
+    may also be a list of ``(id, box)`` pairs. Frames must be 1 or more,
+    and ids 1 or more and never twice in a frame (checked before the file
+    is opened)."""
+    frames = sorted(gt)
+    _check_frames(frames)
+    batches = [IdBoxes.pack(gt[frame]) for frame in frames]
+    ids = np.concatenate([b.ids for b in batches]) if batches else np.zeros(0, dtype=np.int64)
+    _check_ids(np.repeat(np.array(frames, dtype=np.int64), [len(b) for b in batches]), ids, "object")
+    with open(path, "wb") as fh:
+        for frame_col, _, chunk_ids, boxes in _chunks(frames, [(b.ids, b.boxes) for b in batches], _CHUNK_ROWS):
+            fh.write(_mot_lines(frame_col, chunk_ids, boxes, np.ones(len(chunk_ids))))
+
+
+def write_detections(path, dets: Mapping[int, Detections]) -> None:
+    """Write each frame's detections in order, with id -1. Frames must be 1
+    or more (checked before the file is opened)."""
+    frames = sorted(dets)
+    _check_frames(frames)
+    columns = [(dets[frame].boxes, dets[frame].confidence) for frame in frames]
+    with open(path, "wb") as fh:
+        for frame_col, _, boxes, conf in _chunks(frames, columns, _CHUNK_ROWS):
+            fh.write(_mot_lines(frame_col, np.full(len(conf), -1, dtype=np.int64), boxes, conf))
 
 
 def write_embeddings(path, dets: Mapping[int, Detections]) -> None:
@@ -481,7 +612,7 @@ def write_embeddings(path, dets: Mapping[int, Detections]) -> None:
     of one dimension; both are checked before the file is opened). Rows are
     formatted and written a chunk of about ``_CHUNK_VALUES`` values at a
     time."""
-    matrices = []
+    frames, matrices = [], []
     dim = None
     for frame in sorted(dets):
         batch = dets[frame]
@@ -493,24 +624,14 @@ def write_embeddings(path, dets: Mapping[int, Detections]) -> None:
             dim = batch.embeddings.shape[1]
         elif batch.embeddings.shape[1] != dim:
             raise ValueError("mixed embedding dimensions in one stream")
-        matrices.append((frame, batch.embeddings))
+        frames.append(frame)
+        matrices.append((batch.embeddings,))
     dim = dim or 0
     line = "%d,%d" + ",%.9f" * dim + "\n"
-    chunk_rows = max(1, _CHUNK_VALUES // max(dim, 1))
     with open(path, "wb") as fh:
         fh.write(b"dim=%d\n" % dim)
-        keys: list[tuple[int, int]] = []
-        parts: list[np.ndarray] = []
-        for frame, m in matrices:
-            for start in range(0, len(m), chunk_rows):
-                part = m[start : start + chunk_rows]
-                keys.extend((frame, idx) for idx in range(start, start + len(part)))
-                parts.append(part)
-                if len(keys) >= chunk_rows:
-                    fh.write(_embedding_rows(keys, np.concatenate(parts), line))
-                    keys, parts = [], []
-        if keys:
-            fh.write(_embedding_rows(keys, np.concatenate(parts), line))
+        for frame_col, index, m in _chunks(frames, matrices, max(1, _CHUNK_VALUES // max(dim, 1))):
+            fh.write(_embedding_rows(frame_col, index, m, line))
 
 
 def read_config(path) -> dict[str, str]:

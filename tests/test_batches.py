@@ -4,7 +4,9 @@
 read one ``Detections`` batch per frame. The ``reference_*`` functions below
 are their versions from before batches, which walked one ``Detection`` row
 at a time; the batch code must keep the same NMS survivors, the same
-affinity bits and the same written bytes.
+affinity bits and the same written bytes. ``write_gt`` and ``write_results``
+format rows across frames in chunks; their references write one row at a
+time with one "%" format each.
 """
 
 from dataclasses import replace
@@ -17,8 +19,8 @@ from hypothesis import strategies as st
 
 from idtrack import mot_io
 from idtrack.affinity import AffinityWeights, combined_affinity, nms
-from idtrack.geometry import BBox, Detection, Detections, to_corner
-from idtrack.tracker import Trajectory
+from idtrack.geometry import BBox, Detection, Detections, IdBoxes, to_corner
+from idtrack.tracker import TrackOutput, Trajectory
 
 
 def reference_iou_matrix(boxes_a, boxes_b):
@@ -69,6 +71,21 @@ def reference_write_detections(path, dets):
                 fh.write(reference_mot_line(frame, -1, det.box, det.confidence))
 
 
+def reference_write_gt(path, gt):
+    with open(path, "w", encoding="ascii") as fh:
+        for frame in sorted(gt):
+            for obj_id, box in gt[frame]:
+                fh.write(reference_mot_line(frame, obj_id, box, 1.0))
+
+
+def reference_write_results(path, outputs):
+    rows = sorted((o for o in outputs if not o.interpolated), key=lambda o: (o.frame, o.track_id))
+    with open(path, "w", encoding="ascii") as fh:
+        for o in rows:
+            fh.write(reference_mot_line(o.frame, o.track_id, o.box, o.confidence))
+    return len(rows)
+
+
 def reference_write_embeddings(path, dets):
     dim = None
     for frame in sorted(dets):
@@ -87,7 +104,8 @@ def reference_write_embeddings(path, dets):
         fh.write(b"dim=%d\n" % dim)
         while chunk := list(islice(rows, chunk_rows)):
             keys, vectors = zip(*chunk)
-            fh.write(mot_io._embedding_rows(keys, np.array(vectors), line))
+            frames, indices = np.array(keys).T
+            fh.write(mot_io._embedding_rows(frames, indices, np.array(vectors), line))
 
 
 def as_batch(rows):
@@ -177,16 +195,37 @@ def test_property_affinity_has_the_reference_bits(case):
 @st.composite
 def streams(draw):
     dim = draw(st.integers(1, 70))
-    keys = draw(st.lists(st.integers(1, 10**7), min_size=1, max_size=4, unique=True))
+    keys = draw(st.lists(st.one_of(st.integers(1, 10**7), st.integers(1, 2**63 - 1)), min_size=1, max_size=4,
+                         unique=True))
     return {frame: draw(frames(dim)) for frame in keys}
 
 
+@st.composite
+def id_streams(draw):
+    """A detection stream with ids for its rows: unique in each frame, from
+    1 to 2**63 - 1, and a flag marking some rows interpolated."""
+    dets = draw(streams())
+    ids = {
+        frame: draw(st.lists(st.one_of(st.integers(1, 50), st.integers(1, 2**63 - 1)), min_size=len(rows),
+                             max_size=len(rows), unique=True))
+        for frame, rows in dets.items()
+    }
+    n = sum(map(len, dets.values()))
+    interpolated = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return dets, ids, interpolated
+
+
 @settings(max_examples=100)
-@given(streams(), st.sampled_from([1, 7, 40, 4096]))
-def test_property_writers_write_the_reference_bytes(tmp_path_factory, dets, chunk_values):
+@given(id_streams(), st.sampled_from([1, 7, 40, 4096]), st.sampled_from([1, 7, 40, 4096]), st.randoms())
+def test_property_writers_write_the_reference_bytes(tmp_path_factory, stream, chunk_values, chunk_rows, random):
+    dets, ids, interpolated = stream
     tmp = tmp_path_factory.mktemp("writers")
     batches = {frame: as_batch(rows) for frame, rows in dets.items()}
-    with mock.patch.object(mot_io, "_CHUNK_VALUES", chunk_values):
+    gt = {frame: [(i, d.box) for i, d in zip(ids[frame], rows)] for frame, rows in dets.items()}
+    rows = [(frame, i, d) for frame, frame_rows in dets.items() for i, d in zip(ids[frame], frame_rows)]
+    outputs = [TrackOutput(frame, i, d.box, d.confidence, flag) for (frame, i, d), flag in zip(rows, interpolated)]
+    random.shuffle(outputs)
+    with mock.patch.multiple(mot_io, _CHUNK_VALUES=chunk_values, _CHUNK_ROWS=chunk_rows):
         for writer, reference in (
             (mot_io.write_detections, reference_write_detections),
             (mot_io.write_embeddings, reference_write_embeddings),
@@ -196,3 +235,10 @@ def test_property_writers_write_the_reference_bytes(tmp_path_factory, dets, chun
             assert (tmp / "got.txt").read_bytes() == (tmp / "want.txt").read_bytes()
             writer(tmp / "rows.txt", {frame: Detections.pack(rows) for frame, rows in dets.items()})
             assert (tmp / "rows.txt").read_bytes() == (tmp / "want.txt").read_bytes()
+        reference_write_gt(tmp / "want.txt", gt)
+        mot_io.write_gt(tmp / "got.txt", gt)
+        assert (tmp / "got.txt").read_bytes() == (tmp / "want.txt").read_bytes()
+        mot_io.write_gt(tmp / "batches.txt", {frame: IdBoxes.pack(rows) for frame, rows in gt.items()})
+        assert (tmp / "batches.txt").read_bytes() == (tmp / "want.txt").read_bytes()
+        assert mot_io.write_results(tmp / "got.txt", outputs) == reference_write_results(tmp / "want.txt", outputs)
+        assert (tmp / "got.txt").read_bytes() == (tmp / "want.txt").read_bytes()

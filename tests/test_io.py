@@ -239,6 +239,28 @@ def test_write_results_rejects_bad_ids(tmp_path):
         write_results(tmp_path / "x.txt", [TrackOutput(1, 0, BBox(0, 0, 1, 1), 0.5)])
 
 
+BOX = BBox(5.0, 5.0, 2.0, 2.0)
+WRITER_CHECKS = [
+    (write_gt, {2: [(1, BOX)], 0: [(1, BOX)]}, "frame indices are 1-based, got 0"),
+    (write_gt, {1: [(1, BOX)], 3: [(2, BOX), (0, BOX)]}, "frame 3: object ids must be >= 1, got 0"),
+    (write_gt, {1: [(4, BOX)], 2: [(4, BOX), (5, BOX), (4, BOX)]}, "repeated id 4 in frame 2"),
+    (write_detections, {1: Detections([(5.0, 5.0, 2.0, 2.0)], [0.5]), -3: Detections.pack([])},
+     "frame indices are 1-based, got -3"),
+    (write_results, [TrackOutput(2, 1, BOX, 0.5), TrackOutput(0, 1, BOX, 0.5)], "frame indices are 1-based, got 0"),
+    (write_results, [TrackOutput(3, 2, BOX, 0.5), TrackOutput(3, 2, BOX, 0.4)], "repeated id 2 in frame 3"),
+    (write_results, [TrackOutput(1, 1, BOX, 0.5), TrackOutput(2, 1, BOX, math.nan)],
+     "frame 2: confidence must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize(("write", "rows", "message"), WRITER_CHECKS)
+def test_writers_reject_rows_their_readers_reject(tmp_path, write, rows, message):
+    p = tmp_path / "out.txt"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write(p, rows)
+    assert not p.exists()
+
+
 def test_a_failed_results_write_leaves_no_file(tmp_path):
     # id 0 sorts after id 1 on a later frame, so the bad row is not the first.
     p = tmp_path / "hyp.txt"
@@ -525,8 +547,45 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 )
 def test_property_mot_line_matches_the_per_value_reference(frame, obj_id, cx, cy, w, h, conf):
     box = BBox(cx, cy, w, h)
-    line = mot_io._mot_lines([frame], [obj_id], np.array([[cx, cy, w, h]]), [conf])
-    assert line == reference_mot_line(frame, obj_id, box, conf)
+    line = mot_io._mot_lines(np.array([frame]), np.array([obj_id]), np.array([[cx, cy, w, h]]), np.array([conf]))
+    assert line.decode() == reference_mot_line(frame, obj_id, box, conf)
+
+
+# MOT values the fixed-point writer must round exactly as "%.6f" does: exact
+# ties at the sixth decimal ((2j + 1) / 128) and values within float error of
+# one ((n + 0.5) / 1e6, such as 1.45e-05), signed zeros and -1e-12, values
+# either side of 1e8 (at or past it a row is formatted by "%"), and NaN and
+# +-inf, with frames and ids anywhere in int64. Centres on the tie grid keep
+# their ties at the corners. Ordinary values are drawn most often, so that
+# most lists mix rows of both paths.
+LIMIT = 1e8 - 5e-7  # values that round below 1e8 at six decimals are below this
+ties = st.one_of(
+    st.integers(-10**6, 10**6).map(lambda j: (2 * j + 1) / 128),
+    st.integers(-10**7, 10**7).map(lambda n: (n + 0.5) / 1e6),
+)
+edges = st.sampled_from([0.0, -0.0, -1e-12, 1e-12, math.nextafter(LIMIT, 0.0), LIMIT, 1e8, 123456789.0]).flatmap(
+    lambda v: st.sampled_from([v, -v])
+)
+ordinary = st.floats(-1e4, 1e4)
+mot_rows = st.tuples(
+    st.one_of(st.integers(1, 10**4), st.integers(-(2**63), 2**63 - 1)),
+    st.integers(-(2**63), 2**63 - 1),
+    st.tuples(
+        st.one_of(ordinary, ordinary, ties, edges),
+        st.one_of(ordinary, ordinary, ties, edges),
+        st.one_of(st.sampled_from([1.0, 2.0, 0.25]), st.sampled_from([0.5, 3e8])),
+        st.sampled_from([1.0, 0.5, 7.0]),
+    ),
+    st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0), ties, edges, st.sampled_from([math.nan, math.inf, -math.inf])),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(mot_rows, min_size=1, max_size=12))
+def test_property_mot_lines_splice_percent_rows_among_fixed_ones(rows):
+    frames, ids, boxes, conf = zip(*rows)
+    got = mot_io._mot_lines(np.array(frames), np.array(ids), np.array(boxes), np.array(conf))
+    assert got.decode() == "".join(reference_mot_line(f, i, BBox(*b), c) for f, i, b, c in rows)
 
 
 @settings(max_examples=100)
@@ -613,16 +672,59 @@ def test_rows_the_fixed_point_path_cannot_round_fall_back_to_percent_format():
         (4, 1): [0.9999999995, 0.5, 0.5, 0.5],  # within an ulp of a tie
         (10**12, 0): ordinary,
         (10**15 + 7, 10**12): ordinary,
+        (-(2**63), 2**63 - 1): ordinary,
     }
     keys = list(rows)
+    frames, indices = np.array(keys).T
     m = np.array(list(rows.values()))
     CountingLine.calls = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = mot_io._embedding_rows(keys, m, CountingLine("%d,%d" + ",%.9f" * 4 + "\n"))
+        got = mot_io._embedding_rows(frames, indices, m, CountingLine("%d,%d" + ",%.9f" * 4 + "\n"))
     assert got.decode() == "".join(reference_embedding_line(f, k, v) for (f, k), v in zip(keys, m))
     assert CountingLine.calls == 7
     assert b"-0.000000000,-0.000000000\n" in got  # -1e-12 and -0.0 keep their sign
+
+
+
+def test_mot_rows_the_fixed_point_path_cannot_round_fall_back_to_percent_format():
+    box = (10.0, 20.0, 4.0, 6.0)
+    rows = [
+        (1, 1, box, 0.5),
+        (1, 2, box, math.nan),
+        (1, 3, box, math.inf),
+        (2, 1, box, -math.inf),
+        (2, 2, box, 99999999.999999),
+        (2, 3, box, 1e8),
+        (3, 1, box, 99999999.9999996),  # rounds up to 1e8
+        (3, 2, box, 7 / 128),  # a tie at the sixth decimal
+        (3, 3, box, 1.45e-05),  # within float error of a tie
+        (4, 1, box, -0.0),
+        (4, 2, box, -1e-12),
+        (2**63 - 1, -(2**63), box, 0.25),
+        (5, -1, (1e9, 20.0, 4.0, 6.0), 0.5),
+    ]
+    frames, ids, boxes, conf = zip(*rows)
+    CountingLine.calls = 0
+    with mock.patch.object(mot_io, "_MOT_LINE", CountingLine(mot_io._MOT_LINE)), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mot_io._mot_lines(np.array(frames), np.array(ids), np.array(boxes), np.array(conf))
+    assert got.decode() == "".join(reference_mot_line(f, i, BBox(*b), c) for f, i, b, c in rows)
+    assert CountingLine.calls == 8
+    assert b"\n4,1,8.000000,17.000000,4.000000,6.000000,-0.000000,-1,-1,-1\n4,2,8.000000,17.000000," in got
+    assert b"\n9223372036854775807,-9223372036854775808,8.000000," in got
+
+
+def test_a_generated_scene_is_written_without_percent_format(tmp_path):
+    gt, dets = generate(SimConfig(seed=2, num_identities=6, frames=40, fp_rate=0.5))
+    outputs = list(track_stream(dets, TrackerConfig()))
+    CountingLine.calls = 0
+    with mock.patch.object(mot_io, "_MOT_LINE", CountingLine(mot_io._MOT_LINE)):
+        write_gt(tmp_path / "gt.txt", gt)
+        write_detections(tmp_path / "dets.txt", dets)
+        assert write_results(tmp_path / "hyp.txt", outputs) > 0
+    assert CountingLine.calls == 0
+    assert sum(map(len, gt.values())) == len((tmp_path / "gt.txt").read_text().splitlines())
 
 
 # Parser property: every sidecar is read the same by the bulk path and by the
