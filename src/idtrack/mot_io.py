@@ -13,18 +13,23 @@ component is an error.
 
 Data files are read in bulk: ``_mot_columns`` parses any MOT-format file
 into columns (frame, id, centre-form box, confidence) with one
-``np.loadtxt`` call, as ``_embeddings_in_bulk`` parses the sidecar. When
-that call fails or warns, or a frame, box or vector breaks the format, the
-file's line loop runs instead (a line of only whitespace is blank on both
-paths): it alone reports format errors, as
-``path:line``, and issues the warnings. Both paths use the same float
-parser and arithmetic, so they return the same values bit for bit. Each
-reader's rules are array checks on the columns that name the line of the
-first row to break one: detections need a confidence in [0, 1]; ground
-truth and results an id of 1 or more, a finite confidence and no repeated
-``(frame, id)``; predictions and the sidecar a ``(frame, det_index)`` that
-names a detection, when the frames' detection counts are given, and never
-repeats. A non-ASCII byte is an error naming its line in every file.
+``np.loadtxt`` call, as ``_embeddings_in_bulk`` parses the sidecar. A plain
+file, one of only printable ASCII and LF in which no line starts with a
+space (every file the writers make), is handed to loadtxt by its path, so
+numpy's C reader parses it with no Python per line; past the sidecar's
+header, its first non-blank line, by ``skiprows``. Any other file reaches
+loadtxt through ``_bulk_lines``. When that call fails or warns, or a
+frame, box or vector breaks the format, the file's line loop runs instead
+(a line of only whitespace is blank on both paths): it alone reports
+format errors, as ``path:line``, and issues the warnings. Both paths use
+the same float parser and arithmetic, so they return the same values bit
+for bit. Each reader's rules are array checks on the columns that name the
+line of the first row to break one: detections need a confidence in
+[0, 1]; ground truth and results an id of 1 or more, a finite confidence
+and no repeated ``(frame, id)``; predictions and the sidecar a ``(frame,
+det_index)`` that names a detection, when the frames' detection counts
+are given, and never repeats. A non-ASCII byte is an error naming its line
+in every file.
 
 ``read_detections`` and ``load_detections`` return one ``Detections``
 batch per frame and build no per-detection object: the sidecar's vectors
@@ -77,6 +82,8 @@ NORM_WARN_TOL = 1e-3
 _NON_ASCII = re.compile(rb"[\x80-\xff]")
 # loadtxt skips these as whitespace inside a field; int() and float() do not.
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+_PLAIN = bytes(range(0x20, 0x7F)) + b"\n"  # the bytes of a plain file
+_BLOCK = 1 << 16  # bytes per read of the plain-file scan
 
 
 def _read_text(path) -> str:
@@ -100,30 +107,65 @@ def _data_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def _plain(path) -> bool:
+    """Whether the file holds only printable ASCII and LF, and no line starts
+    with a space, scanned a block at a time. loadtxt reads such a file from
+    its path as the line loop reads it: no byte there is one that only one
+    of them takes as space, and every blank line is empty. numpy would
+    decompress a file named ``*.gz``, ``*.bz2``, ``*.xz`` or ``*.lzma``, so
+    none is plain."""
+    if str(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
+        return False
+    with open(path, "rb") as fh:
+        last = b"\n"  # the first line starts like any other
+        while block := fh.read(_BLOCK):
+            # Files without a space, as written, skip the slower pair search.
+            if block.translate(None, _PLAIN) or (b" " in block and b"\n " in last + block):
+                return False
+            last = block[-1:]
+    return True
+
+
 def _bulk_lines(fh) -> Iterator[str]:
-    """The open file's lines, streamed so that no copy of the whole text is
-    held, with a line of only whitespace made empty: loadtxt skips an empty
-    line, as ``_data_lines`` skips both. Raises ValueError at a character
-    that loadtxt and ``int``/``float`` read differently, and
-    UnicodeDecodeError (a ValueError) at a non-ASCII byte."""
+    """The lines of an open file that is not plain, streamed so that no copy
+    of the whole text is held, with a line of only whitespace made empty:
+    loadtxt skips an empty line, as ``_data_lines`` skips both. Raises
+    ValueError at a character that loadtxt and ``int``/``float`` read
+    differently, and UnicodeDecodeError (a ValueError) at a non-ASCII
+    byte."""
     for line in fh:
         if any(c in line for c in _LOADTXT_ONLY_SPACE):
             raise ValueError("a field only loadtxt would read")
         yield line if line.strip() else ""
 
 
+def _header(lines: Iterable[str]) -> tuple[int, str]:
+    """The number of lines up to and including the first non-blank one, and
+    that line stripped ("" when there is none)."""
+    for n, line in enumerate(lines, start=1):
+        if line.strip():
+            return n, line.strip()
+    return 0, ""
+
+
 def _in_bulk(path, row, usecols=None) -> np.ndarray | None:
     """The file's rows from one ``np.loadtxt`` call, or None when it fails or
     warns: numpy releases that take ``1.0`` in an integer column only warn,
     and so does an empty body. ``row`` is the rows' dtype, or makes it from
-    the first data line, a header."""
+    the first data line, a header. loadtxt takes a plain file by its path,
+    past the header by ``skiprows``, and any other from ``_bulk_lines``,
+    which has yielded the header already."""
     try:
+        plain = _plain(path)
         with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")
-            lines = _bulk_lines(fh)
+            lines = fh if plain else _bulk_lines(fh)
+            skip = 0
             if callable(row):
-                row = row(next((line.strip() for line in lines if line.strip()), ""))
-            return np.loadtxt(lines, dtype=row, delimiter=",", comments=None, usecols=usecols, ndmin=1)
+                skip, header = _header(lines)
+                row = row(header)
+            kwargs = dict(dtype=row, delimiter=",", comments=None, usecols=usecols, ndmin=1)
+            return np.loadtxt(path, skiprows=skip, **kwargs) if plain else np.loadtxt(lines, **kwargs)
     except (ValueError, Warning):
         return None
 

@@ -38,6 +38,7 @@ must copy the fields, not keep the objects.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -308,7 +309,10 @@ def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEF
         nms_iou: suppression threshold applied after confidence filtering.
 
     Detections below ``config.det_threshold`` are dropped, then NMS runs,
-    then the tracker steps every frame in order.
+    then the tracker steps every frame in order. While it holds no active
+    and no paused trajectory an empty frame changes nothing, so it goes
+    straight to the next frame with detections: the time grows with the
+    data, not with the largest frame number.
     """
     config = config or TrackerConfig()
     tracker = Tracker(config)
@@ -317,10 +321,18 @@ def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEF
         return outputs
 
     none = Detections.pack([])
-    for frame in range(1, max(dets) + 1):
+    busy = sorted(frame for frame, batch in dets.items() if len(batch))
+    frame, last = 1, max(dets)
+    while frame <= last:
+        if not (tracker.active or tracker.paused):
+            at = bisect.bisect_left(busy, frame)
+            if at == len(busy):
+                break
+            frame = busy[at]
         batch = dets.get(frame) or none
         kept = nms(batch.take(batch.confidence >= config.det_threshold), nms_iou)
         outputs.extend(tracker.step(kept, frame))
+        frame += 1
     return outputs
 
 

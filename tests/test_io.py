@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import re
 import struct
 import warnings
@@ -380,11 +381,18 @@ def test_fields_only_loadtxt_would_take_are_errors(tmp_path, line):
 
 def test_a_loadtxt_warning_sends_the_sidecar_to_the_line_loop(tmp_path, monkeypatch):
     # numpy 1.23-1.26 parse "1.0" in an integer column as 1 and only warn.
-    real = np.loadtxt
+    # The stand-in parses the file as such a release would, from the path a
+    # plain file is handed over by, then warns.
+    real, sources = np.loadtxt, []
 
-    def lenient(lines, dtype, **kwargs):
+    def lenient(source, dtype, **kwargs):
+        sources.append(source)
+        if isinstance(source, (str, os.PathLike)):
+            with open(source) as fh:
+                source = fh.readlines()
+        rows = real([line.replace("1.0,", "1,", 1) for line in source], dtype=dtype, **kwargs)
         warnings.warn("loadtxt: parsing an integer via a float is deprecated", DeprecationWarning)
-        return real((line.replace("1.0,", "1,", 1) for line in lines), dtype=dtype, **kwargs)
+        return rows
 
     monkeypatch.setattr(np, "loadtxt", lenient)
     p = tmp_path / "emb.txt"
@@ -394,6 +402,7 @@ def test_a_loadtxt_warning_sends_the_sidecar_to_the_line_loop(tmp_path, monkeypa
     p.write_text("dim=2\n")  # loadtxt warns on an empty body
     dim, keys, matrix = read_embeddings(p)
     assert (dim, keys, matrix.shape) == (2, [], (0, 2))
+    assert sources == [p, p]
 
 
 def test_embeddings_reject_a_repeated_key(tmp_path):
@@ -916,6 +925,116 @@ def test_a_line_of_only_whitespace_keeps_a_file_on_the_bulk_path(tmp_path, monke
     monkeypatch.setattr(mot_io, "_embeddings_by_line", line_loop_must_not_run)
     for name, read in reads.items():
         assert outcome(read, tmp_path / name) == clean[name]
+
+
+def writer_files(tmp_path) -> dict[str, tuple]:
+    """A generated scene written by every writer: each file's name, its path
+    and the reader that reads it. Predictions are the detections' boxes
+    moved by (1.5, -0.5), keyed by frame and det_index, every other frame,
+    as ``_mot_lines`` writes MOT rows."""
+    gt, dets = generate(SimConfig(seed=4, num_identities=4, frames=10, fp_rate=0.5, embedding_dim=8))
+    counts = {f: len(v) for f, v in dets.items()}
+    write_gt(tmp_path / "gt.txt", gt)
+    write_detections(tmp_path / "dets.txt", dets)
+    write_embeddings(tmp_path / "emb.txt", dets)
+    write_results(tmp_path / "hyp.txt", track_stream(dets, TrackerConfig()), include_interpolated=True)
+    kept = [f for f in dets if f % 2]
+    frames = np.repeat(kept, [counts[f] for f in kept])
+    index = np.concatenate([np.arange(counts[f]) for f in kept])
+    boxes = np.concatenate([dets[f].boxes for f in kept]) + [1.5, -0.5, 0.0, 0.0]
+    (tmp_path / "preds.txt").write_bytes(mot_io._mot_lines(frames, index, boxes, np.ones(len(frames))))
+    readers = {
+        "gt.txt": read_gt,
+        "dets.txt": read_detections,
+        "emb.txt": lambda p: read_embeddings(p, counts),
+        "hyp.txt": read_gt,
+        "preds.txt": lambda p: read_predictions(p, counts),
+    }
+    return {name: (tmp_path / name, read) for name, read in readers.items()}
+
+
+def test_writer_shaped_files_are_read_from_their_path(tmp_path, monkeypatch):
+    # Every file a writer makes is plain: numpy reads it from its path, with
+    # neither the line feeder nor a line loop, bit for bit as the line loop
+    # alone reads it. So does a sidecar whose header follows blank lines.
+    files = writer_files(tmp_path)
+    late = tmp_path / "late_header_emb.txt"
+    late.write_bytes(b"\n\n" + (tmp_path / "emb.txt").read_bytes())
+    files["late_header_emb.txt"] = (late, files["emb.txt"][1])
+    with mock.patch.object(mot_io, "_in_bulk", no_bulk_parse):
+        loop = {name: outcome(read, path) for name, (path, read) in files.items()}
+    for name in ("_bulk_lines", "_parse_mot_line", "_embeddings_by_line"):
+        monkeypatch.setattr(mot_io, name, line_loop_must_not_run)
+    for name, (path, read) in files.items():
+        assert mot_io._plain(path)
+        assert outcome(read, path) == loop[name], name
+    assert loop["late_header_emb.txt"] == loop["emb.txt"]
+    assert not any(warned or isinstance(result, str) for result, warned in loop.values())  # no error, no warning
+
+
+def with_line(line: bytes):
+    """A transform that puts ``line`` after a file's second line."""
+    def insert(data: bytes) -> bytes:
+        head, second, rest = data.split(b"\n", 2)
+        return b"\n".join([head, second, line, rest])
+    return insert
+
+
+def in_second_line(byte: bytes):
+    """A transform that puts ``byte`` after the first field of a file's
+    second line."""
+    def insert(data: bytes) -> bytes:
+        at = data.index(b",", data.index(b"\n") + 1)
+        return data[:at] + byte + data[at:]
+    return insert
+
+
+FLAGGED = {
+    "a line of spaces": with_line(b"   "),
+    "a tab-only line": with_line(b"\t"),
+    "a VT-only line": with_line(b"\x0b"),
+    "an FF-only line": with_line(b"\x0c"),
+    "a \\x1c byte": in_second_line(b"\x1c"),
+    "a NUL byte": in_second_line(b"\x00"),
+    "a DEL byte": in_second_line(b"\x7f"),
+    "CR line ends": lambda data: data.replace(b"\n", b"\r"),
+    "CRLF line ends": lambda data: data.replace(b"\n", b"\r\n"),
+    "a non-ASCII byte": in_second_line(b"\xe9"),
+}
+
+
+@pytest.mark.parametrize("case", FLAGGED)
+def test_a_file_that_is_not_plain_reads_as_the_line_loop_reads_it(tmp_path, case):
+    for name, (path, read) in writer_files(tmp_path).items():
+        path.write_bytes(FLAGGED[case](path.read_bytes()))
+        assert not mot_io._plain(path), name
+        got = outcome(read, path)
+        with mock.patch.object(mot_io, "_in_bulk", no_bulk_parse):
+            assert got == outcome(read, path), name
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from([b"1", b",", b"\n", b" ", b"\t", b"\r", b"\x0b", b"\x00", b"\x7f", b"\xe9"])),
+       st.integers(1, 9))
+def test_property_the_block_scan_finds_a_plain_file(tmp_path_factory, parts, block):
+    # Whatever the block size, a byte outside printable ASCII and LF, or a
+    # line that starts with a space, is found: in a block or across two.
+    data = b"".join(parts)
+    path = tmp_path_factory.mktemp("scan") / "in.txt"
+    path.write_bytes(data)
+    with mock.patch.object(mot_io, "_BLOCK", block):
+        got = mot_io._plain(path)
+    assert got == (all(0x20 <= c < 0x7F or c == 0x0A for c in data) and b"\n " not in b"\n" + data)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_text_under_a_compressed_name_is_read_as_text(tmp_path, suffix):
+    # numpy would decompress a file by such a name, so it is not plain.
+    for name, (path, read) in writer_files(tmp_path).items():
+        named = path.with_name(path.name + suffix)
+        named.write_bytes(path.read_bytes())
+        assert not mot_io._plain(named)
+        assert outcome(read, named) == outcome(read, path), name
 
 
 # A row that breaks a reader's rule but parses cleanly in bulk, after two valid

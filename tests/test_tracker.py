@@ -1,3 +1,4 @@
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idtrack.affinity import AffinityWeights
+from idtrack.affinity import AffinityWeights, nms
 from idtrack.geometry import BBox, Detection, Detections
 from idtrack.mot_io import load_detections, write_detections, write_embeddings
 from idtrack.sim import SimConfig, generate
 from idtrack.tracker import (
+    DEFAULT_NMS_IOU,
     Tracker,
     TrackerConfig,
     Trajectory,
@@ -414,6 +416,16 @@ def test_stream_handles_empty_input():
     assert track_stream({}, iou_only_config()) == []
 
 
+def test_stream_time_grows_with_the_data_not_the_largest_frame():
+    # Stepping every frame up to 10**9 would take about a day.
+    start = time.perf_counter()
+    outputs = track_stream(stream({1: [det(10, 10)], 10**9: [det(10, 10)]}), iou_only_config())
+    assert time.perf_counter() - start < 1.0
+    assert [(o.frame, o.track_id, o.interpolated) for o in outputs] == [
+        (1, 1, False), *((f, 1, True) for f in range(2, 7)), (10**9, 2, False)
+    ]
+
+
 def test_stream_predictions_take_over_when_detections_vanish():
     dets = {
         1: [det(10, 10, prediction=BBox(50.0, 50.0, 4.0, 4.0))],
@@ -563,3 +575,26 @@ def test_property_coasting_head_is_the_taken_detections_prediction(scene):
         expected = taken[0].prediction
         if expected is not None:
             assert o.box == expected
+
+
+def step_every_frame(dets, config):
+    """``track_stream`` as it was: the tracker steps every frame 1..max."""
+    tracker, outputs = Tracker(config), []
+    for frame in range(1, max(dets) + 1):
+        batch = dets.get(frame) or Detections.pack([])
+        outputs.extend(tracker.step(nms(batch.take(batch.confidence >= config.det_threshold), DEFAULT_NMS_IOU), frame))
+    return outputs
+
+
+@property_settings
+@given(scenes_with_predictions(), st.data())
+def test_property_gaps_give_the_outputs_of_stepping_every_frame(scene, data):
+    # The scene's frames spread out by gaps, some longer than the buffer, so
+    # the tracker falls idle between them; some frames go empty, as
+    # ``subsample`` leaves them, and the stream may start late.
+    dets, config = scene
+    gapped, frame = {}, data.draw(st.integers(0, 12))
+    for batch in dets.values():
+        frame += 1 + data.draw(st.sampled_from([0, 0, 1, 3, config.buffer_size + 1, 12]))
+        gapped[frame] = [] if data.draw(st.integers(0, 5)) == 0 else batch
+    assert track_stream(gapped, config) == step_every_frame(gapped, config)
