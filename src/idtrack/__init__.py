@@ -4,9 +4,9 @@ The training-side numeric kernels are not re-exported here; import them
 from ``idtrack.kernels``.
 """
 
-from .affinity import AffinityWeights, combined_affinity, iou, iou_matrix, nms
+from .affinity import AffinityWeights, combined_affinity, nms
 from .assignment import Assignment, solve_max
-from .geometry import BBox, Detection, Detections, to_center, to_corner
+from .geometry import BBox, Detections, to_center, to_corner
 from .metrics import MotReport, evaluate, format_report, format_table, sweep_thresholds
 from .sim import SimConfig, benchmark_config, generate, subsample
 from .tracker import Tracker, TrackerConfig, TrackOutput, Trajectory, hypotheses, track_stream
@@ -17,7 +17,6 @@ __all__ = [
     "AffinityWeights",
     "Assignment",
     "BBox",
-    "Detection",
     "Detections",
     "MotReport",
     "SimConfig",
@@ -32,8 +31,6 @@ __all__ = [
     "format_table",
     "generate",
     "hypotheses",
-    "iou",
-    "iou_matrix",
     "nms",
     "solve_max",
     "subsample",

@@ -21,7 +21,6 @@ __all__ = [
     "AffinityWeights",
     "WEIGHT_PRESETS",
     "iou",
-    "iou_matrix",
     "combined_affinity",
     "nms",
 ]
@@ -73,17 +72,10 @@ def iou(a: BBox, b: BBox) -> float:
     return min(inter / union, 1.0)
 
 
-def iou_matrix(boxes_a: Sequence[BBox], boxes_b: Sequence[BBox]) -> np.ndarray:
-    """Pairwise IoU, shape (len(a), len(b)).
-
-    Every cell takes the same float operations as :func:`iou`, so
-    ``iou_matrix(a, b)[i, j] == iou(a[i], b[j])`` holds bit for bit.
-    """
-    return _iou_cells(_box_rows(boxes_a), _box_rows(boxes_b))
-
-
 def _iou_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`iou_matrix` of two ``(n, 4)`` center-form box arrays."""
+    """Pairwise IoU of two ``(n, 4)`` center-form box arrays, shape ``(len(a),
+    len(b))``: cell ``[i, j]`` is ``iou`` of rows ``a[i]`` and ``b[j]``, bit
+    for bit."""
     if not len(a) or not len(b):
         return np.zeros((len(a), len(b)))
     return _iou_columns(a.T[:, :, None], b.T[:, None, :])
@@ -151,10 +143,10 @@ def nms(detections: Detections | Sequence[Detection], iou_threshold: float) -> D
 
     Candidates are visited in descending confidence (ties: lower input index
     first); a candidate is dropped when it overlaps an already kept box with
-    IoU strictly above the threshold. The survivors come back as a new
-    ``Detections`` batch in their original relative order; ``Detection``
-    rows are packed into one batch first, and iterating the result yields
-    the surviving rows themselves. One pairwise IoU matrix serves the whole
+    IoU strictly above the threshold. ``detections`` is a batch, or a list of
+    ``Detection`` views of one batch, which ``Detections.pack`` turns into a
+    batch first. The survivors come back as a new ``Detections`` batch in
+    their original relative order. One pairwise IoU matrix serves the whole
     frame, so memory is O(n²) in the number of detections; only the
     candidates that overlap a later one above the threshold are visited one
     by one.

@@ -7,10 +7,11 @@ mappings, and the key is the one place a frame number lives.
 
 ``Detections`` is one frame's detections as columns: an ``(n, 4)`` box
 array, confidences, optional unit embeddings and optional predicted boxes.
-Producers (the file readers and the simulator) build one per frame and
-consumers (NMS, affinity, the tracker, the writers) read its arrays, so no
-per-detection object exists unless someone iterates a batch. A
-``Detection`` is one row, for input built by hand and for iteration.
+It is the one stored form of a frame's detections. Producers (the file
+readers and the simulator) build one per frame and consumers (NMS,
+affinity, the tracker, the writers) read its arrays. Iterating or indexing
+a batch yields ``Detection`` views, each only a batch and a row index that
+reads its values from the batch's arrays on access and is not kept.
 
 ``IdBoxes`` is one frame of ground truth or tracker hypotheses the same
 way: ids, boxes and confidences as arrays, from the readers, the simulator
@@ -74,42 +75,6 @@ def _row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0, 0])
 
 
-def _check_unit(vec: np.ndarray, what: str) -> None:
-    norm = math.sqrt(vec.dot(vec))  # np.linalg.norm's own arithmetic for 1-D float64
-    if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # written so a NaN norm fails too
-        raise ValueError(f"{what} must be L2-normalized (|norm-1| <= {UNIT_NORM_TOL}), got norm={norm}")
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class Detection:
-    """A single detector output: the network's box, identity embedding and
-    predicted box for the next frame.
-
-    This is one row of a ``Detections`` batch: what iterating a batch
-    yields, and what input built by hand is made of. A detection does not
-    know its frame; a stream keys its batches by frame. The identity
-    embedding is optional; when present it must already be unit-norm
-    (producers normalize, consumers rely on it). ``prediction``, also
-    optional, is where the object is expected in the frame after this
-    detection's.
-    """
-
-    box: BBox
-    confidence: float
-    embedding: np.ndarray | None = None
-    prediction: BBox | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
-        if self.embedding is not None:
-            emb = np.asarray(self.embedding, dtype=np.float64)
-            if emb.ndim != 1:
-                raise ValueError("embedding must be a 1-D vector")
-            _check_unit(emb, "detection embedding")
-            object.__setattr__(self, "embedding", emb)
-
-
 def _box_rows(boxes: Sequence[BBox]) -> np.ndarray:
     """``(n, 4)`` float64 array of BBox values."""
     return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
@@ -150,18 +115,18 @@ class Detections:
     ``boxes`` is ``(n, 4)`` in center form, ``confidence`` ``(n,)``,
     ``embeddings`` ``(n, D)`` unit rows or None, and ``predictions``
     ``(n, 4)`` next-frame boxes where the ``(n,)`` mask ``predicted`` is
-    True (both None when no row has one). The constructor checks the whole
-    batch at once: finite boxes of positive size, confidences in [0, 1] and
-    embedding norms within ``UNIT_NORM_TOL`` of 1; an error names the first
-    bad row. A batch is not modified after it is built; ``take`` makes a new
-    one.
+    True (both None when no row has one). Either every row has an embedding
+    or none does. The constructor checks the whole batch at once: finite
+    boxes of positive size, confidences in [0, 1] and embedding norms within
+    ``UNIT_NORM_TOL`` of 1; an error names the first bad row. A batch is not
+    modified after it is built; ``take`` makes a new one.
 
-    ``len()`` and iteration work as on a list of ``Detection`` rows. The rows
-    are built on the first iteration and kept, so iterating again is cheap
-    and yields the same objects.
+    ``len()``, iteration and indexing work as on a list; each row is a
+    ``Detection`` view that reads its values from the batch's arrays, made
+    when it is asked for and not kept.
     """
 
-    __slots__ = ("boxes", "confidence", "embeddings", "predictions", "predicted", "_rows")
+    __slots__ = ("boxes", "confidence", "embeddings", "predictions", "predicted")
 
     def __init__(self, boxes, confidence, embeddings=None, predictions=None, predicted=None):
         confidence = np.asarray(confidence, dtype=np.float64).reshape(-1)
@@ -197,79 +162,55 @@ class Detections:
         self._set(boxes, confidence, embeddings, predictions, predicted)
 
     def _set(self, boxes, confidence, embeddings, predictions, predicted) -> None:
-        self.boxes = boxes
-        self.confidence = confidence
-        self.embeddings = embeddings
-        self.predictions = predictions
-        self.predicted = predicted
-        self._rows = None
+        self.boxes, self.confidence, self.embeddings = boxes, confidence, embeddings
+        self.predictions, self.predicted = predictions, predicted
 
     @classmethod
     def _checked(cls, boxes, confidence, embeddings=None, predictions=None, predicted=None) -> "Detections":
         """A batch of arrays that are already float64, shaped and valid (read
-        and checked in bulk, taken from a batch, or packed from rows)."""
+        and checked in bulk, or taken from a batch)."""
         batch = cls.__new__(cls)
         batch._set(boxes, confidence, embeddings, predictions, predicted)
         return batch
 
     @classmethod
-    def pack(cls, rows: Sequence[Detection]) -> "Detections":
-        """One batch holding ``rows`` (a batch is returned as it is). The rows
-        are kept; the embedding matrix is None unless every row has an
-        embedding, all of one dimension."""
-        if isinstance(rows, Detections):
-            return rows
-        boxes = _box_rows([d.box for d in rows])
-        confidence = np.array([d.confidence for d in rows], dtype=np.float64)
-        vectors = [d.embedding for d in rows]
-        embeddings = None
-        if vectors and all(v is not None for v in vectors) and len({v.shape for v in vectors}) == 1:
-            embeddings = np.array(vectors)
-        predictions = predicted = None
-        ahead = [d.prediction for d in rows]
-        if ahead.count(None) < len(ahead):
-            predicted = np.array([p is not None for p in ahead])
-            predictions = _box_rows([p or d.box for p, d in zip(ahead, rows)])
-        batch = cls._checked(boxes, confidence, embeddings, predictions, predicted)
-        batch._rows = list(rows)
-        return batch
+    def pack(cls, views: Sequence["Detection"]) -> "Detections":
+        """One batch holding ``views``, which must all be rows of one batch:
+        that batch's ``take`` of their indices (a batch is returned as it is,
+        and no views make an empty batch)."""
+        if isinstance(views, Detections):
+            return views
+        if not len(views):
+            return cls._checked(np.zeros((0, 4)), np.zeros(0))
+        batch = views[0].batch
+        if any(d.batch is not batch for d in views):
+            raise ValueError("pack takes rows of one batch")
+        return batch.take([d.index for d in views])
 
     def missing_embedding(self) -> str | None:
-        """Why a non-empty batch holds no embedding matrix: the first row
-        without an embedding, or rows whose vectors differ in dimension (None
-        when the batch holds one, or is empty)."""
-        if self.embeddings is not None or not len(self):
-            return None
-        k = next((k for k, v in enumerate(self.embedding_list()) if v is None), None)
-        return "embeddings of mixed dimensions" if k is None else f"detection {k} has no embedding"
+        """Why a non-empty batch holds no embedding matrix (None when it holds
+        one, or is empty)."""
+        return None if self.embeddings is not None or not len(self) else "detection 0 has no embedding"
 
     def take(self, index) -> "Detections":
         """The rows that ``index`` (integers or a boolean mask) selects, as a
         new batch."""
         if not (isinstance(index, np.ndarray) and index.dtype == bool):
             index = np.asarray(index, dtype=np.intp)
-        batch = Detections._checked(
+        return Detections._checked(
             self.boxes[index],
             self.confidence[index],
             None if self.embeddings is None else self.embeddings[index],
             None if self.predictions is None else self.predictions[index],
             None if self.predicted is None else self.predicted[index],
         )
-        if self._rows is not None:
-            picks = np.flatnonzero(index) if index.dtype == bool else index
-            batch._rows = [self._rows[k] for k in picks.tolist()]
-        return batch
 
     def box_list(self) -> list[BBox]:
-        """Each row's box as a ``BBox`` (the rows' own once they exist)."""
-        if self._rows is not None:
-            return [d.box for d in self._rows]
+        """Each row's box as a ``BBox``."""
         return [_checked_box(*box) for box in self.boxes.tolist()]
 
     def prediction_list(self) -> list[BBox | None]:
         """Each row's predicted next-frame box, or None."""
-        if self._rows is not None:
-            return [d.prediction for d in self._rows]
         predictions = [None] * len(self)
         if self.predicted is not None:
             for k in np.flatnonzero(self.predicted).tolist():
@@ -277,26 +218,57 @@ class Detections:
         return predictions
 
     def embedding_list(self) -> list[np.ndarray | None]:
-        """Each row's embedding, or None (the rows' own once they exist)."""
-        if self._rows is not None:
-            return [d.embedding for d in self._rows]
+        """Each row's embedding, or None."""
         return [None] * len(self) if self.embeddings is None else list(self.embeddings)
 
     def __len__(self) -> int:
         return self.confidence.shape[0]
 
-    def __iter__(self) -> Iterator[Detection]:
-        return iter(self.rows())
+    def __iter__(self) -> Iterator["Detection"]:
+        return (Detection(self, k) for k in range(len(self)))
 
-    def __getitem__(self, k: int) -> Detection:
-        return self.rows()[k]
+    def __getitem__(self, k: int) -> "Detection":
+        return Detection(self, range(len(self))[k])
 
-    def rows(self) -> list[Detection]:
-        """The batch as ``Detection`` rows, built (and checked) once."""
-        if self._rows is None:
-            values = zip(self.box_list(), self.confidence.tolist(), self.embedding_list(), self.prediction_list())
-            self._rows = [Detection(*row) for row in values]
-        return self._rows
+
+class Detection:
+    """One row of a ``Detections`` batch, as iterating or indexing the batch
+    yields it: a view that holds only ``batch`` and its row ``index``, and
+    reads the row's values from the batch's arrays on each access.
+
+    ``box`` is a ``BBox``, ``confidence`` a float, ``embedding`` the row of
+    the batch's unit embedding matrix or None, and ``prediction``, the box
+    where the object is expected in the frame after this detection's, a
+    ``BBox`` or None. A detection does not know its frame; a stream keys its
+    batches by frame. Views compare by identity; ``Detections.pack`` turns
+    views of one batch back into a batch.
+    """
+
+    __slots__ = ("batch", "index")
+
+    def __init__(self, batch: Detections, index: int):
+        self.batch = batch
+        self.index = index
+
+    @property
+    def box(self) -> BBox:
+        return _checked_box(*self.batch.boxes[self.index].tolist())
+
+    @property
+    def confidence(self) -> float:
+        return self.batch.confidence.item(self.index)
+
+    @property
+    def embedding(self) -> np.ndarray | None:
+        embeddings = self.batch.embeddings
+        return None if embeddings is None else embeddings[self.index]
+
+    @property
+    def prediction(self) -> BBox | None:
+        batch = self.batch
+        if batch.predicted is None or not batch.predicted[self.index]:
+            return None
+        return _checked_box(*batch.predictions[self.index].tolist())
 
 
 class IdBoxes:

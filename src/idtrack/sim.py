@@ -251,17 +251,22 @@ def subsample(stream: Mapping[int, object], stride: int) -> dict[int, object]:
     """Keep frames 1, 1+stride, 1+2*stride, ... and re-key them densely.
 
     Only the keys change: each kept frame's value (a ``Detections`` or
-    ``IdBoxes`` batch) is the same object, and a frame missing from ``stream``
-    becomes ``[]``. A detection's prediction still points one source frame
+    ``IdBoxes`` batch) is the same object. A kept frame that ``stream`` lacks
+    stays out, except the last one, which becomes ``[]`` so that the tracker
+    still steps (and coasts) to the end; the work grows with the number of
+    frames in ``stream``, not with its largest frame number. Frames come in
+    ascending order. A detection's prediction still points one source frame
     ahead, not one kept frame, so a strided stream should carry none
     (``idtrack track`` rejects ``--predictions`` with a stride).
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    if not stream:
+    last = max(stream, default=0)
+    if last < 1:
         return {}
-    kept = range(1, max(stream) + 1, stride)
-    return {new_idx: stream.get(orig, []) for new_idx, orig in enumerate(kept, start=1)}
+    kept = {(orig - 1) // stride + 1: value for orig, value in stream.items() if orig >= 1 and (orig - 1) % stride == 0}
+    kept.setdefault((last - 1) // stride + 1, [])
+    return dict(sorted(kept.items()))
 
 
 def config_from_mapping(values: Mapping[str, str]) -> SimConfig:

@@ -19,10 +19,10 @@ Per frame the tracker runs four phases:
    back. Once a trajectory has been unseen for more than ``buffer_size``
    frames its id is retired for good.
 
-A frame's detections reach ``Tracker.step`` as one ``Detections`` batch
-(``Detection`` rows are packed into one there): affinities and updates read
-its arrays, and a ``BBox`` is built only for the box a trajectory takes as
-its new head. ``track_stream`` takes a whole stream, ``{frame: Detections}``.
+A frame's detections reach ``Tracker.step`` as one ``Detections`` batch:
+affinities and updates read its arrays, and a ``BBox`` is built only for
+the box a trajectory takes as its new head. ``track_stream`` takes a whole
+stream, ``{frame: Detections}``.
 
 Identity-only recovery needs embeddings, so with ``weights.identity == 0``
 phase 2 is skipped entirely and the tracker degrades to a plain IoU
@@ -46,7 +46,7 @@ import numpy as np
 
 from .affinity import AffinityWeights, combined_affinity, nms
 from .assignment import solve_max
-from .geometry import BBox, Detection, Detections, IdBoxes, _row_norms
+from .geometry import BBox, Detections, IdBoxes, _row_norms
 
 __all__ = [
     "Trajectory",
@@ -150,19 +150,14 @@ def update_trajectory(trajs: Sequence[Trajectory], dets: Detections, momentum: f
             raise ValueError(f"detection frame {frame} is behind trajectory head frame {traj.head_frame}")
 
     fresh = dets.embeddings
-    if fresh is not None:
-        own = range(len(trajs))
-    else:  # no matrix: no row has a vector, or (packed from rows) only some do
-        fresh = dets.embedding_list()
-        own = [k for k, vec in enumerate(fresh) if vec is not None]
     blend = []
-    for k in own:
-        if trajs[k].head_embedding is None:
-            trajs[k].head_embedding = fresh[k]
+    for k, traj in enumerate(trajs if fresh is not None else ()):
+        if traj.head_embedding is None:
+            traj.head_embedding = fresh[k]
         else:
             blend.append(k)
     if blend:
-        mine = fresh[blend] if dets.embeddings is not None else np.array([fresh[k] for k in blend])
+        mine = fresh[blend]
         mixed = momentum * np.array([trajs[k].head_embedding for k in blend]) + (1.0 - momentum) * mine
         norms = _row_norms(mixed)
         # Opposite embeddings can cancel at momentum 0.5; trust the fresh one.
@@ -194,15 +189,14 @@ class Tracker:
         self.next_id = 1
         self.current_frame = 0
 
-    def step(self, detections: Detections | Sequence[Detection], frame: int) -> list[TrackOutput]:
+    def step(self, detections: Detections, frame: int) -> list[TrackOutput]:
         """Advance one frame.
 
         Args:
             detections: detections of the new frame, already confidence
-                filtered and NMS'd, as one ``Detections`` batch or a sequence
-                of ``Detection`` rows (packed into one batch). The trajectory
-                that takes a detection coasts on its prediction if it misses
-                the next frame; without one it falls back to linear
+                filtered and NMS'd, as one ``Detections`` batch. The
+                trajectory that takes a detection coasts on its prediction if
+                it misses the next frame; without one it falls back to linear
                 propagation.
             frame: frame being processed, past every frame stepped so far.
 
@@ -213,7 +207,6 @@ class Tracker:
         cfg = self.config
         if frame <= self.current_frame:
             raise ValueError(f"frame {frame} does not advance past {self.current_frame}")
-        detections = Detections.pack(detections)
         if cfg.weights.identity > 0.0 and (missing := detections.missing_embedding()):
             raise ValueError(f"{missing} but identity weight is {cfg.weights.identity}")
 
@@ -304,7 +297,7 @@ def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEF
 
     Args:
         dets: mapping frame -> ``Detections``; frames 1..max are stepped,
-            missing or empty ones (``subsample`` puts ``[]``) as empty.
+            missing or empty ones (or ``[]``) as empty.
         config: tracker configuration (defaults apply when omitted).
         nms_iou: suppression threshold applied after confidence filtering.
 
@@ -320,7 +313,7 @@ def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEF
     if not dets:
         return outputs
 
-    none = Detections.pack([])
+    none = Detections([], [])
     busy = sorted(frame for frame, batch in dets.items() if len(batch))
     frame, last = 1, max(dets)
     while frame <= last:

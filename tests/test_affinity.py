@@ -4,15 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idtrack.affinity
-from idtrack.affinity import (
-    WEIGHT_PRESETS,
-    AffinityWeights,
-    combined_affinity,
-    iou,
-    iou_matrix,
-    nms,
-)
-from idtrack.geometry import BBox, Detection, Detections, _box_rows, to_center
+from helpers import batch_bits, detections, iou_matrix
+from idtrack.affinity import WEIGHT_PRESETS, AffinityWeights, _iou_cells, combined_affinity, iou, nms
+from idtrack.geometry import BBox, Detections, _box_rows, to_center
 from idtrack.tracker import Trajectory
 
 
@@ -23,6 +17,12 @@ def unit(vec):
 
 def make_traj(track_id, box, embedding=None):
     return Trajectory(track_id, box, embedding, (0.0, 0.0), last_seen=1)
+
+
+def same_rows(got, want):
+    """Whether batch ``got`` holds, bit for bit, the rows that the views
+    ``want`` (of one batch) name."""
+    return batch_bits(got) == batch_bits(Detections.pack(want))
 
 
 def random_box(rng, span=100.0):
@@ -54,10 +54,10 @@ def test_iou_of_identical_boxes_is_capped_at_one():
     # area: uncapped, this box scored 1.0000000000000002 against itself.
     box = BBox(0.0, 0.5, 0.5, 15.97600959420488)
     assert iou(box, box) == 1.0
-    assert iou_matrix([box], [box])[0, 0] == 1.0
-    d, dup = Detection(box, 0.9), Detection(box, 0.9)
-    assert list(nms([d, dup], 1.0)) == [d, dup]
-    assert combined_affinity([make_traj(1, box)], Detections.pack([d]), AffinityWeights(1.0, 0.0))[0, 0] <= 1.0
+    assert _iou_cells(_box_rows([box]), _box_rows([box]))[0, 0] == 1.0
+    pair = detections([(box, 0.9), (box, 0.9)])
+    assert same_rows(nms(pair, 1.0), list(pair)) and same_rows(nms(list(pair), 1.0), list(pair))
+    assert combined_affinity([make_traj(1, box)], pair, AffinityWeights(1.0, 0.0))[0, 0] <= 1.0
 
 
 def test_iou_contained_box():
@@ -75,14 +75,14 @@ def test_iou_symmetry_fuzz():
         assert 0.0 <= v <= 1.0
 
 
-def test_iou_matrix_matches_scalar():
+def test_pairwise_iou_matches_scalar():
     # Bit for bit: nms thresholds the matrix, so an ulp of drift could flip
-    # a survivor at the boundary.
+    # a survivor at the boundary. The test tree's oracle must agree too.
     rng = np.random.default_rng(11)
     boxes_a = [random_box(rng) for _ in range(40)]
     boxes_b = [random_box(rng) for _ in range(50)]
-    m = iou_matrix(boxes_a, boxes_b)
-    assert m.shape == (40, 50)
+    m = _iou_cells(_box_rows(boxes_a), _box_rows(boxes_b))
+    assert m.shape == (40, 50) and m.tobytes() == iou_matrix(boxes_a, boxes_b).tobytes()
     for i, a in enumerate(boxes_a):
         for j, b in enumerate(boxes_b):
             assert m[i, j] == iou(a, b)
@@ -99,9 +99,9 @@ def test_row_iou_matches_scalar():
     assert rows[-1] == 1.0 and (rows == 0.0).any() and ((rows > 0.0) & (rows < 1.0)).any()
 
 
-def test_iou_matrix_empty():
-    assert iou_matrix([], [BBox(0, 0, 1, 1)]).shape == (0, 1)
-    assert iou_matrix([BBox(0, 0, 1, 1)], []).shape == (1, 0)
+def test_pairwise_iou_empty():
+    assert _iou_cells(_box_rows([]), _box_rows([BBox(0, 0, 1, 1)])).shape == (0, 1)
+    assert _iou_cells(_box_rows([BBox(0, 0, 1, 1)]), _box_rows([])).shape == (1, 0)
 
 
 def test_weights_validation_and_presets():
@@ -118,12 +118,9 @@ def test_weights_validation_and_presets():
 def test_combined_affinity_is_the_weighted_blend():
     rng = np.random.default_rng(3)
     trajs = [make_traj(i + 1, random_box(rng, 20.0), unit(rng.normal(size=8))) for i in range(4)]
-    dets = [
-        Detection(random_box(rng, 20.0), 0.9, unit(rng.normal(size=8)))
-        for _ in range(6)
-    ]
+    dets = detections([(random_box(rng, 20.0), 0.9, unit(rng.normal(size=8))) for _ in range(6)])
     for weights in (AffinityWeights(0.5, 0.5), AffinityWeights(0.2, 0.8)):
-        got = combined_affinity(trajs, Detections.pack(dets), weights)
+        got = combined_affinity(trajs, dets, weights)
         overlap = iou_matrix([t.head_box for t in trajs], [d.box for d in dets])
         gram = np.clip(
             np.stack([t.head_embedding for t in trajs]) @ np.stack([d.embedding for d in dets]).T,
@@ -138,8 +135,8 @@ def test_combined_affinity_is_the_weighted_blend():
 def identity_only(track_embedding, det_embeddings):
     # Far-apart boxes: only the identity term can contribute.
     trajs = [make_traj(1, BBox(0.0, 0.0, 2.0, 2.0), track_embedding)]
-    dets = [Detection(BBox(100.0, 100.0, 2.0, 2.0), 0.9, e) for e in det_embeddings]
-    return combined_affinity(trajs, Detections.pack(dets), AffinityWeights(0.0, 1.0))[0]
+    dets = detections([(BBox(100.0, 100.0, 2.0, 2.0), 0.9, e) for e in det_embeddings])
+    return combined_affinity(trajs, dets, AffinityWeights(0.0, 1.0))[0]
 
 
 def test_id_similarity_clamps_negative():
@@ -159,7 +156,7 @@ def test_id_similarity_cosine_value():
 def test_combined_affinity_ignores_embeddings_at_zero_identity_weight():
     box = BBox(0.0, 0.0, 2.0, 2.0)
     trajs = [make_traj(1, box, embedding=None)]
-    dets = Detections.pack([Detection(box, 0.9)])
+    dets = detections([(box, 0.9)])
     got = combined_affinity(trajs, dets, AffinityWeights(1.0, 0.0))
     assert got.shape == (1, 1)
     assert got[0, 0] == 1.0
@@ -167,61 +164,57 @@ def test_combined_affinity_ignores_embeddings_at_zero_identity_weight():
 
 def test_combined_affinity_requires_embeddings():
     box = BBox(0.0, 0.0, 2.0, 2.0)
-    with_emb = Detection(box, 0.9, unit([1.0, 1.0]))
-    without = Detection(box, 0.9)
+    with_emb = detections([(box, 0.9, unit([1.0, 1.0]))])
+    without = detections([(box, 0.9), (box, 0.8)])
     traj = make_traj(1, box, unit([1.0, 0.0]))
     bare_traj = make_traj(2, box, None)
-    with pytest.raises(ValueError, match="detection 0 has no embedding"):
-        combined_affinity([traj], Detections.pack([without]), AffinityWeights(0.5, 0.5))
-    with pytest.raises(ValueError, match="detection 1 has no embedding but identity weight is 0.5"):
-        combined_affinity([traj], Detections.pack([with_emb, without]), AffinityWeights(0.5, 0.5))
+    with pytest.raises(ValueError, match="detection 0 has no embedding but identity weight is 0.5"):
+        combined_affinity([traj], without, AffinityWeights(0.5, 0.5))
     with pytest.raises(ValueError, match="trajectory 2 has no embedding"):
-        combined_affinity([bare_traj], Detections.pack([with_emb]), AffinityWeights(0.5, 0.5))
+        combined_affinity([bare_traj], with_emb, AffinityWeights(0.5, 0.5))
 
 
 def test_combined_affinity_empty_inputs():
     assert combined_affinity([], Detections.pack([]), AffinityWeights()).shape == (0, 0)
-    det = Detection(BBox(0, 0, 1, 1), 0.9, unit([1.0, 0.0]))
-    assert combined_affinity([], Detections.pack([det]), AffinityWeights()).shape == (0, 1)
+    det = detections([(BBox(0, 0, 1, 1), 0.9, unit([1.0, 0.0]))])
+    assert combined_affinity([], det, AffinityWeights()).shape == (0, 1)
 
 
 def test_nms_drops_heavy_overlap():
-    d0 = Detection(BBox(10.0, 10.0, 10.0, 10.0), 0.9)
-    d1 = Detection(BBox(11.0, 10.0, 10.0, 10.0), 0.8)  # IoU 9/11 with d0
-    d2 = Detection(BBox(50.0, 50.0, 10.0, 10.0), 0.7)
-    kept = nms([d0, d1, d2], 0.5)
-    assert list(kept) == [d0, d2]
+    d0 = BBox(10.0, 10.0, 10.0, 10.0)
+    d1 = BBox(11.0, 10.0, 10.0, 10.0)  # IoU 9/11 with d0
+    d2 = BBox(50.0, 50.0, 10.0, 10.0)
+    dets = detections([(d0, 0.9), (d1, 0.8), (d2, 0.7)])
+    assert nms(dets, 0.5).box_list() == [d0, d2]
+    assert same_rows(nms(list(dets), 0.5), [dets[0], dets[2]])
 
 
 def test_nms_keeps_sub_threshold_overlap():
-    d0 = Detection(BBox(10.0, 10.0, 10.0, 10.0), 0.9)
-    d1 = Detection(BBox(18.0, 10.0, 10.0, 10.0), 0.8)  # IoU 2/18
-    assert list(nms([d0, d1], 0.5)) == [d0, d1]
+    d0 = BBox(10.0, 10.0, 10.0, 10.0)
+    d1 = BBox(18.0, 10.0, 10.0, 10.0)  # IoU 2/18
+    assert nms(detections([(d0, 0.9), (d1, 0.8)]), 0.5).box_list() == [d0, d1]
 
 
 def test_nms_tie_prefers_lower_index():
-    a = Detection(BBox(10.0, 10.0, 10.0, 10.0), 0.9)
-    b = Detection(BBox(10.5, 10.0, 10.0, 10.0), 0.9)
-    assert list(nms([a, b], 0.5)) == [a]
-    assert list(nms([b, a], 0.5)) == [b]
+    a = BBox(10.0, 10.0, 10.0, 10.0)
+    b = BBox(10.5, 10.0, 10.0, 10.0)
+    assert nms(detections([(a, 0.9), (b, 0.9)]), 0.5).box_list() == [a]
+    assert nms(detections([(b, 0.9), (a, 0.9)]), 0.5).box_list() == [b]
 
 
 def test_nms_survivors_keep_original_order():
-    low = Detection(BBox(10.0, 10.0, 4.0, 4.0), 0.3)
-    high = Detection(BBox(50.0, 50.0, 4.0, 4.0), 0.9)
-    assert list(nms([low, high], 0.5)) == [low, high]
+    low = BBox(10.0, 10.0, 4.0, 4.0)
+    high = BBox(50.0, 50.0, 4.0, 4.0)
+    kept = nms(detections([(low, 0.3), (high, 0.9)]), 0.5)
+    assert kept.box_list() == [low, high] and kept.confidence.tolist() == [0.3, 0.9]
 
 
 def test_nms_result_independent_of_input_order():
     rng = np.random.default_rng(19)
-    dets = [
-        Detection(random_box(rng, 30.0), float(rng.uniform(0.05, 0.99)))
-        for _ in range(40)
-    ]
+    dets = detections([(random_box(rng, 30.0), float(rng.uniform(0.05, 0.99))) for _ in range(40)])
     baseline = {(d.box, d.confidence) for d in nms(dets, 0.4)}
     for _ in range(5):
-        perm = list(rng.permutation(len(dets)))
-        shuffled = [dets[i] for i in perm]
+        shuffled = dets.take(rng.permutation(len(dets)))
         assert {(d.box, d.confidence) for d in nms(shuffled, 0.4)} == baseline
 
 
@@ -259,7 +252,7 @@ def nms_frames(draw):
             max_size=30,
         )
     )
-    dets = [Detection(pool[p], conf) for p, conf in picks]
+    dets = list(detections([(pool[p], conf) for p, conf in picks]))
     pairwise = sorted({iou(a.box, b.box) for a in dets for b in dets if a is not b})
     threshold = draw(
         st.one_of(
@@ -275,10 +268,7 @@ def nms_frames(draw):
 @given(nms_frames())
 def test_property_nms_matches_the_scalar_greedy_reference(frame):
     dets, threshold = frame
-    got = nms(dets, threshold)
-    want = greedy_nms(dets, threshold)
-    assert len(got) == len(want)
-    assert all(g is w for g, w in zip(got, want))
+    assert same_rows(nms(dets, threshold), greedy_nms(dets, threshold))
 
 
 def test_nms_never_calls_the_scalar_iou(monkeypatch):
@@ -287,12 +277,9 @@ def test_nms_never_calls_the_scalar_iou(monkeypatch):
         raise AssertionError("nms called the scalar iou")
 
     rng = np.random.default_rng(23)
-    dets = [
-        Detection(random_box(rng, 20.0), float(rng.uniform(0.05, 0.99)))
-        for _ in range(60)
-    ]
-    want = greedy_nms(dets, 0.3)
+    dets = detections([(random_box(rng, 20.0), float(rng.uniform(0.05, 0.99))) for _ in range(60)])
+    want = greedy_nms(list(dets), 0.3)
     monkeypatch.setattr(idtrack.affinity, "iou", scalar_iou)
     got = nms(dets, 0.3)
     assert 0 < len(got) < len(dets)
-    assert all(g is w for g, w in zip(got, want))
+    assert same_rows(got, want)

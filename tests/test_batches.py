@@ -2,42 +2,32 @@
 
 ``nms``, ``combined_affinity``, ``write_detections`` and ``write_embeddings``
 read one ``Detections`` batch per frame. The ``reference_*`` functions below
-are their versions from before batches, which walked one ``Detection`` row
-at a time; the batch code must keep the same NMS survivors, the same
-affinity bits and the same written bytes. ``write_gt`` and ``write_results``
+are their versions from before batches, which walked one ``Detection`` at a
+time (here the views that iterating a batch yields); the batch code must
+keep the same NMS survivors, the same affinity bits and the same written
+bytes. Views packed back into a batch must equal the batch's own ``take``. ``write_gt`` and ``write_results``
 format rows across frames in chunks; their references write one row at a
 time with one "%" format each.
 """
 
-from dataclasses import replace
 from itertools import islice
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import batch_bits, detections, iou_matrix
 from idtrack import mot_io
 from idtrack.affinity import AffinityWeights, combined_affinity, nms
-from idtrack.geometry import BBox, Detection, Detections, IdBoxes, to_corner
+from idtrack.geometry import BBox, Detections, IdBoxes, to_corner
 from idtrack.tracker import TrackOutput, Trajectory
-
-
-def reference_iou_matrix(boxes_a, boxes_b):
-    if not boxes_a or not boxes_b:
-        return np.zeros((len(boxes_a), len(boxes_b)))
-    cx_a, cy_a, w_a, h_a = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes_a], dtype=np.float64).T[:, :, None]
-    cx_b, cy_b, w_b, h_b = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes_b], dtype=np.float64).T[:, None, :]
-    iw = np.minimum(cx_a + w_a / 2.0, cx_b + w_b / 2.0) - np.maximum(cx_a - w_a / 2.0, cx_b - w_b / 2.0)
-    ih = np.minimum(cy_a + h_a / 2.0, cy_b + h_b / 2.0) - np.maximum(cy_a - h_a / 2.0, cy_b - h_b / 2.0)
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    return np.minimum(inter / (w_a * h_a + w_b * h_b - inter), 1.0)
 
 
 def reference_nms(detections, iou_threshold):
     order = np.argsort([-d.confidence for d in detections], kind="stable")
     boxes = [detections[i].box for i in order]
-    suppresses = reference_iou_matrix(boxes, boxes) > iou_threshold
+    suppresses = iou_matrix(boxes, boxes) > iou_threshold
     alive = np.ones(len(order), dtype=bool)
     for k in range(len(order)):
         if alive[k]:
@@ -51,7 +41,7 @@ def reference_combined_affinity(trajectories, detections, weights):
         return np.zeros((n, m))
     out = np.zeros((n, m))
     if weights.overlap > 0.0:
-        out += weights.overlap * reference_iou_matrix([t.head_box for t in trajectories], [d.box for d in detections])
+        out += weights.overlap * iou_matrix([t.head_box for t in trajectories], [d.box for d in detections])
     if weights.identity > 0.0:
         emb_t = np.array([t.head_embedding for t in trajectories])
         emb_d = np.array([d.embedding for d in detections])
@@ -108,14 +98,6 @@ def reference_write_embeddings(path, dets):
             fh.write(mot_io._embedding_rows(frames, indices, np.array(vectors), line))
 
 
-def as_batch(rows):
-    """The rows' values as a new batch, built by the checking constructor
-    (so it holds no rows of its own)."""
-    boxes = [(d.box.cx, d.box.cy, d.box.w, d.box.h) for d in rows]
-    embeddings = np.array([d.embedding for d in rows]) if rows and all(d.embedding is not None for d in rows) else None
-    return Detections(boxes, [d.confidence for d in rows], embeddings)
-
-
 def bits(array):
     return array.dtype.str, array.shape, array.tobytes()
 
@@ -147,27 +129,47 @@ def unit_rows(draw, n, dim):
 
 
 @st.composite
-def frames(draw, dim):
+def frames(draw, dim, predicted=False):
+    """One frame's batch, with unit embeddings of ``dim`` and, if
+    ``predicted``, a prediction on some of its rows."""
     pool = draw(st.lists(boxes, min_size=1, max_size=8)) + draw(st.one_of(st.just([]), chains()))
     picks = draw(st.lists(st.tuples(st.sampled_from(pool), confidences), max_size=25))
     vectors = draw(unit_rows(len(picks), dim))
-    return [Detection(box, conf, vec) for (box, conf), vec in zip(picks, vectors)]
+    ahead = [draw(st.one_of(st.none(), boxes)) if predicted else None for _ in picks]
+    return detections([(box, conf, vec, p) for (box, conf), vec, p in zip(picks, vectors, ahead)])
+
+
+thresholds = st.one_of(st.sampled_from((0.0, 0.3, 1.0)), st.floats(0.0, 1.0))
 
 
 @settings(max_examples=200)
-@given(
-    st.integers(2, 16).flatmap(frames),
-    st.one_of(st.sampled_from((0.0, 0.3, 1.0)), st.floats(0.0, 1.0)),
-    st.booleans(),
-)
-def test_property_nms_keeps_the_reference_survivors(rows, threshold, mixed):
-    if mixed:  # NMS reads no embedding, so rows with and without one may mix
-        rows = [replace(d, embedding=None) if k % 2 else d for k, d in enumerate(rows)]
-    want = reference_nms(rows, threshold)
-    assert all(g is w for g, w in zip(nms(rows, threshold), want, strict=True))
-    got = nms(as_batch(rows), threshold)
-    kept = as_batch(want)
-    assert bits(got.boxes) == bits(kept.boxes) and bits(got.confidence) == bits(kept.confidence)
+@given(st.integers(2, 16).flatmap(frames), thresholds, st.booleans())
+def test_property_nms_keeps_the_reference_survivors(batch, threshold, bare):
+    if bare:  # NMS reads no embedding
+        batch = Detections(batch.boxes, batch.confidence)
+    want = Detections.pack(reference_nms(list(batch), threshold))
+    assert batch_bits(nms(batch, threshold)) == batch_bits(want)
+    assert batch_bits(nms(list(batch), threshold)) == batch_bits(want)
+
+
+@st.composite
+def picked_views(draw):
+    """A batch and a non-empty index list into it: any subset, in any order,
+    with repeats. (No views leave no batch to take from: ``pack([])`` is an
+    empty batch without embeddings.)"""
+    batch = draw(frames(draw(st.integers(1, 8)), predicted=draw(st.booleans())))
+    assume(len(batch) > 0)
+    return batch, draw(st.lists(st.integers(0, len(batch) - 1), min_size=1, max_size=30))
+
+
+@settings(max_examples=200)
+@given(picked_views(), thresholds)
+def test_property_packed_views_are_the_batch_take(case, threshold):
+    batch, index = case
+    views = [batch[k] for k in index]
+    taken = batch.take(index)
+    assert batch_bits(Detections.pack(views)) == batch_bits(taken)
+    assert batch_bits(nms(views, threshold)) == batch_bits(nms(taken, threshold))
 
 
 @st.composite
@@ -188,8 +190,8 @@ def affinity_cases(draw):
 def test_property_affinity_has_the_reference_bits(case):
     trajs, rows, weights = case
     want = reference_combined_affinity(trajs, rows, weights)
-    assert bits(combined_affinity(trajs, as_batch(rows), weights)) == bits(want)
-    assert bits(combined_affinity(trajs, Detections.pack(rows), weights)) == bits(want)
+    assert bits(combined_affinity(trajs, rows, weights)) == bits(want)
+    assert bits(combined_affinity(trajs, Detections.pack(list(rows)), weights)) == bits(want)
 
 
 @st.composite
@@ -220,7 +222,6 @@ def id_streams(draw):
 def test_property_writers_write_the_reference_bytes(tmp_path_factory, stream, chunk_values, chunk_rows, random):
     dets, ids, interpolated = stream
     tmp = tmp_path_factory.mktemp("writers")
-    batches = {frame: as_batch(rows) for frame, rows in dets.items()}
     gt = {frame: [(i, d.box) for i, d in zip(ids[frame], rows)] for frame, rows in dets.items()}
     rows = [(frame, i, d) for frame, frame_rows in dets.items() for i, d in zip(ids[frame], frame_rows)]
     outputs = [TrackOutput(frame, i, d.box, d.confidence, flag) for (frame, i, d), flag in zip(rows, interpolated)]
@@ -231,10 +232,10 @@ def test_property_writers_write_the_reference_bytes(tmp_path_factory, stream, ch
             (mot_io.write_embeddings, reference_write_embeddings),
         ):
             reference(tmp / "want.txt", dets)
-            writer(tmp / "got.txt", batches)
+            writer(tmp / "got.txt", dets)
             assert (tmp / "got.txt").read_bytes() == (tmp / "want.txt").read_bytes()
-            writer(tmp / "rows.txt", {frame: Detections.pack(rows) for frame, rows in dets.items()})
-            assert (tmp / "rows.txt").read_bytes() == (tmp / "want.txt").read_bytes()
+            writer(tmp / "views.txt", {frame: Detections.pack(list(rows)) for frame, rows in dets.items()})
+            assert (tmp / "views.txt").read_bytes() == (tmp / "want.txt").read_bytes()
         reference_write_gt(tmp / "want.txt", gt)
         mot_io.write_gt(tmp / "got.txt", gt)
         assert (tmp / "got.txt").read_bytes() == (tmp / "want.txt").read_bytes()

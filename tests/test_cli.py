@@ -421,7 +421,7 @@ def test_simulate_and_track_build_no_detection_objects(tmp_path, tiny_config, mo
     assert main(["track", "--dets", str(scene / "dets.txt"), "--embeddings", str(scene / "embeddings.txt"),
                  "--out", str(out)]) == 0
     assert built == []
-    rows = list(read_detections(scene / "dets.txt")[1])  # the counter sees rows when someone asks for them
+    rows = list(read_detections(scene / "dets.txt")[1])  # the counter sees views when someone asks for them
     assert len(built) == len(rows) > 0
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from idtrack.geometry import BBox, Detection, Detections, IdBoxes, _check_unit, to_center, to_corner
+from helpers import batch_bits, detections
+from idtrack.geometry import BBox, Detection, Detections, IdBoxes, to_center, to_corner
 from idtrack.kernels import LossWeights
 
 
@@ -49,31 +50,33 @@ def test_to_center_rejects_degenerate_extent():
         to_center(5.0, 0.0, 5.0, 10.0)
 
 
-def test_detection_validation():
+def test_hand_built_rows_are_checked_by_the_batch():
     box = BBox(0.0, 0.0, 2.0, 2.0)
-    with pytest.raises(ValueError):
-        Detection(box, 1.5)
-    with pytest.raises(ValueError):
-        Detection(box, -0.1)
-    with pytest.raises(ValueError):
-        Detection(box, 0.5, embedding=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        Detection(box, 0.5, embedding=np.eye(2))
-    with pytest.raises(ValueError):
-        Detection(box, 0.5, embedding=np.array([float("nan"), 0.0]))
+    for bad in (
+        [(box, 1.5)],
+        [(box, -0.1)],
+        [(box, 0.5, np.array([1.0, 1.0]))],
+        [(box, 0.5, np.eye(2))],
+        [(box, 0.5, np.array([float("nan"), 0.0]))],
+    ):
+        with pytest.raises(ValueError):
+            detections(bad)
+    with pytest.raises(ValueError, match="every row has an embedding or none does"):
+        detections([(box, 0.5, np.array([1.0, 0.0])), (box, 0.5)])
 
 
-def test_check_unit_rejects_nan_inf_and_off_norm_vectors():
-    _check_unit(np.array([0.6, 0.8]), "v")
-    _check_unit(np.array([1.0 + 0.9e-6, 0.0]), "v")
+def test_batch_unit_check_rejects_nan_inf_and_off_norm_vectors():
+    box = [[0.0, 0.0, 2.0, 2.0]]
+    Detections(box, [0.5], [[0.6, 0.8]])
+    Detections(box, [0.5], [[1.0 + 0.9e-6, 0.0]])
     for bad in ([float("nan"), 0.0], [float("inf"), 0.0], [1.0, float("-inf")], [1.0 + 2e-6, 0.0], [0.0, 0.0], [0.6, 0.6]):
         with pytest.raises(ValueError, match="must be L2-normalized"):
-            _check_unit(np.array(bad), "v")
+            Detections(box, [0.5], [bad])
 
 
-def test_check_unit_norm_is_numpys_norm_bit_for_bit():
-    # The unit check (and the simulator's normalisation) take sqrt(v.dot(v)),
-    # which is what np.linalg.norm computes for a 1-D float64 vector.
+def test_unit_norm_is_numpys_norm_bit_for_bit():
+    # The simulator normalises with sqrt(v.dot(v)), which is what
+    # np.linalg.norm computes for a 1-D float64 vector.
     rng = np.random.default_rng(3)
     for dim in (2, 3, 17, 64, 513):
         for scale in (1e-3, 1.0, 1e3):
@@ -83,10 +86,9 @@ def test_check_unit_norm_is_numpys_norm_bit_for_bit():
 
 
 def test_detection_embedding_coerced_to_float64():
-    box = BBox(0.0, 0.0, 2.0, 2.0)
-    det = Detection(box, 0.5, embedding=np.array([1.0, 0.0], dtype=np.float32))
-    assert det.embedding.dtype == np.float64
-    assert np.array_equal(det.embedding, [1.0, 0.0])
+    batch = detections([(BBox(0.0, 0.0, 2.0, 2.0), 0.5, np.array([1.0, 0.0], dtype=np.float32))])
+    assert batch.embeddings.dtype == np.float64 and batch[0].embedding.dtype == np.float64
+    assert np.array_equal(batch[0].embedding, [1.0, 0.0])
 
 
 def test_loss_weights_validation():
@@ -131,45 +133,50 @@ def test_a_prediction_mask_only_checks_the_rows_it_marks():
     assert len(Detections([], [])) == 0 and Detections([], []).boxes.shape == (0, 4)
 
 
-def test_rows_of_a_batch_are_checked_detections_built_once():
+def test_rows_of_a_batch_are_views_that_read_its_arrays():
     vectors = unit_rows(3)
     batch = Detections([[0, 0, 2, 2], [5, 5, 2, 2], [9, 9, 1, 3]], [0.5, 0.9, 0.1], vectors)
     rows = list(batch)
+    assert all(type(d) is Detection and d.batch is batch for d in rows) and [d.index for d in rows] == [0, 1, 2]
     assert [d.box for d in rows] == [BBox(0, 0, 2, 2), BBox(5, 5, 2, 2), BBox(9, 9, 1, 3)]
     assert [d.confidence for d in rows] == [0.5, 0.9, 0.1] and all(type(d.confidence) is float for d in rows)
     assert all(np.array_equal(d.embedding, v) and d.prediction is None for d, v in zip(rows, vectors))
-    assert all(a is b for a, b in zip(batch, rows)) and batch[2] is rows[2]
+    assert batch[2].index == 2 and batch[-1].index == 2 and batch[0] is not batch[0]  # made on demand, not kept
+    with pytest.raises(IndexError):
+        batch[3]
     taken = batch.take(np.array([False, True, True]))
-    assert list(taken) == rows[1:] and taken.confidence.tolist() == [0.9, 0.1]
+    assert [d.box for d in taken] == [d.box for d in rows[1:]] and taken.confidence.tolist() == [0.9, 0.1]
     assert batch.take([2, 0]).boxes.tolist() == [[9, 9, 1, 3], [0, 0, 2, 2]]
+    assert not hasattr(rows[0], "__dict__")  # a view holds its batch and index, nothing else
 
 
-def test_pack_holds_the_rows_it_was_given():
-    vectors = unit_rows(2)
-    rows = [Detection(BBox(1, 2, 3, 4), 0.5, vectors[0]), Detection(BBox(5, 6, 7, 8), 0.7, vectors[1], BBox(6, 6, 7, 8))]
-    batch = Detections.pack(rows)
+def test_pack_of_views_takes_their_rows_from_their_batch():
+    vectors = unit_rows(3)
+    batch = detections([(BBox(1, 2, 3, 4), 0.5, vectors[0]), (BBox(5, 6, 7, 8), 0.7, vectors[1], BBox(6, 6, 7, 8)),
+                        (BBox(9, 9, 1, 1), 0.2, vectors[2])])
     assert Detections.pack(batch) is batch
-    assert batch.boxes.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]] and batch.confidence.tolist() == [0.5, 0.7]
-    assert np.array_equal(batch.embeddings, vectors)
-    assert batch.predicted.tolist() == [False, True] and batch.predictions[1].tolist() == [6, 6, 7, 8]
-    assert list(batch) == rows and list(batch.take([1])) == rows[1:]
-    bare = Detections.pack([Detection(BBox(1, 2, 3, 4), 0.5)])
+    packed = Detections.pack([batch[2], batch[1], batch[2]])
+    assert batch_bits(packed) == batch_bits(batch.take([2, 1, 2]))
+    assert packed.predicted.tolist() == [False, True, False] and packed.predictions[1].tolist() == [6, 6, 7, 8]
+    bare = detections([(BBox(1, 2, 3, 4), 0.5)])
     assert bare.embeddings is None and bare.predictions is None and bare.predicted is None
     empty = Detections.pack([])
     assert len(empty) == 0 and empty.boxes.shape == (0, 4) and empty.embeddings is None
 
 
-def test_pack_keeps_rows_whose_embeddings_cannot_form_one_matrix():
+def test_pack_rejects_views_of_two_batches():
+    one = detections([(BBox(1, 2, 3, 4), 0.5)])
+    other = detections([(BBox(1, 2, 3, 4), 0.5)])
+    with pytest.raises(ValueError, match="pack takes rows of one batch"):
+        Detections.pack([one[0], other[0]])
+    with pytest.raises(ValueError, match="pack takes rows of one batch"):
+        Detections.pack([one[0], one.take([0])[0]])  # a taken batch is another batch
+
+
+def test_missing_embedding_names_the_first_row_of_a_batch_without_them():
     box = BBox(0.0, 0.0, 2.0, 2.0)
-    some = [Detection(box, 0.5, np.array([1.0, 0.0])), Detection(box, 0.6), Detection(box, 0.7)]
-    batch = Detections.pack(some)
-    assert batch.embeddings is None and list(batch) == some
-    assert batch.missing_embedding() == "detection 1 has no embedding"
-    assert batch.embedding_list() == [some[0].embedding, None, None]
-    assert batch.take([2, 0]).embedding_list() == [None, some[0].embedding]
-    ragged = Detections.pack([Detection(box, 0.5, np.array([1.0, 0.0])), Detection(box, 0.5, np.array([0.0, 1.0, 0.0]))])
-    assert ragged.embeddings is None and ragged.missing_embedding() == "embeddings of mixed dimensions"
-    assert Detections.pack([Detection(box, 0.5)]).missing_embedding() == "detection 0 has no embedding"
+    assert detections([(box, 0.5), (box, 0.6)]).missing_embedding() == "detection 0 has no embedding"
+    assert detections([(box, 0.5)]).embedding_list() == [None]
     assert Detections.pack([]).missing_embedding() is None
     assert Detections([[0, 0, 1, 1]], [0.5], unit_rows(1)).missing_embedding() is None
 

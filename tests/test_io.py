@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from idtrack import mot_io
 from idtrack.affinity import AffinityWeights
-from idtrack.geometry import BBox, Detection, Detections, IdBoxes, to_corner
+from helpers import detections
+from idtrack.geometry import BBox, Detections, IdBoxes, to_corner
 from idtrack.mot_io import (
     load_detections,
     read_config,
@@ -276,19 +277,15 @@ def test_a_failed_results_write_leaves_no_file(tmp_path):
     [
         (None, "frame 3 detection 0 has no embedding"),
         (unit([1.0, 1.0, 1.0]), "mixed embedding dimensions"),
-        ("mixed", "frame 3 detection 1 has no embedding"),
     ],
 )
 def test_a_failed_sidecar_write_leaves_no_file(tmp_path, third, message):
     box = BBox(5.0, 5.0, 2.0, 2.0)
-    dets = {f: [Detection(box, 0.9, unit([1.0, float(f)]))] for f in (1, 2)}
-    if isinstance(third, str):  # a frame of which only some rows have a vector
-        dets[3] = [Detection(box, 0.9, unit([1.0, 3.0])), Detection(box, 0.9)]
-    else:
-        dets[3] = [Detection(box, 0.9, third)]
+    dets = {f: detections([(box, 0.9, unit([1.0, float(f)]))]) for f in (1, 2)}
+    dets[3] = detections([(box, 0.9, third)])
     p = tmp_path / "emb.txt"
     with pytest.raises(ValueError, match=message):
-        write_embeddings(p, {f: Detections.pack(rows) for f, rows in dets.items()})
+        write_embeddings(p, dets)
     assert not p.exists()
 
 
@@ -601,9 +598,9 @@ def test_property_mot_lines_splice_percent_rows_among_fixed_ones(rows):
 @given(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), min_size=1, max_size=6))
 def test_property_sidecar_lines_match_the_per_value_reference(tmp_path_factory, raw):
     vecs = [np.asarray(v) for v in raw if np.linalg.norm(v) > 1e-3]
-    dets = {1: [Detection(BBox(5.0, 5.0, 2.0, 2.0), 0.5, v / np.linalg.norm(v)) for v in vecs]}
+    dets = {1: detections([(BBox(5.0, 5.0, 2.0, 2.0), 0.5, v / np.linalg.norm(v)) for v in vecs])}
     p = tmp_path_factory.mktemp("sidecar") / "emb.txt"
-    write_embeddings(p, {1: Detections.pack(dets[1])})
+    write_embeddings(p, dets)
     want = "dim=3\n" if vecs else "dim=0\n"
     want += "".join(reference_embedding_line(1, k, d.embedding) for k, d in enumerate(dets[1]))
     assert p.read_text() == want
@@ -642,7 +639,7 @@ def embedded_streams(draw):
     frames = draw(st.lists(st.integers(1, 10**7), min_size=1, max_size=4, unique=True))
     box = BBox(5.0, 5.0, 2.0, 2.0)
     return {
-        f: [Detection(box, 0.5, draw(unit_vectors(dim))) for _ in range(draw(st.integers(0, 4)))]
+        f: detections([(box, 0.5, draw(unit_vectors(dim))) for _ in range(draw(st.integers(0, 4)))])
         for f in frames
     }
 
@@ -652,7 +649,7 @@ def embedded_streams(draw):
 def test_property_chunked_sidecar_matches_the_per_value_reference(tmp_path_factory, dets, chunk_values):
     p = tmp_path_factory.mktemp("sidecar") / "emb.txt"
     with mock.patch.object(mot_io, "_CHUNK_VALUES", chunk_values):
-        write_embeddings(p, {f: Detections.pack(frame_dets) for f, frame_dets in dets.items()})
+        write_embeddings(p, dets)
     rows = [(f, k, d.embedding) for f in sorted(dets) for k, d in enumerate(dets[f])]
     dim = rows[0][2].shape[0] if rows else 0
     assert p.read_bytes() == (f"dim={dim}\n" + "".join(reference_embedding_line(*row) for row in rows)).encode()
@@ -804,7 +801,7 @@ def bits(value):
         return struct.pack("<d", value)
     if isinstance(value, np.ndarray):
         return (value.dtype.str, value.shape, value.tobytes())
-    if isinstance(value, (BBox, Detection)):
+    if isinstance(value, BBox):
         return (type(value).__name__, *(bits(getattr(value, f.name)) for f in dataclasses.fields(value)))
     if isinstance(value, Detections):
         columns = ("boxes", "confidence", "embeddings", "predictions", "predicted")
@@ -911,7 +908,9 @@ def test_a_clean_detection_file_takes_the_bulk_path(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("blank", ["  ", "\t", " \t ", "\x0c"])
-def test_a_line_of_only_whitespace_keeps_a_file_on_the_bulk_path(tmp_path, monkeypatch, blank):
+def test_a_line_of_only_whitespace_is_blank_to_the_line_loop(tmp_path, blank):
+    # Such a file is not plain, so the line loop reads it, as it reads the
+    # file without that line.
     gt, dets = generate(SimConfig(seed=4, num_identities=4, frames=10, fp_rate=0.5, embedding_dim=8))
     counts = {f: len(v) for f, v in dets.items()}
     reads = {"gt.txt": read_gt, "emb.txt": lambda p: read_embeddings(p, counts)}
@@ -921,9 +920,8 @@ def test_a_line_of_only_whitespace_keeps_a_file_on_the_bulk_path(tmp_path, monke
     for name in reads:
         lines = (tmp_path / name).read_text().splitlines(keepends=True)
         (tmp_path / name).write_text("".join([*lines[:2], blank + "\n", *lines[2:]]))
-    monkeypatch.setattr(mot_io, "_parse_mot_line", line_loop_must_not_run)
-    monkeypatch.setattr(mot_io, "_embeddings_by_line", line_loop_must_not_run)
     for name, read in reads.items():
+        assert not mot_io._plain(tmp_path / name)
         assert outcome(read, tmp_path / name) == clean[name]
 
 
@@ -955,15 +953,14 @@ def writer_files(tmp_path) -> dict[str, tuple]:
 
 def test_writer_shaped_files_are_read_from_their_path(tmp_path, monkeypatch):
     # Every file a writer makes is plain: numpy reads it from its path, with
-    # neither the line feeder nor a line loop, bit for bit as the line loop
-    # alone reads it. So does a sidecar whose header follows blank lines.
+    # no line loop, bit for bit as the line loop alone reads it. So does a sidecar whose header follows blank lines.
     files = writer_files(tmp_path)
     late = tmp_path / "late_header_emb.txt"
     late.write_bytes(b"\n\n" + (tmp_path / "emb.txt").read_bytes())
     files["late_header_emb.txt"] = (late, files["emb.txt"][1])
     with mock.patch.object(mot_io, "_in_bulk", no_bulk_parse):
         loop = {name: outcome(read, path) for name, (path, read) in files.items()}
-    for name in ("_bulk_lines", "_parse_mot_line", "_embeddings_by_line"):
+    for name in ("_parse_mot_line", "_embeddings_by_line"):
         monkeypatch.setattr(mot_io, name, line_loop_must_not_run)
     for name, (path, read) in files.items():
         assert mot_io._plain(path)
@@ -1055,14 +1052,17 @@ RULE_BREAKS = [
 ]
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize(("newline", "blank"), [("\n", ""), ("\r\n", " \t")])
 @pytest.mark.parametrize(("reader", "row", "bad", "message"), RULE_BREAKS)
-def test_a_rule_break_the_bulk_parse_takes_names_its_line(tmp_path, monkeypatch, newline, reader, row, bad, message):
-    monkeypatch.setattr(mot_io, "_parse_mot_line", line_loop_must_not_run)
-    monkeypatch.setattr(mot_io, "_embeddings_by_line", line_loop_must_not_run)
+def test_a_rule_break_names_its_line(tmp_path, monkeypatch, newline, blank, reader, row, bad, message):
+    # With LF and empty blank lines the file is plain and the bulk parse takes
+    # it; CRLF and a line of whitespace send it to the line loop.
+    if newline == "\n":
+        monkeypatch.setattr(mot_io, "_parse_mot_line", line_loop_must_not_run)
+        monkeypatch.setattr(mot_io, "_embeddings_by_line", line_loop_must_not_run)
     other = "2" + row[1:]  # the same row in frame 2
     header = "dim=2" if row.count(",") == 3 else ""  # a sidecar row: frame, index and a 2-d vector
-    lines = ["", header, row, " \t", "", other, "", bad, ""]
+    lines = ["", header, row, blank, "", other, "", bad, ""]
     p = tmp_path / "in.txt"
     p.write_bytes(newline.join(lines).encode())
     with pytest.raises(ValueError, match=rf"^{re.escape(f'{p}:8: {message}')}$"):

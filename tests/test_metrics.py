@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idtrack.affinity import iou, iou_matrix
+from helpers import iou_matrix
+from idtrack.affinity import iou
 from idtrack.assignment import solve_max
 from idtrack.geometry import BBox, IdBoxes
 from idtrack.metrics import (
@@ -393,7 +394,7 @@ def outcome(score, *args):
 @given(scored_streams(), st.floats(0.3, 1.0), st.sampled_from([1, 1, 2, 3]))
 def test_property_evaluate_and_sweep_match_the_reference(streams, gate, stride):
     gt, scored = streams
-    if stride > 1:  # the frames subsample drops come back as []
+    if stride > 1:  # a last kept frame that a stream lacks comes back as []
         gt, scored = subsample(gt, stride), subsample(scored, stride)
     hyp = {f: [(hid, box) for hid, box, _ in rows] for f, rows in scored.items()}
     expected = outcome(reference_evaluate, gt, hyp, gate)

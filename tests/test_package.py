@@ -21,8 +21,8 @@ def test_every_export_resolves(name):
 
 
 def test_the_root_exports_tracking_only():
-    assert len(idtrack.__all__) == 28
-    assert "update_trajectory" not in idtrack.__all__
+    assert len(idtrack.__all__) == 25
+    assert not {"update_trajectory", "Detection", "iou", "iou_matrix"} & set(idtrack.__all__)
     kernels = importlib.import_module("idtrack.kernels")
     assert not set(kernels.__all__) & set(idtrack.__all__)
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idtrack.geometry import BBox, Detection
+from helpers import detections
+from idtrack.geometry import BBox
 from idtrack.sim import SimConfig, benchmark_config, config_from_mapping, generate, subsample
 
 
@@ -89,7 +91,7 @@ def reference_generate(config):
             )
             conf = 0.55 + 0.44 * rng.random()
             emb = _reference_unit(protos[i] + config.embedding_noise * rng.normal(size=config.embedding_dim))
-            det_frame.append(Detection(noisy, conf, emb))
+            det_frame.append((noisy, conf, emb))
 
         for _ in range(int(rng.poisson(config.fp_rate))):
             w = rng.uniform(*config.box_size_range)
@@ -102,10 +104,10 @@ def reference_generate(config):
             )
             conf = 0.05 + 0.5 * rng.random()
             emb = _reference_unit(rng.normal(size=config.embedding_dim))
-            det_frame.append(Detection(fp_box, conf, emb))
+            det_frame.append((fp_box, conf, emb))
 
         gt[t] = gt_frame
-        dets[t] = det_frame
+        dets[t] = detections(det_frame)
 
     if config.frame_stride > 1:
         gt = subsample(gt, config.frame_stride)
@@ -248,7 +250,20 @@ def test_subsample_drops_and_reindexes():
     # Only the keys change: each kept frame's batch is the same object.
     thin_dets = subsample(dets, 3)
     assert thin_dets[3] is dets[7]
-    assert subsample({1: dets[1], 5: dets[5]}, 2) == {1: dets[1], 2: [], 3: dets[5]}
+    # A kept frame the stream lacks stays out, except the last one.
+    assert subsample({1: dets[1], 5: dets[5]}, 2) == {1: dets[1], 3: dets[5]}
+    assert subsample({1: dets[1], 4: dets[4]}, 2) == {1: dets[1], 2: []}
+    assert list(subsample({7: dets[7], 1: dets[1], 6: dets[6]}, 3)) == [1, 3]
+
+
+def test_subsample_grows_with_the_frames_it_is_given():
+    # Frames far apart cost no entry per kept frame in between. A range over
+    # the largest frame built 10**6 entries here, in about 0.7 s.
+    _, dets = generate(SimConfig(seed=1, num_identities=2, frames=2))
+    start = time.perf_counter()
+    thin = subsample({1: dets[1], 2 * 10**6 + 1: dets[2]}, 2)
+    assert time.perf_counter() - start < 0.5
+    assert thin == {1: dets[1], 10**6 + 1: dets[2]}
 
 
 def test_subsample_rejects_bad_stride():

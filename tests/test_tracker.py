@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idtrack.affinity import AffinityWeights, nms
-from idtrack.geometry import BBox, Detection, Detections
+from helpers import detections
+from idtrack.geometry import BBox, Detections
 from idtrack.mot_io import load_detections, write_detections, write_embeddings
 from idtrack.sim import SimConfig, generate
 from idtrack.tracker import (
@@ -34,12 +35,13 @@ EMIX = unit([1.0, 1.0, 0.0, 0.0])
 
 
 def det(cx, cy, emb=None, conf=0.9, size=4.0, prediction=None):
-    return Detection(BBox(float(cx), float(cy), size, size), conf, emb, prediction)
+    """One row for ``detections``."""
+    return BBox(float(cx), float(cy), size, size), conf, emb, prediction
 
 
 def stream(frames):
-    """A stream of ``Detection`` row lists as one batch per frame."""
-    return {frame: Detections.pack(rows) for frame, rows in frames.items()}
+    """A stream of row lists as one batch per frame."""
+    return {frame: detections(rows) for frame, rows in frames.items()}
 
 
 def state(traj):
@@ -59,7 +61,7 @@ def iou_only_config(**kwargs):
 
 def test_first_detection_starts_a_trajectory():
     tracker = Tracker(iou_only_config())
-    outputs = tracker.step([det(10, 10)], 1)
+    outputs = tracker.step(detections([det(10, 10)]), 1)
     assert len(outputs) == 1
     assert outputs[0].frame == 1
     assert outputs[0].track_id == 1
@@ -70,15 +72,15 @@ def test_first_detection_starts_a_trajectory():
 
 def test_continuing_detection_keeps_its_id():
     tracker = Tracker(iou_only_config())
-    tracker.step([det(10, 10)], 1)
-    outputs = tracker.step([det(11, 10)], 2)
+    tracker.step(detections([det(10, 10)]), 1)
+    outputs = tracker.step(detections([det(11, 10)]), 2)
     assert [o.track_id for o in outputs if not o.interpolated] == [1]
 
 
 def test_far_detection_gets_a_new_id():
     tracker = Tracker(iou_only_config(motion_propagate_frames=0))
-    tracker.step([det(10, 10)], 1)
-    outputs = tracker.step([det(200, 200)], 2)
+    tracker.step(detections([det(10, 10)]), 1)
+    outputs = tracker.step(detections([det(200, 200)]), 2)
     assert [o.track_id for o in outputs if not o.interpolated] == [2]
 
 
@@ -86,10 +88,10 @@ def test_buffer_recovery_restores_the_id():
     # The object vanishes for two frames and reappears somewhere IoU cannot
     # reach; only the identity-only buffer stage can reclaim it.
     tracker = Tracker(id_only_config(motion_propagate_frames=0))
-    tracker.step([det(10, 10, EA)], 1)
-    tracker.step([], frame=2)
-    tracker.step([], frame=3)
-    outputs = tracker.step([det(400, 400, EA)], 4)
+    tracker.step(detections([det(10, 10, EA)]), 1)
+    tracker.step(detections([]), frame=2)
+    tracker.step(detections([]), frame=3)
+    outputs = tracker.step(detections([det(400, 400, EA)]), 4)
     assert [o.track_id for o in outputs] == [1]
     assert len(tracker.active) == 1
     assert not tracker.paused
@@ -97,10 +99,10 @@ def test_buffer_recovery_restores_the_id():
 
 def test_no_recovery_without_identity_weight():
     tracker = Tracker(iou_only_config(motion_propagate_frames=0))
-    tracker.step([det(10, 10, EA)], 1)
-    tracker.step([], frame=2)
-    tracker.step([], frame=3)
-    outputs = tracker.step([det(400, 400, EA)], 4)
+    tracker.step(detections([det(10, 10, EA)]), 1)
+    tracker.step(detections([]), frame=2)
+    tracker.step(detections([]), frame=3)
+    outputs = tracker.step(detections([det(400, 400, EA)]), 4)
     assert [o.track_id for o in outputs] == [2]
 
 
@@ -108,42 +110,42 @@ def test_recent_buffer_level_wins():
     # Two paused trajectories could both take the detection; the one unseen
     # for fewer frames gets first pick.
     tracker = Tracker(id_only_config(motion_propagate_frames=0))
-    tracker.step([det(10, 10, EA)], 1)
-    tracker.step([det(300, 300, EB)], 2)  # cosine 0 to EA: becomes id 2
-    tracker.step([], frame=3)
-    outputs = tracker.step([det(600, 600, EMIX)], 4)
+    tracker.step(detections([det(10, 10, EA)]), 1)
+    tracker.step(detections([det(300, 300, EB)]), 2)  # cosine 0 to EA: becomes id 2
+    tracker.step(detections([]), frame=3)
+    outputs = tracker.step(detections([det(600, 600, EMIX)]), 4)
     assert [o.track_id for o in outputs] == [2]
 
 
 def test_retirement_after_buffer_expires():
     tracker = Tracker(id_only_config(motion_propagate_frames=0, buffer_size=3))
-    tracker.step([det(10, 10, EA)], 1)
+    tracker.step(detections([det(10, 10, EA)]), 1)
     for f in (2, 3, 4):
-        tracker.step([], frame=f)
-    outputs = tracker.step([det(10, 10, EA)], 5)
+        tracker.step(detections([]), frame=f)
+    outputs = tracker.step(detections([det(10, 10, EA)]), 5)
     assert [o.track_id for o in outputs] == [2]
     assert tracker.paused == []
 
 
 def test_recovery_at_the_buffer_boundary():
     tracker = Tracker(id_only_config(motion_propagate_frames=0, buffer_size=3))
-    tracker.step([det(10, 10, EA)], 1)
-    tracker.step([], frame=2)
-    tracker.step([], frame=3)
-    outputs = tracker.step([det(10, 10, EA)], 4)  # unseen for exactly buffer_size
+    tracker.step(detections([det(10, 10, EA)]), 1)
+    tracker.step(detections([]), frame=2)
+    tracker.step(detections([]), frame=3)
+    outputs = tracker.step(detections([det(10, 10, EA)]), 4)  # unseen for exactly buffer_size
     assert [o.track_id for o in outputs] == [1]
 
 
 def test_propagation_emits_interpolated_heads():
     tracker = Tracker(iou_only_config(motion_propagate_frames=2))
-    tracker.step([det(10, 10)], 1)
-    tracker.step([det(12, 10)], 2)  # velocity settles at (1, 0)
-    out3 = tracker.step([], frame=3)
+    tracker.step(detections([det(10, 10)]), 1)
+    tracker.step(detections([det(12, 10)]), 2)  # velocity settles at (1, 0)
+    out3 = tracker.step(detections([]), frame=3)
     assert len(out3) == 1 and out3[0].interpolated
     assert out3[0].box == BBox(13.0, 10.0, 4.0, 4.0)
-    out4 = tracker.step([], frame=4)
+    out4 = tracker.step(detections([]), frame=4)
     assert out4[0].box == BBox(14.0, 10.0, 4.0, 4.0)
-    out5 = tracker.step([], frame=5)  # exceeded the propagation budget
+    out5 = tracker.step(detections([]), frame=5)  # exceeded the propagation budget
     assert out5 == []
     assert len(tracker.paused) == 1
 
@@ -167,10 +169,10 @@ def test_hypotheses_skip_interpolated_outputs_and_keep_order():
 
 def test_coasting_trajectory_still_matches_by_iou():
     tracker = Tracker(iou_only_config(motion_propagate_frames=3))
-    tracker.step([det(10, 10, size=10.0)], 1)
-    tracker.step([det(14, 10, size=10.0)], 2)
-    tracker.step([], frame=3)  # coasts to (16, 10)
-    outputs = tracker.step([det(18, 10, size=10.0)], 4)
+    tracker.step(detections([det(10, 10, size=10.0)]), 1)
+    tracker.step(detections([det(14, 10, size=10.0)]), 2)
+    tracker.step(detections([]), frame=3)  # coasts to (16, 10)
+    outputs = tracker.step(detections([det(18, 10, size=10.0)]), 4)
     assert [o.track_id for o in outputs] == [1]
     assert not outputs[0].interpolated
 
@@ -179,29 +181,29 @@ def test_external_prediction_replaces_linear_coasting():
     # A detection's prediction is its box in the next frame; the trajectory
     # that takes detection 1 coasts on it when it misses frame 2.
     tracker = Tracker(iou_only_config(motion_propagate_frames=2))
-    tracker.step([det(100, 100), det(10, 10, prediction=BBox(50.0, 50.0, 4.0, 4.0))], 1)
-    outputs = tracker.step([det(100, 100)], 2)
+    tracker.step(detections([det(100, 100), det(10, 10, prediction=BBox(50.0, 50.0, 4.0, 4.0))]), 1)
+    outputs = tracker.step(detections([det(100, 100)]), 2)
     assert [(o.track_id, o.box, o.interpolated) for o in outputs] == [
         (1, BBox(100.0, 100.0, 4.0, 4.0), False),
         (2, BBox(50.0, 50.0, 4.0, 4.0), True),
     ]
     # The predicted head is what the next frame's IoU sees.
-    outputs = tracker.step([det(50, 50)], 3)
+    outputs = tracker.step(detections([det(50, 50)]), 3)
     assert [(o.track_id, o.interpolated) for o in outputs] == [(2, False), (1, True)]
 
 
 def test_prediction_is_only_for_the_next_frame():
     tracker = Tracker(iou_only_config(motion_propagate_frames=2))
-    tracker.step([det(10, 10, prediction=BBox(50.0, 50.0, 4.0, 4.0))], 1)
-    outputs = tracker.step([], frame=3)  # frame 2 was skipped: linear (still) head
+    tracker.step(detections([det(10, 10, prediction=BBox(50.0, 50.0, 4.0, 4.0))]), 1)
+    outputs = tracker.step(detections([]), frame=3)  # frame 2 was skipped: linear (still) head
     assert [(o.box, o.interpolated) for o in outputs] == [(BBox(10.0, 10.0, 4.0, 4.0), True)]
 
 
 def test_missing_embedding_rejected_before_any_state_changes():
     tracker = Tracker(id_only_config(motion_propagate_frames=1))
-    tracker.step([det(10, 10, EA), det(300, 300, EB)], 1)
-    tracker.step([det(10, 10, EA)], 2)  # id 2 coasts
-    tracker.step([det(10, 10, EA)], 3)  # id 2 pauses
+    tracker.step(detections([det(10, 10, EA), det(300, 300, EB)]), 1)
+    tracker.step(detections([det(10, 10, EA)]), 2)  # id 2 coasts
+    tracker.step(detections([det(10, 10, EA)]), 3)  # id 2 pauses
 
     def snapshot():
         return (
@@ -216,30 +218,33 @@ def test_missing_embedding_rejected_before_any_state_changes():
     # Frame 4 would update id 1 in place and recover nothing; frame 20 would
     # retire both trajectories, if the step got that far.
     for frame in (4, 20):
-        with pytest.raises(ValueError, match="detection 1 has no embedding"):
-            tracker.step([det(10, 10, EA), det(50, 50)], frame)
+        with pytest.raises(ValueError, match="detection 0 has no embedding"):
+            tracker.step(detections([det(10, 10), det(50, 50)]), frame)
         assert snapshot() == before
 
 
-def test_an_iou_step_takes_rows_with_and_without_embeddings():
-    # Identity weight 0 reads no embedding, so a frame may mix rows with and
-    # without one; a trajectory still keeps the vector of the row it takes.
+def test_an_iou_step_takes_batches_with_and_without_embeddings():
+    # Identity weight 0 reads no embedding, so one frame's batch may hold
+    # none and the next one's vectors; a trajectory keeps the vectors of the
+    # detections it takes, and a batch without any leaves them as they are.
     tracker = Tracker(iou_only_config())
-    tracker.step([det(10, 10, EA), det(50, 50), det(90, 90, EB)], 1)
-    outputs = tracker.step([det(50, 50, EA), det(10, 10), det(90, 90, EA)], 2)
+    tracker.step(detections([det(10, 10), det(50, 50), det(90, 90)]), 1)
+    tracker.step(detections([det(50, 50, EA), det(10, 10, EB), det(90, 90, EA)]), 2)
+    outputs = tracker.step(detections([det(50, 50), det(10, 10), det(90, 90)]), 3)
     assert [(o.track_id, o.box.cx) for o in outputs] == [(1, 10.0), (2, 50.0), (3, 90.0)]
+    tracker.step(detections([det(10, 10, EB), det(50, 50, EB), det(90, 90, EA)]), 4)
     embeddings = {t.track_id: t.head_embedding for t in tracker.active}
-    assert np.array_equal(embeddings[1], EA) and np.array_equal(embeddings[2], EA)
-    assert np.allclose(embeddings[3], EMIX, atol=1e-12)
+    assert np.array_equal(embeddings[1], EB) and np.array_equal(embeddings[3], EA)
+    assert np.allclose(embeddings[2], EMIX, atol=1e-12)
 
 
 def test_frames_must_advance():
     tracker = Tracker(iou_only_config())
-    tracker.step([det(10, 10)], 1)
+    tracker.step(detections([det(10, 10)]), 1)
     with pytest.raises(ValueError):
-        tracker.step([det(10, 10)], 1)
+        tracker.step(detections([det(10, 10)]), 1)
     with pytest.raises(ValueError):
-        tracker.step([], frame=0)
+        tracker.step(detections([]), frame=0)
 
 
 def update_one(traj, d, momentum, frame):
@@ -280,20 +285,20 @@ def start_traj(embedding=EA, last_seen=1):
 def test_update_trajectory_momentum_extremes():
     fresh = det(14, 10, EB)
     snap = start_traj()
-    update_trajectory([snap], Detections.pack([fresh]), 0.0, 2)
+    update_trajectory([snap], detections([fresh]), 0.0, 2)
     assert np.array_equal(snap.head_embedding, EB)
     assert snap.avg_velocity == (4.0, 0.0)
     assert snap.last_seen == 2 and snap.head_frame == 2
     sticky = start_traj()
-    update_trajectory([sticky], Detections.pack([fresh]), 1.0, 2)
+    update_trajectory([sticky], detections([fresh]), 1.0, 2)
     assert np.array_equal(sticky.head_embedding, EA)
     assert sticky.avg_velocity == (0.0, 0.0)
-    assert sticky.head_box == fresh.box  # the box always follows the detection
+    assert sticky.head_box == fresh[0]  # the box always follows the detection
 
 
 def test_update_trajectory_blends_and_renormalizes():
     traj = start_traj()
-    update_trajectory([traj], Detections.pack([det(10, 10, EB)]), 0.5, 2)
+    update_trajectory([traj], detections([det(10, 10, EB)]), 0.5, 2)
     assert np.allclose(traj.head_embedding, EMIX, atol=1e-12)
     assert abs(np.linalg.norm(traj.head_embedding) - 1.0) < 1e-12
 
@@ -302,7 +307,7 @@ def test_update_trajectory_opposite_embeddings_take_the_fresh_one():
     # The cancelling pair sits between two that blend normally.
     trajs = [start_traj(EA), start_traj(EA), start_traj(EB)]
     dets = [det(10, 10, EB), det(10, 10, -EA), det(10, 10, EA)]
-    update_trajectory(trajs, Detections.pack(dets), 0.5, 2)
+    update_trajectory(trajs, detections(dets), 0.5, 2)
     assert np.array_equal(trajs[1].head_embedding, -EA)
     assert np.allclose(trajs[0].head_embedding, EMIX, atol=1e-12)
     assert np.allclose(trajs[2].head_embedding, EMIX, atol=1e-12)
@@ -310,7 +315,7 @@ def test_update_trajectory_opposite_embeddings_take_the_fresh_one():
 
 def test_update_trajectory_velocity_spreads_over_the_gap():
     traj = start_traj(None)
-    update_trajectory([traj], Detections.pack([det(22, 10)]), 0.5, 4)
+    update_trajectory([traj], detections([det(22, 10)]), 0.5, 4)
     # Displacement 12 over 3 frames -> 4 per frame, halved by momentum.
     assert traj.avg_velocity == (2.0, 0.0)
 
@@ -318,7 +323,7 @@ def test_update_trajectory_velocity_spreads_over_the_gap():
 def test_update_trajectory_rejects_regression():
     traj = start_traj(None, last_seen=5)
     with pytest.raises(ValueError):
-        update_trajectory([traj], Detections.pack([det(10, 10)]), 0.5, 3)
+        update_trajectory([traj], detections([det(10, 10)]), 0.5, 3)
 
 
 def test_update_trajectory_rejects_a_batch_without_changing_any_trajectory():
@@ -327,37 +332,37 @@ def test_update_trajectory_rejects_a_batch_without_changing_any_trajectory():
     ahead = BBox(1.0, 1.0, 1.0, 1.0)
     dets = [det(12, 10, EB, prediction=ahead), det(8, 10, EA, prediction=ahead), det(10, 10, EA, prediction=ahead)]
     with pytest.raises(ValueError, match="detection frame 4 is behind trajectory head frame 5"):
-        update_trajectory(trajs, Detections.pack(dets), 0.5, 4)  # frame 4 is behind the last trajectory's head
+        update_trajectory(trajs, detections(dets), 0.5, 4)  # frame 4 is behind the last trajectory's head
     assert [state(t) for t in trajs] == before
 
 
 @st.composite
 def update_batches(draw):
-    """Distinct trajectories with matched detections of one frame: missing,
-    opposite, equal and random embeddings, gaps of 0-9 frames, coasting
+    """Distinct trajectories with matched detections of one frame: a batch
+    without embeddings, or one with opposite, equal and random embeddings
+    against trajectories with and without one, gaps of 0-9 frames, coasting
     heads and predictions."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.sampled_from((3, 64)))  # 64 is the simulator's default
     momentum = draw(st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0)))
-    trajs, dets = [], []
+    bare = draw(st.integers(0, 4)) == 0
+    trajs, rows = [], []
     for k in range(draw(st.integers(0, 8))):
         last_seen = int(rng.integers(1, 6))
         head_frame = last_seen + int(rng.integers(0, 3))
         emb = None if rng.random() < 0.2 else unit(rng.normal(size=dim))
         box = BBox(*rng.uniform(0.0, 100.0, size=2), *rng.uniform(1.0, 30.0, size=2))
         trajs.append(Trajectory(k + 1, box, emb, tuple(rng.normal(0.0, 3.0, size=2)), last_seen, head_frame))
-        kind = draw(st.sampled_from(("none", "opposite", "same", "random")))
-        fresh = {
-            "none": None,
-            "opposite": None if emb is None else -emb,
-            "same": emb,
-            "random": unit(rng.normal(size=dim)),
-        }[kind]
+        kind = draw(st.sampled_from(("opposite", "same", "random")))
+        fresh = None
+        if not bare:
+            fresh = {"opposite": emb if emb is None else -emb, "same": emb}.get(kind)
+            fresh = unit(rng.normal(size=dim)) if fresh is None else fresh
         dbox = BBox(*rng.uniform(0.0, 100.0, size=2), *rng.uniform(1.0, 30.0, size=2))
         prediction = None if rng.random() < 0.5 else BBox(*rng.uniform(1.0, 50.0, size=4))
-        dets.append(Detection(dbox, float(rng.uniform(0.0, 1.0)), fresh, prediction))
+        rows.append((dbox, float(rng.uniform(0.0, 1.0)), fresh, prediction))
     frame = max((t.head_frame for t in trajs), default=1) + int(rng.integers(0, 4))
-    return trajs, dets, momentum, frame
+    return trajs, detections(rows), momentum, frame
 
 
 @settings(max_examples=300)
@@ -365,7 +370,7 @@ def update_batches(draw):
 def test_property_batched_update_equals_the_reference_bit_for_bit(batch):
     trajs, dets, momentum, frame = batch
     want = [update_one(t, d, momentum, frame) for t, d in zip(trajs, dets)]
-    update_trajectory(trajs, Detections.pack(dets), momentum, frame)
+    update_trajectory(trajs, dets, momentum, frame)
     assert [state(t) for t in trajs] == [state(t) for t in want]  # embeddings compared as bytes
 
 
@@ -378,9 +383,9 @@ def test_propagate_linear_is_additive():
 
 def test_track_ids_are_one_based_and_fresh():
     tracker = Tracker(iou_only_config(motion_propagate_frames=0, buffer_size=1))
-    tracker.step([det(10, 10), det(100, 100)], 1)
+    tracker.step(detections([det(10, 10), det(100, 100)]), 1)
     assert sorted(t.track_id for t in tracker.active) == [1, 2]
-    tracker.step([det(400, 400)], 2)
+    tracker.step(detections([det(400, 400)]), 2)
     assert tracker.next_id == 4
 
 
@@ -462,7 +467,7 @@ def test_stream_prediction_follows_a_buffer_recovery():
 
 def test_identity_weight_zero_ignores_embeddings():
     _, dets = generate(SimConfig(seed=41, num_identities=6, frames=40, occlusion_events=2))
-    stripped = stream({f: [Detection(d.box, d.confidence) for d in v] for f, v in dets.items()})
+    stripped = {f: Detections(v.boxes, v.confidence) for f, v in dets.items()}
     with_emb = track_stream(dets, iou_only_config())
     without_emb = track_stream(stripped, iou_only_config())
     assert with_emb == without_emb
@@ -505,12 +510,14 @@ def scenes_with_predictions(draw):
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     for frame, batch in dets.items():
-        rows = list(batch)
-        for i, d in enumerate(rows):
+        rows = []
+        for d in batch:
+            prediction = None
             if rng.random() < 0.7:
                 dx, dy = rng.normal(0.0, 8.0, size=2)
-                rows[i] = replace(d, prediction=BBox(d.box.cx + dx, d.box.cy + dy, d.box.w, d.box.h))
-        dets[frame] = Detections.pack(rows)
+                prediction = BBox(d.box.cx + dx, d.box.cy + dy, d.box.w, d.box.h)
+            rows.append((d.box, d.confidence, d.embedding, prediction))
+        dets[frame] = detections(rows)
     return dets, tracker_config
 
 
