@@ -96,7 +96,7 @@ def cmd_track(args) -> int:
     if args.frame_stride > 1:
         dets = subsample(dets, args.frame_stride)
     outputs = track_stream(dets, config, nms_iou=args.nms_iou)
-    written = write_results(args.out, outputs, include_interpolated=args.write_interpolated)
+    written = write_results(args.out, hypotheses(outputs, interpolated=args.write_interpolated))
     print(f"tracked {max(dets) if dets else 0} frames, wrote {written} boxes to {args.out}")
     return 0
 
@@ -170,15 +170,15 @@ def cmd_ablate(args) -> int:
         gt = subsample(gt_full, stride) if stride > 1 else gt_full
         dets = subsample(dets_full, stride) if stride > 1 else dets_full
         for name, model in models.items():
-            outputs = track_stream(dets, model)
-            report = evaluate(gt, hypotheses(outputs), args.iou_gate)
+            hyp = hypotheses(track_stream(dets, model))
+            report = evaluate(gt, hyp, args.iou_gate)
             label = f"{name}@s{stride}"
             rows.append((label, report))
             lines.append(format_report(report, prefix=f"{name.replace('-', '_')}_s{stride}_"))
             if args.out_dir:
                 out_dir = Path(args.out_dir)
                 out_dir.mkdir(parents=True, exist_ok=True)
-                write_results(out_dir / f"{name}_s{stride}.txt", outputs)
+                write_results(out_dir / f"{name}_s{stride}.txt", hyp)
 
     print(format_table(rows))
     print()

@@ -49,12 +49,19 @@ class BBox:
     h: float
 
     def __post_init__(self):
-        for name in ("cx", "cy", "w", "h"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"BBox.{name} must be finite, got {v!r}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"BBox needs positive size, got w={self.w}, h={self.h}")
+        if fault := _box_fault(self.cx, self.cy, self.w, self.h):
+            raise ValueError(fault)
+
+
+def _box_fault(cx: float, cy: float, w: float, h: float) -> str | None:
+    """Why ``BBox`` rejects a box: its first value that is not finite, or a
+    size that is not positive; None for a good box."""
+    for name, v in zip(("cx", "cy", "w", "h"), (cx, cy, w, h)):
+        if not math.isfinite(v):
+            return f"BBox.{name} must be finite, got {v!r}"
+    if w <= 0 or h <= 0:
+        return f"BBox needs positive size, got w={w}, h={h}"
+    return None
 
 
 def to_corner(box: BBox) -> tuple[float, float, float, float]:
@@ -107,6 +114,16 @@ def _box_array(values, n: int, what: str) -> np.ndarray:
 def _first_false(ok: np.ndarray) -> int | None:
     bad = np.flatnonzero(~ok)
     return int(bad[0]) if bad.size else None
+
+
+def _frame_rows(frames: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Each frame with the positions of its rows in order, frames in order
+    of first appearance."""
+    order = np.argsort(frames, kind="stable")
+    keys, first, counts = np.unique(frames, return_index=True, return_counts=True)
+    ends = np.cumsum(counts).tolist()
+    for k in np.argsort(first).tolist():
+        yield int(keys[k]), order[ends[k] - int(counts[k]) : ends[k]]
 
 
 class Detections:

@@ -8,35 +8,38 @@ Floats are written with 6 decimals so reruns are byte-identical.
 The embedding sidecar starts with a ``dim=D`` header, then one line per
 vector: ``frame,det_index,v1,...,vD`` where det_index is the 0-based
 position of the detection within its frame. Vectors are re-normalized at
-read time; a deviation beyond 1e-3 triggers a warning, and a NaN or inf
-component is an error.
+read time.
 
-Data files are read in bulk: ``_mot_columns`` parses any MOT-format file
-into columns (frame, id, centre-form box, confidence) with one
-``np.loadtxt`` call, as ``_embeddings_in_bulk`` parses the sidecar. Only a
-plain file, one of only printable ASCII and LF in which no line starts with
-a space (every file the writers make), is read in bulk: loadtxt takes it by
-its path, so numpy's C reader parses it with no Python per line; past the
-sidecar's header, its first non-blank line, by ``skiprows``. Any other file
-(CR or CRLF line ends, tabs, control bytes), or a plain one when the
-loadtxt call fails or warns, or when a frame, box or vector breaks the
-format, is read by the file's line loop instead: it alone reports format
-errors, as ``path:line``, and issues the warnings. Both paths use the same
-float parser and arithmetic, so they return the same values bit for bit.
-Each reader's rules are array checks on the columns that name the line of
-the first row to break one: detections need a confidence in [0, 1]; ground
-truth and results an id of 1 or more, a finite confidence and no repeated
-``(frame, id)``; predictions and the sidecar a ``(frame, det_index)`` that
-names a detection, when the frames' detection counts are given, and never
-repeats. A non-ASCII byte is an error naming its line in every file.
+Data files are read in bulk, with one ``np.loadtxt`` call: ``_mot_columns``
+parses any MOT-format file into columns (frame, id, centre-form box,
+confidence), and ``read_embeddings`` the sidecar. Only a plain file, of
+printable ASCII and line ends (LF, CRLF or a lone CR) with no line that
+starts with a space (every file the writers make), is read so: loadtxt
+takes it by its path, past the sidecar's header (its first non-blank line)
+by ``skiprows``. Any other file (tabs, control bytes), or a plain one when
+the loadtxt call fails or warns, is read by the file's line loop, which
+only tokenizes: it alone reports format errors (field counts, number
+syntax, 64-bit ints, the ``dim=D`` header) as ``path:line``, so one
+anywhere in a file comes before any rule break. Both paths read CR as a
+line end and parse floats alike, so they return the same columns bit for
+bit. Each rule is one array check on the columns that names the line of
+the first row to break it: frames of 1 or more and finite boxes of
+positive size; sidecar vectors finite, of a norm neither zero nor
+overflowing (one off 1 by more than ``NORM_WARN_TOL`` warns); detections a
+confidence in [0, 1]; ground truth and results an id of 1 or more, a
+finite confidence and no repeated ``(frame, id)``; predictions and the
+sidecar a ``(frame, det_index)`` that names a detection, when the frames'
+detection counts are given, and never repeats. A non-ASCII byte is an
+error naming its line in every file.
 
 ``read_detections`` and ``load_detections`` return one ``Detections``
 batch per frame and build no per-detection object: the sidecar's vectors
 and the predicted boxes join each frame's box and confidence arrays as
 matrices, placed by their ``(frame, index)`` keys. ``read_gt`` likewise
 returns one ``IdBoxes`` batch of ids, boxes and confidences per frame, for
-ground truth and results alike. The detection and ground-truth writers
-take a stream of batches.
+ground truth and results alike, and one writer, ``write_gt`` or
+``write_results``, writes such a stream sorted by (frame, id), confidences
+kept. The detection writers take a stream of batches too.
 
 Every writer streams its rows in chunks across frames: ``_CHUNK_ROWS`` MOT
 rows, or about ``_CHUNK_VALUES`` sidecar values, at a time. Each chunk is
@@ -45,23 +48,20 @@ exactly as "%.6f" (MOT) and "%.9f" (sidecar) do (to nearest, ties to even);
 a row with a value within float error of a rounding tie, of magnitude 1e8
 (MOT) or 10 (sidecar) or more, or not finite, is formatted by "%" instead
 and spliced in place. The bytes are those of one "%" format per line. The
-MOT writers check first that they write nothing their readers reject:
-1-based frames, and in ground truth and results ids of 1 or more that do
-not repeat in a frame, and finite result confidences.
+MOT writers check first, by their readers' own rules, that they write
+nothing their readers reject.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
+import functools
 import re
 import warnings
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import BBox, Detections, IdBoxes, _box_rows, _first_false, _good_boxes, _row_norms, to_center
-from .tracker import TrackOutput
+from .geometry import Detections, IdBoxes, _box_fault, _first_false, _frame_rows, _good_boxes, _row_norms
 
 __all__ = [
     "read_detections",
@@ -79,7 +79,7 @@ __all__ = [
 NORM_WARN_TOL = 1e-3
 
 _NON_ASCII = re.compile(rb"[\x80-\xff]")
-_PLAIN = bytes(range(0x20, 0x7F)) + b"\n"  # the bytes of a plain file
+_PLAIN = bytes(range(0x20, 0x7F)) + b"\n\r"  # the bytes of a plain file
 _BLOCK = 1 << 16  # bytes per read of the plain-file scan
 
 
@@ -105,19 +105,19 @@ def _data_lines(text: str) -> Iterator[tuple[int, str]]:
 
 
 def _plain(path) -> bool:
-    """Whether the file holds only printable ASCII and LF, and no line starts
-    with a space, scanned a block at a time. loadtxt reads such a file from
-    its path as the line loop reads it: no byte there is one that only one
-    of them takes as space, and every blank line is empty. numpy would
-    decompress a file named ``*.gz``, ``*.bz2``, ``*.xz`` or ``*.lzma``, so
-    none is plain."""
+    """Whether the file holds only printable ASCII and line ends (LF, CRLF,
+    CR) and no line starts with a space, scanned a block at a time. loadtxt
+    reads such a file from its path as the line loop reads it, both with
+    universal newlines: no byte there is one that only one of them takes as
+    space, and every blank line is empty. numpy would decompress a file
+    named ``*.gz``, ``*.bz2``, ``*.xz`` or ``*.lzma``, so none is plain."""
     if str(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
         return False
     with open(path, "rb") as fh:
         last = b"\n"  # the first line starts like any other
         while block := fh.read(_BLOCK):
             # Files without a space, as written, skip the slower pair search.
-            if block.translate(None, _PLAIN) or (b" " in block and b"\n " in last + block):
+            if block.translate(None, _PLAIN) or (b" " in block and (b"\n " in last + block or b"\r " in last + block)):
                 return False
             last = block[-1:]
     return True
@@ -160,14 +160,39 @@ def _int(text: str) -> int:
     return value
 
 
+def _line_numbers(path, rows: Sequence[int], header: int = 0) -> list[int]:
+    """The line numbers of ``rows``. Both parse paths take row k from data
+    line ``k + header`` (blank lines skipped), whose number the line loop's
+    walk finds."""
+    if not len(rows):
+        return []
+    numbers = [lineno for lineno, _ in _data_lines(_read_text(path))]
+    return [numbers[k + header] for k in rows]
+
+
 def _require(path, ok: np.ndarray, message: Callable[[int], str], header: int = 0) -> None:
-    """Raise ``path:line: message(k)`` for the first row k where ``ok`` is
-    False. Both parse paths take row k from data line ``k + header`` (blank
-    lines skipped), whose number the line loop's walk finds."""
+    """Raise ``path:line: message(k)`` for the first row k where ``ok`` is False."""
+    _check(ok, lambda k: f"{path}:{_line_numbers(path, [k], header)[0]}: {message(k)}")
+
+
+def _check(ok: np.ndarray, message: Callable[[int], str]) -> None:
+    """``_require`` for the writers, which have no line to name."""
     k = _first_false(ok)
     if k is not None:
-        lineno, _ = next(itertools.islice(_data_lines(_read_text(path)), k + header, None))
-        raise ValueError(f"{path}:{lineno}: {message(k)}")
+        raise ValueError(message(k))
+
+
+def _frame_rule(frames: np.ndarray, require: Callable) -> None:
+    """Every MOT frame is 1 or more; ``require(ok, message)`` reports a break."""
+    require(frames >= 1, lambda k: f"frame indices are 1-based, got {frames[k]}")
+
+
+def _id_rules(frames: np.ndarray, ids: np.ndarray, confidence: np.ndarray, require: Callable) -> None:
+    """``read_gt``'s rules, which its writer checks too: ids of 1 or more,
+    finite confidences and no ``(frame, id)`` twice."""
+    require(ids >= 1, lambda k: f"object ids must be >= 1, got {ids[k]}")
+    require(np.isfinite(confidence), lambda k: f"confidence must be finite, got {confidence[k]}")
+    require(_unrepeated(frames, ids), lambda k: f"repeated id {ids[k]} in frame {frames[k]}")
 
 
 def _require_keys(path, frames, keys, det_counts, repeated: str, header: int = 0) -> None:
@@ -191,57 +216,38 @@ def _unrepeated(frames: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _frame_rows(frames: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Each frame with the positions of its rows in file order, frames in
-    order of first appearance."""
-    order = np.argsort(frames, kind="stable")
-    keys, first, counts = np.unique(frames, return_index=True, return_counts=True)
-    ends = np.cumsum(counts).tolist()
-    for k in np.argsort(first).tolist():
-        yield int(keys[k]), order[ends[k] - int(counts[k]) : ends[k]]
-
-
-def _parse_mot_line(line: str, lineno: int, path) -> tuple[int, int, BBox, float]:
+def _parse_mot_line(line: str, lineno: int, path) -> tuple:
+    """A MOT line's frame, id, left, top, width, height and confidence."""
     parts = line.split(",")
     if len(parts) < 7:
         raise ValueError(f"{path}:{lineno}: expected at least 7 comma-separated fields, got {len(parts)}")
     try:
-        frame = _int(parts[0])
-        obj_id = _int(parts[1])
-        left, top, w, h = (float(p) for p in parts[2:6])
-        conf = float(parts[6])
+        return _int(parts[0]), _int(parts[1]), *(float(p) for p in parts[2:7])
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: malformed value ({exc})") from None
-    if frame < 1:
-        raise ValueError(f"{path}:{lineno}: frame indices are 1-based, got {frame}")
-    try:
-        box = to_center(left, top, left + w, top + h)
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return frame, obj_id, box, conf
 
 
-# The seven leading MOT columns; loadtxt reads the box's four as one field.
-_MOT_ROW = np.dtype([("frame", np.int64), ("id", np.int64), ("box", np.float64, (4,)), ("conf", np.float64)])
+# The seven leading MOT columns, as both parse paths read them.
+_MOT_ROW = np.dtype([("frame", np.int64), ("id", np.int64), ("left", np.float64), ("top", np.float64),
+                     ("w", np.float64), ("h", np.float64), ("conf", np.float64)])
 
 
 def _mot_columns(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A MOT file's columns ``(frames, ids, boxes, confidence)``, row k from
-    its k-th data line, boxes in centre form. Every frame is 1 or more and
-    every box finite with positive size. Columns past the seventh are not
-    read. The boxes take ``to_center``'s float operations on ``(left, top,
-    left + w, top + h)``, in numpy on the bulk path."""
+    """A MOT file's first seven columns as ``(frames, ids, boxes,
+    confidence)``, row k from its k-th data line. Every frame is 1 or more
+    and every box, in centre form by ``to_center``'s float operations on
+    ``(left, top, left + w, top + h)``, finite with positive size."""
     rows = _in_bulk(path, _MOT_ROW, usecols=range(7))
-    if rows is not None:
-        left, top, w, h = rows["box"].T
-        right, bottom = left + w, top + h
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite box is the line loop's error
-            boxes = np.stack([(left + right) / 2.0, (top + bottom) / 2.0, right - left, bottom - top], axis=1)
-        if (rows["frame"] >= 1).all() and _good_boxes(boxes).all():
-            return rows["frame"], rows["id"], boxes, rows["conf"]
-    rows = [_parse_mot_line(line, lineno, path) for lineno, line in _data_lines(_read_text(path))]
-    frames, ids, boxes, conf = zip(*rows) if rows else ((),) * 4
-    return np.array(frames, dtype=np.int64), np.array(ids, dtype=np.int64), _box_rows(boxes), np.array(conf)
+    if rows is None:
+        lines = _data_lines(_read_text(path))
+        rows = np.array([_parse_mot_line(line, lineno, path) for lineno, line in lines], dtype=_MOT_ROW)
+    left, top = rows["left"], rows["top"]
+    with np.errstate(over="ignore", invalid="ignore"):  # a box that overflows is named below
+        right, bottom = left + rows["w"], top + rows["h"]
+        boxes = np.stack([(left + right) / 2.0, (top + bottom) / 2.0, right - left, bottom - top], axis=1)
+    _frame_rule(rows["frame"], functools.partial(_require, path))
+    _require(path, _good_boxes(boxes), lambda k: _box_fault(*boxes[k].tolist()))
+    return rows["frame"], rows["id"], boxes, rows["conf"]
 
 
 def read_detections(path) -> dict[int, Detections]:
@@ -259,9 +265,7 @@ def read_gt(path) -> dict[int, IdBoxes]:
     rows in file order. Every id is 1 or more, every confidence finite, and
     no ``(frame, id)`` repeats."""
     frames, ids, boxes, conf = _mot_columns(path)
-    _require(path, ids >= 1, lambda k: f"object ids must be >= 1, got {ids[k]}")
-    _require(path, np.isfinite(conf), lambda k: f"confidence must be finite, got {conf[k]}")
-    _require_keys(path, frames, ids, None, "repeated id {1} in frame {0}")
+    _id_rules(frames, ids, conf, functools.partial(_require, path))
     return {frame: IdBoxes._checked(ids[at], boxes[at], conf[at]) for frame, at in _frame_rows(frames)}
 
 
@@ -286,22 +290,8 @@ def _sidecar_row(header: str) -> np.dtype:
     return np.dtype([("frame", np.int64), ("index", np.int64), ("v", np.float64, (dim,))])
 
 
-def _embeddings_in_bulk(path) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
-    """``(dim, frames, indices, matrix)`` of the sidecar's rows in file order,
-    when every line is valid and in tolerance, else None."""
-    rows = _in_bulk(path, _sidecar_row)
-    if rows is None:
-        return None
-    m = rows["v"]
-    with np.errstate(over="ignore"):  # an overflowing norm is the line loop's error
-        norms = _row_norms(m)
-    if not (np.abs(norms - 1.0) <= NORM_WARN_TOL).all():  # also fails NaN, inf and zero norms
-        return None
-    m /= norms[:, None]
-    return m.shape[1], rows["frame"], rows["index"], m
-
-
 def _embeddings_by_line(path) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The sidecar's ``(dim, frames, indices, vectors)``, rows in file order."""
     keys, vectors = [], []
     dim = None
     for lineno, line in _data_lines(_read_text(path)):
@@ -320,24 +310,13 @@ def _embeddings_by_line(path) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
             raise ValueError(f"{path}:{lineno}: expected {dim + 2} fields, got {len(parts)}")
         try:
             keys.append((_int(parts[0]), _int(parts[1])))
-            vec = np.array([float(p) for p in parts[2:]], dtype=np.float64)
+            vectors.append([float(p) for p in parts[2:]])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: malformed value ({exc})") from None
-        if not np.isfinite(vec).all():
-            raise ValueError(f"{path}:{lineno}: embedding has non-finite components")
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(vec))
-        if norm < 1e-9:
-            raise ValueError(f"{path}:{lineno}: zero-norm embedding cannot be normalized")
-        if norm == math.inf:
-            raise ValueError(f"{path}:{lineno}: embedding norm overflows")
-        if abs(norm - 1.0) > NORM_WARN_TOL:
-            warnings.warn(f"{path}:{lineno}: embedding norm {norm:.6f} deviates from 1; re-normalizing")
-        vectors.append(vec / norm)
     if dim is None:
         raise ValueError(f"{path}: empty embedding file (missing 'dim=D' header)")
     frames, indices = np.array(keys, dtype=np.int64).reshape(-1, 2).T
-    return dim, frames, indices, np.array(vectors).reshape(len(vectors), dim)
+    return dim, frames, indices, np.array(vectors, dtype=np.float64).reshape(len(vectors), dim)
 
 
 def read_embeddings(path, det_counts: Mapping[int, int] | None = None) -> tuple[int, list[tuple[int, int]], np.ndarray]:
@@ -345,13 +324,27 @@ def read_embeddings(path, det_counts: Mapping[int, int] | None = None) -> tuple[
     ``(frame, det_index)`` keys in file order and one ``(len(keys), dim)``
     array whose row ``k`` is the vector of ``keys[k]``.
 
-    Every vector is finite and unit-norm. ``det_counts``, when given, maps
-    each frame to its number of raw detections; a line whose index names no
-    detection is then rejected. A repeated key is always rejected.
+    Every vector must be finite, with a norm neither zero nor overflowing,
+    and is re-normalized; a norm off 1 by more than ``NORM_WARN_TOL`` warns.
+    ``det_counts``, when given, maps each frame to its number of raw
+    detections; a line whose index names no detection is then rejected. A
+    repeated key is always rejected.
     """
-    found = _embeddings_in_bulk(path)
-    dim, frames, indices, matrix = found if found is not None else _embeddings_by_line(path)
+    rows = _in_bulk(path, _sidecar_row)
+    if rows is None:
+        dim, frames, indices, matrix = _embeddings_by_line(path)
+    else:
+        dim, frames, indices, matrix = rows["v"].shape[1], rows["frame"], rows["index"], rows["v"]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is named below
+        norms = _row_norms(matrix)
+    _require(path, np.isfinite(matrix).all(axis=1), lambda k: "embedding has non-finite components", 1)
+    _require(path, norms >= 1e-9, lambda k: "zero-norm embedding cannot be normalized", 1)
+    _require(path, np.isfinite(norms), lambda k: "embedding norm overflows", 1)
     _require_keys(path, frames, indices, det_counts, "repeated embedding for frame {} detection {}", 1)
+    far = np.flatnonzero(np.abs(norms - 1.0) > NORM_WARN_TOL).tolist()
+    for k, lineno in zip(far, _line_numbers(path, far, 1)):
+        warnings.warn(f"{path}:{lineno}: embedding norm {norms[k]:.6f} deviates from 1; re-normalizing")
+    matrix /= norms[:, None]
     return dim, list(zip(frames.tolist(), indices.tolist())), matrix
 
 
@@ -563,69 +556,36 @@ def _chunks(frames: Sequence[int], columns: Sequence[tuple[np.ndarray, ...]], si
                 parts, n, done = [], 0, done + n
 
 
-def _check(ok: np.ndarray, message: Callable[[int], str]) -> None:
-    """Raise ``ValueError(message(k))`` for the first row k where ``ok`` is
-    False."""
-    k = _first_false(ok)
-    if k is not None:
-        raise ValueError(message(k))
-
-
-def _check_frames(frames: Sequence[int]) -> None:
-    """Frames, in ascending order, are 1-based as every MOT reader requires."""
-    if len(frames) and frames[0] < 1:
-        raise ValueError(f"frame indices are 1-based, got {frames[0]}")
-
-
-def _check_ids(frames: np.ndarray, ids: np.ndarray, noun: str) -> None:
-    """``read_gt``'s rules on the ids of rows ``(frames[k], ids[k])``: 1 or
-    more, and no ``(frame, id)`` twice."""
-    _check(ids >= 1, lambda k: f"frame {frames[k]}: {noun} ids must be >= 1, got {ids[k]}")
-    _check(_unrepeated(frames, ids), lambda k: f"repeated id {ids[k]} in frame {frames[k]}")
-
-
-def write_results(path, outputs: Iterable[TrackOutput], include_interpolated: bool = False) -> int:
-    """Write tracker output sorted by (frame, id) and return the number of
-    rows written. Interpolated boxes are skipped unless asked for. Frames
-    must be 1 or more, ids 1 or more and never twice in a frame, and
-    confidences finite: every row is checked before the file is opened."""
-    rows = [o for o in outputs if include_interpolated or not o.interpolated]
-    frames = np.array([o.frame for o in rows], dtype=np.int64)
-    ids = np.array([o.track_id for o in rows], dtype=np.int64)
+def write_gt(path, stream: Mapping[int, IdBoxes]) -> int:
+    """Write a ground-truth or result stream, one ``IdBoxes`` batch (or list
+    of ``(id, box)`` pairs) per frame, rows sorted by (frame, id) with their
+    confidences, and return the number of rows written. ``read_gt``'s rules
+    are checked on every row before the file is opened."""
+    keys = sorted(stream)
+    batches = [IdBoxes.pack(stream[frame]) for frame in keys]
+    frames = np.repeat(np.array(keys, dtype=np.int64), [len(b) for b in batches])
+    ids = np.concatenate([np.zeros(0, np.int64), *(b.ids for b in batches)])
+    boxes = np.concatenate([np.zeros((0, 4)), *(b.boxes for b in batches)])
+    confidence = np.concatenate([np.zeros(0), *(b.confidence for b in batches)])
     order = np.lexsort((ids, frames))
-    frames, ids = frames[order], ids[order]
-    confidence = np.array([rows[i].confidence for i in order.tolist()], dtype=np.float64)
-    _check_frames(frames)
-    _check_ids(frames, ids, "track")
-    _check(np.isfinite(confidence), lambda k: f"frame {frames[k]}: confidence must be finite, got {confidence[k]}")
+    frames, ids, confidence = frames[order], ids[order], confidence[order]
+    _frame_rule(frames, _check)
+    _id_rules(frames, ids, confidence, _check)
     with open(path, "wb") as fh:
-        for start in range(0, len(rows), _CHUNK_ROWS):
+        for start in range(0, len(ids), _CHUNK_ROWS):
             at = slice(start, start + _CHUNK_ROWS)
-            boxes = _box_rows([rows[i].box for i in order[at].tolist()])
-            fh.write(_mot_lines(frames[at], ids[at], boxes, confidence[at]))
-    return len(rows)
+            fh.write(_mot_lines(frames[at], ids[at], boxes[order[at]], confidence[at]))
+    return len(ids)
 
 
-def write_gt(path, gt: Mapping[int, IdBoxes]) -> None:
-    """Write each frame's ground truth in order, with confidence 1. A frame
-    may also be a list of ``(id, box)`` pairs. Frames must be 1 or more,
-    and ids 1 or more and never twice in a frame (checked before the file
-    is opened)."""
-    frames = sorted(gt)
-    _check_frames(frames)
-    batches = [IdBoxes.pack(gt[frame]) for frame in frames]
-    ids = np.concatenate([b.ids for b in batches]) if batches else np.zeros(0, dtype=np.int64)
-    _check_ids(np.repeat(np.array(frames, dtype=np.int64), [len(b) for b in batches]), ids, "object")
-    with open(path, "wb") as fh:
-        for frame_col, _, chunk_ids, boxes in _chunks(frames, [(b.ids, b.boxes) for b in batches], _CHUNK_ROWS):
-            fh.write(_mot_lines(frame_col, chunk_ids, boxes, np.ones(len(chunk_ids))))
+write_results = write_gt  # results are a stream of ``hypotheses`` batches
 
 
 def write_detections(path, dets: Mapping[int, Detections]) -> None:
     """Write each frame's detections in order, with id -1. Frames must be 1
     or more (checked before the file is opened)."""
     frames = sorted(dets)
-    _check_frames(frames)
+    _frame_rule(np.array(frames, dtype=np.int64), _check)
     columns = [(dets[frame].boxes, dets[frame].confidence) for frame in frames]
     with open(path, "wb") as fh:
         for frame_col, _, boxes, conf in _chunks(frames, columns, _CHUNK_ROWS):

@@ -5,9 +5,10 @@ read one ``Detections`` batch per frame. The ``reference_*`` functions below
 are their versions from before batches, which walked one ``Detection`` at a
 time (here the views that iterating a batch yields); the batch code must
 keep the same NMS survivors, the same affinity bits and the same written
-bytes. Views packed back into a batch must equal the batch's own ``take``. ``write_gt`` and ``write_results``
-format rows across frames in chunks; their references write one row at a
-time with one "%" format each.
+bytes. Views packed back into a batch must equal the batch's own ``take``.
+``write_gt``, which is also ``write_results``, formats rows across frames in
+chunks; its references sort the rows by (frame, id) and write one at a time
+with one "%" format each.
 """
 
 from itertools import islice
@@ -21,7 +22,7 @@ from helpers import batch_bits, detections, iou_matrix
 from idtrack import mot_io
 from idtrack.affinity import AffinityWeights, combined_affinity, nms
 from idtrack.geometry import BBox, Detections, IdBoxes, to_corner
-from idtrack.tracker import TrackOutput, Trajectory
+from idtrack.tracker import TrackOutput, Trajectory, hypotheses
 
 
 def reference_nms(detections, iou_threshold):
@@ -64,8 +65,8 @@ def reference_write_detections(path, dets):
 def reference_write_gt(path, gt):
     with open(path, "w", encoding="ascii") as fh:
         for frame in sorted(gt):
-            for obj_id, box in gt[frame]:
-                fh.write(reference_mot_line(frame, obj_id, box, 1.0))
+            for obj_id, box, conf in sorted(gt[frame], key=lambda row: row[0]):
+                fh.write(reference_mot_line(frame, obj_id, box, conf))
 
 
 def reference_write_results(path, outputs):
@@ -222,7 +223,7 @@ def id_streams(draw):
 def test_property_writers_write_the_reference_bytes(tmp_path_factory, stream, chunk_values, chunk_rows, random):
     dets, ids, interpolated = stream
     tmp = tmp_path_factory.mktemp("writers")
-    gt = {frame: [(i, d.box) for i, d in zip(ids[frame], rows)] for frame, rows in dets.items()}
+    gt = {frame: [(i, d.box, d.confidence) for i, d in zip(ids[frame], rows)] for frame, rows in dets.items()}
     rows = [(frame, i, d) for frame, frame_rows in dets.items() for i, d in zip(ids[frame], frame_rows)]
     outputs = [TrackOutput(frame, i, d.box, d.confidence, flag) for (frame, i, d), flag in zip(rows, interpolated)]
     random.shuffle(outputs)
@@ -241,5 +242,6 @@ def test_property_writers_write_the_reference_bytes(tmp_path_factory, stream, ch
         assert (tmp / "got.txt").read_bytes() == (tmp / "want.txt").read_bytes()
         mot_io.write_gt(tmp / "batches.txt", {frame: IdBoxes.pack(rows) for frame, rows in gt.items()})
         assert (tmp / "batches.txt").read_bytes() == (tmp / "want.txt").read_bytes()
-        assert mot_io.write_results(tmp / "got.txt", outputs) == reference_write_results(tmp / "want.txt", outputs)
+        written = mot_io.write_results(tmp / "got.txt", hypotheses(outputs))
+        assert written == reference_write_results(tmp / "want.txt", outputs)
         assert (tmp / "got.txt").read_bytes() == (tmp / "want.txt").read_bytes()

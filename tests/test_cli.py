@@ -387,8 +387,7 @@ def test_track_rejects_non_finite_embedding_before_tracking(tmp_path, tiny_confi
 )
 def test_track_rejects_a_bad_detection_row_before_tracking(tmp_path, tiny_config, capsys, monkeypatch, column, value,
                                                            message):
-    # The bulk reader hands a file it rejects to the line loop, which names
-    # the line; the tracker never starts.
+    # The reader names the line of the bad row; the tracker never starts.
     def track_stream(*args, **kwargs):
         raise AssertionError("track_stream must not run on a bad detection file")
 

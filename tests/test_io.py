@@ -28,7 +28,7 @@ from idtrack.mot_io import (
     write_results,
 )
 from idtrack.sim import SimConfig, generate
-from idtrack.tracker import TrackerConfig, TrackOutput, track_stream
+from idtrack.tracker import TrackerConfig, TrackOutput, hypotheses, track_stream
 
 
 def unit(vec):
@@ -225,33 +225,55 @@ def test_write_results_skips_interpolated_by_default(tmp_path):
         TrackOutput(3, 1, BBox(11.0, 10.0, 4.0, 4.0), 0.9, interpolated=True),
     ]
     p = tmp_path / "out.txt"
-    assert write_results(p, outputs) == 2
+    assert write_results(p, hypotheses(outputs)) == 2
     lines = p.read_text().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("1,1,") and lines[1].startswith("2,1,")
 
-    assert write_results(p, outputs, include_interpolated=True) == 3
+    assert write_results(p, hypotheses(outputs, interpolated=True)) == 3
     assert len(p.read_text().splitlines()) == 3
-    assert write_results(p, []) == 0
+    assert write_results(p, {}) == 0
     assert p.read_text() == ""
 
 
 def test_write_results_rejects_bad_ids(tmp_path):
     with pytest.raises(ValueError):
-        write_results(tmp_path / "x.txt", [TrackOutput(1, 0, BBox(0, 0, 1, 1), 0.5)])
+        write_results(tmp_path / "x.txt", hypotheses([TrackOutput(1, 0, BBox(0, 0, 1, 1), 0.5)]))
+
+
+def test_a_results_file_is_written_back_byte_for_byte(tmp_path):
+    # read_gt keeps each row's confidence and the one writer, by either name,
+    # writes it: a results file read back and written again has its bytes.
+    assert write_gt is write_results
+    p = tmp_path / "hyp.txt"
+    p.write_text("1,2,10.000000,20.000000,30.000000,40.000000,0.625000,-1,-1,-1\n"
+                 "1,5,0.500000,0.000000,2.000000,2.000000,0.031250,-1,-1,-1\n"
+                 "3,1,1.000000,1.000000,2.000000,2.000000,1.000000,-1,-1,-1\n")
+    for write in (write_results, write_gt):
+        assert write(tmp_path / "back.txt", read_gt(p)) == 3
+        assert (tmp_path / "back.txt").read_bytes() == p.read_bytes()
+
+
+def test_a_gt_stream_is_written_sorted_by_frame_then_id(tmp_path):
+    box = [[5.0, 5.0, 2.0, 2.0]] * 3
+    stream = {4: IdBoxes([9, 2, 5], box, [0.5, 0.25, 1.0]), 1: IdBoxes([3], box[:1])}
+    p = tmp_path / "gt.txt"
+    assert write_gt(p, stream) == 4
+    rows = [line.split(",") for line in p.read_text().splitlines()]
+    assert [(r[0], r[1], r[6]) for r in rows] == [("1", "3", "1.000000"), ("4", "2", "0.250000"),
+                                                  ("4", "5", "1.000000"), ("4", "9", "0.500000")]
 
 
 BOX = BBox(5.0, 5.0, 2.0, 2.0)
 WRITER_CHECKS = [
     (write_gt, {2: [(1, BOX)], 0: [(1, BOX)]}, "frame indices are 1-based, got 0"),
-    (write_gt, {1: [(1, BOX)], 3: [(2, BOX), (0, BOX)]}, "frame 3: object ids must be >= 1, got 0"),
+    (write_gt, {1: [(1, BOX)], 3: [(2, BOX), (0, BOX)]}, "object ids must be >= 1, got 0"),
     (write_gt, {1: [(4, BOX)], 2: [(4, BOX), (5, BOX), (4, BOX)]}, "repeated id 4 in frame 2"),
     (write_detections, {1: Detections([(5.0, 5.0, 2.0, 2.0)], [0.5]), -3: Detections.pack([])},
      "frame indices are 1-based, got -3"),
-    (write_results, [TrackOutput(2, 1, BOX, 0.5), TrackOutput(0, 1, BOX, 0.5)], "frame indices are 1-based, got 0"),
-    (write_results, [TrackOutput(3, 2, BOX, 0.5), TrackOutput(3, 2, BOX, 0.4)], "repeated id 2 in frame 3"),
-    (write_results, [TrackOutput(1, 1, BOX, 0.5), TrackOutput(2, 1, BOX, math.nan)],
-     "frame 2: confidence must be finite, got nan"),
+    (write_results, {2: [(1, BOX, 0.5)], 0: [(1, BOX, 0.5)]}, "frame indices are 1-based, got 0"),
+    (write_results, {3: [(2, BOX, 0.5), (2, BOX, 0.4)]}, "repeated id 2 in frame 3"),
+    (write_results, {1: [(1, BOX, 0.5)], 2: [(1, BOX, math.nan)]}, "confidence must be finite, got nan"),
 ]
 
 
@@ -267,8 +289,8 @@ def test_a_failed_results_write_leaves_no_file(tmp_path):
     # id 0 sorts after id 1 on a later frame, so the bad row is not the first.
     p = tmp_path / "hyp.txt"
     outputs = [TrackOutput(1, 1, BBox(5, 5, 2, 2), 0.5), TrackOutput(2, 0, BBox(5, 5, 2, 2), 0.5)]
-    with pytest.raises(ValueError, match="track ids must be >= 1, got 0"):
-        write_results(p, outputs)
+    with pytest.raises(ValueError, match="object ids must be >= 1, got 0"):
+        write_results(p, hypotheses(outputs))
     assert not p.exists()
 
 
@@ -486,7 +508,7 @@ def test_read_embeddings_keeps_the_file_order(tmp_path):
     p.write_text("dim=2\n3,1,0.0,1.0\n1,0,0.6,0.8\n")
     dim, keys, matrix = read_embeddings(p)
     assert (dim, keys, matrix.tolist()) == (2, [(3, 1), (1, 0)], [[0.0, 1.0], [0.6, 0.8]])
-    p.write_text("dim=2\n3,1,0.0,2.0\n")  # the line loop: it warns and re-normalizes
+    p.write_text("dim=2\n3,1,0.0,2.0\n")  # off unit norm: it warns and re-normalizes
     with pytest.warns(UserWarning, match="re-normalizing"):
         dim, keys, matrix = read_embeddings(p)
     assert (dim, keys, matrix.tolist()) == (2, [(3, 1)], [[0.0, 1.0]])
@@ -510,13 +532,8 @@ def test_results_and_sidecar_are_parse_stable(tmp_path):
         for k, d in enumerate(frame_dets)
     ]
     r1, r2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
-    write_results(r1, outputs, include_interpolated=True)
-    back = [
-        TrackOutput(f, i, box, conf)
-        for f, batch in read_gt(r1).items()
-        for (i, box), conf in zip(batch, batch.confidence.tolist())
-    ]
-    write_results(r2, back, include_interpolated=True)
+    write_results(r1, hypotheses(outputs, interpolated=True))
+    write_results(r2, read_gt(r1))
     assert r1.read_bytes() == r2.read_bytes()
 
     d1, e1, e2 = tmp_path / "d1.txt", tmp_path / "e1.txt", tmp_path / "e2.txt"
@@ -728,7 +745,7 @@ def test_a_generated_scene_is_written_without_percent_format(tmp_path):
     with mock.patch.object(mot_io, "_MOT_LINE", CountingLine(mot_io._MOT_LINE)):
         write_gt(tmp_path / "gt.txt", gt)
         write_detections(tmp_path / "dets.txt", dets)
-        assert write_results(tmp_path / "hyp.txt", outputs) > 0
+        assert write_results(tmp_path / "hyp.txt", hypotheses(outputs)) > 0
     assert CountingLine.calls == 0
     assert sum(map(len, gt.values())) == len((tmp_path / "gt.txt").read_text().splitlines())
 
@@ -765,7 +782,7 @@ def mutated(draw, rows):
             rows.insert(r, [draw(st.sampled_from(BLANK_LINES))])
         else:
             rows.insert(r, list(rows[r]))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     data = (newline.join(",".join(r) for r in rows) + draw(st.sampled_from([newline, ""]))).encode("ascii")
     if draw(st.integers(0, 9)) == 0:
         at = draw(st.integers(0, len(data)))
@@ -857,7 +874,7 @@ def test_property_sidecar_reader_agrees_with_the_line_loop(tmp_path_factory, dat
 # break too (a repeated key, an id below 1, an index out of range), and take
 # the mutations of ``mutated``: reformatted integers ("1.0", "+1", "1_0",
 # "1\x1c"), "nan", "inf" and "1e999", missing and extra columns, blank lines,
-# "\r\n" line ends and a non-ASCII byte.
+# "\r\n" and "\r" line ends and a non-ASCII byte.
 MOT_SIZES = ["30", "4.5", "0.000001", "0", "-0", "-2", "1e308"]
 MOT_CONFIDENCES = ["0.9", "0", "1", "1.0000001", "-0.1", "0.5", "nan", "inf", "-inf", "7"]
 DET_COUNTS = {1: 3, 2: 2, 4: 3}
@@ -935,7 +952,7 @@ def writer_files(tmp_path) -> dict[str, tuple]:
     write_gt(tmp_path / "gt.txt", gt)
     write_detections(tmp_path / "dets.txt", dets)
     write_embeddings(tmp_path / "emb.txt", dets)
-    write_results(tmp_path / "hyp.txt", track_stream(dets, TrackerConfig()), include_interpolated=True)
+    write_results(tmp_path / "hyp.txt", hypotheses(track_stream(dets, TrackerConfig()), interpolated=True))
     kept = [f for f in dets if f % 2]
     frames = np.repeat(kept, [counts[f] for f in kept])
     index = np.concatenate([np.arange(counts[f]) for f in kept])
@@ -994,8 +1011,8 @@ FLAGGED = {
     "a \\x1c byte": in_second_line(b"\x1c"),
     "a NUL byte": in_second_line(b"\x00"),
     "a DEL byte": in_second_line(b"\x7f"),
-    "CR line ends": lambda data: data.replace(b"\n", b"\r"),
-    "CRLF line ends": lambda data: data.replace(b"\n", b"\r\n"),
+    "a line of spaces among CR line ends": lambda data: with_line(b"   ")(data).replace(b"\n", b"\r"),
+    "a line that starts with a space after a CR": lambda data: data.replace(b"\n", b"\r").replace(b"\r", b"\r ", 1),
     "a non-ASCII byte": in_second_line(b"\xe9"),
 }
 
@@ -1010,18 +1027,38 @@ def test_a_file_that_is_not_plain_reads_as_the_line_loop_reads_it(tmp_path, case
             assert got == outcome(read, path), name
 
 
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+def test_cr_line_ends_are_read_from_the_path_as_the_line_loop_reads_them(tmp_path, monkeypatch, end):
+    # CRLF and lone CR files are plain: numpy reads them from their path, with
+    # no line loop, bit for bit as the line loop alone reads them and as both
+    # read the LF file.
+    files = writer_files(tmp_path)
+    lf = {name: outcome(read, path) for name, (path, read) in files.items()}
+    for path, _ in files.values():
+        path.write_bytes(path.read_bytes().replace(b"\n", end))
+    with mock.patch.object(mot_io, "_in_bulk", no_bulk_parse):
+        loop = {name: outcome(read, path) for name, (path, read) in files.items()}
+    for name in ("_parse_mot_line", "_embeddings_by_line"):
+        monkeypatch.setattr(mot_io, name, line_loop_must_not_run)
+    for name, (path, read) in files.items():
+        assert mot_io._plain(path), name
+        assert outcome(read, path) == loop[name] == lf[name], name
+
+
 @settings(max_examples=300)
 @given(st.lists(st.sampled_from([b"1", b",", b"\n", b" ", b"\t", b"\r", b"\x0b", b"\x00", b"\x7f", b"\xe9"])),
        st.integers(1, 9))
 def test_property_the_block_scan_finds_a_plain_file(tmp_path_factory, parts, block):
-    # Whatever the block size, a byte outside printable ASCII and LF, or a
-    # line that starts with a space, is found: in a block or across two.
+    # Whatever the block size, a byte outside printable ASCII, LF and CR, or
+    # a line that starts with a space after either line end, is found: in a
+    # block or across two.
     data = b"".join(parts)
     path = tmp_path_factory.mktemp("scan") / "in.txt"
     path.write_bytes(data)
     with mock.patch.object(mot_io, "_BLOCK", block):
         got = mot_io._plain(path)
-    assert got == (all(0x20 <= c < 0x7F or c == 0x0A for c in data) and b"\n " not in b"\n" + data)
+    plain = all(0x20 <= c < 0x7F or c in b"\n\r" for c in data)
+    assert got == (plain and b"\n " not in b"\n" + data and b"\r " not in data)
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
@@ -1038,6 +1075,12 @@ def test_plain_text_under_a_compressed_name_is_read_as_text(tmp_path, suffix):
 # rows and blank lines (one of only whitespace): the error names the line it is on.
 ROW = "1,{},10,20,30,40,{},-1,-1,-1"
 RULE_BREAKS = [
+    (read_detections, ROW.format(-1, 0.9), "0" + ROW.format(-1, 0.9)[1:], "frame indices are 1-based, got 0"),
+    (read_gt, ROW.format(3, 1), "1,4,10,20,-30,40,1,-1,-1,-1", "BBox needs positive size, got w=-30.0, h=40.0"),
+    (read_detections, ROW.format(-1, 0.9), "1,-1,1e308,20,1e308,40,0.9,-1,-1,-1", "BBox.cx must be finite, got inf"),
+    (embeddings, "1,0,0.6,0.8", "1,1,nan,0.0", "embedding has non-finite components"),
+    (embeddings, "1,0,0.6,0.8", "1,1,0.0,0.0", "zero-norm embedding cannot be normalized"),
+    (embeddings, "1,0,0.6,0.8", "1,1,1e200,1e200", "embedding norm overflows"),
     (read_detections, ROW.format(-1, 0.9), ROW.format(-1, 1.5), "confidence must lie in [0, 1], got 1.5"),
     (read_detections, ROW.format(-1, 0.9), ROW.format(-1, -0.25), "confidence must lie in [0, 1], got -0.25"),
     (read_gt, ROW.format(3, 1), ROW.format(0, 1), "object ids must be >= 1, got 0"),
@@ -1055,8 +1098,8 @@ RULE_BREAKS = [
 @pytest.mark.parametrize(("newline", "blank"), [("\n", ""), ("\r\n", " \t")])
 @pytest.mark.parametrize(("reader", "row", "bad", "message"), RULE_BREAKS)
 def test_a_rule_break_names_its_line(tmp_path, monkeypatch, newline, blank, reader, row, bad, message):
-    # With LF and empty blank lines the file is plain and the bulk parse takes
-    # it; CRLF and a line of whitespace send it to the line loop.
+    # With empty blank lines the file is plain and the bulk parse takes it; a
+    # line of whitespace sends it to the line loop.
     if newline == "\n":
         monkeypatch.setattr(mot_io, "_parse_mot_line", line_loop_must_not_run)
         monkeypatch.setattr(mot_io, "_embeddings_by_line", line_loop_must_not_run)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -25,6 +26,21 @@ def test_the_root_exports_tracking_only():
     assert not {"update_trajectory", "Detection", "iou", "iou_matrix"} & set(idtrack.__all__)
     kernels = importlib.import_module("idtrack.kernels")
     assert not set(kernels.__all__) & set(idtrack.__all__)
+
+
+def test_the_file_layer_imports_nothing_from_the_tracker():
+    # mot_io sits below the tracker: results reach its writer as
+    # ``hypotheses`` batches, so the file layer needs none of its types.
+    tree = ast.parse(Path(idtrack.__file__).with_name("mot_io.py").read_text())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["idtrack" if node.level else None, node.module]))
+            modules += [base] + [f"{base}.{alias.name}" for alias in node.names]
+    assert "idtrack.geometry" in modules  # relative imports resolve
+    assert "idtrack.tracker" not in modules
 
 
 def test_readme_python_blocks_run():
