@@ -49,11 +49,22 @@ class BBox:
     h: float
 
     def __post_init__(self):
-        if fault := _box_fault(self.cx, self.cy, self.w, self.h):
+        if fault := _shape_fault(self.cx, self.cy, self.w, self.h):
             raise ValueError(fault)
 
 
-def _box_fault(cx: float, cy: float, w: float, h: float) -> str | None:
+# The numeric domain of every box that a reader or a batch accepts. Inside
+# it every corner, area, union and affinity stays finite and no area
+# underflows. The MOT writers' six decimals write a side of MIN_SIDE or more
+# as at least 0.000001 (corner rounding moves it by 3e-8 at most), and such
+# a side reads back as more than 0.97e-6, so a box that a writer writes is
+# one its reader takes back. (At 1e-6 itself a side written as 0.000001 read
+# back as 0.998e-6 beside a centre of 5e7.)
+BOX_LIMIT = 1e8  # most that |cx|, |cy|, w and h may be
+MIN_SIDE = 6e-7  # least that w and h may be: above half the writers' 1e-6 resolution
+
+
+def _shape_fault(cx: float, cy: float, w: float, h: float) -> str | None:
     """Why ``BBox`` rejects a box: its first value that is not finite, or a
     size that is not positive; None for a good box."""
     for name, v in zip(("cx", "cy", "w", "h"), (cx, cy, w, h)):
@@ -61,6 +72,20 @@ def _box_fault(cx: float, cy: float, w: float, h: float) -> str | None:
             return f"BBox.{name} must be finite, got {v!r}"
     if w <= 0 or h <= 0:
         return f"BBox needs positive size, got w={w}, h={h}"
+    return None
+
+
+def _box_fault(cx: float, cy: float, w: float, h: float) -> str | None:
+    """Why a reader or a batch rejects a box: ``BBox``'s own reason, a value
+    beyond ``BOX_LIMIT`` in magnitude or a side below ``MIN_SIDE``; None for a
+    box that ``_good_boxes`` passes."""
+    if fault := _shape_fault(cx, cy, w, h):
+        return fault
+    for name, v in zip(("cx", "cy", "w", "h"), (cx, cy, w, h)):
+        if abs(v) > BOX_LIMIT:
+            return f"box {name} must be at most {BOX_LIMIT:g} in magnitude, got {v!r}"
+    if w < MIN_SIDE or h < MIN_SIDE:
+        return f"box sides must be at least {MIN_SIDE:g}, got w={w}, h={h}"
     return None
 
 
@@ -88,8 +113,13 @@ def _box_rows(boxes: Sequence[BBox]) -> np.ndarray:
 
 
 def _good_boxes(boxes: np.ndarray) -> np.ndarray:
-    """Per row: finite values and positive size, as ``BBox`` requires."""
-    return np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > 0.0) & (boxes[:, 3] > 0.0)
+    """Per row: whether the box lies in the domain that ``_box_fault``
+    checks (a NaN fails every comparison). Column by column, which is
+    several times faster than comparing the whole array and reducing each
+    row."""
+    cx, cy, w, h = boxes.T
+    return ((np.abs(cx) <= BOX_LIMIT) & (np.abs(cy) <= BOX_LIMIT) & (w >= MIN_SIDE) & (w <= BOX_LIMIT)
+            & (h >= MIN_SIDE) & (h <= BOX_LIMIT))
 
 
 def _checked_box(cx: float, cy: float, w: float, h: float, new=object.__new__, put=object.__setattr__) -> BBox:
@@ -133,10 +163,11 @@ class Detections:
     ``embeddings`` ``(n, D)`` unit rows or None, and ``predictions``
     ``(n, 4)`` next-frame boxes where the ``(n,)`` mask ``predicted`` is
     True (both None when no row has one). Either every row has an embedding
-    or none does. The constructor checks the whole batch at once: finite
-    boxes of positive size, confidences in [0, 1] and embedding norms within
-    ``UNIT_NORM_TOL`` of 1; an error names the first bad row. A batch is not
-    modified after it is built; ``take`` makes a new one.
+    or none does. The constructor checks the whole batch at once: boxes
+    and predictions in the box domain (see ``_box_fault``), confidences in
+    [0, 1] and embedding norms within ``UNIT_NORM_TOL`` of 1; an error
+    names the first bad row. A batch is not modified after it is built;
+    ``take`` makes a new one.
 
     ``len()``, iteration and indexing work as on a list; each row is a
     ``Detection`` view that reads its values from the batch's arrays, made
@@ -151,7 +182,7 @@ class Detections:
         boxes = _box_array(boxes, n, "boxes")
         k = _first_false(_good_boxes(boxes))
         if k is not None:
-            raise ValueError(f"detection {k}: box needs finite values and positive size, got {tuple(boxes[k].tolist())}")
+            raise ValueError(f"detection {k}: {_box_fault(*boxes[k].tolist())}")
         k = _first_false((confidence >= 0.0) & (confidence <= 1.0))
         if k is not None:
             raise ValueError(f"detection {k}: confidence must lie in [0, 1], got {confidence[k]}")
@@ -171,9 +202,7 @@ class Detections:
             predicted = np.ones(n, dtype=bool) if predicted is None else np.asarray(predicted, dtype=bool).reshape(n)
             k = _first_false(_good_boxes(predictions) | ~predicted)
             if k is not None:
-                raise ValueError(
-                    f"detection {k}: prediction needs finite values and positive size, got {tuple(predictions[k].tolist())}"
-                )
+                raise ValueError(f"detection {k}: prediction: {_box_fault(*predictions[k].tolist())}")
         elif predicted is not None:
             raise ValueError("a prediction mask needs predictions")
         self._set(boxes, confidence, embeddings, predictions, predicted)
@@ -293,10 +322,10 @@ class IdBoxes:
 
     ``ids`` is ``(n,)`` int64, ``boxes`` ``(n, 4)`` in center form and
     ``confidence`` ``(n,)``, 1 for every row unless given. The constructor
-    checks the whole batch at once: integer ids, finite boxes of positive
-    size and finite confidences; an error names the first bad row. What a
-    repeated id means is up to whoever reads the frame. A batch is not
-    modified after it is built; ``take`` makes a new one.
+    checks the whole batch at once: integer ids, boxes in the box domain
+    (see ``_box_fault``) and finite confidences; an error names the first
+    bad row. What a repeated id means is up to whoever reads the frame. A
+    batch is not modified after it is built; ``take`` makes a new one.
 
     ``len()`` works as on a list, and iteration yields ``(id, BBox)`` pairs,
     the list form that ``evaluate`` also takes.
@@ -312,7 +341,7 @@ class IdBoxes:
         boxes = _box_array(boxes, n, "boxes")
         k = _first_false(_good_boxes(boxes))
         if k is not None:
-            raise ValueError(f"row {k}: box needs finite values and positive size, got {tuple(boxes[k].tolist())}")
+            raise ValueError(f"row {k}: {_box_fault(*boxes[k].tolist())}")
         confidence = np.ones(n) if confidence is None else np.asarray(confidence, dtype=np.float64).reshape(-1)
         if confidence.shape != (n,):
             raise ValueError(f"confidence must have shape ({n},), got {confidence.shape}")
@@ -332,12 +361,13 @@ class IdBoxes:
     @classmethod
     def pack(cls, rows: Sequence[tuple]) -> "IdBoxes":
         """One batch holding ``(id, box)`` or ``(id, box, confidence)`` rows,
-        confidence 1 where a row has none (a batch is returned as it is)."""
+        confidence 1 where a row has none, checked as the constructor checks
+        a batch (a batch is returned as it is)."""
         if isinstance(rows, IdBoxes):
             return rows
         ids = np.array([row[0] for row in rows], dtype=np.int64)
         confidence = np.array([row[2] if len(row) > 2 else 1.0 for row in rows], dtype=np.float64)
-        return cls._checked(ids, _box_rows([row[1] for row in rows]), confidence)
+        return cls(ids, _box_rows([row[1] for row in rows]), confidence)
 
     def take(self, index) -> "IdBoxes":
         """The rows that ``index`` (integers or a boolean mask) selects, as a

@@ -23,8 +23,9 @@ syntax, 64-bit ints, the ``dim=D`` header) as ``path:line``, so one
 anywhere in a file comes before any rule break. Both paths read CR as a
 line end and parse floats alike, so they return the same columns bit for
 bit. Each rule is one array check on the columns that names the line of
-the first row to break it: frames of 1 or more and finite boxes of
-positive size; sidecar vectors finite, of a norm neither zero nor
+the first row to break it: frames of 1 or more and boxes in the domain
+of ``geometry._box_fault`` (finite, no value beyond 1e8 in magnitude, no
+side below 6e-7); sidecar vectors finite, of a norm neither zero nor
 overflowing (one off 1 by more than ``NORM_WARN_TOL`` warns); detections a
 confidence in [0, 1]; ground truth and results an id of 1 or more, a
 finite confidence and no repeated ``(frame, id)``; predictions and the
@@ -236,7 +237,7 @@ def _mot_columns(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A MOT file's first seven columns as ``(frames, ids, boxes,
     confidence)``, row k from its k-th data line. Every frame is 1 or more
     and every box, in centre form by ``to_center``'s float operations on
-    ``(left, top, left + w, top + h)``, finite with positive size."""
+    ``(left, top, left + w, top + h)``, in the box domain."""
     rows = _in_bulk(path, _MOT_ROW, usecols=range(7))
     if rows is None:
         lines = _data_lines(_read_text(path))
@@ -560,7 +561,8 @@ def write_gt(path, stream: Mapping[int, IdBoxes]) -> int:
     """Write a ground-truth or result stream, one ``IdBoxes`` batch (or list
     of ``(id, box)`` pairs) per frame, rows sorted by (frame, id) with their
     confidences, and return the number of rows written. ``read_gt``'s rules
-    are checked on every row before the file is opened."""
+    are checked on every row before the file is opened, its box rule
+    too: a coasted head that ran out of the box domain is refused here."""
     keys = sorted(stream)
     batches = [IdBoxes.pack(stream[frame]) for frame in keys]
     frames = np.repeat(np.array(keys, dtype=np.int64), [len(b) for b in batches])
@@ -568,13 +570,14 @@ def write_gt(path, stream: Mapping[int, IdBoxes]) -> int:
     boxes = np.concatenate([np.zeros((0, 4)), *(b.boxes for b in batches)])
     confidence = np.concatenate([np.zeros(0), *(b.confidence for b in batches)])
     order = np.lexsort((ids, frames))
-    frames, ids, confidence = frames[order], ids[order], confidence[order]
+    frames, ids, boxes, confidence = frames[order], ids[order], boxes[order], confidence[order]
     _frame_rule(frames, _check)
+    _check(_good_boxes(boxes), lambda k: _box_fault(*boxes[k].tolist()))
     _id_rules(frames, ids, confidence, _check)
     with open(path, "wb") as fh:
         for start in range(0, len(ids), _CHUNK_ROWS):
             at = slice(start, start + _CHUNK_ROWS)
-            fh.write(_mot_lines(frames[at], ids[at], boxes[order[at]], confidence[at]))
+            fh.write(_mot_lines(frames[at], ids[at], boxes[at], confidence[at]))
     return len(ids)
 
 

@@ -28,12 +28,14 @@ from .geometry import Detections, IdBoxes, _row_norms
 __all__ = ["SimConfig", "generate", "subsample", "benchmark_config", "config_from_mapping"]
 
 
-# Upper bounds that keep every draw finite. numpy's standard normal draws
-# stay below 14 in magnitude, so a noisy box is between e**-14 and e**14
-# times its drawn size and a centre moves at most 1.4e7 beyond the arena; no
-# embedding's squared norm comes near overflow; and a thousand false
-# positives per frame is far below numpy's Poisson limit.
-_CAPS = {"arena": 1e6, "center_noise": 1e6, "size_noise": 1.0, "embedding_noise": 1e6, "fp_rate": 1e3}
+# Upper bounds that keep every draw finite and every box in the box domain
+# that readers and batches accept (``geometry.BOX_LIMIT`` and
+# ``MIN_SIDE``). numpy's standard normal draws stay below 14 in magnitude, so
+# a noisy side is between e**-4.2 and e**4.2 times its drawn size (from 1 to
+# below 1e6, so between 0.014 and 6.7e7) and a centre moves at most 1.4e7
+# beyond the arena; no embedding's squared norm comes near overflow; and a
+# thousand false positives per frame is far below numpy's Poisson limit.
+_CAPS = {"arena": 1e6, "center_noise": 1e6, "size_noise": 0.3, "embedding_noise": 1e6, "fp_rate": 1e3}
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,8 @@ class SimConfig:
             if lo < 0 or hi < lo:
                 raise ValueError(f"{name} must satisfy 0 <= lo <= hi")
         if self.box_size_range[0] < 1:
-            # With the size_noise cap every noisy side is then above e**-14,
-            # which the MOT format's 6 decimals still write as positive.
+            # With the size_noise cap every noisy side is then above e**-4.2,
+            # inside the box domain.
             raise ValueError(f"box_size_range must start at 1 or more, got {self.box_size_range!r}")
         for name, cap in _CAPS.items():
             value = getattr(self, name)

@@ -1,11 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idtrack.affinity
-from helpers import batch_bits, detections, iou_matrix
-from idtrack.affinity import WEIGHT_PRESETS, AffinityWeights, _iou_cells, combined_affinity, iou, nms
+from helpers import batch_bits, detections, grid_boxes, iou_cells, iou_matrix, relatives
+from idtrack.affinity import WEIGHT_PRESETS, AffinityWeights, _iou_cells, _self_pairs, combined_affinity, iou, nms
 from idtrack.geometry import BBox, Detections, _box_rows, to_center
 from idtrack.tracker import Trajectory
 
@@ -272,7 +274,7 @@ def test_property_nms_matches_the_scalar_greedy_reference(frame):
 
 
 def test_nms_never_calls_the_scalar_iou(monkeypatch):
-    # A crowded frame goes through the one pairwise matrix, not per-pair Python.
+    # A crowded frame is scored as arrays of pairs, not per-pair Python.
     def scalar_iou(a, b):
         raise AssertionError("nms called the scalar iou")
 
@@ -283,3 +285,58 @@ def test_nms_never_calls_the_scalar_iou(monkeypatch):
     got = nms(dets, 0.3)
     assert 0 < len(got) < len(dets)
     assert same_rows(got, want)
+
+
+@st.composite
+def box_pairs(draw):
+    """Two box arrays of up to a few hundred rows, crowded, spread or far out
+    at the box domain's edge, each side holding relatives of the other's
+    rows, in shuffled order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.sampled_from([10, 200, 5000, 10**8 - 40]))
+    a = grid_boxes(rng, draw(st.integers(0, 200)), span)
+    b = grid_boxes(rng, draw(st.integers(0, 200)), span)
+    a, b = np.vstack([a, relatives(rng, b)]), np.vstack([b, relatives(rng, a)])
+    return rng.permutation(a), rng.permutation(b)
+
+
+@settings(max_examples=150)
+@given(box_pairs())
+def test_property_sweep_and_dense_kernel_score_the_oracle_bit_for_bit(case):
+    a, b = case
+    for cells in (0, 10**9):  # every matrix swept, then every matrix dense
+        with mock.patch.object(idtrack.affinity, "_DENSE_CELLS", cells):
+            assert _iou_cells(a, b).tobytes() == iou_cells(a, b).tobytes()
+            assert _iou_cells(a, a).tobytes() == iou_cells(a, a).tobytes()
+    # NMS's sweep over one frame finds every overlapping pair, once.
+    p, q = _self_pairs(a)
+    found = np.zeros((len(a), len(a)), dtype=int)
+    np.add.at(found, (np.minimum(p, q), np.maximum(p, q)), 1)
+    assert found.max(initial=0) <= 1 and (np.diag(found) == 0).all()
+    assert not (np.triu(iou_cells(a, a) > 0.0, 1) & (found == 0)).any()
+
+
+def test_a_spread_frame_is_scored_in_pairs_linear_in_its_boxes(monkeypatch):
+    # 512 boxes on the 6400x3600 arena of a 512-identity scene at stock
+    # density: each one's x-extent meets about eight others'. The dense
+    # kernel scored all n * n = 512n cells; the sweep scores a few per box.
+    rng = np.random.default_rng(29)
+    n = 512
+    boxes = np.column_stack([rng.uniform(0, 6400, n), rng.uniform(0, 3600, n), rng.uniform(36, 72, (n, 2))])
+    confidence = rng.uniform(0.5, 1.0, n)
+    scored = []
+    score = idtrack.affinity._iou_columns
+
+    def counted(a, b):
+        cells = score(a, b)
+        scored.append(cells.size)
+        return cells
+
+    monkeypatch.setattr(idtrack.affinity, "_iou_columns", counted)
+    kept = nms(Detections(boxes, confidence), 0.3)
+    assert 0 < sum(scored) < 8 * n and sum(scored) == len(_self_pairs(boxes)[0])
+    scored.clear()
+    shifted = boxes + rng.normal(0.0, 2.0, boxes.shape) * [1, 1, 0, 0]
+    assert _iou_cells(boxes, shifted).tobytes() == iou_cells(boxes, shifted).tobytes()
+    assert 0 < sum(scored) < 16 * n
+    assert 0 < len(kept) < n

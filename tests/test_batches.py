@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import batch_bits, detections, iou_matrix
+from helpers import batch_bits, detections, grid_boxes, iou_matrix, relatives
 from idtrack import mot_io
 from idtrack.affinity import AffinityWeights, combined_affinity, nms
 from idtrack.geometry import BBox, Detections, IdBoxes, to_corner
@@ -104,10 +104,11 @@ def bits(array):
 
 
 # Boxes on a half-pixel grid repeat and touch; the free floats, the far
-# centres and the tiny and huge sides exercise rounding at the corners.
+# centres (out to the box domain's 1e8) and the tiny and huge sides exercise
+# rounding at the corners.
 half_steps = st.integers(0, 80).map(lambda v: v / 2.0)
 sides = st.one_of(st.integers(1, 40).map(lambda v: v / 2.0), st.floats(0.1, 30.0), st.sampled_from([1e-6, 1e6]))
-centres = st.one_of(half_steps, st.floats(-50.0, 50.0), st.floats(-1e12, 1e12))
+centres = st.one_of(half_steps, st.floats(-50.0, 50.0), st.floats(-1e8, 1e8))
 boxes = st.builds(BBox, centres, half_steps, sides, sides)
 confidences = st.one_of(st.sampled_from((0.0, 0.3, 0.5, 0.7, 1.0)), st.floats(0.0, 1.0))
 
@@ -140,11 +141,23 @@ def frames(draw, dim, predicted=False):
     return detections([(box, conf, vec, p) for (box, conf), vec, p in zip(picks, vectors, ahead)])
 
 
+@st.composite
+def crowds(draw):
+    """A frame of up to 300 boxes on a quarter grid, crowded or spread, half
+    of them ``helpers.relatives`` of the others, so that NMS's sweep meets
+    touching, tied and barely overlapping pairs among many."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    boxes = grid_boxes(rng, draw(st.integers(1, 150)), draw(st.sampled_from([10, 200, 5000])))
+    boxes = rng.permutation(np.vstack([boxes, relatives(rng, boxes)]))
+    confidence = rng.choice([0.2, 0.5, 0.9, 1.0], len(boxes))
+    return Detections(boxes, confidence, draw(unit_rows(len(boxes), 4)))
+
+
 thresholds = st.one_of(st.sampled_from((0.0, 0.3, 1.0)), st.floats(0.0, 1.0))
 
 
 @settings(max_examples=200)
-@given(st.integers(2, 16).flatmap(frames), thresholds, st.booleans())
+@given(st.one_of(st.integers(2, 16).flatmap(frames), crowds()), thresholds, st.booleans())
 def test_property_nms_keeps_the_reference_survivors(batch, threshold, bare):
     if bare:  # NMS reads no embedding
         batch = Detections(batch.boxes, batch.confidence)

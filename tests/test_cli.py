@@ -69,7 +69,7 @@ def test_simulate_rejects_a_repeated_config_key(tmp_path, tiny_config, capsys):
         ("speed_range=1e300,1e300", "speed_range must stay below min(arena) - box_size_range[1] = 650"),
         ("fp_rate=1e20", "fp_rate must be <= 1000"),
         ("embedding_noise=1e300", "embedding_noise must be <= 1e+06"),
-        ("size_noise=1e300", "size_noise must be <= 1"),
+        ("size_noise=1e300", "size_noise must be <= 0.3"),
         ("center_noise=1e308", "center_noise must be <= 1e+06"),
         ("box_size_range=1e-9,1e-8", "box_size_range must start at 1 or more"),
     ],
@@ -324,7 +324,7 @@ def test_track_rejects_bad_tracker_flags_before_reading_files(tmp_path, capsys, 
 
 def test_the_smallest_boxes_a_config_allows_survive_simulate_and_track(tmp_path):
     config = tmp_path / "sim.cfg"
-    config.write_text("seed=0\nnum_identities=3\nframes=20\nbox_size_range=1,1\nsize_noise=1\n")
+    config.write_text("seed=0\nnum_identities=3\nframes=20\nbox_size_range=1,1\nsize_noise=0.3\n")
     scene = simulate(tmp_path, config)
     out = tmp_path / "hyp.txt"
     rc = main(
@@ -404,6 +404,47 @@ def test_track_rejects_a_bad_detection_row_before_tracking(tmp_path, tiny_config
     err = capsys.readouterr().err
     assert err.startswith(f"error: {dets}:41: ") and message in err
     assert not out.exists()
+
+
+# Boxes that every reader used to accept and that then broke the tracker or
+# the scorer. Each now fails at its own line before any step, and nothing is
+# written.
+OUT_OF_DOMAIN = [
+    # IoU inf / inf: frame 2 failed with "affinity matrix contains non-finite
+    # entries", which named no line.
+    ("track", ["1,-1,0,0,1e200,1e200,0.9,-1,-1,-1", "2,-1,0,0,1e200,1e200,0.9,-1,-1,-1"],
+     "box cx must be at most 1e+08 in magnitude, got 5e+199"),
+    # The areas underflowed to 0: NMS divided 0 by 0 with a RuntimeWarning,
+    # kept both boxes, and tracking failed at frame 2.
+    ("track", ["1,-1,0,0,1e-170,1e-170,0.9,-1,-1,-1", "1,-1,0,0,1e-170,1e-170,0.9,-1,-1,-1",
+               "2,-1,0,0,1e-170,1e-170,0.9,-1,-1,-1"], "box sides must be at least 6e-07, got w=1e-170, h=1e-170"),
+    # Tracked with exit 0 into a hyp.txt of width 0.000000, which read_gt rejects.
+    ("track", ["1,-1,10,10,4e-7,4e-7,0.9,-1,-1,-1"], "box sides must be at least 6e-07"),
+    # As both gt and hyp: MOTA -100.00, FP 1 and FN 1.
+    ("eval", ["1,1,0,0,1e200,1e200,1,-1,-1,-1"], "box cx must be at most 1e+08 in magnitude"),
+]
+
+
+@pytest.mark.parametrize(("command", "lines", "message"), OUT_OF_DOMAIN)
+def test_a_box_outside_the_domain_fails_at_its_line_before_any_step(tmp_path, capsys, monkeypatch, command, lines,
+                                                                   message):
+    # Each bad box is on line 1.
+    def never(*args, **kwargs):
+        raise AssertionError(f"{command} must not start on an out-of-domain box")
+
+    monkeypatch.setattr("idtrack.cli.track_stream", never)
+    monkeypatch.setattr("idtrack.cli.evaluate", never)
+    data = tmp_path / "boxes.txt"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "hyp.txt"
+    if command == "track":
+        argv = ["track", "--dets", str(data), "--preset", "iou-only", "--out", str(out)]
+    else:
+        argv = ["eval", "--gt", str(data), "--hyp", str(data)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {data}:1: {message}")
+    assert captured.out == "" and not out.exists()
 
 
 def test_simulate_and_track_build_no_detection_objects(tmp_path, tiny_config, monkeypatch):

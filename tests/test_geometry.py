@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import batch_bits, detections
-from idtrack.geometry import BBox, Detection, Detections, IdBoxes, to_center, to_corner
+from idtrack.geometry import BBox, Detection, Detections, IdBoxes, _box_fault, _good_boxes, to_center, to_corner
 from idtrack.kernels import LossWeights
 
 
@@ -43,6 +45,29 @@ def test_bbox_rejects_bad_sizes():
         BBox(float("nan"), 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         BBox(0.0, float("inf"), 1.0, 1.0)
+
+
+domain_values = st.one_of(
+    st.floats(),
+    st.sampled_from([1e8, -1e8, math.nextafter(1e8, math.inf), 6e-7, math.nextafter(6e-7, 0.0), 0.0, -0.0, 1e-170, 1e200]),
+)
+
+
+@given(st.tuples(domain_values, domain_values, domain_values, domain_values))
+def test_property_the_box_domain_is_one_rule(values):
+    # The array check that readers and batches run, and the reason that
+    # their errors give, reject the same boxes.
+    assert bool(_good_boxes(np.array([values]))[0]) == (_box_fault(*values) is None)
+
+
+def test_a_bbox_is_not_bounded_but_a_batch_is():
+    # A coasting head is a BBox, so BBox checks only finiteness and size.
+    far = BBox(1e200, 0.0, 2.0, 1e-170)
+    assert _box_fault(far.cx, far.cy, far.w, far.h) == "box cx must be at most 1e+08 in magnitude, got 1e+200"
+    with pytest.raises(ValueError, match=r"row 1: box cx must be at most 1e\+08"):
+        IdBoxes.pack([(1, BBox(0.0, 0.0, 2.0, 2.0)), (2, far)])
+    edge = BBox(-1e8, 1e8, 1e8, 6e-7)
+    assert IdBoxes.pack([(1, edge)]).boxes.tolist() == [[-1e8, 1e8, 1e8, 6e-7]]
 
 
 def test_to_center_rejects_degenerate_extent():
@@ -107,15 +132,19 @@ def unit_rows(n, dim=3, seed=0):
 @pytest.mark.parametrize(
     ("change", "message"),
     [
-        ({"boxes": [[0, 0, 2, 2], [0, 0, 0, 2]]}, r"detection 1: box needs finite values and positive size"),
-        ({"boxes": [[0, 0, 2, 2], [0, float("nan"), 2, 2]]}, r"detection 1: box needs finite"),
-        ({"boxes": [[float("inf"), 0, 2, 2], [0, 0, 2, 2]]}, r"detection 0: box needs finite"),
+        ({"boxes": [[0, 0, 2, 2], [0, 0, 0, 2]]}, r"detection 1: BBox needs positive size, got w=0.0, h=2.0"),
+        ({"boxes": [[0, 0, 2, 2], [0, float("nan"), 2, 2]]}, r"detection 1: BBox.cy must be finite, got nan"),
+        ({"boxes": [[float("inf"), 0, 2, 2], [0, 0, 2, 2]]}, r"detection 0: BBox.cx must be finite, got inf"),
+        ({"boxes": [[0, 0, 2, 2], [0, -1e200, 2, 2]]}, r"detection 1: box cy must be at most 1e\+08 in magnitude"),
+        ({"boxes": [[0, 0, 2, 1.5e8], [0, 0, 2, 2]]}, r"detection 0: box h must be at most 1e\+08 in magnitude"),
+        ({"boxes": [[0, 0, 2, 2], [0, 0, 2, 4e-7]]}, r"detection 1: box sides must be at least 6e-07, got w=2.0, h=4e-07"),
         ({"confidence": [0.5, 1.5]}, r"detection 1: confidence must lie in \[0, 1\], got 1.5"),
         ({"confidence": [float("nan"), 0.5]}, r"detection 0: confidence must lie in \[0, 1\], got nan"),
         ({"embeddings": [[1.0, 0.0], [1.0, 1.0]]}, r"detection 1: embedding must be L2-normalized"),
         ({"embeddings": [[float("nan"), 0.0], [1.0, 0.0]]}, r"detection 0: embedding must be L2-normalized"),
         ({"embeddings": [1.0, 0.0]}, r"embeddings must have shape \(2, D\)"),
-        ({"predictions": [[0, 0, 2, 2], [0, 0, -1, 2]]}, r"detection 1: prediction needs finite values"),
+        ({"predictions": [[0, 0, 2, 2], [0, 0, -1, 2]]}, r"detection 1: prediction: BBox needs positive size"),
+        ({"predictions": [[1e200, 0, 2, 2], [0, 0, 2, 2]]}, r"detection 0: prediction: box cx must be at most 1e\+08"),
         ({"predicted": [True, False]}, "a prediction mask needs predictions"),
     ],
 )
@@ -184,8 +213,10 @@ def test_missing_embedding_names_the_first_row_of_a_batch_without_them():
 @pytest.mark.parametrize(
     ("change", "message"),
     [
-        ({"boxes": [[0, 0, 2, 2], [0, 0, 0, 2]]}, r"row 1: box needs finite values and positive size"),
-        ({"boxes": [[float("inf"), 0, 2, 2], [0, 0, 2, 2]]}, r"row 0: box needs finite"),
+        ({"boxes": [[0, 0, 2, 2], [0, 0, 0, 2]]}, r"row 1: BBox needs positive size, got w=0.0, h=2.0"),
+        ({"boxes": [[float("inf"), 0, 2, 2], [0, 0, 2, 2]]}, r"row 0: BBox.cx must be finite, got inf"),
+        ({"boxes": [[0, 0, 1e200, 1e200], [0, 0, 2, 2]]}, r"row 0: box w must be at most 1e\+08 in magnitude"),
+        ({"boxes": [[0, 0, 2, 2], [0, 0, 1e-170, 1e-170]]}, r"row 1: box sides must be at least 6e-07"),
         ({"boxes": [[0, 0, 2, 2]]}, r"boxes must have shape \(2, 4\)"),
         ({"confidence": [0.5, float("nan")]}, r"row 1: confidence must be finite, got nan"),
         ({"confidence": [0.5]}, r"confidence must have shape \(2,\)"),

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from idtrack import mot_io
 from idtrack.affinity import AffinityWeights
 from helpers import detections
-from idtrack.geometry import BBox, Detections, IdBoxes, to_corner
+from idtrack.geometry import MIN_SIDE, BBox, Detections, IdBoxes, to_corner
 from idtrack.mot_io import (
     load_detections,
     read_config,
@@ -239,6 +239,17 @@ def test_write_results_skips_interpolated_by_default(tmp_path):
 def test_write_results_rejects_bad_ids(tmp_path):
     with pytest.raises(ValueError):
         write_results(tmp_path / "x.txt", hypotheses([TrackOutput(1, 0, BBox(0, 0, 1, 1), 0.5)]))
+
+
+def test_the_smallest_sides_at_the_edge_of_the_box_domain_are_read_back(tmp_path):
+    # Sides of MIN_SIDE beside far centres are written as 0.000001 wide and
+    # read back inside the domain; at a bound of 1e-6 the reader refused them.
+    centres = [1e8 - 1.0, 1.0 - 1e8, 5e7 + 0.123, 99e6 + 0.77, 123456.789]
+    boxes = [[c, c, MIN_SIDE, MIN_SIDE] for c in centres] + [[0.5, -0.5, 1.4e-6, 9e7]]
+    write_gt(tmp_path / "gt.txt", {1: IdBoxes(np.arange(1, len(boxes) + 1), boxes)})
+    write_detections(tmp_path / "dets.txt", {1: Detections(boxes, np.full(len(boxes), 0.5))})
+    for back in (read_gt(tmp_path / "gt.txt")[1].boxes, read_detections(tmp_path / "dets.txt")[1].boxes):
+        assert (back[:, 2:] > 0.97e-6).all() and (back[:, 2:] < 1.03e-6).sum() == 2 * len(centres) + 1
 
 
 def test_a_results_file_is_written_back_byte_for_byte(tmp_path):

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import detections
-from idtrack.geometry import BBox
+from idtrack import sim
+from idtrack.geometry import BOX_LIMIT, MIN_SIDE, BBox, _good_boxes
 from idtrack.sim import SimConfig, benchmark_config, config_from_mapping, generate, subsample
 
 
@@ -143,7 +144,7 @@ def sim_configs(draw):
         speed_range=(speed_lo, speed_hi),
         box_size_range=(size_lo, size_hi),
         center_noise=draw(st.sampled_from([0.0, 1.0, 8.0])),
-        size_noise=draw(st.sampled_from([0.0, 0.03, 0.5])),
+        size_noise=draw(st.sampled_from([0.0, 0.03, 0.3])),
         miss_rate=draw(st.sampled_from([0.0, 0.05, 0.8, 1.0])),
         fp_rate=draw(st.sampled_from([0.0, 0.3, 4.0])),
         occlusion_events=draw(st.integers(0, 8)),
@@ -341,7 +342,7 @@ def test_config_validation():
         # Used to fail inside a draw with a message that named no key.
         ("fp_rate", "1e20", "fp_rate must be <= 1000, got 1e+20"),
         ("embedding_noise", "1e300", "embedding_noise must be <= 1e+06, got 1e+300"),
-        ("size_noise", "1e300", "size_noise must be <= 1, got 1e+300"),
+        ("size_noise", "1e300", "size_noise must be <= 0.3, got 1e+300"),
         ("center_noise", "1e308", "center_noise must be <= 1e+06, got 1e+308"),
         ("arena", "1e200,1e200", "arena must be <= 1e+06, got (1e+200, 1e+200)"),
         # Used to write boxes 0.000000 wide, which `track` then rejected.
@@ -374,13 +375,22 @@ def test_config_accepts_the_benchmark_workloads():
 
 
 def test_a_scene_at_every_cap_is_finite():
-    cfg = SimConfig(num_identities=3, frames=3, arena=(1e6, 1e6), center_noise=1e6, size_noise=1.0,
-                    embedding_noise=1e6, fp_rate=1e3, embedding_dim=3)
+    cfg = SimConfig(num_identities=3, frames=3, arena=(1e6, 1e6), box_size_range=(1.0, 999_990.0), center_noise=1e6,
+                    size_noise=0.3, embedding_noise=1e6, fp_rate=1e3, embedding_dim=3)
     gt, dets = generate(cfg)
     assert sum(map(len, dets.values())) > 1000
     for frame_dets in dets.values():
-        for d in frame_dets:
-            assert d.box.w > 1e-6 and math.isfinite(d.box.cx) and np.isfinite(d.embedding).all()
+        assert _good_boxes(frame_dets.boxes).all() and np.isfinite(frame_dets.embeddings).all()
+
+
+def test_the_caps_keep_every_box_in_the_box_domain():
+    # Normal draws stay below 14 in magnitude: a side is its drawn size
+    # (1 to below the arena cap) times e**(size_noise * draw), and a centre
+    # lies in the arena up to 14 centre-noise deviations out.
+    cap = sim._CAPS
+    assert 1.0 * math.exp(-14 * cap["size_noise"]) >= MIN_SIDE
+    assert cap["arena"] * math.exp(14 * cap["size_noise"]) <= BOX_LIMIT
+    assert cap["arena"] + 14 * cap["center_noise"] <= BOX_LIMIT
 
 
 def test_config_accepts_probabilities_at_the_bounds():

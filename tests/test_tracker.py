@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from idtrack.affinity import AffinityWeights, nms
 from helpers import detections
 from idtrack.geometry import BBox, Detections
-from idtrack.mot_io import load_detections, write_detections, write_embeddings
+from idtrack.mot_io import load_detections, write_detections, write_embeddings, write_results
 from idtrack.sim import SimConfig, generate
 from idtrack.tracker import (
     DEFAULT_NMS_IOU,
@@ -148,6 +148,20 @@ def test_propagation_emits_interpolated_heads():
     out5 = tracker.step(detections([]), frame=5)  # exceeded the propagation budget
     assert out5 == []
     assert len(tracker.paused) == 1
+
+
+def test_a_head_may_coast_out_of_the_box_domain(tmp_path):
+    # Only boxes that are read or batched are bounded: a head that coasts
+    # past 1e8 keeps the stream going, and only the results writer refuses it.
+    edge = 1e8 - 2.0
+    scene = stream({1: [det(edge - 2.0, 0)], 2: [det(edge, 0)], 5: []})
+    outputs = track_stream(scene, iou_only_config(motion_propagate_frames=3))
+    assert [o.box.cx for o in outputs] == [edge - 2.0, edge, edge + 1.0, edge + 2.0, edge + 3.0]
+    hyp = tmp_path / "hyp.txt"
+    with pytest.raises(ValueError, match=r"box cx must be at most 1e\+08 in magnitude, got 100000001.0"):
+        write_results(hyp, hypotheses(outputs, interpolated=True))
+    assert not hyp.exists()
+    assert write_results(hyp, hypotheses(outputs)) == 2
 
 
 def test_hypotheses_skip_interpolated_outputs_and_keep_order():
