@@ -22,10 +22,10 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geometry import BBox, Detection, Detections, _box_rows, to_corner
+from .geometry import BBox, Detection, Detections, to_corner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .tracker import Trajectory
+    from .tracker import Trajectories
 
 __all__ = [
     "AffinityWeights",
@@ -173,17 +173,16 @@ def _iou_columns(a, b) -> np.ndarray:
     return np.minimum(inter / (w_a * h_a + w_b * h_b - inter), 1.0)
 
 
-def combined_affinity(
-    trajectories: Sequence["Trajectory"],
-    detections: Detections,
-    weights: AffinityWeights,
-) -> np.ndarray:
+def combined_affinity(trajectories: "Trajectories", detections: Detections, weights: AffinityWeights) -> np.ndarray:
     """Affinity matrix between trajectories (rows) and detections (cols).
 
     Args:
-        trajectories: objects exposing ``head_box`` and ``head_embedding``.
+        trajectories: the rows to score, as ``tracker.Trajectories`` gives
+            them: head boxes ``boxes`` ``(n, 4)``, head embeddings
+            ``embeddings`` ``(n, D)`` and ``missing_embedding()``, each read
+            once.
         detections: one ``Detections`` batch; it must hold embeddings
-            whenever ``weights.identity > 0``.
+            whenever ``weights.identity > 0``, as must every trajectory.
         weights: blend of overlap vs identity affinity.
 
     Returns:
@@ -196,19 +195,14 @@ def combined_affinity(
 
     out = np.zeros((n, m))
     if weights.overlap > 0.0:
-        out += weights.overlap * _iou_cells(_box_rows([t.head_box for t in trajectories]), detections.boxes)
+        out += weights.overlap * _iou_cells(trajectories.boxes, detections.boxes)
     if weights.identity > 0.0:
-        for k, t in enumerate(trajectories):
-            if t.head_embedding is None:
-                raise ValueError(
-                    f"trajectory {getattr(t, 'track_id', k)} has no embedding but identity weight is {weights.identity}"
-                )
-        if missing := detections.missing_embedding():
-            raise ValueError(f"{missing} but identity weight is {weights.identity}")
-        emb_t = np.array([t.head_embedding for t in trajectories])
+        for rows in (trajectories, detections):
+            if missing := rows.missing_embedding():
+                raise ValueError(f"{missing} but identity weight is {weights.identity}")
         # Negative cosine carries no evidence of identity; the cap at one
         # absorbs float drift.
-        out += weights.identity * np.clip(emb_t @ detections.embeddings.T, 0.0, 1.0)
+        out += weights.identity * np.clip(trajectories.embeddings @ detections.embeddings.T, 0.0, 1.0)
     return out
 
 

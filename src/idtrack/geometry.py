@@ -112,23 +112,34 @@ def _box_rows(boxes: Sequence[BBox]) -> np.ndarray:
     return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-def _good_boxes(boxes: np.ndarray) -> np.ndarray:
+def _good_boxes(boxes: np.ndarray, margin: float = 0.0) -> np.ndarray:
     """Per row: whether the box lies in the domain that ``_box_fault``
-    checks (a NaN fails every comparison). Column by column, which is
-    several times faster than comparing the whole array and reducing each
-    row."""
+    checks (a NaN fails every comparison), or at least ``margin`` inside
+    each of its bounds. Column by column, which is several times faster
+    than comparing the whole array and reducing each row."""
     cx, cy, w, h = boxes.T
-    return ((np.abs(cx) <= BOX_LIMIT) & (np.abs(cy) <= BOX_LIMIT) & (w >= MIN_SIDE) & (w <= BOX_LIMIT)
-            & (h >= MIN_SIDE) & (h <= BOX_LIMIT))
+    most, least = BOX_LIMIT - margin, MIN_SIDE + margin
+    return ((np.abs(cx) <= most) & (np.abs(cy) <= most) & (w >= least) & (w <= most) & (h >= least) & (h <= most))
 
 
-def _checked_box(cx: float, cy: float, w: float, h: float, new=object.__new__, put=object.__setattr__) -> BBox:
+def _slot_setters(cls: type, names: Sequence[str]) -> tuple:
+    """The ``__set__`` of each named slot of a slotted class: they fill a
+    frozen instance made by ``object.__new__`` about twice as fast as
+    ``object.__setattr__`` does."""
+    return tuple(cls.__dict__[name].__set__ for name in names)
+
+
+_BOX_SLOTS = _slot_setters(BBox, ("cx", "cy", "w", "h"))
+
+
+def _checked_box(cx: float, cy: float, w: float, h: float, new=object.__new__, set_cx=_BOX_SLOTS[0],
+                 set_cy=_BOX_SLOTS[1], set_w=_BOX_SLOTS[2], set_h=_BOX_SLOTS[3]) -> BBox:
     """A BBox of values that a ``Detections`` batch has already checked."""
     box = new(BBox)
-    put(box, "cx", cx)
-    put(box, "cy", cy)
-    put(box, "w", w)
-    put(box, "h", h)
+    set_cx(box, cx)
+    set_cy(box, cy)
+    set_w(box, w)
+    set_h(box, h)
     return box
 
 
@@ -142,7 +153,8 @@ def _box_array(values, n: int, what: str) -> np.ndarray:
 
 
 def _first_false(ok: np.ndarray) -> int | None:
-    bad = np.flatnonzero(~ok)
+    """The first position where the 1-D ``ok`` is False, or None."""
+    bad = (~ok).nonzero()[0]
     return int(bad[0]) if bad.size else None
 
 
@@ -241,14 +253,16 @@ class Detections:
     def take(self, index) -> "Detections":
         """The rows that ``index`` (integers or a boolean mask) selects, as a
         new batch."""
-        if not (isinstance(index, np.ndarray) and index.dtype == bool):
+        if isinstance(index, np.ndarray) and index.dtype == bool:
+            index = np.arange(len(self))[index]  # a mask of another length fails here
+        else:
             index = np.asarray(index, dtype=np.intp)
-        return Detections._checked(
-            self.boxes[index],
-            self.confidence[index],
-            None if self.embeddings is None else self.embeddings[index],
-            None if self.predictions is None else self.predictions[index],
-            None if self.predicted is None else self.predicted[index],
+        return Detections._checked(  # ``take`` copies rows about twice as fast as fancy indexing
+            self.boxes.take(index, axis=0),
+            self.confidence.take(index),
+            None if self.embeddings is None else self.embeddings.take(index, axis=0),
+            None if self.predictions is None else self.predictions.take(index, axis=0),
+            None if self.predicted is None else self.predicted.take(index),
         )
 
     def box_list(self) -> list[BBox]:

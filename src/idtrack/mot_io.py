@@ -50,7 +50,8 @@ a row with a value within float error of a rounding tie, of magnitude 1e8
 (MOT) or 10 (sidecar) or more, or not finite, is formatted by "%" instead
 and spliced in place. The bytes are those of one "%" format per line. The
 MOT writers check first, by their readers' own rules, that they write
-nothing their readers reject.
+nothing their readers reject; the box rule is checked on the boxes that
+the reader will rebuild from the written decimals.
 """
 
 from __future__ import annotations
@@ -242,13 +243,18 @@ def _mot_columns(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     if rows is None:
         lines = _data_lines(_read_text(path))
         rows = np.array([_parse_mot_line(line, lineno, path) for lineno, line in lines], dtype=_MOT_ROW)
-    left, top = rows["left"], rows["top"]
-    with np.errstate(over="ignore", invalid="ignore"):  # a box that overflows is named below
-        right, bottom = left + rows["w"], top + rows["h"]
-        boxes = np.stack([(left + right) / 2.0, (top + bottom) / 2.0, right - left, bottom - top], axis=1)
+    boxes = _centred(rows["left"], rows["top"], rows["w"], rows["h"])
     _frame_rule(rows["frame"], functools.partial(_require, path))
     _require(path, _good_boxes(boxes), lambda k: _box_fault(*boxes[k].tolist()))
     return rows["frame"], rows["id"], boxes, rows["conf"]
+
+
+def _centred(left: np.ndarray, top: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``(n, 4)`` centre-form boxes of MOT box fields, by ``to_center``'s
+    float operations on ``(left, top, left + w, top + h)``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a box that overflows is named by the box rule
+        right, bottom = left + w, top + h
+        return np.stack([(left + right) / 2.0, (top + bottom) / 2.0, right - left, bottom - top], axis=1)
 
 
 def read_detections(path) -> dict[int, Detections]:
@@ -492,16 +498,47 @@ def _lines(rows: np.ndarray, fixed: np.ndarray, fallback: Callable[[int], str]) 
     return b"".join(out)
 
 
-def _mot_lines(frames: np.ndarray, ids: np.ndarray, boxes: np.ndarray, confidence: np.ndarray) -> bytes:
-    """The MOT lines of rows ``(frames[k], ids[k], boxes[k], confidence[k])``,
-    byte for byte what ``_MOT_LINE`` gives, boxes in center form, with
-    ``to_corner``'s float operations done in numpy for all the boxes at once.
-    Values that round to 1e8 or more are among those formatted by "%"."""
+def _box_fields(boxes: np.ndarray) -> list[np.ndarray]:
+    """The MOT fields ``left, top, width, height`` of ``(n, 4)`` centre-form
+    boxes, with ``to_corner``'s float operations done in numpy for all the
+    boxes at once."""
     cx, cy, w, h = boxes.T
     with np.errstate(over="ignore", invalid="ignore"):  # Python floats overflow silently too
         half_w, half_h = w / 2.0, h / 2.0
         left, top, right, bottom = cx - half_w, cy - half_h, cx + half_w, cy + half_h
-        values = np.stack([left, top, right - left, bottom - top, confidence], axis=1)
+        return [left, top, right - left, bottom - top]
+
+
+# Six decimals move a box's rebuilt centre and sides by under 1e-6 (half a
+# decimal per field, and float rounding), so a box this far inside every
+# bound of the box domain reads back inside it.
+_WRITTEN_MARGIN = 2e-6
+
+
+def _written_box_rule(boxes: np.ndarray) -> None:
+    """Refuse, before a MOT writer opens its file, a row whose box its reader
+    would refuse: the box that the reader rebuilds from the six-decimal
+    fields, not the box given, must lie in the box domain. It is rebuilt
+    for the rows within ``_WRITTEN_MARGIN`` of a bound (or outside). Each
+    field is written as the integer ``k = rint(|v| * 1e6)`` and its sign, so
+    it reads back as ``k / 1e6``, the correctly rounded value of that
+    decimal; a row that "%" formats instead reads back as what "%.6f"
+    prints."""
+    rows = np.flatnonzero(~_good_boxes(boxes, _WRITTEN_MARGIN))
+    fields = np.stack(_box_fields(boxes[rows]), axis=1)
+    k, fixed = _fixed_point(fields, 6, 1e14)
+    written = np.copysign(k / 1e6, fields)
+    for r in np.flatnonzero(~fixed).tolist():
+        written[r] = [float("%.6f" % v) for v in fields[r].tolist()]
+    back = _centred(*written.T)
+    _check(_good_boxes(back), lambda r: f"as written to six decimals, {_box_fault(*back[r].tolist())}")
+
+
+def _mot_lines(frames: np.ndarray, ids: np.ndarray, boxes: np.ndarray, confidence: np.ndarray) -> bytes:
+    """The MOT lines of rows ``(frames[k], ids[k], boxes[k], confidence[k])``,
+    byte for byte what ``_MOT_LINE`` gives, boxes in center form. Values that
+    round to 1e8 or more are among those formatted by "%"."""
+    values = np.stack([*_box_fields(boxes), confidence], axis=1)
     k, fixed = _fixed_point(values, 6, 1e14)
     whole, fraction = np.divmod(k, 1_000_000)
     whole = _digits(whole)
@@ -561,8 +598,9 @@ def write_gt(path, stream: Mapping[int, IdBoxes]) -> int:
     """Write a ground-truth or result stream, one ``IdBoxes`` batch (or list
     of ``(id, box)`` pairs) per frame, rows sorted by (frame, id) with their
     confidences, and return the number of rows written. ``read_gt``'s rules
-    are checked on every row before the file is opened, its box rule
-    too: a coasted head that ran out of the box domain is refused here."""
+    are checked on every row before the file is opened, its box rule on the
+    boxes it will rebuild: a coasted head that ran out of the box domain is
+    refused here, and so is a box that its six decimals move out of it."""
     keys = sorted(stream)
     batches = [IdBoxes.pack(stream[frame]) for frame in keys]
     frames = np.repeat(np.array(keys, dtype=np.int64), [len(b) for b in batches])
@@ -572,7 +610,7 @@ def write_gt(path, stream: Mapping[int, IdBoxes]) -> int:
     order = np.lexsort((ids, frames))
     frames, ids, boxes, confidence = frames[order], ids[order], boxes[order], confidence[order]
     _frame_rule(frames, _check)
-    _check(_good_boxes(boxes), lambda k: _box_fault(*boxes[k].tolist()))
+    _written_box_rule(boxes)
     _id_rules(frames, ids, confidence, _check)
     with open(path, "wb") as fh:
         for start in range(0, len(ids), _CHUNK_ROWS):
@@ -586,10 +624,12 @@ write_results = write_gt  # results are a stream of ``hypotheses`` batches
 
 def write_detections(path, dets: Mapping[int, Detections]) -> None:
     """Write each frame's detections in order, with id -1. Frames must be 1
-    or more (checked before the file is opened)."""
+    or more, and every box must read back inside the box domain (both are
+    checked before the file is opened)."""
     frames = sorted(dets)
     _frame_rule(np.array(frames, dtype=np.int64), _check)
     columns = [(dets[frame].boxes, dets[frame].confidence) for frame in frames]
+    _written_box_rule(np.concatenate([np.zeros((0, 4)), *(boxes for boxes, _ in columns)]))
     with open(path, "wb") as fh:
         for frame_col, _, boxes, conf in _chunks(frames, columns, _CHUNK_ROWS):
             fh.write(_mot_lines(frame_col, np.full(len(conf), -1, dtype=np.int64), boxes, conf))

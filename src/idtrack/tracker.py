@@ -19,10 +19,12 @@ Per frame the tracker runs four phases:
    back. Once a trajectory has been unseen for more than ``buffer_size``
    frames its id is retired for good.
 
-A frame's detections reach ``Tracker.step`` as one ``Detections`` batch:
-affinities and updates read its arrays, and a ``BBox`` is built only for
-the box a trajectory takes as its new head. ``track_stream`` takes a whole
-stream, ``{frame: Detections}``.
+A frame's detections reach ``Tracker.step`` as one ``Detections`` batch,
+and the trajectories live in one ``TrajectoryTable`` of columns that the
+tracker owns, one slot per live trajectory. Affinities, updates, recovery
+levels and coasting read and write those arrays, a few numpy calls per
+Hungarian solve; the only objects built per row are the outputs and their
+boxes. ``track_stream`` takes a whole stream, ``{frame: Detections}``.
 
 Identity-only recovery needs embeddings, so with ``weights.identity == 0``
 phase 2 is skipped entirely and the tracker degrades to a plain IoU
@@ -30,26 +32,32 @@ Hungarian tracker. With ``weights.identity > 0`` every detection must carry
 an embedding: ``Tracker.step`` raises ``ValueError`` naming the first one
 without, before it changes any state.
 
-``Tracker.active`` and ``Tracker.paused`` hold tracker-owned ``Trajectory``
-records that every step updates in place, one batched
-``update_trajectory`` per Hungarian solve. A caller who wants a snapshot
-must copy the fields, not keep the objects.
+``Tracker.active`` and ``Tracker.paused`` are ``Trajectories``: ordered
+slots of the table, which yield one read-only ``Trajectory`` view per
+trajectory. The tracker makes a trajectory's view at its birth and hands
+out that same object for as long as it lives; the view reads the slot's
+current values on each access. When the trajectory retires, its view keeps
+the values of its last step, and its slot goes to a later birth.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .affinity import AffinityWeights, combined_affinity, nms
 from .assignment import solve_max
-from .geometry import BBox, Detections, IdBoxes, _frame_rows, _row_norms
+from .geometry import (BBox, Detections, IdBoxes, _checked_box, _first_false, _frame_rows, _row_norms, _shape_fault,
+                       _slot_setters)
 
 __all__ = [
     "Trajectory",
+    "Trajectories",
+    "TrajectoryTable",
     "TrackerConfig",
     "TrackOutput",
     "Tracker",
@@ -61,31 +69,219 @@ __all__ = [
 ]
 
 DEFAULT_NMS_IOU = 0.3
+_ID_ONLY = AffinityWeights(0.0, 1.0)  # phase 2 scores identity alone
+
+# Every column of a ``TrajectoryTable``, indexed by slot.
+_COLUMNS = ("ids", "boxes", "embeddings", "embedded", "velocity", "last_seen", "head_frame", "confidence",
+            "predictions", "predicted")
 
 
-@dataclass(slots=True, eq=False)
-class Trajectory:
-    """State of one tracked object, owned and updated in place by its tracker.
+class TrajectoryTable:
+    """The state of a tracker's trajectories as columns, one slot each.
 
-    ``head_box`` is the most recent position estimate; it comes from a
-    detection after a match and from propagation/prediction otherwise, in
-    which case ``head_frame`` runs ahead of ``last_seen``.
+    ``ids`` ``(c,)`` holds the track ids, ``boxes`` ``(c, 4)`` the head
+    boxes in centre form, ``embeddings`` ``(c, D)`` the unit head
+    embeddings where ``embedded`` is True (None until the first embedding
+    arrives; every one has the same D), ``velocity`` ``(c, 2)`` the average
+    centre velocities, ``last_seen`` the frame of the last detection taken
+    and ``head_frame`` the frame of the head box (ahead of ``last_seen``
+    while coasting), ``confidence`` that detection's confidence, and
+    ``predictions`` ``(c, 4)`` its box for frame ``last_seen + 1`` where
+    ``predicted`` is True. ``views[s]`` is the ``Trajectory`` of slot
+    ``s``, None while the slot is free. A retired trajectory's slot goes to
+    a later birth, so the capacity ``c`` follows the most trajectories
+    alive at once, not the number of births.
     """
 
-    track_id: int
-    head_box: BBox
-    head_embedding: np.ndarray | None
-    avg_velocity: tuple[float, float]
-    last_seen: int
-    head_frame: int = -1  # frame of head_box; defaults to last_seen
-    last_confidence: float = 1.0
-    predicted_box: BBox | None = None  # came with the last detection; for frame last_seen + 1
+    __slots__ = _COLUMNS + ("views", "free")
 
-    def __post_init__(self):
-        if self.track_id < 1:
-            raise ValueError(f"track ids are 1-based, got {self.track_id}")
-        if self.head_frame < 0:
-            self.head_frame = self.last_seen
+    def __init__(self):
+        self.ids = np.zeros(0, dtype=np.int64)
+        self.boxes = np.zeros((0, 4))
+        self.embeddings = None
+        self.embedded = np.zeros(0, dtype=bool)
+        self.velocity = np.zeros((0, 2))
+        self.last_seen = np.zeros(0, dtype=np.int64)
+        self.head_frame = np.zeros(0, dtype=np.int64)
+        self.confidence = np.zeros(0)
+        self.predictions = np.zeros((0, 4))
+        self.predicted = np.zeros(0, dtype=bool)
+        self.views: list[Trajectory | None] = []
+        self.free: list[int] = []  # free slots, the next one to use last
+
+    def add(self, ids: np.ndarray, born: Detections, frame: int) -> np.ndarray:
+        """Slots for new trajectories ``ids``, one per row of ``born``: each
+        takes its row's box, confidence, embedding and prediction, seen at
+        ``frame`` with no velocity, and gets its view."""
+        n = len(born)
+        if born.embeddings is not None:
+            self.embedding_matrix(born.embeddings.shape[1])
+        if len(self.free) < n:
+            self._grow(n - len(self.free))
+        slots = np.array(self.free[len(self.free) - n :][::-1], dtype=np.intp)
+        del self.free[len(self.free) - n :]
+        self.ids[slots] = ids
+        self.velocity[slots] = 0.0
+        self.embedded[slots] = born.embeddings is not None
+        if born.embeddings is not None:
+            self.embeddings[slots] = born.embeddings
+        self.seen(slots, born, frame)
+        for slot in slots.tolist():
+            self.views[slot] = Trajectory(self, slot)
+        return slots
+
+    def seen(self, slots: np.ndarray, dets: Detections, frame: int) -> None:
+        """Slot ``slots[k]`` took row k of ``dets`` at ``frame``: its box as
+        the head, its confidence and its prediction."""
+        self.boxes[slots] = dets.boxes
+        self.last_seen[slots] = frame
+        self.head_frame[slots] = frame
+        self.confidence[slots] = dets.confidence
+        if dets.predicted is None:
+            self.predicted[slots] = False
+        else:
+            self.predicted[slots] = dets.predicted
+            self.predictions[slots] = dets.predictions
+
+    def embedding_matrix(self, dim: int) -> np.ndarray:
+        """The embedding column, made for ``dim`` values when there is none
+        yet; a ``dim`` other than its own is refused."""
+        if self.embeddings is None:
+            self.embeddings = np.zeros((len(self.ids), dim))
+        elif self.embeddings.shape[1] != dim:
+            raise ValueError(f"embeddings have {dim} values, the tracker's trajectories {self.embeddings.shape[1]}")
+        return self.embeddings
+
+    def release(self, slots: np.ndarray) -> None:
+        """Free ``slots``. Each one's view is moved to a table of its own that
+        holds the values of the slot's last step."""
+        kept = object.__new__(TrajectoryTable)
+        for name in _COLUMNS:
+            column = getattr(self, name)
+            setattr(kept, name, None if column is None else column.take(slots, axis=0))
+        kept.views, kept.free = [], []
+        for k, slot in enumerate(slots.tolist()):
+            view = self.views[slot]
+            view.table, view.slot = kept, k
+            kept.views.append(view)
+            self.views[slot] = None
+            self.free.append(slot)
+
+    def _grow(self, needed: int) -> None:
+        """At least ``needed`` more free slots: the capacity at least doubles."""
+        old = len(self.ids)
+        new = max(2 * old, old + needed, 8)
+        for name in _COLUMNS:
+            column = getattr(self, name)
+            if column is not None:
+                grown = np.zeros((new,) + column.shape[1:], dtype=column.dtype)
+                grown[:old] = column
+                setattr(self, name, grown)
+        self.views += [None] * (new - old)
+        self.free[:0] = range(new - 1, old - 1, -1)  # the lowest new slot is used first, after any freed
+
+
+class Trajectory:
+    """One trajectory: a read-only view of its slot in a ``TrajectoryTable``.
+
+    It holds only ``table`` and ``slot``, and reads the slot's current
+    values on each access: ``track_id``, ``head_box`` (a ``BBox``: the most
+    recent position estimate, from a detection after a match and from
+    prediction or propagation otherwise, in which case ``head_frame`` runs
+    ahead of ``last_seen``), ``head_embedding`` (a copy, or None),
+    ``avg_velocity``, ``last_seen``, ``head_frame``, ``last_confidence``
+    and ``predicted_box`` (the box that came with the last detection, for
+    frame ``last_seen + 1``, or None). A tracker makes one view per
+    trajectory at its birth; after the trajectory retires, the view reads
+    the values of its last step. Views compare by identity.
+    """
+
+    __slots__ = ("table", "slot")
+
+    def __init__(self, table: TrajectoryTable, slot: int):
+        self.table = table
+        self.slot = slot
+
+    @property
+    def track_id(self) -> int:
+        return self.table.ids.item(self.slot)
+
+    @property
+    def head_box(self) -> BBox:
+        return _checked_box(*self.table.boxes[self.slot].tolist())
+
+    @property
+    def head_embedding(self) -> np.ndarray | None:
+        table = self.table
+        if table.embeddings is None or not table.embedded[self.slot]:
+            return None
+        return table.embeddings[self.slot].copy()
+
+    @property
+    def avg_velocity(self) -> tuple[float, float]:
+        vx, vy = self.table.velocity[self.slot].tolist()
+        return vx, vy
+
+    @property
+    def last_seen(self) -> int:
+        return self.table.last_seen.item(self.slot)
+
+    @property
+    def head_frame(self) -> int:
+        return self.table.head_frame.item(self.slot)
+
+    @property
+    def last_confidence(self) -> float:
+        return self.table.confidence.item(self.slot)
+
+    @property
+    def predicted_box(self) -> BBox | None:
+        if not self.table.predicted[self.slot]:
+            return None
+        return _checked_box(*self.table.predictions[self.slot].tolist())
+
+
+class Trajectories:
+    """Some trajectories of one table, in order: the slots ``slots`` of
+    ``table``.
+
+    ``len()``, iteration and indexing by position yield the slots'
+    ``Trajectory`` views, the same objects each time. ``boxes`` ``(n, 4)``
+    and ``embeddings`` ``(n, D)`` gather the rows' head boxes and head
+    embeddings (None when the table has none), which is what
+    ``combined_affinity`` scores.
+    """
+
+    __slots__ = ("table", "slots")
+
+    def __init__(self, table: TrajectoryTable, slots):
+        self.table = table
+        self.slots = np.asarray(slots, dtype=np.intp)
+
+    @property
+    def boxes(self) -> np.ndarray:
+        return self.table.boxes.take(self.slots, axis=0)
+
+    @property
+    def embeddings(self) -> np.ndarray | None:
+        matrix = self.table.embeddings
+        return None if matrix is None else matrix.take(self.slots, axis=0)
+
+    def missing_embedding(self) -> str | None:
+        """Which row holds no embedding, the first one; None when every row
+        holds one."""
+        k = _first_false(self.table.embedded[self.slots])
+        return None if k is None else f"trajectory {self.table.ids.item(self.slots[k])} has no embedding"
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def __iter__(self) -> Iterator[Trajectory]:
+        views = self.table.views
+        return iter([views[slot] for slot in self.slots.tolist()])
+
+    def __getitem__(self, k: int) -> Trajectory:
+        return self.table.views[self.slots[k]]
 
 
 @dataclass(frozen=True)
@@ -127,67 +323,103 @@ class TrackOutput:
     interpolated: bool = False
 
 
-def propagate_linear(traj: Trajectory, steps: int = 1) -> BBox:
-    """Head box translated by the trajectory's average velocity; size kept."""
-    vx, vy = traj.avg_velocity
-    return BBox(traj.head_box.cx + steps * vx, traj.head_box.cy + steps * vy, traj.head_box.w, traj.head_box.h)
+_OUTPUT_SLOTS = _slot_setters(TrackOutput, ("frame", "track_id", "box", "confidence", "interpolated"))
 
 
-def update_trajectory(trajs: Sequence[Trajectory], dets: Detections, momentum: float, frame: int) -> None:
+def _outputs(frame: int, ids: np.ndarray, boxes: np.ndarray, confidence: np.ndarray, interpolated: bool,
+             new=object.__new__, slots=_OUTPUT_SLOTS) -> list[TrackOutput]:
+    """One ``TrackOutput`` per row of checked arrays, filled through its
+    slots: the one per-row loop of a step."""
+    set_frame, set_id, set_box, set_confidence, set_interpolated = slots
+    out = []
+    for track_id, box, conf in zip(ids.tolist(), boxes.tolist(), confidence.tolist()):
+        o = new(TrackOutput)
+        set_frame(o, frame)
+        set_id(o, track_id)
+        set_box(o, _checked_box(*box))
+        set_confidence(o, conf)
+        set_interpolated(o, interpolated)
+        out.append(o)
+    return out
+
+
+def _pairs(assignment) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and the columns of an assignment's pairs, as two arrays in
+    pair order."""
+    flat = np.fromiter(chain.from_iterable(assignment.pairs), np.intp, 2 * len(assignment.pairs))
+    return flat[0::2], flat[1::2]
+
+
+def propagate_linear(boxes: np.ndarray, velocity: np.ndarray, steps) -> np.ndarray:
+    """Head boxes ``(n, 4)`` moved by their average velocities ``(n, 2)``
+    over ``steps`` frames (one count for all, or one per box); sizes kept."""
+    moved = boxes.copy()
+    moved[:, :2] += np.asarray(steps)[..., None] * velocity
+    return moved
+
+
+def update_trajectory(trajs: Trajectories, dets: Detections, momentum: float, frame: int) -> None:
     """Absorb detections of ``frame`` into their trajectories, in place.
 
     Row ``k`` of the ``Detections`` batch ``dets`` goes to ``trajs[k]``; the
     trajectories must be distinct. Each detection box becomes its
-    trajectory's head, and its prediction the trajectory's
-    ``predicted_box``. An embedding moves toward the detection's by
-    ``1 - momentum`` and is re-normalized; the velocity is an exponential
-    average (same momentum) of the per-frame center displacement since the
-    current head. Every head frame is checked before any trajectory
-    changes, so a rejected batch leaves all of them as they were.
+    trajectory's head, and its prediction the trajectory's predicted box.
+    An embedding moves toward the detection's by ``1 - momentum`` and is
+    re-normalized; the velocity is an exponential average (same momentum)
+    of the per-frame center displacement since the current head. Every head
+    frame is checked before any trajectory changes, so a rejected batch
+    leaves all of them as they were.
     """
-    for traj in trajs:
-        if frame < traj.head_frame:
-            raise ValueError(f"detection frame {frame} is behind trajectory head frame {traj.head_frame}")
+    table, slots = trajs.table, trajs.slots
+    head_frame = table.head_frame[slots]
+    behind = _first_false(head_frame <= frame)
+    if behind is not None:
+        raise ValueError(f"detection frame {frame} is behind trajectory head frame {head_frame[behind]}")
 
     fresh = dets.embeddings
-    blend = []
-    for k, traj in enumerate(trajs if fresh is not None else ()):
-        if traj.head_embedding is None:
-            traj.head_embedding = fresh[k]
-        else:
-            blend.append(k)
-    if blend:
-        mine = fresh[blend]
-        mixed = momentum * np.array([trajs[k].head_embedding for k in blend]) + (1.0 - momentum) * mine
+    if fresh is not None:
+        matrix = table.embedding_matrix(fresh.shape[1])
+        had = table.embedded[slots]
+        blend, mine = slots, fresh
+        if np.count_nonzero(had) < len(slots):  # a trajectory without an embedding takes the fresh one
+            matrix[slots[~had]] = fresh[~had]
+            table.embedded[slots] = True
+            blend, mine = slots[had], fresh[had]
+        mixed = momentum * matrix.take(blend, axis=0) + (1.0 - momentum) * mine
         norms = _row_norms(mixed)
         # Opposite embeddings can cancel at momentum 0.5; trust the fresh one.
         cancelled = norms < 1e-12
         mixed /= np.where(cancelled, 1.0, norms)[:, None]
-        for row, k in enumerate(blend):
-            trajs[k].head_embedding = mine[row] if cancelled[row] else mixed[row]
+        np.copyto(mixed, mine, where=cancelled[:, None])
+        matrix[blend] = mixed
 
-    for traj, box, conf, prediction in zip(trajs, dets.box_list(), dets.confidence.tolist(), dets.prediction_list()):
-        gap = max(frame - traj.head_frame, 1)
-        disp = ((box.cx - traj.head_box.cx) / gap, (box.cy - traj.head_box.cy) / gap)
-        traj.avg_velocity = (
-            momentum * traj.avg_velocity[0] + (1.0 - momentum) * disp[0],
-            momentum * traj.avg_velocity[1] + (1.0 - momentum) * disp[1],
-        )
-        traj.head_box = box
-        traj.last_seen = traj.head_frame = frame
-        traj.last_confidence = conf
-        traj.predicted_box = prediction
+    gap = np.maximum(frame - head_frame, 1)[:, None]
+    shift = (dets.boxes[:, :2] - table.boxes.take(slots, axis=0)[:, :2]) / gap
+    table.velocity[slots] = momentum * table.velocity.take(slots, axis=0) + (1.0 - momentum) * shift
+    table.seen(slots, dets, frame)
 
 
 class Tracker:
-    """Stateful per-sequence tracker. Not safe to share across sequences."""
+    """Stateful per-sequence tracker. Not safe to share across sequences.
+
+    ``table`` is its ``TrajectoryTable``; ``active`` and ``paused`` are the
+    trajectories of each set, in the order the phases visit them.
+    """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
-        self.active: list[Trajectory] = []
-        self.paused: list[Trajectory] = []
+        self.table = TrajectoryTable()
+        self._active = self._paused = np.zeros(0, dtype=np.intp)
         self.next_id = 1
         self.current_frame = 0
+
+    @property
+    def active(self) -> Trajectories:
+        return Trajectories(self.table, self._active)
+
+    @property
+    def paused(self) -> Trajectories:
+        return Trajectories(self.table, self._paused)
 
     def step(self, detections: Detections, frame: int) -> list[TrackOutput]:
         """Advance one frame.
@@ -202,92 +434,94 @@ class Tracker:
 
         Returns:
             One output per surviving trajectory that has a box this frame;
-            entries from propagation are flagged ``interpolated``.
+            entries from propagation are flagged ``interpolated``. Outputs
+            come in phase order: phase-1 matches by active row, recoveries
+            by level and then pair, births, coasting heads by active row.
         """
         cfg = self.config
         if frame <= self.current_frame:
             raise ValueError(f"frame {frame} does not advance past {self.current_frame}")
         if cfg.weights.identity > 0.0 and (missing := detections.missing_embedding()):
             raise ValueError(f"{missing} but identity weight is {cfg.weights.identity}")
+        table = self.table
+        if detections.embeddings is not None:  # another dimension is refused here, before any change
+            table.embedding_matrix(detections.embeddings.shape[1])
 
         # Trajectories unseen longer than the buffer allows are gone for good.
-        self.active = [t for t in self.active if frame - t.last_seen <= cfg.buffer_size]
-        self.paused = [t for t in self.paused if frame - t.last_seen <= cfg.buffer_size]
+        active, paused = self._active, self._paused
+        gone_active = frame - table.last_seen[active] > cfg.buffer_size
+        gone_paused = frame - table.last_seen[paused] > cfg.buffer_size
+        if gone_active.any() or gone_paused.any():
+            table.release(np.concatenate([active[gone_active], paused[gone_paused]]))
+            active, paused = self._active, self._paused = active[~gone_active], paused[~gone_paused]
 
         outputs: list[TrackOutput] = []
-        det_taken = [False] * len(detections)
-        new_active: list[Trajectory] = []
+        taken = np.zeros(len(detections), dtype=bool)
+        new_active = []  # slot arrays, in phase order
 
-        def absorb(trajs: list[Trajectory], cols: list[int]) -> None:
+        def absorb(slots: np.ndarray, cols: np.ndarray) -> None:
             """One batched update for the pairs of one solve, in pair order."""
-            update_trajectory(trajs, detections.take(cols), cfg.embedding_momentum, frame)
-            for traj, j in zip(trajs, cols):
-                det_taken[j] = True
-                new_active.append(traj)
-                outputs.append(TrackOutput(frame, traj.track_id, traj.head_box, traj.last_confidence))
+            heads = detections.take(cols)
+            update_trajectory(Trajectories(table, slots), heads, cfg.embedding_momentum, frame)
+            taken[cols] = True
+            new_active.append(slots)
+            outputs.extend(_outputs(frame, table.ids[slots], heads.boxes, heads.confidence, False))
 
         # Phase 1: active set vs detections, blended affinity.
-        if self.active and detections:
-            matrix = combined_affinity(self.active, detections, cfg.weights)
-            matched = dict(solve_max(matrix, cfg.min_affinity).pairs)
-        else:
-            matched = {}
-        rows = sorted(matched)
-        absorb([self.active[i] for i in rows], [matched[i] for i in rows])
-        unmatched_active = [t for i, t in enumerate(self.active) if i not in matched]
+        matched = np.zeros(len(active), dtype=bool)
+        if len(active) and len(detections):
+            rows, cols = _pairs(solve_max(combined_affinity(self.active, detections, cfg.weights), cfg.min_affinity))
+            if rows.size:
+                order = np.argsort(rows)
+                matched[rows] = True
+                absorb(active[rows[order]], cols[order])
 
         # Phase 2: identity-only recovery from the paused buffer, one
         # Hungarian solve per level, most recent level first.
-        still_paused = list(self.paused)
-        if cfg.weights.identity > 0.0 and still_paused:
-            id_only = AffinityWeights(0.0, 1.0)
-            for level in range(2, cfg.buffer_size + 1):
-                cand = [t for t in still_paused if frame - t.last_seen == level]
-                free = [j for j, taken in enumerate(det_taken) if not taken]
-                if not cand or not free:
-                    continue
-                matrix = combined_affinity(cand, detections.take(free), id_only)
-                pairs = solve_max(matrix, cfg.min_affinity).pairs
-                recovered = [cand[ci] for ci, _ in pairs]
-                absorb(recovered, [free[fj] for _, fj in pairs])
-                if recovered:
-                    still_paused = [t for t in still_paused if t not in recovered]
+        still_paused = np.ones(len(paused), dtype=bool)
+        if cfg.weights.identity > 0.0 and len(paused):
+            levels = frame - table.last_seen[paused]
+            for level in sorted(set(levels.tolist())):
+                free = (~taken).nonzero()[0]
+                if not free.size:
+                    break
+                at = (levels == level).nonzero()[0]
+                matrix = combined_affinity(Trajectories(table, paused[at]), detections.take(free), _ID_ONLY)
+                rows, cols = _pairs(solve_max(matrix, cfg.min_affinity))
+                if rows.size:
+                    still_paused[at[rows]] = False
+                    absorb(paused[at[rows]], free[cols])
 
         # Phase 3: leftovers become new trajectories.
-        leftovers = [j for j, taken in enumerate(det_taken) if not taken]
-        born = detections.take(leftovers)
-        values = zip(born.box_list(), born.confidence.tolist(), born.embedding_list(), born.prediction_list())
-        for box, confidence, embedding, prediction in values:
-            traj = Trajectory(
-                track_id=self.next_id,
-                head_box=box,
-                head_embedding=embedding,
-                avg_velocity=(0.0, 0.0),
-                last_seen=frame,
-                last_confidence=confidence,
-                predicted_box=prediction,
-            )
-            self.next_id += 1
-            new_active.append(traj)
-            outputs.append(TrackOutput(frame, traj.track_id, box, confidence))
+        leftovers = (~taken).nonzero()[0]
+        if leftovers.size:
+            born = detections.take(leftovers)
+            ids = np.arange(self.next_id, self.next_id + len(born), dtype=np.int64)
+            self.next_id += len(born)
+            new_active.append(table.add(ids, born, frame))
+            outputs.extend(_outputs(frame, ids, born.boxes, born.confidence, False))
 
         # Phase 4: unmatched trajectories either coast on a predicted/linear
         # head (and stay in the active set) or fall into the paused buffer.
         # A prediction is for the frame after last_seen only.
-        new_paused: list[Trajectory] = still_paused
-        for traj in unmatched_active:
-            if frame - traj.last_seen <= cfg.motion_propagate_frames:
-                head = traj.predicted_box if traj.last_seen == frame - 1 else None
-                if head is None:
-                    head = propagate_linear(traj, steps=frame - traj.head_frame)
-                traj.head_box, traj.head_frame = head, frame
-                new_active.append(traj)
-                outputs.append(TrackOutput(frame, traj.track_id, head, traj.last_confidence, interpolated=True))
-            else:
-                new_paused.append(traj)
+        unmatched = active[~matched]
+        coasting = frame - table.last_seen[unmatched] <= cfg.motion_propagate_frames
+        coast = unmatched[coasting]
+        if coast.size:
+            heads = propagate_linear(table.boxes.take(coast, axis=0), table.velocity.take(coast, axis=0),
+                                     frame - table.head_frame[coast])
+            ahead = table.predicted[coast] & (table.last_seen[coast] == frame - 1)
+            heads[ahead] = table.predictions.take(coast[ahead], axis=0)
+            bad = _first_false(np.isfinite(heads).all(axis=1))
+            if bad is not None:
+                raise ValueError(_shape_fault(*heads[bad].tolist()))
+            table.boxes[coast] = heads
+            table.head_frame[coast] = frame
+            new_active.append(coast)
+            outputs.extend(_outputs(frame, table.ids[coast], heads, table.confidence[coast], True))
 
-        self.active = new_active
-        self.paused = new_paused
+        self._active = np.concatenate(new_active) if new_active else unmatched[:0]
+        self._paused = np.concatenate([paused[still_paused], unmatched[~coasting]])
         self.current_frame = frame
         return outputs
 

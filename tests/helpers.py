@@ -1,11 +1,14 @@
-"""Shared test helpers: one way to build a ``Detections`` batch by hand, the
-pairwise IoU oracle (the dense broadcast that the sort and sweep in
-``idtrack.affinity`` replaced), and box arrays whose edges repeat, touch and
-nest, to hold the sweep to the oracle."""
+"""Shared test helpers: one way to build a ``Detections`` batch and a
+tracker's trajectories by hand, the pairwise IoU oracle (the dense broadcast
+that the sort and sweep in ``idtrack.affinity`` replaced), the per-pair
+oracle of ``update_trajectory`` (the loop that the table's array update
+replaced), and box arrays whose edges repeat, touch and nest, to hold the
+sweep to the oracle."""
 
 import numpy as np
 
 from idtrack.geometry import Detections, _box_rows
+from idtrack.tracker import Trajectories, TrajectoryTable
 
 
 def detections(rows):
@@ -25,6 +28,64 @@ def detections(rows):
         predicted = [p is not None for p in ahead]
         predictions = _box_rows([p or box for p, box in zip(ahead, boxes)])
     return Detections(_box_rows(boxes), confidence, embeddings, predictions, predicted)
+
+
+def trajectories(rows):
+    """The ``Trajectories`` of a fresh ``TrajectoryTable`` that holds
+    ``rows``, one slot per row in row order. A row is ``(track_id,
+    head_box, head_embedding)``, optionally followed by ``avg_velocity``
+    ((0, 0)), ``last_seen`` (1) and ``head_frame`` (``last_seen``); the
+    confidence is 1 and no row has a prediction. Embeddings may be None;
+    the others share one dimension."""
+    rows = [tuple(row) + ((0.0, 0.0), 1, None)[len(row) - 3 :] for row in rows]
+    ids, boxes, vectors, velocity, last_seen, head_frame = (list(c) for c in zip(*rows)) if rows else [[]] * 6
+    table = TrajectoryTable()
+    slots = table.add(np.array(ids, dtype=np.int64), Detections(_box_rows(boxes), np.ones(len(rows))), 1)
+    table.velocity[slots] = np.array(velocity, dtype=np.float64).reshape(-1, 2)
+    table.last_seen[slots] = last_seen
+    table.head_frame[slots] = [seen if head is None else head for seen, head in zip(last_seen, head_frame)]
+    for slot, vector in zip(slots.tolist(), vectors):
+        if vector is not None:
+            table.embedding_matrix(len(vector))[slot] = vector
+            table.embedded[slot] = True
+    return Trajectories(table, slots)
+
+
+# A trajectory's values, as ``Trajectory`` views read them.
+FIELDS = ("track_id", "head_box", "head_embedding", "avg_velocity", "last_seen", "head_frame", "last_confidence",
+          "predicted_box")
+
+
+def state(values):
+    """A trajectory's values (a view, or a dict of ``FIELDS``) as a tuple,
+    the embedding as bytes, so that equality is bit for bit."""
+    values = [values[f] if isinstance(values, dict) else getattr(values, f) for f in FIELDS]
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values)
+
+
+def update_one(traj, d, momentum, frame):
+    """Reference update of one pair: the values of trajectory ``traj`` (a
+    view) after it takes detection ``d`` at ``frame``, as a dict of
+    ``FIELDS``. It works one pair and one embedding at a time, with
+    ``np.linalg.norm``, and changes nothing."""
+    if frame < traj.head_frame:
+        raise ValueError(f"detection frame {frame} is behind trajectory head frame {traj.head_frame}")
+    gap = max(frame - traj.head_frame, 1)
+    disp = ((d.box.cx - traj.head_box.cx) / gap, (d.box.cy - traj.head_box.cy) / gap)
+    velocity = (
+        momentum * traj.avg_velocity[0] + (1.0 - momentum) * disp[0],
+        momentum * traj.avg_velocity[1] + (1.0 - momentum) * disp[1],
+    )
+    embedding = traj.head_embedding
+    if d.embedding is not None:
+        if embedding is None:
+            embedding = d.embedding
+        else:
+            mixed = momentum * embedding + (1.0 - momentum) * d.embedding
+            norm = float(np.linalg.norm(mixed))
+            embedding = d.embedding if norm < 1e-12 else mixed / norm
+    return dict(track_id=traj.track_id, head_box=d.box, head_embedding=embedding, avg_velocity=velocity,
+                last_seen=frame, head_frame=frame, last_confidence=d.confidence, predicted_box=d.prediction)
 
 
 def batch_bits(batch):

@@ -6,19 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idtrack.affinity
-from helpers import batch_bits, detections, grid_boxes, iou_cells, iou_matrix, relatives
+from helpers import batch_bits, detections, grid_boxes, iou_cells, iou_matrix, relatives, trajectories
 from idtrack.affinity import WEIGHT_PRESETS, AffinityWeights, _iou_cells, _self_pairs, combined_affinity, iou, nms
 from idtrack.geometry import BBox, Detections, _box_rows, to_center
-from idtrack.tracker import Trajectory
+from idtrack.tracker import Trajectories
 
 
 def unit(vec):
     vec = np.asarray(vec, dtype=np.float64)
     return vec / np.linalg.norm(vec)
-
-
-def make_traj(track_id, box, embedding=None):
-    return Trajectory(track_id, box, embedding, (0.0, 0.0), last_seen=1)
 
 
 def same_rows(got, want):
@@ -59,7 +55,7 @@ def test_iou_of_identical_boxes_is_capped_at_one():
     assert _iou_cells(_box_rows([box]), _box_rows([box]))[0, 0] == 1.0
     pair = detections([(box, 0.9), (box, 0.9)])
     assert same_rows(nms(pair, 1.0), list(pair)) and same_rows(nms(list(pair), 1.0), list(pair))
-    assert combined_affinity([make_traj(1, box)], pair, AffinityWeights(1.0, 0.0))[0, 0] <= 1.0
+    assert combined_affinity(trajectories([(1, box, None)]), pair, AffinityWeights(1.0, 0.0))[0, 0] <= 1.0
 
 
 def test_iou_contained_box():
@@ -119,7 +115,7 @@ def test_weights_validation_and_presets():
 
 def test_combined_affinity_is_the_weighted_blend():
     rng = np.random.default_rng(3)
-    trajs = [make_traj(i + 1, random_box(rng, 20.0), unit(rng.normal(size=8))) for i in range(4)]
+    trajs = trajectories([(i + 1, random_box(rng, 20.0), unit(rng.normal(size=8))) for i in range(4)])
     dets = detections([(random_box(rng, 20.0), 0.9, unit(rng.normal(size=8))) for _ in range(6)])
     for weights in (AffinityWeights(0.5, 0.5), AffinityWeights(0.2, 0.8)):
         got = combined_affinity(trajs, dets, weights)
@@ -136,7 +132,7 @@ def test_combined_affinity_is_the_weighted_blend():
 
 def identity_only(track_embedding, det_embeddings):
     # Far-apart boxes: only the identity term can contribute.
-    trajs = [make_traj(1, BBox(0.0, 0.0, 2.0, 2.0), track_embedding)]
+    trajs = trajectories([(1, BBox(0.0, 0.0, 2.0, 2.0), track_embedding)])
     dets = detections([(BBox(100.0, 100.0, 2.0, 2.0), 0.9, e) for e in det_embeddings])
     return combined_affinity(trajs, dets, AffinityWeights(0.0, 1.0))[0]
 
@@ -157,7 +153,7 @@ def test_id_similarity_cosine_value():
 
 def test_combined_affinity_ignores_embeddings_at_zero_identity_weight():
     box = BBox(0.0, 0.0, 2.0, 2.0)
-    trajs = [make_traj(1, box, embedding=None)]
+    trajs = trajectories([(1, box, None)])
     dets = detections([(box, 0.9)])
     got = combined_affinity(trajs, dets, AffinityWeights(1.0, 0.0))
     assert got.shape == (1, 1)
@@ -168,18 +164,21 @@ def test_combined_affinity_requires_embeddings():
     box = BBox(0.0, 0.0, 2.0, 2.0)
     with_emb = detections([(box, 0.9, unit([1.0, 1.0]))])
     without = detections([(box, 0.9), (box, 0.8)])
-    traj = make_traj(1, box, unit([1.0, 0.0]))
-    bare_traj = make_traj(2, box, None)
+    trajs = trajectories([(1, box, unit([1.0, 0.0])), (2, box, None)])
     with pytest.raises(ValueError, match="detection 0 has no embedding but identity weight is 0.5"):
-        combined_affinity([traj], without, AffinityWeights(0.5, 0.5))
-    with pytest.raises(ValueError, match="trajectory 2 has no embedding"):
-        combined_affinity([bare_traj], with_emb, AffinityWeights(0.5, 0.5))
+        combined_affinity(Trajectories(trajs.table, trajs.slots[:1]), without, AffinityWeights(0.5, 0.5))
+    with pytest.raises(ValueError, match="trajectory 2 has no embedding but identity weight is 0.5"):
+        combined_affinity(trajs, with_emb, AffinityWeights(0.5, 0.5))
+    with pytest.raises(ValueError, match="trajectory 3 has no embedding"):  # a table that has no embedding yet
+        combined_affinity(trajectories([(3, box, None)]), with_emb, AffinityWeights(0.5, 0.5))
 
 
 def test_combined_affinity_empty_inputs():
-    assert combined_affinity([], Detections.pack([]), AffinityWeights()).shape == (0, 0)
+    assert combined_affinity(trajectories([]), Detections.pack([]), AffinityWeights()).shape == (0, 0)
     det = detections([(BBox(0, 0, 1, 1), 0.9, unit([1.0, 0.0]))])
-    assert combined_affinity([], det, AffinityWeights()).shape == (0, 1)
+    assert combined_affinity(trajectories([]), det, AffinityWeights()).shape == (0, 1)
+    assert combined_affinity(trajectories([(1, BBox(0, 0, 1, 1), None)]), Detections.pack([]),
+                             AffinityWeights()).shape == (1, 0)
 
 
 def test_nms_drops_heavy_overlap():

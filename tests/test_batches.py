@@ -5,7 +5,8 @@ read one ``Detections`` batch per frame. The ``reference_*`` functions below
 are their versions from before batches, which walked one ``Detection`` at a
 time (here the views that iterating a batch yields); the batch code must
 keep the same NMS survivors, the same affinity bits and the same written
-bytes. Views packed back into a batch must equal the batch's own ``take``.
+bytes. ``combined_affinity`` also reads the trajectories as the columns of
+their tracker's table; its reference reads each ``Trajectory`` view. Views packed back into a batch must equal the batch's own ``take``.
 ``write_gt``, which is also ``write_results``, formats rows across frames in
 chunks; its references sort the rows by (frame, id) and write one at a time
 with one "%" format each.
@@ -18,11 +19,11 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import batch_bits, detections, grid_boxes, iou_matrix, relatives
+from helpers import batch_bits, detections, grid_boxes, iou_matrix, relatives, trajectories
 from idtrack import mot_io
 from idtrack.affinity import AffinityWeights, combined_affinity, nms
 from idtrack.geometry import BBox, Detections, IdBoxes, to_corner
-from idtrack.tracker import TrackOutput, Trajectory, hypotheses
+from idtrack.tracker import TrackOutput, hypotheses
 
 
 def reference_nms(detections, iou_threshold):
@@ -192,9 +193,9 @@ def affinity_cases(draw):
     rows = draw(frames(dim))
     heads = draw(st.lists(boxes, max_size=8))
     vectors = draw(unit_rows(len(heads), dim))
-    trajs = [Trajectory(k + 1, box, vec, (0.0, 0.0), last_seen=1) for k, (box, vec) in enumerate(zip(heads, vectors))]
-    if rows and trajs and draw(st.booleans()):
-        trajs[0].head_box = rows[0].box  # identical boxes: an IoU of exactly 1
+    if rows and heads and draw(st.booleans()):
+        heads[0] = rows[0].box  # identical boxes: an IoU of exactly 1
+    trajs = trajectories([(k + 1, box, vec) for k, (box, vec) in enumerate(zip(heads, vectors))])
     overlap = draw(st.one_of(st.sampled_from((0.0, 0.2, 0.5, 1.0)), st.floats(0.0, 1.0)))
     return trajs, rows, AffinityWeights(overlap, 1.0 - overlap)
 

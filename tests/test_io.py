@@ -244,12 +244,17 @@ def test_write_results_rejects_bad_ids(tmp_path):
 def test_the_smallest_sides_at_the_edge_of_the_box_domain_are_read_back(tmp_path):
     # Sides of MIN_SIDE beside far centres are written as 0.000001 wide and
     # read back inside the domain; at a bound of 1e-6 the reader refused them.
-    centres = [1e8 - 1.0, 1.0 - 1e8, 5e7 + 0.123, 99e6 + 0.77, 123456.789]
-    boxes = [[c, c, MIN_SIDE, MIN_SIDE] for c in centres] + [[0.5, -0.5, 1.4e-6, 9e7]]
+    # On the bound itself, the rounded corners keep a centre of -1e8 inside
+    # beside a side of MIN_SIDE and one of +1e8 beside a side of 1e-6 (beside
+    # MIN_SIDE the writers refuse +1e8: see WRITER_CHECKS).
+    centres = [-1e8, 1e8 - 1.0, 1.0 - 1e8, 5e7 + 0.123, 99e6 + 0.77, 123456.789]
+    boxes = [[c, c, MIN_SIDE, MIN_SIDE] for c in centres]
+    boxes += [[1e8, 1e8, 1e-6, 1e-6], [1e8, -1e8, 1e-6, MIN_SIDE], [0.5, -0.5, 1.4e-6, 9e7]]
     write_gt(tmp_path / "gt.txt", {1: IdBoxes(np.arange(1, len(boxes) + 1), boxes)})
     write_detections(tmp_path / "dets.txt", {1: Detections(boxes, np.full(len(boxes), 0.5))})
     for back in (read_gt(tmp_path / "gt.txt")[1].boxes, read_detections(tmp_path / "dets.txt")[1].boxes):
-        assert (back[:, 2:] > 0.97e-6).all() and (back[:, 2:] < 1.03e-6).sum() == 2 * len(centres) + 1
+        assert (back[:, 2:] > 0.97e-6).all() and (back[:, 2:] < 1.03e-6).sum() == 2 * len(centres) + 5
+        assert (np.abs(back[[0, -3, -2], :2]) > 1e8 - 1e-6).all()  # the centres on the bound
 
 
 def test_a_results_file_is_written_back_byte_for_byte(tmp_path):
@@ -285,6 +290,12 @@ WRITER_CHECKS = [
     (write_results, {2: [(1, BOX, 0.5)], 0: [(1, BOX, 0.5)]}, "frame indices are 1-based, got 0"),
     (write_results, {3: [(2, BOX, 0.5), (2, BOX, 0.4)]}, "repeated id 2 in frame 3"),
     (write_results, {1: [(1, BOX, 0.5)], 2: [(1, BOX, math.nan)]}, "confidence must be finite, got nan"),
+    # In the box domain, but its corners round to six decimals so that the
+    # centre that the reader rebuilds lands past 1e8.
+    (write_gt, {1: IdBoxes([1], [(1e8, 1e8, 6e-7, 6e-7)])},
+     "as written to six decimals, box cx must be at most 1e+08 in magnitude, got 100000000.0000005"),
+    (write_detections, {1: Detections([(1e8, 1e8, 6e-7, 6e-7)], [0.5])},
+     "as written to six decimals, box cx must be at most 1e+08 in magnitude, got 100000000.0000005"),
 ]
 
 
@@ -294,6 +305,35 @@ def test_writers_reject_rows_their_readers_reject(tmp_path, write, rows, message
     with pytest.raises(ValueError, match=re.escape(message)):
         write(p, rows)
     assert not p.exists()
+
+
+def near(*values):
+    """Floats within a few written decimals of one of ``values``."""
+    return st.builds(lambda v, d: v + d, st.sampled_from(values), st.floats(-3e-6, 3e-6))
+
+
+@settings(max_examples=300)
+@given(st.tuples(near(1e8, -1e8, 5.0), near(1e8, -1e8, 5.0), near(MIN_SIDE, 1e8, 2.0), near(MIN_SIDE, 1e8, 2.0)))
+def test_property_the_mot_writers_refuse_what_their_reader_refuses(tmp_path_factory, box):
+    # Boxes at the edges of the box domain, in it and out of it, given to
+    # the writers unchecked: each writes a box exactly when the line that
+    # formats it reads back.
+    path = tmp_path_factory.mktemp("edge") / "out.txt"
+    one = np.array([box])
+    path.write_bytes(mot_io._mot_lines(np.ones(1, np.int64), np.ones(1, np.int64), one, np.full(1, 0.5)))
+    try:
+        read_gt(path)
+        readable = True
+    except ValueError:
+        readable = False
+    for write, stream in ((write_gt, {1: IdBoxes._checked(np.ones(1, np.int64), one, np.ones(1))}),
+                          (write_detections, {1: Detections._checked(one, np.full(1, 0.5))})):
+        try:
+            write(path, stream)
+            written = True
+        except ValueError:
+            written = False
+        assert written == readable
 
 
 def test_a_failed_results_write_leaves_no_file(tmp_path):

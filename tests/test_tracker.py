@@ -1,5 +1,4 @@
 import time
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idtrack.affinity import AffinityWeights, nms
-from helpers import detections
+from helpers import detections, state, trajectories, update_one
 from idtrack.geometry import BBox, Detections
 from idtrack.mot_io import load_detections, write_detections, write_embeddings, write_results
 from idtrack.sim import SimConfig, generate
@@ -15,7 +14,6 @@ from idtrack.tracker import (
     DEFAULT_NMS_IOU,
     Tracker,
     TrackerConfig,
-    Trajectory,
     TrackOutput,
     hypotheses,
     propagate_linear,
@@ -42,13 +40,6 @@ def det(cx, cy, emb=None, conf=0.9, size=4.0, prediction=None):
 def stream(frames):
     """A stream of row lists as one batch per frame."""
     return {frame: detections(rows) for frame, rows in frames.items()}
-
-
-def state(traj):
-    """A trajectory's field values, embedding as bytes: trajectories are
-    updated in place, so a snapshot has to copy the values."""
-    values = (getattr(traj, f.name) for f in fields(traj))
-    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values)
 
 
 def id_only_config(**kwargs):
@@ -124,7 +115,7 @@ def test_retirement_after_buffer_expires():
         tracker.step(detections([]), frame=f)
     outputs = tracker.step(detections([det(10, 10, EA)]), 5)
     assert [o.track_id for o in outputs] == [2]
-    assert tracker.paused == []
+    assert not tracker.paused
 
 
 def test_recovery_at_the_buffer_boundary():
@@ -237,6 +228,16 @@ def test_missing_embedding_rejected_before_any_state_changes():
         assert snapshot() == before
 
 
+def test_an_embedding_of_another_dimension_is_refused_before_any_state_changes():
+    # The table holds one embedding dimension, even where no affinity reads it.
+    tracker = Tracker(iou_only_config())
+    tracker.step(detections([det(10, 10, EA)]), 1)
+    before = [state(t) for t in tracker.active]
+    with pytest.raises(ValueError, match="embeddings have 3 values, the tracker's trajectories 4"):
+        tracker.step(detections([det(10, 10, unit([1.0, 0.0, 0.0]))]), 2)
+    assert [state(t) for t in tracker.active] == before and tracker.current_frame == 1
+
+
 def test_an_iou_step_takes_batches_with_and_without_embeddings():
     # Identity weight 0 reads no embedding, so one frame's batch may hold
     # none and the next one's vectors; a trajectory keeps the vectors of the
@@ -261,65 +262,34 @@ def test_frames_must_advance():
         tracker.step(detections([]), frame=0)
 
 
-def update_one(traj, d, momentum, frame):
-    """Reference update of one pair: returns an updated copy, leaves ``traj``
-    alone, and works one embedding at a time with ``np.linalg.norm``."""
-    if frame < traj.head_frame:
-        raise ValueError(f"detection frame {frame} is behind trajectory head frame {traj.head_frame}")
-    gap = max(frame - traj.head_frame, 1)
-    disp = ((d.box.cx - traj.head_box.cx) / gap, (d.box.cy - traj.head_box.cy) / gap)
-    velocity = (
-        momentum * traj.avg_velocity[0] + (1.0 - momentum) * disp[0],
-        momentum * traj.avg_velocity[1] + (1.0 - momentum) * disp[1],
-    )
-    embedding = traj.head_embedding
-    if d.embedding is not None:
-        if embedding is None:
-            embedding = d.embedding
-        else:
-            mixed = momentum * embedding + (1.0 - momentum) * d.embedding
-            norm = float(np.linalg.norm(mixed))
-            embedding = d.embedding if norm < 1e-12 else mixed / norm
-    return replace(
-        traj,
-        head_box=d.box,
-        head_embedding=embedding,
-        avg_velocity=velocity,
-        last_seen=frame,
-        head_frame=frame,
-        last_confidence=d.confidence,
-        predicted_box=d.prediction,
-    )
-
-
 def start_traj(embedding=EA, last_seen=1):
-    return Trajectory(1, BBox(10.0, 10.0, 4.0, 4.0), embedding, (0.0, 0.0), last_seen=last_seen)
+    return trajectories([(1, BBox(10.0, 10.0, 4.0, 4.0), embedding, (0.0, 0.0), last_seen)])
 
 
 def test_update_trajectory_momentum_extremes():
     fresh = det(14, 10, EB)
     snap = start_traj()
-    update_trajectory([snap], detections([fresh]), 0.0, 2)
-    assert np.array_equal(snap.head_embedding, EB)
-    assert snap.avg_velocity == (4.0, 0.0)
-    assert snap.last_seen == 2 and snap.head_frame == 2
+    update_trajectory(snap, detections([fresh]), 0.0, 2)
+    assert np.array_equal(snap[0].head_embedding, EB)
+    assert snap[0].avg_velocity == (4.0, 0.0)
+    assert snap[0].last_seen == 2 and snap[0].head_frame == 2
     sticky = start_traj()
-    update_trajectory([sticky], detections([fresh]), 1.0, 2)
-    assert np.array_equal(sticky.head_embedding, EA)
-    assert sticky.avg_velocity == (0.0, 0.0)
-    assert sticky.head_box == fresh[0]  # the box always follows the detection
+    update_trajectory(sticky, detections([fresh]), 1.0, 2)
+    assert np.array_equal(sticky[0].head_embedding, EA)
+    assert sticky[0].avg_velocity == (0.0, 0.0)
+    assert sticky[0].head_box == fresh[0]  # the box always follows the detection
 
 
 def test_update_trajectory_blends_and_renormalizes():
     traj = start_traj()
-    update_trajectory([traj], detections([det(10, 10, EB)]), 0.5, 2)
-    assert np.allclose(traj.head_embedding, EMIX, atol=1e-12)
-    assert abs(np.linalg.norm(traj.head_embedding) - 1.0) < 1e-12
+    update_trajectory(traj, detections([det(10, 10, EB)]), 0.5, 2)
+    assert np.allclose(traj[0].head_embedding, EMIX, atol=1e-12)
+    assert abs(np.linalg.norm(traj[0].head_embedding) - 1.0) < 1e-12
 
 
 def test_update_trajectory_opposite_embeddings_take_the_fresh_one():
     # The cancelling pair sits between two that blend normally.
-    trajs = [start_traj(EA), start_traj(EA), start_traj(EB)]
+    trajs = trajectories([(k + 1, BBox(10.0, 10.0, 4.0, 4.0), e) for k, e in enumerate((EA, EA, EB))])
     dets = [det(10, 10, EB), det(10, 10, -EA), det(10, 10, EA)]
     update_trajectory(trajs, detections(dets), 0.5, 2)
     assert np.array_equal(trajs[1].head_embedding, -EA)
@@ -329,19 +299,20 @@ def test_update_trajectory_opposite_embeddings_take_the_fresh_one():
 
 def test_update_trajectory_velocity_spreads_over_the_gap():
     traj = start_traj(None)
-    update_trajectory([traj], detections([det(22, 10)]), 0.5, 4)
+    update_trajectory(traj, detections([det(22, 10)]), 0.5, 4)
     # Displacement 12 over 3 frames -> 4 per frame, halved by momentum.
-    assert traj.avg_velocity == (2.0, 0.0)
+    assert traj[0].avg_velocity == (2.0, 0.0)
 
 
 def test_update_trajectory_rejects_regression():
     traj = start_traj(None, last_seen=5)
     with pytest.raises(ValueError):
-        update_trajectory([traj], detections([det(10, 10)]), 0.5, 3)
+        update_trajectory(traj, detections([det(10, 10)]), 0.5, 3)
 
 
 def test_update_trajectory_rejects_a_batch_without_changing_any_trajectory():
-    trajs = [start_traj(EA, last_seen=2), start_traj(EB, last_seen=2), start_traj(None, last_seen=5)]
+    box = BBox(10.0, 10.0, 4.0, 4.0)
+    trajs = trajectories([(1, box, EA, (0.0, 0.0), 2), (2, box, EB, (0.0, 0.0), 2), (3, box, None, (0.0, 0.0), 5)])
     before = [state(t) for t in trajs]
     ahead = BBox(1.0, 1.0, 1.0, 1.0)
     dets = [det(12, 10, EB, prediction=ahead), det(8, 10, EA, prediction=ahead), det(10, 10, EA, prediction=ahead)]
@@ -360,13 +331,13 @@ def update_batches(draw):
     dim = draw(st.sampled_from((3, 64)))  # 64 is the simulator's default
     momentum = draw(st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0)))
     bare = draw(st.integers(0, 4)) == 0
-    trajs, rows = [], []
+    heads, rows = [], []
     for k in range(draw(st.integers(0, 8))):
         last_seen = int(rng.integers(1, 6))
         head_frame = last_seen + int(rng.integers(0, 3))
         emb = None if rng.random() < 0.2 else unit(rng.normal(size=dim))
         box = BBox(*rng.uniform(0.0, 100.0, size=2), *rng.uniform(1.0, 30.0, size=2))
-        trajs.append(Trajectory(k + 1, box, emb, tuple(rng.normal(0.0, 3.0, size=2)), last_seen, head_frame))
+        heads.append((k + 1, box, emb, tuple(rng.normal(0.0, 3.0, size=2)), last_seen, head_frame))
         kind = draw(st.sampled_from(("opposite", "same", "random")))
         fresh = None
         if not bare:
@@ -375,8 +346,8 @@ def update_batches(draw):
         dbox = BBox(*rng.uniform(0.0, 100.0, size=2), *rng.uniform(1.0, 30.0, size=2))
         prediction = None if rng.random() < 0.5 else BBox(*rng.uniform(1.0, 50.0, size=4))
         rows.append((dbox, float(rng.uniform(0.0, 1.0)), fresh, prediction))
-    frame = max((t.head_frame for t in trajs), default=1) + int(rng.integers(0, 4))
-    return trajs, detections(rows), momentum, frame
+    frame = max((head[-1] for head in heads), default=1) + int(rng.integers(0, 4))
+    return trajectories(heads), detections(rows), momentum, frame
 
 
 @settings(max_examples=300)
@@ -389,10 +360,11 @@ def test_property_batched_update_equals_the_reference_bit_for_bit(batch):
 
 
 def test_propagate_linear_is_additive():
-    traj = Trajectory(1, BBox(10.0, 10.0, 4.0, 4.0), None, (1.5, -0.5), last_seen=1)
-    two = propagate_linear(traj, steps=2)
-    assert two == BBox(13.0, 9.0, 4.0, 4.0)
-    assert propagate_linear(traj, steps=0) == traj.head_box
+    boxes, velocity = np.array([[10.0, 10.0, 4.0, 4.0], [0.0, 1.0, 2.0, 3.0]]), np.array([[1.5, -0.5], [0.25, 2.0]])
+    assert propagate_linear(boxes, velocity, 2).tolist() == [[13.0, 9.0, 4.0, 4.0], [0.5, 5.0, 2.0, 3.0]]
+    assert propagate_linear(boxes, velocity, np.array([0, 1])).tolist() == [[10.0, 10.0, 4.0, 4.0], [0.25, 3.0, 2.0, 3.0]]
+    assert np.array_equal(propagate_linear(propagate_linear(boxes, velocity, 1), velocity, 1),
+                          propagate_linear(boxes, velocity, 2))
 
 
 def test_track_ids_are_one_based_and_fresh():
@@ -497,8 +469,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrackerConfig(buffer_size=3, motion_propagate_frames=4)
     TrackerConfig(buffer_size=3, motion_propagate_frames=3)  # coasts to the end of the buffer
-    with pytest.raises(ValueError):
-        Trajectory(0, BBox(0, 0, 1, 1), None, (0.0, 0.0), last_seen=1)
 
 
 @st.composite
@@ -619,3 +589,62 @@ def test_property_gaps_give_the_outputs_of_stepping_every_frame(scene, data):
         frame += 1 + data.draw(st.sampled_from([0, 0, 1, 3, config.buffer_size + 1, 12]))
         gapped[frame] = [] if data.draw(st.integers(0, 5)) == 0 else batch
     assert track_stream(gapped, config) == step_every_frame(gapped, config)
+
+
+def tracks(outputs):
+    """The tracks of ``outputs`` with their ids left out: each track as the
+    sorted ``(frame, box, confidence, interpolated)`` of its outputs."""
+    by_id: dict[int, list] = {}
+    for o in outputs:
+        by_id.setdefault(o.track_id, []).append((o.frame, o.box.cx, o.box.cy, o.box.w, o.box.h, o.confidence,
+                                                 o.interpolated))
+    return sorted(sorted(rows) for rows in by_id.values())
+
+
+@property_settings
+@given(scenes_with_predictions(), st.integers(0, 2**32 - 1))
+def test_property_shuffled_frames_give_the_same_tracks(scene, seed):
+    # The generated confidences and affinities have no exact ties (a pair
+    # that scores 0 goes unmatched), so NMS and every Hungarian solve pick
+    # the same pairs in any row order: only the ids of the births change.
+    dets, config = scene
+    rng = np.random.default_rng(seed)
+    shuffled = {frame: batch.take(rng.permutation(len(batch))) for frame, batch in dets.items()}
+    assert tracks(track_stream(shuffled, config)) == tracks(track_stream(dets, config))
+
+
+def test_the_table_grows_with_the_live_trajectories_not_the_births():
+    # 2,000 objects, 4 born per frame at fresh places, each seen in two
+    # frames: with one frame of coasting and a buffer of one, at most 12
+    # trajectories live at once, and each slot is used about 80 times.
+    config = iou_only_config(buffer_size=1, motion_propagate_frames=1)
+    tracker, peak, slot_ids, seen_ids = Tracker(config), 0, {}, set()
+    for frame in range(1, 502):
+        born = [k for k in range(4 * frame - 8, 4 * frame) if 0 <= k < 2000]
+        tracker.step(detections([det(20 * (k % 50), 20 * (k // 50)) for k in born]), frame)
+        peak = max(peak, len(tracker.active) + len(tracker.paused))
+        for traj in [*tracker.active, *tracker.paused]:
+            if slot_ids.get(traj.slot) != traj.track_id:  # a birth, maybe into a reused slot
+                assert traj.track_id not in seen_ids
+                slot_ids[traj.slot] = traj.track_id
+                seen_ids.add(traj.track_id)
+    assert tracker.next_id == 2001 and len(seen_ids) == 2000 and peak == 12
+    assert len(slot_ids) == peak and len(tracker.table.ids) <= 2 * peak  # freed slots go first
+
+
+def test_views_are_kept_while_their_trajectories_live_and_frozen_after():
+    tracker = Tracker(id_only_config(buffer_size=2, motion_propagate_frames=1))
+    tracker.step(detections([det(10, 10, EA), det(300, 300, EB)]), 1)
+    first, second = tracker.active
+    tracker.step(detections([det(12, 10, EA)]), 2)  # id 2 coasts
+    assert list(tracker.active) == [first, second] and not tracker.paused
+    tracker.step(detections([det(14, 10, EA)]), 3)  # id 2 pauses
+    assert list(tracker.active) == [first] and list(tracker.paused) == [second]
+    assert tracker.active[0] is first and tracker.paused[-1] is second
+    assert (first.head_box, first.last_seen, first.avg_velocity) == (BBox(14.0, 10.0, 4.0, 4.0), 3, (1.5, 0.0))
+    last = state(second)
+    assert last[3:6] == ((0.0, 0.0), 1, 2)  # coasted once on a still head, then paused
+    tracker.step(detections([det(500, 500, unit([0.0, 0.0, 1.0, 0.0]))]), 4)  # id 2 retires; id 3 takes its slot
+    assert [t.track_id for t in tracker.active] == [3, 1]
+    assert tracker.active[0].slot == 1 and tracker.active[0].table is tracker.table
+    assert state(second) == last and second.table is not tracker.table
