@@ -20,11 +20,17 @@ __all__ = ["Assignment", "solve_max"]
 BRUTE_FORCE_CAP = 9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assignment:
-    """Result of a rectangular assignment: the matched (row, col) pairs."""
+    """Result of a rectangular assignment: the matched rows and columns as
+    two ``intp`` arrays, pair k being ``(rows[k], cols[k])``."""
 
-    pairs: tuple[tuple[int, int], ...]
+    rows: np.ndarray
+    cols: np.ndarray
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.rows.tolist(), self.cols.tolist()))
 
     def total(self, matrix: np.ndarray) -> float:
         return float(sum(matrix[i, j] for i, j in self.pairs))
@@ -42,7 +48,7 @@ def solve_max(matrix: np.ndarray, min_affinity: float = 0.2) -> Assignment:
         raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
     rows, cols = matrix.shape
     if rows == 0 or cols == 0:
-        return Assignment(())
+        return Assignment(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
     if not np.isfinite(matrix).all():
         raise ValueError("affinity matrix contains non-finite entries")
 
@@ -50,7 +56,7 @@ def solve_max(matrix: np.ndarray, min_affinity: float = 0.2) -> Assignment:
 
     row_idx, col_idx = linear_sum_assignment(matrix, maximize=True)
     keep = matrix[row_idx, col_idx] >= min_affinity
-    return Assignment(tuple(zip(row_idx[keep].tolist(), col_idx[keep].tolist())))
+    return Assignment(row_idx[keep].astype(np.intp, copy=False), col_idx[keep].astype(np.intp, copy=False))
 
 
 def brute_force_max(matrix: np.ndarray) -> float:

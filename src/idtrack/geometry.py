@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -241,9 +242,10 @@ class Detections:
         if not len(views):
             return cls._checked(np.zeros((0, 4)), np.zeros(0))
         batch = views[0].batch
-        if any(d.batch is not batch for d in views):
+        index = [d.index for d in views if d.batch is batch]  # checked and collected in one pass
+        if len(index) != len(views):
             raise ValueError("pack takes rows of one batch")
-        return batch.take([d.index for d in views])
+        return batch.take(index)
 
     def missing_embedding(self) -> str | None:
         """Why a non-empty batch holds no embedding matrix (None when it holds
@@ -285,7 +287,7 @@ class Detections:
         return self.confidence.shape[0]
 
     def __iter__(self) -> Iterator["Detection"]:
-        return (Detection(self, k) for k in range(len(self)))
+        return map(Detection, repeat(self, len(self)), range(len(self)))
 
     def __getitem__(self, k: int) -> "Detection":
         return Detection(self, range(len(self))[k])

@@ -150,9 +150,9 @@ def evaluate(gt: GtStream, hyp: HypStream, iou_gate: float = 0.5) -> MotReport:
             rem_g, rem_h = (~g_hit).nonzero()[0], free_h.nonzero()[0]
             m = _iou_cells(g_boxes[rem_g], h_boxes[rem_h])
             m = np.where(m >= iou_gate, m, 0.0)
-            pairs = solve_max(m, min_affinity=iou_gate).pairs
-            if pairs:
-                ri, rj = np.array(pairs).T
+            found = solve_max(m, min_affinity=iou_gate)
+            ri, rj = found.rows, found.cols
+            if ri.size:
                 gid, hid = g[rem_g[ri]], h[rem_h[rj]]
                 prev = corr[gid]
                 ids += int(np.count_nonzero((prev >= 0) & (prev != hid)))

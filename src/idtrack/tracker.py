@@ -23,8 +23,9 @@ A frame's detections reach ``Tracker.step`` as one ``Detections`` batch,
 and the trajectories live in one ``TrajectoryTable`` of columns that the
 tracker owns, one slot per live trajectory. Affinities, updates, recovery
 levels and coasting read and write those arrays, a few numpy calls per
-Hungarian solve; the only objects built per row are the outputs and their
-boxes. ``track_stream`` takes a whole stream, ``{frame: Detections}``.
+Hungarian solve; a step builds no object per row, as its outputs are one
+``TrackOutputs`` gather of the table. ``track_stream`` takes a whole stream,
+``{frame: Detections}``.
 
 Identity-only recovery needs embeddings, so with ``weights.identity == 0``
 phase 2 is skipped entirely and the tracker degrades to a plain IoU
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -60,6 +60,7 @@ __all__ = [
     "TrajectoryTable",
     "TrackerConfig",
     "TrackOutput",
+    "TrackOutputs",
     "Tracker",
     "propagate_linear",
     "update_trajectory",
@@ -326,28 +327,65 @@ class TrackOutput:
 _OUTPUT_SLOTS = _slot_setters(TrackOutput, ("frame", "track_id", "box", "confidence", "interpolated"))
 
 
-def _outputs(frame: int, ids: np.ndarray, boxes: np.ndarray, confidence: np.ndarray, interpolated: bool,
-             new=object.__new__, slots=_OUTPUT_SLOTS) -> list[TrackOutput]:
-    """One ``TrackOutput`` per row of checked arrays, filled through its
-    slots: the one per-row loop of a step."""
-    set_frame, set_id, set_box, set_confidence, set_interpolated = slots
-    out = []
-    for track_id, box, conf in zip(ids.tolist(), boxes.tolist(), confidence.tolist()):
-        o = new(TrackOutput)
-        set_frame(o, frame)
-        set_id(o, track_id)
-        set_box(o, _checked_box(*box))
-        set_confidence(o, conf)
-        set_interpolated(o, interpolated)
-        out.append(o)
-    return out
+class TrackOutputs:
+    """Tracker outputs as columns: ``frame`` and ``track_id`` ``(n,)``
+    int64, ``boxes`` ``(n, 4)`` in centre form, ``confidence`` ``(n,)`` and
+    the ``interpolated`` mask. ``len()``, iteration and integer indexing work
+    as on a list of ``TrackOutput`` rows, which are built when asked for and
+    not kept. A batch equals a batch with equal columns, and a list or tuple
+    of rows equal to its own."""
 
+    __slots__ = ("frame", "track_id", "boxes", "confidence", "interpolated")
+    __hash__ = None
 
-def _pairs(assignment) -> tuple[np.ndarray, np.ndarray]:
-    """The rows and the columns of an assignment's pairs, as two arrays in
-    pair order."""
-    flat = np.fromiter(chain.from_iterable(assignment.pairs), np.intp, 2 * len(assignment.pairs))
-    return flat[0::2], flat[1::2]
+    def __init__(self, frame, track_id, boxes, confidence, interpolated):
+        self.frame, self.track_id = np.asarray(frame, np.int64), np.asarray(track_id, np.int64)
+        self.boxes = np.asarray(boxes, np.float64).reshape(-1, 4)
+        self.confidence, self.interpolated = np.asarray(confidence, np.float64), np.asarray(interpolated, bool)
+
+    @classmethod
+    def pack(cls, rows: Iterable[TrackOutput]) -> "TrackOutputs":
+        """One batch of ``TrackOutput`` rows, in their order (a batch is
+        returned as it is): the one place that gathers row attributes."""
+        if isinstance(rows, TrackOutputs):
+            return rows
+        rows = list(rows)
+        heads = [o.box for o in rows]  # a list per field, not a tuple per row: less memory and time
+        boxes = np.array([[b.cx for b in heads], [b.cy for b in heads], [b.w for b in heads], [b.h for b in heads]]).T
+        return cls([o.frame for o in rows], [o.track_id for o in rows], boxes, [o.confidence for o in rows],
+                   [o.interpolated for o in rows])
+
+    def __len__(self) -> int:
+        return self.frame.shape[0]
+
+    def __iter__(self) -> Iterator[TrackOutput]:
+        return iter(self._rows(slice(None)))
+
+    def __getitem__(self, k: int) -> TrackOutput:
+        return self._rows(slice(k, k + 1 or None))[0]  # an empty slice out of range: IndexError
+
+    def _rows(self, at: slice, new=object.__new__, slots=_OUTPUT_SLOTS) -> list[TrackOutput]:
+        """One ``TrackOutput`` per row ``at``, filled through its slots: the
+        one per-row loop over tracker outputs."""
+        set_frame, set_id, set_box, set_confidence, set_interpolated = slots
+        out = []
+        columns = self.frame[at], self.track_id[at], self.boxes[at], self.confidence[at], self.interpolated[at]
+        for frame, track_id, box, conf, interpolated in zip(*(column.tolist() for column in columns)):
+            o = new(TrackOutput)
+            set_frame(o, frame)
+            set_id(o, track_id)
+            set_box(o, _checked_box(*box))
+            set_confidence(o, conf)
+            set_interpolated(o, interpolated)
+            out.append(o)
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, TrackOutputs):
+            return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in self.__slots__)
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
 
 
 def propagate_linear(boxes: np.ndarray, velocity: np.ndarray, steps) -> np.ndarray:
@@ -421,7 +459,7 @@ class Tracker:
     def paused(self) -> Trajectories:
         return Trajectories(self.table, self._paused)
 
-    def step(self, detections: Detections, frame: int) -> list[TrackOutput]:
+    def step(self, detections: Detections, frame: int) -> TrackOutputs:
         """Advance one frame.
 
         Args:
@@ -433,10 +471,11 @@ class Tracker:
             frame: frame being processed, past every frame stepped so far.
 
         Returns:
-            One output per surviving trajectory that has a box this frame;
-            entries from propagation are flagged ``interpolated``. Outputs
-            come in phase order: phase-1 matches by active row, recoveries
-            by level and then pair, births, coasting heads by active row.
+            One ``TrackOutputs`` row per surviving trajectory that has a box
+            this frame; rows from propagation are flagged ``interpolated``.
+            Rows come in phase order, which is the new active set's: phase-1
+            matches by active row, recoveries by level and then pair, births,
+            coasting heads by active row.
         """
         cfg = self.config
         if frame <= self.current_frame:
@@ -455,26 +494,23 @@ class Tracker:
             table.release(np.concatenate([active[gone_active], paused[gone_paused]]))
             active, paused = self._active, self._paused = active[~gone_active], paused[~gone_paused]
 
-        outputs: list[TrackOutput] = []
         taken = np.zeros(len(detections), dtype=bool)
         new_active = []  # slot arrays, in phase order
 
         def absorb(slots: np.ndarray, cols: np.ndarray) -> None:
             """One batched update for the pairs of one solve, in pair order."""
-            heads = detections.take(cols)
-            update_trajectory(Trajectories(table, slots), heads, cfg.embedding_momentum, frame)
+            update_trajectory(Trajectories(table, slots), detections.take(cols), cfg.embedding_momentum, frame)
             taken[cols] = True
             new_active.append(slots)
-            outputs.extend(_outputs(frame, table.ids[slots], heads.boxes, heads.confidence, False))
 
         # Phase 1: active set vs detections, blended affinity.
         matched = np.zeros(len(active), dtype=bool)
         if len(active) and len(detections):
-            rows, cols = _pairs(solve_max(combined_affinity(self.active, detections, cfg.weights), cfg.min_affinity))
-            if rows.size:
-                order = np.argsort(rows)
-                matched[rows] = True
-                absorb(active[rows[order]], cols[order])
+            found = solve_max(combined_affinity(self.active, detections, cfg.weights), cfg.min_affinity)
+            if found.rows.size:
+                order = np.argsort(found.rows)
+                matched[found.rows] = True
+                absorb(active[found.rows[order]], found.cols[order])
 
         # Phase 2: identity-only recovery from the paused buffer, one
         # Hungarian solve per level, most recent level first.
@@ -487,10 +523,10 @@ class Tracker:
                     break
                 at = (levels == level).nonzero()[0]
                 matrix = combined_affinity(Trajectories(table, paused[at]), detections.take(free), _ID_ONLY)
-                rows, cols = _pairs(solve_max(matrix, cfg.min_affinity))
-                if rows.size:
-                    still_paused[at[rows]] = False
-                    absorb(paused[at[rows]], free[cols])
+                found = solve_max(matrix, cfg.min_affinity)
+                if found.rows.size:
+                    still_paused[at[found.rows]] = False
+                    absorb(paused[at[found.rows]], free[found.cols])
 
         # Phase 3: leftovers become new trajectories.
         leftovers = (~taken).nonzero()[0]
@@ -499,7 +535,6 @@ class Tracker:
             ids = np.arange(self.next_id, self.next_id + len(born), dtype=np.int64)
             self.next_id += len(born)
             new_active.append(table.add(ids, born, frame))
-            outputs.extend(_outputs(frame, ids, born.boxes, born.confidence, False))
 
         # Phase 4: unmatched trajectories either coast on a predicted/linear
         # head (and stay in the active set) or fall into the paused buffer.
@@ -518,15 +553,16 @@ class Tracker:
             table.boxes[coast] = heads
             table.head_frame[coast] = frame
             new_active.append(coast)
-            outputs.extend(_outputs(frame, table.ids[coast], heads, table.confidence[coast], True))
 
-        self._active = np.concatenate(new_active) if new_active else unmatched[:0]
+        self._active = active = np.concatenate(new_active) if new_active else unmatched[:0]
         self._paused = np.concatenate([paused[still_paused], unmatched[~coasting]])
         self.current_frame = frame
-        return outputs
+        n = len(active)
+        return TrackOutputs(np.full(n, frame, dtype=np.int64), table.ids.take(active), table.boxes.take(active, axis=0),
+                            table.confidence.take(active), np.arange(n) >= n - coast.size)
 
 
-def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEFAULT_NMS_IOU) -> list[TrackOutput]:
+def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEFAULT_NMS_IOU) -> TrackOutputs:
     """Run a fresh tracker over a whole detection stream.
 
     Args:
@@ -543,9 +579,9 @@ def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEF
     """
     config = config or TrackerConfig()
     tracker = Tracker(config)
-    outputs: list[TrackOutput] = []
+    outputs = [TrackOutputs([], [], [], [], [])]
     if not dets:
-        return outputs
+        return outputs[0]
 
     none = Detections([], [])
     busy = sorted(frame for frame, batch in dets.items() if len(batch))
@@ -558,21 +594,17 @@ def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEF
             frame = busy[at]
         batch = dets.get(frame) or none
         kept = nms(batch.take(batch.confidence >= config.det_threshold), nms_iou)
-        outputs.extend(tracker.step(kept, frame))
+        outputs.append(tracker.step(kept, frame))
         frame += 1
-    return outputs
+    return TrackOutputs(*(np.concatenate([getattr(o, name) for o in outputs]) for name in TrackOutputs.__slots__))
 
 
-def hypotheses(outputs: Iterable[TrackOutput], interpolated: bool = False) -> dict[int, IdBoxes]:
-    """Tracker outputs as the hypothesis stream that ``evaluate`` scores and
-    ``write_results`` writes: frame -> one ``IdBoxes`` batch of track ids,
-    boxes and confidences in output order, frames in order of first output.
-    Interpolated outputs (propagation, not detections) only if asked for."""
-    rows = [o for o in outputs if interpolated or not o.interpolated]
-    frames = np.array([o.frame for o in rows], dtype=np.int64)
-    ids = np.array([o.track_id for o in rows], dtype=np.int64)
-    heads = [o.box for o in rows]  # a list per field, not a tuple per row: less memory and time
-    boxes = np.array([[b.cx for b in heads], [b.cy for b in heads], [b.w for b in heads], [b.h for b in heads]],
-                     dtype=np.float64).T
-    confidence = np.array([o.confidence for o in rows], dtype=np.float64)
-    return {frame: IdBoxes._checked(ids[at], boxes[at], confidence[at]) for frame, at in _frame_rows(frames)}
+def hypotheses(outputs: TrackOutputs | Iterable[TrackOutput], interpolated: bool = False) -> dict[int, IdBoxes]:
+    """Tracker outputs (a batch, or rows) as the hypothesis stream that
+    ``evaluate`` scores and ``write_results`` writes: frame -> one ``IdBoxes``
+    batch of track ids, boxes and confidences in output order, frames in order
+    of first output. Interpolated outputs (propagation) only if asked for."""
+    out = TrackOutputs.pack(outputs)
+    keep = slice(None) if interpolated else ~out.interpolated
+    ids, boxes, confidence = out.track_id[keep], out.boxes[keep], out.confidence[keep]
+    return {frame: IdBoxes._checked(ids[at], boxes[at], confidence[at]) for frame, at in _frame_rows(out.frame[keep])}

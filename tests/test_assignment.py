@@ -30,6 +30,16 @@ def test_empty_matrix_is_fine():
     assert solve_max(np.zeros((3, 0))).pairs == ()
 
 
+def test_the_pairs_are_the_kept_index_arrays():
+    # The optimum pairs row 1 with column 2, under the floor, so that pair is dropped.
+    result = solve_max(np.array([[0.1, 0.9, 0.0], [0.05, 0.0, 0.1], [0.7, 0.2, 0.0]]))
+    for empty in (solve_max(np.zeros((0, 4))), solve_max(np.array([[0.1]]))):
+        assert empty.rows.dtype == empty.cols.dtype == np.intp and empty.rows.size == empty.cols.size == 0
+    assert result.rows.dtype == result.cols.dtype == np.intp
+    assert result.rows.tolist() == [0, 2] and result.cols.tolist() == [1, 0]
+    assert result.pairs == ((0, 1), (2, 0))
+
+
 def test_rectangular_gives_min_dim_pairs():
     rng = np.random.default_rng(5)
     for _ in range(50):

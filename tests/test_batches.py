@@ -16,6 +16,7 @@ from itertools import islice
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -100,16 +101,36 @@ def reference_write_embeddings(path, dets):
             fh.write(mot_io._embedding_rows(frames, indices, np.array(vectors), line))
 
 
+def written_as_reference(tmp, reference, read, *writes):
+    """Each of ``writes`` (a writer with its stream, given a path) writes the
+    bytes that ``reference`` writes, or refuses its stream where ``read``
+    cannot read those bytes back: a box can round out of the domain at six
+    decimals. Returns whether the streams were written."""
+    want, got = tmp / "want.txt", tmp / "got.txt"
+    reference(want)
+    try:
+        read(want)
+    except ValueError:
+        for write in writes:
+            with pytest.raises(ValueError, match="as written to six decimals"):
+                write(got)
+        return False
+    for write in writes:
+        write(got)
+        assert got.read_bytes() == want.read_bytes()
+    return True
+
+
 def bits(array):
     return array.dtype.str, array.shape, array.tobytes()
 
 
 # Boxes on a half-pixel grid repeat and touch; the free floats, the far
-# centres (out to the box domain's 1e8) and the tiny and huge sides exercise
-# rounding at the corners.
+# centres (out to the box domain's 1e8, where a written box can round out of
+# it) and the tiny and huge sides exercise rounding at the corners.
 half_steps = st.integers(0, 80).map(lambda v: v / 2.0)
 sides = st.one_of(st.integers(1, 40).map(lambda v: v / 2.0), st.floats(0.1, 30.0), st.sampled_from([1e-6, 1e6]))
-centres = st.one_of(half_steps, st.floats(-50.0, 50.0), st.floats(-1e8, 1e8))
+centres = st.one_of(half_steps, st.floats(-50.0, 50.0), st.floats(-1e8, 1e8), st.sampled_from([-1e8, 1e8]))
 boxes = st.builds(BBox, centres, half_steps, sides, sides)
 confidences = st.one_of(st.sampled_from((0.0, 0.3, 0.5, 0.7, 1.0)), st.floats(0.0, 1.0))
 
@@ -241,21 +262,16 @@ def test_property_writers_write_the_reference_bytes(tmp_path_factory, stream, ch
     rows = [(frame, i, d) for frame, frame_rows in dets.items() for i, d in zip(ids[frame], frame_rows)]
     outputs = [TrackOutput(frame, i, d.box, d.confidence, flag) for (frame, i, d), flag in zip(rows, interpolated)]
     random.shuffle(outputs)
+    views = {frame: Detections.pack(list(rows)) for frame, rows in dets.items()}
+    hyp = hypotheses(outputs)
     with mock.patch.multiple(mot_io, _CHUNK_VALUES=chunk_values, _CHUNK_ROWS=chunk_rows):
-        for writer, reference in (
-            (mot_io.write_detections, reference_write_detections),
-            (mot_io.write_embeddings, reference_write_embeddings),
-        ):
-            reference(tmp / "want.txt", dets)
-            writer(tmp / "got.txt", dets)
-            assert (tmp / "got.txt").read_bytes() == (tmp / "want.txt").read_bytes()
-            writer(tmp / "views.txt", {frame: Detections.pack(list(rows)) for frame, rows in dets.items()})
-            assert (tmp / "views.txt").read_bytes() == (tmp / "want.txt").read_bytes()
-        reference_write_gt(tmp / "want.txt", gt)
-        mot_io.write_gt(tmp / "got.txt", gt)
-        assert (tmp / "got.txt").read_bytes() == (tmp / "want.txt").read_bytes()
-        mot_io.write_gt(tmp / "batches.txt", {frame: IdBoxes.pack(rows) for frame, rows in gt.items()})
-        assert (tmp / "batches.txt").read_bytes() == (tmp / "want.txt").read_bytes()
-        written = mot_io.write_results(tmp / "got.txt", hypotheses(outputs))
-        assert written == reference_write_results(tmp / "want.txt", outputs)
-        assert (tmp / "got.txt").read_bytes() == (tmp / "want.txt").read_bytes()
+        written_as_reference(tmp, lambda p: reference_write_detections(p, dets), mot_io.read_detections,
+                             lambda p: mot_io.write_detections(p, dets), lambda p: mot_io.write_detections(p, views))
+        assert written_as_reference(tmp, lambda p: reference_write_embeddings(p, dets), mot_io.read_embeddings,
+                                    lambda p: mot_io.write_embeddings(p, dets),
+                                    lambda p: mot_io.write_embeddings(p, views))
+        written_as_reference(tmp, lambda p: reference_write_gt(p, gt), mot_io.read_gt, lambda p: mot_io.write_gt(p, gt),
+                             lambda p: mot_io.write_gt(p, {frame: IdBoxes.pack(rows) for frame, rows in gt.items()}))
+        if written_as_reference(tmp, lambda p: reference_write_results(p, outputs), mot_io.read_gt,
+                                lambda p: mot_io.write_results(p, hyp)):
+            assert mot_io.write_results(tmp / "got.txt", hyp) == interpolated.count(False)

@@ -18,7 +18,7 @@ from idtrack import Tracker, TrackerConfig, TrackOutput, nms
 from idtrack.affinity import AffinityWeights
 from idtrack.cli import main
 from idtrack.mot_io import load_detections
-from idtrack.tracker import track_stream
+from idtrack.tracker import TrackOutputs, track_stream
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -85,7 +85,7 @@ def test_track_calls_track_stream_through_the_cli_module(scene, monkeypatch, cap
     hyp = out / "hyp.txt"
     assert main(["track", "--dets", str(out / "dets.txt"), "--embeddings", str(out / "embeddings.txt"),
                  "--out", str(hyp)]) == 0
-    assert len(captured) == 1 and isinstance(captured[0], list)
+    assert len(captured) == 1 and isinstance(captured[0], TrackOutputs)
     assert captured[0] and all(isinstance(o, TrackOutput) for o in captured[0])
 
 

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from idtrack.tracker import (
     Tracker,
     TrackerConfig,
     TrackOutput,
+    TrackOutputs,
     hypotheses,
     propagate_linear,
     track_stream,
@@ -30,6 +32,7 @@ def unit(vec):
 EA = unit([1.0, 0.0, 0.0, 0.0])
 EB = unit([0.0, 1.0, 0.0, 0.0])
 EMIX = unit([1.0, 1.0, 0.0, 0.0])
+EC = unit([0.0, 0.0, 1.0, 0.0])
 
 
 def det(cx, cy, emb=None, conf=0.9, size=4.0, prediction=None):
@@ -108,6 +111,18 @@ def test_recent_buffer_level_wins():
     assert [o.track_id for o in outputs] == [2]
 
 
+def test_recovery_chooses_among_the_free_detections():
+    # Two detections are left for the paused trajectory's level, both far
+    # from the active head: it passes over the first, whose embedding is
+    # orthogonal to its own, and takes the second, so only the first is born.
+    tracker = Tracker(id_only_config(motion_propagate_frames=0))
+    tracker.step(detections([det(10, 10, EA), det(600, 600, EC)]), 1)
+    tracker.step(detections([det(600, 600, EC)]), 2)  # id 1 pauses
+    outputs = tracker.step(detections([det(600, 600, EC), det(300, 300, EB), det(400, 400, EA)]), 3)
+    assert [(o.track_id, o.box.cx) for o in outputs] == [(2, 600.0), (1, 400.0), (3, 300.0)]
+    assert not tracker.paused and tracker.next_id == 4
+
+
 def test_retirement_after_buffer_expires():
     tracker = Tracker(id_only_config(motion_propagate_frames=0, buffer_size=3))
     tracker.step(detections([det(10, 10, EA)]), 1)
@@ -170,6 +185,48 @@ def test_hypotheses_skip_interpolated_outputs_and_keep_order():
     assert hyp[2].ids.dtype == np.int64 and hyp[2].boxes.tolist() == [[10.0, 10.0, 4.0, 4.0], [30.0, 10.0, 4.0, 4.0]]
     assert hyp[2].confidence.tolist() == [0.9, 0.6]
     assert hypotheses([]) == {}
+
+
+def test_an_empty_step_equals_no_rows():
+    outputs = Tracker(iou_only_config()).step(detections([]), 1)
+    assert isinstance(outputs, TrackOutputs) and len(outputs) == 0
+    assert outputs == [] and outputs == () and list(outputs) == []
+    assert outputs == TrackOutputs.pack([]) and hypotheses(outputs) == {}
+
+
+def test_a_batch_differs_from_rows_that_differ_in_any_one_field():
+    tracker = Tracker(iou_only_config(motion_propagate_frames=2))
+    tracker.step(detections([det(10, 10), det(50, 50, conf=0.8)]), 1)
+    outputs = tracker.step(detections([det(11, 10)]), 2)  # id 2 coasts
+    rows = list(outputs)
+    assert rows == [TrackOutput(2, 1, BBox(11.0, 10.0, 4.0, 4.0), 0.9), TrackOutput(2, 2, BBox(50.0, 50.0, 4.0, 4.0),
+                                                                                   0.8, interpolated=True)]
+    assert [outputs[0], outputs[-1]] == rows and outputs == rows and outputs == tuple(rows)
+    with pytest.raises(IndexError):
+        outputs[2]
+    assert TrackOutputs.pack(rows) == outputs and TrackOutputs.pack(outputs) is outputs
+    for k, row in enumerate(rows):
+        for change in ({"frame": 3}, {"track_id": 7}, {"box": BBox(row.box.cx, row.box.cy, 4.0, 4.5)},
+                       {"confidence": 0.5}, {"interpolated": not row.interpolated}):
+            changed = rows[:k] + [replace(row, **change)] + rows[k + 1 :]
+            assert outputs != changed and outputs != TrackOutputs.pack(changed)
+    assert outputs != rows[:1] and outputs != rows + rows[:1] and outputs != rows[::-1]
+
+
+def test_a_batch_is_not_hashable():
+    with pytest.raises(TypeError):
+        hash(track_stream({}, iou_only_config()))
+
+
+def test_the_steps_of_a_stream_without_idle_frames_are_its_rows():
+    _, dets = generate(SimConfig(seed=43, num_identities=8, frames=60, occlusion_events=3, fp_rate=0.4))
+    config = id_only_config()
+    assert all(len(dets.get(frame, [])) for frame in range(1, max(dets) + 1))
+    tracker, rows = Tracker(config), []
+    for frame in range(1, max(dets) + 1):
+        batch = dets[frame]
+        rows.extend(tracker.step(nms(batch.take(batch.confidence >= config.det_threshold), DEFAULT_NMS_IOU), frame))
+    assert rows == list(track_stream(dets, config)) and len(rows) > 400
 
 
 def test_coasting_trajectory_still_matches_by_iou():
@@ -566,6 +623,22 @@ def test_property_coasting_head_is_the_taken_detections_prediction(scene):
         expected = taken[0].prediction
         if expected is not None:
             assert o.box == expected
+
+
+@property_settings
+@given(scenes_with_predictions())
+def test_property_a_batch_gives_the_hypotheses_of_its_rows(scene):
+    dets, config = scene
+    outputs = track_stream(dets, config)
+    rows = list(outputs)
+    assert TrackOutputs.pack(rows) == outputs
+    for interpolated in (False, True):
+        got, want = hypotheses(outputs, interpolated), hypotheses(rows, interpolated)
+        assert list(got) == list(want)
+        for frame, batch in want.items():
+            for name in ("ids", "boxes", "confidence"):
+                a, b = getattr(got[frame], name), getattr(batch, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def step_every_frame(dets, config):
