@@ -123,27 +123,6 @@ def _good_boxes(boxes: np.ndarray, margin: float = 0.0) -> np.ndarray:
     return ((np.abs(cx) <= most) & (np.abs(cy) <= most) & (w >= least) & (w <= most) & (h >= least) & (h <= most))
 
 
-def _slot_setters(cls: type, names: Sequence[str]) -> tuple:
-    """The ``__set__`` of each named slot of a slotted class: they fill a
-    frozen instance made by ``object.__new__`` about twice as fast as
-    ``object.__setattr__`` does."""
-    return tuple(cls.__dict__[name].__set__ for name in names)
-
-
-_BOX_SLOTS = _slot_setters(BBox, ("cx", "cy", "w", "h"))
-
-
-def _checked_box(cx: float, cy: float, w: float, h: float, new=object.__new__, set_cx=_BOX_SLOTS[0],
-                 set_cy=_BOX_SLOTS[1], set_w=_BOX_SLOTS[2], set_h=_BOX_SLOTS[3]) -> BBox:
-    """A BBox of values that a ``Detections`` batch has already checked."""
-    box = new(BBox)
-    set_cx(box, cx)
-    set_cy(box, cy)
-    set_w(box, w)
-    set_h(box, h)
-    return box
-
-
 def _box_array(values, n: int, what: str) -> np.ndarray:
     boxes = np.asarray(values, dtype=np.float64)
     if boxes.size == 0:
@@ -267,22 +246,6 @@ class Detections:
             None if self.predicted is None else self.predicted.take(index),
         )
 
-    def box_list(self) -> list[BBox]:
-        """Each row's box as a ``BBox``."""
-        return [_checked_box(*box) for box in self.boxes.tolist()]
-
-    def prediction_list(self) -> list[BBox | None]:
-        """Each row's predicted next-frame box, or None."""
-        predictions = [None] * len(self)
-        if self.predicted is not None:
-            for k in np.flatnonzero(self.predicted).tolist():
-                predictions[k] = _checked_box(*self.predictions[k].tolist())
-        return predictions
-
-    def embedding_list(self) -> list[np.ndarray | None]:
-        """Each row's embedding, or None."""
-        return [None] * len(self) if self.embeddings is None else list(self.embeddings)
-
     def __len__(self) -> int:
         return self.confidence.shape[0]
 
@@ -314,7 +277,7 @@ class Detection:
 
     @property
     def box(self) -> BBox:
-        return _checked_box(*self.batch.boxes[self.index].tolist())
+        return BBox(*self.batch.boxes[self.index].tolist())
 
     @property
     def confidence(self) -> float:
@@ -330,7 +293,7 @@ class Detection:
         batch = self.batch
         if batch.predicted is None or not batch.predicted[self.index]:
             return None
-        return _checked_box(*batch.predictions[self.index].tolist())
+        return BBox(*batch.predictions[self.index].tolist())
 
 
 class IdBoxes:
@@ -394,4 +357,4 @@ class IdBoxes:
         return self.ids.shape[0]
 
     def __iter__(self) -> Iterator[tuple[int, BBox]]:
-        return zip(self.ids.tolist(), [_checked_box(*box) for box in self.boxes.tolist()])
+        return zip(self.ids.tolist(), [BBox(*box) for box in self.boxes.tolist()])

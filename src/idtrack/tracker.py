@@ -45,14 +45,13 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .affinity import AffinityWeights, combined_affinity, nms
 from .assignment import solve_max
-from .geometry import (BBox, Detections, IdBoxes, _checked_box, _first_false, _frame_rows, _row_norms, _shape_fault,
-                       _slot_setters)
+from .geometry import BBox, Detections, IdBoxes, _box_array, _first_false, _frame_rows, _row_norms, _shape_fault
 
 __all__ = [
     "Trajectory",
@@ -209,7 +208,7 @@ class Trajectory:
 
     @property
     def head_box(self) -> BBox:
-        return _checked_box(*self.table.boxes[self.slot].tolist())
+        return BBox(*self.table.boxes[self.slot].tolist())
 
     @property
     def head_embedding(self) -> np.ndarray | None:
@@ -239,7 +238,7 @@ class Trajectory:
     def predicted_box(self) -> BBox | None:
         if not self.table.predicted[self.slot]:
             return None
-        return _checked_box(*self.table.predictions[self.slot].tolist())
+        return BBox(*self.table.predictions[self.slot].tolist())
 
 
 class Trajectories:
@@ -324,36 +323,27 @@ class TrackOutput:
     interpolated: bool = False
 
 
-_OUTPUT_SLOTS = _slot_setters(TrackOutput, ("frame", "track_id", "box", "confidence", "interpolated"))
-
-
 class TrackOutputs:
     """Tracker outputs as columns: ``frame`` and ``track_id`` ``(n,)``
     int64, ``boxes`` ``(n, 4)`` in centre form, ``confidence`` ``(n,)`` and
-    the ``interpolated`` mask. ``len()``, iteration and integer indexing work
-    as on a list of ``TrackOutput`` rows, which are built when asked for and
-    not kept. A batch equals a batch with equal columns, and a list or tuple
-    of rows equal to its own."""
+    the ``interpolated`` mask; the constructor names the first column of
+    another shape. ``len()``, iteration and integer indexing work as on a
+    list of ``TrackOutput`` rows, which are built when asked for and not
+    kept; a row whose box ``BBox`` refuses raises ``ValueError``. A batch
+    equals a batch with equal columns, and a list or tuple of rows equal to
+    its own."""
 
     __slots__ = ("frame", "track_id", "boxes", "confidence", "interpolated")
     __hash__ = None
 
     def __init__(self, frame, track_id, boxes, confidence, interpolated):
         self.frame, self.track_id = np.asarray(frame, np.int64), np.asarray(track_id, np.int64)
-        self.boxes = np.asarray(boxes, np.float64).reshape(-1, 4)
         self.confidence, self.interpolated = np.asarray(confidence, np.float64), np.asarray(interpolated, bool)
-
-    @classmethod
-    def pack(cls, rows: Iterable[TrackOutput]) -> "TrackOutputs":
-        """One batch of ``TrackOutput`` rows, in their order (a batch is
-        returned as it is): the one place that gathers row attributes."""
-        if isinstance(rows, TrackOutputs):
-            return rows
-        rows = list(rows)
-        heads = [o.box for o in rows]  # a list per field, not a tuple per row: less memory and time
-        boxes = np.array([[b.cx for b in heads], [b.cy for b in heads], [b.w for b in heads], [b.h for b in heads]]).T
-        return cls([o.frame for o in rows], [o.track_id for o in rows], boxes, [o.confidence for o in rows],
-                   [o.interpolated for o in rows])
+        n = self.frame.size
+        for name in ("frame", "track_id", "confidence", "interpolated"):
+            if getattr(self, name).shape != (n,):
+                raise ValueError(f"{name} must have shape ({n},), got {getattr(self, name).shape}")
+        self.boxes = _box_array(boxes, n, "boxes")
 
     def __len__(self) -> int:
         return self.frame.shape[0]
@@ -364,21 +354,12 @@ class TrackOutputs:
     def __getitem__(self, k: int) -> TrackOutput:
         return self._rows(slice(k, k + 1 or None))[0]  # an empty slice out of range: IndexError
 
-    def _rows(self, at: slice, new=object.__new__, slots=_OUTPUT_SLOTS) -> list[TrackOutput]:
-        """One ``TrackOutput`` per row ``at``, filled through its slots: the
-        one per-row loop over tracker outputs."""
-        set_frame, set_id, set_box, set_confidence, set_interpolated = slots
-        out = []
+    def _rows(self, at: slice) -> list[TrackOutput]:
+        """One ``TrackOutput`` per row ``at``: the one per-row loop over
+        tracker outputs."""
         columns = self.frame[at], self.track_id[at], self.boxes[at], self.confidence[at], self.interpolated[at]
-        for frame, track_id, box, conf, interpolated in zip(*(column.tolist() for column in columns)):
-            o = new(TrackOutput)
-            set_frame(o, frame)
-            set_id(o, track_id)
-            set_box(o, _checked_box(*box))
-            set_confidence(o, conf)
-            set_interpolated(o, interpolated)
-            out.append(o)
-        return out
+        return [TrackOutput(frame, track_id, BBox(*box), confidence, interpolated)
+                for frame, track_id, box, confidence, interpolated in zip(*(column.tolist() for column in columns))]
 
     def __eq__(self, other):
         if isinstance(other, TrackOutputs):
@@ -599,12 +580,12 @@ def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEF
     return TrackOutputs(*(np.concatenate([getattr(o, name) for o in outputs]) for name in TrackOutputs.__slots__))
 
 
-def hypotheses(outputs: TrackOutputs | Iterable[TrackOutput], interpolated: bool = False) -> dict[int, IdBoxes]:
-    """Tracker outputs (a batch, or rows) as the hypothesis stream that
-    ``evaluate`` scores and ``write_results`` writes: frame -> one ``IdBoxes``
-    batch of track ids, boxes and confidences in output order, frames in order
-    of first output. Interpolated outputs (propagation) only if asked for."""
-    out = TrackOutputs.pack(outputs)
-    keep = slice(None) if interpolated else ~out.interpolated
-    ids, boxes, confidence = out.track_id[keep], out.boxes[keep], out.confidence[keep]
-    return {frame: IdBoxes._checked(ids[at], boxes[at], confidence[at]) for frame, at in _frame_rows(out.frame[keep])}
+def hypotheses(outputs: TrackOutputs, interpolated: bool = False) -> dict[int, IdBoxes]:
+    """A ``TrackOutputs`` batch as the hypothesis stream that ``evaluate``
+    scores and ``write_results`` writes: frame -> one ``IdBoxes`` batch of
+    track ids, boxes and confidences in output order, frames in order of
+    first output. Interpolated outputs (propagation) only if asked for."""
+    keep = slice(None) if interpolated else ~outputs.interpolated
+    ids, boxes, confidence = outputs.track_id[keep], outputs.boxes[keep], outputs.confidence[keep]
+    return {frame: IdBoxes._checked(ids[at], boxes[at], confidence[at])
+            for frame, at in _frame_rows(outputs.frame[keep])}

@@ -1,14 +1,15 @@
-"""Shared test helpers: one way to build a ``Detections`` batch and a
-tracker's trajectories by hand, the pairwise IoU oracle (the dense broadcast
-that the sort and sweep in ``idtrack.affinity`` replaced), the per-pair
-oracle of ``update_trajectory`` (the loop that the table's array update
-replaced), and box arrays whose edges repeat, touch and nest, to hold the
-sweep to the oracle."""
+"""Shared test helpers: one way to build a ``Detections`` batch, a
+``TrackOutputs`` batch and a tracker's trajectories by hand, the pairwise
+IoU oracle (the dense broadcast that the sort and sweep in
+``idtrack.affinity`` replaced), the per-pair oracle of
+``update_trajectory`` (the loop that the table's array update replaced),
+and box arrays whose edges repeat, touch and nest, to hold the sweep to
+the oracle."""
 
 import numpy as np
 
 from idtrack.geometry import Detections, _box_rows
-from idtrack.tracker import Trajectories, TrajectoryTable
+from idtrack.tracker import TrackOutputs, Trajectories, TrajectoryTable
 
 
 def detections(rows):
@@ -28,6 +29,13 @@ def detections(rows):
         predicted = [p is not None for p in ahead]
         predictions = _box_rows([p or box for p, box in zip(ahead, boxes)])
     return Detections(_box_rows(boxes), confidence, embeddings, predictions, predicted)
+
+
+def track_outputs(rows):
+    """One ``TrackOutputs`` batch of ``TrackOutput`` rows, in their order."""
+    rows = list(rows)
+    return TrackOutputs([o.frame for o in rows], [o.track_id for o in rows], _box_rows([o.box for o in rows]),
+                        [o.confidence for o in rows], [o.interpolated for o in rows])
 
 
 def trajectories(rows):

@@ -186,28 +186,28 @@ def test_nms_drops_heavy_overlap():
     d1 = BBox(11.0, 10.0, 10.0, 10.0)  # IoU 9/11 with d0
     d2 = BBox(50.0, 50.0, 10.0, 10.0)
     dets = detections([(d0, 0.9), (d1, 0.8), (d2, 0.7)])
-    assert nms(dets, 0.5).box_list() == [d0, d2]
+    assert nms(dets, 0.5).boxes.tolist() == _box_rows([d0, d2]).tolist()
     assert same_rows(nms(list(dets), 0.5), [dets[0], dets[2]])
 
 
 def test_nms_keeps_sub_threshold_overlap():
     d0 = BBox(10.0, 10.0, 10.0, 10.0)
     d1 = BBox(18.0, 10.0, 10.0, 10.0)  # IoU 2/18
-    assert nms(detections([(d0, 0.9), (d1, 0.8)]), 0.5).box_list() == [d0, d1]
+    assert nms(detections([(d0, 0.9), (d1, 0.8)]), 0.5).boxes.tolist() == _box_rows([d0, d1]).tolist()
 
 
 def test_nms_tie_prefers_lower_index():
     a = BBox(10.0, 10.0, 10.0, 10.0)
     b = BBox(10.5, 10.0, 10.0, 10.0)
-    assert nms(detections([(a, 0.9), (b, 0.9)]), 0.5).box_list() == [a]
-    assert nms(detections([(b, 0.9), (a, 0.9)]), 0.5).box_list() == [b]
+    assert nms(detections([(a, 0.9), (b, 0.9)]), 0.5).boxes.tolist() == _box_rows([a]).tolist()
+    assert nms(detections([(b, 0.9), (a, 0.9)]), 0.5).boxes.tolist() == _box_rows([b]).tolist()
 
 
 def test_nms_survivors_keep_original_order():
     low = BBox(10.0, 10.0, 4.0, 4.0)
     high = BBox(50.0, 50.0, 4.0, 4.0)
     kept = nms(detections([(low, 0.3), (high, 0.9)]), 0.5)
-    assert kept.box_list() == [low, high] and kept.confidence.tolist() == [0.3, 0.9]
+    assert kept.boxes.tolist() == _box_rows([low, high]).tolist() and kept.confidence.tolist() == [0.3, 0.9]
 
 
 def test_nms_result_independent_of_input_order():

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import batch_bits, detections, grid_boxes, iou_matrix, relatives, trajectories
+from helpers import batch_bits, detections, grid_boxes, iou_matrix, relatives, track_outputs, trajectories
 from idtrack import mot_io
 from idtrack.affinity import AffinityWeights, combined_affinity, nms
 from idtrack.geometry import BBox, Detections, IdBoxes, to_corner
@@ -263,7 +263,7 @@ def test_property_writers_write_the_reference_bytes(tmp_path_factory, stream, ch
     outputs = [TrackOutput(frame, i, d.box, d.confidence, flag) for (frame, i, d), flag in zip(rows, interpolated)]
     random.shuffle(outputs)
     views = {frame: Detections.pack(list(rows)) for frame, rows in dets.items()}
-    hyp = hypotheses(outputs)
+    hyp = hypotheses(track_outputs(outputs))
     with mock.patch.multiple(mot_io, _CHUNK_VALUES=chunk_values, _CHUNK_ROWS=chunk_rows):
         written_as_reference(tmp, lambda p: reference_write_detections(p, dets), mot_io.read_detections,
                              lambda p: mot_io.write_detections(p, dets), lambda p: mot_io.write_detections(p, views))

@@ -2,9 +2,11 @@ import hashlib
 
 import pytest
 
+from idtrack.affinity import nms
 from idtrack.cli import ABLATION_MODELS, main
-from idtrack.geometry import Detection
-from idtrack.mot_io import read_detections, read_embeddings, read_gt
+from idtrack.geometry import BBox, Detection
+from idtrack.mot_io import load_detections, read_detections, read_embeddings, read_gt
+from idtrack.tracker import DEFAULT_NMS_IOU, Tracker, TrackerConfig, TrackOutputs
 
 
 @pytest.fixture()
@@ -463,6 +465,45 @@ def test_simulate_and_track_build_no_detection_objects(tmp_path, tiny_config, mo
     assert built == []
     rows = list(read_detections(scene / "dets.txt")[1])  # the counter sees views when someone asks for them
     assert len(built) == len(rows) > 0
+
+
+def test_the_pipeline_and_an_online_replay_build_no_rows(tmp_path, monkeypatch):
+    # Rows (``BBox``es and ``TrackOutput``s) are built only when a caller asks
+    # for them. simulate, track, eval and ablate build none, nor does a
+    # frame-by-frame replay that steps a tracker on what NMS keeps of the
+    # views that pass the confidence filter.
+    sim_cfg = tmp_path / "sim.cfg"
+    sim_cfg.write_text("num_identities=6\nframes=40\narena=400,300\nembedding_dim=8\nfp_rate=0.6\nocclusion_events=3\n"
+                      "occlusion_duration=7,9\n")
+    built = {"boxes": 0, "rows": 0}
+    check, rows = BBox.__post_init__, TrackOutputs._rows
+
+    def counting_check(self):
+        built["boxes"] += 1
+        check(self)
+
+    def counting_rows(self, at):
+        built["rows"] += 1
+        return rows(self, at)
+
+    monkeypatch.setattr(BBox, "__post_init__", counting_check)
+    monkeypatch.setattr(TrackOutputs, "_rows", counting_rows)
+    scene, hyp = tmp_path / "scene", tmp_path / "hyp.txt"
+    assert main(["simulate", "--config", str(sim_cfg), "--seed", "3", "--out-dir", str(scene)]) == 0
+    assert main(["track", "--dets", str(scene / "dets.txt"), "--embeddings", str(scene / "embeddings.txt"),
+                 "--out", str(hyp)]) == 0
+    assert main(["eval", "--gt", str(scene / "gt.txt"), "--hyp", str(hyp)]) == 0
+    assert main(["ablate", "--config", str(sim_cfg), "--seed", "3", "--strides", "1,10",
+                 "--out-dir", str(tmp_path / "runs")]) == 0
+    dets = load_detections(scene / "dets.txt", scene / "embeddings.txt")
+    tracker, steps = Tracker(TrackerConfig()), []
+    threshold = tracker.config.det_threshold
+    for frame in range(1, max(dets) + 1):
+        kept = nms([d for d in dets.get(frame, []) if d.confidence >= threshold], DEFAULT_NMS_IOU)
+        steps.append(tracker.step(kept, frame))
+    assert built == {"boxes": 0, "rows": 0}
+    assert list(steps[-1]) and BBox(0.0, 0.0, 1.0, 1.0)
+    assert built["rows"] == 1 and built["boxes"] >= 1  # the counters see what is asked for
 
 
 def with_line(lines, k, line):

@@ -158,7 +158,7 @@ def test_a_prediction_mask_only_checks_the_rows_it_marks():
     boxes = [[0, 0, 2, 2], [5, 5, 2, 2]]
     batch = Detections(boxes, [0.5, 0.9], None, [[1, 1, 2, 2], [0, 0, 0, 0]], [True, False])
     assert [d.prediction for d in batch] == [BBox(1.0, 1.0, 2.0, 2.0), None]
-    assert batch.prediction_list() == [BBox(1.0, 1.0, 2.0, 2.0), None]
+    assert batch.predicted.tolist() == [True, False]
     assert len(Detections([], [])) == 0 and Detections([], []).boxes.shape == (0, 4)
 
 
@@ -205,7 +205,7 @@ def test_pack_rejects_views_of_two_batches():
 def test_missing_embedding_names_the_first_row_of_a_batch_without_them():
     box = BBox(0.0, 0.0, 2.0, 2.0)
     assert detections([(box, 0.5), (box, 0.6)]).missing_embedding() == "detection 0 has no embedding"
-    assert detections([(box, 0.5)]).embedding_list() == [None]
+    assert detections([(box, 0.5)]).embeddings is None
     assert Detections.pack([]).missing_embedding() is None
     assert Detections([[0, 0, 1, 1]], [0.5], unit_rows(1)).missing_embedding() is None
 

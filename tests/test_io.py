@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from idtrack import mot_io
 from idtrack.affinity import AffinityWeights
-from helpers import detections
+from helpers import detections, track_outputs
 from idtrack.geometry import MIN_SIDE, BBox, Detections, IdBoxes, to_corner
 from idtrack.mot_io import (
     load_detections,
@@ -219,11 +219,11 @@ def test_denormalized_embedding_warns_and_fixes(tmp_path):
 
 
 def test_write_results_skips_interpolated_by_default(tmp_path):
-    outputs = [
+    outputs = track_outputs([
         TrackOutput(2, 1, BBox(10.0, 10.0, 4.0, 4.0), 0.9),
         TrackOutput(1, 1, BBox(9.0, 10.0, 4.0, 4.0), 0.9),
         TrackOutput(3, 1, BBox(11.0, 10.0, 4.0, 4.0), 0.9, interpolated=True),
-    ]
+    ])
     p = tmp_path / "out.txt"
     assert write_results(p, hypotheses(outputs)) == 2
     lines = p.read_text().splitlines()
@@ -238,7 +238,7 @@ def test_write_results_skips_interpolated_by_default(tmp_path):
 
 def test_write_results_rejects_bad_ids(tmp_path):
     with pytest.raises(ValueError):
-        write_results(tmp_path / "x.txt", hypotheses([TrackOutput(1, 0, BBox(0, 0, 1, 1), 0.5)]))
+        write_results(tmp_path / "x.txt", hypotheses(track_outputs([TrackOutput(1, 0, BBox(0, 0, 1, 1), 0.5)])))
 
 
 def test_the_smallest_sides_at_the_edge_of_the_box_domain_are_read_back(tmp_path):
@@ -339,7 +339,7 @@ def test_property_the_mot_writers_refuse_what_their_reader_refuses(tmp_path_fact
 def test_a_failed_results_write_leaves_no_file(tmp_path):
     # id 0 sorts after id 1 on a later frame, so the bad row is not the first.
     p = tmp_path / "hyp.txt"
-    outputs = [TrackOutput(1, 1, BBox(5, 5, 2, 2), 0.5), TrackOutput(2, 0, BBox(5, 5, 2, 2), 0.5)]
+    outputs = track_outputs([TrackOutput(1, 1, BBox(5, 5, 2, 2), 0.5), TrackOutput(2, 0, BBox(5, 5, 2, 2), 0.5)])
     with pytest.raises(ValueError, match="object ids must be >= 1, got 0"):
         write_results(p, hypotheses(outputs))
     assert not p.exists()
@@ -577,11 +577,11 @@ def test_results_and_sidecar_are_parse_stable(tmp_path):
     # write -> read -> write reproduces the bytes for the two writers that
     # test_written_files_are_parse_stable does not cover.
     _, dets = generate(SimConfig(seed=6, num_identities=5, frames=15, fp_rate=0.5, embedding_dim=16))
-    outputs = [
+    outputs = track_outputs(
         TrackOutput(f, k + 1, d.box, d.confidence, interpolated=k % 4 == 0)
         for f, frame_dets in dets.items()
         for k, d in enumerate(frame_dets)
-    ]
+    )
     r1, r2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
     write_results(r1, hypotheses(outputs, interpolated=True))
     write_results(r2, read_gt(r1))
@@ -791,7 +791,7 @@ def test_mot_rows_the_fixed_point_path_cannot_round_fall_back_to_percent_format(
 
 def test_a_generated_scene_is_written_without_percent_format(tmp_path):
     gt, dets = generate(SimConfig(seed=2, num_identities=6, frames=40, fp_rate=0.5))
-    outputs = list(track_stream(dets, TrackerConfig()))
+    outputs = track_stream(dets, TrackerConfig())
     CountingLine.calls = 0
     with mock.patch.object(mot_io, "_MOT_LINE", CountingLine(mot_io._MOT_LINE)):
         write_gt(tmp_path / "gt.txt", gt)

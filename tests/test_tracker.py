@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idtrack.affinity import AffinityWeights, nms
-from helpers import detections, state, trajectories, update_one
+from helpers import detections, state, track_outputs, trajectories, update_one
 from idtrack.geometry import BBox, Detections
 from idtrack.mot_io import load_detections, write_detections, write_embeddings, write_results
 from idtrack.sim import SimConfig, generate
@@ -172,26 +172,26 @@ def test_a_head_may_coast_out_of_the_box_domain(tmp_path):
 
 def test_hypotheses_skip_interpolated_outputs_and_keep_order():
     a, b, c = BBox(10.0, 10.0, 4.0, 4.0), BBox(20.0, 10.0, 4.0, 4.0), BBox(30.0, 10.0, 4.0, 4.0)
-    outputs = [
+    outputs = track_outputs([
         TrackOutput(2, 3, a, 0.9),
         TrackOutput(1, 2, b, 0.8),
         TrackOutput(2, 1, b, 0.7, interpolated=True),
         TrackOutput(2, 2, c, 0.6),
         TrackOutput(3, 1, c, 0.5, interpolated=True),
-    ]
+    ])
     hyp = hypotheses(outputs)
     assert {f: list(batch) for f, batch in hyp.items()} == {2: [(3, a), (2, c)], 1: [(2, b)]}
     assert list(hyp) == [2, 1]  # frames in order of first output
     assert hyp[2].ids.dtype == np.int64 and hyp[2].boxes.tolist() == [[10.0, 10.0, 4.0, 4.0], [30.0, 10.0, 4.0, 4.0]]
     assert hyp[2].confidence.tolist() == [0.9, 0.6]
-    assert hypotheses([]) == {}
+    assert hypotheses(track_outputs([])) == {}
 
 
 def test_an_empty_step_equals_no_rows():
     outputs = Tracker(iou_only_config()).step(detections([]), 1)
     assert isinstance(outputs, TrackOutputs) and len(outputs) == 0
     assert outputs == [] and outputs == () and list(outputs) == []
-    assert outputs == TrackOutputs.pack([]) and hypotheses(outputs) == {}
+    assert outputs == track_outputs([]) and hypotheses(outputs) == {}
 
 
 def test_a_batch_differs_from_rows_that_differ_in_any_one_field():
@@ -204,13 +204,40 @@ def test_a_batch_differs_from_rows_that_differ_in_any_one_field():
     assert [outputs[0], outputs[-1]] == rows and outputs == rows and outputs == tuple(rows)
     with pytest.raises(IndexError):
         outputs[2]
-    assert TrackOutputs.pack(rows) == outputs and TrackOutputs.pack(outputs) is outputs
+    assert track_outputs(rows) == outputs
     for k, row in enumerate(rows):
         for change in ({"frame": 3}, {"track_id": 7}, {"box": BBox(row.box.cx, row.box.cy, 4.0, 4.5)},
                        {"confidence": 0.5}, {"interpolated": not row.interpolated}):
             changed = rows[:k] + [replace(row, **change)] + rows[k + 1 :]
-            assert outputs != changed and outputs != TrackOutputs.pack(changed)
+            assert outputs != changed and outputs != track_outputs(changed)
     assert outputs != rows[:1] and outputs != rows + rows[:1] and outputs != rows[::-1]
+
+
+@pytest.mark.parametrize(
+    ("columns", "message"),
+    [
+        (([1, 2], [1], [[0, 0, 1, 1]], [1.0], [False]), r"track_id must have shape \(2,\), got \(1,\)"),
+        (([[1]], [1], [[0, 0, 1, 1]], [1.0], [False]), r"frame must have shape \(1,\), got \(1, 1\)"),
+        (([1], [1], [[0, 0, 1, 1]], [1.0, 0.5], [False]), r"confidence must have shape \(1,\), got \(2,\)"),
+        (([1], [1], [[0, 0, 1, 1]], [1.0], []), r"interpolated must have shape \(1,\), got \(0,\)"),
+        (([1], [1], [[0, 0, 1, 1, 2, 2, 1, 1]], [1.0], [False]), r"boxes must have shape \(1, 4\), got \(1, 8\)"),
+        (([1, 2], [1, 2], [[0, 0, 1, 1]], [1.0, 1.0], [False, False]), r"boxes must have shape \(2, 4\)"),
+        (([1], [1], [], [1.0], [False]), r"boxes must have shape \(1, 4\), got \(0, 4\)"),
+    ],
+)
+def test_a_batch_refuses_columns_of_other_lengths(columns, message):
+    with pytest.raises(ValueError, match=message):
+        TrackOutputs(*columns)
+
+
+@pytest.mark.parametrize("box", [[0, 0, float("nan"), 1], [float("inf"), 0, 1, 1], [0, 0, 0, 1], [0, 0, 1, -2]])
+def test_the_rows_of_a_batch_are_checked_boxes(box):
+    outputs = TrackOutputs([1, 1], [1, 2], [[5, 5, 2, 2], box], [0.9, 0.8], [False, True])
+    assert outputs[0] == TrackOutput(1, 1, BBox(5.0, 5.0, 2.0, 2.0), 0.9)
+    with pytest.raises(ValueError, match="BBox"):
+        outputs[1]
+    with pytest.raises(ValueError, match="BBox"):
+        list(outputs)
 
 
 def test_a_batch_is_not_hashable():
@@ -630,15 +657,17 @@ def test_property_coasting_head_is_the_taken_detections_prediction(scene):
 def test_property_a_batch_gives_the_hypotheses_of_its_rows(scene):
     dets, config = scene
     outputs = track_stream(dets, config)
-    rows = list(outputs)
-    assert TrackOutputs.pack(rows) == outputs
     for interpolated in (False, True):
-        got, want = hypotheses(outputs, interpolated), hypotheses(rows, interpolated)
+        want = {}  # the per-row reference: each frame's (id, box, confidence) in output order
+        for o in outputs:
+            if interpolated or not o.interpolated:
+                want.setdefault(o.frame, []).append((o.track_id, o.box, o.confidence))
+        got = hypotheses(outputs, interpolated)
         assert list(got) == list(want)
-        for frame, batch in want.items():
-            for name in ("ids", "boxes", "confidence"):
-                a, b = getattr(got[frame], name), getattr(batch, name)
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        for frame, rows in want.items():
+            batch = got[frame]
+            assert (batch.ids.dtype, batch.boxes.dtype, batch.confidence.dtype) == (np.int64, np.float64, np.float64)
+            assert [(i, box, c) for (i, box), c in zip(batch, batch.confidence.tolist())] == rows
 
 
 def step_every_frame(dets, config):
