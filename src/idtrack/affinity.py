@@ -4,15 +4,15 @@ The combined affinity is a convex blend of box overlap and embedding
 similarity: ``overlap_weight * IoU + identity_weight * max(0, cosine)``.
 Every entry lands in [0, 1].
 
-Overlap is scored by sort and sweep. Two boxes whose x-extents do not meet
-have an IoU of exactly 0, and in a scene of spread boxes almost every pair
-is such a pair. So the left edges are sorted once, ``searchsorted`` finds
-each box's candidates, and only those pairs are scored, with the float
-operations of the scalar ``iou``: NMS, the overlap term of phase 1 and the
-re-match in ``metrics.evaluate`` are bit for bit what the dense pairwise
-matrix gave, at a cost that grows with the boxes and their overlapping
-pairs. A pairwise matrix of at most ``_DENSE_CELLS`` cells is still scored
-dense, which is as fast at that size.
+Overlap is scored from each box array's corners and areas, worked out once
+per array, with the float operations of the scalar ``iou``: NMS, the
+overlap term of phase 1 and the re-match in ``metrics.evaluate`` are bit for
+bit what ``iou`` gives. A matrix of at most ``_DENSE_CELLS`` cells, which
+is the 32-identity frame's NMS and phase 1, is scored dense. Past that, the
+sort and sweep scores only the pairs whose x-extents meet (every other pair
+has an IoU of exactly 0): the left edges are sorted once and
+``searchsorted`` finds each box's candidates, at a cost that grows with
+the boxes and their overlapping pairs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geometry import BBox, Detection, Detections, to_corner
+from .geometry import BBox, Detection, Detections, _view_rows, to_corner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .tracker import Trajectories
@@ -82,13 +82,46 @@ def iou(a: BBox, b: BBox) -> float:
     return min(inter / union, 1.0)
 
 
-# The dense broadcast makes a fixed count of numpy calls on n * m cells; the
-# sweep makes about twice as many, each on the pairs it finds. On spread
-# boxes at the benchmark scenes' density they take the same time from 40 x 40
-# to 48 x 48 boxes (0.049 ms each, best of 9 x 300 calls on one core), and
-# the sweep is ahead from 64 x 64 (0.053 vs 0.072 ms). NMS always sweeps: it
-# wins at every size, from 4 boxes (0.038 vs 0.046 ms) up.
+# Dense scoring makes a fixed count of numpy calls on n * m cells, the sweep
+# about twice as many on the pairs it finds. They cross between 40 x 40 and
+# 48 x 48 spread boxes, and NMS's two paths near 45 boxes.
 _DENSE_CELLS = 48 * 48
+
+
+def _corners(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(low, high, area)`` of an ``(n, 4)`` centre-form box array: the left
+    and top edges ``(2, n)``, the right and bottom ones, and the areas, with
+    the float operations of ``to_corner`` and ``iou``."""
+    columns = np.ascontiguousarray(boxes.T)
+    half = columns[2:] / 2.0
+    return columns[:2] - half, columns[:2] + half, columns[2] * columns[3]
+
+
+def _outer(a, b) -> tuple[tuple, tuple]:
+    """Corners ``a`` and ``b`` shaped to broadcast into ``(len(a), len(b))``."""
+    (low_a, high_a, area_a), (low_b, high_b, area_b) = a, b
+    return (low_a[:, :, None], high_a[:, :, None], area_a[:, None]), (low_b[:, None], high_b[:, None], area_b)
+
+
+def _pick(corners, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The corners of the rows ``index``."""
+    low, high, area = corners
+    return low.take(index, axis=1), high.take(index, axis=1), area.take(index)
+
+
+def _iou_corners(a, b) -> np.ndarray:
+    """The IoU of boxes given as corners that broadcast together, with the
+    float operations of :func:`iou`; a side clipped to +0.0 stands for its
+    early return."""
+    (low_a, high_a, area_a), (low_b, high_b, area_b) = a, b
+    sides = np.minimum(high_a, high_b)
+    sides -= np.maximum(low_a, low_b)
+    np.maximum(sides, 0.0, out=sides)
+    inter = sides[0] * sides[1]
+    union = area_a + area_b
+    union -= inter
+    np.divide(inter, union, out=inter)
+    return np.minimum(inter, 1.0, out=inter)
 
 
 def _iou_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,19 +130,13 @@ def _iou_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for bit. Up to ``_DENSE_CELLS`` cells every cell is scored; past that,
     only the pairs that ``_overlap_pairs`` finds, and every other cell is 0.0,
     as ``iou`` has it for boxes whose x-extents do not meet."""
+    corners_a, corners_b = _corners(a), _corners(b)
     if len(a) * len(b) <= _DENSE_CELLS:
-        return _iou_columns(a.T[:, :, None], b.T[:, None, :])
+        return _iou_corners(*_outer(corners_a, corners_b))
     out = np.zeros((len(a), len(b)))
-    i, j = _overlap_pairs(a, b)
-    out[i, j] = _iou_rows(a.take(i, axis=0), b.take(j, axis=0))
+    i, j = _overlap_pairs(corners_a, corners_b)
+    out[i, j] = _iou_corners(_pick(corners_a, i), _pick(corners_b, j))
     return out
-
-
-def _x_extents(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right edges of ``(n, 4)`` center-form boxes, with the float
-    operations of ``to_corner`` (and so of ``_iou_columns``)."""
-    half = boxes[:, 2] / 2.0
-    return boxes[:, 0] - half, boxes[:, 0] + half
 
 
 def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,10 +148,10 @@ def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owners, np.arange(ends[-1] if len(ends) else 0) + (lo - ends + counts).take(owners)
 
 
-def _overlap_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row pairs ``(i, j)`` of two non-empty ``(n, 4)`` center-form box
-    arrays, each at most once, among them every pair with a positive
-    intersection width: the sort and sweep.
+def _overlap_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs ``(i, j)`` of two non-empty box arrays, given as corners,
+    each at most once, among them every pair with a positive intersection
+    width: the sort and sweep.
 
     Such a pair has ``b_left[j] < a_right[i]`` and ``a_left[i] < b_right[j]
     <= b_left[j] + reach``, where ``reach`` is the widest x-extent in ``b``.
@@ -133,44 +160,25 @@ def _overlap_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     rounded one ulp up and the lower end one ulp down, so that rounding
     cannot drop a pair. The work grows with the candidates, not with
     ``len(a) * len(b)``."""
-    b_left, b_right = _x_extents(b)
+    b_left, b_right = b[0][0], b[1][0]
     order = np.argsort(b_left, kind="stable")
     starts = b_left.take(order)
     reach = np.nextafter((b_right - b_left).max(), np.inf)
-    a_left, a_right = _x_extents(a)
-    lo = np.searchsorted(starts, np.nextafter(a_left - reach, -np.inf), "left")
-    i, k = _spans(lo, np.searchsorted(starts, a_right, "left"))
+    lo = np.searchsorted(starts, np.nextafter(a[0][0] - reach, -np.inf), "left")
+    i, k = _spans(lo, np.searchsorted(starts, a[1][0], "left"))
     return i, order.take(k)
 
 
-def _self_pairs(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each unordered pair of rows of one ``(n, 4)`` center-form box array
-    that can have a positive intersection width, once, as ``(p, q)`` row
-    arrays. In left-edge order such a pair has the later row's left edge
-    before the earlier row's right edge, so a row's partners are the rows
-    after it up to the ``searchsorted`` position of its right edge."""
-    left, right = _x_extents(boxes)
+def _self_pairs(corners) -> tuple[np.ndarray, np.ndarray]:
+    """Each unordered pair of rows of one box array, given as corners, that
+    can have a positive intersection width, once, as ``(p, q)`` row arrays.
+    In left-edge order such a pair has the later row's left edge before the
+    earlier row's right edge, so a row's partners are the rows after it up
+    to the ``searchsorted`` position of its right edge."""
+    left, right = corners[0][0], corners[1][0]
     order = np.argsort(left, kind="stable")
     p, q = _spans(np.arange(1, len(order) + 1), np.searchsorted(left.take(order), right.take(order), "left"))
     return order.take(p), order.take(q)
-
-
-def _iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``iou(a[k], b[k])`` for each row k of two ``(n, 4)`` center-form box
-    arrays, bit for bit."""
-    return _iou_columns(a.T, b.T)
-
-
-def _iou_columns(a, b) -> np.ndarray:
-    """The IoU of boxes given as ``(cx, cy, w, h)`` columns that broadcast
-    together, with the float operations of :func:`iou`."""
-    cx_a, cy_a, w_a, h_a = a
-    cx_b, cy_b, w_b, h_b = b
-    half_wa, half_ha, half_wb, half_hb = w_a / 2.0, h_a / 2.0, w_b / 2.0, h_b / 2.0
-    iw = np.minimum(cx_a + half_wa, cx_b + half_wb) - np.maximum(cx_a - half_wa, cx_b - half_wb)
-    ih = np.minimum(cy_a + half_ha, cy_b + half_hb) - np.maximum(cy_a - half_ha, cy_b - half_hb)
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    return np.minimum(inter / (w_a * h_a + w_b * h_b - inter), 1.0)
 
 
 def combined_affinity(trajectories: "Trajectories", detections: Detections, weights: AffinityWeights) -> np.ndarray:
@@ -193,16 +201,19 @@ def combined_affinity(trajectories: "Trajectories", detections: Detections, weig
     if n == 0 or m == 0:
         return np.zeros((n, m))
 
-    out = np.zeros((n, m))
-    if weights.overlap > 0.0:
-        out += weights.overlap * _iou_cells(trajectories.boxes, detections.boxes)
+    # 0.0 + overlap * IoU + identity * cosine, in that order, in one matrix.
+    # The overlap term is never -0.0, so it stands for its own ``0.0 +``.
+    out = _iou_cells(trajectories.boxes, detections.boxes) if weights.overlap > 0.0 else np.zeros((n, m))
+    out *= weights.overlap
     if weights.identity > 0.0:
         for rows in (trajectories, detections):
             if missing := rows.missing_embedding():
                 raise ValueError(f"{missing} but identity weight is {weights.identity}")
         # Negative cosine carries no evidence of identity; the cap at one
         # absorbs float drift.
-        out += weights.identity * np.clip(trajectories.embeddings @ detections.embeddings.T, 0.0, 1.0)
+        cosine = np.clip(trajectories.embeddings @ detections.embeddings.T, 0.0, 1.0)
+        cosine *= weights.identity
+        out += cosine
     return out
 
 
@@ -212,28 +223,38 @@ def nms(detections: Detections | Sequence[Detection], iou_threshold: float) -> D
     Candidates are visited in descending confidence (ties: lower input index
     first); a candidate is dropped when it overlaps an already kept box with
     IoU strictly above the threshold. ``detections`` is a batch, or a list of
-    ``Detection`` views of one batch, which ``Detections.pack`` turns into a
-    batch first. The survivors come back as a new ``Detections`` batch in
-    their original relative order. Only the pairs whose x-extents meet are
-    scored (``_self_pairs``), so time and memory grow with the detections
-    and those pairs, not with their square; the pairs above the threshold
+    ``Detection`` views of one batch. The survivors come back as one ``take``
+    of that batch, in their original relative order. Up to ``_DENSE_CELLS``
+    pairs a frame is scored dense; past that only the pairs whose x-extents
+    meet are (``_self_pairs``), so time and memory grow with the detections
+    and those pairs, not with their square. The pairs above the threshold
     are then visited one by one in rank order.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
-    detections = Detections.pack(detections)
-    return detections.take(_survivors(detections.boxes, detections.confidence, iou_threshold))
+    if isinstance(detections, Detections):
+        return detections.take(_survivors(detections.boxes, detections.confidence, iou_threshold))
+    batch, rows = _view_rows(detections)
+    kept = _survivors(batch.boxes.take(rows, axis=0), batch.confidence.take(rows), iou_threshold)
+    return batch.take(rows.take(kept))
 
 
 def _survivors(boxes: np.ndarray, confidence: np.ndarray, iou_threshold: float) -> np.ndarray:
     """Sorted row indices that greedy NMS keeps."""
-    order = np.argsort(-confidence, kind="stable")
-    ranked = boxes.take(order, axis=0)
-    p, q = _self_pairs(ranked)
-    above = _iou_rows(ranked.take(p, axis=0), ranked.take(q, axis=0)) > iou_threshold
-    alive = [True] * len(order)
+    n = len(confidence)
+    order = (-confidence).argsort(kind="stable")
+    corners = _corners(boxes.take(order, axis=0))
+    if n * n <= _DENSE_CELLS:
+        k, j = (_iou_corners(*_outer(corners, corners)) > iou_threshold).nonzero()
+        upper = k < j
+        pairs = zip(k[upper].tolist(), j[upper].tolist())  # row-major, so in rank order
+    else:
+        p, q = _self_pairs(corners)
+        above = _iou_corners(_pick(corners, p), _pick(corners, q)) > iou_threshold
+        pairs = sorted(zip(np.minimum(p, q)[above].tolist(), np.maximum(p, q)[above].tolist()))
+    alive = [True] * n
     # In rank order, the first of each pair suppresses the second if it is kept.
-    for k, j in sorted(zip(np.minimum(p, q)[above].tolist(), np.maximum(p, q)[above].tolist())):
+    for k, j in pairs:
         if alive[k]:
             alive[j] = False
-    return np.sort(order[np.array(alive, dtype=bool)])
+    return np.arange(n) if all(alive) else np.sort(order.compress(alive))

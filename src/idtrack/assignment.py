@@ -1,8 +1,8 @@
 """Optimal one-to-one assignment over an affinity matrix.
 
 ``solve_max`` is the production path (scipy's Hungarian solver, maximizing).
-It imports ``scipy.optimize`` on its first call, which keeps that import out
-of ``import idtrack``.
+It imports scipy's solver on its first call and keeps it, which keeps that
+import out of ``import idtrack``.
 ``brute_force_max`` is not part of the API: it enumerates every possible
 pairing as an independent cross-check, capped at small matrices, and lives
 here only because the acceptance criteria import it from this module.
@@ -18,12 +18,14 @@ import numpy as np
 __all__ = ["Assignment", "solve_max"]
 
 BRUTE_FORCE_CAP = 9
+_linear_sum_assignment = None  # scipy's solver, imported by the first solve
 
 
 @dataclass(frozen=True, eq=False)
 class Assignment:
     """Result of a rectangular assignment: the matched rows and columns as
-    two ``intp`` arrays, pair k being ``(rows[k], cols[k])``."""
+    two ``intp`` arrays, pair k being ``(rows[k], cols[k])``. ``solve_max``
+    gives the pairs with ``rows`` strictly increasing."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -49,12 +51,14 @@ def solve_max(matrix: np.ndarray, min_affinity: float = 0.2) -> Assignment:
     rows, cols = matrix.shape
     if rows == 0 or cols == 0:
         return Assignment(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
-    if not np.isfinite(matrix).all():
+    if np.count_nonzero(np.isfinite(matrix)) < matrix.size:
         raise ValueError("affinity matrix contains non-finite entries")
 
-    from scipy.optimize import linear_sum_assignment
+    global _linear_sum_assignment
+    if _linear_sum_assignment is None:
+        from scipy.optimize import linear_sum_assignment as _linear_sum_assignment
 
-    row_idx, col_idx = linear_sum_assignment(matrix, maximize=True)
+    row_idx, col_idx = _linear_sum_assignment(matrix, maximize=True)
     keep = matrix[row_idx, col_idx] >= min_affinity
     return Assignment(row_idx[keep].astype(np.intp, copy=False), col_idx[keep].astype(np.intp, copy=False))
 

@@ -10,8 +10,8 @@ array, confidences, optional unit embeddings and optional predicted boxes.
 It is the one stored form of a frame's detections. Producers (the file
 readers and the simulator) build one per frame and consumers (NMS,
 affinity, the tracker, the writers) read its arrays. Iterating or indexing
-a batch yields ``Detection`` views, each only a batch and a row index that
-reads its values from the batch's arrays on access and is not kept.
+a batch yields ``Detection`` views, each a batch, a row index and its
+confidence, reading its other values from the arrays; none is kept.
 
 ``IdBoxes`` is one frame of ground truth or tracker hypotheses the same
 way: ids, boxes and confidences as arrays, from the readers, the simulator
@@ -67,7 +67,9 @@ MIN_SIDE = 6e-7  # least that w and h may be: above half the writers' 1e-6 resol
 
 def _shape_fault(cx: float, cy: float, w: float, h: float) -> str | None:
     """Why ``BBox`` rejects a box: its first value that is not finite, or a
-    size that is not positive; None for a good box."""
+    size that is not positive; None for a good box, which passes one test."""
+    if w > 0 and h > 0 and math.isfinite(cx + cy + w + h):
+        return None
     for name, v in zip(("cx", "cy", "w", "h"), (cx, cy, w, h)):
         if not math.isfinite(v):
             return f"BBox.{name} must be finite, got {v!r}"
@@ -133,9 +135,11 @@ def _box_array(values, n: int, what: str) -> np.ndarray:
 
 
 def _first_false(ok: np.ndarray) -> int | None:
-    """The first position where the 1-D ``ok`` is False, or None."""
-    bad = (~ok).nonzero()[0]
-    return int(bad[0]) if bad.size else None
+    """The first position where the 1-D ``ok`` is False, or None. One count
+    passes the common case; the position is looked for only when it fails."""
+    if np.count_nonzero(ok) == len(ok):
+        return None
+    return int((~ok).nonzero()[0][0])
 
 
 def _frame_rows(frames: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -218,12 +222,7 @@ class Detections:
         and no views make an empty batch)."""
         if isinstance(views, Detections):
             return views
-        if not len(views):
-            return cls._checked(np.zeros((0, 4)), np.zeros(0))
-        batch = views[0].batch
-        index = [d.index for d in views if d.batch is batch]  # checked and collected in one pass
-        if len(index) != len(views):
-            raise ValueError("pack takes rows of one batch")
+        batch, index = _view_rows(views)
         return batch.take(index)
 
     def missing_embedding(self) -> str | None:
@@ -250,16 +249,29 @@ class Detections:
         return self.confidence.shape[0]
 
     def __iter__(self) -> Iterator["Detection"]:
-        return map(Detection, repeat(self, len(self)), range(len(self)))
+        return map(Detection, repeat(self, len(self)), range(len(self)), self.confidence.tolist())
 
     def __getitem__(self, k: int) -> "Detection":
         return Detection(self, range(len(self))[k])
 
 
+def _view_rows(views: Sequence["Detection"]) -> tuple[Detections, np.ndarray]:
+    """The batch that the ``Detection`` views ``views`` are rows of (empty for
+    no views), and their row indices as one array; one batch only."""
+    if not len(views):
+        return Detections._checked(np.zeros((0, 4)), np.zeros(0)), np.zeros(0, dtype=np.intp)
+    batch = views[0].batch
+    index = [d.index for d in views if d.batch is batch]  # checked and collected in one pass
+    if len(index) != len(views):
+        raise ValueError("pack takes rows of one batch")
+    return batch, np.array(index, dtype=np.intp)
+
+
 class Detection:
     """One row of a ``Detections`` batch, as iterating or indexing the batch
-    yields it: a view that holds only ``batch`` and its row ``index``, and
-    reads the row's values from the batch's arrays on each access.
+    yields it: a view that holds ``batch``, its row ``index`` and the row's
+    ``confidence`` (batches are never modified), and reads the row's other
+    values from the batch's arrays on each access.
 
     ``box`` is a ``BBox``, ``confidence`` a float, ``embedding`` the row of
     the batch's unit embedding matrix or None, and ``prediction``, the box
@@ -269,19 +281,16 @@ class Detection:
     views of one batch back into a batch.
     """
 
-    __slots__ = ("batch", "index")
+    __slots__ = ("batch", "index", "confidence")
 
-    def __init__(self, batch: Detections, index: int):
+    def __init__(self, batch: Detections, index: int, confidence: float | None = None):
         self.batch = batch
         self.index = index
+        self.confidence = batch.confidence.item(index) if confidence is None else confidence
 
     @property
     def box(self) -> BBox:
         return BBox(*self.batch.boxes[self.index].tolist())
-
-    @property
-    def confidence(self) -> float:
-        return self.batch.confidence.item(self.index)
 
     @property
     def embedding(self) -> np.ndarray | None:

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 # ``iou`` is not called here; perfbench/spans.py still counts calls to this name.
-from .affinity import _iou_cells, _iou_rows, iou  # noqa: F401
+from .affinity import _corners, _iou_cells, _iou_corners, iou  # noqa: F401
 from .assignment import solve_max
 from .geometry import BBox, IdBoxes
 
@@ -133,7 +133,7 @@ def evaluate(gt: GtStream, hyp: HypStream, iou_gate: float = 0.5) -> MotReport:
         slot[h] = -1
         kept = (row >= 0).nonzero()[0]
         used = row[kept]
-        overlap = _iou_rows(g_boxes[kept], h_boxes[used])
+        overlap = _iou_corners(_corners(g_boxes[kept]), _corners(h_boxes[used]))
         survive = overlap >= iou_gate
         kept, used, overlap = kept[survive], used[survive], overlap[survive]
         if len(set(used.tolist())) < len(used):

@@ -44,6 +44,7 @@ the values of its last step, and its slot goes to a later birth.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -408,8 +409,11 @@ def update_trajectory(trajs: Trajectories, dets: Detections, momentum: float, fr
         norms = _row_norms(mixed)
         # Opposite embeddings can cancel at momentum 0.5; trust the fresh one.
         cancelled = norms < 1e-12
-        mixed /= np.where(cancelled, 1.0, norms)[:, None]
-        np.copyto(mixed, mine, where=cancelled[:, None])
+        if np.count_nonzero(cancelled):
+            mixed /= np.where(cancelled, 1.0, norms)[:, None]
+            np.copyto(mixed, mine, where=cancelled[:, None])
+        else:
+            mixed /= norms[:, None]
         matrix[blend] = mixed
 
     gap = np.maximum(frame - head_frame, 1)[:, None]
@@ -449,7 +453,7 @@ class Tracker:
                 trajectory that takes a detection coasts on its prediction if
                 it misses the next frame; without one it falls back to linear
                 propagation.
-            frame: frame being processed, past every frame stepped so far.
+            frame: frame being processed, an integer past every frame stepped so far.
 
         Returns:
             One ``TrackOutputs`` row per surviving trajectory that has a box
@@ -459,6 +463,10 @@ class Tracker:
             coasting heads by active row.
         """
         cfg = self.config
+        try:
+            frame = operator.index(frame)
+        except TypeError:
+            raise TypeError(f"frame must be an integer, got {frame!r}") from None
         if frame <= self.current_frame:
             raise ValueError(f"frame {frame} does not advance past {self.current_frame}")
         if cfg.weights.identity > 0.0 and (missing := detections.missing_embedding()):
@@ -469,9 +477,9 @@ class Tracker:
 
         # Trajectories unseen longer than the buffer allows are gone for good.
         active, paused = self._active, self._paused
-        gone_active = frame - table.last_seen[active] > cfg.buffer_size
-        gone_paused = frame - table.last_seen[paused] > cfg.buffer_size
-        if gone_active.any() or gone_paused.any():
+        gone_active = table.last_seen[active] < frame - cfg.buffer_size
+        gone_paused = table.last_seen[paused] < frame - cfg.buffer_size
+        if np.count_nonzero(gone_active) or np.count_nonzero(gone_paused):
             table.release(np.concatenate([active[gone_active], paused[gone_paused]]))
             active, paused = self._active, self._paused = active[~gone_active], paused[~gone_paused]
 
@@ -487,15 +495,14 @@ class Tracker:
         # Phase 1: active set vs detections, blended affinity.
         matched = np.zeros(len(active), dtype=bool)
         if len(active) and len(detections):
-            found = solve_max(combined_affinity(self.active, detections, cfg.weights), cfg.min_affinity)
-            if found.rows.size:
-                order = np.argsort(found.rows)
+            found = solve_max(combined_affinity(Trajectories(table, active), detections, cfg.weights), cfg.min_affinity)
+            if found.rows.size:  # in active order, as solve_max gives its rows sorted
                 matched[found.rows] = True
-                absorb(active[found.rows[order]], found.cols[order])
+                absorb(active.take(found.rows), found.cols)
 
         # Phase 2: identity-only recovery from the paused buffer, one
         # Hungarian solve per level, most recent level first.
-        still_paused = np.ones(len(paused), dtype=bool)
+        recovered = np.zeros(len(paused), dtype=bool)
         if cfg.weights.identity > 0.0 and len(paused):
             levels = frame - table.last_seen[paused]
             for level in sorted(set(levels.tolist())):
@@ -506,7 +513,7 @@ class Tracker:
                 matrix = combined_affinity(Trajectories(table, paused[at]), detections.take(free), _ID_ONLY)
                 found = solve_max(matrix, cfg.min_affinity)
                 if found.rows.size:
-                    still_paused[at[found.rows]] = False
+                    recovered[at[found.rows]] = True
                     absorb(paused[at[found.rows]], free[found.cols])
 
         # Phase 3: leftovers become new trajectories.
@@ -521,25 +528,27 @@ class Tracker:
         # head (and stay in the active set) or fall into the paused buffer.
         # A prediction is for the frame after last_seen only.
         unmatched = active[~matched]
-        coasting = frame - table.last_seen[unmatched] <= cfg.motion_propagate_frames
+        coasting = table.last_seen[unmatched] >= frame - cfg.motion_propagate_frames
         coast = unmatched[coasting]
         if coast.size:
             heads = propagate_linear(table.boxes.take(coast, axis=0), table.velocity.take(coast, axis=0),
                                      frame - table.head_frame[coast])
-            ahead = table.predicted[coast] & (table.last_seen[coast] == frame - 1)
-            heads[ahead] = table.predictions.take(coast[ahead], axis=0)
-            bad = _first_false(np.isfinite(heads).all(axis=1))
+            ahead = table.predicted[coast]
+            if np.count_nonzero(ahead):
+                ahead &= table.last_seen[coast] == frame - 1
+                heads[ahead] = table.predictions.take(coast[ahead], axis=0)
+            bad = _first_false(np.isfinite(heads).reshape(-1))
             if bad is not None:
-                raise ValueError(_shape_fault(*heads[bad].tolist()))
+                raise ValueError(_shape_fault(*heads[bad // 4].tolist()))
             table.boxes[coast] = heads
             table.head_frame[coast] = frame
             new_active.append(coast)
 
         self._active = active = np.concatenate(new_active) if new_active else unmatched[:0]
-        self._paused = np.concatenate([paused[still_paused], unmatched[~coasting]])
+        self._paused = np.concatenate([paused[~recovered], unmatched[~coasting]])
         self.current_frame = frame
-        n = len(active)
-        return TrackOutputs(np.full(n, frame, dtype=np.int64), table.ids.take(active), table.boxes.take(active, axis=0),
+        n = len(active)  # every head of the active set is now at this frame
+        return TrackOutputs(table.head_frame.take(active), table.ids.take(active), table.boxes.take(active, axis=0),
                             table.confidence.take(active), np.arange(n) >= n - coast.size)
 
 

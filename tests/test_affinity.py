@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import idtrack.affinity
 from helpers import batch_bits, detections, grid_boxes, iou_cells, iou_matrix, relatives, trajectories
-from idtrack.affinity import WEIGHT_PRESETS, AffinityWeights, _iou_cells, _self_pairs, combined_affinity, iou, nms
+from idtrack.affinity import (WEIGHT_PRESETS, AffinityWeights, _corners, _iou_cells, _self_pairs, combined_affinity,
+                              iou, nms)
 from idtrack.geometry import BBox, Detections, _box_rows, to_center
 from idtrack.tracker import Trajectories
 
@@ -92,7 +93,7 @@ def test_row_iou_matches_scalar():
     rng = np.random.default_rng(13)
     boxes_a = [random_box(rng) for _ in range(400)]
     boxes_b = [random_box(rng) for _ in range(399)] + [boxes_a[-1]]  # and one identical pair
-    rows = idtrack.affinity._iou_rows(_box_rows(boxes_a), _box_rows(boxes_b))
+    rows = idtrack.affinity._iou_corners(_corners(_box_rows(boxes_a)), _corners(_box_rows(boxes_b)))
     assert rows.tolist() == [iou(a, b) for a, b in zip(boxes_a, boxes_b)]
     assert rows[-1] == 1.0 and (rows == 0.0).any() and ((rows > 0.0) & (rows < 1.0)).any()
 
@@ -113,21 +114,36 @@ def test_weights_validation_and_presets():
         assert weights.overlap + weights.identity == pytest.approx(1.0)
 
 
+def blend_in_order(trajs, dets, weights):
+    """The blend in the order that defines it: zeros, then the overlap term
+    scored by the dense oracle, then the clipped identity term."""
+    out = np.zeros((len(trajs), len(dets)))
+    if weights.overlap > 0.0:
+        out += weights.overlap * iou_cells(trajs.boxes, dets.boxes)
+    if weights.identity > 0.0:
+        out += weights.identity * np.clip(trajs.embeddings @ dets.embeddings.T, 0.0, 1.0)
+    return out
+
+
 def test_combined_affinity_is_the_weighted_blend():
+    # Orthogonal and opposite embeddings with signed zeros, boxes that
+    # overlap, touch and keep apart around a centre of -0.0: the matrix holds
+    # zeros from both terms, and each must come out +0.0 as the blend in
+    # order gives it.
     rng = np.random.default_rng(3)
-    trajs = trajectories([(i + 1, random_box(rng, 20.0), unit(rng.normal(size=8))) for i in range(4)])
-    dets = detections([(random_box(rng, 20.0), 0.9, unit(rng.normal(size=8))) for _ in range(6)])
-    for weights in (AffinityWeights(0.5, 0.5), AffinityWeights(0.2, 0.8)):
-        got = combined_affinity(trajs, dets, weights)
-        overlap = iou_matrix([t.head_box for t in trajs], [d.box for d in dets])
-        gram = np.clip(
-            np.stack([t.head_embedding for t in trajs]) @ np.stack([d.embedding for d in dets]).T,
-            0.0,
-            1.0,
-        )
-        expected = weights.overlap * overlap + weights.identity * gram
-        assert np.allclose(got, expected, atol=1e-12)
-        assert got.min() >= 0.0 and got.max() <= 1.0
+    axes = [np.array(v) for v in ([1.0, 0.0, 0.0, 0.0], [-0.0, -1.0, 0.0, -0.0], [-0.0, -0.0, -0.0, 1.0])]
+    vectors = axes + [unit(rng.normal(size=4)) for _ in range(5)]
+    boxes = [BBox(-0.0, -0.0, 2.0, 2.0), BBox(2.0, -0.0, 2.0, 2.0), BBox(0.5, 0.25, 1.0, 3.0)]
+    boxes += [random_box(rng, 4.0) for _ in range(5)]
+    trajs = trajectories([(i + 1, boxes[i], vectors[(3 * i) % 8]) for i in range(7)])
+    dets = detections([(boxes[(5 * k) % 8], 0.9, vectors[k]) for k in range(8)])
+    for weights in [*WEIGHT_PRESETS.values(), AffinityWeights(0.0, 1.0), AffinityWeights(0.3, 0.7)]:
+        want = blend_in_order(trajs, dets, weights)
+        for cells in (0, 10**9):  # the overlap term swept, then dense
+            with mock.patch.object(idtrack.affinity, "_DENSE_CELLS", cells):
+                got = combined_affinity(trajs, dets, weights)
+            assert got.tobytes() == want.tobytes() and not np.signbit(got).any()
+            assert got.min() >= 0.0 and got.max() <= 1.0
 
 
 def identity_only(track_embedding, det_embeddings):
@@ -269,7 +285,11 @@ def nms_frames(draw):
 @given(nms_frames())
 def test_property_nms_matches_the_scalar_greedy_reference(frame):
     dets, threshold = frame
-    assert same_rows(nms(dets, threshold), greedy_nms(dets, threshold))
+    want = greedy_nms(dets, threshold)
+    for cells in (0, 10**9):  # every frame swept, then every frame dense
+        with mock.patch.object(idtrack.affinity, "_DENSE_CELLS", cells):
+            assert same_rows(nms(dets, threshold), want)
+            assert same_rows(nms(Detections.pack(dets), threshold), want)
 
 
 def test_nms_never_calls_the_scalar_iou(monkeypatch):
@@ -308,7 +328,7 @@ def test_property_sweep_and_dense_kernel_score_the_oracle_bit_for_bit(case):
             assert _iou_cells(a, b).tobytes() == iou_cells(a, b).tobytes()
             assert _iou_cells(a, a).tobytes() == iou_cells(a, a).tobytes()
     # NMS's sweep over one frame finds every overlapping pair, once.
-    p, q = _self_pairs(a)
+    p, q = _self_pairs(_corners(a))
     found = np.zeros((len(a), len(a)), dtype=int)
     np.add.at(found, (np.minimum(p, q), np.maximum(p, q)), 1)
     assert found.max(initial=0) <= 1 and (np.diag(found) == 0).all()
@@ -324,16 +344,16 @@ def test_a_spread_frame_is_scored_in_pairs_linear_in_its_boxes(monkeypatch):
     boxes = np.column_stack([rng.uniform(0, 6400, n), rng.uniform(0, 3600, n), rng.uniform(36, 72, (n, 2))])
     confidence = rng.uniform(0.5, 1.0, n)
     scored = []
-    score = idtrack.affinity._iou_columns
+    score = idtrack.affinity._iou_corners
 
     def counted(a, b):
         cells = score(a, b)
         scored.append(cells.size)
         return cells
 
-    monkeypatch.setattr(idtrack.affinity, "_iou_columns", counted)
+    monkeypatch.setattr(idtrack.affinity, "_iou_corners", counted)
     kept = nms(Detections(boxes, confidence), 0.3)
-    assert 0 < sum(scored) < 8 * n and sum(scored) == len(_self_pairs(boxes)[0])
+    assert 0 < sum(scored) < 8 * n and sum(scored) == len(_self_pairs(_corners(boxes))[0])
     scored.clear()
     shifted = boxes + rng.normal(0.0, 2.0, boxes.shape) * [1, 1, 0, 0]
     assert _iou_cells(boxes, shifted).tobytes() == iou_cells(boxes, shifted).tobytes()

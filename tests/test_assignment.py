@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from idtrack.assignment import BRUTE_FORCE_CAP, brute_force_max, solve_max
 
@@ -98,3 +100,23 @@ def test_brute_force_empty_and_cap():
         brute_force_max(np.zeros((BRUTE_FORCE_CAP + 1, BRUTE_FORCE_CAP + 1)))
     # Rectangular matrices only cap on the smaller dimension.
     assert brute_force_max(np.ones((2, BRUTE_FORCE_CAP + 3))) == 2.0
+
+
+@st.composite
+def tied_matrices(draw):
+    """Wide, tall and square matrices drawn from a few levels, so that many
+    cells tie, and a floor that drops some of the solver's pairs."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    levels = draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.5, 0.5, 0.9, 1.0]), min_size=rows * cols,
+                           max_size=rows * cols))
+    return np.array(levels).reshape(rows, cols), draw(st.sampled_from([0.0, 0.2, 0.5, 0.95]))
+
+
+@given(tied_matrices())
+def test_property_the_rows_come_back_strictly_increasing(case):
+    # Tracker.step hands its phase-1 pairs over in active order without
+    # sorting them, so the solver's row order is load-bearing.
+    matrix, floor = case
+    found = solve_max(matrix, min_affinity=floor)
+    assert (np.diff(found.rows) > 0).all()
+    assert (matrix[found.rows, found.cols] >= floor).all()

@@ -47,6 +47,13 @@ def test_bbox_rejects_bad_sizes():
         BBox(0.0, float("inf"), 1.0, 1.0)
 
 
+def test_bbox_takes_a_box_whose_values_sum_past_the_largest_float():
+    # A good box passes in one test of its four values' sum; this sum
+    # overflows to inf, so the box reaches the value-by-value check.
+    assert BBox(1e308, 1e308, 1e308, 1e308).w == 1e308
+    assert BBox(-1e308, -1e308, 1e308, 1e308).cx == -1e308
+
+
 domain_values = st.one_of(
     st.floats(),
     st.sampled_from([1e8, -1e8, math.nextafter(1e8, math.inf), 6e-7, math.nextafter(6e-7, 0.0), 0.0, -0.0, 1e-170, 1e200]),

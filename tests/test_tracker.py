@@ -1,3 +1,4 @@
+import re
 import time
 from dataclasses import replace
 
@@ -344,6 +345,19 @@ def test_frames_must_advance():
         tracker.step(detections([det(10, 10)]), 1)
     with pytest.raises(ValueError):
         tracker.step(detections([]), frame=0)
+
+
+@pytest.mark.parametrize("frame", [1.5, 2.0, float("nan"), np.float64(2.0), "2"])
+def test_a_frame_that_is_not_an_integer_is_refused_before_any_change(frame):
+    # A float frame was taken as it came: 1.5 emitted rows at frame 1 and
+    # stored last_seen 1, so 1.7 was then accepted and emitted frame 1 again.
+    tracker = Tracker(iou_only_config())
+    tracker.step(detections([det(10, 10)]), 1)
+    with pytest.raises(TypeError, match=f"frame must be an integer, got {re.escape(repr(frame))}"):
+        tracker.step(detections([det(12, 10)]), frame)
+    assert tracker.current_frame == 1 and tracker.active[0].last_seen == 1 and tracker.next_id == 2
+    outputs = tracker.step(detections([det(12, 10)]), np.int64(2))
+    assert outputs.frame.tolist() == [2] and type(tracker.current_frame) is int
 
 
 def start_traj(embedding=EA, last_seen=1):
