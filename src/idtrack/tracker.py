@@ -346,6 +346,15 @@ class TrackOutputs:
                 raise ValueError(f"{name} must have shape ({n},), got {getattr(self, name).shape}")
         self.boxes = _box_array(boxes, n, "boxes")
 
+    @classmethod
+    def _checked(cls, frame, track_id, boxes, confidence, interpolated) -> "TrackOutputs":
+        """A batch of columns that are already typed and shaped (gathered from
+        the slot table, or joined from such batches)."""
+        batch = cls.__new__(cls)
+        batch.frame, batch.track_id, batch.boxes = frame, track_id, boxes
+        batch.confidence, batch.interpolated = confidence, interpolated
+        return batch
+
     def __len__(self) -> int:
         return self.frame.shape[0]
 
@@ -548,8 +557,9 @@ class Tracker:
         self._paused = np.concatenate([paused[~recovered], unmatched[~coasting]])
         self.current_frame = frame
         n = len(active)  # every head of the active set is now at this frame
-        return TrackOutputs(table.head_frame.take(active), table.ids.take(active), table.boxes.take(active, axis=0),
-                            table.confidence.take(active), np.arange(n) >= n - coast.size)
+        return TrackOutputs._checked(table.head_frame.take(active), table.ids.take(active),
+                                     table.boxes.take(active, axis=0), table.confidence.take(active),
+                                     np.arange(n) >= n - coast.size)
 
 
 def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEFAULT_NMS_IOU) -> TrackOutputs:
@@ -586,7 +596,8 @@ def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEF
         kept = nms(batch.take(batch.confidence >= config.det_threshold), nms_iou)
         outputs.append(tracker.step(kept, frame))
         frame += 1
-    return TrackOutputs(*(np.concatenate([getattr(o, name) for o in outputs]) for name in TrackOutputs.__slots__))
+    return TrackOutputs._checked(*(np.concatenate([getattr(o, name) for o in outputs])
+                                   for name in TrackOutputs.__slots__))
 
 
 def hypotheses(outputs: TrackOutputs, interpolated: bool = False) -> dict[int, IdBoxes]:

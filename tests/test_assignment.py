@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from idtrack import assignment
 from idtrack.assignment import BRUTE_FORCE_CAP, brute_force_max, solve_max
 
 
@@ -120,3 +122,20 @@ def test_property_the_rows_come_back_strictly_increasing(case):
     found = solve_max(matrix, min_affinity=floor)
     assert (np.diff(found.rows) > 0).all()
     assert (matrix[found.rows, found.cols] >= floor).all()
+    # The same arrays as scipy's public solver, floored, tie-breaks included.
+    rows, cols = linear_sum_assignment(matrix, maximize=True)
+    keep = matrix[rows, cols] >= floor
+    assert found.rows.tolist() == rows[keep].tolist() and found.cols.tolist() == cols[keep].tolist()
+
+
+@pytest.mark.parametrize("content", [None, b"not an extension module\n"])
+def test_without_the_extension_file_the_solver_comes_from_scipy_optimize(tmp_path, monkeypatch, content):
+    # Another scipy layout: no loadable _lsap file where it is looked for.
+    path = tmp_path / "_lsap.so"
+    if content is not None:
+        path.write_bytes(content)
+    monkeypatch.setattr(assignment, "_extension_path", lambda: str(path))
+    monkeypatch.setattr(assignment, "_linear_sum_assignment", None)
+    matrix = np.array([[0.1, 0.9, 0.0], [0.05, 0.0, 0.1], [0.7, 0.2, 0.0]])
+    assert solve_max(matrix).pairs == ((0, 1), (2, 0))
+    assert assignment._linear_sum_assignment is linear_sum_assignment

@@ -55,10 +55,14 @@ def test_readme_python_blocks_run():
 
 
 def test_scipy_is_imported_only_when_a_solve_needs_it(tmp_path):
-    # scipy.optimize is most of the import time; simulate never solves. The
-    # training-side kernels are not part of the package root.
+    # simulate never solves. A solve loads scipy's assignment extension
+    # alone: scipy.optimize and the linalg and sparse packages it pulls in
+    # are most of scipy's import time and memory. The extension registers
+    # itself as scipy.optimize._lsap, without its package. The training-side
+    # kernels are not part of the package root.
     config = tmp_path / "sim.cfg"
     config.write_text("num_identities=2\nframes=5\n")
+    scene = tmp_path / "scene"
     code = "\n".join(
         [
             "import sys",
@@ -66,11 +70,20 @@ def test_scipy_is_imported_only_when_a_solve_needs_it(tmp_path):
             "assert 'scipy' not in sys.modules, 'after import idtrack'",
             "assert 'idtrack.kernels' not in sys.modules, 'kernels after import idtrack'",
             "from idtrack.cli import main",
-            f"assert main(['simulate', '--config', {str(config)!r}, '--out-dir', {str(tmp_path / 'scene')!r}]) == 0",
+            f"assert main(['simulate', '--config', {str(config)!r}, '--out-dir', {str(scene)!r}]) == 0",
             "assert 'scipy' not in sys.modules, 'after idtrack simulate'",
             "assert 'idtrack.kernels' not in sys.modules, 'kernels after idtrack simulate'",
+            "heavy = ('scipy.optimize', 'scipy.linalg', 'scipy.sparse')",
+            "def loaded():",
+            "    return sorted(m for m in sys.modules if m.startswith(heavy) and m != 'scipy.optimize._lsap')",
             "assert idtrack.solve_max([[1.0]]).pairs == ((0, 0),)",
-            "assert 'scipy.optimize' in sys.modules",
+            "assert 'scipy' in sys.modules and loaded() == [], f'after a solve: {loaded()}'",
+            f"assert main(['track', '--dets', {str(scene / 'dets.txt')!r}, '--embeddings',"
+            f" {str(scene / 'embeddings.txt')!r}, '--out', {str(tmp_path / 'hyp.txt')!r}]) == 0",
+            f"assert main(['eval', '--gt', {str(scene / 'gt.txt')!r}, '--hyp', {str(tmp_path / 'hyp.txt')!r}]) == 0",
+            f"assert main(['ablate', '--config', {str(config)!r}]) == 0",
+            "assert loaded() == [], f'after idtrack track, eval and ablate: {loaded()}'",
+            "assert 'idtrack.kernels' not in sys.modules, 'kernels after idtrack track, eval and ablate'",
         ]
     )
     src = str(Path(idtrack.__file__).resolve().parents[1])

@@ -257,6 +257,21 @@ def test_the_steps_of_a_stream_without_idle_frames_are_its_rows():
     assert rows == list(track_stream(dets, config)) and len(rows) > 400
 
 
+def test_the_tracker_builds_batches_the_constructor_would_take_as_they_are():
+    # Tracker.step and track_stream skip the constructor's checks, so their
+    # columns must already have its dtypes and shapes.
+    _, dets = generate(SimConfig(seed=43, num_identities=8, frames=30, occlusion_events=3))
+    tracker = Tracker(id_only_config())
+    batches = [tracker.step(dets[1], 1), tracker.step(dets[2].take([]), 2),
+               track_stream(dets, id_only_config()), track_stream({5: []})]
+    for outputs in batches:
+        rebuilt = TrackOutputs(*(getattr(outputs, name) for name in TrackOutputs.__slots__))
+        for name in TrackOutputs.__slots__:
+            column, checked = getattr(outputs, name), getattr(rebuilt, name)
+            assert (column.dtype, column.shape) == (checked.dtype, checked.shape), name
+    assert [len(outputs) > 0 for outputs in batches] == [True, True, True, False]
+
+
 def test_coasting_trajectory_still_matches_by_iou():
     tracker = Tracker(iou_only_config(motion_propagate_frames=3))
     tracker.step(detections([det(10, 10, size=10.0)]), 1)
