@@ -145,6 +145,8 @@ def _sim_config(args):
 
 
 def cmd_simulate(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        return _usage_error(f"--seed must be >= 0, got {args.seed}")
     config = _sim_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -159,6 +161,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        return _usage_error(f"--seed must be >= 0, got {args.seed}")
     _check_iou_gate(args.iou_gate)
     config = _sim_config(args)
     models = {name: replace(base, det_threshold=args.det_threshold) for name, base in ABLATION_MODELS.items()}

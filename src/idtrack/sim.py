@@ -12,7 +12,9 @@ seeded from ``SimConfig.seed``, and draws happen in a fixed order, so the
 same config reproduces the same scene bit for bit. ``frame_stride`` never
 changes the underlying world: every source frame makes all of its draws,
 but boxes, detections and embeddings are built only for the frames that the
-stride keeps, which emulates dropping the frame rate by that factor.
+stride keeps, which emulates dropping the frame rate by that factor. A
+dropped frame makes its noise draws into scratch rows and keeps nothing, so
+it costs its draws and the motion update, not the building of a frame.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ class SimConfig:
             entries = value if isinstance(value, tuple) else (value,)
             if not all(math.isfinite(v) for v in entries if isinstance(v, float)):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.num_identities < 1 or self.frames < 1:
             raise ValueError("need at least one identity and one frame")
         if self.frame_stride < 1:
@@ -154,9 +158,17 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
     stride-1 scene. A kept frame's values are gathered as Python floats and
     noise vectors and become its batches in one step: the embeddings are
     normalised together, with the per-row arithmetic of ``_unit``.
+
+    A dropped frame draws its noise into two preallocated scratch rows with
+    ``standard_normal(out=...)``, which takes the stream element for element
+    as ``normal(size=...)`` does, and throws the values away. Kept frames
+    draw with ``normal``: it returns ``0.0 + x``, so a ``-0.0`` draw comes
+    out as ``+0.0``, which ``standard_normal`` would not give. An identity's
+    wall bounds are worked out once, and ``_bounce`` runs only for a step
+    that leaves them.
     """
     rng = np.random.Generator(np.random.Philox(config.seed))
-    random, normal, uniform = rng.random, rng.normal, rng.uniform
+    random, normal, uniform, standard_normal = rng.random, rng.normal, rng.uniform, rng.standard_normal
     n = config.num_identities
     dim = config.embedding_dim
     stride = config.frame_stride
@@ -176,6 +188,7 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
         speed = uniform(*config.speed_range)
         angle = uniform(0.0, 2.0 * math.pi)
         vel.append([speed * math.cos(angle), speed * math.sin(angle)])
+    walls = [(w / 2, width - w / 2, h / 2, height - h / 2) for w, h in sizes]
 
     occluded = np.zeros((n, config.frames + 1), dtype=bool)
     for _ in range(config.occlusion_events):
@@ -183,14 +196,16 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
         start = int(rng.integers(1, config.frames + 1))
         dur = int(rng.integers(config.occlusion_duration[0], config.occlusion_duration[1] + 1))
         occluded[who, start:min(start + dur, config.frames + 1)] = True
-    occluded_at = occluded.tolist()
+    occluded_at = occluded.T.tolist()  # one row of identities per source frame
 
+    box_scratch, emb_scratch = np.empty(4), np.empty(dim)  # dropped frames' noise
     identities = np.arange(1, n + 1)  # shared by every gt batch, which never modifies it
     gt: dict[int, IdBoxes] = {}
     dets: dict[int, Detections] = {}
     for t in range(1, config.frames + 1):
         keep = (t - 1) % stride == 0
         frame = (t - 1) // stride + 1
+        occluded_now = occluded_at[t]
         true_boxes: list[tuple[float, float, float, float]] = []
         boxes: list[tuple[float, float, float, float]] = []
         confidence: list[float] = []
@@ -202,30 +217,36 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
                 speed = math.hypot(v[0], v[1])
                 angle = uniform(0.0, 2.0 * math.pi)
                 v[0], v[1] = speed * math.cos(angle), speed * math.sin(angle)
+            x_lo, x_hi, y_lo, y_hi = walls[i]
+            x, y = p[0] + v[0], p[1] + v[1]
+            if x_lo <= x <= x_hi:
+                p[0] = x
+            else:
+                p[0], v[0] = _bounce(x, v[0], x_lo, x_hi)
+            if y_lo <= y <= y_hi:
+                p[1] = y
+            else:
+                p[1], v[1] = _bounce(y, v[1], y_lo, y_hi)
+            if not keep:
+                if not occluded_now[i] and random() >= miss_rate:
+                    standard_normal(out=box_scratch)
+                    random()
+                    standard_normal(out=emb_scratch)
+                continue
             w, h = sizes[i]
-            p[0], v[0] = _bounce(p[0] + v[0], v[0], w / 2, width - w / 2)
-            p[1], v[1] = _bounce(p[1] + v[1], v[1], h / 2, height - h / 2)
-            if keep:
-                true_boxes.append((p[0], p[1], w, h))
-
-            if occluded_at[i][t]:
+            true_boxes.append((p[0], p[1], w, h))
+            if occluded_now[i] or random() < miss_rate:
                 continue
-            if random() < miss_rate:
-                continue
-            box_noise = normal(size=4)
-            conf_draw = random()
-            emb_noise = normal(size=dim)
-            if keep:
-                dx, dy, dw, dh = box_noise.tolist()
-                boxes.append((
-                    p[0] + config.center_noise * dx,
-                    p[1] + config.center_noise * dy,
-                    w * math.exp(config.size_noise * dw),
-                    h * math.exp(config.size_noise * dh),
-                ))
-                confidence.append(0.55 + 0.44 * conf_draw)
-                noise.append(emb_noise)
-                seen.append(i)
+            dx, dy, dw, dh = normal(size=4).tolist()
+            boxes.append((
+                p[0] + config.center_noise * dx,
+                p[1] + config.center_noise * dy,
+                w * math.exp(config.size_noise * dw),
+                h * math.exp(config.size_noise * dh),
+            ))
+            confidence.append(0.55 + 0.44 * random())
+            noise.append(normal(size=dim))
+            seen.append(i)
 
         for _ in range(int(rng.poisson(config.fp_rate))):
             w = uniform(*config.box_size_range)
@@ -233,11 +254,12 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
             cx = uniform(w / 2, width - w / 2)
             cy = uniform(h / 2, height - h / 2)
             conf_draw = random()
-            emb_noise = normal(size=dim)
             if keep:
                 boxes.append((cx, cy, w, h))
                 confidence.append(0.05 + 0.5 * conf_draw)
-                noise.append(emb_noise)
+                noise.append(normal(size=dim))
+            else:
+                standard_normal(out=emb_scratch)
 
         if keep:
             gt[frame] = IdBoxes(identities, true_boxes)

@@ -98,6 +98,31 @@ def test_config_errors_name_the_file_and_the_key(tmp_path, capsys, command):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "ablate"])
+def test_a_negative_seed_in_a_config_file_names_the_file(tmp_path, capsys, command):
+    # Used to fail inside numpy with "expected non-negative integer".
+    config = tmp_path / "sim.cfg"
+    config.write_text("seed=-5\nnum_identities=3\nframes=20\n")
+    out_dir = tmp_path / "scene"
+    rc = main([command, "--config", str(config), "--out-dir", str(out_dir)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {config}: seed must be >= 0, got -5\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command, seed", [("simulate", "-1"), ("ablate", "-2")])
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, command, seed):
+    def generate(config):
+        raise AssertionError("generate must not run for a negative --seed")
+
+    monkeypatch.setattr("idtrack.cli.generate", generate)
+    out_dir = tmp_path / "scene"
+    rc = main([command, "--seed", seed, "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --seed must be >= 0, got {seed}\n"
+    assert not out_dir.exists()
+
+
 # The default scene (stock, seed 7) as the per-line "%" writers wrote it: a
 # change to the scene or to any writer's bytes fails here.
 PINNED_SHA256 = {

@@ -2,12 +2,13 @@ import json
 import math
 import re
 import time
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import detections
@@ -156,8 +157,18 @@ def sim_configs(draw):
     )
 
 
+def _dropped_frame_scene(stride):
+    """A scene whose dropped frames turn, bounce, occlude, miss, draw
+    detections and draw false positives, whatever hypothesis draws."""
+    return SimConfig(seed=stride, num_identities=4, frames=60, arena=(300.0, 200.0), speed_range=(20.0, 40.0),
+                     box_size_range=(20.0, 40.0), miss_rate=0.05, fp_rate=4.0, occlusion_events=4,
+                     occlusion_duration=(5, 20), embedding_dim=8, frame_stride=stride, turn_prob=1.0)
+
+
 @settings(max_examples=200)
 @given(sim_configs())
+@example(_dropped_frame_scene(10))
+@example(_dropped_frame_scene(12))
 def test_generate_matches_the_reference_bit_for_bit(cfg):
     assert scene_bits(*generate(cfg)) == scene_bits(*reference_generate(cfg))
 
@@ -320,6 +331,9 @@ def test_config_validation():
         SimConfig(miss_rate=-0.1)
     with pytest.raises(ValueError):
         SimConfig(occlusion_duration=(0, 5))
+    # Used to fail inside numpy's seeding with a message that named no key.
+    with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
+        SimConfig(seed=-1)
 
 
 @pytest.mark.parametrize(
@@ -366,12 +380,33 @@ def test_config_keeps_speeds_below_the_free_width_of_the_arena():
     assert SimConfig(speed_range=(1.0, math.nextafter(650.0, 0.0))).speed_range[1] < 650.0
 
 
+def _workload_config(name):
+    workload = json.loads((Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text())["workloads"][name]
+    values = {k: ",".join(map(str, v)) if isinstance(v, list) else str(v) for k, v in workload["sim"].items()}
+    return config_from_mapping(values)
+
+
 def test_config_accepts_the_benchmark_workloads():
     workloads = json.loads((Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text())["workloads"]
     assert set(workloads) == {"stock", "scale128", "lowfps"}
     for name, workload in workloads.items():
-        values = {k: ",".join(map(str, v)) if isinstance(v, list) else str(v) for k, v in workload["sim"].items()}
-        assert config_from_mapping(values).num_identities == workload["sim"]["num_identities"], name
+        assert _workload_config(name).num_identities == workload["sim"]["num_identities"], name
+
+
+@pytest.mark.parametrize("workload, frames", [("stock", 200), ("lowfps", 1000)])
+def test_generate_peaks_below_twice_the_arrays_it_returns(workload, frames):
+    # Batches are built frame by frame; a generator that held the whole
+    # stream's draws before building any batch peaks at 2.7 and 2.9 times.
+    cfg = replace(_workload_config(workload), seed=7, frames=frames)
+    tracemalloc.start()
+    try:
+        gt, dets = generate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for batch in gt.values() for a in (batch.ids, batch.boxes, batch.confidence))
+    returned += sum(a.nbytes for batch in dets.values() for a in (batch.boxes, batch.confidence, batch.embeddings))
+    assert peak < 2 * returned
 
 
 def test_a_scene_at_every_cap_is_finite():
