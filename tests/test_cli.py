@@ -1,4 +1,6 @@
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +178,44 @@ def test_track_default_scene_bytes_are_pinned(tmp_path):
         hyp = tmp_path / "hyp.txt"
         assert main(["track", *scene, "--out", str(hyp), *flags]) == 0
         assert hashlib.sha256(hyp.read_bytes()).hexdigest() == expected, flags
+
+
+
+# The other two benchmark workloads at seed 7: their configs come from
+# perfbench/workloads.json, so a change to the scene, the tracker or any
+# writer on a bigger (scale128) or strided (lowfps) scene fails here.
+PINNED_WORKLOAD_SHA256 = {
+    "scale128": {
+        "gt.txt": "5026a9d149371bd4db25e48bfd0f24336f96cfcc38359f50d31652463964e790",
+        "dets.txt": "01dca2d1f2d35ce8f6cc2ca4554416173ff0293598754d51493034275c897c74",
+        "embeddings.txt": "9b7cff4a8f89219417a55b5d599736a3cfba0c7d261ed5fcfcfb06174bece22d",
+        "hyp.txt": "3ac4ecf53c5b5986c2ce767ea12c1bd4d6c33cc7f237a2667163b85944388252",
+    },
+    "lowfps": {
+        "gt.txt": "988ce869edaf01ccf7fef8def0dc6141eb9aaf6b01dbde6ffa5230085c212045",
+        "dets.txt": "3a0906d6c63d1f91644056e4b16ca3963c013c98fd830e1b5f87a23425024699",
+        "embeddings.txt": "e6e99ad2a5771a27cda61bae9d00556ad1e346d230edf6684659cc3d2432130a",
+        "hyp.txt": "b89e623e19dc929d421f4e08c021a7ba40cebddfbcef0a7befd1e6de9286f38a",
+    },
+}
+
+
+@pytest.mark.parametrize("workload", PINNED_WORKLOAD_SHA256)
+def test_workload_scene_bytes_are_pinned(tmp_path, workload):
+    spec = json.loads((Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text())
+    values = {k: ",".join(map(str, v)) if isinstance(v, list) else str(v)
+              for k, v in spec["workloads"][workload]["sim"].items()}
+    config = tmp_path / "sim.cfg"
+    config.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+    assert main(["simulate", "--config", str(config), "--seed", "7", "--out-dir", str(tmp_path)]) == 0
+    t = spec["tracker"]
+    flags = ["--w1", t["w1"], "--w2", t["w2"], "--buffer-size", t["buffer_size"], "--min-affinity", t["min_affinity"],
+             "--det-threshold", t["det_threshold"], "--propagate-frames", t["propagate_frames"],
+             "--embedding-momentum", t["embedding_momentum"], "--nms-iou", t["nms_iou"]]
+    assert main(["track", "--dets", str(tmp_path / "dets.txt"), "--embeddings", str(tmp_path / "embeddings.txt"),
+                 "--out", str(tmp_path / "hyp.txt"), *map(str, flags)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED_WORKLOAD_SHA256[workload]}
+    assert digests == PINNED_WORKLOAD_SHA256[workload]
 
 
 # The stdout of eval, eval --sweep and ablate on the default scene (ablate
