@@ -20,12 +20,13 @@ it costs its draws and the motion update, not the building of a frame.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
 
-from .geometry import Detections, IdBoxes, _row_norms
+from .geometry import UNIT_NORM_TOL, Detections, IdBoxes, _good_boxes, _row_norms
 
 __all__ = ["SimConfig", "generate", "subsample", "benchmark_config", "config_from_mapping"]
 
@@ -61,9 +62,17 @@ class SimConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
+            # Each field takes what its default holds: an int, or a number
+            # (an int or a float), or a pair of them. A bool is neither.
+            value, default = getattr(self, f.name), f.default
+            pair = isinstance(default, tuple)
             entries = value if isinstance(value, tuple) else (value,)
-            if not all(math.isfinite(v) for v in entries if isinstance(v, float)):
+            kind = numbers.Integral if isinstance(default[0] if pair else default, int) else numbers.Real
+            if (pair != isinstance(value, tuple) or len(entries) != (len(default) if pair else 1)
+                    or not all(isinstance(v, kind) and not isinstance(v, bool) for v in entries)):
+                noun = "int" if kind is numbers.Integral else "number"
+                raise TypeError(f"{f.name} must be {f'a pair of {noun}s' if pair else f'one {noun}'}, got {value!r}")
+            if not all(math.isfinite(v) for v in entries if not isinstance(v, numbers.Integral)):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -156,8 +165,12 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
     are kept and numbered densely. Every source frame makes the same draws
     whether it is kept or not, so the result equals ``subsample`` of the
     stride-1 scene. A kept frame's values are gathered as Python floats and
-    noise vectors and become its batches in one step: the embeddings are
-    normalised together, with the per-row arithmetic of ``_unit``.
+    noise vectors and become its arrays in one step: the embeddings are
+    normalised together, with the per-row arithmetic of ``_unit``. The
+    arrays become batches without the constructors' checks; their rules
+    (every box in the box domain, every confidence in [0, 1], every
+    embedding of unit norm) run once over the whole stream at the end, in
+    ``_check_stream``.
 
     A dropped frame draws its noise into two preallocated scratch rows with
     ``standard_normal(out=...)``, which takes the stream element for element
@@ -169,11 +182,13 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
     """
     rng = np.random.Generator(np.random.Philox(config.seed))
     random, normal, uniform, standard_normal = rng.random, rng.normal, rng.uniform, rng.standard_normal
+    exp = math.exp
     n = config.num_identities
     dim = config.embedding_dim
     stride = config.frame_stride
     width, height = config.arena
     miss_rate, turn_prob = config.miss_rate, config.turn_prob
+    center_noise, size_noise = config.center_noise, config.size_noise
 
     protos = np.empty((n, dim))
     sizes: list[tuple[float, float]] = []
@@ -206,8 +221,8 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
         keep = (t - 1) % stride == 0
         frame = (t - 1) // stride + 1
         occluded_now = occluded_at[t]
-        true_boxes: list[tuple[float, float, float, float]] = []
-        boxes: list[tuple[float, float, float, float]] = []
+        true_boxes: list[float] = []  # cx, cy, w, h of each row in turn: flat
+        boxes: list[float] = []  # lists become arrays twice as fast as lists of tuples
         confidence: list[float] = []
         noise: list[np.ndarray] = []  # embedding noise, one row per detection
         seen: list[int] = []  # identity of each non-false-positive row
@@ -234,16 +249,16 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
                     standard_normal(out=emb_scratch)
                 continue
             w, h = sizes[i]
-            true_boxes.append((p[0], p[1], w, h))
+            true_boxes += (p[0], p[1], w, h)
             if occluded_now[i] or random() < miss_rate:
                 continue
             dx, dy, dw, dh = normal(size=4).tolist()
-            boxes.append((
-                p[0] + config.center_noise * dx,
-                p[1] + config.center_noise * dy,
-                w * math.exp(config.size_noise * dw),
-                h * math.exp(config.size_noise * dh),
-            ))
+            boxes += (
+                p[0] + center_noise * dx,
+                p[1] + center_noise * dy,
+                w * exp(size_noise * dw),
+                h * exp(size_noise * dh),
+            )
             confidence.append(0.55 + 0.44 * random())
             noise.append(normal(size=dim))
             seen.append(i)
@@ -255,20 +270,46 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
             cy = uniform(h / 2, height - h / 2)
             conf_draw = random()
             if keep:
-                boxes.append((cx, cy, w, h))
+                boxes += (cx, cy, w, h)
                 confidence.append(0.05 + 0.5 * conf_draw)
                 noise.append(normal(size=dim))
             else:
                 standard_normal(out=emb_scratch)
 
         if keep:
-            gt[frame] = IdBoxes(identities, true_boxes)
+            gt[frame] = IdBoxes._checked(identities, np.array(true_boxes).reshape(n, 4), np.ones(n))
             vectors = np.array(noise).reshape(-1, dim)
             k = len(seen)
             vectors[:k] = protos[seen] + config.embedding_noise * vectors[:k]
             vectors /= _row_norms(vectors)[:, None]
-            dets[frame] = Detections(boxes, confidence, vectors)
+            dets[frame] = Detections._checked(np.array(boxes).reshape(-1, 4), np.array(confidence), vectors)
+    _check_stream(gt, dets)
     return gt, dets
+
+
+def _check_stream(gt: dict[int, IdBoxes], dets: dict[int, Detections]) -> None:
+    """Apply the rules of the ``IdBoxes`` and ``Detections`` constructors to
+    the streams that ``generate`` built unchecked, once for all their rows:
+    every box in the box domain, every detection confidence in [0, 1] and
+    every embedding of unit norm. If a row breaks one, the first frame that
+    holds such a row goes through the constructors, whose error names the
+    row, and the error names the frame too."""
+    boxes = np.concatenate([batch.boxes for stream in (gt, dets) for batch in stream.values()])
+    confidence = np.concatenate([batch.confidence for batch in dets.values()])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # One frame at a time: the whole stream's embeddings would double
+        # what generate holds at its peak.
+        norms = np.concatenate([_row_norms(batch.embeddings) for batch in dets.values()])
+    if (_good_boxes(boxes).all() and ((confidence >= 0.0) & (confidence <= 1.0)).all()
+            and (np.abs(norms - 1.0) <= UNIT_NORM_TOL).all()):  # a NaN fails each comparison
+        return
+    for frame, truth in gt.items():
+        batch = dets[frame]
+        try:
+            IdBoxes(truth.ids, truth.boxes, truth.confidence)
+            Detections(batch.boxes, batch.confidence, batch.embeddings)
+        except ValueError as error:
+            raise ValueError(f"frame {frame}: {error}") from None
 
 
 def subsample(stream: Mapping[int, object], stride: int) -> dict[int, object]:

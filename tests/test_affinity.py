@@ -146,6 +146,42 @@ def test_combined_affinity_is_the_weighted_blend():
             assert got.min() >= 0.0 and got.max() <= 1.0
 
 
+class GramRows:
+    """Rows that ``combined_affinity`` takes, with real boxes and an
+    embedding matrix whose product with any matrix is ``cosine``."""
+
+    def __init__(self, boxes, cosine):
+        self.boxes, self.embeddings, self.cosine = _box_rows(boxes), self, cosine
+
+    def __len__(self):
+        return len(self.boxes)
+
+    def __matmul__(self, other):
+        return self.cosine.copy()
+
+    def missing_embedding(self):
+        return None
+
+
+def test_combined_affinity_writes_no_negative_zero_from_a_chosen_cosine():
+    # numpy's ``@`` sums from +0.0, so real embeddings never give a -0.0
+    # cosine; stub rows do. The clip keeps -0.0, and only the blend's zeros
+    # turn it into +0.0, also where the identity term stands alone.
+    cosine = np.array([[-0.0, -0.5, 0.25, -0.0], [1.0, -0.0, -1e-300, 0.5], [-1.0, 0.75, -0.0, -0.0]])
+    track_boxes = [BBox(0.0, 0.0, 2.0, 2.0), BBox(10.0, 0.0, 2.0, 2.0), BBox(50.0, 50.0, 4.0, 4.0)]
+    det_boxes = [BBox(1.0, 0.0, 2.0, 2.0), BBox(0.0, 0.0, 2.0, 2.0), BBox(10.5, 0.5, 2.0, 2.0), BBox(90.0, 90.0, 1.0, 1.0)]
+    trajs = GramRows(track_boxes, cosine)
+    dets = Detections._checked(_box_rows(det_boxes), np.full(4, 0.9), np.zeros((4, 1)))
+    overlap = iou_cells(_box_rows(track_boxes), _box_rows(det_boxes))
+    assert (overlap == 0.0).any() and (overlap > 0.0).any()
+    for weights in [*WEIGHT_PRESETS.values(), AffinityWeights(0.0, 1.0), AffinityWeights(0.3, 0.7)]:
+        want = weights.overlap * overlap + weights.identity * np.clip(cosine, 0.0, 1.0)
+        for cells in (0, 10**9):
+            with mock.patch.object(idtrack.affinity, "_DENSE_CELLS", cells):
+                got = combined_affinity(trajs, dets, weights)
+            assert got.tobytes() == want.tobytes() and not np.signbit(got).any(), weights
+
+
 def identity_only(track_embedding, det_embeddings):
     # Far-apart boxes: only the identity term can contribute.
     trajs = trajectories([(1, BBox(0.0, 0.0, 2.0, 2.0), track_embedding)])

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import detections
+from helpers import batch_bits, detections
 from idtrack import sim
-from idtrack.geometry import BOX_LIMIT, MIN_SIDE, BBox, _good_boxes
+from idtrack.geometry import BOX_LIMIT, MIN_SIDE, BBox, Detections, IdBoxes, _good_boxes
 from idtrack.sim import SimConfig, benchmark_config, config_from_mapping, generate, subsample
 
 
@@ -409,6 +409,62 @@ def test_generate_peaks_below_twice_the_arrays_it_returns(workload, frames):
     assert peak < 2 * returned
 
 
+def test_generate_builds_batches_without_a_constructor_per_frame(monkeypatch):
+    # The constructors' checks run once over the stream, so the number of
+    # constructor calls does not grow with the frames; a generator that
+    # built each kept frame through them made two per frame.
+    built = []
+    for cls in (IdBoxes, Detections):
+        def counting_init(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    counts = []
+    for frames in (4, 40):
+        built.clear()
+        cfg = SimConfig(seed=4, num_identities=3, frames=frames, fp_rate=0.5, miss_rate=0.5, occlusion_events=2)
+        gt, dets = generate(cfg)
+        counts.append(len(built))
+        # The batches hold what the constructors would have stored: float64
+        # boxes (n, 4) and confidences (n,), int64 ids, in every frame,
+        # empty ones too.
+        assert any(len(batch) == 0 for batch in dets.values())
+        for frame, batch in dets.items():
+            rebuilt = Detections(batch.boxes, batch.confidence, batch.embeddings)
+            assert batch_bits(batch) == batch_bits(rebuilt), frame
+            truth = gt[frame]
+            rebuilt = IdBoxes(truth.ids, truth.boxes, truth.confidence)
+            assert [(a.dtype, a.shape, a.tobytes()) for a in (truth.ids, truth.boxes, truth.confidence)] == \
+                   [(a.dtype, a.shape, a.tobytes()) for a in (rebuilt.ids, rebuilt.boxes, rebuilt.confidence)]
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("stream, column, row, value, message", [
+    ("gt", "boxes", (1, 2), 0.0, "frame 3: row 1: BBox needs positive size, got w=0.0"),
+    ("dets", "boxes", (0, 0), math.nan, "frame 3: detection 0: BBox.cx must be finite, got nan"),
+    ("dets", "boxes", (2, 3), 2e8, "frame 3: detection 2: box h must be at most 1e+08 in magnitude"),
+    ("dets", "confidence", 1, 1.5, "frame 3: detection 1: confidence must lie in [0, 1], got 1.5"),
+    ("dets", "embeddings", (2, 0), 9.0, "frame 3: detection 2: embedding must be L2-normalized"),
+])
+def test_generate_checks_the_whole_stream_and_names_the_frame(stream, column, row, value, message):
+    # generate builds its batches unchecked and checks the stream once; a
+    # row that breaks a constructor's rule fails with the frame and the row.
+    cfg = SimConfig(seed=5, num_identities=4, frames=6, miss_rate=0.0)
+    gt, dets = generate(cfg)
+    sim._check_stream(gt, dets)
+    getattr({"gt": gt, "dets": dets}[stream][3], column)[row] = value
+    getattr({"gt": gt, "dets": dets}[stream][5], column)[row] = value  # only the first bad frame is named
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sim._check_stream(gt, dets)
+
+
+def test_generate_refuses_a_scene_that_breaks_a_batch_rule(monkeypatch):
+    monkeypatch.setattr(math, "exp", lambda x: -1.0)  # every detection's sides come out negative
+    with pytest.raises(ValueError, match=re.escape("frame 1: detection 0: BBox needs positive size, got w=-")):
+        generate(SimConfig(seed=5, num_identities=4, frames=6, miss_rate=0.0))
+
+
 def test_a_scene_at_every_cap_is_finite():
     cfg = SimConfig(num_identities=3, frames=3, arena=(1e6, 1e6), box_size_range=(1.0, 999_990.0), center_noise=1e6,
                     size_noise=0.3, embedding_noise=1e6, fp_rate=1e3, embedding_dim=3)
@@ -426,6 +482,42 @@ def test_the_caps_keep_every_box_in_the_box_domain():
     assert 1.0 * math.exp(-14 * cap["size_noise"]) >= MIN_SIDE
     assert cap["arena"] * math.exp(14 * cap["size_noise"]) <= BOX_LIMIT
     assert cap["arena"] + 14 * cap["center_noise"] <= BOX_LIMIT
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", 1.5, "seed must be one int, got 1.5"),
+    ("seed", True, "seed must be one int, got True"),
+    ("seed", "7", "seed must be one int, got '7'"),
+    ("num_identities", 2.5, "num_identities must be one int, got 2.5"),
+    ("frames", 3.0, "frames must be one int, got 3.0"),
+    ("embedding_dim", 4.0, "embedding_dim must be one int, got 4.0"),
+    ("occlusion_events", False, "occlusion_events must be one int, got False"),
+    ("frame_stride", (1, 2), "frame_stride must be one int, got (1, 2)"),
+    ("occlusion_duration", (1.5, 3), "occlusion_duration must be a pair of ints, got (1.5, 3)"),
+    ("occlusion_duration", (5, True), "occlusion_duration must be a pair of ints, got (5, True)"),
+    ("occlusion_duration", (5, "14"), "occlusion_duration must be a pair of ints, got (5, '14')"),
+    ("arena", ("1600", 900.0), "arena must be a pair of numbers, got ('1600', 900.0)"),
+    ("arena", (1600.0,), "arena must be a pair of numbers, got (1600.0,)"),
+    ("arena", [1600.0, 900.0], "arena must be a pair of numbers, got [1600.0, 900.0]"),
+    ("speed_range", (1.0, True), "speed_range must be a pair of numbers, got (1.0, True)"),
+    ("box_size_range", 30.0, "box_size_range must be a pair of numbers, got 30.0"),
+    ("center_noise", True, "center_noise must be one number, got True"),
+    ("miss_rate", "0.1", "miss_rate must be one number, got '0.1'"),
+    ("turn_prob", None, "turn_prob must be one number, got None"),
+])
+def test_config_refuses_a_field_of_the_wrong_type(field, value, message):
+    # Used to be accepted (then generate failed inside numpy), or to fail
+    # with a message that named no field, such as "'>' not supported".
+    with pytest.raises(TypeError, match=re.escape(message)):
+        SimConfig(**{field: value})
+
+
+def test_config_takes_ints_for_numbers():
+    cfg = SimConfig(seed=np.int64(3), num_identities=3, frames=5, arena=(400, 300), speed_range=(1, 2),
+                    box_size_range=(30, 40), center_noise=1, size_noise=0, miss_rate=0, fp_rate=1, embedding_noise=0,
+                    turn_prob=np.float64(0.5))
+    gt, dets = generate(cfg)
+    assert sorted(gt) == sorted(dets) == [1, 2, 3, 4, 5]
 
 
 def test_config_accepts_probabilities_at_the_bounds():
