@@ -296,10 +296,9 @@ def _check_stream(gt: dict[int, IdBoxes], dets: dict[int, Detections]) -> None:
     row, and the error names the frame too."""
     boxes = np.concatenate([batch.boxes for stream in (gt, dets) for batch in stream.values()])
     confidence = np.concatenate([batch.confidence for batch in dets.values()])
-    with np.errstate(over="ignore", invalid="ignore"):
-        # One frame at a time: the whole stream's embeddings would double
-        # what generate holds at its peak.
-        norms = np.concatenate([_row_norms(batch.embeddings) for batch in dets.values()])
+    # Norms frame by frame: the whole stream's embeddings in one array would
+    # double what generate holds at its peak.
+    norms = np.concatenate([_row_norms(batch.embeddings) for batch in dets.values()])
     if (_good_boxes(boxes).all() and ((confidence >= 0.0) & (confidence <= 1.0)).all()
             and (np.abs(norms - 1.0) <= UNIT_NORM_TOL).all()):  # a NaN fails each comparison
         return

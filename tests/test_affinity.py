@@ -169,7 +169,8 @@ def test_combined_affinity_writes_no_negative_zero_from_a_chosen_cosine():
     # turn it into +0.0, also where the identity term stands alone.
     cosine = np.array([[-0.0, -0.5, 0.25, -0.0], [1.0, -0.0, -1e-300, 0.5], [-1.0, 0.75, -0.0, -0.0]])
     track_boxes = [BBox(0.0, 0.0, 2.0, 2.0), BBox(10.0, 0.0, 2.0, 2.0), BBox(50.0, 50.0, 4.0, 4.0)]
-    det_boxes = [BBox(1.0, 0.0, 2.0, 2.0), BBox(0.0, 0.0, 2.0, 2.0), BBox(10.5, 0.5, 2.0, 2.0), BBox(90.0, 90.0, 1.0, 1.0)]
+    det_boxes = [BBox(1.0, 0.0, 2.0, 2.0), BBox(0.0, 0.0, 2.0, 2.0), BBox(10.5, 0.5, 2.0, 2.0),
+                 BBox(90.0, 90.0, 1.0, 1.0)]
     trajs = GramRows(track_boxes, cosine)
     dets = Detections._checked(_box_rows(det_boxes), np.full(4, 0.9), np.zeros((4, 1)))
     overlap = iou_cells(_box_rows(track_boxes), _box_rows(det_boxes))

@@ -214,8 +214,8 @@ def test_workload_scene_bytes_are_pinned(tmp_path, workload):
              "--embedding-momentum", t["embedding_momentum"], "--nms-iou", t["nms_iou"]]
     assert main(["track", "--dets", str(tmp_path / "dets.txt"), "--embeddings", str(tmp_path / "embeddings.txt"),
                  "--out", str(tmp_path / "hyp.txt"), *map(str, flags)]) == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED_WORKLOAD_SHA256[workload]}
-    assert digests == PINNED_WORKLOAD_SHA256[workload]
+    pinned = PINNED_WORKLOAD_SHA256[workload]
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in pinned} == pinned
 
 
 # The stdout of eval, eval --sweep and ablate on the default scene (ablate
