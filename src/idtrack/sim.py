@@ -14,7 +14,9 @@ changes the underlying world: every source frame makes all of its draws,
 but boxes, detections and embeddings are built only for the frames that the
 stride keeps, which emulates dropping the frame rate by that factor. A
 dropped frame makes its noise draws into scratch rows and keeps nothing, so
-it costs its draws and the motion update, not the building of a frame.
+it costs its draws and the motion update, not the building of a frame. A
+kept frame builds its arrays and skips the batch constructors, whose checks
+run once per block of kept frames.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ __all__ = ["SimConfig", "generate", "subsample", "benchmark_config", "config_fro
 # beyond the arena; no embedding's squared norm comes near overflow; and a
 # thousand false positives per frame is far below numpy's Poisson limit.
 _CAPS = {"arena": 1e6, "center_noise": 1e6, "size_noise": 0.3, "embedding_noise": 1e6, "fp_rate": 1e3}
+
+# How many kept frames ``generate`` checks at once. One check over the whole
+# stock stream held 1.8 MB of temporaries at the peak of ``generate``; a
+# block of 32 frames holds a sixteenth of that, in 17 checks.
+_CHECK_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -169,8 +176,9 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
     normalised together, with the per-row arithmetic of ``_unit``. The
     arrays become batches without the constructors' checks; their rules
     (every box in the box domain, every confidence in [0, 1], every
-    embedding of unit norm) run once over the whole stream at the end, in
-    ``_check_stream``.
+    embedding of unit norm) run in ``_check_frames`` once per block of
+    ``_CHECK_BLOCK`` kept frames, so they cost a few calls per stream and
+    hold temporaries for one block, not for the stream.
 
     A dropped frame draws its noise into two preallocated scratch rows with
     ``standard_normal(out=...)``, which takes the stream element for element
@@ -283,27 +291,26 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
             vectors[:k] = protos[seen] + config.embedding_noise * vectors[:k]
             vectors /= _row_norms(vectors)[:, None]
             dets[frame] = Detections._checked(np.array(boxes).reshape(-1, 4), np.array(confidence), vectors)
-    _check_stream(gt, dets)
+            if frame % _CHECK_BLOCK == 0 or t + stride > config.frames:  # a full block, or the last frame
+                _check_frames(gt, dets, range(frame - (frame - 1) % _CHECK_BLOCK, frame + 1))
     return gt, dets
 
 
-def _check_stream(gt: dict[int, IdBoxes], dets: dict[int, Detections]) -> None:
+def _check_frames(gt: dict[int, IdBoxes], dets: dict[int, Detections], frames: range) -> None:
     """Apply the rules of the ``IdBoxes`` and ``Detections`` constructors to
-    the streams that ``generate`` built unchecked, once for all their rows:
-    every box in the box domain, every detection confidence in [0, 1] and
-    every embedding of unit norm. If a row breaks one, the first frame that
-    holds such a row goes through the constructors, whose error names the
-    row, and the error names the frame too."""
-    boxes = np.concatenate([batch.boxes for stream in (gt, dets) for batch in stream.values()])
-    confidence = np.concatenate([batch.confidence for batch in dets.values()])
-    # Norms frame by frame: the whole stream's embeddings in one array would
-    # double what generate holds at its peak.
-    norms = np.concatenate([_row_norms(batch.embeddings) for batch in dets.values()])
+    ``frames`` of the streams that ``generate`` built unchecked, once for
+    all their rows: every box in the box domain, every detection confidence
+    in [0, 1] and every embedding of unit norm. If a row breaks one, the
+    first frame that holds such a row goes through the constructors, whose
+    error names the row, and the error names the frame too."""
+    boxes = np.concatenate([stream[frame].boxes for stream in (gt, dets) for frame in frames])
+    confidence = np.concatenate([dets[frame].confidence for frame in frames])
+    norms = np.concatenate([_row_norms(dets[frame].embeddings) for frame in frames])
     if (_good_boxes(boxes).all() and ((confidence >= 0.0) & (confidence <= 1.0)).all()
             and (np.abs(norms - 1.0) <= UNIT_NORM_TOL).all()):  # a NaN fails each comparison
         return
-    for frame, truth in gt.items():
-        batch = dets[frame]
+    for frame in frames:
+        truth, batch = gt[frame], dets[frame]
         try:
             IdBoxes(truth.ids, truth.boxes, truth.confidence)
             Detections(batch.boxes, batch.confidence, batch.embeddings)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -447,22 +448,31 @@ def test_generate_builds_batches_without_a_constructor_per_frame(monkeypatch):
     ("dets", "confidence", 1, 1.5, "frame 3: detection 1: confidence must lie in [0, 1], got 1.5"),
     ("dets", "embeddings", (2, 0), 9.0, "frame 3: detection 2: embedding must be L2-normalized"),
 ])
-def test_generate_checks_the_whole_stream_and_names_the_frame(stream, column, row, value, message):
-    # generate builds its batches unchecked and checks the stream once; a
-    # row that breaks a constructor's rule fails with the frame and the row.
-    cfg = SimConfig(seed=5, num_identities=4, frames=6, miss_rate=0.0)
-    gt, dets = generate(cfg)
-    sim._check_stream(gt, dets)
-    getattr({"gt": gt, "dets": dets}[stream][3], column)[row] = value
-    getattr({"gt": gt, "dets": dets}[stream][5], column)[row] = value  # only the first bad frame is named
+def test_a_block_check_applies_every_batch_rule_and_names_the_frame(stream, column, row, value, message):
+    # generate builds its batches unchecked and checks them a block of frames
+    # at a time; a row that breaks a constructor's rule fails with the frame
+    # and the row.
+    gt, dets = generate(SimConfig(seed=5, num_identities=4, frames=6, miss_rate=0.0))
+    frames = range(1, 7)
+    sim._check_frames(gt, dets, frames)
+    for frame in (3, 5):  # only the first bad frame is named
+        getattr({"gt": gt, "dets": dets}[stream][frame], column)[row] = value
     with pytest.raises(ValueError, match=re.escape(message)):
-        sim._check_stream(gt, dets)
+        sim._check_frames(gt, dets, frames)
+    sim._check_frames(gt, dets, range(1, 3))
 
 
-def test_generate_refuses_a_scene_that_breaks_a_batch_rule(monkeypatch):
-    monkeypatch.setattr(math, "exp", lambda x: -1.0)  # every detection's sides come out negative
-    with pytest.raises(ValueError, match=re.escape("frame 1: detection 0: BBox needs positive size, got w=-")):
-        generate(SimConfig(seed=5, num_identities=4, frames=6, miss_rate=0.0))
+@pytest.mark.parametrize("stride, good_exp_calls, frame", [(1, 0, 1), (1, 8 * 40, 41), (1, 8 * 66, 67), (3, 8 * 66, 67)])
+def test_generate_checks_every_block_of_frames(monkeypatch, stride, good_exp_calls, frame):
+    # Each kept frame calls math.exp twice for each of its four detections;
+    # after ``good_exp_calls`` calls every side comes out negative. Frames
+    # 1-32 and 33-64 are full blocks, 65-70 the last, partial one, at stride 1
+    # and at stride 3, where dropped frames never call math.exp.
+    calls, exp = itertools.count(), math.exp
+    monkeypatch.setattr(math, "exp", lambda x: exp(x) if next(calls) < good_exp_calls else -1.0)
+    cfg = SimConfig(seed=5, num_identities=4, frames=70 * stride, miss_rate=0.0, frame_stride=stride)
+    with pytest.raises(ValueError, match=re.escape(f"frame {frame}: detection 0: BBox needs positive size, got w=-")):
+        generate(cfg)
 
 
 def test_a_scene_at_every_cap_is_finite():
