@@ -184,7 +184,10 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
     ``standard_normal(out=...)``, which takes the stream element for element
     as ``normal(size=...)`` does, and throws the values away. Kept frames
     draw with ``normal``: it returns ``0.0 + x``, so a ``-0.0`` draw comes
-    out as ``+0.0``, which ``standard_normal`` would not give. An identity's
+    out as ``+0.0``, which ``standard_normal`` would not give. The one
+    exception is a kept frame's identity embedding noise: it is drawn into
+    the rows of one scratch matrix with ``standard_normal(out=...)``, and
+    the ``0.0 +`` is then added to all of them in one step. An identity's
     wall bounds are worked out once, and ``_bounce`` runs only for a step
     that leaves them.
     """
@@ -222,7 +225,8 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
     occluded_at = occluded.T.tolist()  # one row of identities per source frame
 
     box_scratch, emb_scratch = np.empty(4), np.empty(dim)  # dropped frames' noise
-    identities = np.arange(1, n + 1)  # shared by every gt batch, which never modifies it
+    seen_noise = np.empty((n, dim))  # a kept frame's identity embedding noise, row k for seen[k]
+    identities, ones = np.arange(1, n + 1), np.ones(n)  # shared by every gt batch, which never modifies them
     gt: dict[int, IdBoxes] = {}
     dets: dict[int, Detections] = {}
     for t in range(1, config.frames + 1):
@@ -232,7 +236,7 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
         true_boxes: list[float] = []  # cx, cy, w, h of each row in turn: flat
         boxes: list[float] = []  # lists become arrays twice as fast as lists of tuples
         confidence: list[float] = []
-        noise: list[np.ndarray] = []  # embedding noise, one row per detection
+        fp_noise: list[np.ndarray] = []  # false positives' embedding noise, one row each
         seen: list[int] = []  # identity of each non-false-positive row
         for i in range(n):
             p, v = pos[i], vel[i]
@@ -242,14 +246,12 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
                 v[0], v[1] = speed * math.cos(angle), speed * math.sin(angle)
             x_lo, x_hi, y_lo, y_hi = walls[i]
             x, y = p[0] + v[0], p[1] + v[1]
-            if x_lo <= x <= x_hi:
-                p[0] = x
-            else:
-                p[0], v[0] = _bounce(x, v[0], x_lo, x_hi)
-            if y_lo <= y <= y_hi:
-                p[1] = y
-            else:
-                p[1], v[1] = _bounce(y, v[1], y_lo, y_hi)
+            if not x_lo <= x <= x_hi:
+                x, v[0] = _bounce(x, v[0], x_lo, x_hi)
+            if not y_lo <= y <= y_hi:
+                y, v[1] = _bounce(y, v[1], y_lo, y_hi)
+            p[0] = x
+            p[1] = y
             if not keep:
                 if not occluded_now[i] and random() >= miss_rate:
                     standard_normal(out=box_scratch)
@@ -257,18 +259,18 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
                     standard_normal(out=emb_scratch)
                 continue
             w, h = sizes[i]
-            true_boxes += (p[0], p[1], w, h)
+            true_boxes += (x, y, w, h)
             if occluded_now[i] or random() < miss_rate:
                 continue
             dx, dy, dw, dh = normal(size=4).tolist()
             boxes += (
-                p[0] + center_noise * dx,
-                p[1] + center_noise * dy,
+                x + center_noise * dx,
+                y + center_noise * dy,
                 w * exp(size_noise * dw),
                 h * exp(size_noise * dh),
             )
             confidence.append(0.55 + 0.44 * random())
-            noise.append(normal(size=dim))
+            standard_normal(out=seen_noise[len(seen)])
             seen.append(i)
 
         for _ in range(int(rng.poisson(config.fp_rate))):
@@ -280,15 +282,18 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
             if keep:
                 boxes += (cx, cy, w, h)
                 confidence.append(0.05 + 0.5 * conf_draw)
-                noise.append(normal(size=dim))
+                fp_noise.append(normal(size=dim))
             else:
                 standard_normal(out=emb_scratch)
 
         if keep:
-            gt[frame] = IdBoxes._checked(identities, np.array(true_boxes).reshape(n, 4), np.ones(n))
-            vectors = np.array(noise).reshape(-1, dim)
+            gt[frame] = IdBoxes._checked(identities, np.array(true_boxes).reshape(n, 4), ones)
             k = len(seen)
-            vectors[:k] = protos[seen] + config.embedding_noise * vectors[:k]
+            seen_noise[:k] += 0.0  # as normal adds it to each draw
+            vectors = protos.take(seen, axis=0)
+            vectors += config.embedding_noise * seen_noise[:k]
+            if fp_noise:
+                vectors = np.vstack([vectors, *fp_noise])
             vectors /= _row_norms(vectors)[:, None]
             dets[frame] = Detections._checked(np.array(boxes).reshape(-1, 4), np.array(confidence), vectors)
             if frame % _CHECK_BLOCK == 0 or t + stride > config.frames:  # a full block, or the last frame

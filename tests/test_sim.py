@@ -411,9 +411,9 @@ def test_generate_peaks_below_twice_the_arrays_it_returns(workload, frames):
 
 
 def test_generate_builds_batches_without_a_constructor_per_frame(monkeypatch):
-    # The constructors' checks run once over the stream, so the number of
-    # constructor calls does not grow with the frames; a generator that
-    # built each kept frame through them made two per frame.
+    # The constructors' rules run once per block of kept frames, so the
+    # number of constructor calls does not grow with the frames; a generator
+    # that built each kept frame through them made two per frame.
     built = []
     for cls in (IdBoxes, Detections):
         def counting_init(self, *args, _init=cls.__init__, **kwargs):
@@ -459,7 +459,7 @@ def test_a_block_check_applies_every_batch_rule_and_names_the_frame(stream, colu
         getattr({"gt": gt, "dets": dets}[stream][frame], column)[row] = value
     with pytest.raises(ValueError, match=re.escape(message)):
         sim._check_frames(gt, dets, frames)
-    sim._check_frames(gt, dets, range(1, 3))
+    sim._check_frames(gt, dets, range(1, 3))  # a block reads only its own frames
 
 
 @pytest.mark.parametrize("stride, good_exp_calls, frame", [(1, 0, 1), (1, 8 * 40, 41), (1, 8 * 66, 67), (3, 8 * 66, 67)])
