@@ -290,10 +290,10 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
             gt[frame] = IdBoxes._checked(identities, np.array(true_boxes).reshape(n, 4), ones)
             k = len(seen)
             seen_noise[:k] += 0.0  # as normal adds it to each draw
-            vectors = protos.take(seen, axis=0)
-            vectors += config.embedding_noise * seen_noise[:k]
+            vectors = np.empty((k + len(fp_noise), dim))
+            np.add(protos.take(seen, axis=0), config.embedding_noise * seen_noise[:k], out=vectors[:k])
             if fp_noise:
-                vectors = np.vstack([vectors, *fp_noise])
+                vectors[k:] = fp_noise
             vectors /= _row_norms(vectors)[:, None]
             dets[frame] = Detections._checked(np.array(boxes).reshape(-1, 4), np.array(confidence), vectors)
             if frame % _CHECK_BLOCK == 0 or t + stride > config.frames:  # a full block, or the last frame
