@@ -43,8 +43,9 @@ __all__ = ["SimConfig", "generate", "subsample", "benchmark_config", "config_fro
 _CAPS = {"arena": 1e6, "center_noise": 1e6, "size_noise": 0.3, "embedding_noise": 1e6, "fp_rate": 1e3}
 
 # How many kept frames ``generate`` checks at once. One check over the whole
-# stock stream held 1.8 MB of temporaries at the peak of ``generate``; a
-# block of 32 frames holds a sixteenth of that, in 17 checks.
+# stock stream raised the peak RSS of ``generate`` by 1.8 MB, as its
+# temporaries grow with the stream; a block's grow with the block, and the
+# stock stream takes 17 checks.
 _CHECK_BLOCK = 32
 
 
