@@ -29,7 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "AffinityWeights",
-    "WEIGHT_PRESETS",
     "iou",
     "combined_affinity",
     "nms",
@@ -53,16 +52,6 @@ class AffinityWeights:
             raise ValueError(
                 f"affinity weights must sum to 1, got {self.overlap} + {self.identity}"
             )
-
-
-# "default" is the balanced blend; "mot16" leans on identity, which holds up
-# better when the scene is crowded and boxes overlap heavily.
-WEIGHT_PRESETS = {
-    "default": AffinityWeights(0.5, 0.5),
-    "mot16": AffinityWeights(0.2, 0.8),
-    "id-only": AffinityWeights(0.0, 1.0),
-    "iou-only": AffinityWeights(1.0, 0.0),
-}
 
 
 def iou(a: BBox, b: BBox) -> float:

@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .affinity import WEIGHT_PRESETS, AffinityWeights
+from .affinity import AffinityWeights
 from .metrics import DEFAULT_SWEEP_THRESHOLDS, evaluate, format_report, format_table, sweep_thresholds
 from .mot_io import (
     load_detections,
@@ -45,12 +45,10 @@ ABLATION_MODELS = {
 
 
 def _resolve_weights(args) -> AffinityWeights:
-    weights = WEIGHT_PRESETS[args.preset]
-    if args.w1 is not None or args.w2 is not None:
-        w1 = args.w1 if args.w1 is not None else (1.0 - args.w2)
-        w2 = args.w2 if args.w2 is not None else (1.0 - args.w1)
-        weights = AffinityWeights(w1, w2)
-    return weights
+    w1, w2 = args.w1, args.w2  # one alone sets the other to make 1
+    if w1 is None and w2 is None:
+        return AffinityWeights()
+    return AffinityWeights(1.0 - w2 if w1 is None else w1, 1.0 - w1 if w2 is None else w2)
 
 
 def _csv(convert, check, what: str):
@@ -78,7 +76,7 @@ def cmd_track(args) -> int:
         return _usage_error(f"--frame-stride must be >= 1, got {args.frame_stride}")
     weights = _resolve_weights(args)
     if weights.identity > 0.0 and not args.embeddings:
-        return _usage_error(f"identity weight {weights.identity} needs --embeddings; use --preset iou-only or --w2 0")
+        return _usage_error(f"identity weight {weights.identity} needs --embeddings; use --w2 0")
     if args.predictions and args.frame_stride > 1:
         # Predictions are keyed by source frame and look one source frame ahead.
         return _usage_error("--predictions cannot be combined with --frame-stride > 1")
@@ -200,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dets", required=True, help="MOT-format detection file")
     p.add_argument("--embeddings", help="embedding sidecar file (dim=D header)")
     p.add_argument("--predictions", help="predicted next-frame boxes keyed by frame,det_index")
-    p.add_argument("--preset", default="default", choices=sorted(WEIGHT_PRESETS))
     p.add_argument("--w1", type=float, help="overlap affinity weight")
     p.add_argument("--w2", type=float, help="identity affinity weight")
     p.add_argument("--buffer-size", type=int, default=defaults.buffer_size)

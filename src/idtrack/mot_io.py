@@ -331,8 +331,9 @@ def read_embeddings(path, det_counts: Mapping[int, int] | None = None) -> tuple[
     ``(frame, det_index)`` keys in file order and one ``(len(keys), dim)``
     array whose row ``k`` is the vector of ``keys[k]``.
 
-    Every vector must be finite, with a norm neither zero nor overflowing,
-    and is re-normalized; a norm off 1 by more than ``NORM_WARN_TOL`` warns.
+    Every frame must be 1 or more. Every vector must be finite, with a norm
+    neither zero nor overflowing, and is re-normalized; a norm off 1 by
+    more than ``NORM_WARN_TOL`` warns.
     ``det_counts``, when given, maps each frame to its number of raw
     detections; a line whose index names no detection is then rejected. A
     repeated key is always rejected.
@@ -342,6 +343,7 @@ def read_embeddings(path, det_counts: Mapping[int, int] | None = None) -> tuple[
         dim, frames, indices, matrix = _embeddings_by_line(path)
     else:
         dim, frames, indices, matrix = rows["v"].shape[1], rows["frame"], rows["index"], rows["v"]
+    _frame_rule(frames, functools.partial(_require, path, header=1))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is named below
         norms = _row_norms(matrix)
     _require(path, np.isfinite(matrix).all(axis=1), lambda k: "embedding has non-finite components", 1)
@@ -636,12 +638,14 @@ def write_detections(path, dets: Mapping[int, Detections]) -> None:
 
 
 def write_embeddings(path, dets: Mapping[int, Detections]) -> None:
-    """Write the embedding sidecar for a detection stream (all must have one,
-    of one dimension; both are checked before the file is opened). Rows are
+    """Write the embedding sidecar for a detection stream (frames of 1 or
+    more, as in ``write_detections``, and an embedding of one dimension for
+    every detection; all checked before the file is opened). Rows are
     formatted and written a chunk of about ``_CHUNK_VALUES`` values at a
     time."""
     frames, matrices = [], []
     dim = None
+    _frame_rule(np.array(sorted(dets), dtype=np.int64), _check)
     for frame in sorted(dets):
         batch = dets[frame]
         if not len(batch):

@@ -10,13 +10,12 @@ detection embeddings are the prototype plus isotropic noise, re-normalized.
 All randomness comes from one numpy Philox (4x64 counter-based) generator
 seeded from ``SimConfig.seed``, and draws happen in a fixed order, so the
 same config reproduces the same scene bit for bit. ``frame_stride`` never
-changes the underlying world: every source frame makes all of its draws,
+changes the underlying world: every source frame runs one draw sequence,
 but boxes, detections and embeddings are built only for the frames that the
 stride keeps, which emulates dropping the frame rate by that factor. A
-dropped frame makes its noise draws into scratch rows and keeps nothing, so
-it costs its draws and the motion update, not the building of a frame. A
-kept frame builds its arrays and skips the batch constructors, whose checks
-run once per block of kept frames.
+dropped frame costs its draws and the motion update, not the building of a
+frame. A kept frame builds its arrays and skips the batch constructors,
+whose checks run once per block of kept frames.
 """
 
 from __future__ import annotations
@@ -147,10 +146,6 @@ def benchmark_config(seed: int = 7) -> SimConfig:
     )
 
 
-def _unit(vec: np.ndarray) -> np.ndarray:
-    return vec / math.sqrt(vec.dot(vec))  # bit-equal to np.linalg.norm on 1-D float64
-
-
 def _bounce(p: float, v: float, lo: float, hi: float) -> tuple[float, float]:
     if hi <= lo:
         return lo, v
@@ -170,27 +165,29 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
     dets holds one ``Detections`` batch per kept frame (noisy boxes,
     confidences, unit embeddings), its rows in identity order followed by
     that frame's false positives. Source frames 1, 1+stride, 1+2*stride, ...
-    are kept and numbered densely. Every source frame makes the same draws
-    whether it is kept or not, so the result equals ``subsample`` of the
-    stride-1 scene. A kept frame's values are gathered as Python floats and
-    noise vectors and become its arrays in one step: the embeddings are
-    normalised together, with the per-row arithmetic of ``_unit``. The
-    arrays become batches without the constructors' checks; their rules
-    (every box in the box domain, every confidence in [0, 1], every
-    embedding of unit norm) run in ``_check_frames`` once per block of
-    ``_CHECK_BLOCK`` kept frames, so they cost a few calls per stream and
-    hold temporaries for one block, not for the stream.
+    are kept and numbered densely. Every source frame runs one draw
+    sequence, and whether it is kept decides only what is built from the
+    draws, so the result equals ``subsample`` of the stride-1 scene. A kept
+    frame's values are gathered as Python floats and noise vectors and
+    become its arrays in one step: the embeddings are normalised together
+    by ``_row_norms``, as the prototypes are after they are drawn, so every
+    unit vector comes from one norm. The arrays become batches without the
+    constructors' checks; their rules (every box in the box domain, every
+    confidence in [0, 1], every embedding of unit norm) run in
+    ``_check_frames`` once per block of ``_CHECK_BLOCK`` kept frames, so
+    they cost a few calls per stream and hold temporaries for one block,
+    not for the stream.
 
-    A dropped frame draws its noise into two preallocated scratch rows with
+    A detection's box noise is drawn into one scratch row, and its identity
+    embedding noise into row ``len(seen)`` of one scratch matrix, with
     ``standard_normal(out=...)``, which takes the stream element for element
-    as ``normal(size=...)`` does, and throws the values away. Kept frames
-    draw with ``normal``: it returns ``0.0 + x``, so a ``-0.0`` draw comes
-    out as ``+0.0``, which ``standard_normal`` would not give. The one
-    exception is a kept frame's identity embedding noise: it is drawn into
-    the rows of one scratch matrix with ``standard_normal(out=...)``, and
-    the ``0.0 +`` is then added to all of them in one step. An identity's
-    wall bounds are worked out once, and ``_bounce`` runs only for a step
-    that leaves them.
+    as ``normal(size=...)`` does; a false positive's embedding noise comes
+    from ``normal(size=dim)``. ``normal`` returns ``0.0 + x``, so it turns a
+    ``-0.0`` draw into ``+0.0`` where ``standard_normal`` keeps it. In the
+    box noise that changes no bit, as every centre is at least 0.5 and
+    ``exp(-0.0) == exp(0.0) == 1.0``; the identity embedding noise of a kept
+    frame gets its ``0.0 +`` in one step. An identity's wall bounds are
+    worked out once, and ``_bounce`` runs only for a step that leaves them.
     """
     rng = np.random.Generator(np.random.Philox(config.seed))
     random, normal, uniform, standard_normal = rng.random, rng.normal, rng.uniform, rng.standard_normal
@@ -207,7 +204,7 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
     pos: list[list[float]] = []  # [x, y] per identity
     vel: list[list[float]] = []  # [vx, vy] per identity
     for i in range(n):
-        protos[i] = _unit(normal(size=dim))
+        protos[i] = normal(size=dim)
         w = uniform(*config.box_size_range)
         h = uniform(*config.box_size_range)
         sizes.append((w, h))
@@ -215,6 +212,7 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
         speed = uniform(*config.speed_range)
         angle = uniform(0.0, 2.0 * math.pi)
         vel.append([speed * math.cos(angle), speed * math.sin(angle)])
+    protos /= _row_norms(protos)[:, None]
     walls = [(w / 2, width - w / 2, h / 2, height - h / 2) for w, h in sizes]
 
     occluded = np.zeros((n, config.frames + 1), dtype=bool)
@@ -225,8 +223,8 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
         occluded[who, start:min(start + dur, config.frames + 1)] = True
     occluded_at = occluded.T.tolist()  # one row of identities per source frame
 
-    box_scratch, emb_scratch = np.empty(4), np.empty(dim)  # dropped frames' noise
-    seen_noise = np.empty((n, dim))  # a kept frame's identity embedding noise, row k for seen[k]
+    box_noise = np.empty(4)  # one detection's centre and size noise
+    seen_noise = np.empty((n, dim))  # identity embedding noise, row k for seen[k]
     identities, ones = np.arange(1, n + 1), np.ones(n)  # shared by every gt batch, which never modifies them
     gt: dict[int, IdBoxes] = {}
     dets: dict[int, Detections] = {}
@@ -253,26 +251,24 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
                 y, v[1] = _bounce(y, v[1], y_lo, y_hi)
             p[0] = x
             p[1] = y
-            if not keep:
-                if not occluded_now[i] and random() >= miss_rate:
-                    standard_normal(out=box_scratch)
-                    random()
-                    standard_normal(out=emb_scratch)
-                continue
             w, h = sizes[i]
-            true_boxes += (x, y, w, h)
+            if keep:
+                true_boxes += (x, y, w, h)
             if occluded_now[i] or random() < miss_rate:
                 continue
-            dx, dy, dw, dh = normal(size=4).tolist()
-            boxes += (
-                x + center_noise * dx,
-                y + center_noise * dy,
-                w * exp(size_noise * dw),
-                h * exp(size_noise * dh),
-            )
-            confidence.append(0.55 + 0.44 * random())
+            standard_normal(out=box_noise)
+            conf_draw = random()
             standard_normal(out=seen_noise[len(seen)])
-            seen.append(i)
+            if keep:
+                dx, dy, dw, dh = box_noise.tolist()
+                boxes += (
+                    x + center_noise * dx,
+                    y + center_noise * dy,
+                    w * exp(size_noise * dw),
+                    h * exp(size_noise * dh),
+                )
+                confidence.append(0.55 + 0.44 * conf_draw)
+                seen.append(i)
 
         for _ in range(int(rng.poisson(config.fp_rate))):
             w = uniform(*config.box_size_range)
@@ -280,12 +276,11 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
             cx = uniform(w / 2, width - w / 2)
             cy = uniform(h / 2, height - h / 2)
             conf_draw = random()
+            noise = normal(size=dim)
             if keep:
                 boxes += (cx, cy, w, h)
                 confidence.append(0.05 + 0.5 * conf_draw)
-                fp_noise.append(normal(size=dim))
-            else:
-                standard_normal(out=emb_scratch)
+                fp_noise.append(noise)
 
         if keep:
             gt[frame] = IdBoxes._checked(identities, np.array(true_boxes).reshape(n, 4), ones)

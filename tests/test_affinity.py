@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 import idtrack.affinity
 from helpers import batch_bits, detections, grid_boxes, iou_cells, iou_matrix, relatives, trajectories
-from idtrack.affinity import (WEIGHT_PRESETS, AffinityWeights, _corners, _iou_cells, _self_pairs, combined_affinity,
-                              iou, nms)
+from idtrack.affinity import AffinityWeights, _corners, _iou_cells, _self_pairs, combined_affinity, iou, nms
 from idtrack.geometry import BBox, Detections, _box_rows, to_center
 from idtrack.tracker import Trajectories
 
@@ -103,15 +102,18 @@ def test_pairwise_iou_empty():
     assert _iou_cells(_box_rows([BBox(0, 0, 1, 1)]), _box_rows([])).shape == (1, 0)
 
 
-def test_weights_validation_and_presets():
+# The default blend, one that leans on identity, each term alone, and one more.
+BLENDS = [AffinityWeights(0.5, 0.5), AffinityWeights(0.2, 0.8), AffinityWeights(0.0, 1.0), AffinityWeights(1.0, 0.0),
+          AffinityWeights(0.3, 0.7)]
+
+
+def test_weights_validation():
     with pytest.raises(ValueError):
         AffinityWeights(0.5, 0.6)
     with pytest.raises(ValueError):
         AffinityWeights(-0.2, 1.2)
-    assert WEIGHT_PRESETS["mot16"] == AffinityWeights(0.2, 0.8)
-    assert WEIGHT_PRESETS["default"] == AffinityWeights(0.5, 0.5)
-    for weights in WEIGHT_PRESETS.values():
-        assert weights.overlap + weights.identity == pytest.approx(1.0)
+    assert AffinityWeights() == AffinityWeights(0.5, 0.5)
+    AffinityWeights(1.0 - 0.8, 0.8)  # what --w2 0.8 gives: within the sum tolerance
 
 
 def blend_in_order(trajs, dets, weights):
@@ -137,7 +139,7 @@ def test_combined_affinity_is_the_weighted_blend():
     boxes += [random_box(rng, 4.0) for _ in range(5)]
     trajs = trajectories([(i + 1, boxes[i], vectors[(3 * i) % 8]) for i in range(7)])
     dets = detections([(boxes[(5 * k) % 8], 0.9, vectors[k]) for k in range(8)])
-    for weights in [*WEIGHT_PRESETS.values(), AffinityWeights(0.0, 1.0), AffinityWeights(0.3, 0.7)]:
+    for weights in BLENDS:
         want = blend_in_order(trajs, dets, weights)
         for cells in (0, 10**9):  # the overlap term swept, then dense
             with mock.patch.object(idtrack.affinity, "_DENSE_CELLS", cells):
@@ -175,7 +177,7 @@ def test_combined_affinity_writes_no_negative_zero_from_a_chosen_cosine():
     dets = Detections._checked(_box_rows(det_boxes), np.full(4, 0.9), np.zeros((4, 1)))
     overlap = iou_cells(_box_rows(track_boxes), _box_rows(det_boxes))
     assert (overlap == 0.0).any() and (overlap > 0.0).any()
-    for weights in [*WEIGHT_PRESETS.values(), AffinityWeights(0.0, 1.0), AffinityWeights(0.3, 0.7)]:
+    for weights in BLENDS:
         want = weights.overlap * overlap + weights.identity * np.clip(cosine, 0.0, 1.0)
         for cells in (0, 10**9):
             with mock.patch.object(idtrack.affinity, "_DENSE_CELLS", cells):

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from idtrack.affinity import nms
+import idtrack.cli
+from idtrack.affinity import AffinityWeights, nms
 from idtrack.cli import ABLATION_MODELS, main
 from idtrack.geometry import BBox, Detection
 from idtrack.mot_io import load_detections, read_detections, read_embeddings, read_gt
@@ -274,14 +275,25 @@ def test_track_and_eval_round(tmp_path, tiny_config, capsys):
     assert "gt_total=" in out
 
 
-def test_track_accepts_presets_and_overrides(tmp_path, tiny_config):
+def test_track_accepts_weight_and_stride_flags(tmp_path, tiny_config, monkeypatch):
+    # --w1 and --w2 set the blend; one of them alone sets the other to make 1.
     scene = simulate(tmp_path, tiny_config)
-    for extra in (
-        ("--preset", "mot16"),
-        ("--w1", "0.3", "--w2", "0.7"),
-        ("--w2", "0.0"),
-        ("--frame-stride", "2"),
-        ("--write-interpolated",),
+    blends, run = [], idtrack.cli.track_stream
+
+    def recording(dets, config, **kwargs):
+        blends.append(config.weights)
+        return run(dets, config, **kwargs)
+
+    monkeypatch.setattr(idtrack.cli, "track_stream", recording)
+    for extra, weights in (
+        ((), AffinityWeights(0.5, 0.5)),
+        (("--w2", "0.8"), AffinityWeights(1.0 - 0.8, 0.8)),
+        (("--w2", "1"), AffinityWeights(0.0, 1.0)),
+        (("--w1", "0.3", "--w2", "0.7"), AffinityWeights(0.3, 0.7)),
+        (("--w2", "0.0"), AffinityWeights(1.0, 0.0)),
+        (("--w1", "0.25"), AffinityWeights(0.25, 0.75)),
+        (("--frame-stride", "2"), AffinityWeights(0.5, 0.5)),
+        (("--write-interpolated",), AffinityWeights(0.5, 0.5)),
     ):
         rc = main(
             [
@@ -292,7 +304,7 @@ def test_track_accepts_presets_and_overrides(tmp_path, tiny_config):
                 *extra,
             ]
         )
-        assert rc == 0
+        assert rc == 0 and blends.pop() == weights, extra
 
 
 def test_track_accepts_a_predictions_file(tmp_path, tiny_config):
@@ -318,9 +330,11 @@ def test_track_without_embeddings_needs_zero_identity_weight(tmp_path, tiny_conf
     args = ["track", "--dets", str(scene / "dets.txt"), "--out", str(out)]
     rc = main(args)  # default weights want embeddings
     assert rc == 2
-    assert "--embeddings" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--embeddings" in err and "--w2 0" in err
     assert not out.exists()
-    assert main([*args, "--preset", "iou-only"]) == 0
+    assert main([*args, "--w2", "0"]) == 0
+    assert main([*args, "--w1", "1"]) == 0
 
 
 def test_track_rejects_predictions_with_a_frame_stride(tmp_path, capsys):
@@ -505,7 +519,7 @@ def test_a_box_outside_the_domain_fails_at_its_line_before_any_step(tmp_path, ca
     data.write_text("\n".join(lines) + "\n")
     out = tmp_path / "hyp.txt"
     if command == "track":
-        argv = ["track", "--dets", str(data), "--preset", "iou-only", "--out", str(out)]
+        argv = ["track", "--dets", str(data), "--w2", "0", "--out", str(out)]
     else:
         argv = ["eval", "--gt", str(data), "--hyp", str(data)]
     assert main(argv) == 1

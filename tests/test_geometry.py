@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import batch_bits, detections
-from idtrack.geometry import BBox, Detection, Detections, IdBoxes, _box_fault, _good_boxes, to_center, to_corner
+from idtrack.geometry import (BBox, Detection, Detections, IdBoxes, _box_fault, _good_boxes, _row_norms, to_center,
+                              to_corner)
 from idtrack.kernels import LossWeights
 
 
@@ -107,14 +108,16 @@ def test_batch_unit_check_rejects_nan_inf_and_off_norm_vectors():
 
 
 def test_unit_norm_is_numpys_norm_bit_for_bit():
-    # The simulator normalises with sqrt(v.dot(v)), which is what
-    # np.linalg.norm computes for a 1-D float64 vector.
+    # The simulator normalises its prototypes and embeddings with _row_norms,
+    # one dot per row, which must give np.linalg.norm of each row, for one
+    # row alone and for many at once.
     rng = np.random.default_rng(3)
     for dim in (2, 3, 17, 64, 513):
         for scale in (1e-3, 1.0, 1e3):
-            for _ in range(50):
-                vec = scale * rng.normal(size=dim)
-                assert math.sqrt(vec.dot(vec)) == float(np.linalg.norm(vec))
+            rows = scale * rng.normal(size=(50, dim))
+            want = [float(np.linalg.norm(row)) for row in rows]
+            assert _row_norms(rows).tolist() == want
+            assert [float(_row_norms(row[None, :])[0]) for row in rows] == want
 
 
 def test_detection_embedding_coerced_to_float64():

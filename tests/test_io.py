@@ -288,6 +288,10 @@ WRITER_CHECKS = [
     (write_detections, {1: Detections([(5.0, 5.0, 2.0, 2.0)], [0.5]), -3: Detections.pack([])},
      "frame indices are 1-based, got -3"),
     (write_results, {2: [(1, BOX, 0.5)], 0: [(1, BOX, 0.5)]}, "frame indices are 1-based, got 0"),
+    (write_embeddings, {0: Detections([(5.0, 5.0, 2.0, 2.0)], [0.5], [[0.6, 0.8]])},
+     "frame indices are 1-based, got 0"),
+    (write_embeddings, {1: Detections([(5.0, 5.0, 2.0, 2.0)], [0.5], [[0.6, 0.8]]), -3: Detections.pack([])},
+     "frame indices are 1-based, got -3"),
     (write_results, {3: [(2, BOX, 0.5), (2, BOX, 0.4)]}, "repeated id 2 in frame 3"),
     (write_results, {1: [(1, BOX, 0.5)], 2: [(1, BOX, math.nan)]}, "confidence must be finite, got nan"),
     # In the box domain, but its corners round to six decimals so that the
@@ -1143,6 +1147,8 @@ RULE_BREAKS = [
     (predictions, ROW.format(0, 1), ROW.format(0, 1), "repeated prediction for frame 1 detection 0"),
     (embeddings, "1,0,0.6,0.8", "1,0,1.0,0.0", "repeated embedding for frame 1 detection 0"),
     (embeddings, "1,0,0.6,0.8", "1,-1,1.0,0.0", "frame 1 has 3 detections, no index -1"),
+    (embeddings, "1,0,0.6,0.8", "0,1,1.0,0.0", "frame indices are 1-based, got 0"),
+    (embeddings, "1,0,0.6,0.8", "-3,0,1.0,0.0", "frame indices are 1-based, got -3"),
 ]
 
 

@@ -253,6 +253,39 @@ def test_stride_equals_subsampled_full_run(cfg, stride):
     assert scene_bits(*strided) == scene_bits(subsample(gt_dense, stride), subsample(dets_dense, stride))
 
 
+class ZeroingGenerator(np.random.Generator):
+    """Philox draws in which every ``standard_normal`` draw's even-numbered
+    values are exactly ``zero``: a box's centre x and width noise, and every
+    other value of an embedding's noise."""
+
+    zero = 0.0
+
+    def standard_normal(self, *args, **kwargs):
+        draws = super().standard_normal(*args, **kwargs)
+        draws[..., ::2] = self.zero
+        return draws
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_a_negative_zero_draw_changes_no_bit(monkeypatch, stride):
+    # generate draws box and identity embedding noise with standard_normal,
+    # which keeps the sign of a zero that normal would turn into +0.0; a
+    # -0.0 draw must give the bytes that a +0.0 draw gives.
+    cfg = SimConfig(seed=3, num_identities=5, frames=30, center_noise=2.0, fp_rate=1.0, frame_stride=stride)
+    scenes = []
+    for zero in (0.0, -0.0):
+        monkeypatch.setattr(np.random, "Generator", type("Zeroing", (ZeroingGenerator,), {"zero": zero}))
+        gt, dets = generate(cfg)
+        seen = 0
+        for frame, batch in dets.items():  # the zeros reached the box noise: each x and w is a true one
+            rows = batch.boxes[batch.confidence >= 0.55][:, [0, 2]]  # false positives score below 0.55
+            assert set(map(tuple, rows.tolist())) <= set(map(tuple, gt[frame].boxes[:, [0, 2]].tolist()))
+            seen += len(rows)
+        assert seen > 0
+        scenes.append(scene_bits(gt, dets))
+    assert scenes[0] == scenes[1]
+
+
 def test_subsample_drops_and_reindexes():
     cfg = SimConfig(seed=1, num_identities=2, frames=10)
     gt, dets = generate(cfg)
