@@ -1,26 +1,27 @@
 """File formats: MOT-style detection/result/gt text files, the embedding
 sidecar, prediction files and key=value config files.
 
-A MOT line is ``frame,id,left,top,width,height,conf,x,y,z`` with 1-based
-frames, ``id`` = -1 for raw detections and -1 placeholders for x, y, z.
-Floats are written with 6 decimals so reruns are byte-identical.
+Every data line is one keyed row, ``frame,key,v1..vn``: two integers, then
+floats. A MOT line is ``frame,id,left,top,width,height,conf,x,y,z`` with
+1-based frames, ``id`` = -1 for raw detections (a detection index in a
+predictions file) and -1 placeholders for x, y, z: its five values are the
+box and confidence, and fields past the seventh are not read. Floats are
+written with 6 decimals so reruns are byte-identical. The embedding sidecar
+starts with a ``dim=D`` header, then one row of exactly D values per vector:
+``frame,det_index,v1,...,vD`` where det_index is the 0-based position of the
+detection within its frame. Vectors are re-normalized at read time.
 
-The embedding sidecar starts with a ``dim=D`` header, then one line per
-vector: ``frame,det_index,v1,...,vD`` where det_index is the 0-based
-position of the detection within its frame. Vectors are re-normalized at
-read time.
-
-Data files are read in bulk, with one ``np.loadtxt`` call: ``_mot_columns``
-parses any MOT-format file into columns (frame, id, centre-form box,
-confidence), and ``read_embeddings`` the sidecar. Only a plain file, of
-printable ASCII and line ends (LF, CRLF or a lone CR) with no line that
-starts with a space (every file the writers make), is read so: loadtxt
-takes it by its path, past the sidecar's header (its first non-blank line)
-by ``skiprows``. Any other file (tabs, control bytes), or a plain one when
-the loadtxt call fails or warns, is read by the file's line loop, which
-only tokenizes: it alone reports format errors (field counts, number
-syntax, 64-bit ints, the ``dim=D`` header) as ``path:line``, so one
-anywhere in a file comes before any rule break. Both paths read CR as a
+``_rows`` reads every data file into the columns of that row (frames, keys
+and an ``(rows, n)`` value matrix), by one ``np.loadtxt`` call or one line
+loop. Only a plain file, of printable ASCII and line ends (LF, CRLF or a
+lone CR) with no line that starts with a space (every file the writers
+make), is read in bulk: loadtxt takes it by its path, past the sidecar's
+header (its first non-blank line) by ``skiprows``. Any other file (tabs,
+control bytes), or a plain one whose header is bad or whose loadtxt call
+fails or warns, is read by the line loop, which only tokenizes: it alone
+reports format errors (field counts, number syntax, 64-bit ints, the
+``dim=D`` header, which ``_dim`` reads on both paths) as ``path:line``, so
+one anywhere in a file comes before any rule break. Both paths read CR as a
 line end and parse floats alike, so they return the same columns bit for
 bit. Each rule is one array check on the columns that names the line of
 the first row to break it: frames of 1 or more and boxes in the domain
@@ -85,11 +86,11 @@ _PLAIN = bytes(range(0x20, 0x7F)) + b"\n\r"  # the bytes of a plain file
 _BLOCK = 1 << 16  # bytes per read of the plain-file scan
 
 
-def _read_text(path) -> str:
-    """The whole file with universal newlines, for the line loop."""
+def _read_lines(path) -> list[str]:
+    """The whole file's lines with universal newlines, for the line loop."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
+            return fh.read().split("\n")
     except UnicodeDecodeError:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -99,8 +100,9 @@ def _read_text(path) -> str:
         raise ValueError(f"{path}:{lineno}: non-ASCII byte 0x{data[pos]:02x}") from None
 
 
-def _data_lines(text: str) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Each non-blank line, stripped, with its 1-based number."""
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line:
             yield lineno, line
@@ -125,34 +127,70 @@ def _plain(path) -> bool:
     return True
 
 
-def _header(lines: Iterable[str]) -> tuple[int, str]:
-    """The number of lines up to and including the first non-blank one, and
-    that line stripped ("" when there is none)."""
-    for n, line in enumerate(lines, start=1):
-        if line.strip():
-            return n, line.strip()
-    return 0, ""
-
-
-def _in_bulk(path, row, usecols=None) -> np.ndarray | None:
-    """A plain file's rows from one ``np.loadtxt`` call on its path, or None
-    when the file is not plain, or the call fails or warns: numpy releases
-    that take ``1.0`` in an integer column only warn, and so does an empty
-    body. ``row`` is the rows' dtype, or makes it from the first data line,
-    a header, which loadtxt then skips by ``skiprows``."""
+def _dim(path, lineno: int, line: str) -> int:
+    """The D of a sidecar's ``dim=D`` header, its first data line ``line``
+    (``lineno`` 0: the file has none)."""
+    if not lineno:
+        raise ValueError(f"{path}: empty embedding file (missing 'dim=D' header)")
+    if not line.startswith("dim="):
+        raise ValueError(f"{path}:{lineno}: expected 'dim=D' header, got {line!r}")
     try:
-        if not _plain(path):
-            return None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            skip = 0
-            if callable(row):
-                with open(path, "r", encoding="ascii") as fh:
-                    skip, header = _header(fh)
-                row = row(header)
-            return np.loadtxt(path, dtype=row, delimiter=",", comments=None, usecols=usecols, ndmin=1, skiprows=skip)
+        dim = int(line[4:])
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: malformed header ({exc})") from None
+    if dim < 0:
+        raise ValueError(f"{path}:{lineno}: embedding dim must be >= 0")
+    return dim
+
+
+def _rows(path, n: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A data file's keyed rows ``frame,key,v1..vn`` as ``(frames, keys,
+    values)``: int64, int64 and ``(rows, n)`` float64 columns, row k from
+    the k-th data line. A MOT line has ``n`` values and may have more
+    fields; with ``n`` None the file is a sidecar, whose lines have exactly
+    the D values of its ``dim=D`` header. A plain file is read by one
+    ``np.loadtxt`` call on its path, past the sidecar's header by
+    ``skiprows``. Any other file, or a plain one when the header or the call
+    fails or the call warns (numpy releases that take ``1.0`` in an integer
+    column only warn, and so does an empty body), is read by ``_by_line``."""
+    try:
+        if _plain(path):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                skip, dim = 0, n
+                if n is None:
+                    with open(path, "r", encoding="ascii") as fh:
+                        skip, header = next(_data_lines(fh), (0, ""))
+                    dim = _dim(path, skip, header)
+                row = [("frame", np.int64), ("key", np.int64), ("v", np.float64, (dim,))]
+                rows = np.loadtxt(path, dtype=row, delimiter=",", comments=None, ndmin=1, skiprows=skip,
+                                  usecols=None if n is None else range(n + 2))
+                return rows["frame"], rows["key"], rows["v"]
     except (ValueError, Warning):
-        return None
+        pass
+    return _by_line(path, n)
+
+
+def _by_line(path, n: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_rows`` by a walk over the data lines, which only tokenizes and
+    alone names the line of a format error: a field count, number syntax,
+    a 64-bit int or the ``dim=D`` header."""
+    lines = _data_lines(_read_lines(path))
+    dim = _dim(path, *next(lines, (0, ""))) if n is None else n
+    pairs, values = [], []
+    for lineno, line in lines:
+        parts = line.split(",")
+        if n is None and len(parts) != dim + 2:
+            raise ValueError(f"{path}:{lineno}: expected {dim + 2} fields, got {len(parts)}")
+        if len(parts) < dim + 2:
+            raise ValueError(f"{path}:{lineno}: expected at least {dim + 2} comma-separated fields, got {len(parts)}")
+        try:
+            pairs.append((_int(parts[0]), _int(parts[1])))
+            values.append([float(p) for p in parts[2 : dim + 2]])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed value ({exc})") from None
+    frames, keys = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return frames, keys, np.array(values, dtype=np.float64).reshape(len(values), dim)
 
 
 def _int(text: str) -> int:
@@ -168,7 +206,7 @@ def _line_numbers(path, rows: Sequence[int], header: int = 0) -> list[int]:
     walk finds."""
     if not len(rows):
         return []
-    numbers = [lineno for lineno, _ in _data_lines(_read_text(path))]
+    numbers = [lineno for lineno, _ in _data_lines(_read_lines(path))]
     return [numbers[k + header] for k in rows]
 
 
@@ -218,35 +256,16 @@ def _unrepeated(frames: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _parse_mot_line(line: str, lineno: int, path) -> tuple:
-    """A MOT line's frame, id, left, top, width, height and confidence."""
-    parts = line.split(",")
-    if len(parts) < 7:
-        raise ValueError(f"{path}:{lineno}: expected at least 7 comma-separated fields, got {len(parts)}")
-    try:
-        return _int(parts[0]), _int(parts[1]), *(float(p) for p in parts[2:7])
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: malformed value ({exc})") from None
-
-
-# The seven leading MOT columns, as both parse paths read them.
-_MOT_ROW = np.dtype([("frame", np.int64), ("id", np.int64), ("left", np.float64), ("top", np.float64),
-                     ("w", np.float64), ("h", np.float64), ("conf", np.float64)])
-
-
 def _mot_columns(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A MOT file's first seven columns as ``(frames, ids, boxes,
     confidence)``, row k from its k-th data line. Every frame is 1 or more
     and every box, in centre form by ``to_center``'s float operations on
     ``(left, top, left + w, top + h)``, in the box domain."""
-    rows = _in_bulk(path, _MOT_ROW, usecols=range(7))
-    if rows is None:
-        lines = _data_lines(_read_text(path))
-        rows = np.array([_parse_mot_line(line, lineno, path) for lineno, line in lines], dtype=_MOT_ROW)
-    boxes = _centred(rows["left"], rows["top"], rows["w"], rows["h"])
-    _frame_rule(rows["frame"], functools.partial(_require, path))
+    frames, ids, values = _rows(path, 5)  # left, top, width, height, confidence
+    boxes = _centred(*values[:, :4].T)
+    _frame_rule(frames, functools.partial(_require, path))
     _require(path, _good_boxes(boxes), lambda k: _box_fault(*boxes[k].tolist()))
-    return rows["frame"], rows["id"], boxes, rows["conf"]
+    return frames, ids, boxes, values[:, 4]
 
 
 def _centred(left: np.ndarray, top: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -289,43 +308,6 @@ def read_predictions(path, det_counts: Mapping[int, int]) -> tuple[list[tuple[in
     return list(zip(frames.tolist(), index.tolist())), boxes
 
 
-def _sidecar_row(header: str) -> np.dtype:
-    """The sidecar rows' dtype under ``header`` (ValueError unless ``dim>=1``)."""
-    dim = int(header[4:]) if header.startswith("dim=") else 0
-    if dim < 1:
-        raise ValueError(f"no bulk parse under {header!r}")
-    return np.dtype([("frame", np.int64), ("index", np.int64), ("v", np.float64, (dim,))])
-
-
-def _embeddings_by_line(path) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """The sidecar's ``(dim, frames, indices, vectors)``, rows in file order."""
-    keys, vectors = [], []
-    dim = None
-    for lineno, line in _data_lines(_read_text(path)):
-        if dim is None:
-            if not line.startswith("dim="):
-                raise ValueError(f"{path}:{lineno}: expected 'dim=D' header, got {line!r}")
-            try:
-                dim = int(line[4:])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed header ({exc})") from None
-            if dim < 0:
-                raise ValueError(f"{path}:{lineno}: embedding dim must be >= 0")
-            continue
-        parts = line.split(",")
-        if len(parts) != dim + 2:
-            raise ValueError(f"{path}:{lineno}: expected {dim + 2} fields, got {len(parts)}")
-        try:
-            keys.append((_int(parts[0]), _int(parts[1])))
-            vectors.append([float(p) for p in parts[2:]])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed value ({exc})") from None
-    if dim is None:
-        raise ValueError(f"{path}: empty embedding file (missing 'dim=D' header)")
-    frames, indices = np.array(keys, dtype=np.int64).reshape(-1, 2).T
-    return dim, frames, indices, np.array(vectors, dtype=np.float64).reshape(len(vectors), dim)
-
-
 def read_embeddings(path, det_counts: Mapping[int, int] | None = None) -> tuple[int, list[tuple[int, int]], np.ndarray]:
     """Read an embedding sidecar; returns ``(dim, keys, matrix)``: the
     ``(frame, det_index)`` keys in file order and one ``(len(keys), dim)``
@@ -338,11 +320,7 @@ def read_embeddings(path, det_counts: Mapping[int, int] | None = None) -> tuple[
     detections; a line whose index names no detection is then rejected. A
     repeated key is always rejected.
     """
-    rows = _in_bulk(path, _sidecar_row)
-    if rows is None:
-        dim, frames, indices, matrix = _embeddings_by_line(path)
-    else:
-        dim, frames, indices, matrix = rows["v"].shape[1], rows["frame"], rows["index"], rows["v"]
+    frames, indices, matrix = _rows(path)
     _frame_rule(frames, functools.partial(_require, path, header=1))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is named below
         norms = _row_norms(matrix)
@@ -354,7 +332,7 @@ def read_embeddings(path, det_counts: Mapping[int, int] | None = None) -> tuple[
     for k, lineno in zip(far, _line_numbers(path, far, 1)):
         warnings.warn(f"{path}:{lineno}: embedding norm {norms[k]:.6f} deviates from 1; re-normalizing")
     matrix /= norms[:, None]
-    return dim, list(zip(frames.tolist(), indices.tolist())), matrix
+    return matrix.shape[1], list(zip(frames.tolist(), indices.tolist())), matrix
 
 
 def _place(keys: Sequence[tuple[int, int]], values: np.ndarray, det_counts: Mapping[int, int]) -> dict[int, tuple]:
@@ -670,7 +648,7 @@ def read_config(path) -> dict[str, str]:
     """Line-oriented key=value file; '#' starts a comment, blanks are skipped.
     A key may appear once."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -183,10 +183,10 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
     ``standard_normal(out=...)``, which takes the stream element for element
     as ``normal(size=...)`` does; a false positive's embedding noise comes
     from ``normal(size=dim)``. ``normal`` returns ``0.0 + x``, so it turns a
-    ``-0.0`` draw into ``+0.0`` where ``standard_normal`` keeps it. In the
-    box noise that changes no bit, as every centre is at least 0.5 and
-    ``exp(-0.0) == exp(0.0) == 1.0``; the identity embedding noise of a kept
-    frame gets its ``0.0 +`` in one step. An identity's wall bounds are
+    ``-0.0`` draw into ``+0.0`` where ``standard_normal`` keeps it. That
+    changes no bit: every centre is at least 0.5, ``exp(-0.0) == exp(0.0) ==
+    1.0``, and no prototype holds ``-0.0`` (``normal`` never returns it), so
+    ``proto + c * -0.0 == proto + c * 0.0``. An identity's wall bounds are
     worked out once, and ``_bounce`` runs only for a step that leaves them.
     """
     rng = np.random.Generator(np.random.Philox(config.seed))
@@ -285,7 +285,6 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
         if keep:
             gt[frame] = IdBoxes._checked(identities, np.array(true_boxes).reshape(n, 4), ones)
             k = len(seen)
-            seen_noise[:k] += 0.0  # as normal adds it to each draw
             vectors = np.empty((k + len(fp_noise), dim))
             np.add(protos.take(seen, axis=0), config.embedding_noise * seen_noise[:k], out=vectors[:k])
             if fp_noise:

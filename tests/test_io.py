@@ -540,7 +540,7 @@ def test_load_detections_places_each_vector_by_its_key(tmp_path, monkeypatch, bu
     # Sidecar rows in any order reach the detection their key names; the
     # first detection without one, in frame and index order, is the error.
     if not bulk:
-        monkeypatch.setattr(mot_io, "_in_bulk", no_bulk_parse)
+        monkeypatch.setattr(mot_io, "_plain", no_bulk_parse)
     dp, ep = tmp_path / "dets.txt", tmp_path / "emb.txt"
     dp.write_text("2,-1,0,0,2,2,0.9\n1,-1,0,0,2,2,0.9\n2,-1,5,5,2,2,0.9\n2,-1,9,9,2,2,0.9\n")
     vectors = {(2, 0): [1.0, 0.0], (1, 0): [0.0, 1.0], (2, 1): [0.6, 0.8], (2, 2): [-0.8, 0.6]}
@@ -572,7 +572,7 @@ def test_read_embeddings_keeps_the_file_order(tmp_path):
 def test_a_clean_sidecar_takes_the_bulk_path(tmp_path, monkeypatch):
     _, dets = generate(SimConfig(seed=4, num_identities=4, frames=10, embedding_dim=8))
     write_embeddings(tmp_path / "emb.txt", dets)
-    monkeypatch.setattr(mot_io, "_embeddings_by_line", line_loop_must_not_run)
+    monkeypatch.setattr(mot_io, "_by_line", line_loop_must_not_run)
     _, keys, _ = read_embeddings(tmp_path / "emb.txt", {f: len(v) for f, v in dets.items()})
     assert len(keys) == sum(map(len, dets.values()))
 
@@ -887,13 +887,38 @@ def bits(value):
     return (type(value).__name__, value)
 
 
-def no_bulk_parse(path, row, usecols=None):
-    """Stands in for ``mot_io._in_bulk`` to send every file to its line loop."""
-    return None
+def no_bulk_parse(path):
+    """Stands in for ``mot_io._plain`` to send every file to the line loop."""
+    return False
 
 
 def line_loop_must_not_run(*args):
     raise AssertionError("the bulk parse should have taken this file")
+
+
+def float_arrays(value) -> list[np.ndarray]:
+    """Every float array in a parse result."""
+    if isinstance(value, np.ndarray):
+        return [value] if value.dtype.kind == "f" else []
+    if isinstance(value, Detections):
+        value = [value.boxes, value.confidence, value.embeddings, value.predictions]
+    elif isinstance(value, IdBoxes):
+        value = [value.boxes, value.confidence]
+    elif isinstance(value, dict):
+        value = list(value.values())
+    elif not isinstance(value, (tuple, list)):
+        return []
+    return [array for v in value for array in float_arrays(v)]
+
+
+def finite(read):
+    """``read``, asserting that every float array a successful read returns
+    is finite: no NaN or inf gets past a parser."""
+    def checked(path):
+        result = read(path)
+        assert all(np.isfinite(array).all() for array in float_arrays(result))
+        return result
+    return checked
 
 
 def outcome(read, path):
@@ -916,9 +941,9 @@ def test_property_sidecar_reader_agrees_with_the_line_loop(tmp_path_factory, dat
     def read(p):
         return read_embeddings(p, counts)
 
-    got = outcome(read, path)
-    with mock.patch.object(mot_io, "_in_bulk", no_bulk_parse):
-        assert got == outcome(read, path)
+    got = outcome(finite(read), path)
+    with mock.patch.object(mot_io, "_plain", no_bulk_parse):
+        assert got == outcome(finite(read), path)
 
 
 # Parser property: every MOT file is read the same by every reader's bulk path
@@ -963,9 +988,9 @@ def mot_files(draw):
 def test_property_mot_reader_agrees_with_the_line_loop(tmp_path_factory, data, read):
     path = tmp_path_factory.mktemp("mot") / "in.txt"
     path.write_bytes(data)
-    got = outcome(read, path)
-    with mock.patch.object(mot_io, "_in_bulk", no_bulk_parse):
-        assert got == outcome(read, path)
+    got = outcome(finite(read), path)
+    with mock.patch.object(mot_io, "_plain", no_bulk_parse):
+        assert got == outcome(finite(read), path)
 
 
 def test_a_clean_detection_file_takes_the_bulk_path(tmp_path, monkeypatch):
@@ -973,7 +998,7 @@ def test_a_clean_detection_file_takes_the_bulk_path(tmp_path, monkeypatch):
     write_detections(tmp_path / "dets.txt", dets)
     write_gt(tmp_path / "gt.txt", gt)
     loop = {name: outcome(read, tmp_path / name) for name, read in [("dets.txt", read_detections), ("gt.txt", read_gt)]}
-    monkeypatch.setattr(mot_io, "_parse_mot_line", line_loop_must_not_run)
+    monkeypatch.setattr(mot_io, "_by_line", line_loop_must_not_run)
     assert list(read_detections(tmp_path / "dets.txt")) == sorted(dets)
     assert outcome(read_detections, tmp_path / "dets.txt") == loop["dets.txt"]
     assert outcome(read_gt, tmp_path / "gt.txt") == loop["gt.txt"]
@@ -1030,10 +1055,9 @@ def test_writer_shaped_files_are_read_from_their_path(tmp_path, monkeypatch):
     late = tmp_path / "late_header_emb.txt"
     late.write_bytes(b"\n\n" + (tmp_path / "emb.txt").read_bytes())
     files["late_header_emb.txt"] = (late, files["emb.txt"][1])
-    with mock.patch.object(mot_io, "_in_bulk", no_bulk_parse):
+    with mock.patch.object(mot_io, "_plain", no_bulk_parse):
         loop = {name: outcome(read, path) for name, (path, read) in files.items()}
-    for name in ("_parse_mot_line", "_embeddings_by_line"):
-        monkeypatch.setattr(mot_io, name, line_loop_must_not_run)
+    monkeypatch.setattr(mot_io, "_by_line", line_loop_must_not_run)
     for name, (path, read) in files.items():
         assert mot_io._plain(path)
         assert outcome(read, path) == loop[name], name
@@ -1078,7 +1102,7 @@ def test_a_file_that_is_not_plain_reads_as_the_line_loop_reads_it(tmp_path, case
         path.write_bytes(FLAGGED[case](path.read_bytes()))
         assert not mot_io._plain(path), name
         got = outcome(read, path)
-        with mock.patch.object(mot_io, "_in_bulk", no_bulk_parse):
+        with mock.patch.object(mot_io, "_plain", no_bulk_parse):
             assert got == outcome(read, path), name
 
 
@@ -1091,10 +1115,9 @@ def test_cr_line_ends_are_read_from_the_path_as_the_line_loop_reads_them(tmp_pat
     lf = {name: outcome(read, path) for name, (path, read) in files.items()}
     for path, _ in files.values():
         path.write_bytes(path.read_bytes().replace(b"\n", end))
-    with mock.patch.object(mot_io, "_in_bulk", no_bulk_parse):
+    with mock.patch.object(mot_io, "_plain", no_bulk_parse):
         loop = {name: outcome(read, path) for name, (path, read) in files.items()}
-    for name in ("_parse_mot_line", "_embeddings_by_line"):
-        monkeypatch.setattr(mot_io, name, line_loop_must_not_run)
+    monkeypatch.setattr(mot_io, "_by_line", line_loop_must_not_run)
     for name, (path, read) in files.items():
         assert mot_io._plain(path), name
         assert outcome(read, path) == loop[name] == lf[name], name
@@ -1158,8 +1181,7 @@ def test_a_rule_break_names_its_line(tmp_path, monkeypatch, newline, blank, read
     # With empty blank lines the file is plain and the bulk parse takes it; a
     # line of whitespace sends it to the line loop.
     if newline == "\n":
-        monkeypatch.setattr(mot_io, "_parse_mot_line", line_loop_must_not_run)
-        monkeypatch.setattr(mot_io, "_embeddings_by_line", line_loop_must_not_run)
+        monkeypatch.setattr(mot_io, "_by_line", line_loop_must_not_run)
     other = "2" + row[1:]  # the same row in frame 2
     header = "dim=2" if row.count(",") == 3 else ""  # a sidecar row: frame, index and a 2-d vector
     lines = ["", header, row, blank, "", other, "", bad, ""]
@@ -1172,7 +1194,7 @@ def test_a_rule_break_names_its_line(tmp_path, monkeypatch, newline, blank, read
 def test_the_bulk_reader_keeps_frames_in_order_of_first_appearance(tmp_path, monkeypatch):
     p = tmp_path / "dets.txt"
     p.write_text("3,-1,0,0,2,2,0.5\n1,-1,10,0,2,2,0.6\n3,-1,20,0,2,2,0.7,x\n\n2,-1,30,0,2,2,0.8,-1,-1,-1\n")
-    monkeypatch.setattr(mot_io, "_parse_mot_line", line_loop_must_not_run)
+    monkeypatch.setattr(mot_io, "_by_line", line_loop_must_not_run)
     dets = read_detections(p)
     assert list(dets) == [3, 1, 2]
     assert dets[3].confidence.tolist() == [0.5, 0.7]

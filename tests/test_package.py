@@ -90,3 +90,62 @@ def test_scipy_is_imported_only_when_a_solve_needs_it(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# perfbench/spans.py counts calls to metrics.iou, which metrics imports for
+# that alone.
+KEPT_FOR_PERFBENCH = {("metrics", "iou")}
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Every name a module reads: by name, as an attribute, in ``__all__``
+    or in a string annotation (or a string in a subscripted type alias)."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+        for hint in (getattr(node, "annotation", None), getattr(node, "returns", None), getattr(node, "slice", None)):
+            for text in ast.walk(hint) if hint else ():
+                if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                    try:
+                        read |= names_read(ast.parse(text.value, mode="eval"))
+                    except SyntaxError:  # a subscript key, not a type
+                        pass
+    return read
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """The module-level functions, classes and constants whose names start
+    with one underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names += [t.id for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def imported_names(tree: ast.Module) -> list[str]:
+    """The names a module's imports bind, ``__future__`` aside."""
+    return [alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__" for alias in node.names]
+
+
+def test_the_package_holds_no_dead_code():
+    # Lint without a linter: a private function, class or constant that no
+    # module of the package reads, or an import its module never reads.
+    trees = {path.stem: ast.parse(path.read_text()) for path in Path(idtrack.__file__).parent.glob("*.py")}
+    reads = {module: names_read(tree) for module, tree in trees.items()}
+    everywhere = set().union(*reads.values())
+    dead = [f"{module}.{name} is never used" for module, tree in trees.items()
+            for name in private_definitions(tree) if name not in everywhere]
+    dead += [f"{module} never uses its import {name}" for module, tree in trees.items()
+             for name in imported_names(tree) if name not in reads[module] and (module, name) not in KEPT_FOR_PERFBENCH]
+    assert dead == []
