@@ -185,7 +185,8 @@ def test_track_default_scene_bytes_are_pinned(tmp_path):
 # The other two benchmark workloads at seed 7: their configs come from
 # perfbench/workloads.json, so a change to the scene, the tracker, any writer
 # or any reader (eval reads gt.txt and hyp.txt back) on a bigger (scale128) or
-# strided (lowfps) scene fails here.
+# strided (lowfps) scene fails here, and so does one to a score that eval or
+# eval --sweep prints.
 PINNED_WORKLOAD_SHA256 = {
     "scale128": {
         "gt.txt": "5026a9d149371bd4db25e48bfd0f24336f96cfcc38359f50d31652463964e790",
@@ -193,6 +194,7 @@ PINNED_WORKLOAD_SHA256 = {
         "embeddings.txt": "9b7cff4a8f89219417a55b5d599736a3cfba0c7d261ed5fcfcfb06174bece22d",
         "hyp.txt": "3ac4ecf53c5b5986c2ce767ea12c1bd4d6c33cc7f237a2667163b85944388252",
         "eval stdout": "e6b7d0679fc31d56fa7fcf4fd71c0bc35df4ceb9c7efcc9c80f463ef4b67438e",
+        "eval --sweep stdout": "7babbef0129c8908a3f3cfee111a4e6540bfcd4f0e97b530b2d3d7b95e3033b4",
     },
     "lowfps": {
         "gt.txt": "988ce869edaf01ccf7fef8def0dc6141eb9aaf6b01dbde6ffa5230085c212045",
@@ -200,6 +202,7 @@ PINNED_WORKLOAD_SHA256 = {
         "embeddings.txt": "e6e99ad2a5771a27cda61bae9d00556ad1e346d230edf6684659cc3d2432130a",
         "hyp.txt": "b89e623e19dc929d421f4e08c021a7ba40cebddfbcef0a7befd1e6de9286f38a",
         "eval stdout": "d202ae691113e57325413d8524524c71568cad2b050803e39ed900713144d142",
+        "eval --sweep stdout": "03e1dba074cc5a96befb4e1eb9e730eb8a3ba8cb70a48fc5975bacb0e8cde310",
     },
 }
 
@@ -218,11 +221,12 @@ def test_workload_scene_bytes_are_pinned(tmp_path, capsys, workload):
              "--embedding-momentum", t["embedding_momentum"], "--nms-iou", t["nms_iou"]]
     assert main(["track", "--dets", str(tmp_path / "dets.txt"), "--embeddings", str(tmp_path / "embeddings.txt"),
                  "--out", str(tmp_path / "hyp.txt"), *map(str, flags)]) == 0
-    capsys.readouterr()
-    assert main(["eval", "--gt", str(tmp_path / "gt.txt"), "--hyp", str(tmp_path / "hyp.txt")]) == 0
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in ("gt.txt", "dets.txt", "embeddings.txt", "hyp.txt")}
-    got["eval stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    for sweep in ([], ["--sweep"]):
+        capsys.readouterr()
+        assert main(["eval", "--gt", str(tmp_path / "gt.txt"), "--hyp", str(tmp_path / "hyp.txt"), *sweep]) == 0
+        got[" ".join(["eval", *sweep, "stdout"])] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == PINNED_WORKLOAD_SHA256[workload]
 
 
