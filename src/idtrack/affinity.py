@@ -119,10 +119,15 @@ def _iou_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for bit. Up to ``_DENSE_CELLS`` cells every cell is scored; past that,
     only the pairs that ``_overlap_pairs`` finds, and every other cell is 0.0,
     as ``iou`` has it for boxes whose x-extents do not meet."""
-    corners_a, corners_b = _corners(a), _corners(b)
-    if len(a) * len(b) <= _DENSE_CELLS:
+    return _corner_cells(_corners(a), _corners(b))
+
+
+def _corner_cells(corners_a, corners_b) -> np.ndarray:
+    """``_iou_cells`` of two box arrays given as their ``_corners``."""
+    n, m = len(corners_a[2]), len(corners_b[2])
+    if n * m <= _DENSE_CELLS:
         return _iou_corners(*_outer(corners_a, corners_b))
-    out = np.zeros((len(a), len(b)))
+    out = np.zeros((n, m))
     i, j = _overlap_pairs(corners_a, corners_b)
     out[i, j] = _iou_corners(_pick(corners_a, i), _pick(corners_b, j))
     return out

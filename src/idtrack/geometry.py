@@ -14,14 +14,16 @@ a batch yields ``Detection`` views, each a batch, a row index and its
 confidence, reading its other values from the arrays; none is kept.
 
 ``IdBoxes`` is one frame of ground truth or tracker hypotheses the same
-way: ids, boxes and confidences as arrays, from the readers, the simulator
-and ``hypotheses`` to the writers and ``evaluate``. Iterating one yields
-``(id, BBox)`` pairs.
+way; iterating one yields ``(id, BBox)`` pairs. ``IdStream`` is a whole
+stream as one column set (frames, ids, boxes, confidences), which
+``read_gt`` and ``hypotheses`` return and ``evaluate``, ``sweep_thresholds``
+and the writers read; as a ``Mapping`` it builds a frame's batch on demand.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator, Sequence
@@ -33,6 +35,7 @@ __all__ = [
     "Detection",
     "Detections",
     "IdBoxes",
+    "IdStream",
     "to_corner",
     "to_center",
 ]
@@ -313,7 +316,7 @@ class IdBoxes:
     checks the whole batch at once: integer ids, boxes in the box domain
     (see ``_box_fault``) and finite confidences; an error names the first
     bad row. What a repeated id means is up to whoever reads the frame. A
-    batch is not modified after it is built; ``take`` makes a new one.
+    batch is not modified after it is built.
 
     ``len()`` works as on a list, and iteration yields ``(id, BBox)`` pairs,
     the list form that ``evaluate`` also takes.
@@ -357,13 +360,65 @@ class IdBoxes:
         confidence = np.array([row[2] if len(row) > 2 else 1.0 for row in rows], dtype=np.float64)
         return cls(ids, _box_rows([row[1] for row in rows]), confidence)
 
-    def take(self, index) -> "IdBoxes":
-        """The rows that ``index`` (integers or a boolean mask) selects, as a
-        new batch."""
-        return IdBoxes._checked(self.ids[index], self.boxes[index], self.confidence[index])
-
     def __len__(self) -> int:
         return self.ids.shape[0]
 
     def __iter__(self) -> Iterator[tuple[int, BBox]]:
         return zip(self.ids.tolist(), [BBox(*box) for box in self.boxes.tolist()])
+
+
+class IdStream(Mapping):
+    """Ground truth or hypotheses over many frames as columns: ``frames`` and
+    ``ids`` ``(n,)`` int64, ``boxes`` ``(n, 4)`` in center form, ``confidence``
+    ``(n,)``, rows checked as ``IdBoxes`` checks them. As a ``Mapping`` it is
+    frame -> ``IdBoxes``, frames in order of first appearance, rows in column
+    order, a frame's batch built and kept when the frame is first asked for."""
+
+    __slots__ = ("frames", "ids", "boxes", "confidence", "_rows", "_batches")
+
+    def __init__(self, frames, ids, boxes, confidence=None):
+        b, frames = IdBoxes(ids, boxes, confidence), np.asarray(frames).reshape(-1)
+        if frames.shape != b.ids.shape or (frames.size and frames.dtype.kind not in "iu"):
+            raise ValueError(f"frames must be {len(b)} integers, got shape {frames.shape} of dtype {frames.dtype}")
+        self.frames, self.ids, self.boxes, self.confidence = frames.astype(np.int64), b.ids, b.boxes, b.confidence
+        self._rows, self._batches = None, {}
+
+    @classmethod
+    def _checked(cls, frames, ids, boxes, confidence) -> "IdStream":
+        """A stream of columns that are already typed, shaped and valid."""
+        stream = cls.__new__(cls)
+        stream.frames, stream.ids, stream.boxes, stream.confidence = frames, ids, boxes, confidence
+        stream._rows, stream._batches = None, {}
+        return stream
+
+    @classmethod
+    def pack(cls, stream: Mapping) -> "IdStream":
+        """One stream of a mapping's frames, in its order, each an ``IdBoxes``
+        batch or rows for ``IdBoxes.pack`` (a stream is returned as it is)."""
+        if isinstance(stream, IdStream):
+            return stream
+        batches = [IdBoxes.pack(rows) for rows in stream.values()]
+        frames = np.repeat(np.array(list(stream), dtype=np.int64), [len(b) for b in batches])
+        batches.append(IdBoxes._checked(np.zeros(0, np.int64), np.zeros((0, 4)), np.zeros(0)))  # for no frames
+        return cls._checked(frames, *map(np.concatenate, zip(*((b.ids, b.boxes, b.confidence) for b in batches))))
+
+    def take(self, index) -> "IdStream":
+        """The rows that ``index`` (integers or a boolean mask) selects."""
+        return IdStream._checked(self.frames[index], self.ids[index], self.boxes[index], self.confidence[index])
+
+    def _index(self) -> dict[int, np.ndarray]:
+        if self._rows is None:
+            self._rows = dict(_frame_rows(self.frames))
+        return self._rows
+
+    def __getitem__(self, frame: int) -> IdBoxes:
+        if frame not in self._batches:
+            at = self._index()[frame]
+            self._batches[frame] = IdBoxes._checked(self.ids[at], self.boxes[at], self.confidence[at])
+        return self._batches[frame]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._index())
+
+    def __len__(self) -> int:
+        return len(self._index())

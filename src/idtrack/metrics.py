@@ -7,16 +7,16 @@ Hungarian solve maximizing IoU. An id switch is counted when an object's
 associated hypothesis id changes, and the switch also ends the previous
 correspondence.
 
-Both streams map frame -> one ``IdBoxes`` batch (ids, centre-form boxes,
-confidences), or a list of ``(id, box)`` pairs that is packed once per frame.
-``evaluate`` lays each stream out as columns sorted by frame and id, numbers
-the ids densely, and scores a frame with array operations: the surviving
+Each stream is an ``IdStream``, as ``read_gt`` and ``hypotheses`` return,
+or maps frame -> ``IdBoxes`` batch or list of ``(id, box)`` pairs, which
+``IdStream.pack`` joins once. ``evaluate`` sorts each stream's columns by
+frame and id, numbers the ids densely, computes the box corners once, and
+scores a frame with array operations on its rows' corners: the surviving
 correspondences' overlaps in one pass, with the float operations of the
 scalar ``iou``, then one Hungarian solve over the rest. MOTP adds each
 frame's overlaps in one ``sum``: survivors by gt id, then Hungarian pairs in
 solve order; the tests hold every report to a per-box reference, bit for
-bit. ``sweep_thresholds`` filters each hypothesis batch with a confidence
-mask.
+bit. ``sweep_thresholds`` applies one confidence mask per threshold.
 
 Reported values:
     MOTA  1 - (FN + FP + IDS) / total gt boxes (can go negative)
@@ -35,9 +35,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 # ``iou`` is not called here; perfbench/spans.py still counts calls to this name.
-from .affinity import _corners, _iou_cells, _iou_corners, iou  # noqa: F401
+from .affinity import _corner_cells, _corners, _iou_corners, _pick, iou  # noqa: F401
 from .assignment import solve_max
-from .geometry import BBox, IdBoxes
+from .geometry import BBox, IdBoxes, IdStream
 
 __all__ = [
     "MotReport",
@@ -49,9 +49,7 @@ __all__ = [
     "format_report",
 ]
 
-GtStream = Mapping[int, "IdBoxes | Sequence[tuple[int, BBox]]"]
-HypStream = Mapping[int, "IdBoxes | Sequence[tuple[int, BBox]]"]
-ScoredHypStream = Mapping[int, "IdBoxes | Sequence[tuple[int, BBox, float]]"]
+Stream = Mapping[int, "IdBoxes | Sequence[tuple[int, BBox]] | Sequence[tuple[int, BBox, float]]"]
 
 DEFAULT_SWEEP_THRESHOLDS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -74,44 +72,42 @@ class MotReport:
 
 
 class _Rows:
-    """A stream's rows over ``frames`` as columns sorted by frame, then id:
-    frame ``frames[i]`` holds rows ``starts[i]:starts[i + 1]``. ``index``
-    numbers the stream's ``n_ids`` distinct ids densely from 0, in id order.
-    ``repeat`` is ``(frame position, id)`` of the first id that repeats
-    within a frame, or None."""
+    """A stream's rows as columns sorted by frame, then id: frame
+    ``frames[i]`` holds rows ``starts[i]:starts[i + 1]``, and ``corners``
+    are their boxes' ``_corners``. ``index`` numbers the stream's ``n_ids``
+    distinct ids densely from 0, in id order. ``repeat`` is ``(frame, id)``
+    of the first id that repeats within a frame, or None."""
 
-    def __init__(self, stream, frames: Sequence[int]):
-        batches = [IdBoxes.pack(stream.get(f, ())) for f in frames]
-        counts = [len(b) for b in batches]
-        self.starts = np.cumsum([0, *counts]).tolist()
-        at = np.repeat(np.arange(len(frames)), counts)
-        ids = np.concatenate([b.ids for b in batches]) if batches else np.zeros(0, dtype=np.int64)
-        order = np.lexsort((ids, at))
-        ids, at = ids[order], at[order]
-        self.boxes = np.concatenate([b.boxes for b in batches])[order] if batches else np.zeros((0, 4))
+    def __init__(self, stream: IdStream, frames: np.ndarray):
+        order = np.lexsort((stream.ids, stream.frames))
+        at, ids = stream.frames[order], stream.ids[order]
+        self.starts = [*np.searchsorted(at, frames).tolist(), len(at)]
+        self.corners = _corners(stream.boxes.take(order, axis=0))
         same = np.flatnonzero((ids[1:] == ids[:-1]) & (at[1:] == at[:-1]))
         self.repeat = (int(at[same[0]]), int(ids[same[0]])) if same.size else None
         distinct, self.index = np.unique(ids, return_inverse=True)
         self.n_ids = len(distinct)
 
 
-def evaluate(gt: GtStream, hyp: HypStream, iou_gate: float = 0.5) -> MotReport:
+def evaluate(gt: Stream, hyp: Stream, iou_gate: float = 0.5) -> MotReport:
     """Score a hypothesis stream against ground truth.
 
-    Each stream maps frame -> ``IdBoxes`` or [(id, box), ...], the list form
-    packed once per frame. Frames missing from a stream count as empty.
-    Within a frame the rows are canonicalized by id so the result does not
-    depend on input ordering; an id may appear once per frame.
+    Each stream is an ``IdStream`` or a mapping that ``IdStream.pack``
+    joins, frame -> ``IdBoxes`` or [(id, box), ...]. Frames missing from a
+    stream count as empty. Within a frame the rows are canonicalized by id
+    so the result does not depend on input ordering; an id may appear once
+    per frame.
     """
     if not 0.0 < iou_gate <= 1.0:
         raise ValueError(f"iou_gate must lie in (0, 1], got {iou_gate}")
 
-    frames = sorted(set(gt) | set(hyp))
+    gt, hyp = IdStream.pack(gt), IdStream.pack(hyp)
+    frames = np.unique(np.concatenate((gt.frames, hyp.frames)), return_index=True)[0]  # bare, it imports numpy.ma
     g_rows, h_rows = _Rows(gt, frames), _Rows(hyp, frames)
     repeats = [(rows.repeat, kind) for rows, kind in ((g_rows, "gt"), (h_rows, "hypothesis")) if rows.repeat]
     if repeats:
-        (at, obj_id), kind = min(repeats, key=lambda r: r[0][0])  # the gt frame first on a tie
-        raise ValueError(f"duplicate {kind} id {obj_id} in frame {frames[at]}")
+        (frame, obj_id), kind = min(repeats, key=lambda r: r[0][0])  # the gt frame first on a tie
+        raise ValueError(f"duplicate {kind} id {obj_id} in frame {frame}")
 
     n_gt = g_rows.n_ids
     corr = np.full(n_gt, -1)  # each gt id's last associated hypothesis (dense index), or -1
@@ -123,8 +119,7 @@ def evaluate(gt: GtStream, hyp: HypStream, iou_gate: float = 0.5) -> MotReport:
 
     for i in range(len(frames)):
         g0, g1, h0, h1 = g_rows.starts[i], g_rows.starts[i + 1], h_rows.starts[i], h_rows.starts[i + 1]
-        g, g_boxes, g_hit = g_rows.index[g0:g1], g_rows.boxes[g0:g1], hit[g0:g1]
-        h, h_boxes = h_rows.index[h0:h1], h_rows.boxes[h0:h1]
+        g, g_hit, h = g_rows.index[g0:g1], hit[g0:g1], h_rows.index[h0:h1]
 
         # Keep surviving correspondences first; when two gt ids still claim
         # one hypothesis, the lower id keeps it.
@@ -133,7 +128,7 @@ def evaluate(gt: GtStream, hyp: HypStream, iou_gate: float = 0.5) -> MotReport:
         slot[h] = -1
         kept = (row >= 0).nonzero()[0]
         used = row[kept]
-        overlap = _iou_corners(_corners(g_boxes[kept]), _corners(h_boxes[used]))
+        overlap = _iou_corners(_pick(g_rows.corners, kept + g0), _pick(h_rows.corners, used + h0))
         survive = overlap >= iou_gate
         kept, used, overlap = kept[survive], used[survive], overlap[survive]
         if len(set(used.tolist())) < len(used):
@@ -148,7 +143,7 @@ def evaluate(gt: GtStream, hyp: HypStream, iou_gate: float = 0.5) -> MotReport:
             free_h = np.ones(len(h), dtype=bool)
             free_h[used] = False
             rem_g, rem_h = (~g_hit).nonzero()[0], free_h.nonzero()[0]
-            m = _iou_cells(g_boxes[rem_g], h_boxes[rem_h])
+            m = _corner_cells(_pick(g_rows.corners, rem_g + g0), _pick(h_rows.corners, rem_h + h0))
             m = np.where(m >= iou_gate, m, 0.0)
             found = solve_max(m, min_affinity=iou_gate)
             ri, rj = found.rows, found.cols
@@ -203,8 +198,8 @@ class SweepResult:
 
 
 def sweep_thresholds(
-    gt: GtStream,
-    hyp: ScoredHypStream,
+    gt: Stream,
+    hyp: Stream,
     thresholds: Sequence[float] = DEFAULT_SWEEP_THRESHOLDS,
     iou_gate: float = 0.5,
 ) -> SweepResult:
@@ -215,11 +210,8 @@ def sweep_thresholds(
     """
     if not thresholds:
         raise ValueError("need at least one threshold")
-    hyp = {f: IdBoxes.pack(rows) for f, rows in hyp.items()}
-    rows = []
-    for thr in thresholds:
-        filtered = {f: batch.take(batch.confidence >= thr) for f, batch in hyp.items()}
-        rows.append((float(thr), evaluate(gt, filtered, iou_gate)))
+    gt, hyp = IdStream.pack(gt), IdStream.pack(hyp)
+    rows = [(float(thr), evaluate(gt, hyp.take(hyp.confidence >= thr), iou_gate)) for thr in thresholds]
 
     best: dict[str, tuple[float, float]] = {}
     for name in _HIGHER_BETTER + _LOWER_BETTER:

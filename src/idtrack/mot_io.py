@@ -17,31 +17,31 @@ loop. Only a plain file, of printable ASCII and line ends (LF, CRLF or a
 lone CR) with no line that starts with a space (every file the writers
 make), is read in bulk: loadtxt takes it by its path, past the sidecar's
 header (its first non-blank line) by ``skiprows``. Any other file (tabs,
-control bytes), or a plain one whose header is bad or whose loadtxt call
-fails or warns, is read by the line loop, which only tokenizes: it alone
-reports format errors (field counts, number syntax, 64-bit ints, the
-``dim=D`` header, which ``_dim`` reads on both paths) as ``path:line``, so
-one anywhere in a file comes before any rule break. Both paths read CR as a
-line end and parse floats alike, so they return the same columns bit for
-bit. Each rule is one array check on the columns that names the line of
-the first row to break it: frames of 1 or more and boxes in the domain
-of ``geometry._box_fault`` (finite, no value beyond 1e8 in magnitude, no
-side below 6e-7); sidecar vectors finite, of a norm neither zero nor
-overflowing (one off 1 by more than ``NORM_WARN_TOL`` warns); detections a
-confidence in [0, 1]; ground truth and results an id of 1 or more, a
-finite confidence and no repeated ``(frame, id)``; predictions and the
-sidecar a ``(frame, det_index)`` that names a detection, when the frames'
-detection counts are given, and never repeats. A non-ASCII byte is an
-error naming its line in every file.
+control bytes), or a plain one whose header is bad or not followed by a row
+of D values, or whose loadtxt call fails or warns, is read by the line
+loop, which only tokenizes: it alone reports format errors (field counts,
+number syntax, 64-bit ints, the ``dim=D`` header, which ``_dim`` reads on
+both paths) as ``path:line``, so one anywhere in a file comes before any
+rule break. Both paths read CR as a line end and parse floats alike, so
+they return the same columns bit for bit. Each rule is one array check on
+the columns that names the line of the first row to break it: frames of 1
+or more and boxes in the domain of ``geometry._box_fault`` (finite, no
+value beyond 1e8 in magnitude, no side below 6e-7); sidecar vectors finite,
+of a norm neither zero nor overflowing (one off 1 by more than
+``NORM_WARN_TOL`` warns); detections a confidence in [0, 1]; ground truth
+and results an id of 1 or more, a finite confidence and no repeated
+``(frame, id)``; predictions and the sidecar a ``(frame, det_index)`` that
+names a detection, when the frames' detection counts are given, and never
+repeats. A non-ASCII byte is an error naming its line in every file.
 
 ``read_detections`` and ``load_detections`` return one ``Detections``
 batch per frame and build no per-detection object: the sidecar's vectors
 and the predicted boxes join each frame's box and confidence arrays as
-matrices, placed by their ``(frame, index)`` keys. ``read_gt`` likewise
-returns one ``IdBoxes`` batch of ids, boxes and confidences per frame, for
-ground truth and results alike, and one writer, ``write_gt`` or
-``write_results``, writes such a stream sorted by (frame, id), confidences
-kept. The detection writers take a stream of batches too.
+matrices, placed by their ``(frame, index)`` keys. ``read_gt`` returns the
+file's columns as one ``IdStream``, for ground truth and results alike, and
+one writer, ``write_gt`` or ``write_results``, writes such a stream (or a
+mapping of ``IdBoxes`` batches) sorted by (frame, id), confidences kept.
+The detection writers take a stream of batches too.
 
 Every writer streams its rows in chunks across frames: ``_CHUNK_ROWS`` MOT
 rows, or about ``_CHUNK_VALUES`` sidecar values, at a time. Each chunk is
@@ -64,7 +64,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Detections, IdBoxes, _box_fault, _first_false, _frame_rows, _good_boxes, _row_norms
+from .geometry import Detections, IdBoxes, IdStream, _box_fault, _first_false, _frame_rows, _good_boxes, _row_norms
 
 __all__ = [
     "read_detections",
@@ -150,22 +150,26 @@ def _rows(path, n: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarra
     fields; with ``n`` None the file is a sidecar, whose lines have exactly
     the D values of its ``dim=D`` header. A plain file is read by one
     ``np.loadtxt`` call on its path, past the sidecar's header by
-    ``skiprows``. Any other file, or a plain one when the header or the call
-    fails or the call warns (numpy releases that take ``1.0`` in an integer
-    column only warn, and so does an empty body), is read by ``_by_line``."""
+    ``skiprows``. Any other file, or a plain one whose header is bad, whose
+    first row lacks the header's D values or whose call fails or warns (numpy
+    releases that take ``1.0`` in an integer column only warn, and so does an
+    empty body), is read by ``_by_line``."""
     try:
         if _plain(path):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                skip, dim = 0, n
+                skip, dim, first = 0, n, ""
                 if n is None:
                     with open(path, "r", encoding="ascii") as fh:
-                        skip, header = next(_data_lines(fh), (0, ""))
+                        lines = _data_lines(fh)
+                        skip, header = next(lines, (0, ""))
+                        first = next(lines, (0, ""))[1]
                     dim = _dim(path, skip, header)
-                row = [("frame", np.int64), ("key", np.int64), ("v", np.float64, (dim,))]
-                rows = np.loadtxt(path, dtype=row, delimiter=",", comments=None, ndmin=1, skiprows=skip,
-                                  usecols=None if n is None else range(n + 2))
-                return rows["frame"], rows["key"], rows["v"]
+                if n is not None or first.count(",") == dim + 1:  # loadtxt reserves D values a row first
+                    row = [("frame", np.int64), ("key", np.int64), ("v", np.float64, (dim,))]
+                    rows = np.loadtxt(path, dtype=row, delimiter=",", comments=None, ndmin=1, skiprows=skip,
+                                      usecols=None if n is None else range(n + 2))
+                    return rows["frame"], rows["key"], rows["v"]
     except (ValueError, Warning):
         pass
     return _by_line(path, n)
@@ -285,14 +289,14 @@ def read_detections(path) -> dict[int, Detections]:
     return {frame: Detections._checked(boxes[at], conf[at]) for frame, at in _frame_rows(frames)}
 
 
-def read_gt(path) -> dict[int, IdBoxes]:
-    """Read a ground-truth or result file: one ``IdBoxes`` batch of ids,
-    boxes and confidences per frame, frames in order of first appearance,
-    rows in file order. Every id is 1 or more, every confidence finite, and
-    no ``(frame, id)`` repeats."""
+def read_gt(path) -> IdStream:
+    """Read a ground-truth or result file as one ``IdStream`` of frames,
+    ids, boxes and confidences, rows in file order (so its frames come in
+    order of first appearance). Every id is 1 or more, every confidence
+    finite, and no ``(frame, id)`` repeats."""
     frames, ids, boxes, conf = _mot_columns(path)
     _id_rules(frames, ids, conf, functools.partial(_require, path))
-    return {frame: IdBoxes._checked(ids[at], boxes[at], conf[at]) for frame, at in _frame_rows(frames)}
+    return IdStream._checked(frames, ids, boxes, conf)
 
 
 def read_predictions(path, det_counts: Mapping[int, int]) -> tuple[list[tuple[int, int]], np.ndarray]:
@@ -575,20 +579,15 @@ def _chunks(frames: Sequence[int], columns: Sequence[tuple[np.ndarray, ...]], si
 
 
 def write_gt(path, stream: Mapping[int, IdBoxes]) -> int:
-    """Write a ground-truth or result stream, one ``IdBoxes`` batch (or list
-    of ``(id, box)`` pairs) per frame, rows sorted by (frame, id) with their
-    confidences, and return the number of rows written. ``read_gt``'s rules
-    are checked on every row before the file is opened, its box rule on the
-    boxes it will rebuild: a coasted head that ran out of the box domain is
-    refused here, and so is a box that its six decimals move out of it."""
-    keys = sorted(stream)
-    batches = [IdBoxes.pack(stream[frame]) for frame in keys]
-    frames = np.repeat(np.array(keys, dtype=np.int64), [len(b) for b in batches])
-    ids = np.concatenate([np.zeros(0, np.int64), *(b.ids for b in batches)])
-    boxes = np.concatenate([np.zeros((0, 4)), *(b.boxes for b in batches)])
-    confidence = np.concatenate([np.zeros(0), *(b.confidence for b in batches)])
-    order = np.lexsort((ids, frames))
-    frames, ids, boxes, confidence = frames[order], ids[order], boxes[order], confidence[order]
+    """Write a ground-truth or result stream (see ``IdStream.pack``), rows
+    sorted by (frame, id) with their confidences, and return the number of
+    rows written. ``read_gt``'s rules are checked on every row before the
+    file is opened, its box rule on the boxes it will rebuild: a coasted head
+    that ran out of the box domain is refused here, and so is a box that its
+    six decimals move out of it."""
+    stream = IdStream.pack(stream)
+    stream = stream.take(np.lexsort((stream.ids, stream.frames)))  # the unsorted columns of a packed mapping go
+    frames, ids, boxes, confidence = stream.frames, stream.ids, stream.boxes, stream.confidence
     _frame_rule(frames, _check)
     _written_box_rule(boxes)
     _id_rules(frames, ids, confidence, _check)
@@ -599,7 +598,7 @@ def write_gt(path, stream: Mapping[int, IdBoxes]) -> int:
     return len(ids)
 
 
-write_results = write_gt  # results are a stream of ``hypotheses`` batches
+write_results = write_gt  # results are the ``IdStream`` that ``hypotheses`` returns
 
 
 def write_detections(path, dets: Mapping[int, Detections]) -> None:

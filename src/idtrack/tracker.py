@@ -52,7 +52,7 @@ import numpy as np
 
 from .affinity import AffinityWeights, combined_affinity, nms
 from .assignment import solve_max
-from .geometry import BBox, Detections, IdBoxes, _box_array, _first_false, _frame_rows, _row_norms, _shape_fault
+from .geometry import BBox, Detections, IdStream, _box_array, _first_false, _row_norms, _shape_fault
 
 __all__ = [
     "Trajectory",
@@ -600,12 +600,10 @@ def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEF
                                    for name in TrackOutputs.__slots__))
 
 
-def hypotheses(outputs: TrackOutputs, interpolated: bool = False) -> dict[int, IdBoxes]:
+def hypotheses(outputs: TrackOutputs, interpolated: bool = False) -> IdStream:
     """A ``TrackOutputs`` batch as the hypothesis stream that ``evaluate``
-    scores and ``write_results`` writes: frame -> one ``IdBoxes`` batch of
-    track ids, boxes and confidences in output order, frames in order of
-    first output. Interpolated outputs (propagation) only if asked for."""
+    scores and ``write_results`` writes: one ``IdStream`` of its frames, track
+    ids, boxes and confidences in output order. Interpolated outputs
+    (propagation) only if asked for."""
     keep = slice(None) if interpolated else ~outputs.interpolated
-    ids, boxes, confidence = outputs.track_id[keep], outputs.boxes[keep], outputs.confidence[keep]
-    return {frame: IdBoxes._checked(ids[at], boxes[at], confidence[at])
-            for frame, at in _frame_rows(outputs.frame[keep])}
+    return IdStream._checked(outputs.frame[keep], outputs.track_id[keep], outputs.boxes[keep], outputs.confidence[keep])

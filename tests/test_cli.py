@@ -1,15 +1,20 @@
+import cProfile
 import hashlib
 import json
+import platform
+import pstats
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 import idtrack.cli
 from idtrack.affinity import AffinityWeights, nms
 from idtrack.cli import ABLATION_MODELS, main
 from idtrack.geometry import BBox, Detection
 from idtrack.mot_io import load_detections, read_detections, read_embeddings, read_gt
-from idtrack.tracker import DEFAULT_NMS_IOU, Tracker, TrackerConfig, TrackOutputs
+from idtrack.tracker import DEFAULT_NMS_IOU, Tracker, TrackerConfig, TrackOutputs, track_stream
 
 
 @pytest.fixture()
@@ -254,6 +259,38 @@ def test_eval_and_ablate_stdout_is_pinned(default_scene, capsys, argv):
     capsys.readouterr()
     assert main([*argv, *files] if argv[0] == "eval" else list(argv)) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_STDOUT_SHA256[argv]
+
+
+# Profiled calls of `idtrack eval` and of one `track_stream` on the default
+# (stock, seed 7) scene, after a warm-up run of each. Call counts do not
+# drift with the host's speed, as wall time does, so a change that adds
+# per-frame or per-row work fails here at once. A change that cuts calls
+# may lower a budget; one that raises a budget says why. The counts hold
+# for these versions only.
+CALL_BUDGETS = {"eval": 18054, "track_stream": 92865}
+CALL_MARGIN = 0.02
+PINNED_VERSIONS = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
+
+
+def test_profiled_call_counts_stay_within_their_budgets(default_scene, capsys):
+    versions = {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
+    assert versions == PINNED_VERSIONS, f"the call budgets were measured on {PINNED_VERSIONS}, not on {versions}"
+    dets = load_detections(default_scene / "dets.txt", default_scene / "embeddings.txt")
+    files = ["--gt", str(default_scene / "gt.txt"), "--hyp", str(default_scene / "hyp.txt")]
+    runs = {"eval": lambda: main(["eval", *files]), "track_stream": lambda: track_stream(dets, TrackerConfig())}
+    over = []
+    for name, run in runs.items():
+        run()
+        profile = cProfile.Profile()
+        profile.runcall(run)
+        stats = pstats.Stats(profile)
+        print(f"{name}: {stats.total_calls} calls, budget {CALL_BUDGETS[name]}")
+        if stats.total_calls > CALL_BUDGETS[name] * (1 + CALL_MARGIN):
+            most = sorted(stats.stats.items(), key=lambda item: -item[1][1])[:10]
+            over.append(f"{name}: {stats.total_calls} calls, budget {CALL_BUDGETS[name]} + {CALL_MARGIN:.0%}; most calls:\n"
+                        + "\n".join(f"  {calls:>7} {pstats.func_std_string(func)}" for func, (_, calls, *_) in most))
+    capsys.readouterr()
+    assert not over, "\n".join(over)
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path, tiny_config):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import batch_bits, detections
-from idtrack.geometry import (BBox, Detection, Detections, IdBoxes, _box_fault, _good_boxes, _row_norms, to_center,
+from idtrack.geometry import (BBox, Detection, Detections, IdBoxes, IdStream, _box_fault, _good_boxes, _row_norms, to_center,
                               to_corner)
 from idtrack.kernels import LossWeights
 
@@ -248,7 +248,39 @@ def test_id_boxes_iterate_as_id_box_pairs_and_pack_both_row_forms():
     scored = IdBoxes.pack([(3, BBox(0, 0, 2, 2), 0.25), (1, BBox(5, 5, 2, 2), 0.75)])
     assert scored.ids.tolist() == [3, 1] and scored.confidence.tolist() == [0.25, 0.75]
     assert IdBoxes.pack(list(batch)).boxes.tolist() == batch.boxes.tolist()
-    kept = scored.take(scored.confidence >= 0.5)
-    assert list(kept) == [(1, BBox(5, 5, 2, 2))] and kept.confidence.tolist() == [0.75]
     empty = IdBoxes.pack([])
     assert len(empty) == 0 and empty.boxes.shape == (0, 4) and list(empty) == []
+
+
+def test_an_id_stream_is_a_mapping_of_frame_batches_over_its_columns():
+    stream = IdStream([4, 2, 4, 9], [3, 1, 5, 3], [[0, 0, 2, 2], [5, 5, 2, 2], [9, 9, 2, 2], [1, 1, 4, 4]], [0.5, 1, 1, 0.25])
+    assert stream.frames.dtype == stream.ids.dtype == np.int64 and stream.confidence.tolist() == [0.5, 1, 1, 0.25]
+    assert list(stream) == [4, 2, 9] and len(stream) == 3  # frames in order of first appearance
+    assert 2 in stream and 3 not in stream and stream.get(3) is None
+    assert list(stream[4]) == [(3, BBox(0, 0, 2, 2)), (5, BBox(9, 9, 2, 2))]  # rows in column order
+    assert stream[4].confidence.tolist() == [0.5, 1.0] and stream[4] is stream[4]
+    with pytest.raises(KeyError):
+        stream[3]
+    kept = stream.take(stream.confidence >= 0.5)
+    assert list(kept) == [4, 2] and kept.frames.tolist() == [4, 2, 4]
+    assert IdStream.pack(stream) is stream
+    packed = IdStream.pack({7: [(2, BBox(0, 0, 2, 2), 0.5)], 3: [], 1: IdBoxes([6, 5], [[0, 0, 1, 1], [3, 3, 1, 1]])})
+    assert packed.frames.tolist() == [7, 1, 1] and packed.ids.tolist() == [2, 6, 5] and list(packed) == [7, 1]
+    assert packed.confidence.tolist() == [0.5, 1.0, 1.0] and packed.boxes.shape == (3, 4)
+    empty = IdStream.pack({})
+    assert (empty.frames.shape, empty.boxes.shape, len(empty)) == ((0,), (0, 4), 0) and empty == {}
+
+
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [
+        ({"frames": [1.0, 2.0]}, r"frames must be 2 integers, got shape \(2,\) of dtype float64"),
+        ({"frames": [1]}, r"frames must be 2 integers, got shape \(1,\) of dtype int64"),
+        ({"boxes": [[0, 0, 2, 2], [0, 0, 0, 2]]}, r"row 1: BBox needs positive size, got w=0.0, h=2.0"),
+        ({"confidence": [0.5, float("nan")]}, r"row 1: confidence must be finite, got nan"),
+    ],
+)
+def test_an_id_stream_checks_its_rows_as_a_batch_does(change, message):
+    values = {"frames": [1, 1], "ids": [3, 1], "boxes": [[0, 0, 2, 2], [5, 5, 2, 2]], "confidence": [0.5, 0.9], **change}
+    with pytest.raises(ValueError, match=message):
+        IdStream(**values)

@@ -3,7 +3,9 @@ import math
 import os
 import re
 import struct
+import tracemalloc
 import warnings
+from collections.abc import Mapping
 from unittest import mock
 
 import numpy as np
@@ -192,6 +194,25 @@ def test_embedding_header_and_field_count(tmp_path):
     p.write_text("")
     with pytest.raises(ValueError, match="empty embedding file"):
         read_embeddings(p)
+
+
+def test_a_large_header_over_a_short_row_reserves_no_memory(tmp_path):
+    # loadtxt would reserve the header's D values per row before it read one
+    # (gigabytes here); the line loop names the short row instead, and reads
+    # a file of the header alone.
+    p = tmp_path / "emb.txt"
+    tracemalloc.start()
+    try:
+        p.write_text("dim=100000000\n1,0,1.0\n")
+        with pytest.raises(ValueError, match=r"emb\.txt:2: expected 100000002 fields, got 3$"):
+            read_embeddings(p)
+        p.write_text("dim=100000000\n")
+        dim, keys, matrix = read_embeddings(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (dim, keys, matrix.shape) == (100000000, [], (0, 100000000))
+    assert peak < 20e6
 
 
 def test_embedding_zero_vector_rejected(tmp_path):
@@ -473,10 +494,10 @@ def test_a_loadtxt_warning_sends_the_sidecar_to_the_line_loop(tmp_path, monkeypa
     p.write_text("dim=1\n1,0,1.0\n1.0,1,1.0\n")
     with pytest.raises(ValueError, match=r"emb\.txt:3: malformed value"):
         read_embeddings(p)
-    p.write_text("dim=2\n")  # loadtxt warns on an empty body
+    p.write_text("dim=2\n")  # no row holds the header's 2 values: the line loop reads it
     dim, keys, matrix = read_embeddings(p)
     assert (dim, keys, matrix.shape) == (2, [], (0, 2))
-    assert sources == [p, p]
+    assert sources == [p]
 
 
 def test_embeddings_reject_a_repeated_key(tmp_path):
@@ -880,7 +901,7 @@ def bits(value):
         return ("Detections", *(bits(getattr(value, name)) for name in columns))
     if isinstance(value, IdBoxes):
         return ("IdBoxes", bits(value.ids), bits(value.boxes), bits(value.confidence))
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):  # a dict, or the ``IdStream`` that read_gt returns
         return tuple((bits(k), bits(v)) for k, v in value.items())
     if isinstance(value, (tuple, list)):
         return (type(value).__name__, *(bits(v) for v in value))
@@ -904,7 +925,7 @@ def float_arrays(value) -> list[np.ndarray]:
         value = [value.boxes, value.confidence, value.embeddings, value.predictions]
     elif isinstance(value, IdBoxes):
         value = [value.boxes, value.confidence]
-    elif isinstance(value, dict):
+    elif isinstance(value, Mapping):
         value = list(value.values())
     elif not isinstance(value, (tuple, list)):
         return []

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import iou_matrix
+from idtrack import mot_io
 from idtrack.affinity import iou
 from idtrack.assignment import solve_max
-from idtrack.geometry import BBox, IdBoxes
+from idtrack.geometry import BBox, IdBoxes, IdStream, _box_rows
 from idtrack.metrics import (
     DEFAULT_SWEEP_THRESHOLDS,
     ML_CUTOFF,
@@ -406,6 +407,64 @@ def test_property_evaluate_and_sweep_match_the_reference(streams, gate, stride):
     expected = outcome(reference_sweep, gt, scored, thresholds, gate)
     assert outcome(sweep_thresholds, gt, scored, thresholds, gate) == expected
     assert outcome(sweep_thresholds, batches(gt), batches(scored), thresholds, gate) == expected
+
+
+def id_stream(stream, order):
+    """The rows of a list stream as one ``IdStream``, its rows of every frame
+    taken in the order ``order``, so that frames interleave and come in any
+    order; a frame without rows leaves none."""
+    rows = [(f, *row) for f, entries in stream.items() for row in entries]
+    rows = [rows[k] for k in order]
+    return IdStream([r[0] for r in rows], [r[1] for r in rows], _box_rows([r[2] for r in rows]),
+                    [r[3] if len(r) > 3 else 1.0 for r in rows])
+
+
+def as_lists(stream, scored=False):
+    """A stream of batches as ``(id, box)`` lists, or ``(id, box, score)``."""
+    return {f: [(i, b, c) if scored else (i, b) for (i, b), c in zip(batch, batch.confidence.tolist())]
+            for f, batch in stream.items()}
+
+
+def written(path, stream):
+    try:
+        mot_io.write_gt(path, stream)
+    except ValueError as exc:
+        return f"error: {exc}"
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scored_streams(), st.floats(0.3, 1.0), st.data())
+def test_property_a_stream_scores_as_its_dict_its_lists_and_the_reference(tmp_path_factory, streams, gate, data):
+    # The streams hold unsorted rows, frames out of order and interleaved,
+    # repeated ids (one time in eight) and frames missing from either side;
+    # the list streams they come from also hold empty frames.
+    gt_lists, scored_lists = streams
+    g, s = (id_stream(x, data.draw(st.permutations(range(sum(map(len, x.values()))))))
+            for x in (gt_lists, scored_lists))
+    for stream in (g, s):
+        frames = stream.frames.tolist()
+        assert list(stream) == list(dict.fromkeys(frames))
+        for f, batch in stream.items():
+            assert batch.ids.tolist() == [i for i, k in zip(stream.ids.tolist(), frames) if k == f]
+        # Equality as any Mapping has it: the same keys and the same batches.
+        assert stream == dict(stream) and dict(stream) == stream and (stream == {}) == (not len(stream))
+        assert (IdStream.pack(dict(stream)) == stream) == (not len(stream)) and stream != list(stream)
+    hyp_lists = {f: [(i, b) for i, b, _ in rows] for f, rows in scored_lists.items()}
+    expected = outcome(reference_evaluate, as_lists(g), as_lists(s), gate)
+    assert outcome(reference_evaluate, gt_lists, hyp_lists, gate) == expected
+    for gt in (g, dict(g), as_lists(g), gt_lists):
+        for hyp in (s, dict(s), as_lists(s), hyp_lists):
+            assert outcome(evaluate, gt, hyp, gate) == expected
+
+    thresholds = (0.2, 0.5, 0.8)
+    expected = outcome(reference_sweep, as_lists(g), as_lists(s, scored=True), thresholds, gate)
+    for gt, hyp in [(g, s), (dict(g), dict(s)), (g, as_lists(s, scored=True)), (gt_lists, s), (g, scored_lists)]:
+        assert outcome(sweep_thresholds, gt, hyp, thresholds, gate) == expected
+
+    out = tmp_path_factory.mktemp("written")
+    for stream in (g, s):
+        assert written(out / "stream.txt", stream) == written(out / "dict.txt", dict(stream))
 
 
 @pytest.mark.parametrize(

@@ -84,6 +84,9 @@ def test_scipy_is_imported_only_when_a_solve_needs_it(tmp_path):
             f"assert main(['ablate', '--config', {str(config)!r}]) == 0",
             "assert loaded() == [], f'after idtrack track, eval and ablate: {loaded()}'",
             "assert 'idtrack.kernels' not in sys.modules, 'kernels after idtrack track, eval and ablate'",
+            # numpy.ma (about 1 MB of module objects, left in the heap among
+            # the stages' arrays) loads on a bare np.unique or np.union1d.
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma after idtrack simulate, track, eval and ablate'",
         ]
     )
     src = str(Path(idtrack.__file__).resolve().parents[1])
