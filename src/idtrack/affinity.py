@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geometry import BBox, Detection, Detections, _view_rows, to_corner
+from .geometry import BBox, Detection, Detections, _check_fields, _view_rows, to_corner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .tracker import Trajectories
@@ -45,7 +45,7 @@ class AffinityWeights:
     identity: float = 0.5
 
     def __post_init__(self):
-        # Both checks are written so that NaN fails them.
+        _check_fields(self)
         if not (self.overlap >= 0 and self.identity >= 0):
             raise ValueError(f"affinity weights must be non-negative, got {self.overlap} and {self.identity}")
         if not abs(self.overlap + self.identity - 1.0) <= _WEIGHT_SUM_TOL:

@@ -9,24 +9,25 @@ mappings, and the key is the one place a frame number lives.
 array, confidences, optional unit embeddings and optional predicted boxes.
 It is the one stored form of a frame's detections. Producers (the file
 readers and the simulator) build one per frame and consumers (NMS,
-affinity, the tracker, the writers) read its arrays. Iterating or indexing
-a batch yields ``Detection`` views, each a batch, a row index and its
-confidence, reading its other values from the arrays; none is kept.
+affinity, the tracker, the writers) read its arrays. Iterating a batch
+yields ``Detection`` views, each a batch, a row index and its confidence,
+reading its other values from the arrays; none is kept.
 
 ``IdBoxes`` is one frame of ground truth or tracker hypotheses the same
 way; iterating one yields ``(id, BBox)`` pairs. ``IdStream`` is a whole
 stream as one column set (frames, ids, boxes, confidences), which
 ``read_gt`` and ``hypotheses`` return and ``evaluate``, ``sweep_thresholds``
-and the writers read; as a ``Mapping`` it builds a frame's batch on demand.
+and the writers read. ``_check_fields`` is the field rule of every config
+dataclass.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass
+import numbers
+from dataclasses import MISSING, dataclass, fields
 from itertools import repeat
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -93,6 +94,29 @@ def _box_fault(cx: float, cy: float, w: float, h: float) -> str | None:
     if w < MIN_SIDE or h < MIN_SIDE:
         return f"box sides must be at least {MIN_SIDE:g}, got w={w}, h={h}"
     return None
+
+
+def _check_fields(config) -> None:
+    """Refuse a config dataclass whose field does not hold what its default
+    holds: an int, a finite number (an int or a float), a pair of them, or
+    an instance of the default's class. A bool is no number. The error
+    names the field."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        default = f.default_factory() if f.default is MISSING else f.default
+        if not isinstance(default, (numbers.Real, tuple)):
+            if not isinstance(value, type(default)):
+                raise TypeError(f"{f.name} must be one {type(default).__name__}, got {value!r}")
+            continue
+        pair = isinstance(default, tuple)
+        entries = value if isinstance(value, tuple) else (value,)
+        kind = numbers.Integral if isinstance(default[0] if pair else default, int) else numbers.Real
+        if (pair != isinstance(value, tuple) or len(entries) != (len(default) if pair else 1)
+                or not all(isinstance(v, kind) and not isinstance(v, bool) for v in entries)):
+            noun = "int" if kind is numbers.Integral else "number"
+            raise TypeError(f"{f.name} must be {f'a pair of {noun}s' if pair else f'one {noun}'}, got {value!r}")
+        if not all(math.isfinite(v) for v in entries if not isinstance(v, numbers.Integral)):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 def to_corner(box: BBox) -> tuple[float, float, float, float]:
@@ -168,9 +192,9 @@ class Detections:
     names the first bad row. A batch is not modified after it is built;
     ``take`` makes a new one.
 
-    ``len()``, iteration and indexing work as on a list; each row is a
-    ``Detection`` view that reads its values from the batch's arrays, made
-    when it is asked for and not kept.
+    ``len()`` and iteration work as on a list; each row is a ``Detection``
+    view that reads its values from the batch's arrays, made when it is
+    asked for and not kept.
     """
 
     __slots__ = ("boxes", "confidence", "embeddings", "predictions", "predicted")
@@ -218,16 +242,6 @@ class Detections:
         batch._set(boxes, confidence, embeddings, predictions, predicted)
         return batch
 
-    @classmethod
-    def pack(cls, views: Sequence["Detection"]) -> "Detections":
-        """One batch holding ``views``, which must all be rows of one batch:
-        that batch's ``take`` of their indices (a batch is returned as it is,
-        and no views make an empty batch)."""
-        if isinstance(views, Detections):
-            return views
-        batch, index = _view_rows(views)
-        return batch.take(index)
-
     def missing_embedding(self) -> str | None:
         """Why a non-empty batch holds no embedding matrix (None when it holds
         one, or is empty)."""
@@ -254,9 +268,6 @@ class Detections:
     def __iter__(self) -> Iterator["Detection"]:
         return map(Detection, repeat(self, len(self)), range(len(self)), self.confidence.tolist())
 
-    def __getitem__(self, k: int) -> "Detection":
-        return Detection(self, range(len(self))[k])
-
 
 def _view_rows(views: Sequence["Detection"]) -> tuple[Detections, np.ndarray]:
     """The batch that the ``Detection`` views ``views`` are rows of (empty for
@@ -266,30 +277,27 @@ def _view_rows(views: Sequence["Detection"]) -> tuple[Detections, np.ndarray]:
     batch = views[0].batch
     index = [d.index for d in views if d.batch is batch]  # checked and collected in one pass
     if len(index) != len(views):
-        raise ValueError("pack takes rows of one batch")
+        raise ValueError("views must be rows of one batch")
     return batch, np.array(index, dtype=np.intp)
 
 
 class Detection:
-    """One row of a ``Detections`` batch, as iterating or indexing the batch
-    yields it: a view that holds ``batch``, its row ``index`` and the row's
-    ``confidence`` (batches are never modified), and reads the row's other
-    values from the batch's arrays on each access.
+    """One row of a ``Detections`` batch, as iterating the batch yields it: a
+    view that holds ``batch``, its row ``index`` and the row's ``confidence``
+    (batches are never modified), and reads the row's other values from the
+    batch's arrays on each access.
 
     ``box`` is a ``BBox``, ``confidence`` a float, ``embedding`` the row of
     the batch's unit embedding matrix or None, and ``prediction``, the box
     where the object is expected in the frame after this detection's, a
     ``BBox`` or None. A detection does not know its frame; a stream keys its
-    batches by frame. Views compare by identity; ``Detections.pack`` turns
-    views of one batch back into a batch.
+    batches by frame. Views compare by identity.
     """
 
     __slots__ = ("batch", "index", "confidence")
 
-    def __init__(self, batch: Detections, index: int, confidence: float | None = None):
-        self.batch = batch
-        self.index = index
-        self.confidence = batch.confidence.item(index) if confidence is None else confidence
+    def __init__(self, batch: Detections, index: int, confidence: float):
+        self.batch, self.index, self.confidence = batch, index, confidence
 
     @property
     def box(self) -> BBox:
@@ -367,28 +375,25 @@ class IdBoxes:
         return zip(self.ids.tolist(), [BBox(*box) for box in self.boxes.tolist()])
 
 
-class IdStream(Mapping):
+class IdStream:
     """Ground truth or hypotheses over many frames as columns: ``frames`` and
     ``ids`` ``(n,)`` int64, ``boxes`` ``(n, 4)`` in center form, ``confidence``
-    ``(n,)``, rows checked as ``IdBoxes`` checks them. As a ``Mapping`` it is
-    frame -> ``IdBoxes``, frames in order of first appearance, rows in column
-    order, a frame's batch built and kept when the frame is first asked for."""
+    ``(n,)``, rows checked as ``IdBoxes`` checks them. A stream is not
+    modified after it is built; ``take`` makes a new one."""
 
-    __slots__ = ("frames", "ids", "boxes", "confidence", "_rows", "_batches")
+    __slots__ = ("frames", "ids", "boxes", "confidence")
 
     def __init__(self, frames, ids, boxes, confidence=None):
         b, frames = IdBoxes(ids, boxes, confidence), np.asarray(frames).reshape(-1)
         if frames.shape != b.ids.shape or (frames.size and frames.dtype.kind not in "iu"):
             raise ValueError(f"frames must be {len(b)} integers, got shape {frames.shape} of dtype {frames.dtype}")
         self.frames, self.ids, self.boxes, self.confidence = frames.astype(np.int64), b.ids, b.boxes, b.confidence
-        self._rows, self._batches = None, {}
 
     @classmethod
     def _checked(cls, frames, ids, boxes, confidence) -> "IdStream":
         """A stream of columns that are already typed, shaped and valid."""
         stream = cls.__new__(cls)
         stream.frames, stream.ids, stream.boxes, stream.confidence = frames, ids, boxes, confidence
-        stream._rows, stream._batches = None, {}
         return stream
 
     @classmethod
@@ -405,20 +410,3 @@ class IdStream(Mapping):
     def take(self, index) -> "IdStream":
         """The rows that ``index`` (integers or a boolean mask) selects."""
         return IdStream._checked(self.frames[index], self.ids[index], self.boxes[index], self.confidence[index])
-
-    def _index(self) -> dict[int, np.ndarray]:
-        if self._rows is None:
-            self._rows = dict(_frame_rows(self.frames))
-        return self._rows
-
-    def __getitem__(self, frame: int) -> IdBoxes:
-        if frame not in self._batches:
-            at = self._index()[frame]
-            self._batches[frame] = IdBoxes._checked(self.ids[at], self.boxes[at], self.confidence[at])
-        return self._batches[frame]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._index())
-
-    def __len__(self) -> int:
-        return len(self._index())

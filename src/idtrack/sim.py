@@ -21,13 +21,12 @@ whose checks run once per block of kept frames.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .geometry import UNIT_NORM_TOL, Detections, IdBoxes, _good_boxes, _row_norms
+from .geometry import UNIT_NORM_TOL, Detections, IdBoxes, _check_fields, _good_boxes, _row_norms
 
 __all__ = ["SimConfig", "generate", "subsample", "benchmark_config", "config_from_mapping"]
 
@@ -68,19 +67,7 @@ class SimConfig:
     turn_prob: float = 0.02  # chance per identity per frame of a direction kick
 
     def __post_init__(self):
-        for f in fields(self):
-            # Each field takes what its default holds: an int, or a number
-            # (an int or a float), or a pair of them. A bool is neither.
-            value, default = getattr(self, f.name), f.default
-            pair = isinstance(default, tuple)
-            entries = value if isinstance(value, tuple) else (value,)
-            kind = numbers.Integral if isinstance(default[0] if pair else default, int) else numbers.Real
-            if (pair != isinstance(value, tuple) or len(entries) != (len(default) if pair else 1)
-                    or not all(isinstance(v, kind) and not isinstance(v, bool) for v in entries)):
-                noun = "int" if kind is numbers.Integral else "number"
-                raise TypeError(f"{f.name} must be {f'a pair of {noun}s' if pair else f'one {noun}'}, got {value!r}")
-            if not all(math.isfinite(v) for v in entries if not isinstance(v, numbers.Integral)):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        _check_fields(self)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.num_identities < 1 or self.frames < 1:

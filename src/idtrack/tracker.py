@@ -52,7 +52,7 @@ import numpy as np
 
 from .affinity import AffinityWeights, combined_affinity, nms
 from .assignment import solve_max
-from .geometry import BBox, Detections, IdStream, _box_array, _first_false, _row_norms, _shape_fault
+from .geometry import BBox, Detections, IdStream, _box_array, _check_fields, _first_false, _row_norms, _shape_fault
 
 __all__ = [
     "Trajectory",
@@ -295,6 +295,7 @@ class TrackerConfig:
     embedding_momentum: float = 0.5
 
     def __post_init__(self):
+        _check_fields(self)
         if self.buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
         if self.motion_propagate_frames < 0:

@@ -1,5 +1,6 @@
 """Shared test helpers: one way to build a ``Detections`` batch, a
-``TrackOutputs`` batch and a tracker's trajectories by hand, the pairwise
+``TrackOutputs`` batch and a tracker's trajectories by hand, an
+``IdStream`` split into frames, the pairwise
 IoU oracle (the dense broadcast that the sort and sweep in
 ``idtrack.affinity`` replaced), the per-pair oracle of
 ``update_trajectory`` (the loop that the table's array update replaced),
@@ -8,7 +9,7 @@ the oracle."""
 
 import numpy as np
 
-from idtrack.geometry import Detections, _box_rows
+from idtrack.geometry import Detections, IdBoxes, _box_rows
 from idtrack.tracker import TrackOutputs, Trajectories, TrajectoryTable
 
 
@@ -29,6 +30,14 @@ def detections(rows):
         predicted = [p is not None for p in ahead]
         predictions = _box_rows([p or box for p, box in zip(ahead, boxes)])
     return Detections(_box_rows(boxes), confidence, embeddings, predictions, predicted)
+
+
+def by_frame(stream):
+    """An ``IdStream``'s rows as ``{frame: IdBoxes}``: frames in order of
+    first appearance, each frame's rows in column order, the mapping that
+    ``IdStream.pack`` joins back."""
+    return {f: IdBoxes(stream.ids[at], stream.boxes[at], stream.confidence[at])
+            for f in dict.fromkeys(stream.frames.tolist()) for at in [stream.frames == f]}
 
 
 def track_outputs(rows):

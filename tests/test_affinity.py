@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -19,8 +20,10 @@ def unit(vec):
 
 def same_rows(got, want):
     """Whether batch ``got`` holds, bit for bit, the rows that the views
-    ``want`` (of one batch) name."""
-    return batch_bits(got) == batch_bits(Detections.pack(want))
+    ``want`` (of one batch) name: their batch's ``take`` of them."""
+    if not want:
+        return len(got) == 0
+    return batch_bits(got) == batch_bits(want[0].batch.take([d.index for d in want]))
 
 
 def random_box(rng, span=100.0):
@@ -114,6 +117,22 @@ def test_weights_validation():
         AffinityWeights(-0.2, 1.2)
     assert AffinityWeights() == AffinityWeights(0.5, 0.5)
     AffinityWeights(1.0 - 0.8, 0.8)  # what --w2 0.8 gives: within the sum tolerance
+    assert AffinityWeights(0, 1) == AffinityWeights(0.0, 1.0)
+
+
+@pytest.mark.parametrize("field, value, error, message", [
+    ("overlap", True, TypeError, "overlap must be one number, got True"),
+    ("identity", False, TypeError, "identity must be one number, got False"),
+    ("overlap", "0.5", TypeError, "overlap must be one number, got '0.5'"),
+    ("identity", None, TypeError, "identity must be one number, got None"),
+    ("identity", (0.5,), TypeError, "identity must be one number, got (0.5,)"),
+    ("overlap", float("nan"), ValueError, "overlap must be finite, got nan"),
+    ("identity", float("-inf"), ValueError, "identity must be finite, got -inf"),
+])
+def test_weights_refuse_a_field_of_the_wrong_type_or_a_nan(field, value, error, message):
+    # AffinityWeights(True, False) summed to 1 and was taken.
+    with pytest.raises(error, match=re.escape(message)):
+        AffinityWeights(**{"overlap": 0.5, "identity": 0.5, field: value})
 
 
 def blend_in_order(trajs, dets, weights):
@@ -229,10 +248,10 @@ def test_combined_affinity_requires_embeddings():
 
 
 def test_combined_affinity_empty_inputs():
-    assert combined_affinity(trajectories([]), Detections.pack([]), AffinityWeights()).shape == (0, 0)
+    assert combined_affinity(trajectories([]), Detections([], []), AffinityWeights()).shape == (0, 0)
     det = detections([(BBox(0, 0, 1, 1), 0.9, unit([1.0, 0.0]))])
     assert combined_affinity(trajectories([]), det, AffinityWeights()).shape == (0, 1)
-    assert combined_affinity(trajectories([(1, BBox(0, 0, 1, 1), None)]), Detections.pack([]),
+    assert combined_affinity(trajectories([(1, BBox(0, 0, 1, 1), None)]), Detections([], []),
                              AffinityWeights()).shape == (1, 0)
 
 
@@ -242,7 +261,8 @@ def test_nms_drops_heavy_overlap():
     d2 = BBox(50.0, 50.0, 10.0, 10.0)
     dets = detections([(d0, 0.9), (d1, 0.8), (d2, 0.7)])
     assert nms(dets, 0.5).boxes.tolist() == _box_rows([d0, d2]).tolist()
-    assert same_rows(nms(list(dets), 0.5), [dets[0], dets[2]])
+    rows = list(dets)
+    assert same_rows(nms(rows, 0.5), [rows[0], rows[2]])
 
 
 def test_nms_keeps_sub_threshold_overlap():
@@ -308,8 +328,8 @@ def nms_frames(draw):
             max_size=30,
         )
     )
-    dets = list(detections([(pool[p], conf) for p, conf in picks]))
-    pairwise = sorted({iou(a.box, b.box) for a in dets for b in dets if a is not b})
+    batch = detections([(pool[p], conf) for p, conf in picks])
+    pairwise = sorted({iou(a.box, b.box) for a in batch for b in batch if a.index != b.index})
     threshold = draw(
         st.one_of(
             st.sampled_from((0.0, 1.0)),
@@ -317,18 +337,19 @@ def nms_frames(draw):
             st.sampled_from(pairwise) if pairwise else st.just(0.5),
         )
     )
-    return dets, threshold
+    return batch, threshold
 
 
 @settings(max_examples=300)
 @given(nms_frames())
 def test_property_nms_matches_the_scalar_greedy_reference(frame):
-    dets, threshold = frame
+    batch, threshold = frame
+    dets = list(batch)
     want = greedy_nms(dets, threshold)
     for cells in (0, 10**9):  # every frame swept, then every frame dense
         with mock.patch.object(idtrack.affinity, "_DENSE_CELLS", cells):
             assert same_rows(nms(dets, threshold), want)
-            assert same_rows(nms(Detections.pack(dets), threshold), want)
+            assert same_rows(nms(batch, threshold), want)
 
 
 def test_nms_never_calls_the_scalar_iou(monkeypatch):

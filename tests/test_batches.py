@@ -183,7 +183,7 @@ thresholds = st.one_of(st.sampled_from((0.0, 0.3, 1.0)), st.floats(0.0, 1.0))
 def test_property_nms_keeps_the_reference_survivors(batch, threshold, bare):
     if bare:  # NMS reads no embedding
         batch = Detections(batch.boxes, batch.confidence)
-    want = Detections.pack(reference_nms(list(batch), threshold))
+    want = batch.take([d.index for d in reference_nms(list(batch), threshold)])
     assert batch_bits(nms(batch, threshold)) == batch_bits(want)
     assert batch_bits(nms(list(batch), threshold)) == batch_bits(want)
 
@@ -191,8 +191,7 @@ def test_property_nms_keeps_the_reference_survivors(batch, threshold, bare):
 @st.composite
 def picked_views(draw):
     """A batch and a non-empty index list into it: any subset, in any order,
-    with repeats. (No views leave no batch to take from: ``pack([])`` is an
-    empty batch without embeddings.)"""
+    with repeats. (No views leave no batch to take from.)"""
     batch = draw(frames(draw(st.integers(1, 8)), predicted=draw(st.booleans())))
     assume(len(batch) > 0)
     return batch, draw(st.lists(st.integers(0, len(batch) - 1), min_size=1, max_size=30))
@@ -200,12 +199,11 @@ def picked_views(draw):
 
 @settings(max_examples=200)
 @given(picked_views(), thresholds)
-def test_property_packed_views_are_the_batch_take(case, threshold):
+def test_property_nms_of_views_is_nms_of_their_batch_take(case, threshold):
     batch, index = case
-    views = [batch[k] for k in index]
-    taken = batch.take(index)
-    assert batch_bits(Detections.pack(views)) == batch_bits(taken)
-    assert batch_bits(nms(views, threshold)) == batch_bits(nms(taken, threshold))
+    rows = list(batch)
+    views = [rows[k] for k in index]
+    assert batch_bits(nms(views, threshold)) == batch_bits(nms(batch.take(index), threshold))
 
 
 @st.composite
@@ -215,7 +213,7 @@ def affinity_cases(draw):
     heads = draw(st.lists(boxes, max_size=8))
     vectors = draw(unit_rows(len(heads), dim))
     if rows and heads and draw(st.booleans()):
-        heads[0] = rows[0].box  # identical boxes: an IoU of exactly 1
+        heads[0] = next(iter(rows)).box  # identical boxes: an IoU of exactly 1
     trajs = trajectories([(k + 1, box, vec) for k, (box, vec) in enumerate(zip(heads, vectors))])
     overlap = draw(st.one_of(st.sampled_from((0.0, 0.2, 0.5, 1.0)), st.floats(0.0, 1.0)))
     return trajs, rows, AffinityWeights(overlap, 1.0 - overlap)
@@ -227,7 +225,7 @@ def test_property_affinity_has_the_reference_bits(case):
     trajs, rows, weights = case
     want = reference_combined_affinity(trajs, rows, weights)
     assert bits(combined_affinity(trajs, rows, weights)) == bits(want)
-    assert bits(combined_affinity(trajs, Detections.pack(list(rows)), weights)) == bits(want)
+    assert bits(combined_affinity(trajs, rows.take(np.arange(len(rows))), weights)) == bits(want)
 
 
 @st.composite
@@ -262,14 +260,14 @@ def test_property_writers_write_the_reference_bytes(tmp_path_factory, stream, ch
     rows = [(frame, i, d) for frame, frame_rows in dets.items() for i, d in zip(ids[frame], frame_rows)]
     outputs = [TrackOutput(frame, i, d.box, d.confidence, flag) for (frame, i, d), flag in zip(rows, interpolated)]
     random.shuffle(outputs)
-    views = {frame: Detections.pack(list(rows)) for frame, rows in dets.items()}
+    taken = {frame: rows.take(np.arange(len(rows))) for frame, rows in dets.items()}
     hyp = hypotheses(track_outputs(outputs))
     with mock.patch.multiple(mot_io, _CHUNK_VALUES=chunk_values, _CHUNK_ROWS=chunk_rows):
         written_as_reference(tmp, lambda p: reference_write_detections(p, dets), mot_io.read_detections,
-                             lambda p: mot_io.write_detections(p, dets), lambda p: mot_io.write_detections(p, views))
+                             lambda p: mot_io.write_detections(p, dets), lambda p: mot_io.write_detections(p, taken))
         assert written_as_reference(tmp, lambda p: reference_write_embeddings(p, dets), mot_io.read_embeddings,
                                     lambda p: mot_io.write_embeddings(p, dets),
-                                    lambda p: mot_io.write_embeddings(p, views))
+                                    lambda p: mot_io.write_embeddings(p, taken))
         written_as_reference(tmp, lambda p: reference_write_gt(p, gt), mot_io.read_gt, lambda p: mot_io.write_gt(p, gt),
                              lambda p: mot_io.write_gt(p, {frame: IdBoxes.pack(rows) for frame, rows in gt.items()}))
         if written_as_reference(tmp, lambda p: reference_write_results(p, outputs), mot_io.read_gt,

@@ -3,6 +3,7 @@ import hashlib
 import json
 import platform
 import pstats
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ def test_simulate_writes_the_three_files(tmp_path, tiny_config, capsys):
     gt = read_gt(out_dir / "gt.txt")
     dets = read_detections(out_dir / "dets.txt")
     dim, keys, _ = read_embeddings(out_dir / "embeddings.txt")
-    assert sorted(gt) == list(range(1, 31))
+    assert np.unique(gt.frames).tolist() == list(range(1, 31))
     assert dim == 16
     assert len(keys) == sum(len(v) for v in dets.values())
 
@@ -212,27 +213,104 @@ PINNED_WORKLOAD_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("workload", PINNED_WORKLOAD_SHA256)
-def test_workload_scene_bytes_are_pinned(tmp_path, capsys, workload):
-    spec = json.loads((Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text())
+WORKLOADS = json.loads((Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text())
+TRACKER = WORKLOADS["tracker"]
+WORKLOAD_TRACK_FLAGS = [str(flag) for flag in [
+    "--w1", TRACKER["w1"], "--w2", TRACKER["w2"], "--buffer-size", TRACKER["buffer_size"],
+    "--min-affinity", TRACKER["min_affinity"], "--det-threshold", TRACKER["det_threshold"],
+    "--propagate-frames", TRACKER["propagate_frames"], "--embedding-momentum", TRACKER["embedding_momentum"],
+    "--nms-iou", TRACKER["nms_iou"]]]
+
+
+def workload_config(directory, workload):
+    """The workload's sim config from perfbench/workloads.json, written to
+    ``directory`` as the key=value file that ``--config`` reads."""
     values = {k: ",".join(map(str, v)) if isinstance(v, list) else str(v)
-              for k, v in spec["workloads"][workload]["sim"].items()}
-    config = tmp_path / "sim.cfg"
+              for k, v in WORKLOADS["workloads"][workload]["sim"].items()}
+    config = directory / "sim.cfg"
     config.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
-    assert main(["simulate", "--config", str(config), "--seed", "7", "--out-dir", str(tmp_path)]) == 0
-    t = spec["tracker"]
-    flags = ["--w1", t["w1"], "--w2", t["w2"], "--buffer-size", t["buffer_size"], "--min-affinity", t["min_affinity"],
-             "--det-threshold", t["det_threshold"], "--propagate-frames", t["propagate_frames"],
-             "--embedding-momentum", t["embedding_momentum"], "--nms-iou", t["nms_iou"]]
-    assert main(["track", "--dets", str(tmp_path / "dets.txt"), "--embeddings", str(tmp_path / "embeddings.txt"),
-                 "--out", str(tmp_path / "hyp.txt"), *map(str, flags)]) == 0
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-           for name in ("gt.txt", "dets.txt", "embeddings.txt", "hyp.txt")}
+    return config
+
+
+@pytest.fixture(scope="module")
+def workload_scene(tmp_path_factory):
+    """``scene(workload, seed)``: a directory where ``idtrack simulate`` wrote
+    the workload's scene at ``seed`` and ``idtrack track``, with the
+    workload's tracker flags, its hyp.txt; each made once per module."""
+    scenes = {}
+
+    def scene(workload, seed):
+        if (workload, seed) not in scenes:
+            out = tmp_path_factory.mktemp(f"{workload}-{seed}")
+            config = workload_config(out, workload)
+            assert main(["simulate", "--config", str(config), "--seed", str(seed), "--out-dir", str(out)]) == 0
+            assert main(["track", "--dets", str(out / "dets.txt"), "--embeddings", str(out / "embeddings.txt"),
+                         "--out", str(out / "hyp.txt"), *WORKLOAD_TRACK_FLAGS]) == 0
+            scenes[workload, seed] = out
+        return scenes[workload, seed]
+
+    return scene
+
+
+def digests(scene):
+    return {name: hashlib.sha256((scene / name).read_bytes()).hexdigest()
+            for name in ("gt.txt", "dets.txt", "embeddings.txt", "hyp.txt")}
+
+
+@pytest.mark.parametrize("workload", PINNED_WORKLOAD_SHA256)
+def test_workload_scene_bytes_are_pinned(workload_scene, capsys, workload):
+    scene = workload_scene(workload, 7)
+    got = digests(scene)
     for sweep in ([], ["--sweep"]):
         capsys.readouterr()
-        assert main(["eval", "--gt", str(tmp_path / "gt.txt"), "--hyp", str(tmp_path / "hyp.txt"), *sweep]) == 0
+        assert main(["eval", "--gt", str(scene / "gt.txt"), "--hyp", str(scene / "hyp.txt"), *sweep]) == 0
         got[" ".join(["eval", *sweep, "stdout"])] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == PINNED_WORKLOAD_SHA256[workload]
+
+
+# All three workloads at another seed, so that byte identity is not a
+# property of seed 7 alone.
+PINNED_SEED_11_SHA256 = {
+    "stock": {
+        "gt.txt": "b3d813700e8f2feb589d91ae089408454a569733588e7e121435cece903e746d",
+        "dets.txt": "718affcc1b5bf0853f8fd8f227c6f793192b948443b730f0ca6297c37d606ff1",
+        "embeddings.txt": "32f8e27de11e51d8852233552cd607ce7c2e0f7fcfceaaed1804dad832e29711",
+        "hyp.txt": "81faa27b0f9d4f9568b7c8b68e83072ea72f933e16ad6d610f0eb24cdcd98d20",
+    },
+    "scale128": {
+        "gt.txt": "f9cd179a4497d5d0cbcaf4eb867bf1db6e3deb4fe8f4635a947cb3e1ea554006",
+        "dets.txt": "18b4696a6f3f1c316efeea3068112fc0e3a296a01a9d965df10ecb2bc0ce8752",
+        "embeddings.txt": "817c2ef45f99de4f2bbabfc628990e8157305299fa78f94b3cfcf34c7add0892",
+        "hyp.txt": "03193223f5d07fc7a93082b1ee299fe9f6d8292fc3b44321045f9cfad7923907",
+    },
+    "lowfps": {
+        "gt.txt": "1839c7835a3ee2ffe38c6ebc57cc36da15ea17a3d16f8ee4401fcaa556a5a294",
+        "dets.txt": "58997828b44bd101ff3d6b60f1001df3c37b168c12c610bbce18aa900c09fe22",
+        "embeddings.txt": "eb67161ec020e99c8cdb1ed4a74c1678cac310c15c00b16584421dd3478805ec",
+        "hyp.txt": "c8c66d745f31b71279ebaf2a20660c8680ba82bc9f9a9d432c197d6a4efbf4b1",
+    },
+}
+
+
+@pytest.mark.parametrize("workload", PINNED_SEED_11_SHA256)
+def test_workload_scene_bytes_at_seed_11_are_pinned(workload_scene, workload):
+    assert digests(workload_scene(workload, 11)) == PINNED_SEED_11_SHA256[workload]
+
+
+# ablate --strides 1,10 on the bigger and the strided workload at seed 7:
+# every variant's scores at both strides.
+PINNED_WORKLOAD_ABLATE_SHA256 = {
+    "scale128": "6ac343659e2b2732cd696a65009ed64968ba741e0d80390bd4a0185ec2e60d89",
+    "lowfps": "e7c1890b61113934af06b774d92b693294fde0094dda799c541d50e1c0ba5197",
+}
+
+
+@pytest.mark.parametrize("workload", PINNED_WORKLOAD_ABLATE_SHA256)
+def test_workload_ablate_stdout_is_pinned(tmp_path, capsys, workload):
+    config = workload_config(tmp_path, workload)
+    capsys.readouterr()
+    assert main(["ablate", "--config", str(config), "--seed", "7", "--strides", "1,10"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_WORKLOAD_ABLATE_SHA256[workload]
 
 
 # The stdout of eval, eval --sweep and ablate on the default scene (ablate
@@ -262,22 +340,32 @@ def test_eval_and_ablate_stdout_is_pinned(default_scene, capsys, argv):
 
 
 # Profiled calls of `idtrack eval` and of one `track_stream` on the default
-# (stock, seed 7) scene, after a warm-up run of each. Call counts do not
-# drift with the host's speed, as wall time does, so a change that adds
-# per-frame or per-row work fails here at once. A change that cuts calls
-# may lower a budget; one that raises a budget says why. The counts hold
-# for these versions only.
-CALL_BUDGETS = {"eval": 18054, "track_stream": 92865}
+# (stock, seed 7) scene and of one on the scale128 workload's, after a
+# warm-up run of each. Call counts do not drift with the host's speed, as
+# wall time does, so a change that adds per-frame or per-row work fails here
+# at once. A change that cuts calls may lower a budget; one that raises a
+# budget says why. The counts hold for these versions only.
+CALL_BUDGETS = {"eval": 18054, "track_stream": 93137, "scale128 track_stream": 34582}
 CALL_MARGIN = 0.02
 PINNED_VERSIONS = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
 
 
-def test_profiled_call_counts_stay_within_their_budgets(default_scene, capsys):
+def workload_tracker_config():
+    return TrackerConfig(weights=AffinityWeights(TRACKER["w1"], TRACKER["w2"]), buffer_size=TRACKER["buffer_size"],
+                         min_affinity=TRACKER["min_affinity"], det_threshold=TRACKER["det_threshold"],
+                         motion_propagate_frames=TRACKER["propagate_frames"],
+                         embedding_momentum=TRACKER["embedding_momentum"])
+
+
+def test_profiled_call_counts_stay_within_their_budgets(default_scene, workload_scene, capsys):
     versions = {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
     assert versions == PINNED_VERSIONS, f"the call budgets were measured on {PINNED_VERSIONS}, not on {versions}"
     dets = load_detections(default_scene / "dets.txt", default_scene / "embeddings.txt")
+    scale128 = workload_scene("scale128", 7)
+    wide = load_detections(scale128 / "dets.txt", scale128 / "embeddings.txt")
     files = ["--gt", str(default_scene / "gt.txt"), "--hyp", str(default_scene / "hyp.txt")]
-    runs = {"eval": lambda: main(["eval", *files]), "track_stream": lambda: track_stream(dets, TrackerConfig())}
+    runs = {"eval": lambda: main(["eval", *files]), "track_stream": lambda: track_stream(dets, TrackerConfig()),
+            "scale128 track_stream": lambda: track_stream(wide, workload_tracker_config(), nms_iou=TRACKER["nms_iou"])}
     over = []
     for name, run in runs.items():
         run()
@@ -291,6 +379,23 @@ def test_profiled_call_counts_stay_within_their_budgets(default_scene, capsys):
                         + "\n".join(f"  {calls:>7} {pstats.func_std_string(func)}" for func, (_, calls, *_) in most))
     capsys.readouterr()
     assert not over, "\n".join(over)
+
+
+def test_track_stream_peaks_below_a_third_of_its_input(default_scene):
+    # One stock replay holds its outputs' columns and one frame's work at a
+    # time, not a copy of the stream: its tracemalloc peak read 0.265 times
+    # the bytes of its input batches' arrays.
+    dets = load_detections(default_scene / "dets.txt", default_scene / "embeddings.txt")
+    config = TrackerConfig()
+    track_stream(dets, config)
+    tracemalloc.start()
+    try:
+        track_stream(dets, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    given = sum(a.nbytes for batch in dets.values() for a in (batch.boxes, batch.confidence, batch.embeddings))
+    assert peak < given / 3, f"peak {peak} bytes for {given} bytes of input batches"
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path, tiny_config):
@@ -426,8 +531,8 @@ def test_track_rejects_a_frame_stride_below_one(tmp_path, capsys, stride):
     "flag, value, message",
     [
         # NaN used to pass every check and drop every pair: each detection a new id.
-        ("--w1", "nan", "affinity weights must be non-negative, got nan and nan"),
-        ("--min-affinity", "nan", "min_affinity must lie in [0, 1], got nan"),
+        ("--w1", "nan", "overlap must be finite, got nan"),
+        ("--min-affinity", "nan", "min_affinity must be finite, got nan"),
         ("--min-affinity", "1.5", "min_affinity must lie in [0, 1], got 1.5"),
         # Used to fail only after the whole stream had loaded.
         ("--nms-iou", "1.5", "--nms-iou must lie in [0, 1], got 1.5"),

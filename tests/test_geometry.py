@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import batch_bits, detections
+from idtrack.affinity import nms
 from idtrack.geometry import (BBox, Detection, Detections, IdBoxes, IdStream, _box_fault, _good_boxes, _row_norms, to_center,
                               to_corner)
 from idtrack.kernels import LossWeights
@@ -122,8 +123,9 @@ def test_unit_norm_is_numpys_norm_bit_for_bit():
 
 def test_detection_embedding_coerced_to_float64():
     batch = detections([(BBox(0.0, 0.0, 2.0, 2.0), 0.5, np.array([1.0, 0.0], dtype=np.float32))])
-    assert batch.embeddings.dtype == np.float64 and batch[0].embedding.dtype == np.float64
-    assert np.array_equal(batch[0].embedding, [1.0, 0.0])
+    (row,) = batch
+    assert batch.embeddings.dtype == np.float64 and row.embedding.dtype == np.float64
+    assert np.array_equal(row.embedding, [1.0, 0.0])
 
 
 def test_loss_weights_validation():
@@ -180,43 +182,42 @@ def test_rows_of_a_batch_are_views_that_read_its_arrays():
     assert [d.box for d in rows] == [BBox(0, 0, 2, 2), BBox(5, 5, 2, 2), BBox(9, 9, 1, 3)]
     assert [d.confidence for d in rows] == [0.5, 0.9, 0.1] and all(type(d.confidence) is float for d in rows)
     assert all(np.array_equal(d.embedding, v) and d.prediction is None for d, v in zip(rows, vectors))
-    assert batch[2].index == 2 and batch[-1].index == 2 and batch[0] is not batch[0]  # made on demand, not kept
-    with pytest.raises(IndexError):
-        batch[3]
+    assert next(iter(batch)) is not rows[0]  # made on demand, not kept
     taken = batch.take(np.array([False, True, True]))
     assert [d.box for d in taken] == [d.box for d in rows[1:]] and taken.confidence.tolist() == [0.9, 0.1]
     assert batch.take([2, 0]).boxes.tolist() == [[9, 9, 1, 3], [0, 0, 2, 2]]
     assert not hasattr(rows[0], "__dict__")  # a view holds its batch and index, nothing else
 
 
-def test_pack_of_views_takes_their_rows_from_their_batch():
+def test_take_copies_every_column_of_the_rows_it_selects():
     vectors = unit_rows(3)
     batch = detections([(BBox(1, 2, 3, 4), 0.5, vectors[0]), (BBox(5, 6, 7, 8), 0.7, vectors[1], BBox(6, 6, 7, 8)),
                         (BBox(9, 9, 1, 1), 0.2, vectors[2])])
-    assert Detections.pack(batch) is batch
-    packed = Detections.pack([batch[2], batch[1], batch[2]])
-    assert batch_bits(packed) == batch_bits(batch.take([2, 1, 2]))
-    assert packed.predicted.tolist() == [False, True, False] and packed.predictions[1].tolist() == [6, 6, 7, 8]
+    taken = batch.take([2, 1, 2])
+    assert taken.boxes.tolist() == [[9, 9, 1, 1], [5, 6, 7, 8], [9, 9, 1, 1]] and taken.confidence.tolist() == [0.2, 0.7, 0.2]
+    assert taken.embeddings.tobytes() == vectors[[2, 1, 2]].tobytes()
+    assert taken.predicted.tolist() == [False, True, False] and taken.predictions[1].tolist() == [6, 6, 7, 8]
+    assert batch_bits(batch.take(np.array([True, True, True]))) == batch_bits(batch)
     bare = detections([(BBox(1, 2, 3, 4), 0.5)])
     assert bare.embeddings is None and bare.predictions is None and bare.predicted is None
-    empty = Detections.pack([])
+    empty = bare.take([])
     assert len(empty) == 0 and empty.boxes.shape == (0, 4) and empty.embeddings is None
 
 
-def test_pack_rejects_views_of_two_batches():
+def test_nms_rejects_views_of_two_batches():
     one = detections([(BBox(1, 2, 3, 4), 0.5)])
     other = detections([(BBox(1, 2, 3, 4), 0.5)])
-    with pytest.raises(ValueError, match="pack takes rows of one batch"):
-        Detections.pack([one[0], other[0]])
-    with pytest.raises(ValueError, match="pack takes rows of one batch"):
-        Detections.pack([one[0], one.take([0])[0]])  # a taken batch is another batch
+    with pytest.raises(ValueError, match="views must be rows of one batch"):
+        nms([*one, *other], 0.5)
+    with pytest.raises(ValueError, match="views must be rows of one batch"):
+        nms([*one, *one.take([0])], 0.5)  # a taken batch is another batch
 
 
 def test_missing_embedding_names_the_first_row_of_a_batch_without_them():
     box = BBox(0.0, 0.0, 2.0, 2.0)
     assert detections([(box, 0.5), (box, 0.6)]).missing_embedding() == "detection 0 has no embedding"
     assert detections([(box, 0.5)]).embeddings is None
-    assert Detections.pack([]).missing_embedding() is None
+    assert Detections([], []).missing_embedding() is None
     assert Detections([[0, 0, 1, 1]], [0.5], unit_rows(1)).missing_embedding() is None
 
 
@@ -252,23 +253,19 @@ def test_id_boxes_iterate_as_id_box_pairs_and_pack_both_row_forms():
     assert len(empty) == 0 and empty.boxes.shape == (0, 4) and list(empty) == []
 
 
-def test_an_id_stream_is_a_mapping_of_frame_batches_over_its_columns():
+def test_an_id_stream_holds_columns_and_packs_a_mapping_of_frames():
     stream = IdStream([4, 2, 4, 9], [3, 1, 5, 3], [[0, 0, 2, 2], [5, 5, 2, 2], [9, 9, 2, 2], [1, 1, 4, 4]], [0.5, 1, 1, 0.25])
     assert stream.frames.dtype == stream.ids.dtype == np.int64 and stream.confidence.tolist() == [0.5, 1, 1, 0.25]
-    assert list(stream) == [4, 2, 9] and len(stream) == 3  # frames in order of first appearance
-    assert 2 in stream and 3 not in stream and stream.get(3) is None
-    assert list(stream[4]) == [(3, BBox(0, 0, 2, 2)), (5, BBox(9, 9, 2, 2))]  # rows in column order
-    assert stream[4].confidence.tolist() == [0.5, 1.0] and stream[4] is stream[4]
-    with pytest.raises(KeyError):
-        stream[3]
+    assert stream.boxes.tolist()[1] == [5, 5, 2, 2] and not hasattr(stream, "__dict__")
     kept = stream.take(stream.confidence >= 0.5)
-    assert list(kept) == [4, 2] and kept.frames.tolist() == [4, 2, 4]
+    assert kept.frames.tolist() == [4, 2, 4] and kept.ids.tolist() == [3, 1, 5] and kept.boxes.shape == (3, 4)
+    assert stream.take([3, 0]).frames.tolist() == [9, 4] and stream.take([3, 0]).confidence.tolist() == [0.25, 0.5]
     assert IdStream.pack(stream) is stream
     packed = IdStream.pack({7: [(2, BBox(0, 0, 2, 2), 0.5)], 3: [], 1: IdBoxes([6, 5], [[0, 0, 1, 1], [3, 3, 1, 1]])})
-    assert packed.frames.tolist() == [7, 1, 1] and packed.ids.tolist() == [2, 6, 5] and list(packed) == [7, 1]
+    assert packed.frames.tolist() == [7, 1, 1] and packed.ids.tolist() == [2, 6, 5]
     assert packed.confidence.tolist() == [0.5, 1.0, 1.0] and packed.boxes.shape == (3, 4)
     empty = IdStream.pack({})
-    assert (empty.frames.shape, empty.boxes.shape, len(empty)) == ((0,), (0, 4), 0) and empty == {}
+    assert (empty.frames.shape, empty.ids.shape, empty.boxes.shape, empty.confidence.shape) == ((0,), (0,), (0, 4), (0,))
 
 
 @pytest.mark.parametrize(

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from idtrack import mot_io
 from idtrack.affinity import AffinityWeights
-from helpers import detections, track_outputs
-from idtrack.geometry import MIN_SIDE, BBox, Detections, IdBoxes, to_corner
+from helpers import by_frame, detections, track_outputs
+from idtrack.geometry import MIN_SIDE, BBox, Detections, IdBoxes, IdStream, to_corner
 from idtrack.mot_io import (
     load_detections,
     read_config,
@@ -43,7 +43,7 @@ def test_parse_worked_example(tmp_path):
     p.write_text("1,-1,10,20,30,40,0.9,-1,-1,-1\n")
     dets = read_detections(p)
     assert list(dets) == [1]
-    d = dets[1][0]
+    (d,) = dets[1]
     assert d.box == BBox(25.0, 40.0, 30.0, 40.0)
     assert d.confidence == 0.9
     assert d.embedding is None and d.prediction is None
@@ -75,7 +75,7 @@ def test_gt_round_trip(tmp_path):
     gt, _ = generate(SimConfig(seed=3, num_identities=4, frames=12))
     p = tmp_path / "gt.txt"
     write_gt(p, gt)
-    back = read_gt(p)
+    back = by_frame(read_gt(p))
     assert sorted(back) == sorted(gt)
     for f in gt:
         assert [i for i, _ in back[f]] == [i for i, _ in gt[f]]
@@ -106,17 +106,14 @@ def test_gt_rejects_anonymous_ids(tmp_path):
         read_gt(p)
 
 
-def test_read_gt_returns_batches_that_keep_confidence(tmp_path):
+def test_read_gt_returns_columns_that_keep_confidence(tmp_path):
     p = tmp_path / "hyp.txt"
     p.write_text("1,3,10,20,30,40,0.625000,-1,-1,-1\n2,5,0,0,2,2,1,-1,-1,-1\n1,4,0,0,2,2,0.5,-1,-1,-1\n")
     stream = read_gt(p)
-    assert list(stream) == [1, 2]
-    batch = stream[1]
-    assert isinstance(batch, IdBoxes) and len(batch) == 2
-    assert batch.ids.dtype == np.int64 and batch.ids.tolist() == [3, 4]
-    assert batch.boxes.tolist() == [[25.0, 40.0, 30.0, 40.0], [1.0, 1.0, 2.0, 2.0]]
-    assert batch.confidence.tolist() == [0.625, 0.5]
-    assert list(batch) == [(3, BBox(25.0, 40.0, 30.0, 40.0)), (4, BBox(1.0, 1.0, 2.0, 2.0))]
+    assert isinstance(stream, IdStream) and stream.frames.tolist() == [1, 2, 1]  # file order
+    assert stream.frames.dtype == stream.ids.dtype == np.int64 and stream.ids.tolist() == [3, 5, 4]
+    assert stream.boxes.tolist() == [[25.0, 40.0, 30.0, 40.0], [1.0, 1.0, 2.0, 2.0], [1.0, 1.0, 2.0, 2.0]]
+    assert stream.confidence.tolist() == [0.625, 1.0, 0.5]
 
 
 def test_embedding_sidecar_round_trip(tmp_path):
@@ -160,7 +157,7 @@ def test_load_detections_attaches_predictions_to_the_raw_detections_they_name(tm
     assert [d.prediction for d in dets[1]] == [
         None, BBox(302.0, 302.0, 4.0, 4.0), BBox(402.0, 402.0, 4.0, 4.0), BBox(212.0, 202.0, 4.0, 4.0)
     ]
-    assert dets[2][0].prediction is None
+    assert next(iter(dets[2])).prediction is None
     # Through the filter and NMS, D's prediction goes with D: its trajectory
     # coasts on it in frame 2. B's and C's are dropped with their detections.
     config = TrackerConfig(weights=AffinityWeights(1.0, 0.0), motion_propagate_frames=1)
@@ -273,7 +270,7 @@ def test_the_smallest_sides_at_the_edge_of_the_box_domain_are_read_back(tmp_path
     boxes += [[1e8, 1e8, 1e-6, 1e-6], [1e8, -1e8, 1e-6, MIN_SIDE], [0.5, -0.5, 1.4e-6, 9e7]]
     write_gt(tmp_path / "gt.txt", {1: IdBoxes(np.arange(1, len(boxes) + 1), boxes)})
     write_detections(tmp_path / "dets.txt", {1: Detections(boxes, np.full(len(boxes), 0.5))})
-    for back in (read_gt(tmp_path / "gt.txt")[1].boxes, read_detections(tmp_path / "dets.txt")[1].boxes):
+    for back in (read_gt(tmp_path / "gt.txt").boxes, read_detections(tmp_path / "dets.txt")[1].boxes):
         assert (back[:, 2:] > 0.97e-6).all() and (back[:, 2:] < 1.03e-6).sum() == 2 * len(centres) + 5
         assert (np.abs(back[[0, -3, -2], :2]) > 1e8 - 1e-6).all()  # the centres on the bound
 
@@ -306,12 +303,12 @@ WRITER_CHECKS = [
     (write_gt, {2: [(1, BOX)], 0: [(1, BOX)]}, "frame indices are 1-based, got 0"),
     (write_gt, {1: [(1, BOX)], 3: [(2, BOX), (0, BOX)]}, "object ids must be >= 1, got 0"),
     (write_gt, {1: [(4, BOX)], 2: [(4, BOX), (5, BOX), (4, BOX)]}, "repeated id 4 in frame 2"),
-    (write_detections, {1: Detections([(5.0, 5.0, 2.0, 2.0)], [0.5]), -3: Detections.pack([])},
+    (write_detections, {1: Detections([(5.0, 5.0, 2.0, 2.0)], [0.5]), -3: Detections([], [])},
      "frame indices are 1-based, got -3"),
     (write_results, {2: [(1, BOX, 0.5)], 0: [(1, BOX, 0.5)]}, "frame indices are 1-based, got 0"),
     (write_embeddings, {0: Detections([(5.0, 5.0, 2.0, 2.0)], [0.5], [[0.6, 0.8]])},
      "frame indices are 1-based, got 0"),
-    (write_embeddings, {1: Detections([(5.0, 5.0, 2.0, 2.0)], [0.5], [[0.6, 0.8]]), -3: Detections.pack([])},
+    (write_embeddings, {1: Detections([(5.0, 5.0, 2.0, 2.0)], [0.5], [[0.6, 0.8]]), -3: Detections([], [])},
      "frame indices are 1-based, got -3"),
     (write_results, {3: [(2, BOX, 0.5), (2, BOX, 0.4)]}, "repeated id 2 in frame 3"),
     (write_results, {1: [(1, BOX, 0.5)], 2: [(1, BOX, math.nan)]}, "confidence must be finite, got nan"),
@@ -901,7 +898,9 @@ def bits(value):
         return ("Detections", *(bits(getattr(value, name)) for name in columns))
     if isinstance(value, IdBoxes):
         return ("IdBoxes", bits(value.ids), bits(value.boxes), bits(value.confidence))
-    if isinstance(value, Mapping):  # a dict, or the ``IdStream`` that read_gt returns
+    if isinstance(value, IdStream):
+        return ("IdStream", *(bits(getattr(value, name)) for name in ("frames", "ids", "boxes", "confidence")))
+    if isinstance(value, Mapping):
         return tuple((bits(k), bits(v)) for k, v in value.items())
     if isinstance(value, (tuple, list)):
         return (type(value).__name__, *(bits(v) for v in value))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import iou_matrix
+from helpers import by_frame, iou_matrix
 from idtrack import mot_io
 from idtrack.affinity import iou
 from idtrack.assignment import solve_max
@@ -420,9 +420,9 @@ def id_stream(stream, order):
 
 
 def as_lists(stream, scored=False):
-    """A stream of batches as ``(id, box)`` lists, or ``(id, box, score)``."""
+    """An ``IdStream``'s frames as ``(id, box)`` lists, or ``(id, box, score)``."""
     return {f: [(i, b, c) if scored else (i, b) for (i, b), c in zip(batch, batch.confidence.tolist())]
-            for f, batch in stream.items()}
+            for f, batch in by_frame(stream).items()}
 
 
 def written(path, stream):
@@ -435,7 +435,7 @@ def written(path, stream):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scored_streams(), st.floats(0.3, 1.0), st.data())
-def test_property_a_stream_scores_as_its_dict_its_lists_and_the_reference(tmp_path_factory, streams, gate, data):
+def test_property_a_stream_scores_as_its_frames_its_lists_and_the_reference(tmp_path_factory, streams, gate, data):
     # The streams hold unsorted rows, frames out of order and interleaved,
     # repeated ids (one time in eight) and frames missing from either side;
     # the list streams they come from also hold empty frames.
@@ -443,28 +443,28 @@ def test_property_a_stream_scores_as_its_dict_its_lists_and_the_reference(tmp_pa
     g, s = (id_stream(x, data.draw(st.permutations(range(sum(map(len, x.values()))))))
             for x in (gt_lists, scored_lists))
     for stream in (g, s):
+        # Packing a stream's frames gives its rows grouped by frame, in order.
         frames = stream.frames.tolist()
-        assert list(stream) == list(dict.fromkeys(frames))
-        for f, batch in stream.items():
-            assert batch.ids.tolist() == [i for i, k in zip(stream.ids.tolist(), frames) if k == f]
-        # Equality as any Mapping has it: the same keys and the same batches.
-        assert stream == dict(stream) and dict(stream) == stream and (stream == {}) == (not len(stream))
-        assert (IdStream.pack(dict(stream)) == stream) == (not len(stream)) and stream != list(stream)
+        first = {f: frames.index(f) for f in frames}
+        grouped = stream.take(np.array(sorted(range(len(frames)), key=lambda k: first[frames[k]]), dtype=np.intp))
+        packed = IdStream.pack(by_frame(stream))
+        assert [c.tobytes() for c in (packed.frames, packed.ids, packed.boxes, packed.confidence)] == \
+            [c.tobytes() for c in (grouped.frames, grouped.ids, grouped.boxes, grouped.confidence)]
     hyp_lists = {f: [(i, b) for i, b, _ in rows] for f, rows in scored_lists.items()}
     expected = outcome(reference_evaluate, as_lists(g), as_lists(s), gate)
     assert outcome(reference_evaluate, gt_lists, hyp_lists, gate) == expected
-    for gt in (g, dict(g), as_lists(g), gt_lists):
-        for hyp in (s, dict(s), as_lists(s), hyp_lists):
+    for gt in (g, by_frame(g), as_lists(g), gt_lists):
+        for hyp in (s, by_frame(s), as_lists(s), hyp_lists):
             assert outcome(evaluate, gt, hyp, gate) == expected
 
     thresholds = (0.2, 0.5, 0.8)
     expected = outcome(reference_sweep, as_lists(g), as_lists(s, scored=True), thresholds, gate)
-    for gt, hyp in [(g, s), (dict(g), dict(s)), (g, as_lists(s, scored=True)), (gt_lists, s), (g, scored_lists)]:
+    for gt, hyp in [(g, s), (by_frame(g), by_frame(s)), (g, as_lists(s, scored=True)), (gt_lists, s), (g, scored_lists)]:
         assert outcome(sweep_thresholds, gt, hyp, thresholds, gate) == expected
 
     out = tmp_path_factory.mktemp("written")
     for stream in (g, s):
-        assert written(out / "stream.txt", stream) == written(out / "dict.txt", dict(stream))
+        assert written(out / "stream.txt", stream) == written(out / "frames.txt", by_frame(stream))
 
 
 @pytest.mark.parametrize(

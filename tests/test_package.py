@@ -43,15 +43,21 @@ def test_the_file_layer_imports_nothing_from_the_tracker():
     assert "idtrack.tracker" not in modules
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks() -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
 def test_readme_python_blocks_run():
     # Every python block of README.md, in order and in one namespace, so the
     # library examples cannot drift from the package.
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
+    blocks = readme_blocks()
     assert blocks
     namespace = {}
     for block in blocks:
-        exec(compile(block, str(readme), "exec"), namespace)
+        exec(compile(block, str(README), "exec"), namespace)
 
 
 def test_scipy_is_imported_only_when_a_solve_needs_it(tmp_path):
@@ -99,6 +105,18 @@ def test_scipy_is_imported_only_when_a_solve_needs_it(tmp_path):
 # that alone.
 KEPT_FOR_PERFBENCH = {("metrics", "iou")}
 
+# Public accessors of the row views that no pipeline stage, benchmark or
+# README example reads; only tests do. They go with the views themselves
+# (ROADMAP item 10), which the replay and perfbench/spans.py still iterate.
+KEPT_WITH_THE_VIEWS = {
+    ("Detection", "embedding"): "a detection view's embedding row, read by the tests' reference update",
+    ("Detection", "prediction"): "a detection view's predicted box, read by the tests' reference update",
+    ("Trajectory", "head_embedding"): "a trajectory view's embedding, read by the tests' state snapshots",
+    ("Trajectory", "avg_velocity"): "a trajectory view's velocity, read by the tests' state snapshots",
+    ("Trajectory", "last_confidence"): "a trajectory view's confidence, read by the tests' state snapshots",
+    ("Trajectory", "predicted_box"): "a trajectory view's prediction, read by the tests' state snapshots",
+}
+
 
 def names_read(tree: ast.Module) -> set[str]:
     """Every name a module reads: by name, as an attribute, in ``__all__``
@@ -141,9 +159,18 @@ def imported_names(tree: ast.Module) -> list[str]:
             and getattr(node, "module", None) != "__future__" for alias in node.names]
 
 
+def public_methods(tree: ast.Module) -> list[tuple[str, str]]:
+    """``(class, name)`` of each public method and property that a class of
+    the module defines."""
+    return [(node.name, item.name) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+
+
 def test_the_package_holds_no_dead_code():
     # Lint without a linter: a private function, class or constant that no
-    # module of the package reads, or an import its module never reads.
+    # module of the package reads, an import its module never reads, or a
+    # public method or property that neither the package, the acceptance
+    # tests, perfbench nor a README example reads.
     trees = {path.stem: ast.parse(path.read_text()) for path in Path(idtrack.__file__).parent.glob("*.py")}
     reads = {module: names_read(tree) for module, tree in trees.items()}
     everywhere = set().union(*reads.values())
@@ -151,4 +178,10 @@ def test_the_package_holds_no_dead_code():
             for name in private_definitions(tree) if name not in everywhere]
     dead += [f"{module} never uses its import {name}" for module, tree in trees.items()
              for name in imported_names(tree) if name not in reads[module] and (module, name) not in KEPT_FOR_PERFBENCH]
+    repo = Path(__file__).resolve().parents[1]
+    users = [repo / "tests" / "test_acceptance.py", *(repo / "perfbench").rglob("*.py")]
+    users = [ast.parse(path.read_text()) for path in users] + [ast.parse(block) for block in readme_blocks()]
+    used = everywhere.union(*map(names_read, users))
+    dead += [f"{cls}.{name} is never read" for tree in trees.values() for cls, name in public_methods(tree)
+             if name not in used and (cls, name) not in KEPT_WITH_THE_VIEWS]
     assert dead == []

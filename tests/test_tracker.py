@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from idtrack.affinity import AffinityWeights, nms
 from helpers import detections, state, track_outputs, trajectories, update_one
-from idtrack.geometry import BBox, Detections
+from idtrack.geometry import BBox, Detections, _box_rows
 from idtrack.mot_io import load_detections, write_detections, write_embeddings, write_results
 from idtrack.sim import SimConfig, generate
 from idtrack.tracker import (
@@ -181,18 +181,18 @@ def test_hypotheses_skip_interpolated_outputs_and_keep_order():
         TrackOutput(3, 1, c, 0.5, interpolated=True),
     ])
     hyp = hypotheses(outputs)
-    assert {f: list(batch) for f, batch in hyp.items()} == {2: [(3, a), (2, c)], 1: [(2, b)]}
-    assert list(hyp) == [2, 1]  # frames in order of first output
-    assert hyp[2].ids.dtype == np.int64 and hyp[2].boxes.tolist() == [[10.0, 10.0, 4.0, 4.0], [30.0, 10.0, 4.0, 4.0]]
-    assert hyp[2].confidence.tolist() == [0.9, 0.6]
-    assert hypotheses(track_outputs([])) == {}
+    assert hyp.frames.tolist() == [2, 1, 2] and hyp.ids.tolist() == [3, 2, 2]  # in output order
+    assert hyp.frames.dtype == hyp.ids.dtype == np.int64 and hyp.boxes.tolist() == _box_rows([a, b, c]).tolist()
+    assert hyp.confidence.tolist() == [0.9, 0.8, 0.6]
+    empty = hypotheses(track_outputs([]))
+    assert (empty.frames.shape, empty.ids.shape, empty.boxes.shape, empty.confidence.shape) == ((0,), (0,), (0, 4), (0,))
 
 
 def test_an_empty_step_equals_no_rows():
     outputs = Tracker(iou_only_config()).step(detections([]), 1)
     assert isinstance(outputs, TrackOutputs) and len(outputs) == 0
     assert outputs == [] and outputs == () and list(outputs) == []
-    assert outputs == track_outputs([]) and hypotheses(outputs) == {}
+    assert outputs == track_outputs([]) and len(hypotheses(outputs).frames) == 0
 
 
 def test_a_batch_differs_from_rows_that_differ_in_any_one_field():
@@ -584,6 +584,34 @@ def test_config_validation():
     TrackerConfig(buffer_size=3, motion_propagate_frames=3)  # coasts to the end of the buffer
 
 
+@pytest.mark.parametrize("field, value, error, message", [
+    # A NaN frame count compared False with everything: nothing retired, or nothing coasted.
+    ("buffer_size", float("nan"), TypeError, "buffer_size must be one int, got nan"),
+    ("motion_propagate_frames", float("nan"), TypeError, "motion_propagate_frames must be one int, got nan"),
+    ("buffer_size", 10.0, TypeError, "buffer_size must be one int, got 10.0"),
+    ("motion_propagate_frames", 2.5, TypeError, "motion_propagate_frames must be one int, got 2.5"),
+    ("buffer_size", True, TypeError, "buffer_size must be one int, got True"),
+    ("motion_propagate_frames", "5", TypeError, "motion_propagate_frames must be one int, got '5'"),
+    ("min_affinity", False, TypeError, "min_affinity must be one number, got False"),
+    ("det_threshold", "0.5", TypeError, "det_threshold must be one number, got '0.5'"),
+    ("embedding_momentum", True, TypeError, "embedding_momentum must be one number, got True"),
+    ("min_affinity", float("nan"), ValueError, "min_affinity must be finite, got nan"),
+    ("det_threshold", float("inf"), ValueError, "det_threshold must be finite, got inf"),
+    ("embedding_momentum", float("nan"), ValueError, "embedding_momentum must be finite, got nan"),
+    ("weights", (0.5, 0.5), TypeError, "weights must be one AffinityWeights, got (0.5, 0.5)"),
+    ("weights", None, TypeError, "weights must be one AffinityWeights, got None"),
+])
+def test_config_refuses_a_field_of_the_wrong_type_or_a_nan(field, value, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        TrackerConfig(**{field: value})
+
+
+def test_config_takes_numpy_numbers_and_ints_for_numbers():
+    config = TrackerConfig(buffer_size=np.int64(4), motion_propagate_frames=np.int32(2), min_affinity=0,
+                           det_threshold=np.float64(0.25), embedding_momentum=1)
+    assert (config.buffer_size, config.motion_propagate_frames, config.det_threshold) == (4, 2, 0.25)
+
+
 @st.composite
 def scenes_with_predictions(draw):
     """A small seeded scene whose detections carry predicted next-frame boxes
@@ -687,23 +715,19 @@ def test_property_a_batch_gives_the_hypotheses_of_its_rows(scene):
     dets, config = scene
     outputs = track_stream(dets, config)
     for interpolated in (False, True):
-        want = {}  # the per-row reference: each frame's (id, box, confidence) in output order
-        for o in outputs:
-            if interpolated or not o.interpolated:
-                want.setdefault(o.frame, []).append((o.track_id, o.box, o.confidence))
+        # The per-row reference: each kept output's (frame, id, box, confidence), in output order.
+        want = [(o.frame, o.track_id, o.box, o.confidence) for o in outputs if interpolated or not o.interpolated]
         got = hypotheses(outputs, interpolated)
-        assert list(got) == list(want)
-        for frame, rows in want.items():
-            batch = got[frame]
-            assert (batch.ids.dtype, batch.boxes.dtype, batch.confidence.dtype) == (np.int64, np.float64, np.float64)
-            assert [(i, box, c) for (i, box), c in zip(batch, batch.confidence.tolist())] == rows
+        assert [c.dtype for c in (got.frames, got.ids, got.boxes, got.confidence)] == [np.int64, np.int64] + [np.float64] * 2
+        assert list(zip(got.frames.tolist(), got.ids.tolist(), [BBox(*b) for b in got.boxes.tolist()],
+                        got.confidence.tolist())) == want
 
 
 def step_every_frame(dets, config):
     """``track_stream`` as it was: the tracker steps every frame 1..max."""
     tracker, outputs = Tracker(config), []
     for frame in range(1, max(dets) + 1):
-        batch = dets.get(frame) or Detections.pack([])
+        batch = dets.get(frame) or Detections([], [])
         outputs.extend(tracker.step(nms(batch.take(batch.confidence >= config.det_threshold), DEFAULT_NMS_IOU), frame))
     return outputs
 
