@@ -1,12 +1,12 @@
 """Online multi-object tracking with blended overlap and identity affinity.
 
-The training-side numeric kernels are not re-exported here; import them
-from ``idtrack.kernels``.
+The network's numeric kernels are not re-exported here; import them from
+``idtrack.kernels``.
 """
 
 from .affinity import AffinityWeights, combined_affinity, nms
 from .assignment import Assignment, solve_max
-from .geometry import BBox, Detections, to_center, to_corner
+from .geometry import BBox, Detections, to_corner
 from .metrics import MotReport, evaluate, format_report, format_table, sweep_thresholds
 from .sim import SimConfig, benchmark_config, generate, subsample
 from .tracker import Tracker, TrackerConfig, TrackOutput, Trajectory, hypotheses, track_stream
@@ -35,7 +35,6 @@ __all__ = [
     "solve_max",
     "subsample",
     "sweep_thresholds",
-    "to_center",
     "to_corner",
     "track_stream",
     "__version__",

@@ -47,11 +47,9 @@ class AffinityWeights:
     def __post_init__(self):
         _check_fields(self)
         if not (self.overlap >= 0 and self.identity >= 0):
-            raise ValueError(f"affinity weights must be non-negative, got {self.overlap} and {self.identity}")
+            raise ValueError(f"overlap and identity must be non-negative, got {self.overlap} and {self.identity}")
         if not abs(self.overlap + self.identity - 1.0) <= _WEIGHT_SUM_TOL:
-            raise ValueError(
-                f"affinity weights must sum to 1, got {self.overlap} + {self.identity}"
-            )
+            raise ValueError(f"overlap and identity must sum to 1, got {self.overlap} + {self.identity}")
 
 
 def iou(a: BBox, b: BBox) -> float:

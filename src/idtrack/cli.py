@@ -6,7 +6,7 @@ Subcommands:
     simulate  write a synthetic gt/dets/embeddings benchmark
     ablate    run the stock tracker variants across frame strides
 
-Exit codes: 0 on success, 1 on runtime failures, 2 on usage errors.
+Exit codes: 0 on success, 1 on bad data or config files, 2 on bad flags.
 An explicit --seed flag overrides the simulation seed from a config file.
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -44,11 +45,39 @@ ABLATION_MODELS = {
 }
 
 
+# The flag that sets each config field, named in place of the field that a config refuses.
+FIELD_FLAGS = {
+    "overlap": "--w1",
+    "identity": "--w2",
+    "buffer_size": "--buffer-size",
+    "min_affinity": "--min-affinity",
+    "det_threshold": "--det-threshold",
+    "motion_propagate_frames": "--propagate-frames",
+    "embedding_momentum": "--embedding-momentum",
+}
+
+
+class UsageError(Exception):
+    """A bad flag value or flag combination: exit 2, before any file is read."""
+
+
+def _from_flags(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a config of flag values. A field that the
+    config refuses is a usage error that names the field's flag."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(re.sub(r"\w+", lambda word: FIELD_FLAGS.get(word[0], word[0]), str(exc))) from None
+
+
 def _resolve_weights(args) -> AffinityWeights:
     w1, w2 = args.w1, args.w2  # one alone sets the other to make 1
     if w1 is None and w2 is None:
         return AffinityWeights()
-    return AffinityWeights(1.0 - w2 if w1 is None else w1, 1.0 - w1 if w2 is None else w2)
+    for flag, given in (("--w1", w1), ("--w2", w2)):
+        if given is not None and not 0.0 <= given <= 1.0:  # written so that NaN fails
+            raise UsageError(f"{flag} must lie in [0, 1], got {given}")
+    return _from_flags(AffinityWeights, 1.0 - w2 if w1 is None else w1, 1.0 - w1 if w2 is None else w2)
 
 
 def _csv(convert, check, what: str):
@@ -66,21 +95,17 @@ def _csv(convert, check, what: str):
     return parse
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def cmd_track(args) -> int:
     if args.frame_stride < 1:
-        return _usage_error(f"--frame-stride must be >= 1, got {args.frame_stride}")
+        raise UsageError(f"--frame-stride must be >= 1, got {args.frame_stride}")
     weights = _resolve_weights(args)
     if weights.identity > 0.0 and not args.embeddings:
-        return _usage_error(f"identity weight {weights.identity} needs --embeddings; use --w2 0")
+        raise UsageError(f"identity weight {weights.identity} needs --embeddings; use --w2 0")
     if args.predictions and args.frame_stride > 1:
         # Predictions are keyed by source frame and look one source frame ahead.
-        return _usage_error("--predictions cannot be combined with --frame-stride > 1")
-    config = TrackerConfig(
+        raise UsageError("--predictions cannot be combined with --frame-stride > 1")
+    config = _from_flags(
+        TrackerConfig,
         weights=weights,
         buffer_size=args.buffer_size,
         min_affinity=args.min_affinity,
@@ -89,7 +114,7 @@ def cmd_track(args) -> int:
         embedding_momentum=args.embedding_momentum,
     )
     if not 0.0 <= args.nms_iou <= 1.0:
-        raise ValueError(f"--nms-iou must lie in [0, 1], got {args.nms_iou}")
+        raise UsageError(f"--nms-iou must lie in [0, 1], got {args.nms_iou}")
     dets = load_detections(args.dets, args.embeddings, args.predictions)
     if args.frame_stride > 1:
         dets = subsample(dets, args.frame_stride)
@@ -101,7 +126,7 @@ def cmd_track(args) -> int:
 
 def _check_iou_gate(gate: float) -> None:
     if not 0.0 < gate <= 1.0:  # written so that NaN fails
-        raise ValueError(f"--iou-gate must lie in (0, 1], got {gate}")
+        raise UsageError(f"--iou-gate must lie in (0, 1], got {gate}")
 
 
 def cmd_eval(args) -> int:
@@ -144,7 +169,7 @@ def _sim_config(args):
 
 def cmd_simulate(args) -> int:
     if args.seed is not None and args.seed < 0:
-        return _usage_error(f"--seed must be >= 0, got {args.seed}")
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     config = _sim_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -160,10 +185,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_ablate(args) -> int:
     if args.seed is not None and args.seed < 0:
-        return _usage_error(f"--seed must be >= 0, got {args.seed}")
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     _check_iou_gate(args.iou_gate)
+    models = {name: _from_flags(replace, model, det_threshold=args.det_threshold)
+              for name, model in ABLATION_MODELS.items()}
     config = _sim_config(args)
-    models = {name: replace(base, det_threshold=args.det_threshold) for name, base in ABLATION_MODELS.items()}
     gt_full, dets_full = generate(config)
 
     rows = []
@@ -246,9 +272,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -38,7 +38,6 @@ __all__ = [
     "IdBoxes",
     "IdStream",
     "to_corner",
-    "to_center",
 ]
 
 UNIT_NORM_TOL = 1e-6
@@ -124,11 +123,6 @@ def to_corner(box: BBox) -> tuple[float, float, float, float]:
     half_w = box.w / 2.0
     half_h = box.h / 2.0
     return (box.cx - half_w, box.cy - half_h, box.cx + half_w, box.cy + half_h)
-
-
-def to_center(left: float, top: float, right: float, bottom: float) -> BBox:
-    """Corner form -> center form. Degenerate extents are rejected by BBox."""
-    return BBox((left + right) / 2.0, (top + bottom) / 2.0, right - left, bottom - top)
 
 
 def _row_norms(m: np.ndarray) -> np.ndarray:

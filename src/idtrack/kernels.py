@@ -1,6 +1,6 @@
 """Numeric kernels behind the tracking network: dense correlation of feature
-maps, inter-frame box regression targets, the identity-lookup (OIM) loss and
-the combined multi-task training loss.
+maps, inter-frame box regression targets, and the identity-lookup (OIM)
+table with the gradient of its loss and its prototype update.
 
 Everything here is plain numpy with explicit shapes; no autograd framework is
 involved, so gradients that training would need are spelled out by hand.
@@ -20,14 +20,9 @@ __all__ = [
     "MotionTargets",
     "encode_targets",
     "decode_targets",
-    "smooth_l1",
-    "softmax_cross_entropy",
     "OimTable",
-    "oim_forward",
     "oim_grad",
     "oim_update",
-    "LossWeights",
-    "multitask_loss",
 ]
 
 
@@ -113,26 +108,6 @@ def decode_targets(prev: BBox, targets: MotionTargets, normalized: bool = False)
     return BBox(prev.cx + dx, prev.cy + dy, prev.w * math.exp(targets.dw), prev.h * math.exp(targets.dh))
 
 
-def smooth_l1(error: np.ndarray) -> float:
-    """Smooth L1: quadratic inside |e| < 1, linear outside; summed over components."""
-    e = np.abs(np.asarray(error, dtype=np.float64))
-    return float(np.sum(np.where(e < 1.0, 0.5 * e * e, e - 0.5)))
-
-
-def softmax_cross_entropy(logits: np.ndarray, true_index: int) -> float:
-    """Cross entropy of a softmax over ``logits`` against a single true class.
-
-    Uses max subtraction so large logits stay finite.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise ValueError("logits must be a 1-D vector")
-    if not 0 <= true_index < logits.shape[0]:
-        raise ValueError(f"true_index {true_index} out of range for {logits.shape[0]} classes")
-    shifted = logits - logits.max()
-    return float(np.log(np.sum(np.exp(shifted))) - shifted[true_index])
-
-
 class OimTable:
     """Lookup table of identity prototypes, one unit-norm column per identity.
 
@@ -175,31 +150,17 @@ def _check_oim_input(x: np.ndarray, table: OimTable, true_id: int) -> np.ndarray
     return x
 
 
-def _oim_probs(x: np.ndarray, table: OimTable, scale: float) -> np.ndarray:
-    logits = scale * (table.columns.T @ x)
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+def oim_grad(x: np.ndarray, table: OimTable, true_id: int, scale: float = 1.0) -> np.ndarray:
+    """Gradient of the identity-lookup loss with respect to the embedding.
 
-
-def oim_forward(x: np.ndarray, table: OimTable, true_id: int, scale: float = 1.0) -> tuple[float, np.ndarray]:
-    """Identity-lookup loss for one embedding.
-
-    Cosine scores against every stored prototype go through a softmax; the
-    loss is the negative log probability of the true identity.
-
-    Returns:
-        (loss, probs) where probs has one entry per stored identity.
+    The loss is the negative log probability of the true identity under a
+    softmax of ``scale`` times the cosine scores against every stored
+    prototype.
     """
     x = _check_oim_input(x, table, true_id)
-    probs = _oim_probs(x, table, scale)
-    return float(-np.log(probs[true_id])), probs
-
-
-def oim_grad(x: np.ndarray, table: OimTable, true_id: int, scale: float = 1.0) -> np.ndarray:
-    """Gradient of the identity-lookup loss with respect to the embedding."""
-    x = _check_oim_input(x, table, true_id)
-    probs = _oim_probs(x, table, scale)
+    logits = scale * (table.columns.T @ x)
+    probs = np.exp(logits - logits.max())
+    probs /= probs.sum()
     probs[true_id] -= 1.0
     return scale * (table.columns @ probs)
 
@@ -217,59 +178,3 @@ def oim_update(x: np.ndarray, table: OimTable, true_id: int) -> OimTable:
         raise ValueError("momentum blend collapsed to the zero vector; cannot renormalize")
     columns[:, true_id] = mixed / norm
     return OimTable(columns, table.momentum)
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Non-negative weights of the four training loss terms."""
-
-    classification: float = 1.0
-    regression: float = 1.0
-    tracking: float = 1.0
-    identification: float = 1.0
-
-    def __post_init__(self):
-        for name in ("classification", "regression", "tracking", "identification"):
-            v = getattr(self, name)
-            if v < 0 or not math.isfinite(v):
-                raise ValueError(f"LossWeights.{name} must be finite and >= 0, got {v}")
-
-
-def multitask_loss(
-    cls_losses: list[float],
-    reg_losses: list[float],
-    tra_losses: list[float],
-    iden_losses: list[float],
-    counts: tuple[int, int, int, int],
-    weights: LossWeights,
-) -> float:
-    """Weighted sum of the four per-term means.
-
-    Args:
-        cls_losses: per-anchor classification losses (all anchors).
-        reg_losses: per-anchor detection regression losses, foreground only.
-        tra_losses: per-box inter-frame regression losses.
-        iden_losses: per-box identity losses.
-        counts: normalizers (anchors, foreground anchors, tracked boxes,
-            identity-labelled boxes), matching the four lists in order.
-        weights: term weights; defaults are all 1.
-
-    An empty list contributes zero regardless of its count. A non-empty list
-    with a zero count is a caller bug and raises.
-    """
-    total = 0.0
-    terms = (
-        (weights.classification, cls_losses, counts[0], "classification"),
-        (weights.regression, reg_losses, counts[1], "regression"),
-        (weights.tracking, tra_losses, counts[2], "tracking"),
-        (weights.identification, iden_losses, counts[3], "identification"),
-    )
-    for weight, losses, denom, name in terms:
-        if denom < 0:
-            raise ValueError(f"{name} count must be >= 0, got {denom}")
-        if not losses:
-            continue
-        if denom == 0:
-            raise ValueError(f"{name} losses present but count is zero")
-        total += weight * (float(np.sum(losses)) / denom)
-    return total

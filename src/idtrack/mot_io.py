@@ -263,8 +263,7 @@ def _unrepeated(frames: np.ndarray, keys: np.ndarray) -> np.ndarray:
 def _mot_columns(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A MOT file's first seven columns as ``(frames, ids, boxes,
     confidence)``, row k from its k-th data line. Every frame is 1 or more
-    and every box, in centre form by ``to_center``'s float operations on
-    ``(left, top, left + w, top + h)``, in the box domain."""
+    and every box, in centre form by ``_centred``, in the box domain."""
     frames, ids, values = _rows(path, 5)  # left, top, width, height, confidence
     boxes = _centred(*values[:, :4].T)
     _frame_rule(frames, functools.partial(_require, path))
@@ -273,8 +272,9 @@ def _mot_columns(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _centred(left: np.ndarray, top: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``(n, 4)`` centre-form boxes of MOT box fields, by ``to_center``'s
-    float operations on ``(left, top, left + w, top + h)``."""
+    """``(n, 4)`` centre-form boxes of MOT box fields: ``right = left + w``
+    and ``bottom = top + h``, then the centre ``((left + right) / 2, (top +
+    bottom) / 2)`` and the sides ``right - left`` and ``bottom - top``."""
     with np.errstate(over="ignore", invalid="ignore"):  # a box that overflows is named by the box rule
         right, bottom = left + w, top + h
         return np.stack([(left + right) / 2.0, (top + bottom) / 2.0, right - left, bottom - top], axis=1)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import idtrack.affinity
 from helpers import batch_bits, detections, grid_boxes, iou_cells, iou_matrix, relatives, trajectories
 from idtrack.affinity import AffinityWeights, _corners, _iou_cells, _self_pairs, combined_affinity, iou, nms
-from idtrack.geometry import BBox, Detections, _box_rows, to_center
+from idtrack.geometry import BBox, Detections, _box_rows
 from idtrack.tracker import Trajectories
 
 
@@ -37,8 +37,8 @@ def random_box(rng, span=100.0):
 
 def test_iou_worked_example():
     # Corner boxes (0,0,2,2) and (1,1,3,3): intersection 1, union 7.
-    a = to_center(0.0, 0.0, 2.0, 2.0)
-    b = to_center(1.0, 1.0, 3.0, 3.0)
+    a = BBox(1.0, 1.0, 2.0, 2.0)
+    b = BBox(2.0, 2.0, 2.0, 2.0)
     assert iou(a, b) == 1.0 / 7.0
 
 

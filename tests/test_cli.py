@@ -527,20 +527,46 @@ def test_track_rejects_a_frame_stride_below_one(tmp_path, capsys, stride):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "flag, value, message",
-    [
-        # NaN used to pass every check and drop every pair: each detection a new id.
-        ("--w1", "nan", "overlap must be finite, got nan"),
-        ("--min-affinity", "nan", "min_affinity must be finite, got nan"),
-        ("--min-affinity", "1.5", "min_affinity must lie in [0, 1], got 1.5"),
-        # Used to fail only after the whole stream had loaded.
-        ("--nms-iou", "1.5", "--nms-iou must lie in [0, 1], got 1.5"),
-        ("--nms-iou", "nan", "--nms-iou must lie in [0, 1], got nan"),
-    ],
-)
-def test_track_rejects_bad_tracker_flags_before_reading_files(tmp_path, capsys, flag, value, message):
-    # The inputs do not exist: the flag must fail first.
+def case(flags, message):
+    return pytest.param(flags.split(), message, id=flags)
+
+
+def non_finite(flag, message="{flag} must be finite, got {value}"):
+    """The cases of a float flag given NaN and either infinity."""
+    return [case(f"{flag}={value}", message.format(flag=flag, value=value)) for value in ("nan", "inf", "-inf")]
+
+
+# Every float flag of track given NaN, either infinity and a value out of
+# range, and the int flags' bad values. NaN used to pass every check and drop
+# every pair (each detection a new id); --nms-iou used to fail only after the
+# whole stream had loaded; the rest exited 1 naming the config field.
+TRACK_FLAG_ERRORS = [
+    *non_finite("--w1", "{flag} must lie in [0, 1], got {value}"),
+    case("--w1=1.5", "--w1 must lie in [0, 1], got 1.5"),
+    *non_finite("--w2", "{flag} must lie in [0, 1], got {value}"),
+    case("--w2=-0.5", "--w2 must lie in [0, 1], got -0.5"),
+    case("--w1=0.5 --w2=nan", "--w2 must lie in [0, 1], got nan"),
+    case("--w1=-inf --w2=0.5", "--w1 must lie in [0, 1], got -inf"),
+    case("--w1=0.3 --w2=0.3", "--w1 and --w2 must sum to 1, got 0.3 + 0.3"),
+    case("--w1=1 --w2=1", "--w1 and --w2 must sum to 1, got 1.0 + 1.0"),
+    *non_finite("--min-affinity"),
+    case("--min-affinity=1.5", "--min-affinity must lie in [0, 1], got 1.5"),
+    *non_finite("--det-threshold"),
+    case("--det-threshold=2", "--det-threshold must lie in [0, 1]"),
+    *non_finite("--embedding-momentum"),
+    case("--embedding-momentum=2", "--embedding-momentum must lie in [0, 1]"),
+    *non_finite("--nms-iou", "{flag} must lie in [0, 1], got {value}"),
+    case("--nms-iou=1.5", "--nms-iou must lie in [0, 1], got 1.5"),
+    case("--buffer-size=0", "--buffer-size must be >= 1"),
+    case("--propagate-frames=-1", "--propagate-frames must be >= 0"),
+    case("--propagate-frames=20", "--propagate-frames (20) must not exceed --buffer-size (10)"),
+]
+
+
+@pytest.mark.parametrize("flags, message", TRACK_FLAG_ERRORS)
+def test_track_rejects_bad_tracker_flags_before_reading_files(tmp_path, capsys, flags, message):
+    # A usage error that names every flag involved. The inputs do not exist:
+    # the flags must fail first.
     out = tmp_path / "hyp.txt"
     rc = main(
         [
@@ -548,10 +574,10 @@ def test_track_rejects_bad_tracker_flags_before_reading_files(tmp_path, capsys, 
             "--dets", str(tmp_path / "dets.txt"),
             "--embeddings", str(tmp_path / "embeddings.txt"),
             "--out", str(out),
-            flag, value,
+            *flags,
         ]
     )
-    assert rc == 1
+    assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
@@ -829,25 +855,37 @@ def test_eval_rejects_a_bad_result_row_at_read_time(tmp_path, tiny_config, capsy
     assert capsys.readouterr().err == f"error: {hyp}:{len(lines)}: {message.format(id=obj_id, frame=frame)}\n"
 
 
-@pytest.mark.parametrize("gate", ["nan", "0", "1.5", "-0.5"])
-def test_eval_checks_the_iou_gate_before_reading_files(tmp_path, capsys, gate):
-    rc = main(["eval", "--gt", str(tmp_path / "nope.txt"), "--hyp", str(tmp_path / "nope2.txt"), "--iou-gate", gate])
-    assert rc == 1
-    assert capsys.readouterr().err == f"error: --iou-gate must lie in (0, 1], got {float(gate)}\n"
+IOU_GATE_ERRORS = [
+    *non_finite("--iou-gate", "{flag} must lie in (0, 1], got {value}"),
+    case("--iou-gate=0", "--iou-gate must lie in (0, 1], got 0.0"),
+    case("--iou-gate=1.5", "--iou-gate must lie in (0, 1], got 1.5"),
+    case("--iou-gate=-0.5", "--iou-gate must lie in (0, 1], got -0.5"),
+]
 
 
-def test_ablate_checks_the_iou_gate_before_building_the_scene(monkeypatch, capsys):
-    calls = []
+@pytest.mark.parametrize("flags, message", IOU_GATE_ERRORS)
+def test_eval_checks_the_iou_gate_before_reading_files(tmp_path, capsys, flags, message):
+    rc = main(["eval", "--gt", str(tmp_path / "nope.txt"), "--hyp", str(tmp_path / "nope2.txt"), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
+
+def ablate_refuses(tmp_path, monkeypatch, capsys, flags, message):
+    # A usage error before the config file is read or the scene is built.
     def generate(config):
-        calls.append(config)
-        raise AssertionError("generate must not run for a bad --iou-gate")
+        raise AssertionError(f"generate must not run for {flags}")
 
     monkeypatch.setattr("idtrack.cli.generate", generate)
-    rc = main(["ablate", "--iou-gate", "1.5", "--strides", "1"])
-    assert rc == 1
-    assert capsys.readouterr().err == "error: --iou-gate must lie in (0, 1], got 1.5\n"
-    assert calls == []
+    out_dir = tmp_path / "runs"
+    rc = main(["ablate", "--config", str(tmp_path / "nope.cfg"), "--strides", "1", "--out-dir", str(out_dir), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flags, message", IOU_GATE_ERRORS)
+def test_ablate_checks_the_iou_gate_before_building_the_scene(tmp_path, monkeypatch, capsys, flags, message):
+    ablate_refuses(tmp_path, monkeypatch, capsys, flags, message)
 
 
 def test_eval_missing_file_returns_one(tmp_path, capsys):
@@ -876,18 +914,11 @@ def test_ablate_runs_all_variants(tmp_path, tiny_config, capsys):
     assert "id_assoc_s3_mota=" in out
 
 
-def test_ablate_checks_det_threshold_before_building_the_scene(monkeypatch, capsys):
-    calls = []
-
-    def generate(config):
-        calls.append(config)
-        raise AssertionError("generate must not run for a bad --det-threshold")
-
-    monkeypatch.setattr("idtrack.cli.generate", generate)
-    rc = main(["ablate", "--det-threshold", "1.5", "--seed", "7"])
-    assert rc == 1
-    assert "det_threshold must lie in [0, 1]" in capsys.readouterr().err
-    assert calls == []
+@pytest.mark.parametrize(
+    "flags, message", [*non_finite("--det-threshold"), case("--det-threshold=2", "--det-threshold must lie in [0, 1]")]
+)
+def test_ablate_checks_det_threshold_before_building_the_scene(tmp_path, monkeypatch, capsys, flags, message):
+    ablate_refuses(tmp_path, monkeypatch, capsys, flags, message)
 
 
 def test_ablate_rejects_bad_strides(tmp_path, tiny_config, capsys):

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import batch_bits, detections
 from idtrack.affinity import nms
-from idtrack.geometry import (BBox, Detection, Detections, IdBoxes, IdStream, _box_fault, _good_boxes, _row_norms, to_center,
-                              to_corner)
-from idtrack.kernels import LossWeights
+from idtrack.geometry import BBox, Detection, Detections, IdBoxes, IdStream, _box_fault, _good_boxes, _row_norms, to_corner
+from idtrack.mot_io import _centred
 
 
 def test_corner_worked_example():
@@ -17,25 +16,25 @@ def test_corner_worked_example():
     assert to_corner(box) == (10.0, 20.0, 40.0, 60.0)
 
 
-def test_center_worked_example():
-    box = to_center(10.0, 20.0, 40.0, 60.0)
-    assert box == BBox(25.0, 40.0, 30.0, 40.0)
-
-
 def test_round_trip_exact_on_dyadic_lattice():
     # Centers and sizes that are multiples of 1/64 convert between center and
     # corner form without any rounding, so the round trip must be bit-exact.
+    # The readers take a MOT row's (left, top, width, height) to centre form
+    # with ``_centred``.
+    def centred(left, top, right, bottom):
+        return BBox(*_centred(*np.array([[left, top, right - left, bottom - top]]).T)[0].tolist())
+
     rng = np.random.default_rng(42)
     for _ in range(1000):
         cx, cy = (int(v) / 64.0 for v in rng.integers(-64000, 64000, size=2))
         w, h = (int(v) / 64.0 for v in rng.integers(1, 64000, size=2))
         box = BBox(cx, cy, w, h)
-        assert to_center(*to_corner(box)) == box
+        assert centred(*to_corner(box)) == box
 
         left, top = (int(v) / 64.0 for v in rng.integers(-64000, 64000, size=2))
         right = left + int(rng.integers(1, 64000)) / 64.0
         bottom = top + int(rng.integers(1, 64000)) / 64.0
-        assert to_corner(to_center(left, top, right, bottom)) == (left, top, right, bottom)
+        assert to_corner(centred(left, top, right, bottom)) == (left, top, right, bottom)
 
 
 def test_bbox_rejects_bad_sizes():
@@ -77,11 +76,6 @@ def test_a_bbox_is_not_bounded_but_a_batch_is():
         IdBoxes.pack([(1, BBox(0.0, 0.0, 2.0, 2.0)), (2, far)])
     edge = BBox(-1e8, 1e8, 1e8, 6e-7)
     assert IdBoxes.pack([(1, edge)]).boxes.tolist() == [[-1e8, 1e8, 1e8, 6e-7]]
-
-
-def test_to_center_rejects_degenerate_extent():
-    with pytest.raises(ValueError):
-        to_center(5.0, 0.0, 5.0, 10.0)
 
 
 def test_hand_built_rows_are_checked_by_the_batch():
@@ -126,14 +120,6 @@ def test_detection_embedding_coerced_to_float64():
     (row,) = batch
     assert batch.embeddings.dtype == np.float64 and row.embedding.dtype == np.float64
     assert np.array_equal(row.embedding, [1.0, 0.0])
-
-
-def test_loss_weights_validation():
-    LossWeights()  # defaults are fine
-    with pytest.raises(ValueError):
-        LossWeights(classification=-0.5)
-    with pytest.raises(ValueError):
-        LossWeights(tracking=float("inf"))
 
 
 def unit_rows(n, dim=3, seed=0):

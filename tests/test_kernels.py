@@ -4,20 +4,7 @@ import numpy as np
 import pytest
 
 from idtrack.geometry import BBox
-from idtrack.kernels import (
-    LossWeights,
-    MotionTargets,
-    OimTable,
-    correlate,
-    decode_targets,
-    encode_targets,
-    multitask_loss,
-    oim_forward,
-    oim_grad,
-    oim_update,
-    smooth_l1,
-    softmax_cross_entropy,
-)
+from idtrack.kernels import MotionTargets, OimTable, correlate, decode_targets, encode_targets, oim_grad, oim_update
 
 
 def naive_correlate(f_prev, f_curr, n):
@@ -174,55 +161,17 @@ def test_decode_worked_example():
     assert box.h == pytest.approx(2.0, abs=1e-12)
 
 
-# -------------------------------------------------------------------- losses
-
-
-def test_smooth_l1_values():
-    assert smooth_l1(np.array([0.5])) == pytest.approx(0.125, abs=1e-12)
-    assert smooth_l1(np.array([2.0])) == pytest.approx(1.5, abs=1e-12)
-    assert smooth_l1(np.array([0.5, 2.0, -0.25])) == pytest.approx(1.65625, abs=1e-12)
-    assert smooth_l1(np.array([-1.0])) == pytest.approx(0.5, abs=1e-12)
-    assert smooth_l1(np.zeros(4)) == 0.0
-
-
-def test_smooth_l1_continuous_at_one():
-    below = smooth_l1(np.array([1.0 - 1e-9]))
-    above = smooth_l1(np.array([1.0 + 1e-9]))
-    assert abs(below - above) < 1e-8
-
-
-def test_softmax_cross_entropy_worked_example():
-    # Two classes, logits (1, 0), true class 0: loss = ln(1 + e^-1).
-    assert softmax_cross_entropy(np.array([1.0, 0.0]), 0) == pytest.approx(
-        0.3132616875182228, abs=1e-12
-    )
-
-
-def test_softmax_cross_entropy_uniform():
-    for k in (2, 4, 10):
-        assert softmax_cross_entropy(np.zeros(k), 0) == pytest.approx(math.log(k), abs=1e-12)
-
-
-def test_softmax_cross_entropy_large_logits_stay_finite():
-    loss = softmax_cross_entropy(np.array([1000.0, 0.0]), 0)
-    assert loss == pytest.approx(0.0, abs=1e-12)
-
-
-def test_softmax_cross_entropy_rejects_bad_index():
-    with pytest.raises(ValueError):
-        softmax_cross_entropy(np.zeros(3), 3)
-    with pytest.raises(ValueError):
-        softmax_cross_entropy(np.zeros((2, 2)), 0)
-
-
 # ----------------------------------------------------------------------- OIM
 
 
-def test_oim_forward_worked_example():
+def test_oim_grad_worked_example():
+    # Prototypes e0 and e1, x = e0, true id 0, scale 1: the softmax of (1, 0)
+    # is (p, 1 - p) with p = 1 / (1 + e^-1), the loss is ln(1 + e^-1), and
+    # the gradient is (p - 1) e0 + (1 - p) e1.
     table = OimTable(np.eye(2))
-    loss, probs = oim_forward(np.array([1.0, 0.0]), table, true_id=0)
-    assert probs == pytest.approx([0.7310585786300049, 0.2689414213699951], abs=1e-12)
-    assert loss == pytest.approx(0.3132616875182228, abs=1e-12)
+    x = np.array([1.0, 0.0])
+    assert oim_loss_reference(x, table.columns, 0, 1.0) == pytest.approx(0.3132616875182228, abs=1e-12)
+    assert oim_grad(x, table, true_id=0) == pytest.approx([-0.2689414213699951, 0.2689414213699951], abs=1e-12)
 
 
 def test_oim_table_validation():
@@ -236,14 +185,18 @@ def test_oim_table_validation():
     assert table.dim == 4 and table.num_ids == 4
 
 
-def test_oim_input_validation():
-    table = OimTable(np.eye(3))
+@pytest.mark.parametrize("step", [oim_grad, oim_update])
+@pytest.mark.parametrize(
+    "x, true_id",
+    [
+        ([2.0, 0.0, 0.0], 0),  # not unit norm
+        ([1.0, 0.0], 0),  # not the table's dim
+        ([1.0, 0.0, 0.0], 3),  # no such identity
+    ],
+)
+def test_oim_input_validation(step, x, true_id):
     with pytest.raises(ValueError):
-        oim_forward(np.array([2.0, 0.0, 0.0]), table, 0)
-    with pytest.raises(ValueError):
-        oim_forward(np.array([1.0, 0.0]), table, 0)
-    with pytest.raises(ValueError):
-        oim_forward(np.array([1.0, 0.0, 0.0]), table, 3)
+        step(np.array(x), OimTable(np.eye(3)), true_id)
 
 
 def test_oim_grad_vanishes_when_confident():
@@ -307,48 +260,12 @@ def test_oim_update_rejects_cancellation():
 
 def test_oim_rotation_equivariance():
     # Rotating both the embedding and every prototype by the same orthogonal
-    # map leaves loss and probs alone and rotates the gradient.
+    # map leaves the loss alone and rotates the gradient.
     rng = np.random.default_rng(61)
     table = random_table(rng, 12, 7)
     x = unit(rng.normal(size=12))
     q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
     rotated = OimTable(q @ table.columns, table.momentum)
-    loss, probs = oim_forward(x, table, 4, scale=8.0)
-    loss_r, probs_r = oim_forward(q @ x, rotated, 4, scale=8.0)
-    assert loss_r == pytest.approx(loss, abs=1e-9)
-    assert np.allclose(probs_r, probs, atol=1e-9)
+    loss = oim_loss_reference(x, table.columns, 4, 8.0)
+    assert oim_loss_reference(q @ x, rotated.columns, 4, 8.0) == pytest.approx(loss, abs=1e-9)
     assert np.allclose(oim_grad(q @ x, rotated, 4, scale=8.0), q @ oim_grad(x, table, 4, scale=8.0), atol=1e-9)
-
-
-# ------------------------------------------------------------ multitask loss
-
-
-def test_multitask_loss_weighted_means():
-    weights = LossWeights(1.0, 2.0, 0.5, 1.0)
-    got = multitask_loss(
-        cls_losses=[1.0, 3.0],
-        reg_losses=[2.0],
-        tra_losses=[4.0, 4.0],
-        iden_losses=[],
-        counts=(2, 1, 2, 0),
-        weights=weights,
-    )
-    # 1*(4/2) + 2*(2/1) + 0.5*(8/2) + nothing = 2 + 4 + 2.
-    assert got == pytest.approx(8.0, abs=1e-12)
-
-
-def test_multitask_loss_counts_can_exceed_list_length():
-    # Foreground-style normalization: sum over a few boxes, divide by many.
-    got = multitask_loss([], [1.0, 1.0], [], [], counts=(0, 8, 0, 0), weights=LossWeights())
-    assert got == pytest.approx(0.25, abs=1e-12)
-
-
-def test_multitask_loss_empty_everything_is_zero():
-    assert multitask_loss([], [], [], [], counts=(0, 0, 0, 0), weights=LossWeights()) == 0.0
-
-
-def test_multitask_loss_zero_count_with_losses_raises():
-    with pytest.raises(ValueError):
-        multitask_loss([1.0], [], [], [], counts=(0, 0, 0, 0), weights=LossWeights())
-    with pytest.raises(ValueError):
-        multitask_loss([], [], [], [2.0], counts=(0, 0, 0, -1), weights=LossWeights())

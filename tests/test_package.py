@@ -22,7 +22,7 @@ def test_every_export_resolves(name):
 
 
 def test_the_root_exports_tracking_only():
-    assert len(idtrack.__all__) == 25
+    assert len(idtrack.__all__) == 24
     assert not {"update_trajectory", "Detection", "iou", "iou_matrix"} & set(idtrack.__all__)
     kernels = importlib.import_module("idtrack.kernels")
     assert not set(kernels.__all__) & set(idtrack.__all__)
@@ -46,8 +46,8 @@ def test_the_file_layer_imports_nothing_from_the_tracker():
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def readme_blocks() -> list[str]:
-    return re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+def readme_blocks(readme: Path = README) -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
 
 
 def test_readme_python_blocks_run():
@@ -64,8 +64,8 @@ def test_scipy_is_imported_only_when_a_solve_needs_it(tmp_path):
     # simulate never solves. A solve loads scipy's assignment extension
     # alone: scipy.optimize and the linalg and sparse packages it pulls in
     # are most of scipy's import time and memory. The extension registers
-    # itself as scipy.optimize._lsap, without its package. The training-side
-    # kernels are not part of the package root.
+    # itself as scipy.optimize._lsap, without its package. The network's
+    # numeric kernels are not part of the package root.
     config = tmp_path / "sim.cfg"
     config.write_text("num_identities=2\nframes=5\n")
     scene = tmp_path / "scene"
@@ -101,9 +101,16 @@ def test_scipy_is_imported_only_when_a_solve_needs_it(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-# perfbench/spans.py counts calls to metrics.iou, which metrics imports for
-# that alone.
-KEPT_FOR_PERFBENCH = {("metrics", "iou")}
+# Each exception to the dead-code rule, keyed ``(module or class, name)``,
+# with its reason. An entry that names nothing the rule flags fails the lint.
+KEPT_FOR_PERFBENCH = {
+    ("metrics", "iou"): "perfbench/spans.py counts calls to metrics.iou, which metrics imports for that alone",
+}
+
+# Exported names that code reaches only by a string, which the rule cannot see.
+KEPT_EXPORTED = {
+    ("affinity", "iou"): "perfbench/spans.py patches affinity.iou by name to count its calls",
+}
 
 # Public accessors of the row views that no pipeline stage, benchmark or
 # README example reads; only tests do. They go with the views themselves
@@ -119,16 +126,15 @@ KEPT_WITH_THE_VIEWS = {
 
 
 def names_read(tree: ast.Module) -> set[str]:
-    """Every name a module reads: by name, as an attribute, in ``__all__``
-    or in a string annotation (or a string in a subscripted type alias)."""
+    """Every name a module reads: by name, as an attribute or in a string
+    annotation (or a string in a subscripted type alias). Neither an import
+    nor ``__all__`` reads a name."""
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute):
             read.add(node.attr)
-        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            read.update(ast.literal_eval(node.value))
         for hint in (getattr(node, "annotation", None), getattr(node, "returns", None), getattr(node, "slice", None)):
             for text in ast.walk(hint) if hint else ():
                 if isinstance(text, ast.Constant) and isinstance(text.value, str):
@@ -139,9 +145,14 @@ def names_read(tree: ast.Module) -> set[str]:
     return read
 
 
-def private_definitions(tree: ast.Module) -> list[str]:
-    """The module-level functions, classes and constants whose names start
-    with one underscore."""
+def exported(tree: ast.Module) -> set[str]:
+    """The names in a module's ``__all__``."""
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets) for name in ast.literal_eval(node.value)}
+
+
+def definitions(tree: ast.Module) -> list[str]:
+    """The module-level functions, classes and constants, dunders aside."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -149,7 +160,7 @@ def private_definitions(tree: ast.Module) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 names += [t.id for t in ast.walk(target) if isinstance(t, ast.Name)]
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return [name for name in names if not name.startswith("__")]
 
 
 def imported_names(tree: ast.Module) -> list[str]:
@@ -166,22 +177,93 @@ def public_methods(tree: ast.Module) -> list[tuple[str, str]]:
             for item in node.body if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
 
 
-def test_the_package_holds_no_dead_code():
-    # Lint without a linter: a private function, class or constant that no
-    # module of the package reads, an import its module never reads, or a
-    # public method or property that neither the package, the acceptance
-    # tests, perfbench nor a README example reads.
-    trees = {path.stem: ast.parse(path.read_text()) for path in Path(idtrack.__file__).parent.glob("*.py")}
-    reads = {module: names_read(tree) for module, tree in trees.items()}
+def dead_code(package: dict[str, ast.Module], users: list[ast.Module]) -> dict[tuple[str, str], str]:
+    """What the package's modules hold that nothing reads, keyed ``(module or
+    class, name)``, each with its message: a private module-level function,
+    class or constant that no module of the package reads; an import that its
+    module neither reads nor exports; and a public module-level definition,
+    method or property that neither the package nor ``users`` read."""
+    reads = {module: names_read(tree) for module, tree in package.items()}
     everywhere = set().union(*reads.values())
-    dead = [f"{module}.{name} is never used" for module, tree in trees.items()
-            for name in private_definitions(tree) if name not in everywhere]
-    dead += [f"{module} never uses its import {name}" for module, tree in trees.items()
-             for name in imported_names(tree) if name not in reads[module] and (module, name) not in KEPT_FOR_PERFBENCH]
-    repo = Path(__file__).resolve().parents[1]
-    users = [repo / "tests" / "test_acceptance.py", *(repo / "perfbench").rglob("*.py")]
-    users = [ast.parse(path.read_text()) for path in users] + [ast.parse(block) for block in readme_blocks()]
     used = everywhere.union(*map(names_read, users))
-    dead += [f"{cls}.{name} is never read" for tree in trees.values() for cls, name in public_methods(tree)
-             if name not in used and (cls, name) not in KEPT_WITH_THE_VIEWS]
-    assert dead == []
+    found = {}
+    for module, tree in package.items():
+        for name in definitions(tree):
+            if name not in (everywhere if name.startswith("_") else used):
+                found[module, name] = f"{module}.{name} is never read"
+        for name in imported_names(tree):
+            if name not in reads[module] | exported(tree):
+                found[module, name] = f"{module} never uses its import {name}"
+        for cls, name in public_methods(tree):
+            if name not in used:
+                found[cls, name] = f"{cls}.{name} is never read"
+    return found
+
+
+def lint(found: dict[tuple[str, str], str], *kept: dict[tuple[str, str], str]) -> list[str]:
+    """The messages of ``found`` that no entry of ``kept`` excuses, then each
+    entry that excuses nothing."""
+    kept = {key: reason for entries in kept for key, reason in entries.items()}
+    return [message for key, message in found.items() if key not in kept] + [
+        f"{scope}.{name} is kept ({reason}) but the rule does not flag it" for (scope, name), reason in kept.items()
+        if (scope, name) not in found]
+
+
+def package_trees(package: Path) -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+
+
+def user_trees(repo: Path) -> list[ast.Module]:
+    """The code that counts as reading the package: the acceptance tests,
+    perfbench and README's python blocks."""
+    paths = [repo / "tests" / "test_acceptance.py", *(repo / "perfbench").rglob("*.py")]
+    return [ast.parse(path.read_text()) for path in paths] + [ast.parse(b) for b in readme_blocks(repo / "README.md")]
+
+
+def test_the_package_holds_no_dead_code():
+    # Lint without a linter: see dead_code. Only the package, the acceptance
+    # tests, perfbench and README examples count as readers, not other tests.
+    found = dead_code(package_trees(Path(idtrack.__file__).parent), user_trees(README.parent))
+    assert lint(found, KEPT_FOR_PERFBENCH, KEPT_EXPORTED, KEPT_WITH_THE_VIEWS) == []
+
+
+HELPER = ast.parse('__all__ = ["helper"]\n\n\ndef helper():\n    return 1\n')
+
+
+def scratch_repo(tmp_path: Path, acceptance: str = "", perfbench: str = "", readme: str = "") -> Path:
+    """A repository of the readers ``user_trees`` takes, beside a test
+    module that calls ``helper``."""
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_acceptance.py").write_text(acceptance)
+    (tmp_path / "tests" / "test_mod.py").write_text("from mod import helper\n\nassert helper() == 1\n")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(perfbench)
+    (tmp_path / "README.md").write_text(f"# scratch\n\n```python\n{readme}```\n")
+    return tmp_path
+
+
+def test_an_export_that_only_a_test_reads_is_dead(tmp_path):
+    users = user_trees(scratch_repo(tmp_path))
+    assert dead_code({"mod": HELPER}, users) == {("mod", "helper"): "mod.helper is never read"}
+
+
+@pytest.mark.parametrize("where", ["acceptance", "perfbench", "readme"])
+def test_an_export_that_a_user_reads_is_live(tmp_path, where):
+    users = user_trees(scratch_repo(tmp_path, **{where: "import mod\n\nassert mod.helper() == 1\n"}))
+    assert dead_code({"mod": HELPER}, users) == {}
+
+
+def test_a_re_export_reads_nothing(tmp_path):
+    # The package root's import and __all__ re-export helper; neither reads
+    # it, and the import is not unused, as the root exports it.
+    root = ast.parse('from .mod import helper\n\n__all__ = ["helper"]\n')
+    users = user_trees(scratch_repo(tmp_path))
+    assert dead_code({"__init__": root, "mod": HELPER}, users) == {("mod", "helper"): "mod.helper is never read"}
+
+
+def test_an_exception_that_excuses_nothing_fails_the_lint():
+    found = {("mod", "helper"): "mod.helper is never read"}
+    kept = {("mod", "helper"): "read by name", ("mod", "gone"): "no longer there"}
+    assert lint(found, kept) == ["mod.gone is kept (no longer there) but the rule does not flag it"]
+    assert lint(found, {("mod", "helper"): "read by name"}) == []
+    assert lint(found) == ["mod.helper is never read"]
