@@ -178,7 +178,7 @@ def cmd_simulate(args) -> int:
     write_detections(out_dir / "dets.txt", dets)
     write_embeddings(out_dir / "embeddings.txt", dets)
     n_dets = sum(len(v) for v in dets.values())
-    print(f"seed={config.seed} frames={len(gt)} identities={config.num_identities} detections={n_dets}")
+    print(f"seed={config.seed} frames={len(dets)} identities={config.num_identities} detections={n_dets}")
     print(f"wrote gt.txt, dets.txt, embeddings.txt to {out_dir}")
     return 0
 

@@ -13,12 +13,11 @@ affinity, the tracker, the writers) read its arrays. Iterating a batch
 yields ``Detection`` views, each a batch, a row index and its confidence,
 reading its other values from the arrays; none is kept.
 
-``IdBoxes`` is one frame of ground truth or tracker hypotheses the same
-way; iterating one yields ``(id, BBox)`` pairs. ``IdStream`` is a whole
-stream as one column set (frames, ids, boxes, confidences), which
-``read_gt`` and ``hypotheses`` return and ``evaluate``, ``sweep_thresholds``
-and the writers read. ``_check_fields`` is the field rule of every config
-dataclass.
+``IdStream`` is ground truth or tracker hypotheses over a whole stream as
+one column set (frames, ids, boxes, confidences), which ``generate``,
+``read_gt`` and ``hypotheses`` return and ``subsample``, ``evaluate``,
+``sweep_thresholds`` and the writers read. ``_check_fields`` is the field
+rule of every config dataclass.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "BBox",
     "Detection",
     "Detections",
-    "IdBoxes",
     "IdStream",
     "to_corner",
 ]
@@ -310,27 +308,30 @@ class Detection:
         return BBox(*batch.predictions[self.index].tolist())
 
 
-class IdBoxes:
-    """One frame of ground truth or hypotheses as columns.
-
-    ``ids`` is ``(n,)`` int64, ``boxes`` ``(n, 4)`` in center form and
+class IdStream:
+    """Ground truth or hypotheses over many frames as columns: ``frames`` and
+    ``ids`` ``(n,)`` int64, ``boxes`` ``(n, 4)`` in center form and
     ``confidence`` ``(n,)``, 1 for every row unless given. The constructor
-    checks the whole batch at once: integer ids, boxes in the box domain
-    (see ``_box_fault``) and finite confidences; an error names the first
-    bad row. What a repeated id means is up to whoever reads the frame. A
-    batch is not modified after it is built.
+    checks the whole stream at once: integer frames and ids that int64
+    holds, boxes in the box domain (see ``_box_fault``) and finite
+    confidences; an error names the first bad row. What a repeated
+    ``(frame, id)`` means is up to whoever reads the stream. A stream is not
+    modified after it is built; ``take`` makes a new one."""
 
-    ``len()`` works as on a list, and iteration yields ``(id, BBox)`` pairs,
-    the list form that ``evaluate`` also takes.
-    """
+    __slots__ = ("frames", "ids", "boxes", "confidence")
 
-    __slots__ = ("ids", "boxes", "confidence")
-
-    def __init__(self, ids, boxes, confidence=None):
-        ids = np.asarray(ids).reshape(-1)
+    def __init__(self, frames, ids, boxes, confidence=None):
+        frames, ids = np.asarray(frames).reshape(-1), np.asarray(ids).reshape(-1)
+        n = ids.shape[0]
         if ids.size and ids.dtype.kind not in "iu":
             raise ValueError(f"ids must be integers, got dtype {ids.dtype}")
-        n = ids.shape[0]
+        if frames.shape != ids.shape or (frames.size and frames.dtype.kind not in "iu"):
+            raise ValueError(f"frames must be {n} integers, got shape {frames.shape} of dtype {frames.dtype}")
+        for name, column in (("frame", frames), ("id", ids)):
+            if column.dtype == np.uint64:  # the one integer type with values that int64 would wrap
+                k = _first_false(column <= np.iinfo(np.int64).max)
+                if k is not None:
+                    raise ValueError(f"row {k}: {name} must be at most 2**63 - 1, got {column[k]}")
         boxes = _box_array(boxes, n, "boxes")
         k = _first_false(_good_boxes(boxes))
         if k is not None:
@@ -341,47 +342,8 @@ class IdBoxes:
         k = _first_false(np.isfinite(confidence))
         if k is not None:
             raise ValueError(f"row {k}: confidence must be finite, got {confidence[k]}")
-        self.ids, self.boxes, self.confidence = ids.astype(np.int64, copy=False), boxes, confidence
-
-    @classmethod
-    def _checked(cls, ids, boxes, confidence) -> "IdBoxes":
-        """A batch of arrays that are already int64 and float64, shaped and
-        valid (read and checked in bulk, or taken from a batch)."""
-        batch = cls.__new__(cls)
-        batch.ids, batch.boxes, batch.confidence = ids, boxes, confidence
-        return batch
-
-    @classmethod
-    def pack(cls, rows: Sequence[tuple]) -> "IdBoxes":
-        """One batch holding ``(id, box)`` or ``(id, box, confidence)`` rows,
-        confidence 1 where a row has none, checked as the constructor checks
-        a batch (a batch is returned as it is)."""
-        if isinstance(rows, IdBoxes):
-            return rows
-        ids = np.array([row[0] for row in rows], dtype=np.int64)
-        confidence = np.array([row[2] if len(row) > 2 else 1.0 for row in rows], dtype=np.float64)
-        return cls(ids, _box_rows([row[1] for row in rows]), confidence)
-
-    def __len__(self) -> int:
-        return self.ids.shape[0]
-
-    def __iter__(self) -> Iterator[tuple[int, BBox]]:
-        return zip(self.ids.tolist(), [BBox(*box) for box in self.boxes.tolist()])
-
-
-class IdStream:
-    """Ground truth or hypotheses over many frames as columns: ``frames`` and
-    ``ids`` ``(n,)`` int64, ``boxes`` ``(n, 4)`` in center form, ``confidence``
-    ``(n,)``, rows checked as ``IdBoxes`` checks them. A stream is not
-    modified after it is built; ``take`` makes a new one."""
-
-    __slots__ = ("frames", "ids", "boxes", "confidence")
-
-    def __init__(self, frames, ids, boxes, confidence=None):
-        b, frames = IdBoxes(ids, boxes, confidence), np.asarray(frames).reshape(-1)
-        if frames.shape != b.ids.shape or (frames.size and frames.dtype.kind not in "iu"):
-            raise ValueError(f"frames must be {len(b)} integers, got shape {frames.shape} of dtype {frames.dtype}")
-        self.frames, self.ids, self.boxes, self.confidence = frames.astype(np.int64), b.ids, b.boxes, b.confidence
+        self.frames, self.ids = frames.astype(np.int64, copy=False), ids.astype(np.int64, copy=False)
+        self.boxes, self.confidence = boxes, confidence
 
     @classmethod
     def _checked(cls, frames, ids, boxes, confidence) -> "IdStream":
@@ -392,14 +354,15 @@ class IdStream:
 
     @classmethod
     def pack(cls, stream: Mapping) -> "IdStream":
-        """One stream of a mapping's frames, in its order, each an ``IdBoxes``
-        batch or rows for ``IdBoxes.pack`` (a stream is returned as it is)."""
+        """One stream of a mapping's frames, in its order, each a list of
+        ``(id, box)`` or ``(id, box, confidence)`` rows with ``BBox`` boxes,
+        confidence 1 where a row has none, checked as the constructor checks
+        a stream (a stream is returned as it is)."""
         if isinstance(stream, IdStream):
             return stream
-        batches = [IdBoxes.pack(rows) for rows in stream.values()]
-        frames = np.repeat(np.array(list(stream), dtype=np.int64), [len(b) for b in batches])
-        batches.append(IdBoxes._checked(np.zeros(0, np.int64), np.zeros((0, 4)), np.zeros(0)))  # for no frames
-        return cls._checked(frames, *map(np.concatenate, zip(*((b.ids, b.boxes, b.confidence) for b in batches))))
+        rows = [(frame, *row) for frame, frame_rows in stream.items() for row in frame_rows]
+        return cls([row[0] for row in rows], [row[1] for row in rows], _box_rows([row[2] for row in rows]),
+                   [row[3] if len(row) > 3 else 1.0 for row in rows])
 
     def take(self, index) -> "IdStream":
         """The rows that ``index`` (integers or a boolean mask) selects."""

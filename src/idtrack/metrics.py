@@ -7,8 +7,8 @@ Hungarian solve maximizing IoU. An id switch is counted when an object's
 associated hypothesis id changes, and the switch also ends the previous
 correspondence.
 
-Each stream is an ``IdStream``, as ``read_gt`` and ``hypotheses`` return,
-or maps frame -> ``IdBoxes`` batch or list of ``(id, box)`` pairs, which
+Each stream is an ``IdStream``, as ``generate``, ``read_gt`` and
+``hypotheses`` return, or maps frame -> list of ``(id, box)`` pairs, which
 ``IdStream.pack`` joins once. ``evaluate`` sorts each stream's columns by
 frame and id, numbers the ids densely, computes the box corners once, and
 scores a frame with array operations on its rows' corners: the surviving
@@ -37,7 +37,7 @@ import numpy as np
 # ``iou`` is not called here; perfbench/spans.py still counts calls to this name.
 from .affinity import _corner_cells, _corners, _iou_corners, _pick, iou  # noqa: F401
 from .assignment import solve_max
-from .geometry import BBox, IdBoxes, IdStream
+from .geometry import BBox, IdStream
 
 __all__ = [
     "MotReport",
@@ -49,7 +49,7 @@ __all__ = [
     "format_report",
 ]
 
-Stream = Mapping[int, "IdBoxes | Sequence[tuple[int, BBox]] | Sequence[tuple[int, BBox, float]]"]
+Stream = IdStream | Mapping[int, Sequence[tuple[int, BBox]] | Sequence[tuple[int, BBox, float]]]
 
 DEFAULT_SWEEP_THRESHOLDS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -93,7 +93,7 @@ def evaluate(gt: Stream, hyp: Stream, iou_gate: float = 0.5) -> MotReport:
     """Score a hypothesis stream against ground truth.
 
     Each stream is an ``IdStream`` or a mapping that ``IdStream.pack``
-    joins, frame -> ``IdBoxes`` or [(id, box), ...]. Frames missing from a
+    joins, frame -> [(id, box), ...]. Frames missing from a
     stream count as empty. Within a frame the rows are canonicalized by id
     so the result does not depend on input ordering; an id may appear once
     per frame.

@@ -39,9 +39,9 @@ batch per frame and build no per-detection object: the sidecar's vectors
 and the predicted boxes join each frame's box and confidence arrays as
 matrices, placed by their ``(frame, index)`` keys. ``read_gt`` returns the
 file's columns as one ``IdStream``, for ground truth and results alike, and
-one writer, ``write_gt`` or ``write_results``, writes such a stream (or a
-mapping of ``IdBoxes`` batches) sorted by (frame, id), confidences kept.
-The detection writers take a stream of batches too.
+one writer, ``write_gt`` or ``write_results``, writes such a stream sorted
+by (frame, id), confidences kept. The detection writers take a stream of
+batches.
 
 Every writer streams its rows in chunks across frames: ``_CHUNK_ROWS`` MOT
 rows, or about ``_CHUNK_VALUES`` sidecar values, at a time. Each chunk is
@@ -64,7 +64,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Detections, IdBoxes, IdStream, _box_fault, _first_false, _frame_rows, _good_boxes, _row_norms
+from .geometry import Detections, IdStream, _box_fault, _first_false, _frame_rows, _good_boxes, _row_norms
 
 __all__ = [
     "read_detections",
@@ -578,15 +578,14 @@ def _chunks(frames: Sequence[int], columns: Sequence[tuple[np.ndarray, ...]], si
                 parts, n, done = [], 0, done + n
 
 
-def write_gt(path, stream: Mapping[int, IdBoxes]) -> int:
-    """Write a ground-truth or result stream (see ``IdStream.pack``), rows
-    sorted by (frame, id) with their confidences, and return the number of
-    rows written. ``read_gt``'s rules are checked on every row before the
-    file is opened, its box rule on the boxes it will rebuild: a coasted head
-    that ran out of the box domain is refused here, and so is a box that its
-    six decimals move out of it."""
-    stream = IdStream.pack(stream)
-    stream = stream.take(np.lexsort((stream.ids, stream.frames)))  # the unsorted columns of a packed mapping go
+def write_gt(path, stream: IdStream) -> int:
+    """Write a ground-truth or result stream, rows sorted by (frame, id)
+    with their confidences, and return the number of rows written.
+    ``read_gt``'s rules are checked on every row before the file is opened,
+    its box rule on the boxes it will rebuild: a coasted head that ran out
+    of the box domain is refused here, and so is a box that its six decimals
+    move out of it."""
+    stream = stream.take(np.lexsort((stream.ids, stream.frames)))
     frames, ids, boxes, confidence = stream.frames, stream.ids, stream.boxes, stream.confidence
     _frame_rule(frames, _check)
     _written_box_rule(boxes)

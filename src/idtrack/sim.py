@@ -14,8 +14,9 @@ changes the underlying world: every source frame runs one draw sequence,
 but boxes, detections and embeddings are built only for the frames that the
 stride keeps, which emulates dropping the frame rate by that factor. A
 dropped frame costs its draws and the motion update, not the building of a
-frame. A kept frame builds its arrays and skips the batch constructors,
-whose checks run once per block of kept frames.
+frame. A kept frame fills its row of the ground truth's box array and
+builds its detection arrays; the constructors' checks run once per block of
+kept frames.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .geometry import UNIT_NORM_TOL, Detections, IdBoxes, _check_fields, _good_boxes, _row_norms
+from .geometry import UNIT_NORM_TOL, Detections, IdStream, _check_fields, _good_boxes, _row_norms
 
 __all__ = ["SimConfig", "generate", "subsample", "benchmark_config", "config_from_mapping"]
 
@@ -70,16 +71,13 @@ class SimConfig:
         _check_fields(self)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.num_identities < 1 or self.frames < 1:
-            raise ValueError("need at least one identity and one frame")
-        if self.frame_stride < 1:
-            raise ValueError("frame_stride must be >= 1")
-        if self.embedding_dim < 2:
-            raise ValueError("embedding_dim must be >= 2")
+        for name, least in (("num_identities", 1), ("frames", 1), ("frame_stride", 1), ("embedding_dim", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         for name in ("speed_range", "box_size_range"):
             lo, hi = getattr(self, name)
             if lo < 0 or hi < lo:
-                raise ValueError(f"{name} must satisfy 0 <= lo <= hi")
+                raise ValueError(f"{name} must satisfy 0 <= lo <= hi, got {getattr(self, name)!r}")
         if self.box_size_range[0] < 1:
             # With the size_noise cap every noisy side is then above e**-4.2,
             # inside the box domain.
@@ -89,7 +87,8 @@ class SimConfig:
             if max(value if isinstance(value, tuple) else (value,)) > cap:
                 raise ValueError(f"{name} must be <= {cap:g}, got {value!r}")
         if self.box_size_range[1] >= min(self.arena):
-            raise ValueError("boxes must fit inside the arena")
+            raise ValueError(f"box_size_range must stay below min(arena) = {min(self.arena):g}, "
+                             f"got {self.box_size_range!r}")
         room = min(self.arena) - self.box_size_range[1]
         if self.speed_range[1] >= room:
             # Keeps a step within one reflection of the walls (see _bounce).
@@ -97,10 +96,10 @@ class SimConfig:
                              f"got {self.speed_range!r}")
         lo, hi = self.occlusion_duration
         if lo < 1 or hi < lo:
-            raise ValueError("occlusion_duration must satisfy 1 <= lo <= hi")
+            raise ValueError(f"occlusion_duration must satisfy 1 <= lo <= hi, got {self.occlusion_duration!r}")
         for name in ("center_noise", "size_noise", "embedding_noise", "fp_rate"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("miss_rate", "turn_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
@@ -144,21 +143,22 @@ def _bounce(p: float, v: float, lo: float, hi: float) -> tuple[float, float]:
     return p, v
 
 
-def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detections]]:
-    """Build (gt, dets) streams, both keyed by 1-based output frame index.
+def generate(config: SimConfig) -> tuple[IdStream, dict[int, Detections]]:
+    """Build the (gt, dets) streams of a scene, frames numbered from 1.
 
-    gt holds one ``IdBoxes`` batch per kept frame: every identity (ids from
-    1, in order) with its true box and confidence 1;
-    dets holds one ``Detections`` batch per kept frame (noisy boxes,
-    confidences, unit embeddings), its rows in identity order followed by
-    that frame's false positives. Source frames 1, 1+stride, 1+2*stride, ...
-    are kept and numbered densely. Every source frame runs one draw
-    sequence, and whether it is kept decides only what is built from the
-    draws, so the result equals ``subsample`` of the stride-1 scene. A kept
-    frame's values are gathered as Python floats and noise vectors and
-    become its arrays in one step: the embeddings are normalised together
-    by ``_row_norms``, as the prototypes are after they are drawn, so every
-    unit vector comes from one norm. The arrays become batches without the
+    gt is one ``IdStream``: for each kept frame in order, every identity
+    (ids from 1, in order) with its true box and confidence 1. dets holds one
+    ``Detections`` batch per kept frame (noisy boxes, confidences, unit
+    embeddings), its rows in identity order followed by that frame's false
+    positives. Source frames 1, 1+stride, 1+2*stride, ... are kept and
+    numbered densely. Every source frame runs one draw sequence, and whether
+    it is kept decides only what is built from the draws, so the result
+    equals ``subsample`` of the stride-1 scene. A kept frame's values are
+    gathered as Python floats and noise vectors and become its arrays in one
+    step: its true boxes fill its row of one ``(kept frames, 4n)`` array,
+    which becomes the stream's boxes, and its embeddings are normalised
+    together by ``_row_norms``, as the prototypes are after they are drawn,
+    so every unit vector comes from one norm. The arrays skip the
     constructors' checks; their rules (every box in the box domain, every
     confidence in [0, 1], every embedding of unit norm) run in
     ``_check_frames`` once per block of ``_CHECK_BLOCK`` kept frames, so
@@ -212,8 +212,8 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
 
     box_noise = np.empty(4)  # one detection's centre and size noise
     seen_noise = np.empty((n, dim))  # identity embedding noise, row k for seen[k]
-    identities, ones = np.arange(1, n + 1), np.ones(n)  # shared by every gt batch, which never modifies them
-    gt: dict[int, IdBoxes] = {}
+    kept = (config.frames - 1) // stride + 1
+    truth = np.empty((kept, 4 * n))  # row frame - 1: that frame's true boxes, flat
     dets: dict[int, Detections] = {}
     for t in range(1, config.frames + 1):
         keep = (t - 1) % stride == 0
@@ -270,7 +270,7 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
                 fp_noise.append(noise)
 
         if keep:
-            gt[frame] = IdBoxes._checked(identities, np.array(true_boxes).reshape(n, 4), ones)
+            truth[frame - 1] = true_boxes
             k = len(seen)
             vectors = np.empty((k + len(fp_noise), dim))
             np.add(protos.take(seen, axis=0), config.embedding_noise * seen_noise[:k], out=vectors[:k])
@@ -279,46 +279,53 @@ def generate(config: SimConfig) -> tuple[dict[int, IdBoxes], dict[int, Detection
             vectors /= _row_norms(vectors)[:, None]
             dets[frame] = Detections._checked(np.array(boxes).reshape(-1, 4), np.array(confidence), vectors)
             if frame % _CHECK_BLOCK == 0 or t + stride > config.frames:  # a full block, or the last frame
-                _check_frames(gt, dets, range(frame - (frame - 1) % _CHECK_BLOCK, frame + 1))
-    return gt, dets
+                _check_frames(truth, dets, range(frame - (frame - 1) % _CHECK_BLOCK, frame + 1))
+    frames, ids = np.repeat(np.arange(1, kept + 1), n), np.tile(np.arange(1, n + 1), kept)
+    return IdStream._checked(frames, ids, truth.reshape(-1, 4), np.ones(kept * n)), dets
 
 
-def _check_frames(gt: dict[int, IdBoxes], dets: dict[int, Detections], frames: range) -> None:
-    """Apply the rules of the ``IdBoxes`` and ``Detections`` constructors to
-    ``frames`` of the streams that ``generate`` built unchecked, once for
-    all their rows: every box in the box domain, every detection confidence
-    in [0, 1] and every embedding of unit norm. If a row breaks one, the
-    first frame that holds such a row goes through the constructors, whose
-    error names the row, and the error names the frame too."""
-    boxes = np.concatenate([stream[frame].boxes for stream in (gt, dets) for frame in frames])
+def _check_frames(truth: np.ndarray, dets: dict[int, Detections], frames: range) -> None:
+    """Apply the rules of the ``IdStream`` and ``Detections`` constructors to
+    ``frames`` of the true boxes (row ``frame - 1`` of ``truth``, flat) and
+    the detections that ``generate`` built unchecked, once for all their
+    rows: every box in the box domain, every detection confidence in [0, 1]
+    and every embedding of unit norm. If a row breaks one, the first frame
+    that holds such a row goes through the constructors, whose error names
+    the row, and the error names the frame too."""
+    boxes = np.concatenate([truth[frames.start - 1 : frames.stop - 1].reshape(-1, 4), *(dets[f].boxes for f in frames)])
     confidence = np.concatenate([dets[frame].confidence for frame in frames])
     norms = np.concatenate([_row_norms(dets[frame].embeddings) for frame in frames])
     if (_good_boxes(boxes).all() and ((confidence >= 0.0) & (confidence <= 1.0)).all()
             and (np.abs(norms - 1.0) <= UNIT_NORM_TOL).all()):  # a NaN fails each comparison
         return
     for frame in frames:
-        truth, batch = gt[frame], dets[frame]
+        true_boxes, batch = truth[frame - 1].reshape(-1, 4), dets[frame]
         try:
-            IdBoxes(truth.ids, truth.boxes, truth.confidence)
+            IdStream(np.full(len(true_boxes), frame), np.arange(1, len(true_boxes) + 1), true_boxes)
             Detections(batch.boxes, batch.confidence, batch.embeddings)
         except ValueError as error:
             raise ValueError(f"frame {frame}: {error}") from None
 
 
-def subsample(stream: Mapping[int, object], stride: int) -> dict[int, object]:
-    """Keep frames 1, 1+stride, 1+2*stride, ... and re-key them densely.
+def subsample(stream: IdStream | Mapping[int, Detections], stride: int) -> IdStream | dict[int, Detections]:
+    """Keep frames 1, 1+stride, 1+2*stride, ... and number them densely.
 
-    Only the keys change: each kept frame's value (a ``Detections`` or
-    ``IdBoxes`` batch) is the same object. A kept frame that ``stream`` lacks
-    stays out, except the last one, which becomes ``[]`` so that the tracker
-    still steps (and coasts) to the end; the work grows with the number of
-    frames in ``stream``, not with its largest frame number. Frames come in
-    ascending order. A detection's prediction still points one source frame
-    ahead, not one kept frame, so a strided stream should carry none
-    (``idtrack track`` rejects ``--predictions`` with a stride).
+    Of an ``IdStream``, one mask keeps the kept frames' rows in their order.
+    Of a detection stream only the keys change: each kept frame's batch is
+    the same object. A kept frame that it lacks stays out, except the last
+    one, which becomes ``[]`` so that the tracker still steps (and coasts)
+    to the end; the work grows with the number of frames in ``stream``, not
+    with its largest frame number. Frames come in ascending order. A
+    detection's prediction still points one source frame ahead, not one
+    kept frame, so a strided stream should carry none (``idtrack track``
+    rejects ``--predictions`` with a stride).
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    if isinstance(stream, IdStream):
+        frames, offset = np.divmod(stream.frames - 1, stride)
+        keep = (offset == 0) & (frames >= 0)
+        return IdStream._checked(frames[keep] + 1, stream.ids[keep], stream.boxes[keep], stream.confidence[keep])
     last = max(stream, default=0)
     if last < 1:
         return {}

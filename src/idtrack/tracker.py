@@ -297,9 +297,9 @@ class TrackerConfig:
     def __post_init__(self):
         _check_fields(self)
         if self.buffer_size < 1:
-            raise ValueError("buffer_size must be >= 1")
+            raise ValueError(f"buffer_size must be >= 1, got {self.buffer_size}")
         if self.motion_propagate_frames < 0:
-            raise ValueError("motion_propagate_frames must be >= 0")
+            raise ValueError(f"motion_propagate_frames must be >= 0, got {self.motion_propagate_frames}")
         if self.motion_propagate_frames > self.buffer_size:
             # Retirement would silently cut coasting short.
             raise ValueError(
@@ -307,9 +307,9 @@ class TrackerConfig:
                 f"buffer_size ({self.buffer_size})"
             )
         if not 0.0 <= self.embedding_momentum <= 1.0:
-            raise ValueError("embedding_momentum must lie in [0, 1]")
+            raise ValueError(f"embedding_momentum must lie in [0, 1], got {self.embedding_momentum}")
         if not 0.0 <= self.det_threshold <= 1.0:
-            raise ValueError("det_threshold must lie in [0, 1]")
+            raise ValueError(f"det_threshold must lie in [0, 1], got {self.det_threshold}")
         if not 0.0 <= self.min_affinity <= 1.0:
             raise ValueError(f"min_affinity must lie in [0, 1], got {self.min_affinity}")
 

@@ -9,7 +9,7 @@ the oracle."""
 
 import numpy as np
 
-from idtrack.geometry import Detections, IdBoxes, _box_rows
+from idtrack.geometry import BBox, Detections, _box_rows
 from idtrack.tracker import TrackOutputs, Trajectories, TrajectoryTable
 
 
@@ -33,11 +33,14 @@ def detections(rows):
 
 
 def by_frame(stream):
-    """An ``IdStream``'s rows as ``{frame: IdBoxes}``: frames in order of
-    first appearance, each frame's rows in column order, the mapping that
-    ``IdStream.pack`` joins back."""
-    return {f: IdBoxes(stream.ids[at], stream.boxes[at], stream.confidence[at])
-            for f in dict.fromkeys(stream.frames.tolist()) for at in [stream.frames == f]}
+    """An ``IdStream``'s rows as ``{frame: [(id, BBox, confidence)]}``:
+    frames in order of first appearance, each frame's rows in column order,
+    the mapping that ``IdStream.pack`` joins back."""
+    rows = zip(stream.frames.tolist(), stream.ids.tolist(), stream.boxes.tolist(), stream.confidence.tolist())
+    frames = {}
+    for f, i, box, confidence in rows:
+        frames.setdefault(f, []).append((i, BBox(*box), confidence))
+    return frames
 
 
 def track_outputs(rows):

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from helpers import batch_bits, detections, grid_boxes, iou_matrix, relatives, track_outputs, trajectories
 from idtrack import mot_io
 from idtrack.affinity import AffinityWeights, combined_affinity, nms
-from idtrack.geometry import BBox, Detections, IdBoxes, to_corner
+from idtrack.geometry import BBox, Detections, IdStream, to_corner
 from idtrack.tracker import TrackOutput, hypotheses
 
 
@@ -268,8 +268,8 @@ def test_property_writers_write_the_reference_bytes(tmp_path_factory, stream, ch
         assert written_as_reference(tmp, lambda p: reference_write_embeddings(p, dets), mot_io.read_embeddings,
                                     lambda p: mot_io.write_embeddings(p, dets),
                                     lambda p: mot_io.write_embeddings(p, taken))
-        written_as_reference(tmp, lambda p: reference_write_gt(p, gt), mot_io.read_gt, lambda p: mot_io.write_gt(p, gt),
-                             lambda p: mot_io.write_gt(p, {frame: IdBoxes.pack(rows) for frame, rows in gt.items()}))
+        written_as_reference(tmp, lambda p: reference_write_gt(p, gt), mot_io.read_gt,
+                             lambda p: mot_io.write_gt(p, IdStream.pack(gt)))
         if written_as_reference(tmp, lambda p: reference_write_results(p, outputs), mot_io.read_gt,
                                 lambda p: mot_io.write_results(p, hyp)):
             assert mot_io.write_results(tmp / "got.txt", hyp) == interpolated.count(False)

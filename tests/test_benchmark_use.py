@@ -116,6 +116,8 @@ def test_a_traced_pipeline_passes_the_span_checks(scene, spans, capsys):
     assert spans.check_spans(tracer.spans, spans.EXPECTED_SPANS) == []
     layer = spans.layer_metrics(tracer.spans, tracer.counts)
     assert layer["sim.detections"] > 0 and layer["affinity.nms_in"] > 0 and layer["tracker.births"] > 0
+    # The counter reads generate's detections, not its ground truth: one per written detection row.
+    assert layer["sim.detections"] == len((out / "dets.txt").read_text().splitlines())
     # spans.py counts a recovery solve when phase 2 hands combined_affinity
     # members of tracker.paused; a refactor that hands it copies reads 0 here.
     assert layer["assignment.solve_calls"] > 0 and layer["tracker.recovery_solves"] > 0

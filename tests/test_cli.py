@@ -76,7 +76,9 @@ def test_simulate_rejects_a_repeated_config_key(tmp_path, tiny_config, capsys):
         ("embedding_noise=inf", "embedding_noise must be finite"),
         ("turn_prob=nan", "turn_prob must be finite"),
         ("miss_rate=nan", "miss_rate must be finite"),
-        ("turn_prob=5", "turn_prob must lie in [0, 1]"),
+        ("turn_prob=5", "turn_prob must lie in [0, 1], got 5.0"),
+        ("frame_stride=0", "frame_stride must be >= 1, got 0"),
+        ("occlusion_duration=0,5", "occlusion_duration must satisfy 1 <= lo <= hi, got (0, 5)"),
         ("speed_range=1e300,1e300", "speed_range must stay below min(arena) - box_size_range[1] = 650"),
         ("fp_rate=1e20", "fp_rate must be <= 1000"),
         ("embedding_noise=1e300", "embedding_noise must be <= 1e+06"),
@@ -552,13 +554,13 @@ TRACK_FLAG_ERRORS = [
     *non_finite("--min-affinity"),
     case("--min-affinity=1.5", "--min-affinity must lie in [0, 1], got 1.5"),
     *non_finite("--det-threshold"),
-    case("--det-threshold=2", "--det-threshold must lie in [0, 1]"),
+    case("--det-threshold=2", "--det-threshold must lie in [0, 1], got 2.0"),
     *non_finite("--embedding-momentum"),
-    case("--embedding-momentum=2", "--embedding-momentum must lie in [0, 1]"),
+    case("--embedding-momentum=2", "--embedding-momentum must lie in [0, 1], got 2.0"),
     *non_finite("--nms-iou", "{flag} must lie in [0, 1], got {value}"),
     case("--nms-iou=1.5", "--nms-iou must lie in [0, 1], got 1.5"),
-    case("--buffer-size=0", "--buffer-size must be >= 1"),
-    case("--propagate-frames=-1", "--propagate-frames must be >= 0"),
+    case("--buffer-size=0", "--buffer-size must be >= 1, got 0"),
+    case("--propagate-frames=-1", "--propagate-frames must be >= 0, got -1"),
     case("--propagate-frames=20", "--propagate-frames (20) must not exceed --buffer-size (10)"),
 ]
 
@@ -915,7 +917,8 @@ def test_ablate_runs_all_variants(tmp_path, tiny_config, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags, message", [*non_finite("--det-threshold"), case("--det-threshold=2", "--det-threshold must lie in [0, 1]")]
+    "flags, message",
+    [*non_finite("--det-threshold"), case("--det-threshold=2", "--det-threshold must lie in [0, 1], got 2.0")],
 )
 def test_ablate_checks_det_threshold_before_building_the_scene(tmp_path, monkeypatch, capsys, flags, message):
     ablate_refuses(tmp_path, monkeypatch, capsys, flags, message)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import batch_bits, detections
 from idtrack.affinity import nms
-from idtrack.geometry import BBox, Detection, Detections, IdBoxes, IdStream, _box_fault, _good_boxes, _row_norms, to_corner
+from idtrack.geometry import BBox, Detection, Detections, IdStream, _box_fault, _good_boxes, _row_norms, to_corner
 from idtrack.mot_io import _centred
 
 
@@ -73,9 +73,9 @@ def test_a_bbox_is_not_bounded_but_a_batch_is():
     far = BBox(1e200, 0.0, 2.0, 1e-170)
     assert _box_fault(far.cx, far.cy, far.w, far.h) == "box cx must be at most 1e+08 in magnitude, got 1e+200"
     with pytest.raises(ValueError, match=r"row 1: box cx must be at most 1e\+08"):
-        IdBoxes.pack([(1, BBox(0.0, 0.0, 2.0, 2.0)), (2, far)])
+        IdStream.pack({1: [(1, BBox(0.0, 0.0, 2.0, 2.0)), (2, far)]})
     edge = BBox(-1e8, 1e8, 1e8, 6e-7)
-    assert IdBoxes.pack([(1, edge)]).boxes.tolist() == [[-1e8, 1e8, 1e8, 6e-7]]
+    assert IdStream.pack({1: [(1, edge)]}).boxes.tolist() == [[-1e8, 1e8, 1e8, 6e-7]]
 
 
 def test_hand_built_rows_are_checked_by_the_batch():
@@ -207,38 +207,6 @@ def test_missing_embedding_names_the_first_row_of_a_batch_without_them():
     assert Detections([[0, 0, 1, 1]], [0.5], unit_rows(1)).missing_embedding() is None
 
 
-@pytest.mark.parametrize(
-    ("change", "message"),
-    [
-        ({"boxes": [[0, 0, 2, 2], [0, 0, 0, 2]]}, r"row 1: BBox needs positive size, got w=0.0, h=2.0"),
-        ({"boxes": [[float("inf"), 0, 2, 2], [0, 0, 2, 2]]}, r"row 0: BBox.cx must be finite, got inf"),
-        ({"boxes": [[0, 0, 1e200, 1e200], [0, 0, 2, 2]]}, r"row 0: box w must be at most 1e\+08 in magnitude"),
-        ({"boxes": [[0, 0, 2, 2], [0, 0, 1e-170, 1e-170]]}, r"row 1: box sides must be at least 6e-07"),
-        ({"boxes": [[0, 0, 2, 2]]}, r"boxes must have shape \(2, 4\)"),
-        ({"confidence": [0.5, float("nan")]}, r"row 1: confidence must be finite, got nan"),
-        ({"confidence": [0.5]}, r"confidence must have shape \(2,\)"),
-        ({"ids": [1.0, 2.0]}, "ids must be integers"),
-    ],
-)
-def test_id_boxes_check_every_row_and_name_the_first_bad_one(change, message):
-    values = {"ids": [3, 1], "boxes": [[0, 0, 2, 2], [5, 5, 2, 2]], "confidence": [0.5, 0.9], **change}
-    with pytest.raises(ValueError, match=message):
-        IdBoxes(**values)
-
-
-def test_id_boxes_iterate_as_id_box_pairs_and_pack_both_row_forms():
-    batch = IdBoxes([3, 1], [[0, 0, 2, 2], [5, 5, 2, 2]])
-    assert batch.ids.dtype == np.int64 and batch.confidence.tolist() == [1.0, 1.0]
-    assert list(batch) == [(3, BBox(0, 0, 2, 2)), (1, BBox(5, 5, 2, 2))]
-    assert all(type(i) is int for i, _ in batch)
-    assert IdBoxes.pack(batch) is batch
-    scored = IdBoxes.pack([(3, BBox(0, 0, 2, 2), 0.25), (1, BBox(5, 5, 2, 2), 0.75)])
-    assert scored.ids.tolist() == [3, 1] and scored.confidence.tolist() == [0.25, 0.75]
-    assert IdBoxes.pack(list(batch)).boxes.tolist() == batch.boxes.tolist()
-    empty = IdBoxes.pack([])
-    assert len(empty) == 0 and empty.boxes.shape == (0, 4) and list(empty) == []
-
-
 def test_an_id_stream_holds_columns_and_packs_a_mapping_of_frames():
     stream = IdStream([4, 2, 4, 9], [3, 1, 5, 3], [[0, 0, 2, 2], [5, 5, 2, 2], [9, 9, 2, 2], [1, 1, 4, 4]], [0.5, 1, 1, 0.25])
     assert stream.frames.dtype == stream.ids.dtype == np.int64 and stream.confidence.tolist() == [0.5, 1, 1, 0.25]
@@ -247,11 +215,15 @@ def test_an_id_stream_holds_columns_and_packs_a_mapping_of_frames():
     assert kept.frames.tolist() == [4, 2, 4] and kept.ids.tolist() == [3, 1, 5] and kept.boxes.shape == (3, 4)
     assert stream.take([3, 0]).frames.tolist() == [9, 4] and stream.take([3, 0]).confidence.tolist() == [0.25, 0.5]
     assert IdStream.pack(stream) is stream
-    packed = IdStream.pack({7: [(2, BBox(0, 0, 2, 2), 0.5)], 3: [], 1: IdBoxes([6, 5], [[0, 0, 1, 1], [3, 3, 1, 1]])})
+    packed = IdStream.pack({7: [(2, BBox(0, 0, 2, 2), 0.5)], 3: [], 1: [(6, BBox(0, 0, 1, 1)), (5, BBox(3, 3, 1, 1))]})
+    assert packed.frames.dtype == packed.ids.dtype == np.int64
     assert packed.frames.tolist() == [7, 1, 1] and packed.ids.tolist() == [2, 6, 5]
     assert packed.confidence.tolist() == [0.5, 1.0, 1.0] and packed.boxes.shape == (3, 4)
     empty = IdStream.pack({})
     assert (empty.frames.shape, empty.ids.shape, empty.boxes.shape, empty.confidence.shape) == ((0,), (0,), (0, 4), (0,))
+    # Unsigned columns up to the largest int64 are taken as they are.
+    widest = IdStream(np.array([1], np.uint64), np.array([2**63 - 1], np.uint64), [[5, 5, 2, 2]])
+    assert widest.ids.dtype == np.int64 and widest.ids.tolist() == [2**63 - 1]
 
 
 @pytest.mark.parametrize(
@@ -259,11 +231,21 @@ def test_an_id_stream_holds_columns_and_packs_a_mapping_of_frames():
     [
         ({"frames": [1.0, 2.0]}, r"frames must be 2 integers, got shape \(2,\) of dtype float64"),
         ({"frames": [1]}, r"frames must be 2 integers, got shape \(1,\) of dtype int64"),
+        ({"ids": [1.0, 2.0]}, "ids must be integers"),
+        # int64 would wrap these to -1 and to a negative id, and evaluate would score them.
+        ({"frames": np.array([2**64 - 1, 1], np.uint64)},
+         r"row 0: frame must be at most 2\*\*63 - 1, got 18446744073709551615"),
+        ({"ids": np.array([3, 2**63 + 5], np.uint64)}, r"row 1: id must be at most 2\*\*63 - 1, got 9223372036854775813"),
         ({"boxes": [[0, 0, 2, 2], [0, 0, 0, 2]]}, r"row 1: BBox needs positive size, got w=0.0, h=2.0"),
+        ({"boxes": [[float("inf"), 0, 2, 2], [0, 0, 2, 2]]}, r"row 0: BBox.cx must be finite, got inf"),
+        ({"boxes": [[0, 0, 1e200, 1e200], [0, 0, 2, 2]]}, r"row 0: box w must be at most 1e\+08 in magnitude"),
+        ({"boxes": [[0, 0, 2, 2], [0, 0, 1e-170, 1e-170]]}, r"row 1: box sides must be at least 6e-07"),
+        ({"boxes": [[0, 0, 2, 2]]}, r"boxes must have shape \(2, 4\)"),
         ({"confidence": [0.5, float("nan")]}, r"row 1: confidence must be finite, got nan"),
+        ({"confidence": [0.5]}, r"confidence must have shape \(2,\)"),
     ],
 )
-def test_an_id_stream_checks_its_rows_as_a_batch_does(change, message):
+def test_an_id_stream_checks_every_row_and_names_the_first_bad_one(change, message):
     values = {"frames": [1, 1], "ids": [3, 1], "boxes": [[0, 0, 2, 2], [5, 5, 2, 2]], "confidence": [0.5, 0.9], **change}
     with pytest.raises(ValueError, match=message):
         IdStream(**values)

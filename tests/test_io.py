@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from idtrack import mot_io
 from idtrack.affinity import AffinityWeights
 from helpers import by_frame, detections, track_outputs
-from idtrack.geometry import MIN_SIDE, BBox, Detections, IdBoxes, IdStream, to_corner
+from idtrack.geometry import MIN_SIDE, BBox, Detections, IdStream, to_corner
 from idtrack.mot_io import (
     load_detections,
     read_config,
@@ -75,13 +75,30 @@ def test_gt_round_trip(tmp_path):
     gt, _ = generate(SimConfig(seed=3, num_identities=4, frames=12))
     p = tmp_path / "gt.txt"
     write_gt(p, gt)
-    back = by_frame(read_gt(p))
+    back, gt = by_frame(read_gt(p)), by_frame(gt)
     assert sorted(back) == sorted(gt)
     for f in gt:
-        assert [i for i, _ in back[f]] == [i for i, _ in gt[f]]
-        for (_, b1), (_, b2) in zip(back[f], gt[f]):
+        assert [i for i, _, _ in back[f]] == [i for i, _, _ in gt[f]]
+        for (_, b1, _), (_, b2, _) in zip(back[f], gt[f]):
             assert b1.cx == pytest.approx(b2.cx, abs=1e-5)
             assert b1.w == pytest.approx(b2.w, abs=1e-5)
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+def test_read_gt_of_a_generated_ground_truth_is_its_stream(tmp_path, stride):
+    # Sorted by (frame, id), the file reads back as the stream that generate
+    # returned, column for column and bit for bit: its frames, ids and
+    # confidences as they are, and its boxes as their six-decimal "%" fields
+    # rebuild them.
+    gt, _ = generate(SimConfig(seed=3, num_identities=4, frames=30, frame_stride=stride))
+    write_gt(tmp_path / "gt.txt", gt)
+    order = np.lexsort((gt.ids, gt.frames))
+    corners = [to_corner(BBox(*box)) for box in gt.boxes[order].tolist()]
+    fields = np.array([[float("%.6f" % v) for v in (x0, y0, x1 - x0, y1 - y0)] for x0, y0, x1, y1 in corners])
+    written = IdStream(gt.frames[order], gt.ids[order], mot_io._centred(*fields.T), gt.confidence[order])
+    back = read_gt(tmp_path / "gt.txt")
+    assert back.frames.tolist() == [f for f in range(1, (30 - 1) // stride + 2) for _ in range(4)]
+    assert bits(back) == bits(written)
 
 
 def test_written_files_are_parse_stable(tmp_path):
@@ -250,7 +267,7 @@ def test_write_results_skips_interpolated_by_default(tmp_path):
 
     assert write_results(p, hypotheses(outputs, interpolated=True)) == 3
     assert len(p.read_text().splitlines()) == 3
-    assert write_results(p, {}) == 0
+    assert write_results(p, IdStream([], [], [])) == 0
     assert p.read_text() == ""
 
 
@@ -268,7 +285,7 @@ def test_the_smallest_sides_at_the_edge_of_the_box_domain_are_read_back(tmp_path
     centres = [-1e8, 1e8 - 1.0, 1.0 - 1e8, 5e7 + 0.123, 99e6 + 0.77, 123456.789]
     boxes = [[c, c, MIN_SIDE, MIN_SIDE] for c in centres]
     boxes += [[1e8, 1e8, 1e-6, 1e-6], [1e8, -1e8, 1e-6, MIN_SIDE], [0.5, -0.5, 1.4e-6, 9e7]]
-    write_gt(tmp_path / "gt.txt", {1: IdBoxes(np.arange(1, len(boxes) + 1), boxes)})
+    write_gt(tmp_path / "gt.txt", IdStream(np.ones(len(boxes), np.int64), np.arange(1, len(boxes) + 1), boxes))
     write_detections(tmp_path / "dets.txt", {1: Detections(boxes, np.full(len(boxes), 0.5))})
     for back in (read_gt(tmp_path / "gt.txt").boxes, read_detections(tmp_path / "dets.txt")[1].boxes):
         assert (back[:, 2:] > 0.97e-6).all() and (back[:, 2:] < 1.03e-6).sum() == 2 * len(centres) + 5
@@ -290,7 +307,7 @@ def test_a_results_file_is_written_back_byte_for_byte(tmp_path):
 
 def test_a_gt_stream_is_written_sorted_by_frame_then_id(tmp_path):
     box = [[5.0, 5.0, 2.0, 2.0]] * 3
-    stream = {4: IdBoxes([9, 2, 5], box, [0.5, 0.25, 1.0]), 1: IdBoxes([3], box[:1])}
+    stream = IdStream([4, 4, 4, 1], [9, 2, 5, 3], box + box[:1], [0.5, 0.25, 1.0, 1.0])
     p = tmp_path / "gt.txt"
     assert write_gt(p, stream) == 4
     rows = [line.split(",") for line in p.read_text().splitlines()]
@@ -300,21 +317,23 @@ def test_a_gt_stream_is_written_sorted_by_frame_then_id(tmp_path):
 
 BOX = BBox(5.0, 5.0, 2.0, 2.0)
 WRITER_CHECKS = [
-    (write_gt, {2: [(1, BOX)], 0: [(1, BOX)]}, "frame indices are 1-based, got 0"),
-    (write_gt, {1: [(1, BOX)], 3: [(2, BOX), (0, BOX)]}, "object ids must be >= 1, got 0"),
-    (write_gt, {1: [(4, BOX)], 2: [(4, BOX), (5, BOX), (4, BOX)]}, "repeated id 4 in frame 2"),
+    (write_gt, IdStream.pack({2: [(1, BOX)], 0: [(1, BOX)]}), "frame indices are 1-based, got 0"),
+    (write_gt, IdStream.pack({1: [(1, BOX)], 3: [(2, BOX), (0, BOX)]}), "object ids must be >= 1, got 0"),
+    (write_gt, IdStream.pack({1: [(4, BOX)], 2: [(4, BOX), (5, BOX), (4, BOX)]}), "repeated id 4 in frame 2"),
     (write_detections, {1: Detections([(5.0, 5.0, 2.0, 2.0)], [0.5]), -3: Detections([], [])},
      "frame indices are 1-based, got -3"),
-    (write_results, {2: [(1, BOX, 0.5)], 0: [(1, BOX, 0.5)]}, "frame indices are 1-based, got 0"),
+    (write_results, IdStream.pack({2: [(1, BOX, 0.5)], 0: [(1, BOX, 0.5)]}), "frame indices are 1-based, got 0"),
     (write_embeddings, {0: Detections([(5.0, 5.0, 2.0, 2.0)], [0.5], [[0.6, 0.8]])},
      "frame indices are 1-based, got 0"),
     (write_embeddings, {1: Detections([(5.0, 5.0, 2.0, 2.0)], [0.5], [[0.6, 0.8]]), -3: Detections([], [])},
      "frame indices are 1-based, got -3"),
-    (write_results, {3: [(2, BOX, 0.5), (2, BOX, 0.4)]}, "repeated id 2 in frame 3"),
-    (write_results, {1: [(1, BOX, 0.5)], 2: [(1, BOX, math.nan)]}, "confidence must be finite, got nan"),
+    (write_results, IdStream.pack({3: [(2, BOX, 0.5), (2, BOX, 0.4)]}), "repeated id 2 in frame 3"),
+    # The constructor refuses a NaN confidence too; the writer's own rule is held to it past that check.
+    (write_results, IdStream._checked(np.array([1, 2]), np.array([1, 1]), np.array([[5.0, 5.0, 2.0, 2.0]] * 2),
+                                      np.array([0.5, math.nan])), "confidence must be finite, got nan"),
     # In the box domain, but its corners round to six decimals so that the
     # centre that the reader rebuilds lands past 1e8.
-    (write_gt, {1: IdBoxes([1], [(1e8, 1e8, 6e-7, 6e-7)])},
+    (write_gt, IdStream([1], [1], [(1e8, 1e8, 6e-7, 6e-7)]),
      "as written to six decimals, box cx must be at most 1e+08 in magnitude, got 100000000.0000005"),
     (write_detections, {1: Detections([(1e8, 1e8, 6e-7, 6e-7)], [0.5])},
      "as written to six decimals, box cx must be at most 1e+08 in magnitude, got 100000000.0000005"),
@@ -348,7 +367,7 @@ def test_property_the_mot_writers_refuse_what_their_reader_refuses(tmp_path_fact
         readable = True
     except ValueError:
         readable = False
-    for write, stream in ((write_gt, {1: IdBoxes._checked(np.ones(1, np.int64), one, np.ones(1))}),
+    for write, stream in ((write_gt, IdStream._checked(np.ones(1, np.int64), np.ones(1, np.int64), one, np.ones(1))),
                           (write_detections, {1: Detections._checked(one, np.full(1, 0.5))})):
         try:
             write(path, stream)
@@ -820,7 +839,7 @@ def test_a_generated_scene_is_written_without_percent_format(tmp_path):
         write_detections(tmp_path / "dets.txt", dets)
         assert write_results(tmp_path / "hyp.txt", hypotheses(outputs)) > 0
     assert CountingLine.calls == 0
-    assert sum(map(len, gt.values())) == len((tmp_path / "gt.txt").read_text().splitlines())
+    assert len(gt.ids) == len((tmp_path / "gt.txt").read_text().splitlines())
 
 
 # Parser property: every sidecar is read the same by the bulk path and by the
@@ -896,8 +915,6 @@ def bits(value):
     if isinstance(value, Detections):
         columns = ("boxes", "confidence", "embeddings", "predictions", "predicted")
         return ("Detections", *(bits(getattr(value, name)) for name in columns))
-    if isinstance(value, IdBoxes):
-        return ("IdBoxes", bits(value.ids), bits(value.boxes), bits(value.confidence))
     if isinstance(value, IdStream):
         return ("IdStream", *(bits(getattr(value, name)) for name in ("frames", "ids", "boxes", "confidence")))
     if isinstance(value, Mapping):
@@ -922,7 +939,7 @@ def float_arrays(value) -> list[np.ndarray]:
         return [value] if value.dtype.kind == "f" else []
     if isinstance(value, Detections):
         value = [value.boxes, value.confidence, value.embeddings, value.predictions]
-    elif isinstance(value, IdBoxes):
+    elif isinstance(value, IdStream):
         value = [value.boxes, value.confidence]
     elif isinstance(value, Mapping):
         value = list(value.values())

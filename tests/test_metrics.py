@@ -7,7 +7,7 @@ from helpers import by_frame, iou_matrix
 from idtrack import mot_io
 from idtrack.affinity import iou
 from idtrack.assignment import solve_max
-from idtrack.geometry import BBox, IdBoxes, IdStream, _box_rows
+from idtrack.geometry import BBox, IdStream, _box_rows
 from idtrack.metrics import (
     DEFAULT_SWEEP_THRESHOLDS,
     ML_CUTOFF,
@@ -380,10 +380,6 @@ def scored_streams(draw):
     return gt, hyp
 
 
-def batches(stream):
-    return {f: IdBoxes.pack(rows) for f, rows in stream.items()}
-
-
 def outcome(score, *args):
     try:
         return score(*args)
@@ -395,18 +391,20 @@ def outcome(score, *args):
 @given(scored_streams(), st.floats(0.3, 1.0), st.sampled_from([1, 1, 2, 3]))
 def test_property_evaluate_and_sweep_match_the_reference(streams, gate, stride):
     gt, scored = streams
-    if stride > 1:  # a last kept frame that a stream lacks comes back as []
+    packed = IdStream.pack(gt), IdStream.pack(scored)
+    if stride > 1:  # a last kept frame that a list stream lacks comes back as []; a stream keeps rows
         gt, scored = subsample(gt, stride), subsample(scored, stride)
+        packed = tuple(subsample(stream, stride) for stream in packed)
     hyp = {f: [(hid, box) for hid, box, _ in rows] for f, rows in scored.items()}
     expected = outcome(reference_evaluate, gt, hyp, gate)
     assert outcome(evaluate, gt, hyp, gate) == expected
-    assert outcome(evaluate, batches(gt), batches(hyp), gate) == expected
-    assert outcome(evaluate, batches(gt), hyp, gate) == expected
+    assert outcome(evaluate, *packed, gate) == expected
+    assert outcome(evaluate, packed[0], hyp, gate) == expected
 
     thresholds = (0.2, 0.5, 0.8)
     expected = outcome(reference_sweep, gt, scored, thresholds, gate)
     assert outcome(sweep_thresholds, gt, scored, thresholds, gate) == expected
-    assert outcome(sweep_thresholds, batches(gt), batches(scored), thresholds, gate) == expected
+    assert outcome(sweep_thresholds, *packed, thresholds, gate) == expected
 
 
 def id_stream(stream, order):
@@ -419,10 +417,9 @@ def id_stream(stream, order):
                     [r[3] if len(r) > 3 else 1.0 for r in rows])
 
 
-def as_lists(stream, scored=False):
-    """An ``IdStream``'s frames as ``(id, box)`` lists, or ``(id, box, score)``."""
-    return {f: [(i, b, c) if scored else (i, b) for (i, b), c in zip(batch, batch.confidence.tolist())]
-            for f, batch in by_frame(stream).items()}
+def as_lists(stream):
+    """An ``IdStream``'s frames as ``(id, box)`` lists (``by_frame`` keeps the scores)."""
+    return {f: [(i, b) for i, b, _ in rows] for f, rows in by_frame(stream).items()}
 
 
 def written(path, stream):
@@ -458,13 +455,13 @@ def test_property_a_stream_scores_as_its_frames_its_lists_and_the_reference(tmp_
             assert outcome(evaluate, gt, hyp, gate) == expected
 
     thresholds = (0.2, 0.5, 0.8)
-    expected = outcome(reference_sweep, as_lists(g), as_lists(s, scored=True), thresholds, gate)
-    for gt, hyp in [(g, s), (by_frame(g), by_frame(s)), (g, as_lists(s, scored=True)), (gt_lists, s), (g, scored_lists)]:
+    expected = outcome(reference_sweep, as_lists(g), by_frame(s), thresholds, gate)
+    for gt, hyp in [(g, s), (by_frame(g), by_frame(s)), (g, by_frame(s)), (gt_lists, s), (g, scored_lists)]:
         assert outcome(sweep_thresholds, gt, hyp, thresholds, gate) == expected
 
     out = tmp_path_factory.mktemp("written")
     for stream in (g, s):
-        assert written(out / "stream.txt", stream) == written(out / "frames.txt", by_frame(stream))
+        assert written(out / "stream.txt", stream) == written(out / "frames.txt", IdStream.pack(by_frame(stream)))
 
 
 @pytest.mark.parametrize(
@@ -478,7 +475,7 @@ def test_a_repeated_id_raises_what_the_reference_raises(gt_frame, hyp_frame):
     hyp[hyp_frame] = hyp[hyp_frame] + [(9, FAR)]
     with pytest.raises(ValueError) as expected:
         reference_evaluate(gt, hyp)
-    for form in (lambda s: s, batches):
+    for form in (lambda s: s, IdStream.pack):
         with pytest.raises(ValueError) as got:
             evaluate(form(gt), form(hyp))
         assert str(got.value) == str(expected.value)
@@ -492,4 +489,4 @@ def test_two_gt_ids_claiming_one_hypothesis_leave_it_to_the_lower_id():
     expected = reference_evaluate(gt, hyp)
     assert (expected.frag, expected.fn, expected.ids) == (0, 1, 0)
     assert evaluate(gt, hyp) == expected
-    assert evaluate(batches(gt), batches(hyp)) == expected
+    assert evaluate(IdStream.pack(gt), IdStream.pack(hyp)) == expected

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import batch_bits, detections
+from helpers import batch_bits, by_frame, detections
 from idtrack import sim
-from idtrack.geometry import BOX_LIMIT, MIN_SIDE, BBox, Detections, IdBoxes, _good_boxes
+from idtrack.geometry import BOX_LIMIT, MIN_SIDE, BBox, Detections, IdStream, _good_boxes
 from idtrack.sim import SimConfig, benchmark_config, config_from_mapping, generate, subsample
 
 
@@ -36,7 +36,8 @@ def _reference_bounce(p, v, lo, hi):
 def reference_generate(config):
     """The earlier ``generate``, kept as the oracle for the draw order.
 
-    It builds every source frame's objects with numpy-scalar motion state and
+    It builds every source frame's objects with numpy-scalar motion state,
+    packs the ground truth's ``(id, BBox)`` lists into one stream and
     subsamples afterwards; ``generate`` must return the same scene bit for bit.
     """
     rng = np.random.Generator(np.random.Philox(config.seed))
@@ -112,6 +113,7 @@ def reference_generate(config):
         gt[t] = gt_frame
         dets[t] = detections(det_frame)
 
+    gt = IdStream.pack(gt)
     if config.frame_stride > 1:
         gt = subsample(gt, config.frame_stride)
         dets = subsample(dets, config.frame_stride)
@@ -119,11 +121,12 @@ def reference_generate(config):
 
 
 def scene_bits(gt, dets):
-    """A scene as raw float64 bytes, so that equality is bit for bit (0.0 != -0.0)."""
-    gt_rows = [(f, i, b.cx, b.cy, b.w, b.h) for f in gt for i, b in gt[f]]
+    """A scene as raw bytes, so that equality is bit for bit (0.0 != -0.0):
+    each ground-truth column with its dtype and shape, and the detections."""
+    gt_columns = [(a.dtype.str, a.shape, a.tobytes()) for a in (gt.frames, gt.ids, gt.boxes, gt.confidence)]
     det_rows = [(f, d.confidence, d.box.cx, d.box.cy, d.box.w, d.box.h) for f in dets for d in dets[f]]
     embeddings = [d.embedding.tobytes() for f in dets for d in dets[f]]
-    return list(gt), np.array(gt_rows).tobytes(), list(dets), np.array(det_rows).tobytes(), embeddings
+    return gt_columns, list(dets), np.array(det_rows).tobytes(), embeddings
 
 
 @st.composite
@@ -187,7 +190,7 @@ def test_same_seed_reproduces_bit_for_bit():
 def test_different_seeds_differ():
     cfg = SimConfig(seed=1, num_identities=5, frames=10)
     other = SimConfig(seed=2, num_identities=5, frames=10)
-    assert generate(cfg)[0] != generate(other)[0]
+    assert generate(cfg)[0].boxes.tobytes() != generate(other)[0].boxes.tobytes()
 
 
 def test_zero_noise_detections_equal_ground_truth():
@@ -202,9 +205,9 @@ def test_zero_noise_detections_equal_ground_truth():
         embedding_noise=0.0,
     )
     gt, dets = generate(cfg)
-    for f in gt:
-        assert len(dets[f]) == len(gt[f]) == 4
-        for (gid, gbox), det in zip(gt[f], dets[f]):
+    for f, rows in by_frame(gt).items():
+        assert len(dets[f]) == len(rows) == 4
+        for (gid, gbox, _), det in zip(rows, dets[f]):
             assert det.box == gbox
             assert 0.55 <= det.confidence <= 0.99
             assert det.prediction is None
@@ -213,18 +216,16 @@ def test_zero_noise_detections_equal_ground_truth():
 def test_boxes_stay_inside_the_arena():
     cfg = SimConfig(seed=9, num_identities=8, frames=200, arena=(300.0, 200.0), speed_range=(3.0, 8.0))
     gt, _ = generate(cfg)
-    for f, entries in gt.items():
-        for _, b in entries:
-            assert b.cx - b.w / 2 >= -1e-9 and b.cx + b.w / 2 <= 300.0 + 1e-9
-            assert b.cy - b.h / 2 >= -1e-9 and b.cy + b.h / 2 <= 200.0 + 1e-9
+    cx, cy, w, h = gt.boxes.T
+    assert (cx - w / 2 >= -1e-9).all() and (cx + w / 2 <= 300.0 + 1e-9).all()
+    assert (cy - h / 2 >= -1e-9).all() and (cy + h / 2 <= 200.0 + 1e-9).all()
 
 
 def test_every_identity_present_every_frame():
     cfg = SimConfig(seed=13, num_identities=6, frames=25)
     gt, _ = generate(cfg)
-    assert sorted(gt) == list(range(1, 26))
-    for entries in gt.values():
-        assert sorted(i for i, _ in entries) == [1, 2, 3, 4, 5, 6]
+    assert gt.frames.tolist() == [f for f in range(1, 26) for _ in range(6)]
+    assert gt.ids.tolist() == [1, 2, 3, 4, 5, 6] * 25 and gt.confidence.tolist() == [1.0] * 150
 
 
 def test_occlusions_suppress_detections():
@@ -241,7 +242,7 @@ def test_occlusions_suppress_detections():
 def test_stride_arithmetic():
     cfg = SimConfig(seed=3, num_identities=3, frames=250, frame_stride=10)
     gt, dets = generate(cfg)
-    assert sorted(gt) == list(range(1, 26))
+    assert np.unique(gt.frames).tolist() == list(range(1, 26))
     assert sorted(dets) == list(range(1, 26))
 
 
@@ -279,7 +280,7 @@ def test_a_negative_zero_draw_changes_no_bit(monkeypatch, stride):
         seen = 0
         for frame, batch in dets.items():  # the zeros reached the box noise: each x and w is a true one
             rows = batch.boxes[batch.confidence >= 0.55][:, [0, 2]]  # false positives score below 0.55
-            assert set(map(tuple, rows.tolist())) <= set(map(tuple, gt[frame].boxes[:, [0, 2]].tolist()))
+            assert set(map(tuple, rows.tolist())) <= set(map(tuple, gt.boxes[gt.frames == frame][:, [0, 2]].tolist()))
             seen += len(rows)
         assert seen > 0
         scenes.append(scene_bits(gt, dets))
@@ -290,10 +291,16 @@ def test_subsample_drops_and_reindexes():
     cfg = SimConfig(seed=1, num_identities=2, frames=10)
     gt, dets = generate(cfg)
     thin = subsample(gt, 3)
-    assert sorted(thin) == [1, 2, 3, 4]  # original frames 1, 4, 7, 10
-    assert thin[2] == gt[4]
-    assert thin[4] == gt[10]
-    # Only the keys change: each kept frame's batch is the same object.
+    assert thin.frames.tolist() == [1, 1, 2, 2, 3, 3, 4, 4]  # original frames 1, 4, 7, 10
+    assert thin.ids.tolist() == [1, 2] * 4 and thin.confidence.tolist() == [1.0] * 8
+    assert thin.boxes[thin.frames == 2].tolist() == gt.boxes[gt.frames == 4].tolist()
+    assert thin.boxes[thin.frames == 4].tolist() == gt.boxes[gt.frames == 10].tolist()
+    # A stream keeps its kept rows in their order, frames below 1 dropped.
+    box = [[5.0, 5.0, 2.0, 2.0]]
+    mixed = subsample(IdStream([7, 1, 0, 4, -2, 10, 6], [1, 2, 3, 4, 5, 6, 7], box * 7, [1, 2, 3, 4, 5, 6, 7]), 3)
+    assert mixed.frames.tolist() == [3, 1, 2, 4] and mixed.ids.tolist() == [1, 2, 4, 6]
+    assert mixed.confidence.tolist() == [1.0, 2.0, 4.0, 6.0] and mixed.boxes.tolist() == box * 4
+    # Of a detection stream only the keys change: each kept frame's batch is the same object.
     thin_dets = subsample(dets, 3)
     assert thin_dets[3] is dets[7]
     # A kept frame the stream lacks stays out, except the last one.
@@ -325,8 +332,9 @@ def test_embeddings_are_unit_norm_and_separated():
     gt, dets = generate(cfg)
     by_id = {}
     for f in dets:
-        assert len(dets[f]) == len(gt[f])
-        for (gid, _), det in zip(gt[f], dets[f]):
+        ids = gt.ids[gt.frames == f].tolist()
+        assert len(dets[f]) == len(ids)
+        for gid, det in zip(ids, dets[f]):
             assert abs(np.linalg.norm(det.embedding) - 1.0) < 1e-9
             by_id.setdefault(gid, []).append(det.embedding)
 
@@ -381,9 +389,19 @@ def test_config_validation():
         ("center_noise", "nan", "center_noise must be finite"),
         ("turn_prob", "nan", "turn_prob must be finite"),
         ("miss_rate", "nan", "miss_rate must be finite"),
-        ("turn_prob", "5", "turn_prob must lie in [0, 1]"),
-        ("miss_rate", "1.5", "miss_rate must lie in [0, 1]"),
-        ("miss_rate", "-0.1", "miss_rate must lie in [0, 1]"),
+        ("turn_prob", "5", "turn_prob must lie in [0, 1], got 5.0"),
+        ("miss_rate", "1.5", "miss_rate must lie in [0, 1], got 1.5"),
+        ("miss_rate", "-0.1", "miss_rate must lie in [0, 1], got -0.1"),
+        ("num_identities", "0", "num_identities must be >= 1, got 0"),
+        ("frames", "0", "frames must be >= 1, got 0"),
+        ("frame_stride", "0", "frame_stride must be >= 1, got 0"),
+        ("embedding_dim", "1", "embedding_dim must be >= 2, got 1"),
+        ("speed_range", "3,2", "speed_range must satisfy 0 <= lo <= hi, got (3.0, 2.0)"),
+        ("box_size_range", "50,20", "box_size_range must satisfy 0 <= lo <= hi, got (50.0, 20.0)"),
+        ("arena", "60,60", "box_size_range must stay below min(arena) = 60, got (30.0, 70.0)"),
+        ("occlusion_duration", "0,5", "occlusion_duration must satisfy 1 <= lo <= hi, got (0, 5)"),
+        ("center_noise", "-1", "center_noise must be >= 0, got -1.0"),
+        ("fp_rate", "-0.5", "fp_rate must be >= 0, got -0.5"),
         # Used to spin _bounce forever: two reflections move a position by
         # 2 * (hi - lo), which 1e300 absorbs.
         ("speed_range", "1e300,1e300", "speed_range must stay below min(arena) - box_size_range[1] = 650"),
@@ -429,8 +447,9 @@ def test_config_accepts_the_benchmark_workloads():
 
 @pytest.mark.parametrize("workload, frames", [("stock", 200), ("lowfps", 1000)])
 def test_generate_peaks_below_twice_the_arrays_it_returns(workload, frames):
-    # Batches are built frame by frame; a generator that held the whole
-    # stream's draws before building any batch peaks at 2.7 and 2.9 times.
+    # Batches are built frame by frame and the ground truth fills one array;
+    # a generator that held the whole stream's draws before building any
+    # batch peaks at 2.7 and 2.9 times. Each ground-truth column counts once.
     cfg = replace(_workload_config(workload), seed=7, frames=frames)
     tracemalloc.start()
     try:
@@ -438,7 +457,7 @@ def test_generate_peaks_below_twice_the_arrays_it_returns(workload, frames):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    returned = sum(a.nbytes for batch in gt.values() for a in (batch.ids, batch.boxes, batch.confidence))
+    returned = sum(a.nbytes for a in (gt.frames, gt.ids, gt.boxes, gt.confidence))
     returned += sum(a.nbytes for batch in dets.values() for a in (batch.boxes, batch.confidence, batch.embeddings))
     assert peak < 2 * returned
 
@@ -448,7 +467,7 @@ def test_generate_builds_batches_without_a_constructor_per_frame(monkeypatch):
     # number of constructor calls does not grow with the frames; a generator
     # that built each kept frame through them made two per frame.
     built = []
-    for cls in (IdBoxes, Detections):
+    for cls in (IdStream, Detections):
         def counting_init(self, *args, _init=cls.__init__, **kwargs):
             built.append(type(self).__name__)
             _init(self, *args, **kwargs)
@@ -460,17 +479,16 @@ def test_generate_builds_batches_without_a_constructor_per_frame(monkeypatch):
         cfg = SimConfig(seed=4, num_identities=3, frames=frames, fp_rate=0.5, miss_rate=0.5, occlusion_events=2)
         gt, dets = generate(cfg)
         counts.append(len(built))
-        # The batches hold what the constructors would have stored: float64
-        # boxes (n, 4) and confidences (n,), int64 ids, in every frame,
-        # empty ones too.
+        # The batches and the stream hold what the constructors would have
+        # stored: float64 boxes (n, 4) and confidences (n,), int64 frames
+        # and ids, in every frame, empty ones too.
         assert any(len(batch) == 0 for batch in dets.values())
         for frame, batch in dets.items():
             rebuilt = Detections(batch.boxes, batch.confidence, batch.embeddings)
             assert batch_bits(batch) == batch_bits(rebuilt), frame
-            truth = gt[frame]
-            rebuilt = IdBoxes(truth.ids, truth.boxes, truth.confidence)
-            assert [(a.dtype, a.shape, a.tobytes()) for a in (truth.ids, truth.boxes, truth.confidence)] == \
-                   [(a.dtype, a.shape, a.tobytes()) for a in (rebuilt.ids, rebuilt.boxes, rebuilt.confidence)]
+        rebuilt = IdStream(gt.frames, gt.ids, gt.boxes, gt.confidence)
+        assert [(a.dtype, a.shape, a.tobytes()) for a in (gt.frames, gt.ids, gt.boxes, gt.confidence)] == \
+               [(a.dtype, a.shape, a.tobytes()) for a in (rebuilt.frames, rebuilt.ids, rebuilt.boxes, rebuilt.confidence)]
     assert counts[0] == counts[1]
 
 
@@ -482,17 +500,19 @@ def test_generate_builds_batches_without_a_constructor_per_frame(monkeypatch):
     ("dets", "embeddings", (2, 0), 9.0, "frame 3: detection 2: embedding must be L2-normalized"),
 ])
 def test_a_block_check_applies_every_batch_rule_and_names_the_frame(stream, column, row, value, message):
-    # generate builds its batches unchecked and checks them a block of frames
+    # generate builds its arrays unchecked and checks them a block of frames
     # at a time; a row that breaks a constructor's rule fails with the frame
-    # and the row.
+    # and the row. The ground truth's true boxes are row frame - 1 of one
+    # array, which the stream's boxes view.
     gt, dets = generate(SimConfig(seed=5, num_identities=4, frames=6, miss_rate=0.0))
-    frames = range(1, 7)
-    sim._check_frames(gt, dets, frames)
+    truth, frames = gt.boxes.reshape(6, 16), range(1, 7)
+    sim._check_frames(truth, dets, frames)
     for frame in (3, 5):  # only the first bad frame is named
-        getattr({"gt": gt, "dets": dets}[stream][frame], column)[row] = value
+        array = truth.reshape(6, 4, 4)[frame - 1] if stream == "gt" else getattr(dets[frame], column)
+        array[row] = value
     with pytest.raises(ValueError, match=re.escape(message)):
-        sim._check_frames(gt, dets, frames)
-    sim._check_frames(gt, dets, range(1, 3))  # a block reads only its own frames
+        sim._check_frames(truth, dets, frames)
+    sim._check_frames(truth, dets, range(1, 3))  # a block reads only its own frames
 
 
 @pytest.mark.parametrize("stride, good_exp_calls, frame", [(1, 0, 1), (1, 8 * 40, 41), (1, 8 * 66, 67), (3, 8 * 66, 67)])
@@ -560,7 +580,7 @@ def test_config_takes_ints_for_numbers():
                     box_size_range=(30, 40), center_noise=1, size_noise=0, miss_rate=0, fp_rate=1, embedding_noise=0,
                     turn_prob=np.float64(0.5))
     gt, dets = generate(cfg)
-    assert sorted(gt) == sorted(dets) == [1, 2, 3, 4, 5]
+    assert np.unique(gt.frames).tolist() == sorted(dets) == [1, 2, 3, 4, 5]
 
 
 def test_config_accepts_probabilities_at_the_bounds():
