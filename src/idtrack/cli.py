@@ -120,7 +120,7 @@ def cmd_track(args) -> int:
         dets = subsample(dets, args.frame_stride)
     outputs = track_stream(dets, config, nms_iou=args.nms_iou)
     written = write_results(args.out, hypotheses(outputs, interpolated=args.write_interpolated))
-    print(f"tracked {max(dets) if dets else 0} frames, wrote {written} boxes to {args.out}")
+    print(f"tracked {dets.last} frames, wrote {written} boxes to {args.out}")
     return 0
 
 
@@ -177,8 +177,7 @@ def cmd_simulate(args) -> int:
     write_gt(out_dir / "gt.txt", gt)
     write_detections(out_dir / "dets.txt", dets)
     write_embeddings(out_dir / "embeddings.txt", dets)
-    n_dets = sum(len(v) for v in dets.values())
-    print(f"seed={config.seed} frames={len(dets)} identities={config.num_identities} detections={n_dets}")
+    print(f"seed={config.seed} frames={dets.last} identities={config.num_identities} detections={len(dets.rows)}")
     print(f"wrote gt.txt, dets.txt, embeddings.txt to {out_dir}")
     return 0
 
@@ -268,8 +267,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_numbers(argv: list[str]) -> list[str]:
+    """``argv`` with ``--flag value`` as ``--flag=value`` where the value starts
+    as a negative number (``-1e-3``, ``-inf``): argparse took it for a flag."""
+    out = []
+    for arg in argv:
+        if out and re.fullmatch(r"--\w[\w-]*", out[-1]) and re.match(r"-(\.?\d|inf|nan)", arg, re.IGNORECASE):
+            out[-1] += f"={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_joined_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:

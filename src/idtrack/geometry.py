@@ -1,32 +1,30 @@
 """Axis-aligned boxes and detections shared by the whole package.
 
 Boxes live in center form (cx, cy, w, h); corner form (left, top, right,
-bottom) only appears at file-format boundaries and inside IoU math. A
-detection carries no frame number: streams are ``{frame: Detections}``
-mappings, and the key is the one place a frame number lives.
+bottom) only appears at file-format boundaries and inside IoU math.
 
-``Detections`` is one frame's detections as columns: an ``(n, 4)`` box
+``Detections`` is a batch of detections as columns: an ``(n, 4)`` box
 array, confidences, optional unit embeddings and optional predicted boxes.
-It is the one stored form of a frame's detections. Producers (the file
-readers and the simulator) build one per frame and consumers (NMS,
-affinity, the tracker, the writers) read its arrays. Iterating a batch
-yields ``Detection`` views, each a batch, a row index and its confidence,
-reading its other values from the arrays; none is kept.
-
-``IdStream`` is ground truth or tracker hypotheses over a whole stream as
-one column set (frames, ids, boxes, confidences), which ``generate``,
-``read_gt`` and ``hypotheses`` return and ``subsample``, ``evaluate``,
-``sweep_thresholds`` and the writers read. ``_check_fields`` is the field
-rule of every config dataclass.
+Iterating a batch yields ``Detection`` views, each a batch, a row index and
+its confidence, reading its other values from the arrays; none is kept.
+``DetectionStream`` is a whole stream's detections, one batch of every row
+beside an ascending frame column, which ``generate`` and the readers return
+and ``subsample``, ``track_stream`` (one frame's slice per step) and the
+writers read. ``IdStream`` is ground truth or tracker hypotheses over a
+whole stream as one column set (frames, ids, boxes, confidences), which
+``generate``, ``read_gt`` and ``hypotheses`` return and ``subsample``,
+``evaluate``, ``sweep_thresholds`` and the writers read. ``_check_fields``
+is the field rule of every config dataclass.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields
 from itertools import repeat
-from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +32,7 @@ __all__ = [
     "BBox",
     "Detection",
     "Detections",
+    "DetectionStream",
     "IdStream",
     "to_corner",
 ]
@@ -161,18 +160,23 @@ def _first_false(ok: np.ndarray) -> int | None:
     return int((~ok).nonzero()[0][0])
 
 
-def _frame_rows(frames: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Each frame with the positions of its rows in order, frames in order
-    of first appearance."""
-    order = np.argsort(frames, kind="stable")
-    keys, first, counts = np.unique(frames, return_index=True, return_counts=True)
-    ends = np.cumsum(counts).tolist()
-    for k in np.argsort(first).tolist():
-        yield int(keys[k]), order[ends[k] - int(counts[k]) : ends[k]]
+def _int_column(values, n: int, name: str) -> np.ndarray:
+    """``values`` as an int64 column, one integer per row of ``n`` that int64
+    holds; an error names the first bad row."""
+    column = np.asarray(values).reshape(-1)
+    if len(column) != n:
+        raise ValueError(f"row {min(len(column), n)}: {name}s has {len(column)} entries for {n} rows")
+    if n and column.dtype.kind not in "iu":
+        raise ValueError(f"row 0: {name}s must be integers, got dtype {column.dtype}")
+    if column.dtype == np.uint64:  # the one integer type with values that int64 would wrap
+        k = _first_false(column <= np.iinfo(np.int64).max)
+        if k is not None:
+            raise ValueError(f"row {k}: {name} must be at most 2**63 - 1, got {column[k]}")
+    return column.astype(np.int64, copy=False)
 
 
 class Detections:
-    """One frame's detections as columns.
+    """Detections as columns, one frame's or a whole stream's.
 
     ``boxes`` is ``(n, 4)`` in center form, ``confidence`` ``(n,)``,
     ``embeddings`` ``(n, D)`` unit rows or None, and ``predictions``
@@ -182,7 +186,7 @@ class Detections:
     and predictions in the box domain (see ``_box_fault``), confidences in
     [0, 1] and embedding norms within ``UNIT_NORM_TOL`` of 1; an error
     names the first bad row. A batch is not modified after it is built;
-    ``take`` makes a new one.
+    ``take`` and ``span`` make a new one.
 
     ``len()`` and iteration work as on a list; each row is a ``Detection``
     view that reads its values from the batch's arrays, made when it is
@@ -254,6 +258,14 @@ class Detections:
             None if self.predicted is None else self.predicted.take(index),
         )
 
+    def span(self, start: int, stop: int) -> "Detections":
+        """Rows ``start`` to ``stop`` as a batch that views this one's arrays."""
+        embeddings, predictions, predicted = self.embeddings, self.predictions, self.predicted
+        return Detections._checked(self.boxes[start:stop], self.confidence[start:stop],
+                                   None if embeddings is None else embeddings[start:stop],
+                                   None if predictions is None else predictions[start:stop],
+                                   None if predicted is None else predicted[start:stop])
+
     def __len__(self) -> int:
         return self.confidence.shape[0]
 
@@ -282,8 +294,8 @@ class Detection:
     ``box`` is a ``BBox``, ``confidence`` a float, ``embedding`` the row of
     the batch's unit embedding matrix or None, and ``prediction``, the box
     where the object is expected in the frame after this detection's, a
-    ``BBox`` or None. A detection does not know its frame; a stream keys its
-    batches by frame. Views compare by identity.
+    ``BBox`` or None. A detection does not know its frame; a stream's frame
+    column holds it. Views compare by identity.
     """
 
     __slots__ = ("batch", "index", "confidence")
@@ -321,17 +333,8 @@ class IdStream:
     __slots__ = ("frames", "ids", "boxes", "confidence")
 
     def __init__(self, frames, ids, boxes, confidence=None):
-        frames, ids = np.asarray(frames).reshape(-1), np.asarray(ids).reshape(-1)
-        n = ids.shape[0]
-        if ids.size and ids.dtype.kind not in "iu":
-            raise ValueError(f"ids must be integers, got dtype {ids.dtype}")
-        if frames.shape != ids.shape or (frames.size and frames.dtype.kind not in "iu"):
-            raise ValueError(f"frames must be {n} integers, got shape {frames.shape} of dtype {frames.dtype}")
-        for name, column in (("frame", frames), ("id", ids)):
-            if column.dtype == np.uint64:  # the one integer type with values that int64 would wrap
-                k = _first_false(column <= np.iinfo(np.int64).max)
-                if k is not None:
-                    raise ValueError(f"row {k}: {name} must be at most 2**63 - 1, got {column[k]}")
+        ids = _int_column(ids, np.size(ids), "id")
+        frames, n = _int_column(frames, len(ids), "frame"), len(ids)
         boxes = _box_array(boxes, n, "boxes")
         k = _first_false(_good_boxes(boxes))
         if k is not None:
@@ -342,8 +345,7 @@ class IdStream:
         k = _first_false(np.isfinite(confidence))
         if k is not None:
             raise ValueError(f"row {k}: confidence must be finite, got {confidence[k]}")
-        self.frames, self.ids = frames.astype(np.int64, copy=False), ids.astype(np.int64, copy=False)
-        self.boxes, self.confidence = boxes, confidence
+        self.frames, self.ids, self.boxes, self.confidence = frames, ids, boxes, confidence
 
     @classmethod
     def _checked(cls, frames, ids, boxes, confidence) -> "IdStream":
@@ -367,3 +369,39 @@ class IdStream:
     def take(self, index) -> "IdStream":
         """The rows that ``index`` (integers or a boolean mask) selects."""
         return IdStream._checked(self.frames[index], self.ids[index], self.boxes[index], self.confidence[index])
+
+
+class DetectionStream(Mapping):
+    """Detections over many frames as columns: ``rows``, one ``Detections``
+    batch of every detection, ``frames`` ``(n,)`` int64 in ascending order
+    (each frame's rows contiguous, in the order of its raw detections), and
+    ``last``, the final frame to step (by default the largest frame, 0 for
+    no rows). The constructor checks the frames: integers of 1 or more, one
+    per row, ascending, none past ``last``; an error names the first bad
+    row. It is also a read-only mapping of the frames 1 to ``last`` to
+    batches that view their rows (``Detections.span``)."""
+
+    __slots__ = ("rows", "frames", "last")
+
+    def __init__(self, rows: Detections, frames, last: int | None = None):
+        frames, n = _int_column(frames, len(rows), "frame"), len(rows)
+        if (k := _first_false(np.diff(frames, prepend=1) >= 0)) is not None:  # a first frame below 1, or a step back
+            after = f"comes after frame {frames[k - 1]}" if k else "is below 1"
+            raise ValueError(f"row {k}: frame {frames[k]} {after}")
+        last = (int(frames[-1]) if n else 0) if last is None else operator.index(last)
+        k = int(frames.searchsorted(last, "right"))
+        if k < n or last < 0:
+            raise ValueError(f"row {k}: frame {frames[k]} is past the last frame, {last}" if k < n
+                             else f"the last frame must be 0 or more, got {last}")
+        self.rows, self.frames, self.last = rows, frames, last
+
+    def __getitem__(self, frame: int) -> Detections:
+        if not (isinstance(frame, numbers.Integral) and 1 <= frame <= self.last):
+            raise KeyError(frame)
+        return self.rows.span(self.frames.searchsorted(frame), self.frames.searchsorted(frame, "right"))
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(1, self.last + 1))
+
+    def __len__(self) -> int:
+        return self.last

@@ -31,17 +31,18 @@ of a norm neither zero nor overflowing (one off 1 by more than
 ``NORM_WARN_TOL`` warns); detections a confidence in [0, 1]; ground truth
 and results an id of 1 or more, a finite confidence and no repeated
 ``(frame, id)``; predictions and the sidecar a ``(frame, det_index)`` that
-names a detection, when the frames' detection counts are given, and never
+names a detection, when the detection stream is given, and never
 repeats. A non-ASCII byte is an error naming its line in every file.
 
-``read_detections`` and ``load_detections`` return one ``Detections``
-batch per frame and build no per-detection object: the sidecar's vectors
-and the predicted boxes join each frame's box and confidence arrays as
-matrices, placed by their ``(frame, index)`` keys. ``read_gt`` returns the
-file's columns as one ``IdStream``, for ground truth and results alike, and
-one writer, ``write_gt`` or ``write_results``, writes such a stream sorted
-by (frame, id), confidences kept. The detection writers take a stream of
-batches.
+``read_detections`` and ``load_detections`` return the file's rows as one
+``DetectionStream``, sorted by frame, and build no per-frame or
+per-detection object: the sidecar's vectors and the predicted boxes join
+the stream's box and confidence columns as matrices, placed by their
+``(frame, index)`` keys. The detection writers read such a stream's
+columns. ``read_gt`` returns the file's columns as one ``IdStream``, for
+ground truth and results alike, and one writer, ``write_gt`` or
+``write_results``, writes such a stream sorted by (frame, id), confidences
+kept.
 
 Every writer streams its rows in chunks across frames: ``_CHUNK_ROWS`` MOT
 rows, or about ``_CHUNK_VALUES`` sidecar values, at a time. Each chunk is
@@ -60,11 +61,11 @@ from __future__ import annotations
 import functools
 import re
 import warnings
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .geometry import Detections, IdStream, _box_fault, _first_false, _frame_rows, _good_boxes, _row_norms
+from .geometry import DetectionStream, Detections, IdStream, _box_fault, _first_false, _good_boxes, _row_norms
 
 __all__ = [
     "read_detections",
@@ -239,13 +240,12 @@ def _id_rules(frames: np.ndarray, ids: np.ndarray, confidence: np.ndarray, requi
     require(_unrepeated(frames, ids), lambda k: f"repeated id {ids[k]} in frame {frames[k]}")
 
 
-def _require_keys(path, frames, keys, det_counts, repeated: str, header: int = 0) -> None:
-    """Given ``det_counts``, each row's key must index one of its frame's
-    detections. No ``(frame, key)`` pair may repeat;
+def _require_keys(path, frames, keys, dets: DetectionStream | None, repeated: str, header: int = 0) -> None:
+    """Given the detection stream ``dets``, each row's key must index one of
+    its frame's detections. No ``(frame, key)`` pair may repeat;
     ``repeated.format(frame, key)`` names the first row that repeats one."""
-    if det_counts is not None:
-        distinct, at = np.unique(frames, return_inverse=True)
-        counts = np.array([det_counts.get(frame, 0) for frame in distinct.tolist()], dtype=np.int64)[at]
+    if dets is not None:
+        counts = dets.frames.searchsorted(frames, "right") - dets.frames.searchsorted(frames)
         _require(path, (keys >= 0) & (keys < counts),
                  lambda k: f"frame {frames[k]} has {counts[k]} detections, no index {keys[k]}", header)
     _require(path, _unrepeated(frames, keys), lambda k: repeated.format(frames[k], keys[k]), header)
@@ -280,13 +280,14 @@ def _centred(left: np.ndarray, top: np.ndarray, w: np.ndarray, h: np.ndarray) ->
         return np.stack([(left + right) / 2.0, (top + bottom) / 2.0, right - left, bottom - top], axis=1)
 
 
-def read_detections(path) -> dict[int, Detections]:
-    """Read a detection file (no embeddings attached): one batch per frame,
-    frames in order of first appearance, rows in file order. Every
-    confidence lies in [0, 1]."""
+def read_detections(path) -> DetectionStream:
+    """Read a detection file (no embeddings attached) as one stream, its
+    rows sorted by frame (stably, so a frame's rows keep their file order).
+    Every confidence lies in [0, 1]."""
     frames, _, boxes, conf = _mot_columns(path)
     _require(path, (conf >= 0.0) & (conf <= 1.0), lambda k: f"confidence must lie in [0, 1], got {conf[k]}")
-    return {frame: Detections._checked(boxes[at], conf[at]) for frame, at in _frame_rows(frames)}
+    order = np.argsort(frames, kind="stable")
+    return DetectionStream(Detections._checked(boxes.take(order, axis=0), conf.take(order)), frames.take(order))
 
 
 def read_gt(path) -> IdStream:
@@ -299,30 +300,23 @@ def read_gt(path) -> IdStream:
     return IdStream._checked(frames, ids, boxes, conf)
 
 
-def read_predictions(path, det_counts: Mapping[int, int]) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Read predicted next-frame boxes; returns ``(keys, boxes)``: the
-    ``(source frame, det index)`` keys in file order and one ``(len(keys),
-    4)`` centre-form array whose row ``k`` is the box of ``keys[k]``.
-
-    ``det_counts`` maps each frame to its number of raw detections; a line
-    whose index names no detection, or whose key repeats, is rejected.
-    """
+def read_predictions(path, dets: DetectionStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read predicted next-frame boxes as ``(frames, index, boxes)`` columns
+    in file order: ``boxes[k]``, centre form, is for detection ``index[k]``
+    of source frame ``frames[k]``, which must be one of the stream ``dets``.
+    A repeated key is rejected."""
     frames, index, boxes, _ = _mot_columns(path)
-    _require_keys(path, frames, index, det_counts, "repeated prediction for frame {} detection {}")
-    return list(zip(frames.tolist(), index.tolist())), boxes
+    _require_keys(path, frames, index, dets, "repeated prediction for frame {} detection {}")
+    return frames, index, boxes
 
 
-def read_embeddings(path, det_counts: Mapping[int, int] | None = None) -> tuple[int, list[tuple[int, int]], np.ndarray]:
-    """Read an embedding sidecar; returns ``(dim, keys, matrix)``: the
-    ``(frame, det_index)`` keys in file order and one ``(len(keys), dim)``
-    array whose row ``k`` is the vector of ``keys[k]``.
-
-    Every frame must be 1 or more. Every vector must be finite, with a norm
-    neither zero nor overflowing, and is re-normalized; a norm off 1 by
-    more than ``NORM_WARN_TOL`` warns.
-    ``det_counts``, when given, maps each frame to its number of raw
-    detections; a line whose index names no detection is then rejected. A
-    repeated key is always rejected.
+def read_embeddings(path, dets: DetectionStream | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read an embedding sidecar as ``(frames, index, matrix)`` columns in
+    file order: ``matrix[k]`` is the vector of detection ``index[k]`` of
+    frame ``frames[k]``. Every frame is 1 or more and every vector finite,
+    of a norm neither zero nor overflowing; it is re-normalized, and a norm
+    off 1 by more than ``NORM_WARN_TOL`` warns. A repeated key is refused,
+    and, given the stream ``dets``, one that names none of its detections.
     """
     frames, indices, matrix = _rows(path)
     _frame_rule(frames, functools.partial(_require, path, header=1))
@@ -331,34 +325,29 @@ def read_embeddings(path, det_counts: Mapping[int, int] | None = None) -> tuple[
     _require(path, np.isfinite(matrix).all(axis=1), lambda k: "embedding has non-finite components", 1)
     _require(path, norms >= 1e-9, lambda k: "zero-norm embedding cannot be normalized", 1)
     _require(path, np.isfinite(norms), lambda k: "embedding norm overflows", 1)
-    _require_keys(path, frames, indices, det_counts, "repeated embedding for frame {} detection {}", 1)
+    _require_keys(path, frames, indices, dets, "repeated embedding for frame {} detection {}", 1)
     far = np.flatnonzero(np.abs(norms - 1.0) > NORM_WARN_TOL).tolist()
     for k, lineno in zip(far, _line_numbers(path, far, 1)):
         warnings.warn(f"{path}:{lineno}: embedding norm {norms[k]:.6f} deviates from 1; re-normalizing")
     matrix /= norms[:, None]
-    return matrix.shape[1], list(zip(frames.tolist(), indices.tolist())), matrix
+    return frames, indices, matrix
 
 
-def _place(keys: Sequence[tuple[int, int]], values: np.ndarray, det_counts: Mapping[int, int]) -> dict[int, tuple]:
-    """Each frame's ``(block, have)``: the rows of ``values`` in the order of
-    its detections (zeros for one without) and which detections have one.
-    ``values[k]`` is for the detection that ``keys[k]`` names; no two keys
-    name the same one."""
-    starts, total = {}, 0
-    for frame, n in det_counts.items():
-        starts[frame] = total
-        total += n
-    at = np.array([starts[frame] + idx for frame, idx in keys], dtype=np.intp)
-    have = np.zeros(total, dtype=bool)
+def _scatter(dets: DetectionStream, frames: np.ndarray, index: np.ndarray, values: np.ndarray) -> tuple:
+    """``(block, have)``: ``values[k]``, the value of detection ``index[k]`` of
+    frame ``frames[k]``, in the row of the stream it names (zeros where none
+    does), and which rows have one. ``_require_keys`` checked the keys."""
+    at = dets.frames.searchsorted(frames) + index
+    have = np.zeros(len(dets.rows), dtype=bool)
     have[at] = True
-    block = values  # already one row per detection, in order
-    if not np.array_equal(at, np.arange(total)):
-        block = np.zeros((total, values.shape[1]))
-        block[at] = values
-    return {frame: (block[s : s + det_counts[frame]], have[s : s + det_counts[frame]]) for frame, s in starts.items()}
+    if np.array_equal(at, np.arange(len(have))):
+        return values, have  # already one row per detection, in order
+    block = np.zeros((len(have), values.shape[1]))
+    block[at] = values
+    return block, have
 
 
-def load_detections(dets_path, embeddings_path=None, predictions_path=None) -> dict[int, Detections]:
+def load_detections(dets_path, embeddings_path=None, predictions_path=None) -> DetectionStream:
     """Read detections and, when given, attach their sidecar embeddings and
     predicted next-frame boxes.
 
@@ -366,27 +355,21 @@ def load_detections(dets_path, embeddings_path=None, predictions_path=None) -> d
     predictions file may cover any subset of the detections. Both files
     are keyed by (frame, index in the frame's raw list), so each value
     reaches its detection whatever the confidence filter and NMS drop later.
-    Each frame's vectors and predicted boxes become matrices of its batch,
-    beside the box and confidence arrays that ``read_detections`` returned.
+    They join, as matrices, the columns that ``read_detections`` returned.
     """
     dets = read_detections(dets_path)
-    det_counts = {frame: len(v) for frame, v in dets.items()}
-    vectors, ahead = {}, {}
+    embeddings = predictions = predicted = None
     if embeddings_path is not None:
-        _, keys, matrix = read_embeddings(embeddings_path, det_counts)
-        vectors = _place(keys, matrix, det_counts)
-        for frame, (_, have) in vectors.items():
-            if not have.all():
-                raise ValueError(f"{embeddings_path}: no embedding for frame {frame} detection {int(np.argmin(have))}")
+        embeddings, have = _scatter(dets, *read_embeddings(embeddings_path, dets))
+        if (k := _first_false(have)) is not None:
+            where = f"frame {dets.frames[k]} detection {k - dets.frames.searchsorted(dets.frames[k])}"
+            raise ValueError(f"{embeddings_path}: no embedding for {where}")
     if predictions_path is not None:
-        ahead = _place(*read_predictions(predictions_path, det_counts), det_counts)
-    for frame, batch in dets.items():
-        embeddings = vectors[frame][0] if vectors else None
-        predictions, predicted = ahead.get(frame, (None, None))
-        if predicted is not None and not predicted.any():
+        predictions, predicted = _scatter(dets, *read_predictions(predictions_path, dets))
+        if not predicted.any():
             predictions = predicted = None
-        dets[frame] = Detections._checked(batch.boxes, batch.confidence, embeddings, predictions, predicted)
-    return dets
+    rows = Detections._checked(dets.rows.boxes, dets.rows.confidence, embeddings, predictions, predicted)
+    return DetectionStream(rows, dets.frames)
 
 
 _MOT_LINE = "%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,-1,-1,-1\n"
@@ -558,26 +541,6 @@ def _embedding_rows(frames: np.ndarray, indices: np.ndarray, m: np.ndarray, line
     return _lines(rows, fixed, lambda r: line % (frames[r], indices[r], *m[r].tolist()))
 
 
-def _chunks(frames: Sequence[int], columns: Sequence[tuple[np.ndarray, ...]], size: int) -> Iterator[tuple]:
-    """The rows of ``columns[j]``, the columns of frame ``frames[j]``, in
-    order and ``size`` at a time (the last chunk may be shorter): per chunk,
-    each row's frame and its index within its frame, then the chunk's rows
-    of each column."""
-    counts = [len(cols[0]) for cols in columns]
-    frame_col = np.repeat(np.array(frames, dtype=np.int64), counts)
-    index = np.arange(len(frame_col)) - np.repeat(np.cumsum(counts) - counts, counts)
-    parts, n, done = [], 0, 0
-    for cols, rows in zip(columns, counts):
-        start = 0
-        while start < rows:
-            stop = min(rows, start + size - n)
-            parts.append([c[start:stop] for c in cols])
-            n, start = n + stop - start, stop
-            if n == size or done + n == len(frame_col):
-                yield frame_col[done : done + n], index[done : done + n], *map(np.concatenate, zip(*parts))
-                parts, n, done = [], 0, done + n
-
-
 def write_gt(path, stream: IdStream) -> int:
     """Write a ground-truth or result stream, rows sorted by (frame, id)
     with their confidences, and return the number of rows written.
@@ -600,46 +563,34 @@ def write_gt(path, stream: IdStream) -> int:
 write_results = write_gt  # results are the ``IdStream`` that ``hypotheses`` returns
 
 
-def write_detections(path, dets: Mapping[int, Detections]) -> None:
-    """Write each frame's detections in order, with id -1. Frames must be 1
-    or more, and every box must read back inside the box domain (both are
-    checked before the file is opened)."""
-    frames = sorted(dets)
-    _frame_rule(np.array(frames, dtype=np.int64), _check)
-    columns = [(dets[frame].boxes, dets[frame].confidence) for frame in frames]
-    _written_box_rule(np.concatenate([np.zeros((0, 4)), *(boxes for boxes, _ in columns)]))
+def write_detections(path, dets: DetectionStream) -> None:
+    """Write the stream's detections in frame order, with id -1. Every box
+    must read back inside the box domain (checked before the file is
+    opened)."""
+    rows, ids = dets.rows, np.full(len(dets.rows), -1, dtype=np.int64)
+    _written_box_rule(rows.boxes)
     with open(path, "wb") as fh:
-        for frame_col, _, boxes, conf in _chunks(frames, columns, _CHUNK_ROWS):
-            fh.write(_mot_lines(frame_col, np.full(len(conf), -1, dtype=np.int64), boxes, conf))
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            at = slice(start, start + _CHUNK_ROWS)
+            fh.write(_mot_lines(dets.frames[at], ids[at], rows.boxes[at], rows.confidence[at]))
 
 
-def write_embeddings(path, dets: Mapping[int, Detections]) -> None:
-    """Write the embedding sidecar for a detection stream (frames of 1 or
-    more, as in ``write_detections``, and an embedding of one dimension for
-    every detection; all checked before the file is opened). Rows are
-    formatted and written a chunk of about ``_CHUNK_VALUES`` values at a
-    time."""
-    frames, matrices = [], []
-    dim = None
-    _frame_rule(np.array(sorted(dets), dtype=np.int64), _check)
-    for frame in sorted(dets):
-        batch = dets[frame]
-        if not len(batch):
-            continue
-        if missing := batch.missing_embedding():
-            raise ValueError(f"frame {frame} {missing}")
-        if dim is None:
-            dim = batch.embeddings.shape[1]
-        elif batch.embeddings.shape[1] != dim:
-            raise ValueError("mixed embedding dimensions in one stream")
-        frames.append(frame)
-        matrices.append((batch.embeddings,))
-    dim = dim or 0
-    line = "%d,%d" + ",%.9f" * dim + "\n"
+def write_embeddings(path, dets: DetectionStream) -> None:
+    """Write the embedding sidecar for a detection stream, whose every
+    detection must have an embedding (checked before the file is opened).
+    Rows are formatted and written a chunk of about ``_CHUNK_VALUES`` values
+    at a time."""
+    rows, frames = dets.rows, dets.frames
+    if missing := rows.missing_embedding():
+        raise ValueError(f"frame {frames[0]} {missing}")
+    dim = rows.embeddings.shape[1] if len(rows) else 0
+    index = np.arange(len(frames)) - frames.searchsorted(frames)  # each row's place in its frame
+    line, size = "%d,%d" + ",%.9f" * dim + "\n", max(1, _CHUNK_VALUES // max(dim, 1))
     with open(path, "wb") as fh:
         fh.write(b"dim=%d\n" % dim)
-        for frame_col, index, m in _chunks(frames, matrices, max(1, _CHUNK_VALUES // max(dim, 1))):
-            fh.write(_embedding_rows(frame_col, index, m, line))
+        for start in range(0, len(rows), size):
+            at = slice(start, start + size)
+            fh.write(_embedding_rows(frames[at], index[at], rows.embeddings[at], line))
 
 
 def read_config(path) -> dict[str, str]:

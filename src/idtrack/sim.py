@@ -14,9 +14,9 @@ changes the underlying world: every source frame runs one draw sequence,
 but boxes, detections and embeddings are built only for the frames that the
 stride keeps, which emulates dropping the frame rate by that factor. A
 dropped frame costs its draws and the motion update, not the building of a
-frame. A kept frame fills its row of the ground truth's box array and
-builds its detection arrays; the constructors' checks run once per block of
-kept frames.
+frame. A kept frame fills its row of the ground truth's box array and its
+rows of the detection stream's columns; the constructors' checks run once
+per block of kept frames.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .geometry import UNIT_NORM_TOL, Detections, IdStream, _check_fields, _good_boxes, _row_norms
+from .geometry import UNIT_NORM_TOL, DetectionStream, Detections, IdStream, _check_fields, _good_boxes, _row_norms
 
 __all__ = ["SimConfig", "generate", "subsample", "benchmark_config", "config_from_mapping"]
 
@@ -143,27 +143,25 @@ def _bounce(p: float, v: float, lo: float, hi: float) -> tuple[float, float]:
     return p, v
 
 
-def generate(config: SimConfig) -> tuple[IdStream, dict[int, Detections]]:
+def generate(config: SimConfig) -> tuple[IdStream, DetectionStream]:
     """Build the (gt, dets) streams of a scene, frames numbered from 1.
 
     gt is one ``IdStream``: for each kept frame in order, every identity
-    (ids from 1, in order) with its true box and confidence 1. dets holds one
-    ``Detections`` batch per kept frame (noisy boxes, confidences, unit
-    embeddings), its rows in identity order followed by that frame's false
-    positives. Source frames 1, 1+stride, 1+2*stride, ... are kept and
-    numbered densely. Every source frame runs one draw sequence, and whether
-    it is kept decides only what is built from the draws, so the result
-    equals ``subsample`` of the stride-1 scene. A kept frame's values are
-    gathered as Python floats and noise vectors and become its arrays in one
-    step: its true boxes fill its row of one ``(kept frames, 4n)`` array,
-    which becomes the stream's boxes, and its embeddings are normalised
-    together by ``_row_norms``, as the prototypes are after they are drawn,
-    so every unit vector comes from one norm. The arrays skip the
-    constructors' checks; their rules (every box in the box domain, every
-    confidence in [0, 1], every embedding of unit norm) run in
+    (ids from 1, in order) with its true box and confidence 1. dets is one
+    ``DetectionStream`` of noisy boxes, confidences and unit embeddings,
+    each kept frame's rows in identity order and then its false positives.
+    Source frames 1, 1+stride, 1+2*stride, ... are kept and numbered
+    densely. Every source frame runs one draw sequence, and whether it is
+    kept decides only what is built from the draws, so the result equals
+    ``subsample`` of the stride-1 scene. A kept frame's values, gathered as
+    Python floats and noise vectors, fill in one step its row of one
+    ``(kept frames, 4n)`` array of true boxes and its rows of the detection
+    columns, which have room for ``n + ceil(fp_rate)`` rows a frame (doubled
+    when a frame overflows it). Its embeddings are normalised together by
+    ``_row_norms``, as the prototypes are, so every unit vector comes from
+    one norm. The columns skip the constructors' checks; their rules run in
     ``_check_frames`` once per block of ``_CHECK_BLOCK`` kept frames, so
-    they cost a few calls per stream and hold temporaries for one block,
-    not for the stream.
+    they cost a few calls per stream and hold temporaries for one block.
 
     A detection's box noise is drawn into one scratch row, and its identity
     embedding noise into row ``len(seen)`` of one scratch matrix, with
@@ -214,7 +212,9 @@ def generate(config: SimConfig) -> tuple[IdStream, dict[int, Detections]]:
     seen_noise = np.empty((n, dim))  # identity embedding noise, row k for seen[k]
     kept = (config.frames - 1) // stride + 1
     truth = np.empty((kept, 4 * n))  # row frame - 1: that frame's true boxes, flat
-    dets: dict[int, Detections] = {}
+    room = kept * (n + math.ceil(config.fp_rate))
+    columns = np.empty((room, 4)), np.empty(room), np.empty((room, dim))  # detection boxes, confidences, embeddings
+    bounds = [0]  # bounds[f - 1]: the first row of kept frame f; bounds[-1]: the rows filled
     for t in range(1, config.frames + 1):
         keep = (t - 1) % stride == 0
         frame = (t - 1) // stride + 1
@@ -271,35 +271,42 @@ def generate(config: SimConfig) -> tuple[IdStream, dict[int, Detections]]:
 
         if keep:
             truth[frame - 1] = true_boxes
-            k = len(seen)
-            vectors = np.empty((k + len(fp_noise), dim))
-            np.add(protos.take(seen, axis=0), config.embedding_noise * seen_noise[:k], out=vectors[:k])
+            k, count, end = len(seen), bounds[-1], bounds[-1] + len(confidence)
+            if end > len(columns[0]):  # more false positives than the columns have room for
+                columns = tuple(np.resize(column, (2 * end, *column.shape[1:])) for column in columns)
+            box_rows, confidences, vectors = columns
+            box_rows[count:end] = np.reshape(boxes, (-1, 4))
+            confidences[count:end] = confidence
+            np.add(protos.take(seen, axis=0), config.embedding_noise * seen_noise[:k], out=vectors[count : count + k])
             if fp_noise:
-                vectors[k:] = fp_noise
-            vectors /= _row_norms(vectors)[:, None]
-            dets[frame] = Detections._checked(np.array(boxes).reshape(-1, 4), np.array(confidence), vectors)
+                vectors[count + k : end] = fp_noise
+            vectors[count:end] /= _row_norms(vectors[count:end])[:, None]
+            bounds.append(end)
             if frame % _CHECK_BLOCK == 0 or t + stride > config.frames:  # a full block, or the last frame
-                _check_frames(truth, dets, range(frame - (frame - 1) % _CHECK_BLOCK, frame + 1))
+                rows = Detections._checked(box_rows[:end], confidences[:end], vectors[:end])
+                _check_frames(truth, rows, bounds, range(frame - (frame - 1) % _CHECK_BLOCK, frame + 1))
+    # The last frame's check saw every row.
+    dets = DetectionStream(rows, np.repeat(np.arange(1, kept + 1), np.diff(bounds)), kept)
     frames, ids = np.repeat(np.arange(1, kept + 1), n), np.tile(np.arange(1, n + 1), kept)
     return IdStream._checked(frames, ids, truth.reshape(-1, 4), np.ones(kept * n)), dets
 
 
-def _check_frames(truth: np.ndarray, dets: dict[int, Detections], frames: range) -> None:
-    """Apply the rules of the ``IdStream`` and ``Detections`` constructors to
-    ``frames`` of the true boxes (row ``frame - 1`` of ``truth``, flat) and
-    the detections that ``generate`` built unchecked, once for all their
-    rows: every box in the box domain, every detection confidence in [0, 1]
-    and every embedding of unit norm. If a row breaks one, the first frame
-    that holds such a row goes through the constructors, whose error names
-    the row, and the error names the frame too."""
-    boxes = np.concatenate([truth[frames.start - 1 : frames.stop - 1].reshape(-1, 4), *(dets[f].boxes for f in frames)])
-    confidence = np.concatenate([dets[frame].confidence for frame in frames])
-    norms = np.concatenate([_row_norms(dets[frame].embeddings) for frame in frames])
-    if (_good_boxes(boxes).all() and ((confidence >= 0.0) & (confidence <= 1.0)).all()
+def _check_frames(truth: np.ndarray, rows: Detections, bounds: list[int], block: range) -> None:
+    """Apply the rules of the ``IdStream`` and ``Detections`` constructors at
+    once to the frames ``block`` of the true boxes (row ``frame - 1`` of
+    ``truth``, flat) and of the detection ``rows`` (frame ``f``'s from row
+    ``bounds[f - 1]`` to ``bounds[f]``) that ``generate`` built unchecked:
+    boxes in the box domain, confidences in [0, 1], unit embeddings. The
+    first frame with a row that breaks one goes through the constructors,
+    whose error names the row, and the error names the frame too."""
+    dets = rows.span(bounds[block.start - 1], bounds[block.stop - 1])
+    boxes = np.concatenate([truth[block.start - 1 : block.stop - 1].reshape(-1, 4), dets.boxes])
+    norms = _row_norms(dets.embeddings)
+    if (_good_boxes(boxes).all() and ((dets.confidence >= 0.0) & (dets.confidence <= 1.0)).all()
             and (np.abs(norms - 1.0) <= UNIT_NORM_TOL).all()):  # a NaN fails each comparison
         return
-    for frame in frames:
-        true_boxes, batch = truth[frame - 1].reshape(-1, 4), dets[frame]
+    for frame in block:
+        true_boxes, batch = truth[frame - 1].reshape(-1, 4), rows.span(bounds[frame - 1], bounds[frame])
         try:
             IdStream(np.full(len(true_boxes), frame), np.arange(1, len(true_boxes) + 1), true_boxes)
             Detections(batch.boxes, batch.confidence, batch.embeddings)
@@ -307,31 +314,23 @@ def _check_frames(truth: np.ndarray, dets: dict[int, Detections], frames: range)
             raise ValueError(f"frame {frame}: {error}") from None
 
 
-def subsample(stream: IdStream | Mapping[int, Detections], stride: int) -> IdStream | dict[int, Detections]:
+def subsample(stream: IdStream | DetectionStream, stride: int) -> IdStream | DetectionStream:
     """Keep frames 1, 1+stride, 1+2*stride, ... and number them densely.
 
-    Of an ``IdStream``, one mask keeps the kept frames' rows in their order.
-    Of a detection stream only the keys change: each kept frame's batch is
-    the same object. A kept frame that it lacks stays out, except the last
-    one, which becomes ``[]`` so that the tracker still steps (and coasts)
-    to the end; the work grows with the number of frames in ``stream``, not
-    with its largest frame number. Frames come in ascending order. A
+    One mask keeps the kept frames' rows in their order. A detection
+    stream's last frame becomes the kept frame at or before it, so that the
+    tracker still steps (and coasts) to the end, rows there or not. A
     detection's prediction still points one source frame ahead, not one
     kept frame, so a strided stream should carry none (``idtrack track``
     rejects ``--predictions`` with a stride).
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    frames, offset = np.divmod(stream.frames - 1, stride)
+    keep = (offset == 0) & (frames >= 0)
     if isinstance(stream, IdStream):
-        frames, offset = np.divmod(stream.frames - 1, stride)
-        keep = (offset == 0) & (frames >= 0)
         return IdStream._checked(frames[keep] + 1, stream.ids[keep], stream.boxes[keep], stream.confidence[keep])
-    last = max(stream, default=0)
-    if last < 1:
-        return {}
-    kept = {(orig - 1) // stride + 1: value for orig, value in stream.items() if orig >= 1 and (orig - 1) % stride == 0}
-    kept.setdefault((last - 1) // stride + 1, [])
-    return dict(sorted(kept.items()))
+    return DetectionStream(stream.rows.take(keep), frames[keep] + 1, (stream.last - 1) // stride + 1)
 
 
 def config_from_mapping(values: Mapping[str, str]) -> SimConfig:

@@ -24,8 +24,8 @@ and the trajectories live in one ``TrajectoryTable`` of columns that the
 tracker owns, one slot per live trajectory. Affinities, updates, recovery
 levels and coasting read and write those arrays, a few numpy calls per
 Hungarian solve; a step builds no object per row, as its outputs are one
-``TrackOutputs`` gather of the table. ``track_stream`` takes a whole stream,
-``{frame: Detections}``.
+``TrackOutputs`` gather of the table. ``track_stream`` takes a whole
+``DetectionStream`` and hands each step one slice of its columns.
 
 Identity-only recovery needs embeddings, so with ``weights.identity == 0``
 phase 2 is skipped entirely and the tracker degrades to a plain IoU
@@ -43,7 +43,6 @@ the values of its last step, and its slot goes to a later birth.
 
 from __future__ import annotations
 
-import bisect
 import operator
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -52,7 +51,8 @@ import numpy as np
 
 from .affinity import AffinityWeights, combined_affinity, nms
 from .assignment import solve_max
-from .geometry import BBox, Detections, IdStream, _box_array, _check_fields, _first_false, _row_norms, _shape_fault
+from .geometry import (BBox, DetectionStream, Detections, IdStream, _box_array, _check_fields, _first_false,
+                       _row_norms, _shape_fault)
 
 __all__ = [
     "Trajectory",
@@ -563,12 +563,13 @@ class Tracker:
                                      np.arange(n) >= n - coast.size)
 
 
-def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEFAULT_NMS_IOU) -> TrackOutputs:
+def track_stream(dets: DetectionStream, config: TrackerConfig | None = None,
+                 nms_iou: float = DEFAULT_NMS_IOU) -> TrackOutputs:
     """Run a fresh tracker over a whole detection stream.
 
     Args:
-        dets: mapping frame -> ``Detections``; frames 1..max are stepped,
-            missing or empty ones (or ``[]``) as empty.
+        dets: the stream; frames 1 to ``dets.last`` are stepped, each on a
+            slice of the stream's rows (empty for a frame without).
         config: tracker configuration (defaults apply when omitted).
         nms_iou: suppression threshold applied after confidence filtering.
 
@@ -581,21 +582,20 @@ def track_stream(dets, config: TrackerConfig | None = None, nms_iou: float = DEF
     config = config or TrackerConfig()
     tracker = Tracker(config)
     outputs = [TrackOutputs([], [], [], [], [])]
-    if not dets:
-        return outputs[0]
-
     none = Detections([], [])
-    busy = sorted(frame for frame, batch in dets.items() if len(batch))
-    frame, last = 1, max(dets)
-    while frame <= last:
+    busy, starts = np.unique(dets.frames, return_index=True)
+    busy, bounds = busy.tolist() + [dets.last + 1], starts.tolist() + [len(dets.frames)]
+    frame, k = 1, 0  # busy[k]: the first frame with rows at or after frame
+    while frame <= dets.last:
         if not (tracker.active or tracker.paused):
-            at = bisect.bisect_left(busy, frame)
-            if at == len(busy):
+            frame = busy[k]
+            if frame > dets.last:
                 break
-            frame = busy[at]
-        batch = dets.get(frame) or none
-        kept = nms(batch.take(batch.confidence >= config.det_threshold), nms_iou)
-        outputs.append(tracker.step(kept, frame))
+        batch = none
+        if busy[k] == frame:
+            batch, k = dets.rows.span(bounds[k], bounds[k + 1]), k + 1
+            batch = batch.take(batch.confidence >= config.det_threshold)
+        outputs.append(tracker.step(nms(batch, nms_iou), frame))
         frame += 1
     return TrackOutputs._checked(*(np.concatenate([getattr(o, name) for o in outputs])
                                    for name in TrackOutputs.__slots__))

@@ -1,5 +1,5 @@
 """Shared test helpers: one way to build a ``Detections`` batch, a
-``TrackOutputs`` batch and a tracker's trajectories by hand, an
+``DetectionStream`` of per-frame batches, a ``TrackOutputs`` batch and a tracker's trajectories by hand, an
 ``IdStream`` split into frames, the pairwise
 IoU oracle (the dense broadcast that the sort and sweep in
 ``idtrack.affinity`` replaced), the per-pair oracle of
@@ -9,7 +9,7 @@ the oracle."""
 
 import numpy as np
 
-from idtrack.geometry import BBox, Detections, _box_rows
+from idtrack.geometry import BBox, Detections, DetectionStream, _box_rows
 from idtrack.tracker import TrackOutputs, Trajectories, TrajectoryTable
 
 
@@ -30,6 +30,31 @@ def detections(rows):
         predicted = [p is not None for p in ahead]
         predictions = _box_rows([p or box for p, box in zip(ahead, boxes)])
     return Detections(_box_rows(boxes), confidence, embeddings, predictions, predicted)
+
+
+def detection_stream(batches, last=None):
+    """One ``DetectionStream`` of ``{frame: batch}``, each batch a
+    ``Detections`` or the rows that ``detections`` takes: the frames in
+    ascending order, each one's rows in batch order, and by default the
+    largest frame, empty or not, as the last. Every row has an embedding or
+    none does; a row of a batch without predictions has none."""
+    frames = sorted(batches)
+    parts = [batch if isinstance(batch, Detections) else detections(batch) for batch in map(batches.get, frames)]
+    full = [batch for batch in parts if len(batch)]
+    embeddings = None
+    if any(batch.embeddings is not None for batch in full):
+        embeddings = np.concatenate([batch.embeddings for batch in full])  # a batch without fails here
+    predictions = predicted = None
+    if any(batch.predictions is not None for batch in parts):
+        predictions = np.concatenate([np.zeros((0, 4))] + [batch.boxes if batch.predictions is None
+                                                          else batch.predictions for batch in parts])
+        predicted = np.concatenate([np.zeros(0, bool)] + [np.zeros(len(batch), bool) if batch.predicted is None
+                                                         else batch.predicted for batch in parts])
+    rows = Detections(np.concatenate([np.zeros((0, 4))] + [batch.boxes for batch in parts]),
+                      np.concatenate([np.zeros(0)] + [batch.confidence for batch in parts]),
+                      embeddings, predictions, predicted)
+    frame_column = np.repeat(np.array(frames, dtype=np.int64), [len(batch) for batch in parts])
+    return DetectionStream(rows, frame_column, max(frames, default=0) if last is None else last)
 
 
 def by_frame(stream):

@@ -1,7 +1,8 @@
 """The batch consumers against the per-row code they replaced.
 
-``nms``, ``combined_affinity``, ``write_detections`` and ``write_embeddings``
-read one ``Detections`` batch per frame. The ``reference_*`` functions below
+``nms`` and ``combined_affinity`` read one ``Detections`` batch per frame,
+and ``write_detections`` and ``write_embeddings`` the columns of a
+``DetectionStream`` of such batches. The ``reference_*`` functions below
 are their versions from before batches, which walked one ``Detection`` at a
 time (here the views that iterating a batch yields); the batch code must
 keep the same NMS survivors, the same affinity bits and the same written
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import batch_bits, detections, grid_boxes, iou_matrix, relatives, track_outputs, trajectories
+from helpers import batch_bits, detection_stream, detections, grid_boxes, iou_matrix, relatives, track_outputs, trajectories
 from idtrack import mot_io
 from idtrack.affinity import AffinityWeights, combined_affinity, nms
 from idtrack.geometry import BBox, Detections, IdStream, to_corner
@@ -260,13 +261,14 @@ def test_property_writers_write_the_reference_bytes(tmp_path_factory, stream, ch
     rows = [(frame, i, d) for frame, frame_rows in dets.items() for i, d in zip(ids[frame], frame_rows)]
     outputs = [TrackOutput(frame, i, d.box, d.confidence, flag) for (frame, i, d), flag in zip(rows, interpolated)]
     random.shuffle(outputs)
-    taken = {frame: rows.take(np.arange(len(rows))) for frame, rows in dets.items()}
+    joined = detection_stream(dets)
+    taken = detection_stream({frame: rows.take(np.arange(len(rows))) for frame, rows in dets.items()})
     hyp = hypotheses(track_outputs(outputs))
     with mock.patch.multiple(mot_io, _CHUNK_VALUES=chunk_values, _CHUNK_ROWS=chunk_rows):
         written_as_reference(tmp, lambda p: reference_write_detections(p, dets), mot_io.read_detections,
-                             lambda p: mot_io.write_detections(p, dets), lambda p: mot_io.write_detections(p, taken))
+                             lambda p: mot_io.write_detections(p, joined), lambda p: mot_io.write_detections(p, taken))
         assert written_as_reference(tmp, lambda p: reference_write_embeddings(p, dets), mot_io.read_embeddings,
-                                    lambda p: mot_io.write_embeddings(p, dets),
+                                    lambda p: mot_io.write_embeddings(p, joined),
                                     lambda p: mot_io.write_embeddings(p, taken))
         written_as_reference(tmp, lambda p: reference_write_gt(p, gt), mot_io.read_gt,
                              lambda p: mot_io.write_gt(p, IdStream.pack(gt)))

@@ -44,10 +44,10 @@ def test_simulate_writes_the_three_files(tmp_path, tiny_config, capsys):
     assert "seed=3" in capsys.readouterr().out
     gt = read_gt(out_dir / "gt.txt")
     dets = read_detections(out_dir / "dets.txt")
-    dim, keys, _ = read_embeddings(out_dir / "embeddings.txt")
-    assert np.unique(gt.frames).tolist() == list(range(1, 31))
-    assert dim == 16
-    assert len(keys) == sum(len(v) for v in dets.values())
+    frames, index, matrix = read_embeddings(out_dir / "embeddings.txt", dets)
+    assert np.unique(gt.frames).tolist() == list(range(1, 31)) and dets.last == 30
+    assert matrix.shape[1] == 16
+    assert frames.tolist() == dets.frames.tolist() and len(index) == len(dets.rows)
 
 
 def test_simulate_seed_flag_beats_config(tmp_path, tiny_config, capsys):
@@ -341,13 +341,15 @@ def test_eval_and_ablate_stdout_is_pinned(default_scene, capsys, argv):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_STDOUT_SHA256[argv]
 
 
-# Profiled calls of `idtrack eval` and of one `track_stream` on the default
-# (stock, seed 7) scene and of one on the scale128 workload's, after a
-# warm-up run of each. Call counts do not drift with the host's speed, as
-# wall time does, so a change that adds per-frame or per-row work fails here
-# at once. A change that cuts calls may lower a budget; one that raises a
-# budget says why. The counts hold for these versions only.
-CALL_BUDGETS = {"eval": 18054, "track_stream": 93137, "scale128 track_stream": 34582}
+# Profiled calls of `idtrack eval`, of one `load_detections` and one
+# `track_stream` on the default (stock, seed 7) scene and of one
+# `track_stream` on the scale128 workload's, after a warm-up run of each. Call
+# counts do not drift with the host's speed, as wall time does, so a change
+# that adds per-frame or per-row work fails here at once: a reader that built
+# one batch per frame made 10,953 calls. A change that cuts calls may lower a
+# budget; one that raises a budget says why. The counts hold for these
+# versions only.
+CALL_BUDGETS = {"eval": 18054, "load_detections": 3688, "track_stream": 93137, "scale128 track_stream": 34195}
 CALL_MARGIN = 0.02
 PINNED_VERSIONS = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
 
@@ -366,7 +368,9 @@ def test_profiled_call_counts_stay_within_their_budgets(default_scene, workload_
     scale128 = workload_scene("scale128", 7)
     wide = load_detections(scale128 / "dets.txt", scale128 / "embeddings.txt")
     files = ["--gt", str(default_scene / "gt.txt"), "--hyp", str(default_scene / "hyp.txt")]
-    runs = {"eval": lambda: main(["eval", *files]), "track_stream": lambda: track_stream(dets, TrackerConfig()),
+    runs = {"eval": lambda: main(["eval", *files]),
+            "load_detections": lambda: load_detections(default_scene / "dets.txt", default_scene / "embeddings.txt"),
+            "track_stream": lambda: track_stream(dets, TrackerConfig()),
             "scale128 track_stream": lambda: track_stream(wide, workload_tracker_config(), nms_iou=TRACKER["nms_iou"])}
     over = []
     for name, run in runs.items():
@@ -386,7 +390,7 @@ def test_profiled_call_counts_stay_within_their_budgets(default_scene, workload_
 def test_track_stream_peaks_below_a_third_of_its_input(default_scene):
     # One stock replay holds its outputs' columns and one frame's work at a
     # time, not a copy of the stream: its tracemalloc peak read 0.265 times
-    # the bytes of its input batches' arrays.
+    # the bytes of its input stream's columns.
     dets = load_detections(default_scene / "dets.txt", default_scene / "embeddings.txt")
     config = TrackerConfig()
     track_stream(dets, config)
@@ -396,8 +400,8 @@ def test_track_stream_peaks_below_a_third_of_its_input(default_scene):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    given = sum(a.nbytes for batch in dets.values() for a in (batch.boxes, batch.confidence, batch.embeddings))
-    assert peak < given / 3, f"peak {peak} bytes for {given} bytes of input batches"
+    given = sum(a.nbytes for a in (dets.frames, dets.rows.boxes, dets.rows.confidence, dets.rows.embeddings))
+    assert peak < given / 3, f"peak {peak} bytes for {given} bytes of input columns"
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path, tiny_config):
@@ -541,8 +545,14 @@ def non_finite(flag, message="{flag} must be finite, got {value}"):
 # Every float flag of track given NaN, either infinity and a value out of
 # range, and the int flags' bad values. NaN used to pass every check and drop
 # every pair (each detection a new id); --nms-iou used to fail only after the
-# whole stream had loaded; the rest exited 1 naming the config field.
+# whole stream had loaded; the rest exited 1 naming the config field. A
+# negative value after a space that argparse does not take for a number
+# (-1e-3, -inf, -nan) used to fail as "expected one argument".
 TRACK_FLAG_ERRORS = [
+    case("--w1 -1e-3", "--w1 must lie in [0, 1], got -0.001"),
+    case("--w2 -inf", "--w2 must lie in [0, 1], got -inf"),
+    case("--nms-iou -1e-3", "--nms-iou must lie in [0, 1], got -0.001"),
+    case("--min-affinity -nan", "--min-affinity must be finite, got nan"),
     *non_finite("--w1", "{flag} must lie in [0, 1], got {value}"),
     case("--w1=1.5", "--w1 must lie in [0, 1], got 1.5"),
     *non_finite("--w2", "{flag} must lie in [0, 1], got {value}"),
@@ -859,6 +869,8 @@ def test_eval_rejects_a_bad_result_row_at_read_time(tmp_path, tiny_config, capsy
 
 IOU_GATE_ERRORS = [
     *non_finite("--iou-gate", "{flag} must lie in (0, 1], got {value}"),
+    case("--iou-gate -inf", "--iou-gate must lie in (0, 1], got -inf"),
+    case("--iou-gate -1e-3", "--iou-gate must lie in (0, 1], got -0.001"),
     case("--iou-gate=0", "--iou-gate must lie in (0, 1], got 0.0"),
     case("--iou-gate=1.5", "--iou-gate must lie in (0, 1], got 1.5"),
     case("--iou-gate=-0.5", "--iou-gate must lie in (0, 1], got -0.5"),
@@ -918,7 +930,9 @@ def test_ablate_runs_all_variants(tmp_path, tiny_config, capsys):
 
 @pytest.mark.parametrize(
     "flags, message",
-    [*non_finite("--det-threshold"), case("--det-threshold=2", "--det-threshold must lie in [0, 1], got 2.0")],
+    [*non_finite("--det-threshold"), case("--det-threshold=2", "--det-threshold must lie in [0, 1], got 2.0"),
+     case("--det-threshold -nan", "--det-threshold must be finite, got nan"),
+     case("--det-threshold -1e-3", "--det-threshold must lie in [0, 1], got -0.001")],
 )
 def test_ablate_checks_det_threshold_before_building_the_scene(tmp_path, monkeypatch, capsys, flags, message):
     ablate_refuses(tmp_path, monkeypatch, capsys, flags, message)

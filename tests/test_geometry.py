@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import batch_bits, detections
 from idtrack.affinity import nms
-from idtrack.geometry import BBox, Detection, Detections, IdStream, _box_fault, _good_boxes, _row_norms, to_corner
+from idtrack.geometry import (BBox, Detection, Detections, DetectionStream, IdStream, _box_fault, _good_boxes, _row_norms,
+                              to_corner)
 from idtrack.mot_io import _centred
 
 
@@ -229,9 +230,9 @@ def test_an_id_stream_holds_columns_and_packs_a_mapping_of_frames():
 @pytest.mark.parametrize(
     ("change", "message"),
     [
-        ({"frames": [1.0, 2.0]}, r"frames must be 2 integers, got shape \(2,\) of dtype float64"),
-        ({"frames": [1]}, r"frames must be 2 integers, got shape \(1,\) of dtype int64"),
-        ({"ids": [1.0, 2.0]}, "ids must be integers"),
+        ({"frames": [1.0, 2.0]}, r"^row 0: frames must be integers, got dtype float64$"),
+        ({"frames": [1]}, r"^row 1: frames has 1 entries for 2 rows$"),
+        ({"ids": [1.0, 2.0]}, r"^row 0: ids must be integers, got dtype float64$"),
         # int64 would wrap these to -1 and to a negative id, and evaluate would score them.
         ({"frames": np.array([2**64 - 1, 1], np.uint64)},
          r"row 0: frame must be at most 2\*\*63 - 1, got 18446744073709551615"),
@@ -249,3 +250,38 @@ def test_an_id_stream_checks_every_row_and_names_the_first_bad_one(change, messa
     values = {"frames": [1, 1], "ids": [3, 1], "boxes": [[0, 0, 2, 2], [5, 5, 2, 2]], "confidence": [0.5, 0.9], **change}
     with pytest.raises(ValueError, match=message):
         IdStream(**values)
+
+
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [
+        ({"frames": [1, 3, 2]}, r"^row 2: frame 2 comes after frame 3$"),
+        ({"frames": [0, 1, 1]}, r"^row 0: frame 0 is below 1$"),
+        ({"frames": [-2, -1, 1]}, r"^row 0: frame -2 is below 1$"),
+        ({"frames": [1.0, 2.0, 2.0]}, r"^row 0: frames must be integers, got dtype float64$"),
+        ({"frames": [1, 2]}, r"^row 2: frames has 2 entries for 3 rows$"),
+        ({"frames": [1, 2, 2, 3]}, r"^row 3: frames has 4 entries for 3 rows$"),
+        ({"last": 1}, r"^row 1: frame 2 is past the last frame, 1$"),
+        ({"frames": np.array([1, 2, 2**64 - 1], np.uint64)},
+         r"^row 2: frame must be at most 2\*\*63 - 1, got 18446744073709551615$"),
+        ({"rows": Detections([], []), "frames": [], "last": -1}, r"^the last frame must be 0 or more, got -1$"),
+    ],
+)
+def test_a_detection_stream_checks_every_row_and_names_the_first_bad_one(change, message):
+    rows = Detections([[0, 0, 2, 2], [5, 5, 2, 2], [9, 9, 2, 2]], [0.5, 0.9, 0.7])
+    values = {"rows": rows, "frames": [1, 2, 2], **change}
+    with pytest.raises(ValueError, match=message):
+        DetectionStream(**values)
+
+
+def test_a_detection_stream_maps_the_frames_it_steps_to_views_of_their_rows():
+    rows = Detections([[0, 0, 2, 2], [5, 5, 2, 2], [9, 9, 2, 2]], [0.5, 0.9, 0.7], predictions=[[1, 1, 2, 2]] * 3)
+    dets = DetectionStream(rows, np.array([2, 2, 4], np.uint8), last=5)
+    assert dets.frames.dtype == np.int64 and dets.last == 5 and DetectionStream(rows, [2, 2, 4]).last == 4
+    assert list(dets) == [1, 2, 3, 4, 5] and len(dets) == 5 and 5 in dets and 0 not in dets and 6 not in dets
+    assert [len(batch) for batch in dets.values()] == [0, 2, 0, 1, 0]
+    assert dets[2].confidence.tolist() == [0.5, 0.9] and dets[4].boxes.tolist() == [[9.0, 9.0, 2.0, 2.0]]
+    assert np.shares_memory(dets[2].boxes, rows.boxes) and np.shares_memory(dets[4].predictions, rows.predictions)
+    assert dets.get(1.5) is None and dets.get("2") is None
+    empty = DetectionStream(Detections([], []), [])
+    assert (empty.last, len(empty), bool(empty)) == (0, 0, False)

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from idtrack import mot_io
 from idtrack.affinity import AffinityWeights
-from helpers import by_frame, detections, track_outputs
-from idtrack.geometry import MIN_SIDE, BBox, Detections, IdStream, to_corner
+from idtrack.cli import main
+from helpers import by_frame, detection_stream, detections, track_outputs
+from idtrack.geometry import MIN_SIDE, BBox, Detections, DetectionStream, IdStream, to_corner
 from idtrack.mot_io import (
     load_detections,
     read_config,
@@ -36,6 +37,12 @@ from idtrack.tracker import TrackerConfig, TrackOutput, hypotheses, track_stream
 def unit(vec):
     vec = np.asarray(vec, dtype=np.float64)
     return vec / np.linalg.norm(vec)
+
+
+def stream_of_counts(counts):
+    """A ``DetectionStream`` of ``counts[frame]`` detections in each frame:
+    what the key checks of the sidecar and predictions readers read."""
+    return detection_stream({frame: [(BBox(5.0, 5.0, 2.0, 2.0), 0.5)] * n for frame, n in counts.items()})
 
 
 def test_parse_worked_example(tmp_path):
@@ -137,9 +144,9 @@ def test_embedding_sidecar_round_trip(tmp_path):
     _, dets = generate(SimConfig(seed=7, num_identities=3, frames=8, embedding_dim=16))
     p = tmp_path / "emb.txt"
     write_embeddings(p, dets)
-    dim, keys, matrix = read_embeddings(p)
-    vectors = dict(zip(keys, matrix))
-    assert dim == 16
+    frames, index, matrix = read_embeddings(p)
+    vectors = dict(zip(zip(frames.tolist(), index.tolist()), matrix))
+    assert matrix.shape[1] == 16 and len(vectors) == len(dets.rows)
     for f in dets:
         for idx, d in enumerate(dets[f]):
             got = vectors[(f, idx)]
@@ -221,11 +228,11 @@ def test_a_large_header_over_a_short_row_reserves_no_memory(tmp_path):
         with pytest.raises(ValueError, match=r"emb\.txt:2: expected 100000002 fields, got 3$"):
             read_embeddings(p)
         p.write_text("dim=100000000\n")
-        dim, keys, matrix = read_embeddings(p)
+        frames, index, matrix = read_embeddings(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (dim, keys, matrix.shape) == (100000000, [], (0, 100000000))
+    assert (frames.tolist(), index.tolist(), matrix.shape) == ([], [], (0, 100000000))
     assert peak < 20e6
 
 
@@ -249,8 +256,8 @@ def test_denormalized_embedding_warns_and_fixes(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("dim=2\n1,0,3.0,4.0\n")
     with pytest.warns(UserWarning, match="re-normalizing"):
-        _, keys, matrix = read_embeddings(p)
-    assert keys == [(1, 0)] and np.allclose(matrix[0], [0.6, 0.8], atol=1e-12)
+        frames, index, matrix = read_embeddings(p)
+    assert (frames.tolist(), index.tolist()) == ([1], [0]) and np.allclose(matrix[0], [0.6, 0.8], atol=1e-12)
 
 
 def test_write_results_skips_interpolated_by_default(tmp_path):
@@ -286,7 +293,7 @@ def test_the_smallest_sides_at_the_edge_of_the_box_domain_are_read_back(tmp_path
     boxes = [[c, c, MIN_SIDE, MIN_SIDE] for c in centres]
     boxes += [[1e8, 1e8, 1e-6, 1e-6], [1e8, -1e8, 1e-6, MIN_SIDE], [0.5, -0.5, 1.4e-6, 9e7]]
     write_gt(tmp_path / "gt.txt", IdStream(np.ones(len(boxes), np.int64), np.arange(1, len(boxes) + 1), boxes))
-    write_detections(tmp_path / "dets.txt", {1: Detections(boxes, np.full(len(boxes), 0.5))})
+    write_detections(tmp_path / "dets.txt", DetectionStream(Detections(boxes, np.full(len(boxes), 0.5)), [1] * len(boxes)))
     for back in (read_gt(tmp_path / "gt.txt").boxes, read_detections(tmp_path / "dets.txt")[1].boxes):
         assert (back[:, 2:] > 0.97e-6).all() and (back[:, 2:] < 1.03e-6).sum() == 2 * len(centres) + 5
         assert (np.abs(back[[0, -3, -2], :2]) > 1e8 - 1e-6).all()  # the centres on the bound
@@ -320,13 +327,7 @@ WRITER_CHECKS = [
     (write_gt, IdStream.pack({2: [(1, BOX)], 0: [(1, BOX)]}), "frame indices are 1-based, got 0"),
     (write_gt, IdStream.pack({1: [(1, BOX)], 3: [(2, BOX), (0, BOX)]}), "object ids must be >= 1, got 0"),
     (write_gt, IdStream.pack({1: [(4, BOX)], 2: [(4, BOX), (5, BOX), (4, BOX)]}), "repeated id 4 in frame 2"),
-    (write_detections, {1: Detections([(5.0, 5.0, 2.0, 2.0)], [0.5]), -3: Detections([], [])},
-     "frame indices are 1-based, got -3"),
     (write_results, IdStream.pack({2: [(1, BOX, 0.5)], 0: [(1, BOX, 0.5)]}), "frame indices are 1-based, got 0"),
-    (write_embeddings, {0: Detections([(5.0, 5.0, 2.0, 2.0)], [0.5], [[0.6, 0.8]])},
-     "frame indices are 1-based, got 0"),
-    (write_embeddings, {1: Detections([(5.0, 5.0, 2.0, 2.0)], [0.5], [[0.6, 0.8]]), -3: Detections([], [])},
-     "frame indices are 1-based, got -3"),
     (write_results, IdStream.pack({3: [(2, BOX, 0.5), (2, BOX, 0.4)]}), "repeated id 2 in frame 3"),
     # The constructor refuses a NaN confidence too; the writer's own rule is held to it past that check.
     (write_results, IdStream._checked(np.array([1, 2]), np.array([1, 1]), np.array([[5.0, 5.0, 2.0, 2.0]] * 2),
@@ -335,7 +336,7 @@ WRITER_CHECKS = [
     # centre that the reader rebuilds lands past 1e8.
     (write_gt, IdStream([1], [1], [(1e8, 1e8, 6e-7, 6e-7)]),
      "as written to six decimals, box cx must be at most 1e+08 in magnitude, got 100000000.0000005"),
-    (write_detections, {1: Detections([(1e8, 1e8, 6e-7, 6e-7)], [0.5])},
+    (write_detections, DetectionStream(Detections([(1e8, 1e8, 6e-7, 6e-7)], [0.5]), [1]),
      "as written to six decimals, box cx must be at most 1e+08 in magnitude, got 100000000.0000005"),
 ]
 
@@ -368,7 +369,7 @@ def test_property_the_mot_writers_refuse_what_their_reader_refuses(tmp_path_fact
     except ValueError:
         readable = False
     for write, stream in ((write_gt, IdStream._checked(np.ones(1, np.int64), np.ones(1, np.int64), one, np.ones(1))),
-                          (write_detections, {1: Detections._checked(one, np.full(1, 0.5))})):
+                          (write_detections, DetectionStream(Detections._checked(one, np.full(1, 0.5)), [1]))):
         try:
             write(path, stream)
             written = True
@@ -386,19 +387,13 @@ def test_a_failed_results_write_leaves_no_file(tmp_path):
     assert not p.exists()
 
 
-@pytest.mark.parametrize(
-    ("third", "message"),
-    [
-        (None, "frame 3 detection 0 has no embedding"),
-        (unit([1.0, 1.0, 1.0]), "mixed embedding dimensions"),
-    ],
-)
-def test_a_failed_sidecar_write_leaves_no_file(tmp_path, third, message):
+def test_a_failed_sidecar_write_leaves_no_file(tmp_path):
+    # A stream's detections all have an embedding or none has; the first
+    # frame with rows is named.
     box = BBox(5.0, 5.0, 2.0, 2.0)
-    dets = {f: detections([(box, 0.9, unit([1.0, float(f)]))]) for f in (1, 2)}
-    dets[3] = detections([(box, 0.9, third)])
+    dets = detection_stream({3: [(box, 0.9)], 4: [(box, 0.5), (box, 0.6)]}, last=5)
     p = tmp_path / "emb.txt"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="frame 3 detection 0 has no embedding"):
         write_embeddings(p, dets)
     assert not p.exists()
 
@@ -406,8 +401,8 @@ def test_a_failed_sidecar_write_leaves_no_file(tmp_path, third, message):
 def test_predictions_round_trip(tmp_path):
     p = tmp_path / "pred.txt"
     p.write_text("1,1,50,60,30,40,1,-1,-1,-1\n1,0,10,20,30,40,1,-1,-1,-1\n")
-    keys, boxes = read_predictions(p, {1: 2})
-    assert keys == [(1, 1), (1, 0)]  # file order
+    frames, index, boxes = read_predictions(p, detection_stream({1: [(BOX, 0.5), (BOX, 0.5)]}))
+    assert (frames.tolist(), index.tolist()) == ([1, 1], [1, 0])  # file order
     assert boxes.dtype == np.float64 and boxes.tolist() == [[65.0, 80.0, 30.0, 40.0], [25.0, 40.0, 30.0, 40.0]]
 
 
@@ -415,7 +410,7 @@ def test_predictions_reject_a_repeated_key(tmp_path):
     p = tmp_path / "pred.txt"
     p.write_text("1,0,10,20,30,40,1,-1,-1,-1\n2,0,10,20,30,40,1,-1,-1,-1\n1,0,50,60,30,40,1,-1,-1,-1\n")
     with pytest.raises(ValueError, match=r"pred\.txt:3: repeated prediction for frame 1 detection 0"):
-        read_predictions(p, {1: 1, 2: 1})
+        read_predictions(p, detection_stream({1: [(BOX, 0.5)], 2: [(BOX, 0.5)]}))
 
 
 @pytest.mark.parametrize(
@@ -431,7 +426,7 @@ def test_predictions_reject_an_index_with_no_detection(tmp_path, line, counts):
     p = tmp_path / "pred.txt"
     p.write_text("1,0,10,20,30,40,1,-1,-1,-1\n" + line + "\n")
     with pytest.raises(ValueError, match=r"pred\.txt:2: "):
-        read_predictions(p, counts)
+        read_predictions(p, stream_of_counts(counts))
 
 
 def test_read_config(tmp_path):
@@ -511,8 +506,8 @@ def test_a_loadtxt_warning_sends_the_sidecar_to_the_line_loop(tmp_path, monkeypa
     with pytest.raises(ValueError, match=r"emb\.txt:3: malformed value"):
         read_embeddings(p)
     p.write_text("dim=2\n")  # no row holds the header's 2 values: the line loop reads it
-    dim, keys, matrix = read_embeddings(p)
-    assert (dim, keys, matrix.shape) == (2, [], (0, 2))
+    frames, index, matrix = read_embeddings(p)
+    assert (frames.tolist(), index.tolist(), matrix.shape) == ([], [], (0, 2))
     assert sources == [p]
 
 
@@ -536,8 +531,8 @@ def test_embeddings_reject_an_index_with_no_detection(tmp_path, line, counts):
     p = tmp_path / "emb.txt"
     p.write_text("dim=2\n1,0,1.0,0.0\n" + line + "\n")
     with pytest.raises(ValueError, match=r"emb\.txt:3: frame \d+ has 1 detections|emb\.txt:3: frame 3 has 0"):
-        read_embeddings(p, counts)
-    assert len(read_embeddings(p)[1]) == 2  # without counts only the key is checked
+        read_embeddings(p, stream_of_counts(counts))
+    assert len(read_embeddings(p)[1]) == 2  # without a stream only the key is checked
 
 
 def test_embedding_norm_overflow_rejected(tmp_path):
@@ -549,27 +544,27 @@ def test_embedding_norm_overflow_rejected(tmp_path):
 
 
 def test_load_detections_attaches_to_the_detections_it_read(tmp_path, monkeypatch):
-    # The sidecar's vectors join the box and confidence arrays that
+    # The sidecar's vectors join the frame, box and confidence columns that
     # read_detections returned: no row is rebuilt and no array copied.
     _, dets = generate(SimConfig(seed=9, num_identities=3, frames=6, embedding_dim=8))
     dp, ep = tmp_path / "dets.txt", tmp_path / "emb.txt"
     write_detections(dp, dets)
     write_embeddings(ep, dets)
-    read = {}
+    read = []
 
     def counting_read(path):
-        read.update(read_detections(path))
-        return dict(read)
+        read.append(read_detections(path))
+        return read[-1]
 
     monkeypatch.setattr(mot_io, "read_detections", counting_read)
     loaded = load_detections(dp, ep)
-    assert list(loaded) == list(read)
-    for f, batch in loaded.items():
-        assert batch.boxes is read[f].boxes and batch.confidence is read[f].confidence
-        assert batch.embeddings.dtype == np.float64 and batch.embeddings.shape == (len(dets[f]), 8)
-        for got, want in zip(batch.embeddings, dets[f].embeddings):
-            assert abs(np.linalg.norm(got) - 1.0) < 1e-9
-            assert np.allclose(got, want, atol=1e-8)
+    (stream,) = read
+    assert np.shares_memory(loaded.frames, stream.frames) and loaded.last == stream.last == dets.last
+    assert loaded.rows.boxes is stream.rows.boxes and loaded.rows.confidence is stream.rows.confidence
+    assert loaded.rows.embeddings.dtype == np.float64 and loaded.rows.embeddings.shape == (len(dets.rows), 8)
+    for got, want in zip(loaded.rows.embeddings, dets.rows.embeddings):
+        assert abs(np.linalg.norm(got) - 1.0) < 1e-9
+        assert np.allclose(got, want, atol=1e-8)
 
 
 @pytest.mark.parametrize("bulk", [True, False])
@@ -584,7 +579,7 @@ def test_load_detections_places_each_vector_by_its_key(tmp_path, monkeypatch, bu
     order = [(2, 2), (1, 0), (2, 0), (2, 1)]
     ep.write_text("dim=2\n" + "".join(f"{f},{i},{vectors[f, i][0]},{vectors[f, i][1]}\n" for f, i in order))
     loaded = load_detections(dp, ep)
-    assert list(loaded) == [2, 1]
+    assert list(loaded) == [1, 2] and loaded.frames.tolist() == [1, 2, 2, 2]
     assert loaded[2].embeddings.tolist() == [vectors[2, 0], vectors[2, 1], vectors[2, 2]]
     assert loaded[1].embeddings.tolist() == [vectors[1, 0]]
     ep.write_text("dim=2\n" + "".join(f"{f},{i},{vectors[f, i][0]},{vectors[f, i][1]}\n" for f, i in order[:2]))
@@ -595,23 +590,52 @@ def test_load_detections_places_each_vector_by_its_key(tmp_path, monkeypatch, bu
         load_detections(dp, ep)
 
 
+def test_an_out_of_order_detection_file_loads_as_the_sorted_one(tmp_path):
+    # The sidecar and the predictions file name a detection by its frame and
+    # its raw position in that frame. Frames interleaved in the detection
+    # file, each one's lines still in order, change nothing: the same stream,
+    # each vector and predicted box on its own detection, the same hyp.txt.
+    _, dets = generate(SimConfig(seed=2, num_identities=5, frames=12, fp_rate=0.5, embedding_dim=8))
+    dp, shuffled, ep, pp = (tmp_path / name for name in ("dets.txt", "shuffled.txt", "emb.txt", "preds.txt"))
+    write_detections(dp, dets)
+    write_embeddings(ep, dets)
+    index = np.arange(len(dets.rows)) - dets.frames.searchsorted(dets.frames)
+    odd = dets.frames % 2 == 1  # only the odd frames' detections come with a prediction
+    ahead = dets.rows.boxes + [1.5, -0.5, 0.0, 0.0]
+    pp.write_bytes(mot_io._mot_lines(dets.frames[odd], index[odd], ahead[odd], np.ones(np.count_nonzero(odd))))
+    lines = dp.read_text().splitlines(keepends=True)
+    order = sorted(range(len(lines)), key=lambda k: (index[k], -dets.frames[k]))  # every frame's first row, ...
+    shuffled.write_text("".join(lines[k] for k in order))
+    assert [int(lines[k].split(",")[0]) for k in order][:3] == [12, 11, 10]
+    loaded, back = load_detections(dp, ep, pp), load_detections(shuffled, ep, pp)
+    assert bits(back) == bits(loaded)
+    assert back.frames.tolist() == dets.frames.tolist() and back.rows.predicted.tolist() == odd.tolist()
+    assert np.allclose(back.rows.embeddings, dets.rows.embeddings, atol=1e-8)
+    assert np.allclose(back.rows.predictions[odd], ahead[odd], atol=1e-5)
+    for path, hyp in ((dp, "a.txt"), (shuffled, "b.txt")):
+        assert main(["track", "--dets", str(path), "--embeddings", str(ep), "--predictions", str(pp),
+                     "--out", str(tmp_path / hyp)]) == 0
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
 def test_read_embeddings_keeps_the_file_order(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("dim=2\n3,1,0.0,1.0\n1,0,0.6,0.8\n")
-    dim, keys, matrix = read_embeddings(p)
-    assert (dim, keys, matrix.tolist()) == (2, [(3, 1), (1, 0)], [[0.0, 1.0], [0.6, 0.8]])
+    frames, index, matrix = read_embeddings(p)
+    assert (frames.tolist(), index.tolist(), matrix.tolist()) == ([3, 1], [1, 0], [[0.0, 1.0], [0.6, 0.8]])
+    assert frames.dtype == index.dtype == np.int64
     p.write_text("dim=2\n3,1,0.0,2.0\n")  # off unit norm: it warns and re-normalizes
     with pytest.warns(UserWarning, match="re-normalizing"):
-        dim, keys, matrix = read_embeddings(p)
-    assert (dim, keys, matrix.tolist()) == (2, [(3, 1)], [[0.0, 1.0]])
+        frames, index, matrix = read_embeddings(p)
+    assert (frames.tolist(), index.tolist(), matrix.tolist()) == ([3], [1], [[0.0, 1.0]])
 
 
 def test_a_clean_sidecar_takes_the_bulk_path(tmp_path, monkeypatch):
     _, dets = generate(SimConfig(seed=4, num_identities=4, frames=10, embedding_dim=8))
     write_embeddings(tmp_path / "emb.txt", dets)
     monkeypatch.setattr(mot_io, "_by_line", line_loop_must_not_run)
-    _, keys, _ = read_embeddings(tmp_path / "emb.txt", {f: len(v) for f, v in dets.items()})
-    assert len(keys) == sum(map(len, dets.values()))
+    _, index, _ = read_embeddings(tmp_path / "emb.txt", dets)
+    assert len(index) == len(dets.rows)
 
 
 def test_results_and_sidecar_are_parse_stable(tmp_path):
@@ -707,7 +731,7 @@ def test_property_mot_lines_splice_percent_rows_among_fixed_ones(rows):
 @given(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), min_size=1, max_size=6))
 def test_property_sidecar_lines_match_the_per_value_reference(tmp_path_factory, raw):
     vecs = [np.asarray(v) for v in raw if np.linalg.norm(v) > 1e-3]
-    dets = {1: detections([(BBox(5.0, 5.0, 2.0, 2.0), 0.5, v / np.linalg.norm(v)) for v in vecs])}
+    dets = detection_stream({1: [(BBox(5.0, 5.0, 2.0, 2.0), 0.5, v / np.linalg.norm(v)) for v in vecs]})
     p = tmp_path_factory.mktemp("sidecar") / "emb.txt"
     write_embeddings(p, dets)
     want = "dim=3\n" if vecs else "dim=0\n"
@@ -758,7 +782,7 @@ def embedded_streams(draw):
 def test_property_chunked_sidecar_matches_the_per_value_reference(tmp_path_factory, dets, chunk_values):
     p = tmp_path_factory.mktemp("sidecar") / "emb.txt"
     with mock.patch.object(mot_io, "_CHUNK_VALUES", chunk_values):
-        write_embeddings(p, dets)
+        write_embeddings(p, detection_stream(dets))
     rows = [(f, k, d.embedding) for f in sorted(dets) for k, d in enumerate(dets[f])]
     dim = rows[0][2].shape[0] if rows else 0
     assert p.read_bytes() == (f"dim={dim}\n" + "".join(reference_embedding_line(*row) for row in rows)).encode()
@@ -917,6 +941,8 @@ def bits(value):
         return ("Detections", *(bits(getattr(value, name)) for name in columns))
     if isinstance(value, IdStream):
         return ("IdStream", *(bits(getattr(value, name)) for name in ("frames", "ids", "boxes", "confidence")))
+    if isinstance(value, DetectionStream):
+        return ("DetectionStream", bits(value.rows), bits(value.frames), value.last)
     if isinstance(value, Mapping):
         return tuple((bits(k), bits(v)) for k, v in value.items())
     if isinstance(value, (tuple, list)):
@@ -941,6 +967,8 @@ def float_arrays(value) -> list[np.ndarray]:
         value = [value.boxes, value.confidence, value.embeddings, value.predictions]
     elif isinstance(value, IdStream):
         value = [value.boxes, value.confidence]
+    elif isinstance(value, DetectionStream):
+        value = [value.rows]
     elif isinstance(value, Mapping):
         value = list(value.values())
     elif not isinstance(value, (tuple, list)):
@@ -970,13 +998,13 @@ def outcome(read, path):
 
 
 @settings(max_examples=500)
-@given(sidecar_files(), st.sampled_from([None, {1: 2, 2: 3}]))
-def test_property_sidecar_reader_agrees_with_the_line_loop(tmp_path_factory, data, counts):
+@given(sidecar_files(), st.sampled_from([None, stream_of_counts({1: 2, 2: 3})]))
+def test_property_sidecar_reader_agrees_with_the_line_loop(tmp_path_factory, data, dets):
     path = tmp_path_factory.mktemp("sidecar") / "emb.txt"
     path.write_bytes(data)
 
     def read(p):
-        return read_embeddings(p, counts)
+        return read_embeddings(p, dets)
 
     got = outcome(finite(read), path)
     with mock.patch.object(mot_io, "_plain", no_bulk_parse):
@@ -994,15 +1022,15 @@ def test_property_sidecar_reader_agrees_with_the_line_loop(tmp_path_factory, dat
 # "\r\n" and "\r" line ends and a non-ASCII byte.
 MOT_SIZES = ["30", "4.5", "0.000001", "0", "-0", "-2", "1e308"]
 MOT_CONFIDENCES = ["0.9", "0", "1", "1.0000001", "-0.1", "0.5", "nan", "inf", "-inf", "7"]
-DET_COUNTS = {1: 3, 2: 2, 4: 3}
+DETS = stream_of_counts({1: 3, 2: 2, 4: 3})
 
 
 def predictions(path):
-    return read_predictions(path, DET_COUNTS)
+    return read_predictions(path, DETS)
 
 
 def embeddings(path):
-    return read_embeddings(path, DET_COUNTS)
+    return read_embeddings(path, DETS)
 
 
 MOT_READERS = [read_detections, read_gt, predictions]
@@ -1046,8 +1074,7 @@ def test_a_line_of_only_whitespace_is_blank_to_the_line_loop(tmp_path, blank):
     # Such a file is not plain, so the line loop reads it, as it reads the
     # file without that line.
     gt, dets = generate(SimConfig(seed=4, num_identities=4, frames=10, fp_rate=0.5, embedding_dim=8))
-    counts = {f: len(v) for f, v in dets.items()}
-    reads = {"gt.txt": read_gt, "emb.txt": lambda p: read_embeddings(p, counts)}
+    reads = {"gt.txt": read_gt, "emb.txt": lambda p: read_embeddings(p, dets)}
     write_gt(tmp_path / "gt.txt", gt)
     write_embeddings(tmp_path / "emb.txt", dets)
     clean = {name: outcome(read, tmp_path / name) for name, read in reads.items()}
@@ -1065,22 +1092,21 @@ def writer_files(tmp_path) -> dict[str, tuple]:
     moved by (1.5, -0.5), keyed by frame and det_index, every other frame,
     as ``_mot_lines`` writes MOT rows."""
     gt, dets = generate(SimConfig(seed=4, num_identities=4, frames=10, fp_rate=0.5, embedding_dim=8))
-    counts = {f: len(v) for f, v in dets.items()}
     write_gt(tmp_path / "gt.txt", gt)
     write_detections(tmp_path / "dets.txt", dets)
     write_embeddings(tmp_path / "emb.txt", dets)
     write_results(tmp_path / "hyp.txt", hypotheses(track_stream(dets, TrackerConfig()), interpolated=True))
     kept = [f for f in dets if f % 2]
-    frames = np.repeat(kept, [counts[f] for f in kept])
-    index = np.concatenate([np.arange(counts[f]) for f in kept])
+    frames = np.repeat(kept, [len(dets[f]) for f in kept])
+    index = np.concatenate([np.arange(len(dets[f])) for f in kept])
     boxes = np.concatenate([dets[f].boxes for f in kept]) + [1.5, -0.5, 0.0, 0.0]
     (tmp_path / "preds.txt").write_bytes(mot_io._mot_lines(frames, index, boxes, np.ones(len(frames))))
     readers = {
         "gt.txt": read_gt,
         "dets.txt": read_detections,
-        "emb.txt": lambda p: read_embeddings(p, counts),
+        "emb.txt": lambda p: read_embeddings(p, dets),
         "hyp.txt": read_gt,
-        "preds.txt": lambda p: read_predictions(p, counts),
+        "preds.txt": lambda p: read_predictions(p, dets),
     }
     return {name: (tmp_path / name, read) for name, read in readers.items()}
 
@@ -1228,11 +1254,12 @@ def test_a_rule_break_names_its_line(tmp_path, monkeypatch, newline, blank, read
         reader(p)
 
 
-def test_the_bulk_reader_keeps_frames_in_order_of_first_appearance(tmp_path, monkeypatch):
+def test_the_bulk_reader_sorts_the_frames_and_keeps_each_frames_row_order(tmp_path, monkeypatch):
     p = tmp_path / "dets.txt"
     p.write_text("3,-1,0,0,2,2,0.5\n1,-1,10,0,2,2,0.6\n3,-1,20,0,2,2,0.7,x\n\n2,-1,30,0,2,2,0.8,-1,-1,-1\n")
     monkeypatch.setattr(mot_io, "_by_line", line_loop_must_not_run)
     dets = read_detections(p)
-    assert list(dets) == [3, 1, 2]
+    assert list(dets) == [1, 2, 3] and dets.frames.tolist() == [1, 2, 3, 3] and dets.last == 3
+    assert dets.rows.confidence.tolist() == [0.6, 0.8, 0.5, 0.7]
     assert dets[3].confidence.tolist() == [0.5, 0.7]
     assert dets[3].boxes.tolist() == [[1.0, 1.0, 2.0, 2.0], [21.0, 1.0, 2.0, 2.0]]

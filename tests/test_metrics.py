@@ -392,8 +392,9 @@ def outcome(score, *args):
 def test_property_evaluate_and_sweep_match_the_reference(streams, gate, stride):
     gt, scored = streams
     packed = IdStream.pack(gt), IdStream.pack(scored)
-    if stride > 1:  # a last kept frame that a list stream lacks comes back as []; a stream keeps rows
-        gt, scored = subsample(gt, stride), subsample(scored, stride)
+    if stride > 1:  # the list streams' kept frames, renumbered as subsample renumbers a stream's
+        gt, scored = ({(f - 1) // stride + 1: rows for f, rows in lists.items() if (f - 1) % stride == 0}
+                      for lists in (gt, scored))
         packed = tuple(subsample(stream, stride) for stream in packed)
     hyp = {f: [(hid, box) for hid, box, _ in rows] for f, rows in scored.items()}
     expected = outcome(reference_evaluate, gt, hyp, gate)

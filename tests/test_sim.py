@@ -12,10 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import batch_bits, by_frame, detections
+from helpers import batch_bits, by_frame, detection_stream, detections
 from idtrack import sim
-from idtrack.geometry import BOX_LIMIT, MIN_SIDE, BBox, Detections, IdStream, _good_boxes
+from idtrack.affinity import AffinityWeights
+from idtrack.geometry import BOX_LIMIT, MIN_SIDE, BBox, Detections, DetectionStream, IdStream, _good_boxes
 from idtrack.sim import SimConfig, benchmark_config, config_from_mapping, generate, subsample
+from idtrack.tracker import TrackerConfig, track_stream
 
 
 def _reference_unit(vec):
@@ -113,7 +115,7 @@ def reference_generate(config):
         gt[t] = gt_frame
         dets[t] = detections(det_frame)
 
-    gt = IdStream.pack(gt)
+    gt, dets = IdStream.pack(gt), detection_stream(dets)
     if config.frame_stride > 1:
         gt = subsample(gt, config.frame_stride)
         dets = subsample(dets, config.frame_stride)
@@ -122,11 +124,12 @@ def reference_generate(config):
 
 def scene_bits(gt, dets):
     """A scene as raw bytes, so that equality is bit for bit (0.0 != -0.0):
-    each ground-truth column with its dtype and shape, and the detections."""
-    gt_columns = [(a.dtype.str, a.shape, a.tobytes()) for a in (gt.frames, gt.ids, gt.boxes, gt.confidence)]
-    det_rows = [(f, d.confidence, d.box.cx, d.box.cy, d.box.w, d.box.h) for f in dets for d in dets[f]]
-    embeddings = [d.embedding.tobytes() for f in dets for d in dets[f]]
-    return gt_columns, list(dets), np.array(det_rows).tobytes(), embeddings
+    each column of both streams with its dtype and shape (a stream without
+    detections holds no embeddings), and the detections' last frame."""
+    rows = dets.rows
+    columns = (gt.frames, gt.ids, gt.boxes, gt.confidence, dets.frames, rows.boxes, rows.confidence,
+               rows.embeddings if len(rows) else None)
+    return [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in columns], dets.last
 
 
 @st.composite
@@ -300,29 +303,38 @@ def test_subsample_drops_and_reindexes():
     mixed = subsample(IdStream([7, 1, 0, 4, -2, 10, 6], [1, 2, 3, 4, 5, 6, 7], box * 7, [1, 2, 3, 4, 5, 6, 7]), 3)
     assert mixed.frames.tolist() == [3, 1, 2, 4] and mixed.ids.tolist() == [1, 2, 4, 6]
     assert mixed.confidence.tolist() == [1.0, 2.0, 4.0, 6.0] and mixed.boxes.tolist() == box * 4
-    # Of a detection stream only the keys change: each kept frame's batch is the same object.
+    # Of a detection stream the same mask keeps the kept frames' rows, in order.
     thin_dets = subsample(dets, 3)
-    assert thin_dets[3] is dets[7]
-    # A kept frame the stream lacks stays out, except the last one.
-    assert subsample({1: dets[1], 5: dets[5]}, 2) == {1: dets[1], 3: dets[5]}
-    assert subsample({1: dets[1], 4: dets[4]}, 2) == {1: dets[1], 2: []}
-    assert list(subsample({7: dets[7], 1: dets[1], 6: dets[6]}, 3)) == [1, 3]
+    assert thin_dets.frames.tolist() == np.repeat([1, 2, 3, 4], [len(dets[f]) for f in (1, 4, 7, 10)]).tolist()
+    assert thin_dets.last == 4 and batch_bits(thin_dets[3]) == batch_bits(dets[7])
 
 
-def test_subsample_grows_with_the_frames_it_is_given():
-    # Frames far apart cost no entry per kept frame in between. A range over
+def test_subsample_steps_the_last_kept_frame_even_without_rows():
+    # Source frames 1 and 3 are kept at stride 2 and frame 3 holds no rows:
+    # the stream still ends there, and the tracker coasts to it.
+    box = BBox(10.0, 10.0, 4.0, 4.0)
+    thin = subsample(detection_stream({1: [(box, 0.9)], 2: [(box, 0.8)], 4: [(box, 0.7)]}), 2)
+    assert (thin.frames.tolist(), thin.last, len(thin[2])) == ([1], 2, 0)
+    outputs = track_stream(thin, TrackerConfig(weights=AffinityWeights(1.0, 0.0)))
+    assert [(o.frame, o.track_id, o.box, o.interpolated) for o in outputs] == [(1, 1, box, False), (2, 1, box, True)]
+
+
+def test_subsample_grows_with_the_rows_it_is_given():
+    # Frames far apart cost nothing per kept frame in between. A range over
     # the largest frame built 10**6 entries here, in about 0.7 s.
-    _, dets = generate(SimConfig(seed=1, num_identities=2, frames=2))
+    box = BBox(10.0, 10.0, 4.0, 4.0)
+    dets = detection_stream({1: [(box, 0.9)], 2 * 10**6 + 1: [(box, 0.8)]})
     start = time.perf_counter()
-    thin = subsample({1: dets[1], 2 * 10**6 + 1: dets[2]}, 2)
+    thin = subsample(dets, 2)
     assert time.perf_counter() - start < 0.5
-    assert thin == {1: dets[1], 10**6 + 1: dets[2]}
+    assert (thin.frames.tolist(), thin.last, thin.rows.confidence.tolist()) == ([1, 10**6 + 1], 10**6 + 1, [0.9, 0.8])
 
 
 def test_subsample_rejects_bad_stride():
     with pytest.raises(ValueError):
-        subsample({1: []}, 0)
-    assert subsample({}, 3) == {}
+        subsample(detection_stream({1: []}), 0)
+    empty = subsample(detection_stream({}), 3)
+    assert (len(empty.rows), empty.last, list(empty)) == (0, 0, [])
 
 
 def test_embeddings_are_unit_norm_and_separated():
@@ -447,9 +459,10 @@ def test_config_accepts_the_benchmark_workloads():
 
 @pytest.mark.parametrize("workload, frames", [("stock", 200), ("lowfps", 1000)])
 def test_generate_peaks_below_twice_the_arrays_it_returns(workload, frames):
-    # Batches are built frame by frame and the ground truth fills one array;
-    # a generator that held the whole stream's draws before building any
-    # batch peaks at 2.7 and 2.9 times. Each ground-truth column counts once.
+    # Each kept frame fills its rows of the detection columns and the ground
+    # truth fills one array; a generator that held the whole stream's draws
+    # before building any batch peaks at 2.7 and 2.9 times. Each column of
+    # either stream counts once.
     cfg = replace(_workload_config(workload), seed=7, frames=frames)
     tracemalloc.start()
     try:
@@ -458,7 +471,7 @@ def test_generate_peaks_below_twice_the_arrays_it_returns(workload, frames):
     finally:
         tracemalloc.stop()
     returned = sum(a.nbytes for a in (gt.frames, gt.ids, gt.boxes, gt.confidence))
-    returned += sum(a.nbytes for batch in dets.values() for a in (batch.boxes, batch.confidence, batch.embeddings))
+    returned += sum(a.nbytes for a in (dets.frames, dets.rows.boxes, dets.rows.confidence, dets.rows.embeddings))
     assert peak < 2 * returned
 
 
@@ -467,7 +480,7 @@ def test_generate_builds_batches_without_a_constructor_per_frame(monkeypatch):
     # number of constructor calls does not grow with the frames; a generator
     # that built each kept frame through them made two per frame.
     built = []
-    for cls in (IdStream, Detections):
+    for cls in (IdStream, Detections, DetectionStream):
         def counting_init(self, *args, _init=cls.__init__, **kwargs):
             built.append(type(self).__name__)
             _init(self, *args, **kwargs)
@@ -506,13 +519,14 @@ def test_a_block_check_applies_every_batch_rule_and_names_the_frame(stream, colu
     # array, which the stream's boxes view.
     gt, dets = generate(SimConfig(seed=5, num_identities=4, frames=6, miss_rate=0.0))
     truth, frames = gt.boxes.reshape(6, 16), range(1, 7)
-    sim._check_frames(truth, dets, frames)
+    bounds = dets.frames.searchsorted(range(1, 8)).tolist()  # frame f's rows: bounds[f - 1] to bounds[f]
+    sim._check_frames(truth, dets.rows, bounds, frames)
     for frame in (3, 5):  # only the first bad frame is named
         array = truth.reshape(6, 4, 4)[frame - 1] if stream == "gt" else getattr(dets[frame], column)
-        array[row] = value
+        array[row] = value  # a frame's batch views the stream's columns
     with pytest.raises(ValueError, match=re.escape(message)):
-        sim._check_frames(truth, dets, frames)
-    sim._check_frames(truth, dets, range(1, 3))  # a block reads only its own frames
+        sim._check_frames(truth, dets.rows, bounds, frames)
+    sim._check_frames(truth, dets.rows, bounds, range(1, 3))  # a block reads only its own frames
 
 
 @pytest.mark.parametrize("stride, good_exp_calls, frame", [(1, 0, 1), (1, 8 * 40, 41), (1, 8 * 66, 67), (3, 8 * 66, 67)])

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idtrack.affinity import AffinityWeights, nms
-from helpers import detections, state, track_outputs, trajectories, update_one
-from idtrack.geometry import BBox, Detections, _box_rows
+from helpers import detection_stream, detections, state, track_outputs, trajectories, update_one
+from idtrack.geometry import BBox, Detections, DetectionStream, _box_rows
 from idtrack.mot_io import load_detections, write_detections, write_embeddings, write_results
 from idtrack.sim import SimConfig, generate
 from idtrack.tracker import (
@@ -42,8 +42,9 @@ def det(cx, cy, emb=None, conf=0.9, size=4.0, prediction=None):
 
 
 def stream(frames):
-    """A stream of row lists as one batch per frame."""
-    return {frame: detections(rows) for frame, rows in frames.items()}
+    """A ``DetectionStream`` of ``{frame: row list or batch}``, its largest
+    frame (empty or not) the last."""
+    return detection_stream(frames)
 
 
 def id_only_config(**kwargs):
@@ -243,7 +244,7 @@ def test_the_rows_of_a_batch_are_checked_boxes(box):
 
 def test_a_batch_is_not_hashable():
     with pytest.raises(TypeError):
-        hash(track_stream({}, iou_only_config()))
+        hash(track_stream(stream({}), iou_only_config()))
 
 
 def test_the_steps_of_a_stream_without_idle_frames_are_its_rows():
@@ -263,7 +264,7 @@ def test_the_tracker_builds_batches_the_constructor_would_take_as_they_are():
     _, dets = generate(SimConfig(seed=43, num_identities=8, frames=30, occlusion_events=3))
     tracker = Tracker(id_only_config())
     batches = [tracker.step(dets[1], 1), tracker.step(dets[2].take([]), 2),
-               track_stream(dets, id_only_config()), track_stream({5: []})]
+               track_stream(dets, id_only_config()), track_stream(stream({5: []}))]
     for outputs in batches:
         rebuilt = TrackOutputs(*(getattr(outputs, name) for name in TrackOutputs.__slots__))
         for name in TrackOutputs.__slots__:
@@ -517,7 +518,7 @@ def test_stream_outputs_unique_per_frame_and_id():
 
 
 def test_stream_handles_empty_input():
-    assert track_stream({}, iou_only_config()) == []
+    assert track_stream(stream({}), iou_only_config()) == []
 
 
 def test_stream_time_grows_with_the_data_not_the_largest_frame():
@@ -566,7 +567,7 @@ def test_stream_prediction_follows_a_buffer_recovery():
 
 def test_identity_weight_zero_ignores_embeddings():
     _, dets = generate(SimConfig(seed=41, num_identities=6, frames=40, occlusion_events=2))
-    stripped = {f: Detections(v.boxes, v.confidence) for f, v in dets.items()}
+    stripped = DetectionStream(Detections(dets.rows.boxes, dets.rows.confidence), dets.frames, dets.last)
     with_emb = track_stream(dets, iou_only_config())
     without_emb = track_stream(stripped, iou_only_config())
     assert with_emb == without_emb
@@ -634,6 +635,7 @@ def scenes_with_predictions(draw):
         buffer_size=buffer_size, motion_propagate_frames=draw(st.integers(1, buffer_size))
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batches = {}
     for frame, batch in dets.items():
         rows = []
         for d in batch:
@@ -642,8 +644,8 @@ def scenes_with_predictions(draw):
                 dx, dy = rng.normal(0.0, 8.0, size=2)
                 prediction = BBox(d.box.cx + dx, d.box.cy + dy, d.box.w, d.box.h)
             rows.append((d.box, d.confidence, d.embedding, prediction))
-        dets[frame] = detections(rows)
-    return dets, tracker_config
+        batches[frame] = detections(rows)
+    return stream(batches), tracker_config
 
 
 property_settings = settings(max_examples=40)
@@ -743,6 +745,7 @@ def test_property_gaps_give_the_outputs_of_stepping_every_frame(scene, data):
     for batch in dets.values():
         frame += 1 + data.draw(st.sampled_from([0, 0, 1, 3, config.buffer_size + 1, 12]))
         gapped[frame] = [] if data.draw(st.integers(0, 5)) == 0 else batch
+    gapped = stream(gapped)
     assert track_stream(gapped, config) == step_every_frame(gapped, config)
 
 
@@ -764,7 +767,7 @@ def test_property_shuffled_frames_give_the_same_tracks(scene, seed):
     # the same pairs in any row order: only the ids of the births change.
     dets, config = scene
     rng = np.random.default_rng(seed)
-    shuffled = {frame: batch.take(rng.permutation(len(batch))) for frame, batch in dets.items()}
+    shuffled = stream({frame: batch.take(rng.permutation(len(batch))) for frame, batch in dets.items()})
     assert tracks(track_stream(shuffled, config)) == tracks(track_stream(dets, config))
 
 
