@@ -6,10 +6,10 @@ The network's numeric kernels are not re-exported here; import them from
 
 from .affinity import AffinityWeights, combined_affinity, nms
 from .assignment import Assignment, solve_max
-from .geometry import BBox, Detections, to_corner
+from .geometry import BBox, Detections, TrackOutput, to_corner
 from .metrics import MotReport, evaluate, format_report, format_table, sweep_thresholds
 from .sim import SimConfig, benchmark_config, generate, subsample
-from .tracker import Tracker, TrackerConfig, TrackOutput, Trajectory, hypotheses, track_stream
+from .tracker import Tracker, TrackerConfig, Trajectory, track_stream
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,6 @@ __all__ = [
     "format_report",
     "format_table",
     "generate",
-    "hypotheses",
     "nms",
     "solve_max",
     "subsample",

@@ -31,7 +31,7 @@ from .mot_io import (
     write_results,
 )
 from .sim import benchmark_config, config_from_mapping, generate, subsample
-from .tracker import DEFAULT_NMS_IOU, TrackerConfig, hypotheses, track_stream
+from .tracker import DEFAULT_NMS_IOU, TrackerConfig, track_stream
 
 __all__ = ["main", "ABLATION_MODELS"]
 
@@ -119,7 +119,7 @@ def cmd_track(args) -> int:
     if args.frame_stride > 1:
         dets = subsample(dets, args.frame_stride)
     outputs = track_stream(dets, config, nms_iou=args.nms_iou)
-    written = write_results(args.out, hypotheses(outputs, interpolated=args.write_interpolated))
+    written = write_results(args.out, outputs if args.write_interpolated else outputs.take(~outputs.interpolated))
     print(f"tracked {dets.last} frames, wrote {written} boxes to {args.out}")
     return 0
 
@@ -197,7 +197,8 @@ def cmd_ablate(args) -> int:
         gt = subsample(gt_full, stride) if stride > 1 else gt_full
         dets = subsample(dets_full, stride) if stride > 1 else dets_full
         for name, model in models.items():
-            hyp = hypotheses(track_stream(dets, model))
+            outputs = track_stream(dets, model)
+            hyp = outputs.take(~outputs.interpolated)
             report = evaluate(gt, hyp, args.iou_gate)
             label = f"{name}@s{stride}"
             rows.append((label, report))

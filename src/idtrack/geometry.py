@@ -10,11 +10,11 @@ its confidence, reading its other values from the arrays; none is kept.
 ``DetectionStream`` is a whole stream's detections, one batch of every row
 beside an ascending frame column, which ``generate`` and the readers return
 and ``subsample``, ``track_stream`` (one frame's slice per step) and the
-writers read. ``IdStream`` is ground truth or tracker hypotheses over a
-whole stream as one column set (frames, ids, boxes, confidences), which
-``generate``, ``read_gt`` and ``hypotheses`` return and ``subsample``,
-``evaluate``, ``sweep_thresholds`` and the writers read. ``_check_fields``
-is the field rule of every config dataclass.
+writers read. ``IdStream`` is ground truth or tracker outputs over a
+whole stream as one column set (frames, ids, boxes, confidences and an
+interpolated mask), which ``generate``, ``read_gt`` and the tracker
+return and ``subsample``, ``evaluate``, ``sweep_thresholds`` and the
+writers read. ``_check_fields`` is the field rule of every config dataclass.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "Detections",
     "DetectionStream",
     "IdStream",
+    "TrackOutput",
     "to_corner",
 ]
 
@@ -158,6 +159,14 @@ def _first_false(ok: np.ndarray) -> int | None:
     if np.count_nonzero(ok) == len(ok):
         return None
     return int((~ok).nonzero()[0][0])
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a ``TypeError`` names it when it is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _int_column(values, n: int, name: str) -> np.ndarray:
@@ -320,19 +329,34 @@ class Detection:
         return BBox(*batch.predictions[self.index].tolist())
 
 
+@dataclass(frozen=True, slots=True)
+class TrackOutput:
+    """One row of an ``IdStream``; ``interpolated`` marks propagation output."""
+
+    frame: int
+    track_id: int
+    box: BBox
+    confidence: float
+    interpolated: bool = False
+
+
 class IdStream:
-    """Ground truth or hypotheses over many frames as columns: ``frames`` and
-    ``ids`` ``(n,)`` int64, ``boxes`` ``(n, 4)`` in center form and
-    ``confidence`` ``(n,)``, 1 for every row unless given. The constructor
-    checks the whole stream at once: integer frames and ids that int64
-    holds, boxes in the box domain (see ``_box_fault``) and finite
-    confidences; an error names the first bad row. What a repeated
-    ``(frame, id)`` means is up to whoever reads the stream. A stream is not
-    modified after it is built; ``take`` makes a new one."""
+    """Ground truth or tracker outputs over many frames as columns: ``frames``
+    and ``ids`` ``(n,)`` int64, ``boxes`` ``(n, 4)`` in center form,
+    ``confidence`` (1 unless given) and ``interpolated`` (False unless given,
+    True where a tracker propagated a box). The constructor checks the whole
+    stream at once: integer frames and ids that int64 holds, boxes in the
+    box domain (see ``_box_fault``) and finite confidences; an error names
+    the first bad row, or a column of another length. What a repeated
+    ``(frame, id)`` means is up to its reader. A stream is not modified
+    after it is built; ``take`` makes a new one. It works as a list of
+    ``TrackOutput`` rows, built when asked for and not kept, and equals a
+    stream of equal columns or a list or tuple of equal rows."""
 
-    __slots__ = ("frames", "ids", "boxes", "confidence")
+    __slots__ = ("frames", "ids", "boxes", "confidence", "interpolated")
+    __hash__ = None
 
-    def __init__(self, frames, ids, boxes, confidence=None):
+    def __init__(self, frames, ids, boxes, confidence=None, interpolated=None):
         ids = _int_column(ids, np.size(ids), "id")
         frames, n = _int_column(frames, len(ids), "frame"), len(ids)
         boxes = _box_array(boxes, n, "boxes")
@@ -340,26 +364,30 @@ class IdStream:
         if k is not None:
             raise ValueError(f"row {k}: {_box_fault(*boxes[k].tolist())}")
         confidence = np.ones(n) if confidence is None else np.asarray(confidence, dtype=np.float64).reshape(-1)
-        if confidence.shape != (n,):
-            raise ValueError(f"confidence must have shape ({n},), got {confidence.shape}")
+        interpolated = np.zeros(n, bool) if interpolated is None else np.asarray(interpolated, bool).reshape(-1)
+        for name, column in (("confidence", confidence), ("interpolated", interpolated)):
+            if column.shape != (n,):
+                raise ValueError(f"{name} must have shape ({n},), got {column.shape}")
         k = _first_false(np.isfinite(confidence))
         if k is not None:
             raise ValueError(f"row {k}: confidence must be finite, got {confidence[k]}")
-        self.frames, self.ids, self.boxes, self.confidence = frames, ids, boxes, confidence
+        self.frames, self.ids, self.boxes = frames, ids, boxes
+        self.confidence, self.interpolated = confidence, interpolated
 
     @classmethod
-    def _checked(cls, frames, ids, boxes, confidence) -> "IdStream":
+    def _checked(cls, frames, ids, boxes, confidence, interpolated=None) -> "IdStream":
         """A stream of columns that are already typed, shaped and valid."""
         stream = cls.__new__(cls)
         stream.frames, stream.ids, stream.boxes, stream.confidence = frames, ids, boxes, confidence
+        stream.interpolated = np.zeros(len(ids), bool) if interpolated is None else interpolated
         return stream
 
     @classmethod
     def pack(cls, stream: Mapping) -> "IdStream":
         """One stream of a mapping's frames, in its order, each a list of
         ``(id, box)`` or ``(id, box, confidence)`` rows with ``BBox`` boxes,
-        confidence 1 where a row has none, checked as the constructor checks
-        a stream (a stream is returned as it is)."""
+        confidence 1 where a row has none and no row interpolated, checked as
+        the constructor checks a stream (a stream is returned as it is)."""
         if isinstance(stream, IdStream):
             return stream
         rows = [(frame, *row) for frame, frame_rows in stream.items() for row in frame_rows]
@@ -368,7 +396,29 @@ class IdStream:
 
     def take(self, index) -> "IdStream":
         """The rows that ``index`` (integers or a boolean mask) selects."""
-        return IdStream._checked(self.frames[index], self.ids[index], self.boxes[index], self.confidence[index])
+        return IdStream._checked(*(getattr(self, name)[index] for name in IdStream.__slots__))
+
+    def __len__(self) -> int:
+        return self.frames.shape[0]
+
+    def __iter__(self) -> Iterator[TrackOutput]:
+        return iter(self._rows(slice(None)))
+
+    def __getitem__(self, k: int) -> TrackOutput:
+        return self._rows(slice(k, k + 1 or None))[0]  # an empty slice out of range: IndexError
+
+    def _rows(self, at: slice) -> list[TrackOutput]:
+        """One ``TrackOutput`` per row ``at``: the one per-row loop over a stream."""
+        columns = self.frames[at], self.ids[at], self.boxes[at], self.confidence[at], self.interpolated[at]
+        return [TrackOutput(frame, track_id, BBox(*box), confidence, interpolated)
+                for frame, track_id, box, confidence, interpolated in zip(*(column.tolist() for column in columns))]
+
+    def __eq__(self, other):
+        if isinstance(other, IdStream):
+            return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in self.__slots__)
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
 
 
 class DetectionStream(Mapping):
@@ -388,7 +438,7 @@ class DetectionStream(Mapping):
         if (k := _first_false(np.diff(frames, prepend=1) >= 0)) is not None:  # a first frame below 1, or a step back
             after = f"comes after frame {frames[k - 1]}" if k else "is below 1"
             raise ValueError(f"row {k}: frame {frames[k]} {after}")
-        last = (int(frames[-1]) if n else 0) if last is None else operator.index(last)
+        last = (int(frames[-1]) if n else 0) if last is None else _integer(last, "the last frame")
         k = int(frames.searchsorted(last, "right"))
         if k < n or last < 0:
             raise ValueError(f"row {k}: frame {frames[k]} is past the last frame, {last}" if k < n

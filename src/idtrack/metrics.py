@@ -8,7 +8,7 @@ associated hypothesis id changes, and the switch also ends the previous
 correspondence.
 
 Each stream is an ``IdStream``, as ``generate``, ``read_gt`` and
-``hypotheses`` return, or maps frame -> list of ``(id, box)`` pairs, which
+``track_stream`` return, or maps frame -> list of ``(id, box)`` pairs, which
 ``IdStream.pack`` joins once. ``evaluate`` sorts each stream's columns by
 frame and id, numbers the ids densely, computes the box corners once, and
 scores a frame with array operations on its rows' corners: the surviving

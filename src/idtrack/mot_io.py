@@ -42,7 +42,7 @@ the stream's box and confidence columns as matrices, placed by their
 columns. ``read_gt`` returns the file's columns as one ``IdStream``, for
 ground truth and results alike, and one writer, ``write_gt`` or
 ``write_results``, writes such a stream sorted by (frame, id), confidences
-kept.
+kept. The format has no ``interpolated`` column: it reads back all False.
 
 Every writer streams its rows in chunks across frames: ``_CHUNK_ROWS`` MOT
 rows, or about ``_CHUNK_VALUES`` sidecar values, at a time. Each chunk is
@@ -293,8 +293,8 @@ def read_detections(path) -> DetectionStream:
 def read_gt(path) -> IdStream:
     """Read a ground-truth or result file as one ``IdStream`` of frames,
     ids, boxes and confidences, rows in file order (so its frames come in
-    order of first appearance). Every id is 1 or more, every confidence
-    finite, and no ``(frame, id)`` repeats."""
+    order of first appearance) and none interpolated. Every id is 1 or
+    more, every confidence finite, and no ``(frame, id)`` repeats."""
     frames, ids, boxes, conf = _mot_columns(path)
     _id_rules(frames, ids, conf, functools.partial(_require, path))
     return IdStream._checked(frames, ids, boxes, conf)
@@ -543,11 +543,11 @@ def _embedding_rows(frames: np.ndarray, indices: np.ndarray, m: np.ndarray, line
 
 def write_gt(path, stream: IdStream) -> int:
     """Write a ground-truth or result stream, rows sorted by (frame, id)
-    with their confidences, and return the number of rows written.
-    ``read_gt``'s rules are checked on every row before the file is opened,
-    its box rule on the boxes it will rebuild: a coasted head that ran out
-    of the box domain is refused here, and so is a box that its six decimals
-    move out of it."""
+    with their confidences, interpolated or not, and return the number of
+    rows written. ``read_gt``'s rules are checked on every row before the
+    file is opened, its box rule on the boxes it will rebuild: a coasted
+    head that ran out of the box domain is refused here, and so is a box
+    that its six decimals move out of it."""
     stream = stream.take(np.lexsort((stream.ids, stream.frames)))
     frames, ids, boxes, confidence = stream.frames, stream.ids, stream.boxes, stream.confidence
     _frame_rule(frames, _check)
@@ -560,7 +560,7 @@ def write_gt(path, stream: IdStream) -> int:
     return len(ids)
 
 
-write_results = write_gt  # results are the ``IdStream`` that ``hypotheses`` returns
+write_results = write_gt  # results are the ``IdStream`` that ``track_stream`` returns
 
 
 def write_detections(path, dets: DetectionStream) -> None:

@@ -27,7 +27,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .geometry import UNIT_NORM_TOL, DetectionStream, Detections, IdStream, _check_fields, _good_boxes, _row_norms
+from .geometry import (UNIT_NORM_TOL, DetectionStream, Detections, IdStream, _check_fields, _good_boxes, _integer,
+                       _row_norms)
 
 __all__ = ["SimConfig", "generate", "subsample", "benchmark_config", "config_from_mapping"]
 
@@ -317,19 +318,21 @@ def _check_frames(truth: np.ndarray, rows: Detections, bounds: list[int], block:
 def subsample(stream: IdStream | DetectionStream, stride: int) -> IdStream | DetectionStream:
     """Keep frames 1, 1+stride, 1+2*stride, ... and number them densely.
 
-    One mask keeps the kept frames' rows in their order. A detection
-    stream's last frame becomes the kept frame at or before it, so that the
-    tracker still steps (and coasts) to the end, rows there or not. A
-    detection's prediction still points one source frame ahead, not one
-    kept frame, so a strided stream should carry none (``idtrack track``
-    rejects ``--predictions`` with a stride).
+    One mask keeps the kept frames' rows, every column, in their order; the
+    stride is an integer of 1 or more. A detection stream's last frame
+    becomes the kept frame at or before it, so that the tracker still steps
+    (and coasts) to the end, rows there or not. A detection's prediction
+    still points one source frame ahead, not one kept frame, so a strided
+    stream should carry none (``idtrack track`` rejects ``--predictions``
+    with a stride).
     """
+    stride = _integer(stride, "stride")
     if stride < 1:
-        raise ValueError("stride must be >= 1")
+        raise ValueError(f"stride must be >= 1, got {stride}")
     frames, offset = np.divmod(stream.frames - 1, stride)
     keep = (offset == 0) & (frames >= 0)
     if isinstance(stream, IdStream):
-        return IdStream._checked(frames[keep] + 1, stream.ids[keep], stream.boxes[keep], stream.confidence[keep])
+        return IdStream._checked(frames[keep] + 1, *(getattr(stream, name)[keep] for name in IdStream.__slots__[1:]))
     return DetectionStream(stream.rows.take(keep), frames[keep] + 1, (stream.last - 1) // stride + 1)
 
 

@@ -24,8 +24,8 @@ and the trajectories live in one ``TrajectoryTable`` of columns that the
 tracker owns, one slot per live trajectory. Affinities, updates, recovery
 levels and coasting read and write those arrays, a few numpy calls per
 Hungarian solve; a step builds no object per row, as its outputs are one
-``TrackOutputs`` gather of the table. ``track_stream`` takes a whole
-``DetectionStream`` and hands each step one slice of its columns.
+``IdStream`` gather of the table. ``track_stream`` takes a whole
+``DetectionStream``, hands each step one slice and joins their outputs.
 
 Identity-only recovery needs embeddings, so with ``weights.identity == 0``
 phase 2 is skipped entirely and the tracker degrades to a plain IoU
@@ -43,7 +43,6 @@ the values of its last step, and its slot goes to a later birth.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -51,7 +50,7 @@ import numpy as np
 
 from .affinity import AffinityWeights, combined_affinity, nms
 from .assignment import solve_max
-from .geometry import (BBox, DetectionStream, Detections, IdStream, _box_array, _check_fields, _first_false,
+from .geometry import (BBox, DetectionStream, Detections, IdStream, _check_fields, _first_false, _integer,
                        _row_norms, _shape_fault)
 
 __all__ = [
@@ -59,13 +58,10 @@ __all__ = [
     "Trajectories",
     "TrajectoryTable",
     "TrackerConfig",
-    "TrackOutput",
-    "TrackOutputs",
     "Tracker",
     "propagate_linear",
     "update_trajectory",
     "track_stream",
-    "hypotheses",
     "DEFAULT_NMS_IOU",
 ]
 
@@ -314,72 +310,6 @@ class TrackerConfig:
             raise ValueError(f"min_affinity must lie in [0, 1], got {self.min_affinity}")
 
 
-@dataclass(frozen=True, slots=True)
-class TrackOutput:
-    """One emitted box. ``interpolated`` marks propagation output, not a detection."""
-
-    frame: int
-    track_id: int
-    box: BBox
-    confidence: float
-    interpolated: bool = False
-
-
-class TrackOutputs:
-    """Tracker outputs as columns: ``frame`` and ``track_id`` ``(n,)``
-    int64, ``boxes`` ``(n, 4)`` in centre form, ``confidence`` ``(n,)`` and
-    the ``interpolated`` mask; the constructor names the first column of
-    another shape. ``len()``, iteration and integer indexing work as on a
-    list of ``TrackOutput`` rows, which are built when asked for and not
-    kept; a row whose box ``BBox`` refuses raises ``ValueError``. A batch
-    equals a batch with equal columns, and a list or tuple of rows equal to
-    its own."""
-
-    __slots__ = ("frame", "track_id", "boxes", "confidence", "interpolated")
-    __hash__ = None
-
-    def __init__(self, frame, track_id, boxes, confidence, interpolated):
-        self.frame, self.track_id = np.asarray(frame, np.int64), np.asarray(track_id, np.int64)
-        self.confidence, self.interpolated = np.asarray(confidence, np.float64), np.asarray(interpolated, bool)
-        n = self.frame.size
-        for name in ("frame", "track_id", "confidence", "interpolated"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},), got {getattr(self, name).shape}")
-        self.boxes = _box_array(boxes, n, "boxes")
-
-    @classmethod
-    def _checked(cls, frame, track_id, boxes, confidence, interpolated) -> "TrackOutputs":
-        """A batch of columns that are already typed and shaped (gathered from
-        the slot table, or joined from such batches)."""
-        batch = cls.__new__(cls)
-        batch.frame, batch.track_id, batch.boxes = frame, track_id, boxes
-        batch.confidence, batch.interpolated = confidence, interpolated
-        return batch
-
-    def __len__(self) -> int:
-        return self.frame.shape[0]
-
-    def __iter__(self) -> Iterator[TrackOutput]:
-        return iter(self._rows(slice(None)))
-
-    def __getitem__(self, k: int) -> TrackOutput:
-        return self._rows(slice(k, k + 1 or None))[0]  # an empty slice out of range: IndexError
-
-    def _rows(self, at: slice) -> list[TrackOutput]:
-        """One ``TrackOutput`` per row ``at``: the one per-row loop over
-        tracker outputs."""
-        columns = self.frame[at], self.track_id[at], self.boxes[at], self.confidence[at], self.interpolated[at]
-        return [TrackOutput(frame, track_id, BBox(*box), confidence, interpolated)
-                for frame, track_id, box, confidence, interpolated in zip(*(column.tolist() for column in columns))]
-
-    def __eq__(self, other):
-        if isinstance(other, TrackOutputs):
-            return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in self.__slots__)
-        if isinstance(other, (list, tuple)):
-            return len(self) == len(other) and list(self) == list(other)
-        return NotImplemented
-
-
 def propagate_linear(boxes: np.ndarray, velocity: np.ndarray, steps) -> np.ndarray:
     """Head boxes ``(n, 4)`` moved by their average velocities ``(n, 2)``
     over ``steps`` frames (one count for all, or one per box); sizes kept."""
@@ -454,7 +384,7 @@ class Tracker:
     def paused(self) -> Trajectories:
         return Trajectories(self.table, self._paused)
 
-    def step(self, detections: Detections, frame: int) -> TrackOutputs:
+    def step(self, detections: Detections, frame: int) -> IdStream:
         """Advance one frame.
 
         Args:
@@ -466,17 +396,16 @@ class Tracker:
             frame: frame being processed, an integer past every frame stepped so far.
 
         Returns:
-            One ``TrackOutputs`` row per surviving trajectory that has a box
+            One ``IdStream`` row per surviving trajectory that has a box
             this frame; rows from propagation are flagged ``interpolated``.
             Rows come in phase order, which is the new active set's: phase-1
             matches by active row, recoveries by level and then pair, births,
             coasting heads by active row.
         """
         cfg = self.config
-        try:
-            frame = operator.index(frame)
-        except TypeError:
-            raise TypeError(f"frame must be an integer, got {frame!r}") from None
+        frame = _integer(frame, "frame")
+        if not isinstance(detections, Detections):
+            raise TypeError(f"detections must be one Detections batch, got {type(detections).__name__}")
         if frame <= self.current_frame:
             raise ValueError(f"frame {frame} does not advance past {self.current_frame}")
         if cfg.weights.identity > 0.0 and (missing := detections.missing_embedding()):
@@ -558,13 +487,13 @@ class Tracker:
         self._paused = np.concatenate([paused[~recovered], unmatched[~coasting]])
         self.current_frame = frame
         n = len(active)  # every head of the active set is now at this frame
-        return TrackOutputs._checked(table.head_frame.take(active), table.ids.take(active),
-                                     table.boxes.take(active, axis=0), table.confidence.take(active),
-                                     np.arange(n) >= n - coast.size)
+        return IdStream._checked(table.head_frame.take(active), table.ids.take(active),
+                                 table.boxes.take(active, axis=0), table.confidence.take(active),
+                                 np.arange(n) >= n - coast.size)
 
 
 def track_stream(dets: DetectionStream, config: TrackerConfig | None = None,
-                 nms_iou: float = DEFAULT_NMS_IOU) -> TrackOutputs:
+                 nms_iou: float = DEFAULT_NMS_IOU) -> IdStream:
     """Run a fresh tracker over a whole detection stream.
 
     Args:
@@ -581,7 +510,7 @@ def track_stream(dets: DetectionStream, config: TrackerConfig | None = None,
     """
     config = config or TrackerConfig()
     tracker = Tracker(config)
-    outputs = [TrackOutputs([], [], [], [], [])]
+    outputs = [IdStream([], [], [])]
     none = Detections([], [])
     busy, starts = np.unique(dets.frames, return_index=True)
     busy, bounds = busy.tolist() + [dets.last + 1], starts.tolist() + [len(dets.frames)]
@@ -597,14 +526,4 @@ def track_stream(dets: DetectionStream, config: TrackerConfig | None = None,
             batch = batch.take(batch.confidence >= config.det_threshold)
         outputs.append(tracker.step(nms(batch, nms_iou), frame))
         frame += 1
-    return TrackOutputs._checked(*(np.concatenate([getattr(o, name) for o in outputs])
-                                   for name in TrackOutputs.__slots__))
-
-
-def hypotheses(outputs: TrackOutputs, interpolated: bool = False) -> IdStream:
-    """A ``TrackOutputs`` batch as the hypothesis stream that ``evaluate``
-    scores and ``write_results`` writes: one ``IdStream`` of its frames, track
-    ids, boxes and confidences in output order. Interpolated outputs
-    (propagation) only if asked for."""
-    keep = slice(None) if interpolated else ~outputs.interpolated
-    return IdStream._checked(outputs.frame[keep], outputs.track_id[keep], outputs.boxes[keep], outputs.confidence[keep])
+    return IdStream._checked(*(np.concatenate([getattr(o, name) for o in outputs]) for name in IdStream.__slots__))

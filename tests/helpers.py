@@ -1,6 +1,6 @@
 """Shared test helpers: one way to build a ``Detections`` batch, a
-``DetectionStream`` of per-frame batches, a ``TrackOutputs`` batch and a tracker's trajectories by hand, an
-``IdStream`` split into frames, the pairwise
+``DetectionStream`` of per-frame batches, an ``IdStream`` of ``TrackOutput`` rows and a tracker's trajectories by
+hand, an ``IdStream`` split into frames, the pairwise
 IoU oracle (the dense broadcast that the sort and sweep in
 ``idtrack.affinity`` replaced), the per-pair oracle of
 ``update_trajectory`` (the loop that the table's array update replaced),
@@ -9,8 +9,8 @@ the oracle."""
 
 import numpy as np
 
-from idtrack.geometry import BBox, Detections, DetectionStream, _box_rows
-from idtrack.tracker import TrackOutputs, Trajectories, TrajectoryTable
+from idtrack.geometry import BBox, Detections, DetectionStream, IdStream, _box_rows
+from idtrack.tracker import Trajectories, TrajectoryTable
 
 
 def detections(rows):
@@ -69,10 +69,10 @@ def by_frame(stream):
 
 
 def track_outputs(rows):
-    """One ``TrackOutputs`` batch of ``TrackOutput`` rows, in their order."""
+    """One ``IdStream`` of ``TrackOutput`` rows, in their order."""
     rows = list(rows)
-    return TrackOutputs([o.frame for o in rows], [o.track_id for o in rows], _box_rows([o.box for o in rows]),
-                        [o.confidence for o in rows], [o.interpolated for o in rows])
+    return IdStream([o.frame for o in rows], [o.track_id for o in rows], _box_rows([o.box for o in rows]),
+                    [o.confidence for o in rows], [o.interpolated for o in rows])
 
 
 def trajectories(rows):

@@ -24,8 +24,7 @@ from hypothesis import strategies as st
 from helpers import batch_bits, detection_stream, detections, grid_boxes, iou_matrix, relatives, track_outputs, trajectories
 from idtrack import mot_io
 from idtrack.affinity import AffinityWeights, combined_affinity, nms
-from idtrack.geometry import BBox, Detections, IdStream, to_corner
-from idtrack.tracker import TrackOutput, hypotheses
+from idtrack.geometry import BBox, Detections, IdStream, TrackOutput, to_corner
 
 
 def reference_nms(detections, iou_threshold):
@@ -263,7 +262,8 @@ def test_property_writers_write_the_reference_bytes(tmp_path_factory, stream, ch
     random.shuffle(outputs)
     joined = detection_stream(dets)
     taken = detection_stream({frame: rows.take(np.arange(len(rows))) for frame, rows in dets.items()})
-    hyp = hypotheses(track_outputs(outputs))
+    hyp = track_outputs(outputs)
+    hyp = hyp.take(~hyp.interpolated)
     with mock.patch.multiple(mot_io, _CHUNK_VALUES=chunk_values, _CHUNK_ROWS=chunk_rows):
         written_as_reference(tmp, lambda p: reference_write_detections(p, dets), mot_io.read_detections,
                              lambda p: mot_io.write_detections(p, joined), lambda p: mot_io.write_detections(p, taken))

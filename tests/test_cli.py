@@ -13,9 +13,9 @@ import scipy
 import idtrack.cli
 from idtrack.affinity import AffinityWeights, nms
 from idtrack.cli import ABLATION_MODELS, main
-from idtrack.geometry import BBox, Detection
+from idtrack.geometry import BBox, Detection, IdStream
 from idtrack.mot_io import load_detections, read_detections, read_embeddings, read_gt
-from idtrack.tracker import DEFAULT_NMS_IOU, Tracker, TrackerConfig, TrackOutputs, track_stream
+from idtrack.tracker import DEFAULT_NMS_IOU, Tracker, TrackerConfig, track_stream
 
 
 @pytest.fixture()
@@ -187,6 +187,21 @@ def test_track_default_scene_bytes_are_pinned(tmp_path):
         hyp = tmp_path / "hyp.txt"
         assert main(["track", *scene, "--out", str(hyp), *flags]) == 0
         assert hashlib.sha256(hyp.read_bytes()).hexdigest() == expected, flags
+
+
+def test_a_results_file_with_interpolated_rows_reads_back_unmarked(tmp_path):
+    # The MOT format has no interpolated column: the coasted rows that
+    # --write-interpolated adds read back like detected ones.
+    sim_cfg = tmp_path / "sim.cfg"
+    sim_cfg.write_text("num_identities=6\nframes=40\narena=400,300\nembedding_dim=8\nocclusion_events=3\n")
+    scene, hyp = tmp_path / "scene", tmp_path / "hyp.txt"
+    assert main(["simulate", "--config", str(sim_cfg), "--seed", "3", "--out-dir", str(scene)]) == 0
+    dets, emb = scene / "dets.txt", scene / "embeddings.txt"
+    assert main(["track", "--dets", str(dets), "--embeddings", str(emb), "--out", str(hyp), "--write-interpolated"]) == 0
+    outputs, back = track_stream(load_detections(dets, emb), TrackerConfig()), read_gt(hyp)
+    assert outputs.interpolated.any() and not back.interpolated.any() and len(back) == len(outputs)
+    order = np.lexsort((outputs.ids, outputs.frames))
+    assert back.frames.tolist() == outputs.frames[order].tolist() and back.ids.tolist() == outputs.ids[order].tolist()
 
 
 
@@ -746,7 +761,7 @@ def test_the_pipeline_and_an_online_replay_build_no_rows(tmp_path, monkeypatch):
     sim_cfg.write_text("num_identities=6\nframes=40\narena=400,300\nembedding_dim=8\nfp_rate=0.6\nocclusion_events=3\n"
                       "occlusion_duration=7,9\n")
     built = {"boxes": 0, "rows": 0}
-    check, rows = BBox.__post_init__, TrackOutputs._rows
+    check, rows = BBox.__post_init__, IdStream._rows
 
     def counting_check(self):
         built["boxes"] += 1
@@ -757,7 +772,7 @@ def test_the_pipeline_and_an_online_replay_build_no_rows(tmp_path, monkeypatch):
         return rows(self, at)
 
     monkeypatch.setattr(BBox, "__post_init__", counting_check)
-    monkeypatch.setattr(TrackOutputs, "_rows", counting_rows)
+    monkeypatch.setattr(IdStream, "_rows", counting_rows)
     scene, hyp = tmp_path / "scene", tmp_path / "hyp.txt"
     assert main(["simulate", "--config", str(sim_cfg), "--seed", "3", "--out-dir", str(scene)]) == 0
     assert main(["track", "--dets", str(scene / "dets.txt"), "--embeddings", str(scene / "embeddings.txt"),

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import batch_bits, detections
 from idtrack.affinity import nms
-from idtrack.geometry import (BBox, Detection, Detections, DetectionStream, IdStream, _box_fault, _good_boxes, _row_norms,
-                              to_corner)
+from idtrack.geometry import (BBox, Detection, Detections, DetectionStream, IdStream, TrackOutput, _box_fault, _good_boxes,
+                              _row_norms, to_corner)
 from idtrack.mot_io import _centred
 
 
@@ -212,6 +212,11 @@ def test_an_id_stream_holds_columns_and_packs_a_mapping_of_frames():
     stream = IdStream([4, 2, 4, 9], [3, 1, 5, 3], [[0, 0, 2, 2], [5, 5, 2, 2], [9, 9, 2, 2], [1, 1, 4, 4]], [0.5, 1, 1, 0.25])
     assert stream.frames.dtype == stream.ids.dtype == np.int64 and stream.confidence.tolist() == [0.5, 1, 1, 0.25]
     assert stream.boxes.tolist()[1] == [5, 5, 2, 2] and not hasattr(stream, "__dict__")
+    assert stream.interpolated.dtype == bool and stream.interpolated.tolist() == [False] * 4  # the default
+    assert stream[1] == TrackOutput(2, 1, BBox(5.0, 5.0, 2.0, 2.0), 1.0) and stream == list(stream) and len(stream) == 4
+    marked = IdStream([1, 2], [1, 1], [[0, 0, 2, 2], [5, 5, 2, 2]], interpolated=[0, 1])
+    assert marked.interpolated.tolist() == [False, True] and marked.take([1]).interpolated.tolist() == [True]
+    assert marked != IdStream([1, 2], [1, 1], [[0, 0, 2, 2], [5, 5, 2, 2]])  # the mask alone differs
     kept = stream.take(stream.confidence >= 0.5)
     assert kept.frames.tolist() == [4, 2, 4] and kept.ids.tolist() == [3, 1, 5] and kept.boxes.shape == (3, 4)
     assert stream.take([3, 0]).frames.tolist() == [9, 4] and stream.take([3, 0]).confidence.tolist() == [0.25, 0.5]
@@ -220,8 +225,10 @@ def test_an_id_stream_holds_columns_and_packs_a_mapping_of_frames():
     assert packed.frames.dtype == packed.ids.dtype == np.int64
     assert packed.frames.tolist() == [7, 1, 1] and packed.ids.tolist() == [2, 6, 5]
     assert packed.confidence.tolist() == [0.5, 1.0, 1.0] and packed.boxes.shape == (3, 4)
+    assert packed.interpolated.tolist() == [False] * 3
     empty = IdStream.pack({})
-    assert (empty.frames.shape, empty.ids.shape, empty.boxes.shape, empty.confidence.shape) == ((0,), (0,), (0, 4), (0,))
+    assert ([c.shape for c in (empty.frames, empty.ids, empty.boxes, empty.confidence, empty.interpolated)]
+            == [(0,), (0,), (0, 4), (0,), (0,)])
     # Unsigned columns up to the largest int64 are taken as they are.
     widest = IdStream(np.array([1], np.uint64), np.array([2**63 - 1], np.uint64), [[5, 5, 2, 2]])
     assert widest.ids.dtype == np.int64 and widest.ids.tolist() == [2**63 - 1]
@@ -244,6 +251,11 @@ def test_an_id_stream_holds_columns_and_packs_a_mapping_of_frames():
         ({"boxes": [[0, 0, 2, 2]]}, r"boxes must have shape \(2, 4\)"),
         ({"confidence": [0.5, float("nan")]}, r"row 1: confidence must be finite, got nan"),
         ({"confidence": [0.5]}, r"confidence must have shape \(2,\)"),
+        ({"boxes": [[0, 0, 2, 2, 5, 5, 2, 2]]}, r"^boxes must have shape \(2, 4\), got \(1, 8\)$"),
+        ({"boxes": []}, r"^boxes must have shape \(2, 4\), got \(0, 4\)$"),
+        ({"interpolated": [False]}, r"^interpolated must have shape \(2,\), got \(1,\)$"),
+        ({"interpolated": [False, True, False]}, r"^interpolated must have shape \(2,\), got \(3,\)$"),
+        ({"interpolated": []}, r"^interpolated must have shape \(2,\), got \(0,\)$"),
     ],
 )
 def test_an_id_stream_checks_every_row_and_names_the_first_bad_one(change, message):

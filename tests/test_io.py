@@ -17,7 +17,7 @@ from idtrack import mot_io
 from idtrack.affinity import AffinityWeights
 from idtrack.cli import main
 from helpers import by_frame, detection_stream, detections, track_outputs
-from idtrack.geometry import MIN_SIDE, BBox, Detections, DetectionStream, IdStream, to_corner
+from idtrack.geometry import MIN_SIDE, BBox, Detections, DetectionStream, IdStream, TrackOutput, to_corner
 from idtrack.mot_io import (
     load_detections,
     read_config,
@@ -31,7 +31,7 @@ from idtrack.mot_io import (
     write_results,
 )
 from idtrack.sim import SimConfig, generate
-from idtrack.tracker import TrackerConfig, TrackOutput, hypotheses, track_stream
+from idtrack.tracker import TrackerConfig, track_stream
 
 
 def unit(vec):
@@ -260,27 +260,30 @@ def test_denormalized_embedding_warns_and_fixes(tmp_path):
     assert (frames.tolist(), index.tolist()) == ([1], [0]) and np.allclose(matrix[0], [0.6, 0.8], atol=1e-12)
 
 
-def test_write_results_skips_interpolated_by_default(tmp_path):
+def test_write_results_writes_the_rows_it_is_given_and_reads_back_no_mask(tmp_path):
     outputs = track_outputs([
         TrackOutput(2, 1, BBox(10.0, 10.0, 4.0, 4.0), 0.9),
         TrackOutput(1, 1, BBox(9.0, 10.0, 4.0, 4.0), 0.9),
         TrackOutput(3, 1, BBox(11.0, 10.0, 4.0, 4.0), 0.9, interpolated=True),
     ])
     p = tmp_path / "out.txt"
-    assert write_results(p, hypotheses(outputs)) == 2
+    assert write_results(p, outputs.take(~outputs.interpolated)) == 2
     lines = p.read_text().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("1,1,") and lines[1].startswith("2,1,")
 
-    assert write_results(p, hypotheses(outputs, interpolated=True)) == 3
+    assert write_results(p, outputs) == 3
     assert len(p.read_text().splitlines()) == 3
+    # The format has no interpolated column: the coasted row reads back unmarked.
+    back = read_gt(p)
+    assert back.frames.tolist() == [1, 2, 3] and back.interpolated.tolist() == [False] * 3
     assert write_results(p, IdStream([], [], [])) == 0
     assert p.read_text() == ""
 
 
 def test_write_results_rejects_bad_ids(tmp_path):
     with pytest.raises(ValueError):
-        write_results(tmp_path / "x.txt", hypotheses(track_outputs([TrackOutput(1, 0, BBox(0, 0, 1, 1), 0.5)])))
+        write_results(tmp_path / "x.txt", track_outputs([TrackOutput(1, 0, BBox(0, 0, 1, 1), 0.5)]))
 
 
 def test_the_smallest_sides_at_the_edge_of_the_box_domain_are_read_back(tmp_path):
@@ -383,7 +386,7 @@ def test_a_failed_results_write_leaves_no_file(tmp_path):
     p = tmp_path / "hyp.txt"
     outputs = track_outputs([TrackOutput(1, 1, BBox(5, 5, 2, 2), 0.5), TrackOutput(2, 0, BBox(5, 5, 2, 2), 0.5)])
     with pytest.raises(ValueError, match="object ids must be >= 1, got 0"):
-        write_results(p, hypotheses(outputs))
+        write_results(p, outputs)
     assert not p.exists()
 
 
@@ -648,7 +651,7 @@ def test_results_and_sidecar_are_parse_stable(tmp_path):
         for k, d in enumerate(frame_dets)
     )
     r1, r2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
-    write_results(r1, hypotheses(outputs, interpolated=True))
+    write_results(r1, outputs)
     write_results(r2, read_gt(r1))
     assert r1.read_bytes() == r2.read_bytes()
 
@@ -861,7 +864,7 @@ def test_a_generated_scene_is_written_without_percent_format(tmp_path):
     with mock.patch.object(mot_io, "_MOT_LINE", CountingLine(mot_io._MOT_LINE)):
         write_gt(tmp_path / "gt.txt", gt)
         write_detections(tmp_path / "dets.txt", dets)
-        assert write_results(tmp_path / "hyp.txt", hypotheses(outputs)) > 0
+        assert write_results(tmp_path / "hyp.txt", outputs.take(~outputs.interpolated)) > 0
     assert CountingLine.calls == 0
     assert len(gt.ids) == len((tmp_path / "gt.txt").read_text().splitlines())
 
@@ -1095,7 +1098,7 @@ def writer_files(tmp_path) -> dict[str, tuple]:
     write_gt(tmp_path / "gt.txt", gt)
     write_detections(tmp_path / "dets.txt", dets)
     write_embeddings(tmp_path / "emb.txt", dets)
-    write_results(tmp_path / "hyp.txt", hypotheses(track_stream(dets, TrackerConfig()), interpolated=True))
+    write_results(tmp_path / "hyp.txt", track_stream(dets, TrackerConfig()))
     kept = [f for f in dets if f % 2]
     frames = np.repeat(kept, [len(dets[f]) for f in kept])
     index = np.concatenate([np.arange(len(dets[f])) for f in kept])

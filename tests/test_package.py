@@ -22,15 +22,15 @@ def test_every_export_resolves(name):
 
 
 def test_the_root_exports_tracking_only():
-    assert len(idtrack.__all__) == 24
+    assert len(idtrack.__all__) == 23
     assert not {"update_trajectory", "Detection", "iou", "iou_matrix"} & set(idtrack.__all__)
     kernels = importlib.import_module("idtrack.kernels")
     assert not set(kernels.__all__) & set(idtrack.__all__)
 
 
 def test_the_file_layer_imports_nothing_from_the_tracker():
-    # mot_io sits below the tracker: results reach its writer as
-    # ``hypotheses`` batches, so the file layer needs none of its types.
+    # mot_io sits below the tracker: results reach its writer as the
+    # ``IdStream`` that the tracker returns, so the file layer needs none of its types.
     tree = ast.parse(Path(idtrack.__file__).with_name("mot_io.py").read_text())
     modules = []
     for node in ast.walk(tree):

@@ -300,9 +300,12 @@ def test_subsample_drops_and_reindexes():
     assert thin.boxes[thin.frames == 4].tolist() == gt.boxes[gt.frames == 10].tolist()
     # A stream keeps its kept rows in their order, frames below 1 dropped.
     box = [[5.0, 5.0, 2.0, 2.0]]
-    mixed = subsample(IdStream([7, 1, 0, 4, -2, 10, 6], [1, 2, 3, 4, 5, 6, 7], box * 7, [1, 2, 3, 4, 5, 6, 7]), 3)
+    mixed = subsample(IdStream([7, 1, 0, 4, -2, 10, 6], [1, 2, 3, 4, 5, 6, 7], box * 7, [1, 2, 3, 4, 5, 6, 7],
+                               [True, False, True, False, True, True, False]), 3)
     assert mixed.frames.tolist() == [3, 1, 2, 4] and mixed.ids.tolist() == [1, 2, 4, 6]
     assert mixed.confidence.tolist() == [1.0, 2.0, 4.0, 6.0] and mixed.boxes.tolist() == box * 4
+    assert mixed.interpolated.tolist() == [True, False, False, True]  # each kept row keeps its mask
+    assert not thin.interpolated.any()
     # Of a detection stream the same mask keeps the kept frames' rows, in order.
     thin_dets = subsample(dets, 3)
     assert thin_dets.frames.tolist() == np.repeat([1, 2, 3, 4], [len(dets[f]) for f in (1, 4, 7, 10)]).tolist()
@@ -317,6 +320,7 @@ def test_subsample_steps_the_last_kept_frame_even_without_rows():
     assert (thin.frames.tolist(), thin.last, len(thin[2])) == ([1], 2, 0)
     outputs = track_stream(thin, TrackerConfig(weights=AffinityWeights(1.0, 0.0)))
     assert [(o.frame, o.track_id, o.box, o.interpolated) for o in outputs] == [(1, 1, box, False), (2, 1, box, True)]
+    assert subsample(outputs, 1) == outputs and subsample(outputs, 2) == [outputs[0]]  # an output stream keeps its mask
 
 
 def test_subsample_grows_with_the_rows_it_is_given():
@@ -331,8 +335,16 @@ def test_subsample_grows_with_the_rows_it_is_given():
 
 
 def test_subsample_rejects_bad_stride():
-    with pytest.raises(ValueError):
-        subsample(detection_stream({1: []}), 0)
+    # 2.5 used to give ground truth float frames 1., 1., 3., 3., and a
+    # detection stream an error that named no stride.
+    box = BBox(10.0, 10.0, 4.0, 4.0)
+    streams = IdStream([1, 2, 3, 4], [1] * 4, [[10.0, 10.0, 4.0, 4.0]] * 4), detection_stream({1: [(box, 0.9)]})
+    for stream in streams:
+        with pytest.raises(TypeError, match=r"^stride must be an integer, got 2\.5$"):
+            subsample(stream, 2.5)
+        for stride in (0, -1):
+            with pytest.raises(ValueError, match=f"^stride must be >= 1, got {stride}$"):
+                subsample(stream, stride)
     empty = subsample(detection_stream({}), 3)
     assert (len(empty.rows), empty.last, list(empty)) == (0, 0, [])
 

@@ -9,16 +9,13 @@ from hypothesis import strategies as st
 
 from idtrack.affinity import AffinityWeights, nms
 from helpers import detection_stream, detections, state, track_outputs, trajectories, update_one
-from idtrack.geometry import BBox, Detections, DetectionStream, _box_rows
+from idtrack.geometry import BBox, Detections, DetectionStream, IdStream, TrackOutput, _box_rows
 from idtrack.mot_io import load_detections, write_detections, write_embeddings, write_results
 from idtrack.sim import SimConfig, generate
 from idtrack.tracker import (
     DEFAULT_NMS_IOU,
     Tracker,
     TrackerConfig,
-    TrackOutput,
-    TrackOutputs,
-    hypotheses,
     propagate_linear,
     track_stream,
     update_trajectory,
@@ -167,9 +164,9 @@ def test_a_head_may_coast_out_of_the_box_domain(tmp_path):
     assert [o.box.cx for o in outputs] == [edge - 2.0, edge, edge + 1.0, edge + 2.0, edge + 3.0]
     hyp = tmp_path / "hyp.txt"
     with pytest.raises(ValueError, match=r"box cx must be at most 1e\+08 in magnitude, got 100000001.0"):
-        write_results(hyp, hypotheses(outputs, interpolated=True))
+        write_results(hyp, outputs)
     assert not hyp.exists()
-    assert write_results(hyp, hypotheses(outputs)) == 2
+    assert write_results(hyp, outputs.take(~outputs.interpolated)) == 2
 
 
 def test_hypotheses_skip_interpolated_outputs_and_keep_order():
@@ -181,19 +178,21 @@ def test_hypotheses_skip_interpolated_outputs_and_keep_order():
         TrackOutput(2, 2, c, 0.6),
         TrackOutput(3, 1, c, 0.5, interpolated=True),
     ])
-    hyp = hypotheses(outputs)
+    hyp = outputs.take(~outputs.interpolated)
     assert hyp.frames.tolist() == [2, 1, 2] and hyp.ids.tolist() == [3, 2, 2]  # in output order
     assert hyp.frames.dtype == hyp.ids.dtype == np.int64 and hyp.boxes.tolist() == _box_rows([a, b, c]).tolist()
-    assert hyp.confidence.tolist() == [0.9, 0.8, 0.6]
-    empty = hypotheses(track_outputs([]))
-    assert (empty.frames.shape, empty.ids.shape, empty.boxes.shape, empty.confidence.shape) == ((0,), (0,), (0, 4), (0,))
+    assert hyp.confidence.tolist() == [0.9, 0.8, 0.6] and hyp.interpolated.tolist() == [False] * 3
+    empty = track_outputs([])
+    empty = empty.take(~empty.interpolated)
+    assert ([c.shape for c in (empty.frames, empty.ids, empty.boxes, empty.confidence, empty.interpolated)]
+            == [(0,), (0,), (0, 4), (0,), (0,)])
 
 
 def test_an_empty_step_equals_no_rows():
     outputs = Tracker(iou_only_config()).step(detections([]), 1)
-    assert isinstance(outputs, TrackOutputs) and len(outputs) == 0
+    assert isinstance(outputs, IdStream) and len(outputs) == 0
     assert outputs == [] and outputs == () and list(outputs) == []
-    assert outputs == track_outputs([]) and len(hypotheses(outputs).frames) == 0
+    assert outputs == track_outputs([]) and len(outputs.take(~outputs.interpolated).frames) == 0
 
 
 def test_a_batch_differs_from_rows_that_differ_in_any_one_field():
@@ -203,9 +202,11 @@ def test_a_batch_differs_from_rows_that_differ_in_any_one_field():
     rows = list(outputs)
     assert rows == [TrackOutput(2, 1, BBox(11.0, 10.0, 4.0, 4.0), 0.9), TrackOutput(2, 2, BBox(50.0, 50.0, 4.0, 4.0),
                                                                                    0.8, interpolated=True)]
-    assert [outputs[0], outputs[-1]] == rows and outputs == rows and outputs == tuple(rows)
-    with pytest.raises(IndexError):
-        outputs[2]
+    assert [outputs[0], outputs[-1]] == rows == [outputs[-2], outputs[1]]
+    assert outputs == rows and outputs == tuple(rows) and all(isinstance(row.box, BBox) for row in outputs)
+    for k in (2, -3, 10):
+        with pytest.raises(IndexError):
+            outputs[k]
     assert track_outputs(rows) == outputs
     for k, row in enumerate(rows):
         for change in ({"frame": 3}, {"track_id": 7}, {"box": BBox(row.box.cx, row.box.cy, 4.0, 4.5)},
@@ -215,26 +216,13 @@ def test_a_batch_differs_from_rows_that_differ_in_any_one_field():
     assert outputs != rows[:1] and outputs != rows + rows[:1] and outputs != rows[::-1]
 
 
-@pytest.mark.parametrize(
-    ("columns", "message"),
-    [
-        (([1, 2], [1], [[0, 0, 1, 1]], [1.0], [False]), r"track_id must have shape \(2,\), got \(1,\)"),
-        (([[1]], [1], [[0, 0, 1, 1]], [1.0], [False]), r"frame must have shape \(1,\), got \(1, 1\)"),
-        (([1], [1], [[0, 0, 1, 1]], [1.0, 0.5], [False]), r"confidence must have shape \(1,\), got \(2,\)"),
-        (([1], [1], [[0, 0, 1, 1]], [1.0], []), r"interpolated must have shape \(1,\), got \(0,\)"),
-        (([1], [1], [[0, 0, 1, 1, 2, 2, 1, 1]], [1.0], [False]), r"boxes must have shape \(1, 4\), got \(1, 8\)"),
-        (([1, 2], [1, 2], [[0, 0, 1, 1]], [1.0, 1.0], [False, False]), r"boxes must have shape \(2, 4\)"),
-        (([1], [1], [], [1.0], [False]), r"boxes must have shape \(1, 4\), got \(0, 4\)"),
-    ],
-)
-def test_a_batch_refuses_columns_of_other_lengths(columns, message):
-    with pytest.raises(ValueError, match=message):
-        TrackOutputs(*columns)
-
-
 @pytest.mark.parametrize("box", [[0, 0, float("nan"), 1], [float("inf"), 0, 1, 1], [0, 0, 0, 1], [0, 0, 1, -2]])
-def test_the_rows_of_a_batch_are_checked_boxes(box):
-    outputs = TrackOutputs([1, 1], [1, 2], [[5, 5, 2, 2], box], [0.9, 0.8], [False, True])
+def test_a_stream_refuses_a_bad_box_and_its_rows_are_checked_boxes(box):
+    columns = [1, 1], [1, 2], [[5, 5, 2, 2], box], [0.9, 0.8], [False, True]
+    with pytest.raises(ValueError, match="row 1: BBox"):
+        IdStream(*columns)
+    # The tracker gathers its outputs unchecked; a row is checked when it is built.
+    outputs = IdStream._checked(*(np.array(column) for column in columns))
     assert outputs[0] == TrackOutput(1, 1, BBox(5.0, 5.0, 2.0, 2.0), 0.9)
     with pytest.raises(ValueError, match="BBox"):
         outputs[1]
@@ -243,8 +231,9 @@ def test_the_rows_of_a_batch_are_checked_boxes(box):
 
 
 def test_a_batch_is_not_hashable():
-    with pytest.raises(TypeError):
-        hash(track_stream(stream({}), iou_only_config()))
+    for outputs in (track_stream(stream({}), iou_only_config()), IdStream([1], [1], [[5, 5, 2, 2]])):
+        with pytest.raises(TypeError):
+            hash(outputs)
 
 
 def test_the_steps_of_a_stream_without_idle_frames_are_its_rows():
@@ -266,8 +255,8 @@ def test_the_tracker_builds_batches_the_constructor_would_take_as_they_are():
     batches = [tracker.step(dets[1], 1), tracker.step(dets[2].take([]), 2),
                track_stream(dets, id_only_config()), track_stream(stream({5: []}))]
     for outputs in batches:
-        rebuilt = TrackOutputs(*(getattr(outputs, name) for name in TrackOutputs.__slots__))
-        for name in TrackOutputs.__slots__:
+        rebuilt = IdStream(*(getattr(outputs, name) for name in IdStream.__slots__))
+        for name in IdStream.__slots__:
             column, checked = getattr(outputs, name), getattr(rebuilt, name)
             assert (column.dtype, column.shape) == (checked.dtype, checked.shape), name
     assert [len(outputs) > 0 for outputs in batches] == [True, True, True, False]
@@ -373,7 +362,22 @@ def test_a_frame_that_is_not_an_integer_is_refused_before_any_change(frame):
         tracker.step(detections([det(12, 10)]), frame)
     assert tracker.current_frame == 1 and tracker.active[0].last_seen == 1 and tracker.next_id == 2
     outputs = tracker.step(detections([det(12, 10)]), np.int64(2))
-    assert outputs.frame.tolist() == [2] and type(tracker.current_frame) is int
+    assert outputs.frames.tolist() == [2] and type(tracker.current_frame) is int
+
+
+@pytest.mark.parametrize("identity", [0.0, 0.5])
+def test_detections_that_are_not_a_batch_are_refused_before_any_change(identity):
+    # A list of views, which nms takes, raised AttributeError halfway into
+    # the step: on missing_embedding, or on embeddings at identity weight 0.
+    tracker = Tracker(TrackerConfig(weights=AffinityWeights(1.0 - identity, identity)))
+    tracker.step(detections([det(10, 10, EA)]), 1)
+    before = [state(t) for t in tracker.active], tracker.current_frame, tracker.next_id
+    batch = detections([det(12, 10, EA), det(90, 90, EB)])
+    for wrong, name in ((list(batch), "list"), (tuple(batch), "tuple"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=f"detections must be one Detections batch, got {name}"):
+            tracker.step(wrong, 2)
+        assert ([state(t) for t in tracker.active], tracker.current_frame, tracker.next_id) == before
+    assert tracker.step(batch, 2).ids.tolist() == [1, 2]
 
 
 def start_traj(embedding=EA, last_seen=1):
@@ -717,12 +721,14 @@ def test_property_a_batch_gives_the_hypotheses_of_its_rows(scene):
     dets, config = scene
     outputs = track_stream(dets, config)
     for interpolated in (False, True):
-        # The per-row reference: each kept output's (frame, id, box, confidence), in output order.
-        want = [(o.frame, o.track_id, o.box, o.confidence) for o in outputs if interpolated or not o.interpolated]
-        got = hypotheses(outputs, interpolated)
-        assert [c.dtype for c in (got.frames, got.ids, got.boxes, got.confidence)] == [np.int64, np.int64] + [np.float64] * 2
+        # The per-row reference: each kept output's values, in output order.
+        want = [(o.frame, o.track_id, o.box, o.confidence, o.interpolated)
+                for o in outputs if interpolated or not o.interpolated]
+        got = outputs if interpolated else outputs.take(~outputs.interpolated)
+        columns = got.frames, got.ids, got.boxes, got.confidence, got.interpolated
+        assert [c.dtype for c in columns] == [np.int64, np.int64, np.float64, np.float64, bool]
         assert list(zip(got.frames.tolist(), got.ids.tolist(), [BBox(*b) for b in got.boxes.tolist()],
-                        got.confidence.tolist())) == want
+                        got.confidence.tolist(), got.interpolated.tolist())) == want
 
 
 def step_every_frame(dets, config):
