@@ -198,15 +198,14 @@ def cmd_ablate(args) -> int:
         dets = subsample(dets_full, stride) if stride > 1 else dets_full
         for name, model in models.items():
             outputs = track_stream(dets, model)
-            hyp = outputs.take(~outputs.interpolated)
-            report = evaluate(gt, hyp, args.iou_gate)
+            report = evaluate(gt, outputs, args.iou_gate)
             label = f"{name}@s{stride}"
             rows.append((label, report))
             lines.append(format_report(report, prefix=f"{name.replace('-', '_')}_s{stride}_"))
             if args.out_dir:
                 out_dir = Path(args.out_dir)
                 out_dir.mkdir(parents=True, exist_ok=True)
-                write_results(out_dir / f"{name}_s{stride}.txt", hyp)
+                write_results(out_dir / f"{name}_s{stride}.txt", outputs.take(~outputs.interpolated))
 
     print(format_table(rows))
     print()

@@ -171,10 +171,11 @@ def _integer(value, name: str) -> int:
 
 def _int_column(values, n: int, name: str) -> np.ndarray:
     """``values`` as an int64 column, one integer per row of ``n`` that int64
-    holds; an error names the first bad row."""
-    column = np.asarray(values).reshape(-1)
-    if len(column) != n:
-        raise ValueError(f"row {min(len(column), n)}: {name}s has {len(column)} entries for {n} rows")
+    holds; an error names the first bad row, or a column of another rank."""
+    column = np.asarray(values)
+    if column.shape != (n,):
+        raise ValueError(f"{name}s must have shape ({n},), got {column.shape}" if column.ndim != 1
+                         else f"row {min(len(column), n)}: {name}s has {len(column)} entries for {n} rows")
     if n and column.dtype.kind not in "iu":
         raise ValueError(f"row 0: {name}s must be integers, got dtype {column.dtype}")
     if column.dtype == np.uint64:  # the one integer type with values that int64 would wrap
@@ -347,7 +348,7 @@ class IdStream:
     True where a tracker propagated a box). The constructor checks the whole
     stream at once: integer frames and ids that int64 holds, boxes in the
     box domain (see ``_box_fault``) and finite confidences; an error names
-    the first bad row, or a column of another length. What a repeated
+    the first bad row, or a column of another length or rank. What a repeated
     ``(frame, id)`` means is up to its reader. A stream is not modified
     after it is built; ``take`` makes a new one. It works as a list of
     ``TrackOutput`` rows, built when asked for and not kept, and equals a
@@ -363,8 +364,8 @@ class IdStream:
         k = _first_false(_good_boxes(boxes))
         if k is not None:
             raise ValueError(f"row {k}: {_box_fault(*boxes[k].tolist())}")
-        confidence = np.ones(n) if confidence is None else np.asarray(confidence, dtype=np.float64).reshape(-1)
-        interpolated = np.zeros(n, bool) if interpolated is None else np.asarray(interpolated, bool).reshape(-1)
+        confidence = np.ones(n) if confidence is None else np.asarray(confidence, dtype=np.float64)
+        interpolated = np.zeros(n, bool) if interpolated is None else np.asarray(interpolated, bool)
         for name, column in (("confidence", confidence), ("interpolated", interpolated)):
             if column.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},), got {column.shape}")

@@ -93,15 +93,15 @@ def evaluate(gt: Stream, hyp: Stream, iou_gate: float = 0.5) -> MotReport:
     """Score a hypothesis stream against ground truth.
 
     Each stream is an ``IdStream`` or a mapping that ``IdStream.pack``
-    joins, frame -> [(id, box), ...]. Frames missing from a
-    stream count as empty. Within a frame the rows are canonicalized by id
-    so the result does not depend on input ordering; an id may appear once
-    per frame.
+    joins, frame -> [(id, box), ...]; rows marked ``interpolated`` (coasted
+    boxes) are not scored. Frames missing from a stream count as empty.
+    Within a frame the rows are canonicalized by id so the result does not
+    depend on input ordering; an id may appear once per frame.
     """
     if not 0.0 < iou_gate <= 1.0:
         raise ValueError(f"iou_gate must lie in (0, 1], got {iou_gate}")
 
-    gt, hyp = IdStream.pack(gt), IdStream.pack(hyp)
+    gt, hyp = (s.take(~s.interpolated) if s.interpolated.any() else s for s in (IdStream.pack(gt), IdStream.pack(hyp)))
     frames = np.unique(np.concatenate((gt.frames, hyp.frames)), return_index=True)[0]  # bare, it imports numpy.ma
     g_rows, h_rows = _Rows(gt, frames), _Rows(hyp, frames)
     repeats = [(rows.repeat, kind) for rows, kind in ((g_rows, "gt"), (h_rows, "hypothesis")) if rows.repeat]
@@ -205,8 +205,8 @@ def sweep_thresholds(
 ) -> SweepResult:
     """Evaluate at several detection-score cutoffs and pick per-metric bests.
 
-    A hypothesis box survives a cutoff when its score is >= the threshold.
-    Ties on a metric keep the lowest threshold.
+    A detected hypothesis box survives a cutoff when its score is >= the
+    threshold. Ties on a metric keep the lowest threshold.
     """
     if not thresholds:
         raise ValueError("need at least one threshold")

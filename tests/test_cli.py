@@ -189,22 +189,6 @@ def test_track_default_scene_bytes_are_pinned(tmp_path):
         assert hashlib.sha256(hyp.read_bytes()).hexdigest() == expected, flags
 
 
-def test_a_results_file_with_interpolated_rows_reads_back_unmarked(tmp_path):
-    # The MOT format has no interpolated column: the coasted rows that
-    # --write-interpolated adds read back like detected ones.
-    sim_cfg = tmp_path / "sim.cfg"
-    sim_cfg.write_text("num_identities=6\nframes=40\narena=400,300\nembedding_dim=8\nocclusion_events=3\n")
-    scene, hyp = tmp_path / "scene", tmp_path / "hyp.txt"
-    assert main(["simulate", "--config", str(sim_cfg), "--seed", "3", "--out-dir", str(scene)]) == 0
-    dets, emb = scene / "dets.txt", scene / "embeddings.txt"
-    assert main(["track", "--dets", str(dets), "--embeddings", str(emb), "--out", str(hyp), "--write-interpolated"]) == 0
-    outputs, back = track_stream(load_detections(dets, emb), TrackerConfig()), read_gt(hyp)
-    assert outputs.interpolated.any() and not back.interpolated.any() and len(back) == len(outputs)
-    order = np.lexsort((outputs.ids, outputs.frames))
-    assert back.frames.tolist() == outputs.frames[order].tolist() and back.ids.tolist() == outputs.ids[order].tolist()
-
-
-
 # The other two benchmark workloads at seed 7: their configs come from
 # perfbench/workloads.json, so a change to the scene, the tracker, any writer
 # or any reader (eval reads gt.txt and hyp.txt back) on a bigger (scale128) or
@@ -452,11 +436,12 @@ def test_track_and_eval_round(tmp_path, tiny_config, capsys):
 def test_track_accepts_weight_and_stride_flags(tmp_path, tiny_config, monkeypatch):
     # --w1 and --w2 set the blend; one of them alone sets the other to make 1.
     scene = simulate(tmp_path, tiny_config)
-    blends, run = [], idtrack.cli.track_stream
+    blends, outputs, run = [], [], idtrack.cli.track_stream
 
     def recording(dets, config, **kwargs):
         blends.append(config.weights)
-        return run(dets, config, **kwargs)
+        outputs.append(run(dets, config, **kwargs))
+        return outputs[-1]
 
     monkeypatch.setattr(idtrack.cli, "track_stream", recording)
     for extra, weights in (
@@ -479,6 +464,10 @@ def test_track_accepts_weight_and_stride_flags(tmp_path, tiny_config, monkeypatc
             ]
         )
         assert rc == 0 and blends.pop() == weights, extra
+        # --write-interpolated adds the coasted rows; the file has no mask column.
+        kept, back = outputs.pop(), read_gt(tmp_path / "out.txt")
+        assert len(back) == np.count_nonzero(~kept.interpolated | ("--write-interpolated" in extra)), extra
+        assert kept.interpolated.any() and not back.interpolated.any(), extra
 
 
 def test_track_accepts_a_predictions_file(tmp_path, tiny_config):

@@ -256,6 +256,15 @@ def test_an_id_stream_holds_columns_and_packs_a_mapping_of_frames():
         ({"interpolated": [False]}, r"^interpolated must have shape \(2,\), got \(1,\)$"),
         ({"interpolated": [False, True, False]}, r"^interpolated must have shape \(2,\), got \(3,\)$"),
         ({"interpolated": []}, r"^interpolated must have shape \(2,\), got \(0,\)$"),
+        # A column of another rank is refused, not flattened.
+        ({"frames": [[1]], "ids": [3], "boxes": [[0, 0, 2, 2]], "confidence": [0.5]},
+         r"^frames must have shape \(1,\), got \(1, 1\)$"),
+        ({"frames": [[1], [1]]}, r"^frames must have shape \(2,\), got \(2, 1\)$"),
+        ({"ids": [[3, 1]]}, r"^ids must have shape \(2,\), got \(1, 2\)$"),
+        ({"ids": 3, "frames": [1], "boxes": [[0, 0, 2, 2]], "confidence": [0.5]}, r"^ids must have shape \(1,\), got \(\)$"),
+        ({"confidence": [[0.5, 0.9]]}, r"^confidence must have shape \(2,\), got \(1, 2\)$"),
+        ({"interpolated": [[False], [True]]}, r"^interpolated must have shape \(2,\), got \(2, 1\)$"),
+        ({"interpolated": [[False, True]]}, r"^interpolated must have shape \(2,\), got \(1, 2\)$"),
     ],
 )
 def test_an_id_stream_checks_every_row_and_names_the_first_bad_one(change, message):
@@ -273,6 +282,7 @@ def test_an_id_stream_checks_every_row_and_names_the_first_bad_one(change, messa
         ({"frames": [1.0, 2.0, 2.0]}, r"^row 0: frames must be integers, got dtype float64$"),
         ({"frames": [1, 2]}, r"^row 2: frames has 2 entries for 3 rows$"),
         ({"frames": [1, 2, 2, 3]}, r"^row 3: frames has 4 entries for 3 rows$"),
+        ({"frames": [[1, 2, 2]]}, r"^frames must have shape \(3,\), got \(1, 3\)$"),
         ({"last": 1}, r"^row 1: frame 2 is past the last frame, 1$"),
         ({"frames": np.array([1, 2, 2**64 - 1], np.uint64)},
          r"^row 2: frame must be at most 2\*\*63 - 1, got 18446744073709551615$"),

@@ -20,6 +20,7 @@ from idtrack.metrics import (
     sweep_thresholds,
 )
 from idtrack.sim import SimConfig, generate, subsample
+from idtrack.tracker import TrackerConfig, track_stream
 
 
 def box(cx, cy, size=10.0):
@@ -211,6 +212,21 @@ def test_sweep_keeps_boxes_on_the_cutoff():
 def test_sweep_needs_thresholds():
     with pytest.raises(ValueError):
         sweep_thresholds({}, {}, thresholds=())
+
+
+def test_interpolated_rows_are_not_scored():
+    # A coasted box is no hypothesis: tracker outputs score as their detected rows.
+    hyp = IdStream([1, 1, 2], [1, 2, 1], _box_rows([A, B, A]), [0.9, 0.8, 0.7], [False, True, True])
+    report = evaluate({1: [(1, A)], 2: [(1, A)]}, hyp)
+    assert (report.matches, report.fp, report.fn) == (1, 0, 1)
+    gt, dets = generate(SimConfig(seed=3, num_identities=6, frames=40, occlusion_events=3))
+    outputs = track_stream(dets, TrackerConfig())
+    detected = outputs.take(~outputs.interpolated)
+    assert outputs.interpolated.any()
+    assert evaluate(gt, outputs) == evaluate(gt, detected)
+    assert sweep_thresholds(gt, outputs) == sweep_thresholds(gt, detected)
+    marked = IdStream(gt.frames, gt.ids, gt.boxes, interpolated=gt.frames % 2 == 0)  # gt rows are skipped too
+    assert evaluate(marked, outputs) == evaluate(marked.take(~marked.interpolated), detected)
 
 
 def test_format_table_shape():
